@@ -42,6 +42,24 @@ fn bench_conv(c: &mut Criterion) {
     c.bench_function("conv2d_grad_weight_16x32x32", |bencher| {
         bencher.iter(|| std::hint::black_box(conv2d_grad_weight(&x, &dy, w.dims(), p)))
     });
+    // The numbers that decide Winograd's future: the same layer at batch 8,
+    // where the lowered kernel's per-call set-up is amortised as in training.
+    let x8 = Tensor::randn([8, 16, 32, 32], 1.0, &mut rng);
+    c.bench_function("conv2d_direct_16x32x32_batch8", |bencher| {
+        bencher.iter(|| std::hint::black_box(conv2d(&x8, &w, p)))
+    });
+    c.bench_function("conv2d_winograd_16x32x32_batch8", |bencher| {
+        bencher.iter(|| std::hint::black_box(conv2d_winograd(&x8, &wino, 1)))
+    });
+    // The other two branches of the lowered convolution on the same image.
+    let w1 = Tensor::randn([16, 16, 1, 1], 0.5, &mut rng);
+    c.bench_function("conv2d_pointwise_16x32x32", |bencher| {
+        bencher.iter(|| std::hint::black_box(conv2d(&x, &w1, Conv2dParams::default())))
+    });
+    let wd = Tensor::randn([16, 1, 3, 3], 0.5, &mut rng);
+    c.bench_function("conv2d_depthwise_16x32x32", |bencher| {
+        bencher.iter(|| std::hint::black_box(conv2d(&x, &wd, p.with_groups(16))))
+    });
     // Sparse (channel-pruned) weight gradient: only the first 4 of 16 output
     // channels — the kernel-level effect behind the sub-layer sparse scheme.
     let dy_sliced = pockengine::pe_tensor::kernels::layout::slice_axis(&dy, 1, 0, 4);

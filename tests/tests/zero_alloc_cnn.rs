@@ -1,17 +1,19 @@
 //! Counting-allocator proof that the arena executor runs a *convolutional*
-//! training step — Winograd kernels on the frozen backbone, region-fused
-//! bias/activation chains, rank-4 bias-gradient reductions — without ever
-//! dispatching an allocating fallback kernel and without touching the heap
-//! in steady state. Companion to `zero_alloc.rs` (the MLP variant); this file
-//! also holds a single `#[test]` because the global allocator counts every
-//! thread in the process.
+//! training step — Winograd kernels on a frozen backbone, the GEMM-lowered
+//! forward, grad-input and grad-weight kernels (and their stack panels) on a
+//! trainable one, region-fused bias/activation chains, rank-4 bias-gradient
+//! reductions — without ever dispatching an allocating fallback kernel and
+//! without touching the heap in steady state. Companion to `zero_alloc.rs`
+//! (the MLP variant); this file also holds a single `#[test]` because the
+//! global allocator counts every thread in the process.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use pockengine::pe_graph::{build_training_graph, GraphBuilder, TrainKind, TrainSpec};
-use pockengine::pe_passes::{optimize, FusionLevel, OptimizeOptions};
+use pockengine::pe_graph::{build_training_graph, Graph, NodeId, TrainKind, TrainSpec};
+use pockengine::pe_graph::{GraphBuilder, OpKind};
+use pockengine::pe_passes::{optimize, FusionLevel, OptimizeOptions, OptimizeStats};
 use pockengine::pe_runtime::{Executor, Optimizer};
 use pockengine::pe_tensor::kernels::conv::Conv2dParams;
 use pockengine::pe_tensor::{Rng, Tensor};
@@ -46,6 +48,73 @@ fn allocation_count() -> u64 {
     ALLOC.allocs.load(Ordering::SeqCst)
 }
 
+/// Compiles `graph` for the arena executor with region fusion pinned (so
+/// the measurement is independent of `PE_FUSION`).
+fn compile(graph: Graph, loss: NodeId, spec: &TrainSpec) -> (Executor, OptimizeStats) {
+    let tg = build_training_graph(graph, loss, spec);
+    let options = OptimizeOptions {
+        fusion: FusionLevel::Regions,
+        ..OptimizeOptions::default()
+    };
+    let (tg, schedule, stats) = optimize(tg, options);
+    (
+        Executor::arena(tg, schedule, Optimizer::sgd(0.05), 1),
+        stats,
+    )
+}
+
+/// Steps `exec` on one seeded batch of `x_dims` images: after a warm-up the
+/// steady state must not allocate or fall back, and the loss must fall.
+fn assert_steady_state_is_clean(mut exec: Executor, x_dims: [usize; 4], what: &str) {
+    let mut data_rng = Rng::seed_from_u64(1);
+    let xs = Tensor::randn(x_dims, 1.0, &mut data_rng);
+    let mut ys = Tensor::zeros([x_dims[0]]);
+    for y in ys.data_mut() {
+        *y = data_rng.next_usize(4) as f32;
+    }
+    let inputs = HashMap::from([("x".to_string(), xs), ("labels".to_string(), ys)]);
+
+    // Warm up: the first step builds the Winograd weight caches.
+    let mut losses = Vec::with_capacity(4);
+    for _ in 0..3 {
+        losses.push(exec.train_step(&inputs).unwrap().unwrap());
+    }
+
+    // As in `zero_alloc.rs`: the counter is process-global, so require one
+    // clean window out of several rather than an unconditionally clean run.
+    let steps = 10;
+    let windows = 3;
+    let mut sink = 0.0f32;
+    let mut counts = Vec::with_capacity(windows);
+    for _ in 0..windows {
+        let before = allocation_count();
+        for _ in 0..steps {
+            sink += exec.train_step(&inputs).unwrap().unwrap();
+        }
+        counts.push(allocation_count() - before);
+    }
+
+    assert!(sink.is_finite(), "{what}: loss must stay finite");
+    assert!(
+        counts.contains(&0),
+        "{what}: steady-state training steps must perform zero heap allocations \
+         (allocations per {steps}-step window: {counts:?})"
+    );
+    assert_eq!(
+        exec.fallback_dispatches(),
+        0,
+        "{what}: the program must not dispatch any allocating fallback kernel"
+    );
+
+    // The steps above actually trained the parameters.
+    let final_loss = exec.train_step(&inputs).unwrap().unwrap();
+    assert!(
+        final_loss < losses[0],
+        "{what}: loss should decrease: {} -> {final_loss}",
+        losses[0]
+    );
+}
+
 #[test]
 fn cnn_training_step_has_zero_fallbacks_and_zero_allocations() {
     // A small CNN in the sparse-backprop regime the paper targets: frozen
@@ -74,13 +143,7 @@ fn cnn_training_step_has_zero_fallbacks_and_zero_allocations() {
     let logits = b.linear(p, head, None);
     let loss = b.cross_entropy(logits, labels);
     let graph = b.finish(vec![loss, logits]);
-    let tg = build_training_graph(graph, loss, &spec);
-    // Pin the fusion level so the measurement is independent of `PE_FUSION`.
-    let options = OptimizeOptions {
-        fusion: FusionLevel::Regions,
-        ..OptimizeOptions::default()
-    };
-    let (tg, schedule, stats) = optimize(tg, options);
+    let (exec, stats) = compile(graph, loss, &spec);
 
     // The program must actually contain the interesting kernels: both frozen
     // convolutions on the Winograd backend and at least one fused region.
@@ -95,53 +158,44 @@ fn cnn_training_step_has_zero_fallbacks_and_zero_allocations() {
         stats.fusion
     );
 
-    let mut exec = Executor::arena(tg, schedule, Optimizer::sgd(0.05), 1);
+    assert_steady_state_is_clean(exec, [2, 3, 12, 12], "frozen Winograd backbone");
 
-    let mut data_rng = Rng::seed_from_u64(1);
-    let xs = Tensor::randn([2, 3, 12, 12], 1.0, &mut data_rng);
-    let mut ys = Tensor::zeros([2]);
-    for i in 0..2 {
-        ys.data_mut()[i] = data_rng.next_usize(4) as f32;
-    }
-    let inputs = HashMap::from([("x".to_string(), xs), ("labels".to_string(), ys)]);
-
-    // Warm up: the first step builds the Winograd weight caches.
-    let mut losses = Vec::with_capacity(4);
-    for _ in 0..3 {
-        losses.push(exec.train_step(&inputs).unwrap().unwrap());
-    }
-
-    // As in `zero_alloc.rs`: the counter is process-global, so require one
-    // clean window out of several rather than an unconditionally clean run.
-    let steps = 10;
-    let windows = 3;
-    let mut sink = 0.0f32;
-    let mut counts = Vec::with_capacity(windows);
-    for _ in 0..windows {
-        let before = allocation_count();
-        for _ in 0..steps {
-            sink += exec.train_step(&inputs).unwrap().unwrap();
-        }
-        counts.push(allocation_count() - before);
-    }
-
-    assert!(sink.is_finite(), "loss must stay finite");
-    assert!(
-        counts.contains(&0),
-        "steady-state CNN training steps must perform zero heap allocations \
-         (allocations per {steps}-step window: {counts:?})"
-    );
+    // The same shape of program with nothing frozen: behind a first layer
+    // (whose input is data and has no gradient) a dense 3x3 stride-2 conv, a
+    // depthwise 3x3 and a 1x1 — the three branches of the lowered
+    // convolution, each run forward, for its input gradient and for its
+    // weight gradient.
+    let mut b = GraphBuilder::new();
+    let x = b.input("x", [2, 3, 12, 12]);
+    let labels = b.input("labels", [2]);
+    let first = b.weight("first.weight", [4, 3, 1, 1], &mut rng);
+    let dense = b.weight("dense.weight", [8, 4, 3, 3], &mut rng);
+    let depthwise = b.weight("depthwise.weight", [8, 1, 3, 3], &mut rng);
+    let pointwise = b.weight("pointwise.weight", [16, 8, 1, 1], &mut rng);
+    let h = b.conv2d(x, first, Conv2dParams::default());
+    let h = b.conv2d(h, dense, Conv2dParams::new(2, 1));
+    let h = b.relu(h);
+    let h = b.conv2d(h, depthwise, Conv2dParams::new(1, 1).with_groups(8));
+    let h = b.relu(h);
+    let h = b.conv2d(h, pointwise, Conv2dParams::default());
+    let h = b.relu(h);
+    let p = b.global_avg_pool(h);
+    let head = b.weight("head.weight", [4, 16], &mut rng);
+    let logits = b.linear(p, head, None);
+    let loss = b.cross_entropy(logits, labels);
+    let graph = b.finish(vec![loss, logits]);
+    let (exec, stats) = compile(graph, loss, &TrainSpec::new());
     assert_eq!(
-        exec.fallback_dispatches(),
-        0,
-        "the Winograd CNN program must not dispatch any allocating fallback kernel"
+        stats.backend.winograd_converted, 0,
+        "trainable convs stay on the lowered kernels: {:?}",
+        stats.backend
     );
-
-    // The steps above actually trained the biases and the head.
-    let final_loss = exec.train_step(&inputs).unwrap().unwrap();
-    assert!(
-        final_loss < losses[0],
-        "loss should decrease: {} -> {final_loss}",
-        losses[0]
-    );
+    let count = |wanted: fn(&OpKind) -> bool| {
+        let nodes = exec.training_graph().graph.nodes();
+        nodes.iter().filter(|n| wanted(&n.op)).count()
+    };
+    assert_eq!(count(|op| matches!(op, OpKind::Conv2d(_))), 4);
+    assert_eq!(count(|op| matches!(op, OpKind::Conv2dGradInput { .. })), 3);
+    assert_eq!(count(|op| matches!(op, OpKind::Conv2dGradWeight { .. })), 4);
+    assert_steady_state_is_clean(exec, [2, 3, 12, 12], "trainable lowered convs");
 }
