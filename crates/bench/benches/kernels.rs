@@ -1,12 +1,21 @@
 //! Criterion micro-benchmarks for the shared kernel library: the GEMM and
-//! convolution kernels that dominate training time, plus the Winograd kernel
-//! used for frozen layers (backend switching, §3.2).
+//! convolution kernels that dominate training time, the Winograd kernel
+//! used for frozen layers (backend switching, §3.2), and the non-GEMM
+//! kernels of the transformer encoder's step at the benchmark's shapes.
+
+use std::hint::black_box;
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use pockengine::pe_tensor::kernels::conv::{
     conv2d, conv2d_grad_input, conv2d_grad_weight, Conv2dParams,
 };
+use pockengine::pe_tensor::kernels::elementwise::{
+    add_bias_into, bias_grad_into, binary_into, unary_grad_into, unary_into, BinaryOp, UnaryGradOp,
+    UnaryOp,
+};
 use pockengine::pe_tensor::kernels::gemm::matmul;
+use pockengine::pe_tensor::kernels::layout::permute_into;
+use pockengine::pe_tensor::kernels::norm::softmax_into;
 use pockengine::pe_tensor::kernels::winograd::{conv2d_winograd, WinogradWeight};
 use pockengine::pe_tensor::{Rng, Tensor};
 
@@ -72,9 +81,78 @@ fn bench_conv(c: &mut Criterion) {
     });
 }
 
+/// What the encoder's step spends outside GEMM, through the `_into` kernels
+/// the arena executor dispatches, at `finetune_bert_sparse`'s shapes (batch
+/// 4, 32 tokens, hidden 64, 4 heads, FFN 128).
+fn bench_encoder_floor(c: &mut Criterion) {
+    let mut rng = Rng::seed_from_u64(2);
+    let mut out = vec![0.0f32; 16 * 1024];
+
+    let heads = Tensor::randn([4, 32, 4, 16], 1.0, &mut rng);
+    c.bench_function("permute_0213_4x32x4x16", |bencher| {
+        bencher.iter(|| {
+            permute_into(
+                black_box(heads.view()),
+                &[0, 2, 1, 3],
+                &mut out[..heads.numel()],
+            )
+        })
+    });
+
+    let ffn = Tensor::randn([4, 32, 128], 1.5, &mut rng);
+    let dy = Tensor::randn([4, 32, 128], 1.0, &mut rng);
+    c.bench_function("gelu_16k", |bencher| {
+        bencher.iter(|| unary_into(UnaryOp::Gelu, black_box(ffn.view()), &mut out))
+    });
+    c.bench_function("gelu_grad_16k", |bencher| {
+        bencher.iter(|| {
+            unary_grad_into(
+                UnaryGradOp::Gelu,
+                black_box(ffn.view()),
+                black_box(dy.view()),
+                &mut out,
+            )
+        })
+    });
+
+    let hidden = Tensor::randn([128, 64], 1.0, &mut rng);
+    let bias = Tensor::randn([64], 1.0, &mut rng);
+    c.bench_function("add_bias_128x64", |bencher| {
+        bencher.iter(|| {
+            add_bias_into(
+                black_box(hidden.view()),
+                black_box(bias.view()),
+                None,
+                &mut out[..128 * 64],
+            )
+        })
+    });
+    c.bench_function("bias_grad_128x64", |bencher| {
+        bencher.iter(|| bias_grad_into(black_box(hidden.view()), &mut out[..64]))
+    });
+
+    let scores = Tensor::randn([4, 4, 32, 32], 2.0, &mut rng);
+    c.bench_function("softmax_512x32", |bencher| {
+        bencher.iter(|| softmax_into(black_box(scores.view()), &mut out))
+    });
+
+    let residual = Tensor::randn([128, 64], 1.0, &mut rng);
+    c.bench_function("add_same_shape_8k", |bencher| {
+        bencher.iter(|| {
+            binary_into(
+                BinaryOp::Add,
+                black_box(hidden.view()),
+                black_box(residual.view()),
+                &mut out[..128 * 64],
+            )
+        })
+    });
+    black_box(&out);
+}
+
 criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(10).measurement_time(std::time::Duration::from_secs(2)).warm_up_time(std::time::Duration::from_millis(500));
-    targets = bench_matmul, bench_conv
+    targets = bench_matmul, bench_conv, bench_encoder_floor
 }
 criterion_main!(benches);

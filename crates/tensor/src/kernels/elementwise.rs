@@ -1,5 +1,12 @@
 //! Element-wise kernels: arithmetic with broadcasting, activations and their
 //! vector-Jacobian products.
+//!
+//! Every loop here walks contiguous slices with the op chosen *outside* the
+//! loop (see `with_unary!` and friends), so the body is straight-line f32
+//! arithmetic the autovectoriser takes. The scalar `apply`/`eval` functions are
+//! the single definition of each formula; they use only IEEE `mul`/`add`/`div`,
+//! compares and bit moves, so the vectorised loop and a lone scalar call
+//! produce the same bits.
 
 use crate::{Shape, Tensor, TensorView};
 
@@ -23,6 +30,7 @@ pub enum BinaryOp {
 
 impl BinaryOp {
     /// Applies the op to one element pair.
+    #[inline]
     pub fn apply(self, a: f32, b: f32) -> f32 {
         match self {
             BinaryOp::Add => a + b,
@@ -30,6 +38,42 @@ impl BinaryOp {
             BinaryOp::Mul => a * b,
             BinaryOp::Div => a / b,
             BinaryOp::Max => a.max(b),
+        }
+    }
+}
+
+/// One arm of the `with_*!` macros: `$body` with `$o` bound to a known op.
+macro_rules! bind_op {
+    ($o:ident = $known:expr, $body:expr) => {{
+        let $o = $known;
+        $body
+    }};
+}
+
+/// Runs `$body` once per variant with `$o` bound to that variant as a
+/// *constant*, so the `match` inside `$o.apply(..)` / `$o.eval(..)` folds
+/// away and an element loop in the body is straight-line code with no branch
+/// on the op.
+macro_rules! with_binary {
+    ($op:expr, |$o:ident| $body:expr) => {
+        match $op {
+            BinaryOp::Add => bind_op!($o = BinaryOp::Add, $body),
+            BinaryOp::Sub => bind_op!($o = BinaryOp::Sub, $body),
+            BinaryOp::Mul => bind_op!($o = BinaryOp::Mul, $body),
+            BinaryOp::Div => bind_op!($o = BinaryOp::Div, $body),
+            BinaryOp::Max => bind_op!($o = BinaryOp::Max, $body),
+        }
+    };
+}
+
+/// `out[r * n + j] = f(big[r * n + j], small[j])` with `n = small.len()`:
+/// one operand repeats under every row of the other.
+#[inline(always)]
+fn rows_into(big: &[f32], small: &[f32], out: &mut [f32], f: impl Fn(f32, f32) -> f32) {
+    let n = small.len().max(1);
+    for (orow, brow) in out.chunks_exact_mut(n).zip(big.chunks_exact(n)) {
+        for ((o, &x), &y) in orow.iter_mut().zip(brow).zip(small) {
+            *o = f(x, y);
         }
     }
 }
@@ -62,14 +106,25 @@ pub fn binary(op: BinaryOp, a: &Tensor, b: &Tensor) -> Tensor {
 /// Panics if the shapes are not broadcast-compatible, the rank exceeds
 /// [`MAX_RANK`], or `out` has the wrong length.
 pub fn binary_into(op: BinaryOp, a: TensorView, b: TensorView, out: &mut [f32]) {
-    if a.dims() == b.dims() {
-        // Fast path: same shape, no index arithmetic.
+    // Fast paths: one operand's shape is a trailing suffix of the other's
+    // (equal shapes included), so it repeats under whole rows.
+    if a.dims().ends_with(b.dims()) {
         assert_eq!(out.len(), a.numel(), "binary output length mismatch");
-        for (o, (&x, &y)) in out.iter_mut().zip(a.data().iter().zip(b.data())) {
-            *o = op.apply(x, y);
-        }
+        let (a, b) = (a.data(), b.data());
+        with_binary!(op, |op| rows_into(a, b, out, |x, y| op.apply(x, y)));
         return;
     }
+    if b.dims().ends_with(a.dims()) {
+        assert_eq!(out.len(), b.numel(), "binary output length mismatch");
+        let (a, b) = (a.data(), b.data());
+        with_binary!(op, |op| rows_into(b, a, out, |y, x| op.apply(x, y)));
+        return;
+    }
+    broadcast_into(op, a, b, out);
+}
+
+/// Any broadcast at all, by index arithmetic per element.
+fn broadcast_into(op: BinaryOp, a: TensorView, b: TensorView, out: &mut [f32]) {
     let r = a.rank().max(b.rank());
     assert!(r <= MAX_RANK, "binary broadcast rank exceeds MAX_RANK");
     let a_dims = pad_dims(a.dims(), r);
@@ -142,6 +197,67 @@ pub fn div(a: &Tensor, b: &Tensor) -> Tensor {
     binary(BinaryOp::Div, a, b)
 }
 
+/// `e^x` in pure f32 `mul`/`add`: the one exponential behind GELU, sigmoid,
+/// SiLU, softmax and cross-entropy.
+///
+/// Cephes `expf` made branch-free: `n = round(x · log2 e)` by adding and
+/// subtracting 1.5·2²³, `r = x − n·ln 2` with `ln 2` split in two constants,
+/// a degree-5 polynomial for `(e^r − 1 − r) / r²`, and `2^n` assembled from
+/// the low bits of `x · log2 e + 1.5·2²³` (an `as i32` here would keep the
+/// loop scalar). Relative error is below 1e-7 on the whole finite range.
+///
+/// Edges, all by compare-select so NaN is never swallowed: NaN gives NaN;
+/// below `ln(f32::MIN_POSITIVE)` ≈ −87.34 the result is exactly `0.0` (a
+/// −1e9 attention mask must get probability exactly zero); from
+/// `127.5 · ln 2` ≈ 88.38 up it is `+inf`, slightly before libm's 88.72 —
+/// every caller feeds it `x ≤ 0` or takes `1 / (1 + e^x)`.
+#[inline(always)]
+pub(crate) fn exp(x: f32) -> f32 {
+    const LO: f32 = -87.336_55;
+    const HI: f32 = 88.722_84;
+    const MAGIC: f32 = 12_582_912.0; // 1.5 * 2^23: ulp 1, so adding it rounds to an integer
+    const LN2_HI: f32 = 0.693_359_4;
+    const LN2_LO: f32 = -2.121_944_4e-4;
+    let c = if x > HI { HI } else { x };
+    let c = if c < LO { LO } else { c };
+    let t = c * std::f32::consts::LOG2_E + MAGIC;
+    let n = t - MAGIC;
+    let r = c - n * LN2_HI - n * LN2_LO;
+    let p = ((((1.987_569_1e-4 * r + 1.398_2e-3) * r + 8.333_452e-3) * r + 4.166_579_6e-2) * r
+        + 1.666_666_5e-1)
+        * r
+        + 0.5;
+    let e_r = p * (r * r) + r + 1.0;
+    // bits(t) = bits(MAGIC) + n and bits(MAGIC) has nine trailing zeros, so
+    // the shift leaves exactly the biased exponent n + 127 (255, i.e. +inf,
+    // for n = 128).
+    let two_n = f32::from_bits(t.to_bits().wrapping_add(127) << 23);
+    if x < LO {
+        0.0
+    } else {
+        e_r * two_n
+    }
+}
+
+#[inline(always)]
+fn sigmoid_scalar(v: f32) -> f32 {
+    1.0 / (1.0 + exp(-v))
+}
+
+/// `sqrt(2/pi) * (v + 0.044715 v^3)`, the argument of GELU's tanh.
+#[inline(always)]
+fn gelu_inner(v: f32) -> f32 {
+    0.797_884_6 * (v + 0.044_715 * v * v * v)
+}
+
+/// GELU, tanh approximation: `0.5 v (1 + tanh u)` is the identical function
+/// `v · σ(2u)`, which costs one `exp` and one `div` and does not cancel in
+/// the negative tail the way `1 + tanh u` does.
+#[inline(always)]
+fn gelu_scalar(v: f32) -> f32 {
+    v * sigmoid_scalar(2.0 * gelu_inner(v))
+}
+
 /// A unary element-wise operation (activations and constant scaling).
 ///
 /// Every variant reads and writes the same element index, so all of them are
@@ -167,17 +283,53 @@ pub enum UnaryOp {
 
 impl UnaryOp {
     /// Applies the op to one element.
+    ///
+    /// This is the entry for callers that pick the op per element (the
+    /// fused-region interpreter): the `exp`-based arms sit behind a call, as
+    /// libm's did, so that loop's body stays small. The kernels in this file
+    /// pick the op per call and inline `eval` instead.
+    #[inline]
     pub fn apply(self, v: f32) -> f32 {
+        match self {
+            UnaryOp::Gelu | UnaryOp::Silu | UnaryOp::Sigmoid => self.eval_out_of_line(v),
+            _ => self.eval(v),
+        }
+    }
+
+    #[inline(never)]
+    fn eval_out_of_line(self, v: f32) -> f32 {
+        self.eval(v)
+    }
+
+    /// The one definition of each formula.
+    #[inline(always)]
+    fn eval(self, v: f32) -> f32 {
         match self {
             UnaryOp::Relu => v.max(0.0),
             UnaryOp::Relu6 => v.clamp(0.0, 6.0),
             UnaryOp::Gelu => gelu_scalar(v),
             UnaryOp::Silu => v * sigmoid_scalar(v),
             UnaryOp::Sigmoid => sigmoid_scalar(v),
+            // libm: `2σ(2v) − 1` would lose relative accuracy near zero.
             UnaryOp::Tanh => v.tanh(),
             UnaryOp::Scale(factor) => v * factor,
         }
     }
+}
+
+/// [`with_binary!`] for [`UnaryOp`].
+macro_rules! with_unary {
+    ($op:expr, |$o:ident| $body:expr) => {
+        match $op {
+            UnaryOp::Relu => bind_op!($o = UnaryOp::Relu, $body),
+            UnaryOp::Relu6 => bind_op!($o = UnaryOp::Relu6, $body),
+            UnaryOp::Gelu => bind_op!($o = UnaryOp::Gelu, $body),
+            UnaryOp::Silu => bind_op!($o = UnaryOp::Silu, $body),
+            UnaryOp::Sigmoid => bind_op!($o = UnaryOp::Sigmoid, $body),
+            UnaryOp::Tanh => bind_op!($o = UnaryOp::Tanh, $body),
+            UnaryOp::Scale(k) => bind_op!($o = UnaryOp::Scale(k), $body),
+        }
+    };
 }
 
 /// Allocation-free unary op writing into a preallocated `out`.
@@ -187,22 +339,29 @@ impl UnaryOp {
 /// Panics if `out` and the input differ in length.
 pub fn unary_into(op: UnaryOp, x: TensorView, out: &mut [f32]) {
     assert_eq!(out.len(), x.numel(), "unary output length mismatch");
-    for (o, &v) in out.iter_mut().zip(x.data()) {
-        *o = op.apply(v);
-    }
+    with_unary!(op, |op| for (o, &v) in out.iter_mut().zip(x.data()) {
+        *o = op.eval(v);
+    });
 }
 
 /// In-place unary op over a single buffer (used when the memory planner
 /// aliases an op's output onto its dying input).
 pub fn unary_inplace(op: UnaryOp, buf: &mut [f32]) {
-    for v in buf.iter_mut() {
-        *v = op.apply(*v);
-    }
+    with_unary!(op, |op| for v in buf.iter_mut() {
+        *v = op.eval(*v);
+    });
+}
+
+/// The allocating form of [`unary_inplace`] behind the `&Tensor` wrappers.
+fn unary(op: UnaryOp, x: &Tensor) -> Tensor {
+    let mut out = x.clone();
+    unary_inplace(op, out.data_mut());
+    out
 }
 
 /// Scales every element by a constant.
 pub fn scale(a: &Tensor, factor: f32) -> Tensor {
-    a.map(|x| x * factor)
+    unary(UnaryOp::Scale(factor), a)
 }
 
 /// Reduces a broadcasted gradient back to the original operand shape by
@@ -254,123 +413,62 @@ pub fn reduce_to_shape_into(grad: TensorView, target: &[usize], out: &mut [f32])
 
 /// Rectified linear unit.
 pub fn relu(x: &Tensor) -> Tensor {
-    x.map(|v| v.max(0.0))
+    unary(UnaryOp::Relu, x)
 }
 
 /// VJP of ReLU: passes the gradient where the forward input was positive.
 pub fn relu_grad(x: &Tensor, dy: &Tensor) -> Tensor {
-    assert_eq!(x.shape(), dy.shape(), "relu_grad shape mismatch");
-    let data = x
-        .data()
-        .iter()
-        .zip(dy.data())
-        .map(|(&xi, &gi)| if xi > 0.0 { gi } else { 0.0 })
-        .collect();
-    Tensor::from_vec(data, x.shape().clone())
+    unary_grad(UnaryGradOp::Relu, x, dy)
 }
 
 /// ReLU6 (used by MobileNet-family blocks).
 pub fn relu6(x: &Tensor) -> Tensor {
-    x.map(|v| v.clamp(0.0, 6.0))
+    unary(UnaryOp::Relu6, x)
 }
 
 /// VJP of ReLU6.
 pub fn relu6_grad(x: &Tensor, dy: &Tensor) -> Tensor {
-    assert_eq!(x.shape(), dy.shape(), "relu6_grad shape mismatch");
-    let data = x
-        .data()
-        .iter()
-        .zip(dy.data())
-        .map(|(&xi, &gi)| if xi > 0.0 && xi < 6.0 { gi } else { 0.0 })
-        .collect();
-    Tensor::from_vec(data, x.shape().clone())
+    unary_grad(UnaryGradOp::Relu6, x, dy)
 }
 
 /// Gaussian error linear unit (tanh approximation, as used by BERT/Llama).
 pub fn gelu(x: &Tensor) -> Tensor {
-    x.map(gelu_scalar)
-}
-
-fn gelu_scalar(v: f32) -> f32 {
-    const C: f32 = 0.797_884_6; // sqrt(2/pi)
-    0.5 * v * (1.0 + (C * (v + 0.044_715 * v * v * v)).tanh())
+    unary(UnaryOp::Gelu, x)
 }
 
 /// VJP of GELU (tanh approximation).
 pub fn gelu_grad(x: &Tensor, dy: &Tensor) -> Tensor {
-    assert_eq!(x.shape(), dy.shape(), "gelu_grad shape mismatch");
-    const C: f32 = 0.797_884_6;
-    let data = x
-        .data()
-        .iter()
-        .zip(dy.data())
-        .map(|(&v, &g)| {
-            let inner = C * (v + 0.044_715 * v * v * v);
-            let t = inner.tanh();
-            let sech2 = 1.0 - t * t;
-            let d_inner = C * (1.0 + 3.0 * 0.044_715 * v * v);
-            g * (0.5 * (1.0 + t) + 0.5 * v * sech2 * d_inner)
-        })
-        .collect();
-    Tensor::from_vec(data, x.shape().clone())
+    unary_grad(UnaryGradOp::Gelu, x, dy)
 }
 
 /// SiLU / swish activation (used by Llama FFNs).
 pub fn silu(x: &Tensor) -> Tensor {
-    x.map(|v| v * sigmoid_scalar(v))
+    unary(UnaryOp::Silu, x)
 }
 
 /// VJP of SiLU.
 pub fn silu_grad(x: &Tensor, dy: &Tensor) -> Tensor {
-    assert_eq!(x.shape(), dy.shape(), "silu_grad shape mismatch");
-    let data = x
-        .data()
-        .iter()
-        .zip(dy.data())
-        .map(|(&v, &g)| {
-            let s = sigmoid_scalar(v);
-            g * (s + v * s * (1.0 - s))
-        })
-        .collect();
-    Tensor::from_vec(data, x.shape().clone())
-}
-
-fn sigmoid_scalar(v: f32) -> f32 {
-    1.0 / (1.0 + (-v).exp())
+    unary_grad(UnaryGradOp::Silu, x, dy)
 }
 
 /// Logistic sigmoid.
 pub fn sigmoid(x: &Tensor) -> Tensor {
-    x.map(sigmoid_scalar)
+    unary(UnaryOp::Sigmoid, x)
 }
 
 /// VJP of sigmoid, given the forward *output* `y`.
 pub fn sigmoid_grad_from_output(y: &Tensor, dy: &Tensor) -> Tensor {
-    assert_eq!(y.shape(), dy.shape(), "sigmoid_grad shape mismatch");
-    let data = y
-        .data()
-        .iter()
-        .zip(dy.data())
-        .map(|(&yi, &gi)| gi * yi * (1.0 - yi))
-        .collect();
-    Tensor::from_vec(data, y.shape().clone())
+    unary_grad(UnaryGradOp::Sigmoid, y, dy)
 }
 
 /// Hyperbolic tangent.
 pub fn tanh(x: &Tensor) -> Tensor {
-    x.map(|v| v.tanh())
+    unary(UnaryOp::Tanh, x)
 }
 
 /// VJP of tanh, given the forward *output* `y`.
 pub fn tanh_grad_from_output(y: &Tensor, dy: &Tensor) -> Tensor {
-    assert_eq!(y.shape(), dy.shape(), "tanh_grad shape mismatch");
-    let data = y
-        .data()
-        .iter()
-        .zip(dy.data())
-        .map(|(&yi, &gi)| gi * (1.0 - yi * yi))
-        .collect();
-    Tensor::from_vec(data, y.shape().clone())
+    unary_grad(UnaryGradOp::Tanh, y, dy)
 }
 
 /// The VJP corresponding to a [`UnaryOp`] activation.
@@ -395,8 +493,24 @@ pub enum UnaryGradOp {
 }
 
 impl UnaryGradOp {
-    /// Applies the VJP to one `(x_or_y, dy)` pair.
+    /// Applies the VJP to one `(x_or_y, dy)` pair; like [`UnaryOp::apply`],
+    /// the per-element entry with the `exp`-based arms behind a call.
+    #[inline]
     pub fn apply(self, v: f32, g: f32) -> f32 {
+        match self {
+            UnaryGradOp::Gelu | UnaryGradOp::Silu => self.eval_out_of_line(v, g),
+            _ => self.eval(v, g),
+        }
+    }
+
+    #[inline(never)]
+    fn eval_out_of_line(self, v: f32, g: f32) -> f32 {
+        self.eval(v, g)
+    }
+
+    /// The one definition of each formula.
+    #[inline(always)]
+    fn eval(self, v: f32, g: f32) -> f32 {
         match self {
             UnaryGradOp::Relu => {
                 if v > 0.0 {
@@ -413,12 +527,10 @@ impl UnaryGradOp {
                 }
             }
             UnaryGradOp::Gelu => {
-                const C: f32 = 0.797_884_6;
-                let inner = C * (v + 0.044_715 * v * v * v);
-                let t = inner.tanh();
-                let sech2 = 1.0 - t * t;
-                let d_inner = C * (1.0 + 3.0 * 0.044_715 * v * v);
-                g * (0.5 * (1.0 + t) + 0.5 * v * sech2 * d_inner)
+                // d/dv [v σ(2u)] = σ + 2 v σ (1 − σ) u′.
+                let s = sigmoid_scalar(2.0 * gelu_inner(v));
+                let d_inner = 0.797_884_6 * (1.0 + 3.0 * 0.044_715 * v * v);
+                g * (s + 2.0 * v * s * (1.0 - s) * d_inner)
             }
             UnaryGradOp::Silu => {
                 let s = sigmoid_scalar(v);
@@ -430,6 +542,20 @@ impl UnaryGradOp {
     }
 }
 
+/// [`with_binary!`] for [`UnaryGradOp`].
+macro_rules! with_unary_grad {
+    ($op:expr, |$o:ident| $body:expr) => {
+        match $op {
+            UnaryGradOp::Relu => bind_op!($o = UnaryGradOp::Relu, $body),
+            UnaryGradOp::Relu6 => bind_op!($o = UnaryGradOp::Relu6, $body),
+            UnaryGradOp::Gelu => bind_op!($o = UnaryGradOp::Gelu, $body),
+            UnaryGradOp::Silu => bind_op!($o = UnaryGradOp::Silu, $body),
+            UnaryGradOp::Sigmoid => bind_op!($o = UnaryGradOp::Sigmoid, $body),
+            UnaryGradOp::Tanh => bind_op!($o = UnaryGradOp::Tanh, $body),
+        }
+    };
+}
+
 /// Allocation-free activation VJP writing into a preallocated `out`.
 ///
 /// # Panics
@@ -438,9 +564,19 @@ impl UnaryGradOp {
 pub fn unary_grad_into(op: UnaryGradOp, x_or_y: TensorView, dy: TensorView, out: &mut [f32]) {
     assert_eq!(x_or_y.numel(), dy.numel(), "unary grad shape mismatch");
     assert_eq!(out.len(), dy.numel(), "unary grad output length mismatch");
-    for (o, (&v, &g)) in out.iter_mut().zip(x_or_y.data().iter().zip(dy.data())) {
-        *o = op.apply(v, g);
-    }
+    let (vs, gs) = (x_or_y.data(), dy.data());
+    let each = out.iter_mut().zip(vs).zip(gs);
+    with_unary_grad!(op, |op| for ((o, &v), &g) in each {
+        *o = op.eval(v, g);
+    });
+}
+
+/// The allocating form of [`unary_grad_into`] behind the `&Tensor` wrappers.
+fn unary_grad(op: UnaryGradOp, x_or_y: &Tensor, dy: &Tensor) -> Tensor {
+    assert_eq!(x_or_y.shape(), dy.shape(), "unary grad shape mismatch");
+    let mut out = Tensor::zeros(dy.shape().clone());
+    unary_grad_into(op, x_or_y.view(), dy.view(), out.data_mut());
+    out
 }
 
 /// Adds a per-channel bias to an activation.
@@ -450,58 +586,26 @@ pub fn unary_grad_into(op: UnaryGradOp, x_or_y: TensorView, dy: TensorView, out:
 /// `[F]` bias over the trailing dimension.
 pub fn add_bias(x: &Tensor, bias: &Tensor) -> Tensor {
     let mut out = x.clone();
-    add_bias_inplace(&mut out, bias);
+    add_bias_into(x.view(), bias.view(), None, out.data_mut());
     out
 }
 
 /// In-place variant of [`add_bias`].
 pub fn add_bias_inplace(x: &mut Tensor, bias: &Tensor) {
-    let dims = x.dims().to_vec();
-    match dims.len() {
-        2 | 3 => {
-            let f = *dims.last().expect("rank >= 2");
-            assert_eq!(bias.numel(), f, "bias length mismatch");
-            for (i, v) in x.data_mut().iter_mut().enumerate() {
-                *v += bias.data()[i % f];
-            }
-        }
-        4 => {
-            let (c, h, w) = (dims[1], dims[2], dims[3]);
-            assert_eq!(bias.numel(), c, "bias length mismatch");
-            let hw = h * w;
-            for (i, v) in x.data_mut().iter_mut().enumerate() {
-                let ch = (i / hw) % c;
-                *v += bias.data()[ch];
-            }
-        }
-        r => panic!("add_bias unsupported rank {r}"),
-    }
+    *x = add_bias(x, bias);
 }
 
 /// VJP of [`add_bias`] with respect to the bias: sums the upstream gradient
 /// over every non-channel dimension.
 pub fn bias_grad(dy: &Tensor) -> Tensor {
-    let dims = dy.dims().to_vec();
-    match dims.len() {
-        2 | 3 => {
-            let f = *dims.last().expect("rank >= 2");
-            let mut out = vec![0.0f32; f];
-            for (i, &g) in dy.data().iter().enumerate() {
-                out[i % f] += g;
-            }
-            Tensor::from_vec(out, [f])
-        }
-        4 => {
-            let (c, h, w) = (dims[1], dims[2], dims[3]);
-            let hw = h * w;
-            let mut out = vec![0.0f32; c];
-            for (i, &g) in dy.data().iter().enumerate() {
-                out[(i / hw) % c] += g;
-            }
-            Tensor::from_vec(out, [c])
-        }
-        r => panic!("bias_grad unsupported rank {r}"),
-    }
+    let channels = match dy.dims() {
+        &[_, c, _, _] => c,
+        &[.., f] => f,
+        [] => panic!("bias_grad unsupported rank 0"),
+    };
+    let mut out = Tensor::zeros([channels]);
+    bias_grad_into(dy.view(), out.data_mut());
+    out
 }
 
 /// Allocation-free [`add_bias`] writing into a preallocated `out`, with an
@@ -522,8 +626,10 @@ pub fn add_bias_into(x: TensorView, bias: TensorView, act: Option<UnaryOp>, out:
         2 | 3 => {
             let f = *dims.last().expect("rank >= 2");
             assert_eq!(bias.numel(), f, "bias length mismatch");
-            for (i, (o, &v)) in out.iter_mut().zip(x.data()).enumerate() {
-                *o = finish(v + bias.data()[i % f]);
+            let (x, bias) = (x.data(), bias.data());
+            match act {
+                Some(op) => with_unary!(op, |op| rows_into(x, bias, out, |v, b| op.eval(v + b))),
+                None => rows_into(x, bias, out, |v, b| v + b),
             }
         }
         4 => {
@@ -552,8 +658,11 @@ pub fn bias_grad_into(dy: TensorView, out: &mut [f32]) {
         2 | 3 => {
             let f = *dims.last().expect("rank >= 2");
             assert_eq!(out.len(), f, "bias_grad output length mismatch");
-            for (i, &g) in dy.data().iter().enumerate() {
-                out[i % f] += g;
+            // Row by row: each column still sums its rows in ascending order.
+            for row in dy.data().chunks_exact(f.max(1)) {
+                for (o, &g) in out.iter_mut().zip(row) {
+                    *o += g;
+                }
             }
         }
         4 => {
@@ -582,9 +691,42 @@ pub fn add_relu_into(a: TensorView, b: TensorView, out: &mut [f32]) {
     }
 }
 
+/// The per-element index-arithmetic loops `add_bias_into` and
+/// `bias_grad_into` were before their rank-2/3 arms became row loops; the
+/// tests hold the kernels to these bit for bit, on every rank.
+#[cfg(test)]
+mod oracle {
+    use super::*;
+
+    fn addressing(dims: &[usize]) -> (usize, usize) {
+        match *dims {
+            [_, c, h, w] => (h * w, c),
+            [.., f] => (1, f),
+            [] => panic!("rank 0"),
+        }
+    }
+
+    pub fn add_bias_into(x: TensorView, bias: &[f32], act: Option<UnaryOp>, out: &mut [f32]) {
+        let (hw, c) = addressing(x.dims());
+        for (i, (o, &v)) in out.iter_mut().zip(x.data()).enumerate() {
+            let sum = v + bias[(i / hw) % c];
+            *o = act.map_or(sum, |op| op.apply(sum));
+        }
+    }
+
+    pub fn bias_grad_into(dy: TensorView, out: &mut [f32]) {
+        let (hw, c) = addressing(dy.dims());
+        out.fill(0.0);
+        for (i, &g) in dy.data().iter().enumerate() {
+            out[(i / hw) % c] += g;
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::kernels::fused::{fused_region_into, MicroOp};
     use crate::Rng;
 
     #[test]
@@ -728,5 +870,224 @@ mod tests {
         let a = Tensor::zeros([2, 3]);
         let b = Tensor::zeros([4, 5]);
         add(&a, &b);
+    }
+
+    #[test]
+    fn exp_edges_are_pinned() {
+        assert!(exp(f32::NAN).is_nan(), "NaN must not become finite");
+        assert_eq!(exp(0.0), 1.0);
+        assert_eq!(exp(-0.0), 1.0);
+        // Underflow flushes to exactly zero: a masked logit gets no weight.
+        for x in [-87.34, -100.0, -1e9, f32::MIN, f32::NEG_INFINITY] {
+            assert_eq!(exp(x).to_bits(), 0.0f32.to_bits(), "exp({x})");
+        }
+        assert!(exp(-87.33) >= f32::MIN_POSITIVE);
+        // Overflow saturates to +inf.
+        for x in [88.7, 88.73, 1e9, f32::MAX, f32::INFINITY] {
+            assert_eq!(exp(x), f32::INFINITY, "exp({x})");
+        }
+        assert!(exp(88.0).is_finite());
+        // The sigmoids built on it saturate instead of going NaN.
+        assert_eq!(UnaryOp::Sigmoid.apply(-1e9), 0.0);
+        assert_eq!(UnaryOp::Sigmoid.apply(1e9), 1.0);
+        assert!(UnaryOp::Sigmoid.apply(f32::NAN).is_nan());
+        assert_eq!(UnaryOp::Gelu.apply(-1e9), 0.0);
+        assert_eq!(UnaryOp::Gelu.apply(30.0), 30.0);
+        assert!(UnaryOp::Gelu.apply(f32::NAN).is_nan());
+    }
+
+    #[test]
+    fn exp_matches_f64_on_a_dense_grid() {
+        let steps = 1_750_000;
+        let mut worst = 0.0f64;
+        for i in 0..=steps {
+            let x = (-87.0 + 175.0 * i as f64 / steps as f64) as f32;
+            let want = (x as f64).exp();
+            worst = worst.max(((exp(x) as f64 - want) / want).abs());
+        }
+        assert!(worst <= 2e-7, "worst relative error {worst:e}");
+    }
+
+    /// `v · σ(2u)` and its derivative in f64.
+    fn gelu_f64(v: f64) -> (f64, f64) {
+        let c = (2.0 / std::f64::consts::PI).sqrt();
+        let s = 1.0 / (1.0 + (-2.0 * c * (v + 0.044_715 * v * v * v)).exp());
+        let du = c * (1.0 + 3.0 * 0.044_715 * v * v);
+        (v * s, s + 2.0 * v * s * (1.0 - s) * du)
+    }
+
+    #[test]
+    fn gelu_and_its_vjp_match_f64() {
+        let steps = 240_000;
+        for i in 0..=steps {
+            let v = (-12.0 + 24.0 * i as f64 / steps as f64) as f32;
+            let (want, want_grad) = gelu_f64(v as f64);
+            // Relative 1e-5 down to v = -6 (measured 3.7e-6). Further out
+            // |2u| > 25 multiplies the f32 rounding of `u` itself into the
+            // exponent (measured 1.3e-5), and past 2u = -88.4 (v < -10) the
+            // result flushes to zero: a looser bound and an absolute floor.
+            let (rel, floor) = if v >= -6.0 {
+                (1e-5, 0.0)
+            } else {
+                (2e-5, 1e-36)
+            };
+            let got = UnaryOp::Gelu.apply(v) as f64;
+            assert!(
+                (got - want).abs() <= rel * want.abs() + floor,
+                "gelu({v}) = {got:e}, want {want:e}"
+            );
+            // The derivative crosses zero at v = -0.75: 2e-7 absolute there.
+            let got = UnaryGradOp::Gelu.apply(v, 1.0) as f64;
+            assert!(
+                (got - want_grad).abs() <= rel * want_grad.abs() + floor.max(2e-7),
+                "gelu'({v}) = {got:e}, want {want_grad:e}"
+            );
+        }
+    }
+
+    const UNARY_OPS: [UnaryOp; 7] = [
+        UnaryOp::Relu,
+        UnaryOp::Relu6,
+        UnaryOp::Gelu,
+        UnaryOp::Silu,
+        UnaryOp::Sigmoid,
+        UnaryOp::Tanh,
+        UnaryOp::Scale(0.37),
+    ];
+    const UNARY_GRAD_OPS: [UnaryGradOp; 6] = [
+        UnaryGradOp::Relu,
+        UnaryGradOp::Relu6,
+        UnaryGradOp::Gelu,
+        UnaryGradOp::Silu,
+        UnaryGradOp::Sigmoid,
+        UnaryGradOp::Tanh,
+    ];
+
+    /// Bit equality, except that any NaN equals any NaN: which operand's
+    /// sign and payload a NaN result inherits is the instruction
+    /// selector's choice, not the kernel's.
+    fn assert_same(got: &[f32], want: &[f32], what: &str) {
+        assert_eq!(got.len(), want.len(), "{what}: length");
+        for (k, (g, w)) in got.iter().zip(want).enumerate() {
+            assert!(
+                g.to_bits() == w.to_bits() || (g.is_nan() && w.is_nan()),
+                "{what}: element {k} is {g:e}, want {w:e}"
+            );
+        }
+    }
+
+    /// A padded serving batch must give each row the bits the lone request
+    /// gets: element `k` of a long (vectorised) buffer equals the same value
+    /// run through the same kernel in a 1-element buffer.
+    #[test]
+    fn an_element_in_a_long_buffer_has_the_bits_of_the_lone_element() {
+        const N: usize = 1003; // 17 * 59: odd, so every loop has a scalar tail
+        let mut rng = Rng::seed_from_u64(20);
+        let mut x = Tensor::randn([17, 59], 3.0, &mut rng);
+        let specials = [0.0, -0.0, 90.0, -90.0, 6.0, f32::INFINITY, f32::NAN];
+        x.data_mut()[500..500 + specials.len()].copy_from_slice(&specials);
+        let dy = Tensor::randn([17, 59], 1.0, &mut rng);
+        let bias = Tensor::randn([59], 1.0, &mut rng);
+        let (mut out, mut lone) = (vec![0.0f32; N], vec![0.0f32; N]);
+
+        for op in UNARY_OPS {
+            let what = format!("{op:?}");
+            unary_into(op, x.view(), &mut out);
+            for k in 0..N {
+                let v = TensorView::new(&[1], &x.data()[k..k + 1]);
+                unary_into(op, v, &mut lone[k..k + 1]);
+            }
+            assert_same(&out, &lone, &what);
+            lone.copy_from_slice(x.data());
+            unary_inplace(op, &mut lone);
+            assert_same(&lone, &out, &what);
+
+            let prog = [MicroOp::AddBias(1), MicroOp::Unary(op)];
+            fused_region_into(&prog, &[x.view(), bias.view()], x.dims(), &mut out);
+            for k in 0..N {
+                let v = TensorView::new(&[1, 1], &x.data()[k..k + 1]);
+                let b = TensorView::new(&[1], &bias.data()[k % 59..k % 59 + 1]);
+                fused_region_into(&prog, &[v, b], &[1, 1], &mut lone[k..k + 1]);
+            }
+            assert_same(&out, &lone, &what);
+            add_bias_into(x.view(), bias.view(), Some(op), &mut lone);
+            assert_same(&lone, &out, &what);
+        }
+        for op in UNARY_GRAD_OPS {
+            unary_grad_into(op, x.view(), dy.view(), &mut out);
+            for k in 0..N {
+                let v = TensorView::new(&[1], &x.data()[k..k + 1]);
+                let g = TensorView::new(&[1], &dy.data()[k..k + 1]);
+                unary_grad_into(op, v, g, &mut lone[k..k + 1]);
+            }
+            assert_same(&out, &lone, &format!("{op:?} VJP"));
+        }
+    }
+
+    #[test]
+    fn bias_kernels_match_the_index_arithmetic_loops() {
+        let mut rng = Rng::seed_from_u64(21);
+        let mut shapes = Vec::new();
+        for f in [1, 3, 64, 130] {
+            for rows in [1, 7, 128] {
+                shapes.push(vec![rows, f]);
+                shapes.push(vec![1, rows, f]);
+                shapes.push(vec![3, rows, f]);
+            }
+        }
+        // The rank-4 arms did not change; hold them to the same oracle.
+        shapes.extend([vec![2, 3, 4, 5], vec![1, 16, 7, 7], vec![3, 1, 1, 9]]);
+        for dims in shapes {
+            let channels = if dims.len() == 4 {
+                dims[1]
+            } else {
+                dims[dims.len() - 1]
+            };
+            let x = Tensor::randn(dims.clone(), 2.0, &mut rng);
+            let bias = Tensor::randn([channels], 1.0, &mut rng);
+            let (mut got, mut want) = (vec![0.0; x.numel()], vec![0.0; x.numel()]);
+            for act in std::iter::once(None).chain(UNARY_OPS.map(Some)) {
+                add_bias_into(x.view(), bias.view(), act, &mut got);
+                oracle::add_bias_into(x.view(), bias.data(), act, &mut want);
+                assert_same(&got, &want, &format!("add_bias {dims:?} {act:?}"));
+            }
+            oracle::add_bias_into(x.view(), bias.data(), None, &mut want);
+            assert_same(add_bias(&x, &bias).data(), &want, "add_bias wrapper");
+            let (mut got, mut want) = (vec![1.0; channels], vec![2.0; channels]);
+            bias_grad_into(x.view(), &mut got);
+            oracle::bias_grad_into(x.view(), &mut want);
+            assert_same(&got, &want, &format!("bias_grad {dims:?}"));
+            assert_same(bias_grad(&x).data(), &want, "bias_grad wrapper");
+        }
+    }
+
+    #[test]
+    fn suffix_broadcast_matches_the_general_loop() {
+        let mut rng = Rng::seed_from_u64(22);
+        let ops = [
+            BinaryOp::Add,
+            BinaryOp::Sub,
+            BinaryOp::Mul,
+            BinaryOp::Div,
+            BinaryOp::Max,
+        ];
+        for f in [1, 3, 64, 130] {
+            for rows in [1, 7, 128] {
+                let big = Tensor::randn([2, rows, f], 1.0, &mut rng);
+                for small_dims in [vec![f], vec![rows, f], vec![2, rows, f], vec![]] {
+                    let small = Tensor::rand_uniform(small_dims, 0.5, 1.5, &mut rng);
+                    let (mut got, mut want) = (vec![0.0; big.numel()], vec![0.0; big.numel()]);
+                    for op in ops {
+                        // Both operand orders: Sub and Div tell them apart.
+                        for (a, b) in [(&big, &small), (&small, &big)] {
+                            binary_into(op, a.view(), b.view(), &mut got);
+                            broadcast_into(op, a.view(), b.view(), &mut want);
+                            let what = format!("{op:?} {:?} {:?}", a.dims(), b.dims());
+                            assert_same(&got, &want, &what);
+                        }
+                    }
+                }
+            }
+        }
     }
 }

@@ -343,22 +343,16 @@ pub fn batched_matmul(a: &Tensor, b: &Tensor, trans_a: bool, trans_b: bool) -> T
     out
 }
 
-/// Output dimensions of a (batched) matmul for the given operand dims.
-///
-/// # Panics
-///
-/// Panics on rank < 2 or mismatched batch/contraction dimensions.
-pub fn batched_matmul_out_dims(
-    a_dims: &[usize],
+/// Checks the operand dims of a rank > 2 batched matmul and splits them into
+/// `(batch dims, m, k, n)` without allocating.
+fn batched_matmul_split<'a>(
+    a_dims: &'a [usize],
     b_dims: &[usize],
     trans_a: bool,
     trans_b: bool,
-) -> Vec<usize> {
+) -> (&'a [usize], usize, usize, usize) {
     let (ra, rb) = (a_dims.len(), b_dims.len());
     assert!(ra >= 2 && rb >= 2, "batched_matmul needs rank >= 2");
-    if ra == 2 && rb == 2 {
-        return matmul_out_dims(a_dims, b_dims, trans_a, trans_b).to_vec();
-    }
     assert_eq!(
         ra, rb,
         "batched_matmul requires equal ranks (after broadcasting in the compiler)"
@@ -370,6 +364,24 @@ pub fn batched_matmul_out_dims(
     let (m, k) = if trans_a { (ak, am) } else { (am, ak) };
     let (kb, n) = if trans_b { (bk, bm) } else { (bm, bk) };
     assert_eq!(k, kb, "batched_matmul contraction mismatch");
+    (batch_dims, m, k, n)
+}
+
+/// Output dimensions of a (batched) matmul for the given operand dims.
+///
+/// # Panics
+///
+/// Panics on rank < 2 or mismatched batch/contraction dimensions.
+pub fn batched_matmul_out_dims(
+    a_dims: &[usize],
+    b_dims: &[usize],
+    trans_a: bool,
+    trans_b: bool,
+) -> Vec<usize> {
+    if a_dims.len() == 2 && b_dims.len() == 2 {
+        return matmul_out_dims(a_dims, b_dims, trans_a, trans_b).to_vec();
+    }
+    let (batch_dims, m, _, n) = batched_matmul_split(a_dims, b_dims, trans_a, trans_b);
     let mut out_dims = batch_dims.to_vec();
     out_dims.push(m);
     out_dims.push(n);
@@ -394,15 +406,11 @@ pub fn batched_matmul_into(
     if ra == 2 && b.rank() == 2 {
         return matmul_into(a, b, trans_a, trans_b, out);
     }
-    let out_dims = batched_matmul_out_dims(a.dims(), b.dims(), trans_a, trans_b);
-    let r = out_dims.len();
-    let (m, n) = (out_dims[r - 2], out_dims[r - 1]);
-    let batch: usize = out_dims[..r - 2].iter().product();
+    let (batch_dims, m, k, n) = batched_matmul_split(a.dims(), b.dims(), trans_a, trans_b);
+    let batch: usize = batch_dims.iter().product();
     assert_eq!(out.len(), batch * m * n, "batched_matmul output mismatch");
 
-    let (am, ak) = (a.dims()[ra - 2], a.dims()[ra - 1]);
-    let k = if trans_a { am } else { ak };
-    let a_stride = am * ak;
+    let a_stride = a.dims()[ra - 2] * a.dims()[ra - 1];
     let b_stride = b.dims()[ra - 2] * b.dims()[ra - 1];
     for bi in 0..batch {
         matmul_core(

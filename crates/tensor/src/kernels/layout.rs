@@ -6,10 +6,8 @@
 //! is faster on mobile CPUs/DSPs, so the compiler rewrites layouts before
 //! code generation.
 
+use crate::kernels::elementwise::{pad_dims, padded_strides, MAX_RANK};
 use crate::{Shape, Tensor, TensorView};
-
-/// Maximum rank supported by the allocation-free permute helper.
-const MAX_RANK: usize = 8;
 
 /// Transposes a rank-2 tensor.
 ///
@@ -35,23 +33,17 @@ pub fn transpose2d(x: &Tensor) -> Tensor {
 ///
 /// Panics if `perm` is not a permutation of the axes.
 pub fn permute(x: &Tensor, perm: &[usize]) -> Tensor {
-    let r = x.shape().rank();
-    assert_eq!(perm.len(), r, "perm length must equal rank");
-    let mut seen = vec![false; r];
-    for &p in perm {
-        assert!(p < r && !seen[p], "perm must be a permutation of 0..rank");
-        seen[p] = true;
-    }
-    let in_dims = x.dims();
-    let out_dims: Vec<usize> = perm.iter().map(|&p| in_dims[p]).collect();
-    let out_shape = Shape::new(out_dims);
-    let mut out = Tensor::zeros(out_shape.clone());
-    let in_shape = x.shape();
-    for flat in 0..x.numel() {
-        let in_idx = in_shape.unravel(flat);
-        let out_idx: Vec<usize> = perm.iter().map(|&p| in_idx[p]).collect();
-        out.data_mut()[out_shape.ravel(&out_idx)] = x.data()[flat];
-    }
+    assert_eq!(perm.len(), x.shape().rank(), "perm length must equal rank");
+    let out_dims: Vec<usize> = perm
+        .iter()
+        .map(|&p| {
+            *x.dims()
+                .get(p)
+                .expect("perm must be a permutation of 0..rank")
+        })
+        .collect();
+    let mut out = Tensor::zeros(Shape::new(out_dims));
+    permute_into(x.view(), perm, out.data_mut());
     out
 }
 
@@ -208,33 +200,42 @@ pub fn permute_into(x: TensorView, perm: &[usize], out: &mut [f32]) {
         assert!(p < r && !seen[p], "perm must be a permutation of 0..rank");
         seen[p] = true;
     }
-    // Row-major strides of input and output.
-    let mut in_strides = [1usize; MAX_RANK];
-    for i in (0..r.saturating_sub(1)).rev() {
-        in_strides[i] = in_strides[i + 1] * x.dims()[i + 1];
+    if out.is_empty() {
+        return;
     }
-    let mut out_dims = [1usize; MAX_RANK];
-    for (d, &p) in perm.iter().enumerate() {
-        out_dims[d] = x.dims()[p];
-    }
-    let mut out_strides = [1usize; MAX_RANK];
-    for i in (0..r.saturating_sub(1)).rev() {
-        out_strides[i] = out_strides[i + 1] * out_dims[i + 1];
-    }
-    for (flat, &v) in x.data().iter().enumerate() {
-        let mut rem = flat;
-        let mut oi = 0;
-        // in_idx[p] contributes to the output position of the axis d with
-        // perm[d] == p; scan output axes directly.
-        let mut in_idx = [0usize; MAX_RANK];
-        for (d, idx) in in_idx.iter_mut().enumerate().take(r) {
-            *idx = rem / in_strides[d];
-            rem %= in_strides[d];
+    let dims = x.dims();
+    let in_strides = padded_strides(&pad_dims(dims, r), r);
+    // The trailing axes the permutation leaves in place are one contiguous
+    // run in both tensors. When the innermost axis itself moves there is no
+    // such run, and the last output axis becomes a strided gather instead.
+    let fixed = (0..r).rev().take_while(|&d| perm[d] == d).count();
+    let (outer, run, step) = if fixed > 0 || r == 0 {
+        (r - fixed, dims[r - fixed..].iter().product(), 1)
+    } else {
+        (r - 1, dims[perm[r - 1]], in_strides[perm[r - 1]])
+    };
+    // Odometer over the outer output axes: `out` fills front to back while
+    // `src` tracks the matching input offset by adding strides, no `/` or `%`.
+    let mut idx = [0usize; MAX_RANK];
+    let mut src = 0;
+    for dst in out.chunks_exact_mut(run) {
+        if step == 1 {
+            dst.copy_from_slice(&x.data()[src..src + run]);
+        } else {
+            for (j, o) in dst.iter_mut().enumerate() {
+                *o = x.data()[src + j * step];
+            }
         }
-        for d in 0..r {
-            oi += in_idx[perm[d]] * out_strides[d];
+        for d in (0..outer).rev() {
+            let (dim, stride) = (dims[perm[d]], in_strides[perm[d]]);
+            idx[d] += 1;
+            src += stride;
+            if idx[d] < dim {
+                break;
+            }
+            idx[d] = 0;
+            src -= dim * stride;
         }
-        out[oi] = v;
     }
 }
 
@@ -339,6 +340,39 @@ pub fn unslice_axis_into(
     }
 }
 
+/// `permute_into` as it was: four divisions and four remainders per element.
+/// The tests hold the run-copy version to it bit for bit.
+#[cfg(test)]
+mod oracle {
+    use super::*;
+
+    pub fn permute_into(x: TensorView, perm: &[usize], out: &mut [f32]) {
+        let r = x.rank();
+        let mut in_strides = [1usize; MAX_RANK];
+        for i in (0..r.saturating_sub(1)).rev() {
+            in_strides[i] = in_strides[i + 1] * x.dims()[i + 1];
+        }
+        let mut out_dims = [1usize; MAX_RANK];
+        for (d, &p) in perm.iter().enumerate() {
+            out_dims[d] = x.dims()[p];
+        }
+        let mut out_strides = [1usize; MAX_RANK];
+        for i in (0..r.saturating_sub(1)).rev() {
+            out_strides[i] = out_strides[i + 1] * out_dims[i + 1];
+        }
+        for (flat, &v) in x.data().iter().enumerate() {
+            let mut rem = flat;
+            let mut in_idx = [0usize; MAX_RANK];
+            for (d, idx) in in_idx.iter_mut().enumerate().take(r) {
+                *idx = rem / in_strides[d];
+                rem %= in_strides[d];
+            }
+            let oi: usize = (0..r).map(|d| in_idx[perm[d]] * out_strides[d]).sum();
+            out[oi] = v;
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -411,5 +445,58 @@ mod tests {
     #[should_panic(expected = "slice out of bounds")]
     fn slice_out_of_bounds_panics() {
         slice_axis(&Tensor::zeros([2, 3]), 1, 2, 2);
+    }
+
+    /// Every permutation of `0..r`, in lexicographic order.
+    fn permutations(r: usize) -> Vec<Vec<usize>> {
+        if r == 0 {
+            return vec![vec![]];
+        }
+        let mut all = Vec::new();
+        for rest in permutations(r - 1) {
+            for slot in 0..r {
+                let mut perm = rest.clone();
+                perm.insert(slot, r - 1);
+                all.push(perm);
+            }
+        }
+        all.sort();
+        all
+    }
+
+    #[test]
+    fn permute_into_matches_the_index_arithmetic_loop() {
+        const SIZES: [usize; 5] = [1, 2, 3, 5, 16];
+        let mut rng = Rng::seed_from_u64(6);
+        let mut cases = Vec::new();
+        for r in 0..=4 {
+            cases.extend(permutations(r)); // identity first, full reversal last
+        }
+        for _ in 0..50 {
+            let mut perm: Vec<usize> = (0..5 + rng.next_usize(2)).collect();
+            rng.shuffle(&mut perm);
+            cases.push(perm);
+        }
+        for perm in cases {
+            // Ranks 5 and 6 draw from the small sizes only: 16^6 is too much.
+            let sizes = &SIZES[..if perm.len() > 4 { 4 } else { 5 }];
+            let dims: Vec<usize> = (0..perm.len())
+                .map(|_| sizes[rng.next_usize(sizes.len())])
+                .collect();
+            let x = Tensor::randn(dims.clone(), 1.0, &mut rng);
+            let mut got = vec![f32::NAN; x.numel()];
+            let mut want = vec![f32::NAN; x.numel()];
+            permute_into(x.view(), &perm, &mut got);
+            oracle::permute_into(x.view(), &perm, &mut want);
+            let bits = |v: &[f32]| v.iter().map(|f| f.to_bits()).collect::<Vec<_>>();
+            assert!(bits(&got) == bits(&want), "dims {dims:?} perm {perm:?}");
+            assert!(bits(permute(&x, &perm).data()) == bits(&want));
+        }
+    }
+
+    #[test]
+    fn permute_of_an_empty_tensor_is_a_no_op() {
+        let x = Tensor::zeros([2, 0, 3]);
+        assert_eq!(permute(&x, &[2, 0, 1]).dims(), &[3, 2, 0]);
     }
 }

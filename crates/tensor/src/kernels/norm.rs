@@ -7,6 +7,7 @@
 //! Conv/Linear/activation ops for CNNs and LayerNorm/RMSNorm for
 //! transformers.
 
+use crate::kernels::elementwise::exp;
 use crate::{Tensor, TensorView};
 
 /// Softmax along the last axis.
@@ -33,11 +34,12 @@ fn softmax_rows(buf: &mut [f32], cols: usize) {
     for r in 0..rows {
         let row = &mut buf[r * cols..(r + 1) * cols];
         let max = row.iter().cloned().fold(f32::NEG_INFINITY, f32::max);
-        let mut sum = 0.0;
+        // Two passes: the exponentials vectorise, the sum keeps its
+        // ascending order.
         for v in row.iter_mut() {
-            *v = (*v - max).exp();
-            sum += *v;
+            *v = exp(*v - max);
         }
+        let sum: f32 = row.iter().sum();
         let inv = 1.0 / sum;
         for v in row.iter_mut() {
             *v *= inv;
@@ -82,7 +84,7 @@ pub fn log_softmax(x: &Tensor) -> Tensor {
     for r in 0..rows {
         let row = &mut out.data_mut()[r * cols..(r + 1) * cols];
         let max = row.iter().cloned().fold(f32::NEG_INFINITY, f32::max);
-        let logsum = row.iter().map(|v| (v - max).exp()).sum::<f32>().ln() + max;
+        let logsum = row.iter().map(|v| exp(v - max)).sum::<f32>().ln() + max;
         for v in row.iter_mut() {
             *v -= logsum;
         }
@@ -120,7 +122,7 @@ pub fn cross_entropy_loss_into(logits: TensorView, targets: TensorView, out: &mu
     for r in 0..rows {
         let xs = &logits.data()[r * cols..(r + 1) * cols];
         let max = xs.iter().cloned().fold(f32::NEG_INFINITY, f32::max);
-        let logsum = xs.iter().map(|v| (v - max).exp()).sum::<f32>().ln() + max;
+        let logsum = xs.iter().map(|v| exp(v - max)).sum::<f32>().ln() + max;
         let t = targets.data()[r] as usize;
         loss -= xs[t] - logsum;
     }
@@ -606,5 +608,32 @@ mod tests {
             let fd = (loss(&x, &gp) - loss(&x, &gm)) / (2.0 * eps);
             assert!((fd - dgamma.data()[i]).abs() < 1e-2);
         }
+    }
+
+    #[test]
+    fn softmax_gives_a_masked_logit_exactly_zero() {
+        // A causal mask adds -1e9: the masked positions must get no weight
+        // at all, not a denormal.
+        let x = Tensor::from_vec(vec![0.5, -1e9, 1.5, -1e9], [1, 4]);
+        let y = softmax(&x);
+        assert_eq!(y.data()[1].to_bits(), 0.0f32.to_bits());
+        assert_eq!(y.data()[3].to_bits(), 0.0f32.to_bits());
+        assert!((y.data()[0] + y.data()[2] - 1.0).abs() < 1e-6);
+    }
+
+    #[test]
+    fn softmax_and_cross_entropy_do_not_swallow_nan_or_inf() {
+        for poison in [f32::NAN, f32::INFINITY] {
+            let x = Tensor::from_vec(vec![1.0, poison, 2.0, 0.0, 1.0, 2.0], [2, 3]);
+            let y = softmax(&x);
+            assert!(y.data()[..3].iter().all(|v| v.is_nan()), "{poison} row");
+            assert!(y.data()[3..].iter().all(|v| v.is_finite()), "clean row");
+            let targets = Tensor::from_vec(vec![0.0, 0.0], [2]);
+            let loss = cross_entropy_loss(&x, &targets);
+            assert!(!loss.data()[0].is_finite(), "{poison} must reach the loss");
+        }
+        // A row of -inf has no maximum to subtract: NaN, as it always was.
+        let y = softmax(&Tensor::full([1, 3], f32::NEG_INFINITY));
+        assert!(y.data().iter().all(|v| v.is_nan()));
     }
 }
