@@ -1,19 +1,20 @@
 //! Criterion micro-benchmarks for the shared kernel library: the GEMM and
 //! convolution kernels that dominate training time, the Winograd kernel
-//! used for frozen layers (backend switching, §3.2), and the non-GEMM
-//! kernels of the transformer encoder's step at the benchmark's shapes.
+//! used for frozen layers (backend switching, §3.2), and the GEMM and
+//! non-GEMM kernels of the benchmark's training steps at their shapes. The
+//! first line printed names the GEMM microkernel this CPU runs.
 
 use std::hint::black_box;
 
-use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
+use criterion::{criterion_group, BatchSize, Criterion};
 use pockengine::pe_tensor::kernels::conv::{
-    conv2d, conv2d_grad_input, conv2d_grad_weight, Conv2dParams,
+    conv2d, conv2d_grad_input, conv2d_grad_weight, conv2d_into, Conv2dParams,
 };
 use pockengine::pe_tensor::kernels::elementwise::{
     add_bias_into, bias_grad_into, binary_into, unary_grad_into, unary_into, BinaryOp, UnaryGradOp,
     UnaryOp,
 };
-use pockengine::pe_tensor::kernels::gemm::matmul;
+use pockengine::pe_tensor::kernels::gemm::{batched_matmul_into, matmul, matmul_into, simd_path};
 use pockengine::pe_tensor::kernels::layout::permute_into;
 use pockengine::pe_tensor::kernels::norm::softmax_into;
 use pockengine::pe_tensor::kernels::winograd::{conv2d_winograd, WinogradWeight};
@@ -30,6 +31,71 @@ fn bench_matmul(c: &mut Criterion) {
     c.bench_function("matmul_64x128x64_transposed_rhs", |bencher| {
         bencher.iter(|| std::hint::black_box(matmul(&a, &bt, false, true)))
     });
+}
+
+/// The GEMMs of `finetune_bert_sparse`'s step through the `_into` kernels
+/// the arena executor dispatches: a linear forward (`NT`, hidden 64), the
+/// FFN's up projection, a weight gradient (`TN`) and the attention scores
+/// (4 batches × 4 heads of 32 tokens × head 16); and a MobileNetV2-tiny 1×1
+/// convolution, which is the GEMM on the image itself.
+fn bench_gemm_shapes(c: &mut Criterion) {
+    let mut rng = Rng::seed_from_u64(3);
+    let mut out = vec![0.0f32; 128 * 128];
+    let x = Tensor::randn([128, 64], 1.0, &mut rng);
+    let w = Tensor::randn([64, 64], 1.0, &mut rng);
+    c.bench_function("matmul_nt_128x64x64", |bencher| {
+        bencher.iter(|| {
+            matmul_into(
+                black_box(x.view()),
+                w.view(),
+                false,
+                true,
+                &mut out[..128 * 64],
+            )
+        })
+    });
+    let w_up = Tensor::randn([128, 64], 1.0, &mut rng);
+    c.bench_function("matmul_nt_128x128x64", |bencher| {
+        bencher.iter(|| matmul_into(black_box(x.view()), w_up.view(), false, true, &mut out))
+    });
+    let dy = Tensor::randn([128, 64], 1.0, &mut rng);
+    c.bench_function("matmul_tn_128x64x64", |bencher| {
+        bencher.iter(|| {
+            matmul_into(
+                black_box(dy.view()),
+                x.view(),
+                true,
+                false,
+                &mut out[..64 * 64],
+            )
+        })
+    });
+    let q = Tensor::randn([4, 4, 32, 16], 1.0, &mut rng);
+    let k = Tensor::randn([4, 4, 32, 16], 1.0, &mut rng);
+    c.bench_function("bmm_nt_4x4x32x16", |bencher| {
+        bencher.iter(|| {
+            batched_matmul_into(
+                black_box(q.view()),
+                k.view(),
+                false,
+                true,
+                &mut out[..16 * 32 * 32],
+            )
+        })
+    });
+    let image = Tensor::randn([8, 16, 8, 8], 1.0, &mut rng);
+    let w1 = Tensor::randn([16, 16, 1, 1], 0.5, &mut rng);
+    c.bench_function("conv2d_pointwise_8x16x8x8", |bencher| {
+        bencher.iter(|| {
+            conv2d_into(
+                black_box(image.view()),
+                w1.view(),
+                Conv2dParams::default(),
+                &mut out[..image.numel()],
+            )
+        })
+    });
+    black_box(&out);
 }
 
 fn bench_conv(c: &mut Criterion) {
@@ -153,6 +219,11 @@ fn bench_encoder_floor(c: &mut Criterion) {
 criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(10).measurement_time(std::time::Duration::from_secs(2)).warm_up_time(std::time::Duration::from_millis(500));
-    targets = bench_matmul, bench_conv, bench_encoder_floor
+    targets = bench_matmul, bench_gemm_shapes, bench_conv, bench_encoder_floor
 }
-criterion_main!(benches);
+
+fn main() {
+    // Which GEMM microkernel the numbers below ran on.
+    println!("simd_path: {}", simd_path());
+    benches();
+}

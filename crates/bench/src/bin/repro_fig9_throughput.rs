@@ -5,10 +5,15 @@
 use pe_bench::pe_backends::DeviceProfile;
 use pe_bench::speed::{figure9_for_device, PaperModel};
 use pe_bench::TextTable;
+use pockengine::pe_tensor::kernels::gemm::simd_path;
 
 fn main() {
     let models = PaperModel::figure9_models();
     let batch = 8;
+    println!(
+        "Figure 9: training throughput; GEMM microkernel: {}",
+        simd_path()
+    );
     for device in DeviceProfile::all_paper_devices() {
         println!("\n=== {} (batch {batch}) ===\n", device.name);
         let points = figure9_for_device(&device, &models, batch);

@@ -3,10 +3,14 @@
 
 use pe_bench::memory::{mcu_reordering_saving, table4_memory};
 use pe_bench::TextTable;
+use pockengine::pe_tensor::kernels::gemm::simd_path;
 
 fn main() {
     let batch_sizes = [1usize, 4, 16];
-    println!("Table 4: training memory (full-bp vs sparse-bp)\n");
+    println!(
+        "Table 4: training memory (full-bp vs sparse-bp); GEMM microkernel: {}\n",
+        simd_path()
+    );
     let rows = table4_memory(&batch_sizes);
     let mut table = TextTable::new(&["Platform", "Model", "Method", "bs=1", "bs=4", "bs=16"]);
     let mut keys: Vec<(String, String, String)> = rows

@@ -164,25 +164,83 @@ impl<'a> MatMut<'a> {
     }
 }
 
-/// Rows of the register tile: accumulator rows kept live across the `k` loop.
+/// Rows of the portable register tile: accumulator rows kept live across the
+/// `k` loop.
 const MR: usize = 4;
-/// Columns of the register tile (two 4-lane vectors on a baseline x86-64).
+/// Columns of the portable register tile (two 4-lane vectors on a baseline
+/// x86-64).
 const NR: usize = 8;
-/// Contraction block: a `KC x NR` panel of `B` stays in L1 while every row
+/// Contraction block: a `KC`-row panel of `B` stays in L1 while every row
 /// tile of `A` sweeps over it.
 const KC: usize = 128;
+
+/// The GEMM microkernel this process runs: `"avx2"` when the CPU has AVX2
+/// (detected at run time), `"portable"` otherwise. Both give the same bits.
+pub fn simd_path() -> &'static str {
+    #[cfg(target_arch = "x86_64")]
+    if is_x86_feature_detected!("avx2") {
+        return "avx2";
+    }
+    "portable"
+}
 
 /// The GEMM core every matmul and convolution lowers onto: `C = A · B`, or
 /// `C += A · B` when `accumulate`, for an `m x k` `A` and a `k x n` `B`.
 ///
-/// `k` is blocked by `KC` and `n` by the tile width; each panel of `B` — in
-/// place when its rows are contiguous, transposed into 4 KB of stack when its
-/// columns are — meets every row tile of `A` in the one microkernel.
-///
-/// Each output element sums its `k` products in ascending order whatever
-/// `m`, `n` and its place in a tile are, so a row computed alone equals the
-/// same row computed inside a batch, bit for bit.
+/// Runs the AVX2 microkernels when the CPU has them and the portable ones
+/// otherwise, both through the one blocking loop [`drive`], which fixes how
+/// every output element is rounded — so which path ran never shows in the
+/// result.
 pub(crate) fn gemm(
+    m: usize,
+    n: usize,
+    k: usize,
+    a: MatRef,
+    b: MatRef,
+    c: MatMut,
+    accumulate: bool,
+) {
+    #[cfg(target_arch = "x86_64")]
+    if is_x86_feature_detected!("avx2") {
+        // SAFETY: the running CPU supports AVX2, detected just above.
+        return unsafe { avx2::gemm(m, n, k, a, b, c, accumulate) };
+    }
+    portable(m, n, k, a, b, c, accumulate);
+}
+
+/// [`gemm`] on the autovectorised `MR x NR` tile.
+fn portable(m: usize, n: usize, k: usize, a: MatRef, b: MatRef, c: MatMut, accumulate: bool) {
+    drive::<NR>(
+        m,
+        n,
+        k,
+        a,
+        b,
+        c,
+        accumulate,
+        |width, kc, a, b, c, acc| match width {
+            NR => row_tiles::<NR>(m, kc, a, b, c, acc),
+            4 => row_tiles::<4>(m, kc, a, b, c, acc),
+            _ => row_tiles::<1>(m, kc, a, b, c, acc),
+        },
+    );
+}
+
+/// The blocking loop of every tile family, for `B` panels `P` columns wide:
+/// `k` is blocked by `KC` and `n` by the widest tile that fits (`P`, 8, 4,
+/// 1); each panel of `B` — in place when its rows are contiguous, transposed
+/// into `KC x P` floats of stack when its columns are — meets every row tile
+/// of `A` in `tiles(width, kc, A, B, C, accumulate)`.
+///
+/// Every tile starts each output element of a `KC` block from zero, adds the
+/// block's products in ascending `k` (each product and sum rounded once) and
+/// then stores the block sum, or adds it onto `C`. Nothing else touches `C`,
+/// so an element's bits depend on neither `m`, `n`, its place in a tile nor
+/// the tile family: a row computed alone equals the same row inside a batch,
+/// and the AVX2 path equals the portable one.
+#[allow(clippy::too_many_arguments)]
+#[inline(always)]
+fn drive<const P: usize>(
     m: usize,
     n: usize,
     k: usize,
@@ -190,6 +248,7 @@ pub(crate) fn gemm(
     b: MatRef,
     mut c: MatMut,
     accumulate: bool,
+    tiles: impl Fn(usize, usize, MatRef, MatRef, MatMut, bool),
 ) {
     if m == 0 || n == 0 {
         return;
@@ -206,7 +265,7 @@ pub(crate) fn gemm(
     let mut pack = if b.cs == 1 {
         None
     } else {
-        Some([[0.0f32; NR]; KC])
+        Some([[0.0f32; P]; KC])
     };
     for k0 in (0..k).step_by(KC) {
         let kc = KC.min(k - k0);
@@ -214,7 +273,8 @@ pub(crate) fn gemm(
         let mut j0 = 0;
         while j0 < n {
             let width = match n - j0 {
-                NR.. => NR,
+                rest if rest >= P => P,
+                8.. => 8,
                 4.. => 4,
                 _ => 1,
             };
@@ -222,19 +282,15 @@ pub(crate) fn gemm(
                 None => b.from(k0, j0),
                 Some(panel) => {
                     // Columns past `width` repeat the last one; no tile reads them.
-                    let cols: [&[f32]; NR] =
+                    let cols: [&[f32]; P] =
                         std::array::from_fn(|j| &b.from(k0, j0 + j.min(width - 1)).data[..kc]);
                     for (p, row) in panel[..kc].iter_mut().enumerate() {
                         *row = std::array::from_fn(|j| cols[j][p]);
                     }
-                    MatRef::row_major(panel.as_flattened(), NR)
+                    MatRef::row_major(panel.as_flattened(), P)
                 }
             };
-            match width {
-                NR => row_tiles::<NR>(m, kc, a, bp, c.from(0, j0), acc),
-                4 => row_tiles::<4>(m, kc, a, bp, c.from(0, j0), acc),
-                _ => row_tiles::<1>(m, kc, a, bp, c.from(0, j0), acc),
-            }
+            tiles(width, kc, a, bp, c.from(0, j0), acc);
             j0 += width;
         }
     }
@@ -284,9 +340,9 @@ fn tile_of<const R: usize, const W: usize>(
     }
 }
 
-/// The microkernel: an `R x W` register tile over `kc` contraction steps.
-/// The accumulators are fixed-size arrays the autovectoriser keeps in vector
-/// registers across the loop; nothing in it depends on the data.
+/// The portable microkernel: an `R x W` register tile over `kc` contraction
+/// steps. The accumulators are fixed-size arrays the autovectoriser keeps in
+/// vector registers across the loop; nothing in it depends on the data.
 #[inline(always)]
 fn tile<const R: usize, const W: usize>(
     kc: usize,
@@ -307,6 +363,13 @@ fn tile<const R: usize, const W: usize>(
             }
         }
     }
+    store(&acc, c, accumulate);
+}
+
+/// Writes a finished tile's block sums: `C = acc`, or `C += acc` when
+/// `accumulate`.
+#[inline(always)]
+fn store<const R: usize, const W: usize>(acc: &[[f32; W]; R], c: MatMut, accumulate: bool) {
     for (i, acc_row) in acc.iter().enumerate() {
         if c.cs == 1 {
             let crow: &mut [f32; W] = c.data[i * c.rs..]
@@ -325,6 +388,140 @@ fn tile<const R: usize, const W: usize>(
                 *cv = if accumulate { *cv + v } else { v };
             }
         }
+    }
+}
+
+/// The AVX2 tiles: 6 rows by two 8-lane vectors, 12 `__m256` accumulators
+/// with `B` read by two unaligned loads and `A` broadcast per `k`. Products
+/// and sums are separate `mul`/`add` instructions — no FMA, whose single
+/// rounding would give other bits than the portable tile.
+#[cfg(target_arch = "x86_64")]
+mod avx2 {
+    use std::arch::x86_64::{
+        _mm256_add_ps, _mm256_loadu_ps, _mm256_mul_ps, _mm256_set1_ps, _mm256_setzero_ps,
+        _mm256_storeu_ps,
+    };
+
+    use super::{drive, store, MatMut, MatRef};
+
+    /// Rows of the AVX2 register tile.
+    const MR: usize = 6;
+    /// Columns of the AVX2 register tile, and the packed panel width.
+    const NR: usize = 16;
+
+    /// [`super::gemm`] on the AVX2 tiles: `6 x 16` and its row remainders,
+    /// 8-wide for the first column remainder, the portable 4- and 1-wide
+    /// tiles (compiled for AVX2 here) for the rest.
+    #[target_feature(enable = "avx2")]
+    pub(super) fn gemm(
+        m: usize,
+        n: usize,
+        k: usize,
+        a: MatRef,
+        b: MatRef,
+        c: MatMut,
+        accumulate: bool,
+    ) {
+        drive::<NR>(
+            m,
+            n,
+            k,
+            a,
+            b,
+            c,
+            accumulate,
+            |width, kc, a, b, c, acc| match width {
+                NR => row_tiles::<NR>(m, kc, a, b, c, acc),
+                8 => row_tiles::<8>(m, kc, a, b, c, acc),
+                4 => super::row_tiles::<4>(m, kc, a, b, c, acc),
+                _ => super::row_tiles::<1>(m, kc, a, b, c, acc),
+            },
+        );
+    }
+
+    /// Every row tile of `A` against one `kc x W` panel: `MR` rows at a
+    /// time, then one tile of the remaining 1..=5.
+    #[target_feature(enable = "avx2")]
+    fn row_tiles<const W: usize>(
+        m: usize,
+        kc: usize,
+        a: MatRef,
+        b: MatRef,
+        mut c: MatMut,
+        accumulate: bool,
+    ) {
+        let mut i0 = 0;
+        while i0 + MR <= m {
+            tile::<MR, W>(kc, a.from(i0, 0), b, c.from(i0, 0), accumulate);
+            i0 += MR;
+        }
+        if i0 < m {
+            let (a, c) = (a.from(i0, 0), c.from(i0, 0));
+            match m - i0 {
+                1 => tile::<1, W>(kc, a, b, c, accumulate),
+                2 => tile::<2, W>(kc, a, b, c, accumulate),
+                3 => tile::<3, W>(kc, a, b, c, accumulate),
+                4 => tile::<4, W>(kc, a, b, c, accumulate),
+                _ => tile::<5, W>(kc, a, b, c, accumulate),
+            }
+        }
+    }
+
+    /// One `R x W` tile (`W` is 8 or 16: one or two vectors per row), stored
+    /// through a stack temporary by the portable [`store`].
+    #[target_feature(enable = "avx2")]
+    #[inline]
+    fn tile<const R: usize, const W: usize>(
+        kc: usize,
+        a: MatRef,
+        b: MatRef,
+        c: MatMut,
+        accumulate: bool,
+    ) {
+        let vectors = W / 8;
+        let mut acc = [[_mm256_setzero_ps(); 2]; R];
+        assert!(
+            b.cs == 1 && holds(b, kc, W),
+            "B holds kc rows of the tile width"
+        );
+        assert!(holds(a, R, kc), "A holds the tile's rows");
+        let (ap, bp) = (a.data.as_ptr(), b.data.as_ptr());
+        for p in 0..kc {
+            let mut bv = [_mm256_setzero_ps(); 2];
+            for (v, bv) in bv.iter_mut().enumerate().take(vectors) {
+                // SAFETY: `p < kc` and `8 * v + 8 <= W`, inside the B rows asserted above.
+                *bv = unsafe { _mm256_loadu_ps(bp.add(p * b.rs + 8 * v)) };
+            }
+            for (i, acc_row) in acc.iter_mut().enumerate() {
+                // SAFETY: `i < R` and `p < kc`, inside the A rows asserted above.
+                let ai = _mm256_set1_ps(unsafe { *ap.add(i * a.rs + p * a.cs) });
+                for v in 0..vectors {
+                    acc_row[v] = _mm256_add_ps(acc_row[v], _mm256_mul_ps(ai, bv[v]));
+                }
+            }
+        }
+        let mut sums = [[0.0f32; W]; R];
+        for (row, acc_row) in sums.iter_mut().zip(&acc) {
+            for (v, &sum) in acc_row.iter().enumerate().take(vectors) {
+                // SAFETY: `8 * v + 8 <= W` floats of `row`.
+                unsafe { _mm256_storeu_ps(row[8 * v..].as_mut_ptr(), sum) };
+            }
+        }
+        store(&sums, c, accumulate);
+    }
+
+    /// Whether every element `(i, j)`, `i < rows`, `j < cols`, of `x` lies
+    /// inside its data — the bound the pointer reads rely on, so no product
+    /// may wrap.
+    fn holds(x: MatRef, rows: usize, cols: usize) -> bool {
+        if rows == 0 || cols == 0 {
+            return true;
+        }
+        let last = (rows - 1)
+            .checked_mul(x.rs)
+            .zip((cols - 1).checked_mul(x.cs))
+            .and_then(|(r, c)| r.checked_add(c));
+        last.is_some_and(|last| last < x.data.len())
     }
 }
 
@@ -590,20 +787,27 @@ mod tests {
     #[test]
     fn a_row_computed_alone_equals_the_row_in_a_batch_bit_for_bit() {
         // The serving stack pads a request into a larger batch and must get
-        // the bits the request alone would have produced.
+        // the bits the request alone would have produced: an odd shape, and
+        // the serve MLP's first layer (`x[m, 32] · W[64, 32]ᵀ`) at each batch
+        // its ladder pads to.
         let mut rng = Rng::seed_from_u64(19);
-        let (m, k, n) = (9, 37, 21);
-        for tb in [false, true] {
-            let (a, b) = operands(m, k, n, false, tb, &mut rng);
-            let batch = matmul(&a, &b, false, tb);
-            for i in 0..m {
-                let row = Tensor::from_vec(a.data()[i * k..(i + 1) * k].to_vec(), [1, k]);
-                let alone = matmul(&row, &b, false, tb);
-                assert_eq!(
-                    alone.data(),
-                    &batch.data()[i * n..(i + 1) * n],
-                    "row {i} tb={tb}"
-                );
+        let shapes = [
+            (9, 37, 21),
+            (1, 32, 64),
+            (2, 32, 64),
+            (4, 32, 64),
+            (8, 32, 64),
+        ];
+        for (m, k, n) in shapes {
+            for tb in [false, true] {
+                let (a, b) = operands(m, k, n, false, tb, &mut rng);
+                let batch = matmul(&a, &b, false, tb);
+                for i in 0..m {
+                    let row = Tensor::from_vec(a.data()[i * k..(i + 1) * k].to_vec(), [1, k]);
+                    let alone = matmul(&row, &b, false, tb);
+                    let case = format!("row {i} of {m}x{k}x{n} tb={tb}");
+                    assert_same_bits(&case, alone.data(), &batch.data()[i * n..][..n]);
+                }
             }
         }
     }
@@ -624,5 +828,212 @@ mod tests {
     fn empty_contraction_zeroes_the_output() {
         let c = matmul(&Tensor::zeros([2, 0]), &Tensor::zeros([0, 3]), false, false);
         assert_eq!(c.data(), &[0.0; 6]);
+    }
+
+    /// `gemm` through the portable driver and through the AVX2 entry, each on
+    /// its own copy of `c` laid out as `(rs, cs)`; `None` without AVX2.
+    #[allow(clippy::too_many_arguments)]
+    fn both_paths(
+        m: usize,
+        n: usize,
+        k: usize,
+        a: MatRef,
+        b: MatRef,
+        c: &[f32],
+        (rs, cs): (usize, usize),
+        accumulate: bool,
+    ) -> Option<[Vec<f32>; 2]> {
+        let mut portable_c = c.to_vec();
+        let out = MatMut {
+            data: &mut portable_c,
+            rs,
+            cs,
+        };
+        portable(m, n, k, a, b, out, accumulate);
+        #[cfg(target_arch = "x86_64")]
+        if is_x86_feature_detected!("avx2") {
+            let mut avx2_c = c.to_vec();
+            let out = MatMut {
+                data: &mut avx2_c,
+                rs,
+                cs,
+            };
+            // SAFETY: the running CPU supports AVX2, detected just above.
+            unsafe { avx2::gemm(m, n, k, a, b, out, accumulate) };
+            return Some([portable_c, avx2_c]);
+        }
+        None
+    }
+
+    /// Seeded `op(A) · op(B)` with `C` row-major (a 2-float gap after every
+    /// row) or transposed (a 1-float gap), through both paths; asserts every
+    /// bit of `C`, gaps included, agrees and returns how many floats it
+    /// compared.
+    #[allow(clippy::too_many_arguments)]
+    fn assert_paths_agree(
+        what: &str,
+        m: usize,
+        k: usize,
+        n: usize,
+        (ta, tb): (bool, bool),
+        c_transposed: bool,
+        accumulate: bool,
+        rng: &mut Rng,
+    ) -> usize {
+        let (a, b) = operands(m, k, n, ta, tb, rng);
+        let a = if ta {
+            MatRef::transposed(a.data(), m)
+        } else {
+            MatRef::row_major(a.data(), k)
+        };
+        let b = if tb {
+            MatRef::transposed(b.data(), k)
+        } else {
+            MatRef::row_major(b.data(), n)
+        };
+        let (layout, len) = if c_transposed {
+            ((1, m + 1), n * (m + 1))
+        } else {
+            ((n + 2, 1), m * (n + 2))
+        };
+        let c = Tensor::randn([len], 1.0, rng);
+        let [want, got] = both_paths(m, n, k, a, b, c.data(), layout, accumulate)
+            .expect("the caller checked that this CPU has AVX2");
+        let case =
+            format!("{what}: {m}x{k}x{n} ta={ta} tb={tb} c_t={c_transposed} acc={accumulate}");
+        assert_same_bits(&case, &want, &got);
+        len
+    }
+
+    fn assert_same_bits(case: &str, want: &[f32], got: &[f32]) {
+        let differ = want
+            .iter()
+            .zip(got)
+            .position(|(w, g)| w.to_bits() != g.to_bits());
+        if let Some(e) = differ {
+            panic!(
+                "{case}: element {e} is {} portable, {} AVX2",
+                want[e], got[e]
+            );
+        }
+    }
+
+    /// Whether this CPU runs the AVX2 tiles; says so when it skips them.
+    fn avx2_or_skip() -> bool {
+        let avx2 = simd_path() == "avx2";
+        if !avx2 {
+            eprintln!("skipped: this CPU has no AVX2, so only the portable tiles exist");
+        }
+        avx2
+    }
+
+    const LAYOUTS: [(bool, bool); 4] = [(false, false), (false, true), (true, false), (true, true)];
+
+    #[test]
+    fn the_avx2_tiles_equal_the_portable_tiles_bit_for_bit_on_every_remainder() {
+        if !avx2_or_skip() {
+            return;
+        }
+        // Every row remainder of the 6-row tile and every column remainder
+        // of the 16-, 8-, 4- and 1-wide tiles, `k` around one `KC` block.
+        let mut rng = Rng::seed_from_u64(23);
+        let mut compared = 0;
+        for m in 1..=13 {
+            for n in [1, 3, 4, 7, 8, 12, 15, 16, 17, 33] {
+                for k in [0, 1, 16, 127, 128, 129, 300] {
+                    for flags in LAYOUTS {
+                        for c_transposed in [false, true] {
+                            for accumulate in [false, true] {
+                                compared += assert_paths_agree(
+                                    "grid",
+                                    m,
+                                    k,
+                                    n,
+                                    flags,
+                                    c_transposed,
+                                    accumulate,
+                                    &mut rng,
+                                );
+                            }
+                        }
+                    }
+                }
+            }
+        }
+        assert!(compared > 1_000_000, "compared only {compared} floats");
+    }
+
+    #[test]
+    fn the_avx2_tiles_equal_the_portable_tiles_on_the_benchmark_shapes() {
+        if !avx2_or_skip() {
+            return;
+        }
+        let (nn, nt, tn) = ((false, false), (false, true), (true, false));
+        let shapes = [
+            // The encoder's linears (hidden 64, FFN 128, 128 tokens): NT
+            // forward, NN input gradient, TN weight gradient.
+            ("linear", 128, 64, 64, nt),
+            ("ffn up", 128, 64, 128, nt),
+            ("ffn down", 128, 128, 64, nt),
+            ("linear dx", 128, 64, 64, nn),
+            ("ffn up dx", 128, 128, 64, nn),
+            ("ffn down dx", 128, 64, 128, nn),
+            ("linear dw", 64, 128, 64, tn),
+            ("ffn up dw", 128, 128, 64, tn),
+            ("ffn down dw", 64, 128, 128, tn),
+            // Attention per head (32 tokens, head 16): scores, context and
+            // their gradients.
+            ("bmm scores", 32, 16, 32, nt),
+            ("bmm context", 32, 32, 16, nn),
+            ("bmm d-scores", 32, 16, 32, nt),
+            ("bmm d-keys", 32, 32, 16, tn),
+            // MobileNetV2-tiny: the stem (3 -> 8, 3x3 stride 2 onto 8x8, one
+            // 27 x 64 patch panel) forward and weight gradient, a 1x1
+            // expansion (8 -> 16 on 8x8) forward, input and weight gradient.
+            ("stem", 8, 27, 64, nn),
+            ("stem dw", 27, 64, 8, nt),
+            ("1x1", 16, 8, 64, nn),
+            ("1x1 dx", 8, 16, 64, tn),
+            ("1x1 dw", 16, 64, 8, nt),
+            // The serve MLP's first layer at one row and at a full rung.
+            ("serve mlp", 1, 32, 64, nt),
+            ("serve mlp", 8, 32, 64, nt),
+        ];
+        let mut rng = Rng::seed_from_u64(24);
+        for (what, m, k, n, flags) in shapes {
+            for c_transposed in [false, true] {
+                for accumulate in [false, true] {
+                    assert_paths_agree(what, m, k, n, flags, c_transposed, accumulate, &mut rng);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn the_avx2_tiles_propagate_nan_like_the_portable_tiles() {
+        if !avx2_or_skip() {
+            return;
+        }
+        // `0 · inf` and a NaN operand poison exactly their own outputs.
+        let (m, k, n) = (7, 5, 19);
+        let mut rng = Rng::seed_from_u64(25);
+        let (mut a, mut b) = operands(m, k, n, false, false, &mut rng);
+        a.data_mut()[2 * k + 1] = 0.0;
+        b.data_mut()[n + 17] = f32::INFINITY;
+        a.data_mut()[5 * k + 3] = f32::NAN;
+        let (a, b) = (
+            MatRef::row_major(a.data(), k),
+            MatRef::row_major(b.data(), n),
+        );
+        let [want, got] =
+            both_paths(m, n, k, a, b, &vec![0.0; m * n], (n, 1), false).expect("AVX2 detected");
+        assert_same_bits("0 * inf", &want, &got);
+        let nan: Vec<usize> = (0..m * n).filter(|&e| got[e].is_nan()).collect();
+        let mut poisoned: Vec<usize> = (5 * n..6 * n).collect();
+        poisoned.push(2 * n + 17);
+        poisoned.sort();
+        assert_eq!(nan, poisoned);
+        // Elsewhere the infinite column stays infinite.
+        assert!((0..m).all(|i| i == 2 || i == 5 || got[i * n + 17].is_infinite()));
     }
 }

@@ -9,6 +9,8 @@
 //! and the networked run (via `pe_net::Client`), which is what makes the
 //! wire protocol's bit-identity claims checkable.
 
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
 
 use pockengine::pe_graph::GraphBuilder;
@@ -19,6 +21,50 @@ use pockengine::{
     AdmissionPolicy, BackendHint, BackendRoute, CompileOptions, Compiler, Engine, EngineConfig,
     Outcome, Priority, Program, RejectReason, Request, ServingKind, Submit, SubmitHandle,
 };
+
+/// The system allocator, counting allocation events, for the zero-alloc
+/// suites: each installs one as its `#[global_allocator]` and holds a single
+/// `#[test]`, because the count covers every thread in the process.
+pub struct CountingAlloc {
+    allocs: AtomicU64,
+}
+
+impl CountingAlloc {
+    /// A counter at zero.
+    pub const fn new() -> Self {
+        CountingAlloc {
+            allocs: AtomicU64::new(0),
+        }
+    }
+
+    /// Allocations and reallocations so far.
+    pub fn count(&self) -> u64 {
+        self.allocs.load(Ordering::SeqCst)
+    }
+}
+
+impl Default for CountingAlloc {
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
+// SAFETY: every call forwards to `System` unchanged; the counter is atomic.
+unsafe impl GlobalAlloc for CountingAlloc {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        self.allocs.fetch_add(1, Ordering::Relaxed);
+        System.alloc(layout)
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        System.dealloc(ptr, layout)
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        self.allocs.fetch_add(1, Ordering::Relaxed);
+        System.realloc(ptr, layout, new_size)
+    }
+}
 
 /// Feature width of the shared MLP family.
 pub const DIM: usize = 16;

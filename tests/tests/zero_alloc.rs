@@ -8,44 +8,16 @@
 //! counts every thread in the process, so concurrent tests in the same
 //! binary would pollute the measurement.
 
-use std::alloc::{GlobalAlloc, Layout, System};
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
 
+use pe_tests::support::CountingAlloc;
 use pockengine::pe_graph::{build_training_graph, GraphBuilder, TrainSpec};
 use pockengine::pe_passes::{optimize, OptimizeOptions};
 use pockengine::pe_runtime::{Executor, Optimizer};
 use pockengine::pe_tensor::{Rng, Tensor};
 
-/// Wraps the system allocator and counts allocation events.
-struct CountingAlloc {
-    allocs: AtomicU64,
-}
-
 #[global_allocator]
-static ALLOC: CountingAlloc = CountingAlloc {
-    allocs: AtomicU64::new(0),
-};
-
-unsafe impl GlobalAlloc for CountingAlloc {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        self.allocs.fetch_add(1, Ordering::Relaxed);
-        System.alloc(layout)
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        System.dealloc(ptr, layout)
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        self.allocs.fetch_add(1, Ordering::Relaxed);
-        System.realloc(ptr, layout, new_size)
-    }
-}
-
-fn allocation_count() -> u64 {
-    ALLOC.allocs.load(Ordering::SeqCst)
-}
+static ALLOC: CountingAlloc = CountingAlloc::new();
 
 #[test]
 fn steady_state_training_step_performs_zero_heap_allocations() {
@@ -104,11 +76,11 @@ fn steady_state_training_step_performs_zero_heap_allocations() {
     let mut sink = 0.0f32;
     let mut counts = Vec::with_capacity(windows);
     for _ in 0..windows {
-        let before = allocation_count();
+        let before = ALLOC.count();
         for _ in 0..steps {
             sink += exec.train_step(&inputs).unwrap().unwrap();
         }
-        counts.push(allocation_count() - before);
+        counts.push(ALLOC.count() - before);
     }
 
     assert!(sink.is_finite(), "loss must stay finite");

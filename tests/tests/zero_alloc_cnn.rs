@@ -7,10 +7,9 @@
 //! (the MLP variant); this file also holds a single `#[test]` because the
 //! global allocator counts every thread in the process.
 
-use std::alloc::{GlobalAlloc, Layout, System};
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
 
+use pe_tests::support::CountingAlloc;
 use pockengine::pe_graph::{build_training_graph, Graph, NodeId, TrainKind, TrainSpec};
 use pockengine::pe_graph::{GraphBuilder, OpKind};
 use pockengine::pe_passes::{optimize, FusionLevel, OptimizeOptions, OptimizeStats};
@@ -18,35 +17,8 @@ use pockengine::pe_runtime::{Executor, Optimizer};
 use pockengine::pe_tensor::kernels::conv::Conv2dParams;
 use pockengine::pe_tensor::{Rng, Tensor};
 
-/// Wraps the system allocator and counts allocation events.
-struct CountingAlloc {
-    allocs: AtomicU64,
-}
-
 #[global_allocator]
-static ALLOC: CountingAlloc = CountingAlloc {
-    allocs: AtomicU64::new(0),
-};
-
-unsafe impl GlobalAlloc for CountingAlloc {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        self.allocs.fetch_add(1, Ordering::Relaxed);
-        System.alloc(layout)
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        System.dealloc(ptr, layout)
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        self.allocs.fetch_add(1, Ordering::Relaxed);
-        System.realloc(ptr, layout, new_size)
-    }
-}
-
-fn allocation_count() -> u64 {
-    ALLOC.allocs.load(Ordering::SeqCst)
-}
+static ALLOC: CountingAlloc = CountingAlloc::new();
 
 /// Compiles `graph` for the arena executor with region fusion pinned (so
 /// the measurement is independent of `PE_FUSION`).
@@ -87,11 +59,11 @@ fn assert_steady_state_is_clean(mut exec: Executor, x_dims: [usize; 4], what: &s
     let mut sink = 0.0f32;
     let mut counts = Vec::with_capacity(windows);
     for _ in 0..windows {
-        let before = allocation_count();
+        let before = ALLOC.count();
         for _ in 0..steps {
             sink += exec.train_step(&inputs).unwrap().unwrap();
         }
-        counts.push(allocation_count() - before);
+        counts.push(ALLOC.count() - before);
     }
 
     assert!(sink.is_finite(), "{what}: loss must stay finite");

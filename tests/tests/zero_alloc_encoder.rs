@@ -7,10 +7,9 @@
 //! guarantee per op kind rather than per model. A single `#[test]`, because
 //! the global allocator counts every thread in the process.
 
-use std::alloc::{GlobalAlloc, Layout, System};
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
 
+use pe_tests::support::CountingAlloc;
 use pockengine::pe_graph::OpKind;
 use pockengine::pe_models::{build_bert, BertConfig};
 use pockengine::pe_runtime::{ExecutorConfig, Optimizer};
@@ -18,35 +17,8 @@ use pockengine::pe_sparse::{paper_scheme_distilbert, UpdateRule};
 use pockengine::pe_tensor::{Rng, Tensor};
 use pockengine::{compile, CompileOptions};
 
-/// Wraps the system allocator and counts allocation events.
-struct CountingAlloc {
-    allocs: AtomicU64,
-}
-
 #[global_allocator]
-static ALLOC: CountingAlloc = CountingAlloc {
-    allocs: AtomicU64::new(0),
-};
-
-unsafe impl GlobalAlloc for CountingAlloc {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        self.allocs.fetch_add(1, Ordering::Relaxed);
-        System.alloc(layout)
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        System.dealloc(ptr, layout)
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        self.allocs.fetch_add(1, Ordering::Relaxed);
-        System.realloc(ptr, layout, new_size)
-    }
-}
-
-fn allocation_count() -> u64 {
-    ALLOC.allocs.load(Ordering::SeqCst)
-}
+static ALLOC: CountingAlloc = CountingAlloc::new();
 
 #[test]
 fn encoder_training_step_has_zero_fallbacks_and_zero_allocations() {
@@ -109,11 +81,11 @@ fn encoder_training_step_has_zero_fallbacks_and_zero_allocations() {
         let mut sink = 0.0f32;
         let mut counts = Vec::with_capacity(windows);
         for _ in 0..windows {
-            let before = allocation_count();
+            let before = ALLOC.count();
             for _ in 0..steps {
                 sink += exec.train_step(&inputs).unwrap().unwrap();
             }
-            counts.push(allocation_count() - before);
+            counts.push(ALLOC.count() - before);
         }
         assert!(sink.is_finite(), "{what}: loss must stay finite");
         assert!(
