@@ -1,6 +1,5 @@
 //! Criterion micro-benchmarks for the shared kernel library: the GEMM and
-//! convolution kernels that dominate training time, the Winograd kernel
-//! used for frozen layers (backend switching, §3.2), and the GEMM and
+//! convolution kernels that dominate training time, and the GEMM and
 //! non-GEMM kernels of the benchmark's training steps at their shapes. The
 //! first line printed names the GEMM microkernel this CPU runs.
 
@@ -17,7 +16,6 @@ use pockengine::pe_tensor::kernels::elementwise::{
 use pockengine::pe_tensor::kernels::gemm::{batched_matmul_into, matmul, matmul_into, simd_path};
 use pockengine::pe_tensor::kernels::layout::permute_into;
 use pockengine::pe_tensor::kernels::norm::softmax_into;
-use pockengine::pe_tensor::kernels::winograd::{conv2d_winograd, WinogradWeight};
 use pockengine::pe_tensor::{Rng, Tensor};
 
 fn bench_matmul(c: &mut Criterion) {
@@ -106,10 +104,6 @@ fn bench_conv(c: &mut Criterion) {
     c.bench_function("conv2d_direct_16x32x32", |bencher| {
         bencher.iter(|| std::hint::black_box(conv2d(&x, &w, p)))
     });
-    let wino = WinogradWeight::from_dense(&w);
-    c.bench_function("conv2d_winograd_16x32x32", |bencher| {
-        bencher.iter(|| std::hint::black_box(conv2d_winograd(&x, &wino, 1)))
-    });
     let dy = conv2d(&x, &w, p);
     c.bench_function("conv2d_grad_input_16x32x32", |bencher| {
         bencher.iter(|| std::hint::black_box(conv2d_grad_input(&dy, &w, x.dims(), p)))
@@ -117,14 +111,11 @@ fn bench_conv(c: &mut Criterion) {
     c.bench_function("conv2d_grad_weight_16x32x32", |bencher| {
         bencher.iter(|| std::hint::black_box(conv2d_grad_weight(&x, &dy, w.dims(), p)))
     });
-    // The numbers that decide Winograd's future: the same layer at batch 8,
-    // where the lowered kernel's per-call set-up is amortised as in training.
+    // The same layer at batch 8, where the lowered kernel's per-call set-up
+    // is amortised as in training.
     let x8 = Tensor::randn([8, 16, 32, 32], 1.0, &mut rng);
     c.bench_function("conv2d_direct_16x32x32_batch8", |bencher| {
         bencher.iter(|| std::hint::black_box(conv2d(&x8, &w, p)))
-    });
-    c.bench_function("conv2d_winograd_16x32x32_batch8", |bencher| {
-        bencher.iter(|| std::hint::black_box(conv2d_winograd(&x8, &wino, 1)))
     });
     // The other two branches of the lowered convolution on the same image.
     let w1 = Tensor::randn([16, 16, 1, 1], 0.5, &mut rng);
@@ -188,7 +179,6 @@ fn bench_encoder_floor(c: &mut Criterion) {
             add_bias_into(
                 black_box(hidden.view()),
                 black_box(bias.view()),
-                None,
                 &mut out[..128 * 64],
             )
         })

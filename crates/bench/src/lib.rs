@@ -15,7 +15,7 @@
 //! | Figure 7 (autodiff overhead)        | [`overhead::measure_autodiff_overhead`], `repro_fig7_overhead` |
 //! | Figure 8 (loss curves)              | [`accuracy::loss_curves`], `repro_fig8_loss_curves` |
 //! | Figure 9 (throughput)               | [`speed::figure9_for_device`], `repro_fig9_throughput` |
-//! | §3.2 graph-opt ablation             | [`speed::graph_optimization_ablation`], `repro_ablation_graphopt` |
+//! | §3.2 graph-opt ablation (fusion, reordering) | [`speed::graph_optimization_ablation`], `repro_ablation_graphopt` |
 //!
 //! Beyond the paper artefacts, the perf trajectory of this repository is
 //! tracked by machine-readable reports: `bench_training_step` writes

@@ -340,22 +340,6 @@ pub fn graph_optimization_ablation() -> Vec<AblationRow> {
             },
             ScheduleStrategy::Reordered,
         ),
-        (
-            "pair fusion only",
-            OptimizeOptions {
-                fusion: FusionLevel::Pairs,
-                ..full
-            },
-            ScheduleStrategy::Reordered,
-        ),
-        (
-            "no winograd",
-            OptimizeOptions {
-                winograd: false,
-                ..full
-            },
-            ScheduleStrategy::Reordered,
-        ),
         ("no reordering", full, ScheduleStrategy::Conventional),
         (
             "none",

@@ -47,7 +47,7 @@ use crate::{CompileOptions, ProgramAnalysis};
 /// Format version stamped into (and demanded from) every artifact. Bump it
 /// whenever the layout or any stable encoding changes; older files then
 /// decode as registry misses instead of misbehaving programs.
-pub const ARTIFACT_VERSION: u64 = 2;
+pub const ARTIFACT_VERSION: u64 = 3;
 
 /// Flops one worker thread is assumed to retire per microsecond when
 /// deriving the default (deterministic) latency profile. The profile only
@@ -79,14 +79,8 @@ pub fn content_hash(base_graph: &Graph, options: &CompileOptions) -> u64 {
     h.update(&graph_fingerprint(base_graph).to_le_bytes());
     hash_update_rule(&mut h, &options.update_rule);
     hash_optimizer(&mut h, options.optimizer);
-    let fusion = match options.optimize.fusion {
-        pe_passes::FusionLevel::Off => 0u8,
-        pe_passes::FusionLevel::Pairs => 1,
-        pe_passes::FusionLevel::Regions => 2,
-    };
     h.update(&[
-        fusion,
-        u8::from(options.optimize.winograd),
+        u8::from(options.optimize.fusion == pe_passes::FusionLevel::Regions),
         u8::from(options.optimize.dce),
         u8::from(options.optimize.reorder_updates),
     ]);
@@ -393,21 +387,8 @@ impl ProgramArtifact {
             (
                 "stats",
                 Json::obj(vec![
-                    (
-                        "bias_activation",
-                        Json::Int(stats.fusion.bias_activation as u64),
-                    ),
-                    ("add_relu", Json::Int(stats.fusion.add_relu as u64)),
                     ("regions", Json::Int(stats.fusion.regions as u64)),
                     ("region_ops", Json::Int(stats.fusion.region_ops as u64)),
-                    (
-                        "winograd_converted",
-                        Json::Int(stats.backend.winograd_converted as u64),
-                    ),
-                    (
-                        "kept_dense_trainable",
-                        Json::Int(stats.backend.kept_dense_trainable as u64),
-                    ),
                     ("dce", Json::Arr(dce)),
                     ("launches_before", Json::Int(stats.launches_before as u64)),
                     ("launches_after", Json::Int(stats.launches_after as u64)),
@@ -591,14 +572,8 @@ impl ProgramArtifact {
         };
         let stats = OptimizeStats {
             fusion: pe_passes::FusionStats {
-                bias_activation: usize_of(field(oj, "bias_activation")?)?,
-                add_relu: usize_of(field(oj, "add_relu")?)?,
                 regions: usize_of(field(oj, "regions")?)?,
                 region_ops: usize_of(field(oj, "region_ops")?)?,
-            },
-            backend: pe_passes::BackendSwitchStats {
-                winograd_converted: usize_of(field(oj, "winograd_converted")?)?,
-                kept_dense_trainable: usize_of(field(oj, "kept_dense_trainable")?)?,
             },
             dce,
             launches_before: usize_of(field(oj, "launches_before")?)?,

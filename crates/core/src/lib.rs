@@ -9,7 +9,7 @@
 //! * [`pe_tensor`] — tensors and the shared forward/backward kernel library;
 //! * [`pe_graph`] — the unified IR, graph builder and compile-time autodiff;
 //! * [`pe_passes`] — training-graph optimisations (pruning/DCE, fusion,
-//!   Winograd backend switching, operator reordering) and scheduling;
+//!   operator reordering) and scheduling;
 //! * [`pe_memplan`] — tensor lifetime analysis and memory planning;
 //! * [`pe_runtime`] — the slim executor, optimizers and the eager baseline;
 //! * [`pe_sparse`] — update schemes and the scheme search;
@@ -186,7 +186,7 @@ pub struct ProgramAnalysis {
     pub training_graph: TrainingGraph,
     /// The execution schedule.
     pub schedule: Schedule,
-    /// Optimisation statistics (fusion counts, DCE, Winograd conversions).
+    /// Optimisation statistics (fusion counts, DCE, launch counts).
     pub stats: OptimizeStats,
     /// Training-memory breakdown.
     pub memory: MemoryReport,

@@ -3,7 +3,6 @@
 
 use pe_tensor::kernels::conv::conv2d_flops;
 use pe_tensor::kernels::gemm::matmul_flops;
-use pe_tensor::kernels::winograd::winograd_flops;
 
 use crate::graph::Graph;
 use crate::op::{NodeId, OpKind};
@@ -73,11 +72,6 @@ pub fn node_cost(graph: &Graph, id: NodeId) -> NodeCost {
             let grad_cout = dims_of(1)[1] as u64;
             full * grad_cout / (w_dims[0] as u64).max(1)
         }
-        OpKind::WinogradConv2d { padding } => {
-            let x = dims_of(0);
-            let w = dims_of(1);
-            winograd_flops(&x, w[0], *padding)
-        }
         // Element-wise and shape ops: roughly one (or a few) ops per output element.
         OpKind::Add
         | OpKind::Sub
@@ -97,9 +91,6 @@ pub fn node_cost(graph: &Graph, id: NodeId) -> NodeCost {
         | OpKind::Slice { .. }
         | OpKind::Unslice { .. }
         | OpKind::Concat { .. }
-        | OpKind::AddRelu
-        | OpKind::BiasRelu
-        | OpKind::BiasRelu6
         | OpKind::ApplyUpdate { .. } => out_elems,
         OpKind::Gelu
         | OpKind::Silu
@@ -109,7 +100,6 @@ pub fn node_cost(graph: &Graph, id: NodeId) -> NodeCost {
         | OpKind::SiluGrad
         | OpKind::SigmoidGrad
         | OpKind::TanhGrad
-        | OpKind::BiasGelu
         | OpKind::Softmax
         | OpKind::SoftmaxGrad => 8 * out_elems,
         OpKind::FusedRegion { prog } => {

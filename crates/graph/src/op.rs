@@ -110,12 +110,6 @@ pub enum OpKind {
         /// Shape of the full weight tensor.
         w_dims: Vec<usize>,
     },
-    /// Winograd F(2x2,3x3) convolution for frozen 3x3/stride-1 layers,
-    /// inputs `[x, weight]`.
-    WinogradConv2d {
-        /// Zero padding.
-        padding: usize,
-    },
 
     // ----- element-wise -----
     /// Element-wise addition with broadcasting.
@@ -166,14 +160,6 @@ pub enum OpKind {
     },
 
     // ----- fused ops (produced by the fusion pass) -----
-    /// Bias add followed by ReLU, inputs `[x, bias]`.
-    BiasRelu,
-    /// Bias add followed by ReLU6, inputs `[x, bias]`.
-    BiasRelu6,
-    /// Bias add followed by GELU, inputs `[x, bias]`.
-    BiasGelu,
-    /// Residual add followed by ReLU, inputs `[a, b]`.
-    AddRelu,
     /// A fused elementwise region: `inputs[0]` is the carrier the micro-op
     /// program threads through; the remaining inputs are the extra operands
     /// the program's indices reference. Executed as a single dispatch by
@@ -340,7 +326,6 @@ impl OpKind {
             OpKind::Conv2d(_) => "conv2d",
             OpKind::Conv2dGradInput { .. } => "conv2d_dx",
             OpKind::Conv2dGradWeight { .. } => "conv2d_dw",
-            OpKind::WinogradConv2d { .. } => "winograd_conv2d",
             OpKind::Add => "add",
             OpKind::Sub => "sub",
             OpKind::Mul => "mul",
@@ -361,10 +346,6 @@ impl OpKind {
             OpKind::SigmoidGrad => "sigmoid_grad",
             OpKind::TanhGrad => "tanh_grad",
             OpKind::BroadcastGradTo { .. } => "broadcast_grad",
-            OpKind::BiasRelu => "bias_relu",
-            OpKind::BiasRelu6 => "bias_relu6",
-            OpKind::BiasGelu => "bias_gelu",
-            OpKind::AddRelu => "add_relu",
             OpKind::FusedRegion { .. } => "fused_region",
             OpKind::Reduce { .. } => "reduce",
             OpKind::ReduceGrad { .. } => "reduce_grad",
@@ -436,14 +417,8 @@ impl OpKind {
         )
     }
 
-    /// Whether the op is a cheap element-wise / IO-bound op that the fusion
-    /// pass may merge into a preceding compute-intensive op.
-    pub fn is_fusible_activation(&self) -> bool {
-        matches!(self, OpKind::Relu | OpKind::Relu6 | OpKind::Gelu)
-    }
-
     /// Whether the op is compute-intensive (GEMM/conv class) for the
-    /// purposes of cost modelling and backend selection.
+    /// purposes of cost modelling.
     pub fn is_compute_intensive(&self) -> bool {
         matches!(
             self,
@@ -452,7 +427,6 @@ impl OpKind {
                 | OpKind::Conv2d(_)
                 | OpKind::Conv2dGradInput { .. }
                 | OpKind::Conv2dGradWeight { .. }
-                | OpKind::WinogradConv2d { .. }
         )
     }
 
@@ -496,7 +470,6 @@ mod tests {
         }
         .is_compute_intensive());
         assert!(!OpKind::Relu.is_compute_intensive());
-        assert!(OpKind::Relu.is_fusible_activation());
         assert!(OpKind::ApplyUpdate {
             param: NodeId(0),
             rows: None

@@ -3,8 +3,8 @@
 //! Training-graph optimisation passes for PockEngine-RS (paper §3.2):
 //!
 //! * [`dce`] — dead-code elimination after sparse-backpropagation pruning;
-//! * [`fusion`] — operator fusion (bias+activation, residual add+ReLU);
-//! * [`backend_switch`] — Winograd kernel binding for frozen convolutions;
+//! * [`fusion`] — operator fusion: elementwise chains (bias, activation,
+//!   residual add, activation VJPs) collapse into single-dispatch regions;
 //! * [`schedule`] — execution scheduling, including operator reordering that
 //!   applies parameter updates as soon as their gradients are available;
 //! * [`wavefront`] — partitioning a schedule into dependency levels for the
@@ -35,16 +35,14 @@
 
 #![deny(missing_docs)]
 
-pub mod backend_switch;
 pub mod dce;
 pub mod fusion;
 pub mod manager;
 pub mod schedule;
 pub mod wavefront;
 
-pub use backend_switch::{switch_frozen_convs_to_winograd, BackendSwitchStats};
 pub use dce::{eliminate_dead_code, DceStats};
-pub use fusion::{fuse_operators, fuse_regions, launch_count, FusionLevel, FusionStats};
+pub use fusion::{fuse_regions, launch_count, FusionLevel, FusionStats};
 pub use manager::{optimize, OptimizeOptions, OptimizeStats};
 pub use schedule::{build_schedule, update_latencies, Schedule, ScheduleStrategy};
 pub use wavefront::{partition_wavefronts, Wavefront};

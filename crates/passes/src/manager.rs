@@ -2,21 +2,18 @@
 
 use pe_graph::TrainingGraph;
 
-use crate::backend_switch::{switch_frozen_convs_to_winograd, BackendSwitchStats};
 use crate::dce::{eliminate_dead_code, DceStats};
-use crate::fusion::{fuse_operators, fuse_regions, launch_count, FusionLevel, FusionStats};
+use crate::fusion::{fuse_regions, launch_count, FusionLevel, FusionStats};
 use crate::schedule::{build_schedule, Schedule, ScheduleStrategy};
 
 /// Which optimisations to run. The default enables everything, matching the
 /// full PockEngine pipeline; individual flags exist for the ablation study.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct OptimizeOptions {
-    /// How aggressively to fuse elementwise operators. The default follows
-    /// the `PE_FUSION` environment variable (`off` | `pairs` | `regions`),
-    /// falling back to [`FusionLevel::Regions`] when unset.
+    /// Whether to fuse elementwise operators. The default follows the
+    /// `PE_FUSION` environment variable (`off` | `regions`), falling back
+    /// to [`FusionLevel::Regions`] when unset.
     pub fusion: FusionLevel,
-    /// Bind frozen 3x3 convolutions to Winograd kernels.
-    pub winograd: bool,
     /// Remove dead nodes after pruning/fusion.
     pub dce: bool,
     /// Reorder parameter updates to directly follow their gradients.
@@ -27,7 +24,6 @@ impl Default for OptimizeOptions {
     fn default() -> Self {
         OptimizeOptions {
             fusion: FusionLevel::from_env(),
-            winograd: true,
             dce: true,
             reorder_updates: true,
         }
@@ -39,7 +35,6 @@ impl OptimizeOptions {
     pub fn none() -> Self {
         OptimizeOptions {
             fusion: FusionLevel::Off,
-            winograd: false,
             dce: false,
             reorder_updates: false,
         }
@@ -51,8 +46,6 @@ impl OptimizeOptions {
 pub struct OptimizeStats {
     /// Fusion pass statistics.
     pub fusion: FusionStats,
-    /// Backend-switch pass statistics.
-    pub backend: BackendSwitchStats,
     /// Dead-code elimination statistics (if the pass ran).
     pub dce: Option<DceStats>,
     /// Kernel launches before optimisation.
@@ -83,13 +76,8 @@ pub fn optimize(
         ..Default::default()
     };
 
-    match opts.fusion {
-        FusionLevel::Off => {}
-        FusionLevel::Pairs => stats.fusion = fuse_operators(&mut tg),
-        FusionLevel::Regions => stats.fusion = fuse_regions(&mut tg),
-    }
-    if opts.winograd {
-        stats.backend = switch_frozen_convs_to_winograd(&mut tg);
+    if opts.fusion == FusionLevel::Regions {
+        stats.fusion = fuse_regions(&mut tg);
     }
     if opts.dce {
         let (pruned, dce_stats) = eliminate_dead_code(&tg);
@@ -154,33 +142,32 @@ mod tests {
         let (opt, schedule, stats) = optimize(tg, opts);
         assert!(opt.graph.validate().is_empty());
         assert_eq!(schedule.len(), opt.graph.len());
-        assert!(stats.fusion.total() >= 3, "got {:?}", stats.fusion);
-        assert!(stats.backend.winograd_converted >= 1);
+        assert!(stats.fusion.regions >= 3, "got {:?}", stats.fusion);
         assert!(stats.launch_reduction() > 0.0);
     }
 
     #[test]
-    fn region_level_launches_no_more_than_pairs() {
+    fn region_level_launches_fewer_than_off() {
         let (g, loss, weights) = conv_classifier();
         let mut spec = TrainSpec::new();
         spec.insert(weights[0], TrainKind::Frozen);
         spec.insert(weights[1], TrainKind::Frozen);
         let tg = build_training_graph(g, loss, &spec);
-        let pairs = OptimizeOptions {
-            fusion: FusionLevel::Pairs,
+        let off = OptimizeOptions {
+            fusion: FusionLevel::Off,
             ..OptimizeOptions::default()
         };
         let regions = OptimizeOptions {
             fusion: FusionLevel::Regions,
             ..OptimizeOptions::default()
         };
-        let (_, _, pair_stats) = optimize(tg.clone(), pairs);
+        let (_, _, off_stats) = optimize(tg.clone(), off);
         let (_, _, region_stats) = optimize(tg, regions);
         assert!(
-            region_stats.launches_after <= pair_stats.launches_after,
-            "regions must never launch more than pairs ({} vs {})",
+            region_stats.launches_after < off_stats.launches_after,
+            "regions must launch fewer kernels than off ({} vs {})",
             region_stats.launches_after,
-            pair_stats.launches_after
+            off_stats.launches_after
         );
     }
 
@@ -191,8 +178,7 @@ mod tests {
         let before = tg.graph.len();
         let (opt, schedule, stats) = optimize(tg, OptimizeOptions::none());
         assert_eq!(opt.graph.len(), before);
-        assert_eq!(stats.fusion.total(), 0);
-        assert_eq!(stats.backend.winograd_converted, 0);
+        assert_eq!(stats.fusion, FusionStats::default());
         assert!(stats.dce.is_none());
         assert_eq!(schedule.strategy, ScheduleStrategy::Conventional);
     }

@@ -44,7 +44,7 @@ use pe_memplan::{plan_memory_with, validate_plan, MemPlanOptions, MemoryPlan};
 use pe_passes::{partition_wavefronts, Schedule};
 use pe_tensor::kernels::elementwise::{UnaryGradOp, UnaryOp};
 use pe_tensor::kernels::{
-    conv, elementwise as ew, embedding, fused, gemm, layout, norm, pool as poolk, reduce, winograd,
+    conv, elementwise as ew, embedding, fused, gemm, layout, norm, pool as poolk, reduce,
 };
 use pe_tensor::{Tensor, TensorView};
 
@@ -93,10 +93,6 @@ struct StepNode {
     out: Option<(usize, usize)>,
     /// Whether the output aliases `ins[0]`'s buffer (in-place execution).
     inplace: bool,
-    /// Private `(offset, len)` scratch range past the planner's region of
-    /// the slab (Winograd tile transforms). Disjoint per node, so wavefront
-    /// peers never share it.
-    scratch: Option<(usize, usize)>,
     task: Task,
 }
 
@@ -153,9 +149,6 @@ pub(crate) struct Shared {
     consts: Vec<Tensor>,
     /// Step-input staging, one cell per graph input.
     inputs: Vec<UnsafeCell<Tensor>>,
-    /// Winograd-transformed weights tagged with the store-cell version they
-    /// were derived from.
-    winograd: UnsafeCell<HashMap<NodeId, (u64, winograd::WinogradWeight)>>,
     fallbacks: AtomicU64,
 }
 
@@ -178,9 +171,6 @@ pub(crate) struct ArenaExec {
     step: usize,
     /// Store slot of each parameter node in this graph.
     param_slots: HashMap<NodeId, usize>,
-    /// Winograd weight nodes and their store slots (`None` = constant),
-    /// checked for staleness at the start of every step.
-    wino_weights: Vec<(NodeId, Option<usize>)>,
     /// Non-update graph outputs: `(name, value location)`.
     outputs: Vec<(String, Arg)>,
     loss_arg: Arg,
@@ -269,10 +259,6 @@ impl ArenaExec {
                 dims: node.shape.dims().to_vec(),
             }
         };
-        // Scratch ranges are carved past the planner's region: the slab
-        // grows by one disjoint window per Winograd node, so the tile
-        // transforms never heap-allocate and wavefront peers never collide.
-        let mut scratch_tail = plan.arena_bytes.div_ceil(4);
         let steps: Vec<StepNode> = schedule
             .order
             .iter()
@@ -294,28 +280,17 @@ impl ArenaExec {
                     }
                     _ => None,
                 };
-                let scratch = match node.op {
-                    OpKind::WinogradConv2d { .. } => {
-                        let cin = graph.node(node.inputs[0]).shape.dims()[1];
-                        let len = winograd::winograd_scratch_len(cin);
-                        let off = scratch_tail;
-                        scratch_tail += len;
-                        Some((off, len))
-                    }
-                    _ => None,
-                };
                 StepNode {
                     op: node.op.clone(),
                     ins: node.inputs.iter().map(|&i| resolve(i)).collect(),
                     out,
                     inplace: plan.aliases[id.index()].is_some(),
-                    scratch,
                     task,
                 }
             })
             .collect();
         let arena = ArenaBuf(UnsafeCell::new(
-            vec![0.0f32; scratch_tail].into_boxed_slice(),
+            vec![0.0f32; plan.arena_bytes.div_ceil(4)].into_boxed_slice(),
         ));
 
         // Wavefront levels as schedule positions (parallel mode only).
@@ -349,40 +324,6 @@ impl ArenaExec {
             }
         }
 
-        // Winograd weights for frozen convolutions, transformed once and
-        // refreshed whenever the store-cell version moves (e.g. another
-        // executor loaded a checkpoint into the shared store).
-        let mut wino: HashMap<NodeId, (u64, winograd::WinogradWeight)> = HashMap::new();
-        let mut wino_weights: Vec<(NodeId, Option<usize>)> = Vec::new();
-        {
-            let _g = store.lock_shared();
-            for node in graph.nodes() {
-                if let OpKind::WinogradConv2d { .. } = node.op {
-                    let wid = node.inputs[1];
-                    if wino.contains_key(&wid) {
-                        continue;
-                    }
-                    let slot = param_slots.get(&wid).copied();
-                    let (version, weight) = match slot {
-                        // SAFETY: shared guard held; no writer can be active.
-                        Some(s) => unsafe {
-                            let cell = &*store.cell(s);
-                            (cell.version, &cell.value)
-                        },
-                        None => (
-                            0,
-                            graph
-                                .constants()
-                                .get(&wid)
-                                .expect("winograd weight must be a parameter or constant"),
-                        ),
-                    };
-                    wino.insert(wid, (version, winograd::WinogradWeight::from_dense(weight)));
-                    wino_weights.push((wid, slot));
-                }
-            }
-        }
-
         // Static eval-mode liveness: ancestors of the non-update outputs.
         let roots: Vec<NodeId> = graph
             .outputs()
@@ -408,7 +349,6 @@ impl ArenaExec {
             store,
             consts,
             inputs: inputs.into_iter().map(UnsafeCell::new).collect(),
-            winograd: UnsafeCell::new(wino),
             fallbacks: AtomicU64::new(0),
         });
         let pool = (threads > 1).then(|| Pool::new(Arc::clone(&shared), threads - 1));
@@ -421,7 +361,6 @@ impl ArenaExec {
             threads,
             step: 0,
             param_slots,
-            wino_weights,
             outputs,
             loss_arg,
             eval_live,
@@ -467,32 +406,8 @@ impl ArenaExec {
 
     pub fn set_param(&mut self, id: NodeId, value: Tensor) {
         let slot = *self.param_slots.get(&id).expect("unknown parameter");
-        // The store resets the parameter's optimizer state and bumps the
-        // cell version; the Winograd cache (ours and every other sharing
-        // executor's) refreshes on the next step via that version.
+        // The store resets the parameter's optimizer state.
         self.shared.store.set_slot(slot, value);
-    }
-
-    /// Re-transforms any cached Winograd weight whose store cell changed
-    /// since the transform (cheap no-op when versions match). Must run under
-    /// the store guard with this executor's pool quiescent.
-    fn refresh_winograd(&mut self) {
-        for &(wid, slot) in &self.wino_weights {
-            let Some(slot) = slot else { continue }; // constants never change
-                                                     // SAFETY: store guard held by the caller; pool quiescent, so the
-                                                     // winograd map has no concurrent reader.
-            unsafe {
-                let cell = &*self.shared.store.cell(slot);
-                let wino = &mut *self.shared.winograd.get();
-                let entry = wino.get_mut(&wid).expect("transformed at construction");
-                if entry.0 != cell.version {
-                    *entry = (
-                        cell.version,
-                        winograd::WinogradWeight::from_dense(&cell.value),
-                    );
-                }
-            }
-        }
     }
 
     fn bind_inputs(&mut self, inputs: &HashMap<String, Tensor>) -> Result<(), ExecError> {
@@ -518,7 +433,6 @@ impl ArenaExec {
     /// Runs the full schedule. Caller must hold the store's exclusive guard.
     fn execute_train(&mut self) {
         self.shared.store.begin_step();
-        self.refresh_winograd();
         if let Some(pool) = &self.pool {
             for level in 0..self.shared.levels.len() {
                 pool.run_level(level);
@@ -535,7 +449,6 @@ impl ArenaExec {
     /// Runs the forward subset. Caller must hold (at least) the store's
     /// shared guard.
     fn execute_eval(&mut self) {
-        self.refresh_winograd();
         for (pos, &id) in self.schedule.order.iter().enumerate() {
             if !self.eval_live[id.index()] {
                 continue;
@@ -722,18 +635,6 @@ unsafe fn dispatch(shared: &Shared, step: &StepNode) {
         OpKind::Conv2dGradWeight { params, w_dims } => {
             conv::conv2d_grad_weight_into(v(0), v(1), w_dims, *params, out)
         }
-        OpKind::WinogradConv2d { padding } => {
-            let (s_off, s_len) = step
-                .scratch
-                .expect("winograd scratch assigned at construction");
-            // SAFETY: the scratch window lies past the planner's region and
-            // is private to this node, so no concurrent access can touch it.
-            let scratch = shared.arena.slice_mut(s_off, s_len);
-            let (_, ww) = (&*shared.winograd.get())
-                .get(&step.ins[1].id)
-                .expect("winograd weight transformed at construction");
-            winograd::conv2d_winograd_into(v(0), ww, *padding, scratch, out);
-        }
         OpKind::Add => ew::binary_into(ew::BinaryOp::Add, v(0), v(1), out),
         OpKind::Sub => ew::binary_into(ew::BinaryOp::Sub, v(0), v(1), out),
         OpKind::Mul => ew::binary_into(ew::BinaryOp::Mul, v(0), v(1), out),
@@ -748,7 +649,7 @@ unsafe fn dispatch(shared: &Shared, step: &StepNode) {
             let op = unary_of(&step.op).expect("activation maps to a unary kernel");
             ew::unary_into(op, v(0), out)
         }
-        OpKind::AddBias => ew::add_bias_into(v(0), v(1), None, out),
+        OpKind::AddBias => ew::add_bias_into(v(0), v(1), out),
         OpKind::BiasGrad => ew::bias_grad_into(v(0), out),
         OpKind::ReluGrad => ew::unary_grad_into(UnaryGradOp::Relu, v(0), v(1), out),
         OpKind::Relu6Grad => ew::unary_grad_into(UnaryGradOp::Relu6, v(0), v(1), out),
@@ -757,10 +658,6 @@ unsafe fn dispatch(shared: &Shared, step: &StepNode) {
         OpKind::SigmoidGrad => ew::unary_grad_into(UnaryGradOp::Sigmoid, v(0), v(1), out),
         OpKind::TanhGrad => ew::unary_grad_into(UnaryGradOp::Tanh, v(0), v(1), out),
         OpKind::BroadcastGradTo { dims } => ew::reduce_to_shape_into(v(0), dims, out),
-        OpKind::BiasRelu => ew::add_bias_into(v(0), v(1), Some(UnaryOp::Relu), out),
-        OpKind::BiasRelu6 => ew::add_bias_into(v(0), v(1), Some(UnaryOp::Relu6), out),
-        OpKind::BiasGelu => ew::add_bias_into(v(0), v(1), Some(UnaryOp::Gelu), out),
-        OpKind::AddRelu => ew::add_relu_into(v(0), v(1), out),
         OpKind::FusedRegion { prog } => {
             // Views collected on the stack (TensorView is Copy) so the
             // region interpreter runs without a heap allocation.

@@ -7,8 +7,7 @@
 //! `tests/` asserts exactly that.
 //!
 //! Parameters and optimizer state are *borrowed* from a shared
-//! [`ParamStore`]; the executor only owns transient buffers and its
-//! Winograd weight cache.
+//! [`ParamStore`]; the executor only owns transient buffers.
 
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -17,7 +16,7 @@ use pe_graph::{NodeId, OpKind, TrainingGraph};
 use pe_memplan::analyze_lifetimes;
 use pe_passes::Schedule;
 use pe_tensor::kernels::{
-    conv, elementwise as ew, embedding, fused, gemm, layout, norm, pool, reduce, winograd,
+    conv, elementwise as ew, embedding, fused, gemm, layout, norm, pool, reduce,
 };
 use pe_tensor::{Shape, Tensor};
 
@@ -34,9 +33,6 @@ pub struct BoxedExec {
     store: Arc<ParamStore>,
     /// Store slot of each parameter node in this graph.
     slot_of: HashMap<NodeId, usize>,
-    /// Cached Winograd-transformed weights, tagged with the store-cell
-    /// version they were derived from.
-    winograd_cache: HashMap<NodeId, (u64, winograd::WinogradWeight)>,
     /// Free positions: node ids whose buffer can be dropped after executing
     /// the node at a given schedule position.
     frees: Vec<Vec<NodeId>>,
@@ -79,7 +75,6 @@ impl BoxedExec {
             schedule,
             store,
             slot_of,
-            winograd_cache: HashMap::new(),
             frees,
             steps_here: 0,
         }
@@ -285,7 +280,7 @@ impl BoxedExec {
         })
     }
 
-    fn compute_node(&mut self, node: &pe_graph::Node, values: &[Option<Tensor>]) -> Tensor {
+    fn compute_node(&self, node: &pe_graph::Node, values: &[Option<Tensor>]) -> Tensor {
         let inp = |slot: usize| self.value(values, node.inputs[slot]);
 
         match &node.op {
@@ -299,34 +294,6 @@ impl BoxedExec {
             }
             OpKind::Conv2dGradWeight { params, w_dims } => {
                 conv::conv2d_grad_weight(inp(0), inp(1), w_dims, *params)
-            }
-            OpKind::WinogradConv2d { padding } => {
-                let weight_id = node.inputs[1];
-                // The cache entry must match the store-cell version: another
-                // executor sharing the store may have replaced the weight
-                // since we transformed it.
-                let version = self
-                    .slot_of
-                    .get(&weight_id)
-                    .map(|&slot| {
-                        // SAFETY: store guard held by run_step/run_eval.
-                        unsafe { (*self.store.cell(slot)).version }
-                    })
-                    .unwrap_or(0);
-                let stale = !matches!(
-                    self.winograd_cache.get(&weight_id),
-                    Some((v, _)) if *v == version
-                );
-                if stale {
-                    let w = self.value(values, weight_id).clone();
-                    self.winograd_cache.insert(
-                        weight_id,
-                        (version, winograd::WinogradWeight::from_dense(&w)),
-                    );
-                }
-                let ww = &self.winograd_cache[&weight_id].1;
-                let x = self.value(values, node.inputs[0]);
-                winograd::conv2d_winograd(x, ww, *padding)
             }
             OpKind::Add => ew::add(inp(0), inp(1)),
             OpKind::Sub => ew::sub(inp(0), inp(1)),
@@ -350,10 +317,6 @@ impl BoxedExec {
             OpKind::BroadcastGradTo { dims } => {
                 ew::reduce_to_shape(inp(0), &Shape::new(dims.clone()))
             }
-            OpKind::BiasRelu => ew::relu(&ew::add_bias(inp(0), inp(1))),
-            OpKind::BiasRelu6 => ew::relu6(&ew::add_bias(inp(0), inp(1))),
-            OpKind::BiasGelu => ew::gelu(&ew::add_bias(inp(0), inp(1))),
-            OpKind::AddRelu => ew::relu(&ew::add(inp(0), inp(1))),
             OpKind::FusedRegion { prog } => {
                 let ins: Vec<&Tensor> =
                     node.inputs.iter().map(|&i| self.value(values, i)).collect();

@@ -458,8 +458,8 @@ impl Executor {
     /// Overwrites a parameter value (e.g. to load a pre-trained checkpoint)
     /// and resets that parameter's optimizer state: momentum and Adam
     /// moments accumulated for the *old* trajectory would otherwise be
-    /// silently applied to the new value. Derived caches (Winograd weights)
-    /// are refreshed on the next step, in every executor sharing the store.
+    /// silently applied to the new value. The next step of every executor
+    /// sharing the store sees the new value.
     ///
     /// # Panics
     ///
@@ -487,9 +487,8 @@ impl Executor {
     /// Runs one full training step and returns only the loss value.
     ///
     /// On the arena backend this is the zero-allocation hot path: no output
-    /// tensors are materialised and, once winograd caches are warm, the step
-    /// touches the heap not at all. The boxed backend falls back to
-    /// [`Executor::run_step`].
+    /// tensors are materialised and the step touches the heap not at all.
+    /// The boxed backend falls back to [`Executor::run_step`].
     ///
     /// # Errors
     ///

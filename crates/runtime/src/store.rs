@@ -30,18 +30,15 @@
 //! engine's queue-drainer thread (`pockengine`'s async ingestion path) is
 //! just another stepping thread — a queued training request acquires the
 //! exclusive guard through `run_step` exactly like a caller-thread step, so
-//! evaluation executors on other threads (and their derived-cache refresh
-//! logic) need no special case for drained traffic. The executor type
-//! asserts its own `Send`-ness at compile time for the same reason: a
-//! drainer owning executors outright must stay sound to move across
-//! threads.
+//! evaluation executors on other threads need no special case for drained
+//! traffic. The executor type asserts its own `Send`-ness at compile time
+//! for the same reason: a drainer owning executors outright must stay sound
+//! to move across threads.
 //!
-//! Each cell carries a monotonically increasing **version**, bumped whenever
-//! the value is replaced wholesale (checkpoint loading via `set`). Executors
-//! that cache derived forms of a parameter (e.g. Winograd-transformed
-//! convolution weights) compare versions at the start of a step and refresh
-//! stale entries — including entries invalidated by a *different* executor
-//! sharing the store.
+//! Executors read parameter values straight from the cells at every step
+//! and cache nothing derived from them, so a value replaced by `set` or
+//! `restore` — by this executor or any other sharing the store — is what
+//! the next step of every executor sees.
 
 use std::cell::UnsafeCell;
 use std::collections::HashMap;
@@ -93,9 +90,6 @@ pub(crate) struct ParamCell {
     /// parameter restarts its correction schedule like a freshly
     /// initialized one.
     pub steps: usize,
-    /// Bumped on wholesale replacement; lets executors invalidate caches
-    /// derived from the value (Winograd weights).
-    pub version: u64,
 }
 
 /// Shared, canonical storage for the parameters of one model family.
@@ -155,7 +149,6 @@ impl ParamStore {
                 value,
                 state: Vec::new(),
                 steps: 0,
-                version: 0,
             }));
         }
         ParamStore {
@@ -211,8 +204,7 @@ impl ParamStore {
     /// the old trajectory are meaningless for the new value, so they are
     /// zeroed — and the parameter's update count restarts, so Adam's bias
     /// correction warms up again exactly as for a freshly initialized
-    /// parameter. The cell version is bumped so executors refresh caches
-    /// derived from the old value.
+    /// parameter.
     ///
     /// # Panics
     ///
@@ -241,7 +233,6 @@ impl ParamStore {
             row.fill(0.0);
         }
         cell.steps = 0;
-        cell.version += 1;
     }
 
     /// Allocates optimizer state rows for a slot if not yet present.
@@ -369,8 +360,7 @@ impl ParamStore {
     /// Restores a [`ParamStore::snapshot`] into this store, overwriting
     /// parameter values, optimizer state, per-cell update counts and the
     /// global step counter with the snapshot's exact bits. Performed under
-    /// the exclusive step guard; cell versions are bumped so executors
-    /// refresh caches derived from the old values (Winograd weights).
+    /// the exclusive step guard.
     ///
     /// Unlike [`ParamStore::set`] — which deliberately *zeroes* optimizer
     /// state because an externally loaded value invalidates the old
@@ -468,7 +458,6 @@ impl ParamStore {
                 cell.state = state;
             }
             cell.steps = steps;
-            cell.version += 1;
         }
         self.steps.store(global_steps, Ordering::Relaxed);
         Ok(())
@@ -604,7 +593,7 @@ mod tests {
     }
 
     #[test]
-    fn set_resets_state_and_bumps_version() {
+    fn set_resets_state_and_update_count() {
         let s = store();
         s.ensure_state(0);
         // SAFETY: single-threaded test, no guards needed for inspection.
@@ -612,13 +601,13 @@ mod tests {
             let cell = &mut *s.cell(0);
             assert_eq!(cell.state.len(), 1);
             cell.state[0].fill(7.0);
-            assert_eq!(cell.version, 0);
+            cell.steps = 4;
         }
         s.set(&ParamKey::new("fc.weight"), Tensor::ones([3, 4]));
         unsafe {
             let cell = &*s.cell(0);
             assert!(cell.state[0].iter().all(|&v| v == 0.0), "state must reset");
-            assert_eq!(cell.version, 1);
+            assert_eq!(cell.steps, 0, "update count must restart");
             assert_eq!(cell.value.data()[0], 1.0);
         }
     }
@@ -645,7 +634,6 @@ mod tests {
 
         let fresh = store();
         fresh.ensure_state(0);
-        let before_version = unsafe { (*fresh.cell(0)).version };
         fresh.restore(&bytes).unwrap();
         assert_eq!(fresh.steps_completed(), 5);
         unsafe {
@@ -653,7 +641,6 @@ mod tests {
             assert_eq!(cell.value.data()[0].to_bits(), 0x3f8f_5c29);
             assert!(cell.state[0].iter().all(|&v| v == 0.25));
             assert_eq!(cell.steps, 3);
-            assert!(cell.version > before_version, "restore must bump versions");
         }
         // Round trip: a snapshot of the restored store is byte-identical.
         assert_eq!(fresh.snapshot(), bytes);

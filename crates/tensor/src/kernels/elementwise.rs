@@ -586,7 +586,7 @@ fn unary_grad(op: UnaryGradOp, x_or_y: &Tensor, dy: &Tensor) -> Tensor {
 /// `[F]` bias over the trailing dimension.
 pub fn add_bias(x: &Tensor, bias: &Tensor) -> Tensor {
     let mut out = x.clone();
-    add_bias_into(x.view(), bias.view(), None, out.data_mut());
+    add_bias_into(x.view(), bias.view(), out.data_mut());
     out
 }
 
@@ -608,36 +608,26 @@ pub fn bias_grad(dy: &Tensor) -> Tensor {
     out
 }
 
-/// Allocation-free [`add_bias`] writing into a preallocated `out`, with an
-/// optional fused activation applied to each element (the fused
-/// bias+activation kernels the fusion pass emits).
+/// Allocation-free [`add_bias`] writing into a preallocated `out`.
 ///
 /// # Panics
 ///
 /// Panics on unsupported ranks or bias/output length mismatches.
-pub fn add_bias_into(x: TensorView, bias: TensorView, act: Option<UnaryOp>, out: &mut [f32]) {
+pub fn add_bias_into(x: TensorView, bias: TensorView, out: &mut [f32]) {
     assert_eq!(out.len(), x.numel(), "add_bias output length mismatch");
     let dims = x.dims();
-    let finish = |v: f32| match act {
-        Some(op) => op.apply(v),
-        None => v,
-    };
     match dims.len() {
         2 | 3 => {
             let f = *dims.last().expect("rank >= 2");
             assert_eq!(bias.numel(), f, "bias length mismatch");
-            let (x, bias) = (x.data(), bias.data());
-            match act {
-                Some(op) => with_unary!(op, |op| rows_into(x, bias, out, |v, b| op.eval(v + b))),
-                None => rows_into(x, bias, out, |v, b| v + b),
-            }
+            rows_into(x.data(), bias.data(), out, |v, b| v + b);
         }
         4 => {
             let (c, h, w) = (dims[1], dims[2], dims[3]);
             assert_eq!(bias.numel(), c, "bias length mismatch");
             let hw = h * w;
             for (i, (o, &v)) in out.iter_mut().zip(x.data()).enumerate() {
-                *o = finish(v + bias.data()[(i / hw) % c]);
+                *o = v + bias.data()[(i / hw) % c];
             }
         }
         r => panic!("add_bias unsupported rank {r}"),
@@ -677,20 +667,6 @@ pub fn bias_grad_into(dy: TensorView, out: &mut [f32]) {
     }
 }
 
-/// Allocation-free fused residual `relu(a + b)` for same-shape operands,
-/// writing into a preallocated `out`.
-///
-/// # Panics
-///
-/// Panics if the operand shapes differ or `out` has the wrong length.
-pub fn add_relu_into(a: TensorView, b: TensorView, out: &mut [f32]) {
-    assert_eq!(a.dims(), b.dims(), "add_relu shape mismatch");
-    assert_eq!(out.len(), a.numel(), "add_relu output length mismatch");
-    for (o, (&x, &y)) in out.iter_mut().zip(a.data().iter().zip(b.data())) {
-        *o = (x + y).max(0.0);
-    }
-}
-
 /// The per-element index-arithmetic loops `add_bias_into` and
 /// `bias_grad_into` were before their rank-2/3 arms became row loops; the
 /// tests hold the kernels to these bit for bit, on every rank.
@@ -706,11 +682,10 @@ mod oracle {
         }
     }
 
-    pub fn add_bias_into(x: TensorView, bias: &[f32], act: Option<UnaryOp>, out: &mut [f32]) {
+    pub fn add_bias_into(x: TensorView, bias: &[f32], out: &mut [f32]) {
         let (hw, c) = addressing(x.dims());
         for (i, (o, &v)) in out.iter_mut().zip(x.data()).enumerate() {
-            let sum = v + bias[(i / hw) % c];
-            *o = act.map_or(sum, |op| op.apply(sum));
+            *o = v + bias[(i / hw) % c];
         }
     }
 
@@ -1010,8 +985,6 @@ mod tests {
                 fused_region_into(&prog, &[v, b], &[1, 1], &mut lone[k..k + 1]);
             }
             assert_same(&out, &lone, &what);
-            add_bias_into(x.view(), bias.view(), Some(op), &mut lone);
-            assert_same(&lone, &out, &what);
         }
         for op in UNARY_GRAD_OPS {
             unary_grad_into(op, x.view(), dy.view(), &mut out);
@@ -1046,12 +1019,9 @@ mod tests {
             let x = Tensor::randn(dims.clone(), 2.0, &mut rng);
             let bias = Tensor::randn([channels], 1.0, &mut rng);
             let (mut got, mut want) = (vec![0.0; x.numel()], vec![0.0; x.numel()]);
-            for act in std::iter::once(None).chain(UNARY_OPS.map(Some)) {
-                add_bias_into(x.view(), bias.view(), act, &mut got);
-                oracle::add_bias_into(x.view(), bias.data(), act, &mut want);
-                assert_same(&got, &want, &format!("add_bias {dims:?} {act:?}"));
-            }
-            oracle::add_bias_into(x.view(), bias.data(), None, &mut want);
+            add_bias_into(x.view(), bias.view(), &mut got);
+            oracle::add_bias_into(x.view(), bias.data(), &mut want);
+            assert_same(&got, &want, &format!("add_bias {dims:?}"));
             assert_same(add_bias(&x, &bias).data(), &want, "add_bias wrapper");
             let (mut got, mut want) = (vec![1.0; channels], vec![2.0; channels]);
             bias_grad_into(x.view(), &mut got);

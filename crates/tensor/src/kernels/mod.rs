@@ -15,4 +15,3 @@ pub mod layout;
 pub mod norm;
 pub mod pool;
 pub mod reduce;
-pub mod winograd;

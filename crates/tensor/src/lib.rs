@@ -6,7 +6,7 @@
 //!
 //! The crate deliberately mirrors the primitive operator set that the paper's
 //! compiler shares between inference and training (§2.5): GEMM, convolution
-//! (im2col and Winograd variants), depthwise convolution, pooling,
+//! (lowered onto the GEMM core), depthwise convolution, pooling,
 //! element-wise math, reductions, normalisation, softmax and embedding
 //! lookups, together with the vector-Jacobian products needed to express
 //! backpropagation with the same primitives.
