@@ -3,11 +3,11 @@
 //! baseline, on a tiny MobileNetV2 workload. This is the measured analogue of
 //! Figure 7 / Figure 9's framework comparison, executed with real kernels.
 //!
-//! On top of the framework comparison, the `step_arena_*` / `step_boxed_*`
+//! On top of the framework comparison, the `step_arena` / `step_boxed`
 //! benches compare the two executor backends (arena slab vs per-node boxed
-//! buffers, single-threaded and with a 2-worker pool), and the final
-//! `allocation_counts` target reports heap allocations per training step via
-//! a counting global allocator — reproducing the zero-allocation claim:
+//! buffers), and the final `allocation_counts` target reports heap
+//! allocations per training step via a counting global allocator —
+//! reproducing the zero-allocation claim:
 //!
 //! ```text
 //! cargo bench -p pe_bench --bench training_step
@@ -120,31 +120,21 @@ fn backends() -> Vec<(&'static str, Executor)> {
         },
     );
     let analysis = program.analysis;
-    let make = |threads| {
-        Executor::arena(
+    let make = |build: fn(_, _, _) -> Executor| {
+        build(
             analysis.training_graph.clone(),
             analysis.schedule.clone(),
             Optimizer::sgd(0.01),
-            threads,
         )
     };
     vec![
-        ("boxed", {
-            Executor::boxed(
-                analysis.training_graph.clone(),
-                analysis.schedule.clone(),
-                Optimizer::sgd(0.01),
-            )
-        }),
-        ("arena_1thread", make(1)),
-        ("arena_2threads", make(2)),
-        ("arena_4threads", make(4)),
+        ("boxed", make(Executor::boxed)),
+        ("arena", make(Executor::arena)),
     ]
 }
 
-/// Arena executor (sequential and pooled) versus the boxed baseline on the
-/// same compiled program — the per-step latency comparison backing the
-/// "no slower single-threaded, faster with workers" claim.
+/// Arena executor versus the boxed baseline on the same compiled program:
+/// the per-step latency comparison between the two backends.
 fn bench_executor_backends(c: &mut Criterion) {
     let data = inputs();
     for (name, mut exec) in backends() {

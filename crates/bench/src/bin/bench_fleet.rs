@@ -10,8 +10,8 @@ fn main() {
         .unwrap_or_else(|| "BENCH_fleet_serving.json".to_string());
     let result = run_fleet_bench(&FleetBenchConfig::default());
     println!(
-        "fleet serving [{} backend, {} threads per worker, {} TCP clients, best of {} trials]:",
-        result.backend, result.threads, result.clients, result.trials,
+        "fleet serving [{} backend, {} TCP clients, best of {} trials]:",
+        result.backend, result.clients, result.trials,
     );
     for leg in &result.legs {
         println!(

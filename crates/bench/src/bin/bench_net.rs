@@ -10,8 +10,8 @@ fn main() {
         .unwrap_or_else(|| "BENCH_net_serving.json".to_string());
     let result = run_net_bench(&NetBenchConfig::default());
     println!(
-        "net serving [{} backend, {} threads, {} TCP clients, best of {} trials]:",
-        result.backend, result.threads, result.clients, result.trials,
+        "net serving [{} backend, {} TCP clients, best of {} trials]:",
+        result.backend, result.clients, result.trials,
     );
     println!(
         "  closed loop: {} requests ({} per client) in {:.3}s -> {:.0} req/s, {:.0} rows/s",

@@ -10,8 +10,8 @@ fn main() {
         .unwrap_or_else(|| "BENCH_engine_serving.json".to_string());
     let result = run_serving_bench(&ServingBenchConfig::default());
     println!(
-        "engine serving [{} backend, {} threads, best of {} trials]:",
-        result.backend, result.threads, result.trials,
+        "engine serving [{} backend, best of {} trials]:",
+        result.backend, result.trials,
     );
     println!(
         "  queued:    {} requests ({} train steps, {} eval micro-batches) in {:.3}s -> \

@@ -101,8 +101,6 @@ pub struct FleetBenchResult {
     pub latency: LatencyPercentiles,
     /// Executor backend name of the worker engines.
     pub backend: &'static str,
-    /// Executor worker threads of each worker engine.
-    pub threads: usize,
 }
 
 /// Boots `workers` loopback servers and a balancer over them. The balancer
@@ -199,7 +197,6 @@ pub fn run_fleet_bench(cfg: &FleetBenchConfig) -> FleetBenchResult {
         open_loop_achieved_per_sec: open_total as f64 / open_elapsed.max(1e-9),
         latency: percentiles(latencies),
         backend: cfg.net.executor.backend.name(),
-        threads: cfg.net.executor.threads,
     }
 }
 
@@ -221,7 +218,6 @@ impl FleetBenchResult {
         let mut fields = vec![
             ("bench".to_string(), Json::Str("fleet_serving".into())),
             ("backend".to_string(), Json::Str(self.backend.into())),
-            ("threads".to_string(), Json::Int(self.threads as u64)),
             ("clients".to_string(), Json::Int(self.clients as u64)),
             (
                 "requests_per_client".to_string(),

@@ -55,7 +55,7 @@ pub struct NetBenchConfig {
     pub batch_sizes: Vec<usize>,
     /// Pre-specialized batch ladder of the server engine.
     pub warm_batches: Vec<usize>,
-    /// Executor backend/threads of the server engine.
+    /// Executor backend of the server engine.
     pub executor: ExecutorConfig,
     /// Stream seed (each client stream derives its own from this).
     pub seed: u64,
@@ -117,8 +117,6 @@ pub struct NetBenchResult {
     pub latency: LatencyPercentiles,
     /// Executor backend name of the server engine.
     pub backend: &'static str,
-    /// Executor worker threads of the server engine.
-    pub threads: usize,
 }
 
 /// The server engine: same model, optimizer and warm ladder as the
@@ -313,7 +311,6 @@ pub fn run_net_bench(cfg: &NetBenchConfig) -> NetBenchResult {
         open_loop_achieved_per_sec: open_total as f64 / open_elapsed.max(1e-9),
         latency: percentiles(latencies),
         backend: cfg.executor.backend.name(),
-        threads: cfg.executor.threads,
     }
 }
 
@@ -328,7 +325,6 @@ impl NetBenchResult {
         Json::obj(vec![
             ("bench", Json::Str("net_serving".into())),
             ("backend", Json::Str(self.backend.into())),
-            ("threads", Json::Int(self.threads as u64)),
             ("clients", Json::Int(self.clients as u64)),
             (
                 "requests_per_client",

@@ -55,7 +55,7 @@ pub struct ServingBenchConfig {
     pub warm_batches: Vec<usize>,
     /// Fraction of training requests.
     pub train_fraction: f64,
-    /// Executor backend/threads.
+    /// Executor backend.
     pub executor: ExecutorConfig,
     /// Stream seed.
     pub seed: u64,
@@ -192,8 +192,6 @@ pub struct ServingBenchResult {
     pub cold_start_registry_us: f64,
     /// Executor backend name.
     pub backend: &'static str,
-    /// Executor worker threads.
-    pub threads: usize,
 }
 
 /// The bench model: a small MLP classifier family (feature dim 32). Shared
@@ -601,7 +599,6 @@ pub fn run_serving_bench(cfg: &ServingBenchConfig) -> ServingBenchResult {
         cold_start_jit_us,
         cold_start_registry_us,
         backend: cfg.executor.backend.name(),
-        threads: cfg.executor.threads,
     }
 }
 
@@ -615,7 +612,6 @@ impl ServingBenchResult {
         let fields = vec![
             ("bench", Json::Str("engine_serving".into())),
             ("backend", Json::Str(self.backend.into())),
-            ("threads", Json::Int(self.threads as u64)),
             ("requests", Json::Int(self.requests)),
             ("trials", Json::Int(self.trials as u64)),
             ("train_steps", Json::Int(self.metrics.train_steps)),
@@ -733,7 +729,7 @@ mod tests {
             trials: 2,
             open_loop_requests: 24,
             open_loop_rate: 100_000.0,
-            executor: ExecutorConfig::arena(1),
+            executor: ExecutorConfig::arena(),
             ..ServingBenchConfig::default()
         }
     }

@@ -25,7 +25,7 @@ use crate::report::Json;
 /// One measured executor variant.
 #[derive(Debug, Clone)]
 pub struct StepVariant {
-    /// Variant label (`"arena_2threads"`, `"eager"`, ...).
+    /// Variant label (`"step_arena"`, `"step_eager_runtime_autodiff"`, ...).
     pub name: String,
     /// Mean wall-clock per training step, microseconds.
     pub micros_per_step: f64,
@@ -141,9 +141,7 @@ pub fn measure_training_steps(
 
     let backends = [
         ("boxed", ExecutorConfig::boxed()),
-        ("arena_1thread", ExecutorConfig::arena(1)),
-        ("arena_2threads", ExecutorConfig::arena(2)),
-        ("arena_4threads", ExecutorConfig::arena(4)),
+        ("arena", ExecutorConfig::arena()),
     ];
     let mut launch_count_fused = 0;
     let mut fused_regions = 0;
@@ -157,7 +155,7 @@ pub fn measure_training_steps(
         measure(&format!("step_{name}"), &mut || {
             std::hint::black_box(e.train_step(&data).unwrap());
         });
-        if name == "arena_1thread" {
+        if name == "arena" {
             let graph = &e.training_graph().graph;
             launch_count_fused = launch_count(graph);
             fused_regions = graph
@@ -174,7 +172,7 @@ pub fn measure_training_steps(
     // to fusion alone.
     let mut unfused = compile(
         &model,
-        &options(UpdateRule::Full, ExecutorConfig::arena(1), FusionLevel::Off),
+        &options(UpdateRule::Full, ExecutorConfig::arena(), FusionLevel::Off),
     )
     .executor;
     let launch_count_unfused = launch_count(&unfused.training_graph().graph);
@@ -186,7 +184,7 @@ pub fn measure_training_steps(
         &model,
         &options(
             UpdateRule::BiasOnly,
-            ExecutorConfig::arena(1),
+            ExecutorConfig::arena(),
             FusionLevel::Regions,
         ),
     )
@@ -201,7 +199,7 @@ pub fn measure_training_steps(
         model.loss,
         spec,
         Optimizer::sgd(0.01),
-        ExecutorConfig::arena(1),
+        ExecutorConfig::arena(),
     );
     measure("step_eager_runtime_autodiff", &mut || {
         std::hint::black_box(eager.run_step(&data).unwrap());
@@ -266,7 +264,7 @@ mod tests {
         let result = measure_training_steps(2, 2, false, &|| 0);
         let names: Vec<&str> = result.variants.iter().map(|v| v.name.as_str()).collect();
         assert!(names.contains(&"step_boxed"));
-        assert!(names.contains(&"step_arena_1thread"));
+        assert!(names.contains(&"step_arena"));
         assert!(names.contains(&"step_arena_fusion_off"));
         assert!(names.contains(&"step_eager_runtime_autodiff"));
         assert!(result

@@ -13,11 +13,11 @@
 //!
 //! The estimate is a per-specialization **EWMA** fed by the engine's
 //! existing dispatch timing: every training step and evaluation
-//! micro-batch contributes its executor wall-clock to the (rung × backend
-//! × threads) cell it ran on. Feasibility is assessed against the
-//! request's full budget — the same quantity on both paths — so the
-//! decision never depends on which path carried the request, only on the
-//! latency-model state. A stream replayed through `Engine::serve` and
+//! micro-batch contributes its executor wall-clock to the (rung × backend)
+//! cell it ran on. Feasibility is assessed against the request's full
+//! budget — the same quantity on both paths — so the decision never
+//! depends on which path carried the request, only on the latency-model
+//! state. A stream replayed through `Engine::serve` and
 //! through the queue rejects the same requests whenever the estimates
 //! agree: seed them (`Engine::seed_latency_estimate`), or keep budgets
 //! decisively above or below the estimates — live EWMA cells drift with
@@ -142,16 +142,15 @@ impl Outcome {
 /// scheduler noise.
 const EWMA_ALPHA: f64 = 0.2;
 
-/// Per-specialization dispatch-latency estimates, keyed by
-/// (rung, backend, threads).
+/// Per-specialization dispatch-latency estimates, keyed by (rung, backend).
 #[derive(Debug, Default)]
 pub(crate) struct LatencyModel {
-    ewma_us: HashMap<(usize, Backend, usize), f64>,
+    ewma_us: HashMap<(usize, Backend), f64>,
 }
 
 impl LatencyModel {
-    fn key(batch: usize, exec: ExecutorConfig) -> (usize, Backend, usize) {
-        (batch, exec.backend, exec.threads.max(1))
+    fn key(batch: usize, exec: ExecutorConfig) -> (usize, Backend) {
+        (batch, exec.backend)
     }
 
     /// Feeds one dispatch observation into the rung's EWMA.
@@ -184,7 +183,7 @@ mod tests {
     #[test]
     fn ewma_initializes_then_blends() {
         let mut m = LatencyModel::default();
-        let exec = ExecutorConfig::arena(1);
+        let exec = ExecutorConfig::arena();
         assert_eq!(m.estimate(4, exec), None);
         m.observe(4, exec, Duration::from_micros(100));
         assert_eq!(m.estimate(4, exec), Some(Duration::from_micros(100)));

@@ -3,15 +3,15 @@
 //!
 //! A [`ProgramArtifact`] captures everything a specialization needs to skip
 //! compilation: the optimized training graph (stable op/dtype/role encoding
-//! from [`pe_graph::encode_op`]), the wavefront-compatible schedule, the
-//! memory plan with alignment/aliasing metadata, the memory/optimisation
-//! reports, and a latency profile that seeds the engine's admission model so
-//! a fresh worker admits correctly from the first request.
+//! from [`pe_graph::encode_op`]), the schedule, the memory plan with
+//! alignment/aliasing metadata, the memory/optimisation reports, and a
+//! latency profile that seeds the engine's admission model so a fresh
+//! worker admits correctly from the first request.
 //!
 //! Artifacts are **content-addressed**: the file name embeds a 64-bit FNV-1a
 //! hash of (base graph structure × compile options) — see [`content_hash`] —
-//! plus the batch size, backend and thread count, so a registry lookup can
-//! never pair a program with a stale or foreign artifact. Anything that
+//! plus the batch size and backend, so a registry lookup can never pair a
+//! program with a stale or foreign artifact. Anything that
 //! fails to line up (version bump, hash mismatch, truncated file, corrupted
 //! plan, parameter-store disagreement) is a *registry miss*: the program
 //! falls back to JIT compilation and counts the miss in
@@ -35,8 +35,8 @@ use pe_graph::{
     graph_fingerprint, Fnv1a, Graph, NodeId, ParamInit, TrainingGraph,
 };
 use pe_memplan::{validate_plan, MemPlanOptions, MemoryPlan, MemoryReport};
-use pe_passes::{partition_wavefronts, Schedule, ScheduleStrategy};
-use pe_passes::{OptimizeStats, ScheduleStrategy::Conventional, ScheduleStrategy::Reordered};
+use pe_passes::{OptimizeStats, Schedule, ScheduleStrategy};
+use pe_passes::{ScheduleStrategy::Conventional, ScheduleStrategy::Reordered};
 use pe_runtime::{Backend, Executor, ExecutorConfig, Optimizer, ParamStore};
 use pe_sparse::{BlockSelector, UpdateRule};
 use pe_tensor::Tensor;
@@ -47,9 +47,9 @@ use crate::{CompileOptions, ProgramAnalysis};
 /// Format version stamped into (and demanded from) every artifact. Bump it
 /// whenever the layout or any stable encoding changes; older files then
 /// decode as registry misses instead of misbehaving programs.
-pub const ARTIFACT_VERSION: u64 = 3;
+pub const ARTIFACT_VERSION: u64 = 4;
 
-/// Flops one worker thread is assumed to retire per microsecond when
+/// Flops the executor is assumed to retire per microsecond when
 /// deriving the default (deterministic) latency profile. The profile only
 /// has to be the right order of magnitude: it arms deadline admission
 /// before the first dispatch, and every real dispatch keeps blending the
@@ -57,10 +57,10 @@ pub const ARTIFACT_VERSION: u64 = 3;
 const DERIVED_FLOPS_PER_US: u64 = 4_000;
 
 /// Deterministic latency profile for a training step of `flops` total work
-/// on `threads` workers (used when no measured profile is supplied — this
-/// is what keeps double generation byte-identical).
-pub fn derived_latency_us(flops: u64, threads: usize) -> u64 {
-    (flops / (DERIVED_FLOPS_PER_US * threads.max(1) as u64)).max(1)
+/// (used when no measured profile is supplied — this is what keeps double
+/// generation byte-identical).
+pub fn derived_latency_us(flops: u64) -> u64 {
+    (flops / DERIVED_FLOPS_PER_US).max(1)
 }
 
 /// Content hash of one (model family × compile options) pair: the address
@@ -72,7 +72,7 @@ pub fn derived_latency_us(flops: u64, threads: usize) -> u64 {
 /// compile option that changes the generated program: the update rule, the
 /// optimizer and its hyper-parameters, the optimisation flags and the
 /// schedule strategy. The executor configuration is excluded — the file
-/// name carries backend and thread count, so one address serves all rungs.
+/// name carries the backend, so one address serves all rungs.
 pub fn content_hash(base_graph: &Graph, options: &CompileOptions) -> u64 {
     let mut h = Fnv1a::new();
     h.update_str("pe-artifact-v1");
@@ -167,7 +167,7 @@ fn parse_strategy(text: &str) -> Result<ScheduleStrategy, String> {
 
 /// One serialized specialization: everything
 /// [`crate::Program::specialize_with`] would otherwise compile for a
-/// (batch, backend, threads) rung, ready to be executed or written to an
+/// (batch, backend) rung, ready to be executed or written to an
 /// [`ArtifactRegistry`]. See the module docs for the format contract.
 #[derive(Debug, Clone)]
 pub struct ProgramArtifact {
@@ -198,7 +198,7 @@ pub struct ProgramArtifact {
 
 impl ProgramArtifact {
     /// The canonical file name for this artifact:
-    /// `{hash:016x}-b{batch}-{backend}-t{threads}.json`.
+    /// `{hash:016x}-b{batch}-{backend}.json`.
     pub fn file_name(&self) -> String {
         artifact_file_name(self.content_hash, self.batch, self.exec)
     }
@@ -256,7 +256,6 @@ impl ProgramArtifact {
             ("content_hash", Json::Int(self.content_hash)),
             ("batch", Json::Int(self.batch as u64)),
             ("backend", Json::Str(self.exec.backend.name().to_string())),
-            ("threads", Json::Int(self.exec.threads.max(1) as u64)),
             ("model", Json::Str(self.model_name.clone())),
             ("feature_input", Json::Str(self.feature_input.clone())),
             ("label_input", Json::Str(self.label_input.clone())),
@@ -433,8 +432,7 @@ impl ProgramArtifact {
             "boxed" => Backend::Boxed,
             other => return Err(format!("unknown backend '{other}'")),
         };
-        let threads = usize_of(field(&json, "threads")?)?.max(1);
-        let exec = ExecutorConfig { backend, threads };
+        let exec = ExecutorConfig { backend };
 
         // --- graph ---
         let gj = field(&json, "graph")?;
@@ -616,7 +614,7 @@ impl ProgramArtifact {
         store: Arc<ParamStore>,
         exec: ExecutorConfig,
     ) -> Result<Specialization, String> {
-        if exec.backend != self.exec.backend || exec.threads.max(1) != self.exec.threads.max(1) {
+        if exec != self.exec {
             return Err(format!(
                 "artifact compiled for {:?}, requested {:?}",
                 self.exec, exec
@@ -635,16 +633,10 @@ impl ProgramArtifact {
                 ));
             }
         }
-        let threads = exec.threads.max(1);
         if exec.backend == Backend::Arena {
-            // Mirror `ArenaExec::new_with_plan`'s options exactly, so a plan
-            // accepted here is never silently replanned by the executor.
-            let coarsen = (threads > 1).then(|| {
-                partition_wavefronts(graph, &self.analysis.schedule)
-                    .level_of_position
-                    .clone()
-            });
-            let opts = MemPlanOptions::for_execution(coarsen);
+            // The options the arena executor plans with, so a plan accepted
+            // here is never silently replanned by the executor.
+            let opts = MemPlanOptions::for_execution();
             validate_plan(graph, &self.analysis.schedule, &opts, &self.plan)?;
         }
         let latency = self.latency_profile();
@@ -665,14 +657,9 @@ impl ProgramArtifact {
     }
 }
 
-/// The canonical artifact file name for a (hash, batch, backend, threads)
-/// rung.
+/// The canonical artifact file name for a (hash, batch, backend) rung.
 pub fn artifact_file_name(hash: u64, batch: usize, exec: ExecutorConfig) -> String {
-    format!(
-        "{hash:016x}-b{batch}-{}-t{}.json",
-        exec.backend.name(),
-        exec.threads.max(1)
-    )
+    format!("{hash:016x}-b{batch}-{}.json", exec.backend.name())
 }
 
 /// Rejects schedules that are not a topological permutation of the graph —
@@ -861,10 +848,7 @@ impl ArtifactRegistry {
                 artifact.content_hash
             ));
         }
-        if artifact.batch != batch
-            || artifact.exec.backend != exec.backend
-            || artifact.exec.threads.max(1) != exec.threads.max(1)
-        {
+        if artifact.batch != batch || artifact.exec != exec {
             return Err(format!(
                 "artifact rung (b{} {:?}) != requested (b{batch} {exec:?})",
                 artifact.batch, artifact.exec

@@ -7,7 +7,7 @@
 //! ```text
 //! cargo run --release -p pockengine --bin program-gen -- \
 //!     --out target/program-registry --model mlp --batches 1,2,4,8 \
-//!     --backend arena --threads 1
+//!     --backend arena
 //! ```
 //!
 //! Output is deterministic by default (latency profiles are derived from
@@ -73,14 +73,13 @@ struct Args {
 }
 
 const USAGE: &str = "usage: program-gen --out DIR [--model mlp|mobilenet] \
-     [--batches 1,2,4,8] [--backend arena|boxed] [--threads N] [--measure]";
+     [--batches 1,2,4,8] [--backend arena|boxed] [--measure]";
 
 fn parse_args() -> Result<Args, String> {
     let mut out = None;
     let mut model = "mlp".to_string();
     let mut batches = vec![1, 2, 4, 8];
     let mut backend = "arena".to_string();
-    let mut threads = 1usize;
     let mut measure = false;
     let mut argv = std::env::args().skip(1);
     while let Some(flag) = argv.next() {
@@ -105,18 +104,13 @@ fn parse_args() -> Result<Args, String> {
                 }
             }
             "--backend" => backend = value("--backend")?,
-            "--threads" => {
-                threads = value("--threads")?
-                    .parse()
-                    .map_err(|_| "invalid --threads value".to_string())?;
-            }
             "--measure" => measure = true,
             "--help" | "-h" => return Err(USAGE.to_string()),
             other => return Err(format!("unknown flag '{other}'\n{USAGE}")),
         }
     }
     let exec = match backend.as_str() {
-        "arena" => ExecutorConfig::arena(threads),
+        "arena" => ExecutorConfig::arena(),
         "boxed" => ExecutorConfig::boxed(),
         other => return Err(format!("unknown backend '{other}' (arena|boxed)")),
     };
@@ -175,11 +169,10 @@ fn run(args: Args) -> Result<(), String> {
             .store(&artifact)
             .map_err(|e| format!("writing {}: {e}", args.out))?;
         println!(
-            "{:016x} batch={:<3} backend={}/{} latency={}us -> {}",
+            "{:016x} batch={:<3} backend={} latency={}us -> {}",
             artifact.content_hash,
             batch,
             args.exec.backend.name(),
-            args.exec.threads.max(1),
             artifact.latency_us,
             path.display()
         );

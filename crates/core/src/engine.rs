@@ -33,7 +33,7 @@
 //! * [`EngineConfig::route`] lets one engine own **heterogeneous executor
 //!   backends** per specialization ([`EngineConfig::alternates`]): requests
 //!   route via their [`crate::RequestMeta::backend`] hint or by cached-rung fit,
-//!   e.g. the pooled arena for hot batch sizes and the boxed executor for
+//!   e.g. the arena for hot batch sizes and the boxed executor for
 //!   rare shapes. Backends are bit-identical, so routing never changes
 //!   results — only where they are computed.
 //!
@@ -97,12 +97,12 @@ pub(crate) enum GroupVerdict {
 /// Engine policy knobs.
 #[derive(Debug, Clone)]
 pub struct EngineConfig {
-    /// Default executor backend/threads: the target of unhinted requests
+    /// Default executor backend: the target of unhinted requests
     /// and the configuration warm batches are pre-specialized for.
     pub executor: ExecutorConfig,
     /// Additional executor configurations this engine may route requests
-    /// to (e.g. a boxed executor for rare shapes next to a pooled arena
-    /// for hot ones). Empty by default.
+    /// to (e.g. a boxed executor for rare shapes next to the arena for hot
+    /// ones). Empty by default.
     pub alternates: Vec<ExecutorConfig>,
     /// The routing policy across `executor` + `alternates`.
     pub route: BackendRoute,
@@ -532,7 +532,7 @@ impl Engine {
     }
 
     /// Smallest cached batch ≥ `rows` under the given executor config.
-    /// (Specializations compiled for other backends/thread counts do not
+    /// (Specializations compiled for other backends do not
     /// count: padding up to them would still pay a compile.)
     fn nearest_cached_for(&self, rows: usize, exec: ExecutorConfig) -> Option<usize> {
         self.program

@@ -161,8 +161,8 @@ pub struct CompileOptions {
     pub optimize: OptimizeOptions,
     /// Execution order policy (reordered updates vs conventional).
     pub schedule: ScheduleStrategy,
-    /// Executor backend and thread count. Defaults to the `PE_EXECUTOR` /
-    /// `PE_EXECUTOR_THREADS` environment fallback.
+    /// Executor backend. Defaults to the `PE_EXECUTOR` environment
+    /// fallback.
     pub executor: ExecutorConfig,
 }
 

@@ -18,8 +18,8 @@
 //!    batch size, run the batch-*dependent* tail of the pipeline — autodiff
 //!    → optimisation passes → scheduling → memory planning → executor —
 //!    and cache the result under a key derived from the request content
-//!    (batch size + executor backend + thread count). Cache hits return the
-//!    pooled executor; every specialization borrows the one store.
+//!    (batch size + executor backend). Cache hits return the cached
+//!    executor; every specialization borrows the one store.
 
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -27,7 +27,6 @@ use std::time::Duration;
 
 use pe_memplan::{plan_memory_with, MemPlanOptions};
 use pe_models::BuiltModel;
-use pe_passes::partition_wavefronts;
 use pe_runtime::{Backend, Executor, ExecutorConfig, ExecutorSeed, ParamStore};
 
 use crate::artifact::{content_hash, derived_latency_us, ArtifactRegistry, ProgramArtifact};
@@ -59,7 +58,6 @@ where
 struct SpecKey {
     batch: usize,
     backend: Backend,
-    threads: usize,
 }
 
 impl SpecKey {
@@ -67,7 +65,6 @@ impl SpecKey {
         SpecKey {
             batch,
             backend: exec.backend,
-            threads: exec.threads.max(1),
         }
     }
 }
@@ -212,10 +209,10 @@ pub struct Program {
     /// compiles everything.
     registry: Option<ArtifactRegistry>,
     cache: HashMap<SpecKey, Specialization>,
-    /// Sorted cached batch sizes per (backend, threads), maintained on
-    /// insert/evict so the serving hot path (routing, admission,
-    /// pad-to-nearest lookups) never rebuilds and sorts a key scan.
-    rungs: HashMap<(Backend, usize), Vec<usize>>,
+    /// Sorted cached batch sizes per backend, maintained on insert/evict so
+    /// the serving hot path (routing, admission, pad-to-nearest lookups)
+    /// never rebuilds and sorts a key scan.
+    rungs: HashMap<Backend, Vec<usize>>,
     /// Last-access tick per cached specialization (the LRU order).
     lru: HashMap<SpecKey, u64>,
     /// Monotonic access counter feeding `lru`.
@@ -305,8 +302,8 @@ impl Program {
 
     /// Batch sizes cached under a *specific* executor configuration, sorted.
     /// This is the set a caller can actually reuse without compiling — a
-    /// batch specialized for a different backend/thread count would still be
-    /// a cache miss.
+    /// batch specialized for a different backend would still be a cache
+    /// miss.
     pub fn cached_batches_for(&self, exec: ExecutorConfig) -> Vec<usize> {
         self.cached_rungs_for(exec).to_vec()
     }
@@ -314,9 +311,8 @@ impl Program {
     /// [`Program::cached_batches_for`] without the copy: the maintained
     /// sorted rung index, for the serving hot path.
     pub fn cached_rungs_for(&self, exec: ExecutorConfig) -> &[usize] {
-        let probe = SpecKey::new(0, exec);
         self.rungs
-            .get(&(probe.backend, probe.threads))
+            .get(&exec.backend)
             .map(Vec::as_slice)
             .unwrap_or(&[])
     }
@@ -398,7 +394,7 @@ impl Program {
                 }
             };
             self.cache.insert(key, spec);
-            let rungs = self.rungs.entry((key.backend, key.threads)).or_default();
+            let rungs = self.rungs.entry(key.backend).or_default();
             if let Err(at) = rungs.binary_search(&batch) {
                 rungs.insert(at, batch);
             }
@@ -427,22 +423,12 @@ impl Program {
         let model = self.factory.build(batch);
         let analysis = analyze(&model, &self.options);
         let graph = &analysis.training_graph.graph;
-        let threads = exec.threads.max(1);
-        let coarsen = (exec.backend == Backend::Arena && threads > 1).then(|| {
-            partition_wavefronts(graph, &analysis.schedule)
-                .level_of_position
-                .clone()
-        });
-        let opts = MemPlanOptions::for_execution(coarsen);
-        let plan = plan_memory_with(graph, &analysis.schedule, &opts);
-        let latency_us = derived_latency_us(pe_graph::graph_cost(graph).flops, threads);
+        let plan = plan_memory_with(graph, &analysis.schedule, &MemPlanOptions::for_execution());
+        let latency_us = derived_latency_us(pe_graph::graph_cost(graph).flops);
         ProgramArtifact {
             content_hash: self.content_hash,
             batch,
-            exec: ExecutorConfig {
-                backend: exec.backend,
-                threads,
-            },
+            exec,
             model_name: self.model_name.clone(),
             feature_input: self.feature_input.clone(),
             label_input: self.label_input.clone(),
@@ -507,7 +493,7 @@ impl Program {
             let Some(victim) = victim else { break };
             self.cache.remove(&victim);
             self.lru.remove(&victim);
-            if let Some(rungs) = self.rungs.get_mut(&(victim.backend, victim.threads)) {
+            if let Some(rungs) = self.rungs.get_mut(&victim.backend) {
                 if let Ok(at) = rungs.binary_search(&victim.batch) {
                     rungs.remove(at);
                 }
@@ -527,7 +513,7 @@ mod tests {
     fn program() -> Program {
         let mut p = Compiler::new(CompileOptions {
             optimizer: Optimizer::sgd(0.05),
-            executor: ExecutorConfig::arena(1),
+            executor: ExecutorConfig::arena(),
             ..CompileOptions::default()
         })
         .compile(|batch: usize| {
@@ -584,11 +570,11 @@ mod tests {
     fn request_counts_track_coalesced_group_sizes() {
         let mut p = program();
         // Warmup-style dispatch: no requests attributed.
-        p.specialize_with(4, ExecutorConfig::arena(1));
+        p.specialize_with(4, ExecutorConfig::arena());
         // A coalesced group of 5 requests hits the cached specialization.
-        p.specialize_for_requests(4, ExecutorConfig::arena(1), 5);
+        p.specialize_for_requests(4, ExecutorConfig::arena(), 5);
         // A train request misses at a new batch size.
-        p.specialize_for_requests(2, ExecutorConfig::arena(1), 1);
+        p.specialize_for_requests(2, ExecutorConfig::arena(), 1);
         assert_eq!(
             p.cache_stats(),
             CacheStats {
@@ -607,7 +593,7 @@ mod tests {
     fn lru_eviction_respects_the_budget_and_counts() {
         let mut p = program();
         p.set_max_specializations(Some(2));
-        let exec = ExecutorConfig::arena(1);
+        let exec = ExecutorConfig::arena();
         p.specialize_with(2, exec);
         p.specialize_with(4, exec);
         assert_eq!(p.cached_batches(), vec![2, 4]);

@@ -80,7 +80,7 @@ impl Priority {
 /// only steers *where* a request runs, never what it computes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum BackendHint {
-    /// The pooled-arena executor (zero-allocation steady state).
+    /// The arena executor (zero-allocation steady state).
     Arena,
     /// The per-node-buffer executor kept as the differential baseline.
     Boxed,

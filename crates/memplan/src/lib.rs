@@ -44,16 +44,11 @@ pub struct MemoryPlan {
 /// Options for [`plan_memory_with`].
 ///
 /// The defaults reproduce [`plan_memory`] exactly: logical dtype sizes, no
-/// alignment, position-granular lifetimes and no in-place aliasing.
+/// alignment and no in-place aliasing.
 #[derive(Debug, Clone, Default)]
 pub struct MemPlanOptions {
     /// Round every buffer offset up to this many bytes (0 or 1 = none).
     pub align_bytes: usize,
-    /// Coarsens schedule positions into parallel dispatch levels: entry `p`
-    /// is the level of schedule position `p`. Lifetimes are widened to whole
-    /// levels so that nodes executing concurrently within a level never
-    /// share arena memory with each other's operands.
-    pub coarsen: Option<Vec<usize>>,
     /// Size every buffer by its runtime representation (4-byte `f32`)
     /// instead of the logical dtype, which may be narrower (f16/i8). The
     /// executor computes in `f32` regardless of the logical dtype, so arena
@@ -67,12 +62,10 @@ pub struct MemPlanOptions {
 
 impl MemPlanOptions {
     /// The configuration the arena executor uses: runtime `f32` sizes,
-    /// 64-byte alignment, in-place aliasing, and level-coarsened lifetimes
-    /// when a parallel dispatch level map is provided.
-    pub fn for_execution(coarsen: Option<Vec<usize>>) -> Self {
+    /// 64-byte alignment and in-place aliasing.
+    pub fn for_execution() -> Self {
         MemPlanOptions {
             align_bytes: 64,
-            coarsen,
             runtime_f32_sizes: true,
             inplace: true,
         }
@@ -220,70 +213,13 @@ fn plan_size_of(graph: &Graph, opts: &MemPlanOptions, idx: usize) -> usize {
     }
 }
 
-/// Lifetimes in planning time units (schedule positions, or dispatch levels
-/// when coarsened): overlap at this granularity is what forbids sharing an
-/// arena range.
-///
-/// Schedule position is not monotone in level, so a coarsened last-use must
-/// be the maximum *level* over all consumers — mapping the positionally-last
-/// consumer's level would free a buffer while a higher-level (but
-/// earlier-scheduled) reader still needs it.
-fn effective_lifetimes(
-    graph: &Graph,
-    schedule: &Schedule,
-    opts: &MemPlanOptions,
-    lifetimes: &[Option<Lifetime>],
-) -> Vec<Option<Lifetime>> {
-    match &opts.coarsen {
-        None => lifetimes.to_vec(),
-        Some(levels) => {
-            let positions = schedule.positions(graph.len());
-            let consumers = graph.consumers();
-            let max_level = levels.iter().copied().max().unwrap_or(0);
-            lifetimes
-                .iter()
-                .enumerate()
-                .map(|(idx, lt)| {
-                    lt.map(|(def, _)| {
-                        let d = levels[def];
-                        let mut l = d;
-                        for &c in &consumers[idx] {
-                            let p = positions[c.index()];
-                            if p != usize::MAX {
-                                l = l.max(levels[p]);
-                            }
-                        }
-                        if graph.outputs().contains(&NodeId(idx)) {
-                            l = max_level;
-                        }
-                        (d, l)
-                    })
-                })
-                .collect()
-        }
-    }
-}
-
 /// [`plan_memory`] with explicit [`MemPlanOptions`] (alignment, runtime
-/// sizes, level-coarsened lifetimes for parallel dispatch, and in-place
-/// aliasing of safe unary ops).
-///
-/// # Panics
-///
-/// Panics if `opts.coarsen` is provided but shorter than the schedule.
+/// sizes, and in-place aliasing of safe unary ops).
 pub fn plan_memory_with(graph: &Graph, schedule: &Schedule, opts: &MemPlanOptions) -> MemoryPlan {
     let lifetimes = analyze_lifetimes(graph, schedule);
     let n = graph.len();
     let positions = schedule.positions(n);
     let size_of = |idx: usize| plan_size_of(graph, opts, idx);
-    let coarse = |pos: usize| -> usize {
-        match &opts.coarsen {
-            Some(levels) => levels[pos],
-            None => pos,
-        }
-    };
-    let consumers = graph.consumers();
-    let eff = effective_lifetimes(graph, schedule, opts, &lifetimes);
 
     // In-place aliasing: a safe unary op whose first input dies at this very
     // node may write straight into the input's range. Chains (e.g.
@@ -292,7 +228,7 @@ pub fn plan_memory_with(graph: &Graph, schedule: &Schedule, opts: &MemPlanOption
     let mut aliases: Vec<Option<NodeId>> = vec![None; n];
     let mut alias_root: Vec<usize> = (0..n).collect();
     // Planning lifetime per chain root, extended as members join.
-    let mut chain: Vec<Option<Lifetime>> = eff.clone();
+    let mut chain: Vec<Option<Lifetime>> = lifetimes.clone();
     if opts.inplace {
         for &id in &schedule.order {
             let idx = id.index();
@@ -312,23 +248,11 @@ pub fn plan_memory_with(graph: &Graph, schedule: &Schedule, opts: &MemPlanOption
             if size_of(idx) != size_of(i) {
                 continue;
             }
-            // Under coarsened (parallel) planning every other consumer of
-            // the input must finish in a strictly earlier level, otherwise a
-            // concurrent reader could observe the in-place overwrite.
-            if opts.coarsen.is_some()
-                && consumers[i].iter().any(|c| {
-                    *c != id
-                        && positions[c.index()] != usize::MAX
-                        && coarse(positions[c.index()]) >= coarse(pos)
-                })
-            {
-                continue;
-            }
             let root = alias_root[i];
             aliases[idx] = Some(input);
             alias_root[idx] = root;
             let (rd, rl) = chain[root].expect("alias root must have a lifetime");
-            let (_, nl) = eff[idx].expect("aliased node is scheduled");
+            let (_, nl) = lifetimes[idx].expect("aliased node is scheduled");
             chain[root] = Some((rd, rl.max(nl)));
         }
     }
@@ -421,8 +345,8 @@ pub fn plan_memory_with(graph: &Graph, schedule: &Schedule, opts: &MemPlanOption
 /// * every scheduled buffer has a 4-byte-aligned offset inside the arena;
 /// * aliases only chain safe in-place ops onto their first input with
 ///   matching sizes and offsets;
-/// * no two alias-chain roots whose (level-coarsened) lifetimes overlap
-///   share an address range.
+/// * no two alias-chain roots whose lifetimes overlap share an address
+///   range.
 ///
 /// # Errors
 ///
@@ -441,15 +365,6 @@ pub fn validate_plan(
             plan.offsets.len(),
             plan.aliases.len()
         ));
-    }
-    if let Some(levels) = &opts.coarsen {
-        if levels.len() < schedule.len() {
-            return Err(format!(
-                "coarsen map covers {} of {} schedule positions",
-                levels.len(),
-                schedule.len()
-            ));
-        }
     }
     let expected = analyze_lifetimes(graph, schedule);
     if plan.lifetimes != expected {
@@ -504,7 +419,7 @@ pub fn validate_plan(
             return Err(format!("alias {idx} -> {input} with different offsets"));
         }
     }
-    // Overlap safety over alias-chain roots at the coarsened granularity.
+    // Overlap safety over alias-chain roots.
     let root_of = |mut i: usize| -> Result<usize, String> {
         let mut hops = 0;
         while let Some(p) = plan.aliases[i] {
@@ -516,15 +431,14 @@ pub fn validate_plan(
         }
         Ok(i)
     };
-    let eff = effective_lifetimes(graph, schedule, opts, &plan.lifetimes);
-    // Chain lifetime per root: union of the members' effective lifetimes.
-    let mut chain: Vec<Option<Lifetime>> = eff.clone();
+    // Chain lifetime per root: union of the members' lifetimes.
+    let mut chain: Vec<Option<Lifetime>> = plan.lifetimes.clone();
     for (idx, alias) in plan.aliases.iter().enumerate() {
         if alias.is_none() {
             continue;
         }
         let root = root_of(idx)?;
-        if let (Some((rd, rl)), Some((_, nl))) = (chain[root], eff[idx]) {
+        if let (Some((rd, rl)), Some((_, nl))) = (chain[root], plan.lifetimes[idx]) {
             chain[root] = Some((rd, rl.max(nl)));
         }
     }
@@ -767,7 +681,7 @@ mod tests {
     fn execution_options_align_offsets_and_alias_activations() {
         let tg = mlp(4, |_, _| TrainKind::Full);
         let schedule = build_schedule(&tg.graph, ScheduleStrategy::Reordered);
-        let plan = plan_memory_with(&tg.graph, &schedule, &MemPlanOptions::for_execution(None));
+        let plan = plan_memory_with(&tg.graph, &schedule, &MemPlanOptions::for_execution());
         let mut aliased = 0;
         for idx in 0..tg.graph.len() {
             if let Some(off) = plan.offsets[idx] {
@@ -798,7 +712,7 @@ mod tests {
     fn non_aliased_execution_buffers_never_overlap() {
         let tg = mlp(3, |_, _| TrainKind::Full);
         let schedule = build_schedule(&tg.graph, ScheduleStrategy::Reordered);
-        let plan = plan_memory_with(&tg.graph, &schedule, &MemPlanOptions::for_execution(None));
+        let plan = plan_memory_with(&tg.graph, &schedule, &MemPlanOptions::for_execution());
         let n = tg.graph.len();
         let size = |i: usize| tg.graph.node(NodeId(i)).shape.numel() * 4;
         for a in 0..n {
@@ -864,7 +778,7 @@ mod tests {
     fn fresh_plans_validate_and_corrupted_plans_do_not() {
         let tg = mlp(4, |_, _| TrainKind::Full);
         let schedule = build_schedule(&tg.graph, ScheduleStrategy::Reordered);
-        let opts = MemPlanOptions::for_execution(None);
+        let opts = MemPlanOptions::for_execution();
         let plan = plan_memory_with(&tg.graph, &schedule, &opts);
         assert_eq!(validate_plan(&tg.graph, &schedule, &opts, &plan), Ok(()));
 

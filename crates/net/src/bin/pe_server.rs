@@ -4,9 +4,8 @@
 //! address on the first stdout line (`listening on <addr>`, flushed — a
 //! harness can parse it), then serves until the process is killed.
 //!
-//! Engine knobs come from the usual environment: `PE_EXECUTOR` /
-//! `PE_EXECUTOR_THREADS` pick the executor backend, `PE_DRAIN_WORKERS`
-//! sizes the drain pool. `PE_SERVER_ADMISSION=deadline` switches admission
+//! Engine knobs come from the usual environment: `PE_EXECUTOR` picks the
+//! executor backend, `PE_DRAIN_WORKERS` sizes the drain pool. `PE_SERVER_ADMISSION=deadline` switches admission
 //! control to `DeadlineFeasible` (with seeded estimates, so rejection
 //! decisions are deterministic — the loopback suites depend on that).
 //!

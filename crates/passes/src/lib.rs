@@ -7,8 +7,6 @@
 //!   residual add, activation VJPs) collapse into single-dispatch regions;
 //! * [`schedule`] — execution scheduling, including operator reordering that
 //!   applies parameter updates as soon as their gradients are available;
-//! * [`wavefront`] — partitioning a schedule into dependency levels for the
-//!   runtime's parallel kernel dispatch;
 //! * [`manager`] — the fixed pipeline combining all of the above.
 //!
 //! # Example
@@ -39,10 +37,8 @@ pub mod dce;
 pub mod fusion;
 pub mod manager;
 pub mod schedule;
-pub mod wavefront;
 
 pub use dce::{eliminate_dead_code, DceStats};
 pub use fusion::{fuse_regions, launch_count, FusionLevel, FusionStats};
 pub use manager::{optimize, OptimizeOptions, OptimizeStats};
 pub use schedule::{build_schedule, update_latencies, Schedule, ScheduleStrategy};
-pub use wavefront::{partition_wavefronts, Wavefront};

@@ -87,10 +87,8 @@ fn reordered(graph: &Graph) -> Schedule {
     // backward pass reads weights for input gradients): the update becomes
     // ready only once those readers are scheduled. This keeps the compiled
     // semantics identical to the eager baseline (no gradient is ever
-    // computed from a half-updated parameter) and leaves the reader free to
-    // run in parallel with the weight-gradient node during wavefront
-    // dispatch, while still issuing the update as early as memory-wise
-    // possible.
+    // computed from a half-updated parameter), while still issuing the
+    // update as early as memory-wise possible.
     let n = graph.len();
     let base_consumers = graph.consumers();
     let mut consumers = base_consumers.clone();

@@ -8,31 +8,24 @@
 //! state, constants and step-input staging buffers are materialised once and
 //! reused, so a steady-state training step performs **zero transient heap
 //! allocations** (asserted by the counting-allocator test in `tests/`).
-//!
-//! With `threads > 1` the executor additionally partitions the schedule into
-//! wavefront levels ([`pe_passes::partition_wavefronts`]) and dispatches the
-//! nodes of each level across a persistent worker pool. The plan is then
-//! coarsened to level granularity so concurrently running nodes never share
-//! arena ranges, and the wavefront's anti-dependency edges keep in-place
-//! parameter updates ordered against every reader — parallel execution is
-//! bit-identical to the sequential walk.
+//! The schedule is walked on the calling thread, one position at a time.
 //!
 //! Parameters and optimizer state are **not** owned here: they live in a
 //! shared [`ParamStore`] that several specialized executors may borrow at
 //! once. A training step runs under the store's exclusive guard, an
 //! evaluation step under its shared guard, so cross-executor interleavings
-//! stay sound while this executor's intra-step worker accesses follow the
-//! wavefront invariant below.
+//! stay sound.
 //!
 //! # Safety
 //!
 //! The arena is accessed through raw slices carved out of one `UnsafeCell`
 //! slab. The invariant making that sound is exactly the planner's: two
-//! buffers whose lifetimes (position-granular when sequential,
-//! level-granular when parallel) intersect never overlap in `[offset,
-//! offset + size)` — except an in-place alias, which is executed with a
-//! single mutable slice. The property-test suite pins this invariant down
-//! for randomized graphs and schedules.
+//! buffers whose position-granular lifetimes intersect never overlap in
+//! `[offset, offset + size)` — except an in-place alias, which is executed
+//! with a single mutable slice. Since nodes run one at a time in schedule
+//! order, the operands and output of the running node are the only live
+//! views. The property-test suite pins the invariant down for randomized
+//! graphs and schedules.
 
 use std::cell::UnsafeCell;
 use std::collections::HashMap;
@@ -41,7 +34,7 @@ use std::sync::Arc;
 
 use pe_graph::{NodeId, OpKind, TrainingGraph};
 use pe_memplan::{plan_memory_with, validate_plan, MemPlanOptions, MemoryPlan};
-use pe_passes::{partition_wavefronts, Schedule};
+use pe_passes::Schedule;
 use pe_tensor::kernels::elementwise::{UnaryGradOp, UnaryOp};
 use pe_tensor::kernels::{
     conv, elementwise as ew, embedding, fused, gemm, layout, norm, pool as poolk, reduce,
@@ -50,7 +43,6 @@ use pe_tensor::{Tensor, TensorView};
 
 use crate::executor::{check_input, ExecError, StepResult};
 use crate::optimizer::Optimizer;
-use crate::pool::Pool;
 use crate::store::{resolve_param_slots, ParamStore};
 
 /// Where a node's value lives at runtime.
@@ -103,70 +95,41 @@ struct ArenaBuf(UnsafeCell<Box<[f32]>>);
 impl ArenaBuf {
     /// # Safety
     ///
-    /// The range must not be concurrently written (plan invariant).
+    /// The range must not be written while the returned slice lives (plan
+    /// invariant).
     unsafe fn slice(&self, off: usize, len: usize) -> &[f32] {
         std::slice::from_raw_parts((*self.0.get()).as_ptr().add(off), len)
     }
 
     /// # Safety
     ///
-    /// The range must not be concurrently read or written (plan invariant).
+    /// The range must not be read or written through any other slice while
+    /// the returned one lives (plan invariant).
     #[allow(clippy::mut_from_ref)]
     unsafe fn slice_mut(&self, off: usize, len: usize) -> &mut [f32] {
         std::slice::from_raw_parts_mut((*self.0.get()).as_mut_ptr().add(off), len)
     }
 }
 
-/// Below this many total flops, a wavefront level is cheaper to run inline
-/// on the dispatching thread than to fan out across the pool: waking the
-/// workers and barriering back costs a handful of microseconds, which small
-/// levels (bias updates, scalar glue, narrow gradients) cannot amortise.
-/// Overridable via `PE_POOL_SEQ_FLOPS`.
-const DEFAULT_POOL_SEQ_FLOPS: u64 = 262_144;
-
-fn pool_seq_flops() -> u64 {
-    std::env::var("PE_POOL_SEQ_FLOPS")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(DEFAULT_POOL_SEQ_FLOPS)
-}
-
-/// Executor state shared with the worker pool.
-pub(crate) struct Shared {
+/// Everything a node dispatch reads or writes.
+struct Shared {
     steps: Vec<StepNode>,
-    /// Schedule positions per wavefront level (non-leaf tasks only);
-    /// populated only in parallel mode.
-    pub(crate) levels: Vec<Vec<u32>>,
-    /// Levels whose total flops fall below the sequential-fallback
-    /// threshold: the dispatcher runs these inline instead of waking the
-    /// pool (parallel mode only; same length as `levels`).
-    pub(crate) seq_levels: Vec<bool>,
     arena: ArenaBuf,
-    /// The shared canonical parameters; workers only ever form a reference
-    /// to the single cell an update touches, never to the store's backing
-    /// vector.
+    /// The shared canonical parameters; an update only ever forms a
+    /// reference to the single cell it touches, never to the store's
+    /// backing vector.
     store: Arc<ParamStore>,
     consts: Vec<Tensor>,
-    /// Step-input staging, one cell per graph input.
-    inputs: Vec<UnsafeCell<Tensor>>,
+    /// Step-input staging, one tensor per graph input.
+    inputs: Vec<Tensor>,
     fallbacks: AtomicU64,
 }
-
-// SAFETY: concurrent access to the UnsafeCell state is confined to
-// `exec_position` under the plan/wavefront invariants described in the
-// module docs (store cells additionally under the store's step guard held
-// by the owning executor); everything else happens with `&mut ArenaExec`
-// while the pool is quiescent.
-unsafe impl Sync for Shared {}
-unsafe impl Send for Shared {}
 
 /// The arena-backed executor (see the module docs).
 pub(crate) struct ArenaExec {
     tg: TrainingGraph,
     schedule: Schedule,
-    shared: Arc<Shared>,
-    pool: Option<Pool>,
-    threads: usize,
+    shared: Shared,
     /// Steps completed by this executor (the store counts globally).
     step: usize,
     /// Store slot of each parameter node in this graph.
@@ -181,7 +144,6 @@ impl std::fmt::Debug for ArenaExec {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("ArenaExec")
             .field("nodes", &self.schedule.len())
-            .field("threads", &self.threads)
             .field("steps_completed", &self.step)
             .finish()
     }
@@ -197,12 +159,9 @@ impl ArenaExec {
         tg: TrainingGraph,
         schedule: Schedule,
         store: Arc<ParamStore>,
-        threads: usize,
         plan: Option<MemoryPlan>,
     ) -> Self {
-        let threads = threads.max(1);
         let graph = &tg.graph;
-        let n = graph.len();
 
         // Resolve every graph parameter to its slot in the shared store and
         // register optimizer state for the updated ones (allocated exactly
@@ -228,12 +187,9 @@ impl ArenaExec {
             inputs.push(Tensor::zeros(graph.node(*id).shape.clone()));
         }
 
-        // Memory plan: level-coarsened when dispatching in parallel. A
-        // supplied (artifact) plan is used only if it validates against this
-        // exact graph/schedule/options combination.
-        let wavefront = partition_wavefronts(graph, &schedule);
-        let coarsen = (threads > 1).then(|| wavefront.level_of_position.clone());
-        let opts = MemPlanOptions::for_execution(coarsen);
+        // Memory plan. A supplied (artifact) plan is used only if it
+        // validates against this exact graph/schedule/options combination.
+        let opts = MemPlanOptions::for_execution();
         let plan = match plan {
             Some(p) if validate_plan(graph, &schedule, &opts, &p).is_ok() => p,
             _ => plan_memory_with(graph, &schedule, &opts),
@@ -293,37 +249,6 @@ impl ArenaExec {
             vec![0.0f32; plan.arena_bytes.div_ceil(4)].into_boxed_slice(),
         ));
 
-        // Wavefront levels as schedule positions (parallel mode only).
-        // Within a level, heaviest node first (LPT): workers claim in list
-        // order, so the most expensive kernels overlap first and the level's
-        // makespan shrinks. Levels whose total work cannot amortise a pool
-        // wake-up are flagged for inline sequential execution.
-        let positions = schedule.positions(n);
-        let mut levels: Vec<Vec<u32>> = Vec::new();
-        let mut seq_levels: Vec<bool> = Vec::new();
-        if threads > 1 {
-            let seq_threshold = pool_seq_flops();
-            for level in &wavefront.levels {
-                let mut tasks: Vec<NodeId> = level
-                    .iter()
-                    .copied()
-                    .filter(|id| !graph.node(*id).op.is_leaf())
-                    .collect();
-                tasks.sort_by_key(|id| std::cmp::Reverse(pe_graph::node_cost(graph, *id).flops));
-                let total_flops: u64 = tasks
-                    .iter()
-                    .map(|id| pe_graph::node_cost(graph, *id).flops)
-                    .sum();
-                seq_levels.push(total_flops < seq_threshold);
-                levels.push(
-                    tasks
-                        .into_iter()
-                        .map(|id| positions[id.index()] as u32)
-                        .collect(),
-                );
-            }
-        }
-
         // Static eval-mode liveness: ancestors of the non-update outputs.
         let roots: Vec<NodeId> = graph
             .outputs()
@@ -341,24 +266,19 @@ impl ArenaExec {
             .collect();
         let loss_arg = resolve(tg.loss);
 
-        let shared = Arc::new(Shared {
+        let shared = Shared {
             steps,
-            levels,
-            seq_levels,
             arena,
             store,
             consts,
-            inputs: inputs.into_iter().map(UnsafeCell::new).collect(),
+            inputs,
             fallbacks: AtomicU64::new(0),
-        });
-        let pool = (threads > 1).then(|| Pool::new(Arc::clone(&shared), threads - 1));
+        };
 
         ArenaExec {
             tg,
             schedule,
             shared,
-            pool,
-            threads,
             step: 0,
             param_slots,
             outputs,
@@ -387,10 +307,6 @@ impl ArenaExec {
         self.step
     }
 
-    pub fn threads(&self) -> usize {
-        self.threads
-    }
-
     pub fn fallback_dispatches(&self) -> u64 {
         self.shared.fallbacks.load(Ordering::Relaxed)
     }
@@ -414,12 +330,9 @@ impl ArenaExec {
         for (i, &id) in self.tg.graph.inputs().iter().enumerate() {
             let node = self.tg.graph.node(id);
             let provided = check_input(node, inputs)?;
-            // SAFETY: `&mut self` — exclusive access, pool quiescent.
-            unsafe {
-                (*self.shared.inputs[i].get())
-                    .data_mut()
-                    .copy_from_slice(provided.data());
-            }
+            self.shared.inputs[i]
+                .data_mut()
+                .copy_from_slice(provided.data());
         }
         Ok(())
     }
@@ -433,16 +346,10 @@ impl ArenaExec {
     /// Runs the full schedule. Caller must hold the store's exclusive guard.
     fn execute_train(&mut self) {
         self.shared.store.begin_step();
-        if let Some(pool) = &self.pool {
-            for level in 0..self.shared.levels.len() {
-                pool.run_level(level);
-            }
-        } else {
-            for pos in 0..self.shared.steps.len() {
-                // SAFETY: sequential walk of a position-granular plan;
-                // exclusive store guard held by the caller.
-                unsafe { exec_position(&self.shared, pos, true) };
-            }
+        for pos in 0..self.shared.steps.len() {
+            // SAFETY: sequential walk of a position-granular plan;
+            // exclusive store guard held by the caller.
+            unsafe { exec_position(&self.shared, pos, true) };
         }
     }
 
@@ -507,14 +414,14 @@ impl ArenaExec {
 ///
 /// # Safety
 ///
-/// The caller must guarantee no concurrent writer to the operand's storage
-/// (plan and wavefront invariants).
+/// The caller must guarantee no writer to the operand's storage while the
+/// view lives (plan invariant, store guard).
 unsafe fn arg_view<'a>(shared: &'a Shared, arg: &'a Arg) -> TensorView<'a> {
     match arg.loc {
         Loc::Arena(off, len) => TensorView::new(&arg.dims, shared.arena.slice(off, len)),
         Loc::Param(i) => (*shared.store.cell(i)).value.view(),
         Loc::Const(i) => shared.consts[i].view(),
-        Loc::Input(i) => (*shared.inputs[i].get()).view(),
+        Loc::Input(i) => shared.inputs[i].view(),
     }
 }
 
@@ -522,11 +429,10 @@ unsafe fn arg_view<'a>(shared: &'a Shared, arg: &'a Arg) -> TensorView<'a> {
 ///
 /// # Safety
 ///
-/// The caller must guarantee that no other thread concurrently touches any
-/// arena range overlapping this node's operands or output, and that
-/// parameter updates are exclusive with every reader of the parameter. Both
-/// follow from the plan/wavefront invariants (module docs).
-pub(crate) unsafe fn exec_position(shared: &Shared, pos: usize, train: bool) {
+/// The caller must walk the schedule one position at a time over a
+/// position-granular plan (module docs), holding the store's exclusive
+/// guard when `train` is set and at least its shared guard otherwise.
+unsafe fn exec_position(shared: &Shared, pos: usize, train: bool) {
     let step = &shared.steps[pos];
     match step.task {
         Task::Leaf => {}
@@ -536,9 +442,9 @@ pub(crate) unsafe fn exec_position(shared: &Shared, pos: usize, train: bool) {
             }
             let grad = arg_view(shared, &step.ins[0]);
             // SAFETY (store cell): the owning executor holds the store's
-            // exclusive guard for the whole training step, and the wavefront
-            // anti-dependency edges order this update against every reader
-            // of the parameter within the step.
+            // exclusive guard for the whole training step, and nodes run one
+            // at a time, so the gradient view (an arena range, never the
+            // parameter) is the only other live reference.
             let cell = &mut *shared.store.cell(slot);
             let updated_len = match rows {
                 Some(k) => {

@@ -11,8 +11,7 @@
 //! * the **arena** backend (default) executes out of one preallocated slab
 //!   sized by the memory planner — every transient buffer is a view at a
 //!   compile-time offset, so a steady-state training step performs no heap
-//!   allocation — and can dispatch schedule-independent nodes across a
-//!   worker pool (`PE_EXECUTOR_THREADS`);
+//!   allocation;
 //! * the **boxed** backend allocates an owned tensor per node and frees it
 //!   at its compile-time free position; it is kept as the differential
 //!   baseline (`PE_EXECUTOR=boxed`) that the arena backend must match bit
@@ -33,8 +32,7 @@ use crate::store::ParamStore;
 /// Which executor backend runs the compiled program.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum Backend {
-    /// The arena-slab executor (zero transient allocations, optional worker
-    /// pool). The default.
+    /// The arena-slab executor (zero transient allocations). The default.
     #[default]
     Arena,
     /// The per-node-buffer executor kept as the differential baseline.
@@ -55,16 +53,13 @@ impl Backend {
 /// the trainer and the engine instead of ambient environment variables.
 ///
 /// [`ExecutorConfig::default`] (and therefore [`Executor::new`]) still honours
-/// `PE_EXECUTOR` / `PE_EXECUTOR_THREADS` as *fallback defaults* via
-/// [`ExecutorConfig::from_env`], so existing workflows keep working; code
-/// that wants a specific backend passes a config explicitly.
+/// `PE_EXECUTOR` as a *fallback default* via [`ExecutorConfig::from_env`], so
+/// existing workflows keep working; code that wants a specific backend
+/// passes a config explicitly.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct ExecutorConfig {
     /// The backend to execute with.
     pub backend: Backend,
-    /// Worker count for the arena backend (1 = fully sequential dispatch;
-    /// ignored by the boxed backend).
-    pub threads: usize,
 }
 
 impl Default for ExecutorConfig {
@@ -74,11 +69,10 @@ impl Default for ExecutorConfig {
 }
 
 impl ExecutorConfig {
-    /// Arena backend with `threads` workers.
-    pub fn arena(threads: usize) -> Self {
+    /// Arena backend.
+    pub fn arena() -> Self {
         ExecutorConfig {
             backend: Backend::Arena,
-            threads: threads.max(1),
         }
     }
 
@@ -86,23 +80,17 @@ impl ExecutorConfig {
     pub fn boxed() -> Self {
         ExecutorConfig {
             backend: Backend::Boxed,
-            threads: 1,
         }
     }
 
-    /// Reads the fallback defaults from the environment: `PE_EXECUTOR=boxed`
-    /// selects the boxed baseline and `PE_EXECUTOR_THREADS=N` sets the arena
-    /// worker count (default: arena, 1 worker).
+    /// Reads the fallback default from the environment: `PE_EXECUTOR=boxed`
+    /// selects the boxed baseline (default: arena).
     pub fn from_env() -> Self {
         let backend = std::env::var("PE_EXECUTOR").unwrap_or_default();
         if backend.eq_ignore_ascii_case("boxed") || backend.eq_ignore_ascii_case("hashmap") {
             return ExecutorConfig::boxed();
         }
-        let threads = std::env::var("PE_EXECUTOR_THREADS")
-            .ok()
-            .and_then(|v| v.parse::<usize>().ok())
-            .unwrap_or(1);
-        ExecutorConfig::arena(threads)
+        ExecutorConfig::arena()
     }
 }
 
@@ -271,8 +259,7 @@ impl Executor {
     /// Builds an executor with a private parameter store, selecting the
     /// backend from the environment fallback ([`ExecutorConfig::from_env`]):
     ///
-    /// * `PE_EXECUTOR=boxed` picks the boxed baseline (default: arena);
-    /// * `PE_EXECUTOR_THREADS=N` sets the arena worker count (default 1).
+    /// `PE_EXECUTOR=boxed` picks the boxed baseline (default: arena).
     pub fn new(tg: TrainingGraph, schedule: Schedule, optimizer: Optimizer) -> Self {
         Executor::with_config(tg, schedule, optimizer, ExecutorConfig::default())
     }
@@ -324,25 +311,15 @@ impl Executor {
         let inner = match config.backend {
             Backend::Boxed => Inner::Boxed(Box::new(BoxedExec::new(tg, schedule, store))),
             Backend::Arena => Inner::Arena(Box::new(ArenaExec::new_with_plan(
-                tg,
-                schedule,
-                store,
-                config.threads,
-                plan,
+                tg, schedule, store, plan,
             ))),
         };
         Executor { inner }
     }
 
-    /// Builds the arena-backed executor with `threads` workers (1 = fully
-    /// sequential dispatch, no pool) and a private parameter store.
-    pub fn arena(
-        tg: TrainingGraph,
-        schedule: Schedule,
-        optimizer: Optimizer,
-        threads: usize,
-    ) -> Self {
-        Executor::with_config(tg, schedule, optimizer, ExecutorConfig::arena(threads))
+    /// Builds the arena-backed executor with a private parameter store.
+    pub fn arena(tg: TrainingGraph, schedule: Schedule, optimizer: Optimizer) -> Self {
+        Executor::with_config(tg, schedule, optimizer, ExecutorConfig::arena())
     }
 
     /// Builds the boxed per-node-buffer executor (differential baseline)
@@ -367,19 +344,11 @@ impl Executor {
         }
     }
 
-    /// Number of dispatch threads (1 for the boxed backend).
-    pub fn threads(&self) -> usize {
-        match &self.inner {
-            Inner::Boxed(_) => 1,
-            Inner::Arena(a) => a.threads(),
-        }
-    }
-
     /// The backend configuration this executor was built with.
     pub fn config(&self) -> ExecutorConfig {
         match &self.inner {
             Inner::Boxed(_) => ExecutorConfig::boxed(),
-            Inner::Arena(a) => ExecutorConfig::arena(a.threads()),
+            Inner::Arena(_) => ExecutorConfig::arena(),
         }
     }
 
@@ -658,10 +627,7 @@ mod tests {
 
     #[test]
     fn wrong_dtype_is_reported_not_panicked() {
-        for make in [
-            (|tg, s, o| Executor::boxed(tg, s, o)) as fn(_, _, _) -> Executor,
-            |tg, s, o| Executor::arena(tg, s, o, 1),
-        ] {
+        for make in [Executor::boxed as fn(_, _, _) -> Executor, Executor::arena] {
             let mut exec = compile_mlp_with(|_| TrainKind::Full, make);
             let inputs = HashMap::from([
                 (
@@ -694,36 +660,27 @@ mod tests {
     fn arena_and_boxed_backends_agree_bit_for_bit() {
         let mut rng = Rng::seed_from_u64(11);
         let batches: Vec<_> = (0..5).map(|_| batch(&mut rng)).collect();
-        let mut execs = [
-            compile_mlp_with(|_| TrainKind::Full, Executor::boxed),
-            compile_mlp_with(|_| TrainKind::Full, |tg, s, o| Executor::arena(tg, s, o, 1)),
-            compile_mlp_with(|_| TrainKind::Full, |tg, s, o| Executor::arena(tg, s, o, 3)),
-        ];
+        let mut boxed = compile_mlp_with(|_| TrainKind::Full, Executor::boxed);
+        let mut arena = compile_mlp_with(|_| TrainKind::Full, Executor::arena);
         for b in &batches {
-            let losses: Vec<f32> = execs
-                .iter_mut()
-                .map(|e| e.run_step(b).unwrap().loss.unwrap())
-                .collect();
-            assert_eq!(losses[0].to_bits(), losses[1].to_bits(), "boxed vs arena");
-            assert_eq!(losses[0].to_bits(), losses[2].to_bits(), "boxed vs pool");
+            let lb = boxed.run_step(b).unwrap().loss.unwrap();
+            let la = arena.run_step(b).unwrap().loss.unwrap();
+            assert_eq!(lb.to_bits(), la.to_bits(), "boxed vs arena");
         }
         for name in ["fc1.weight", "fc1.bias", "fc2.weight", "fc2.bias"] {
-            let reference = execs[0].param_by_name(name).unwrap().clone();
-            for e in &execs[1..] {
-                assert_eq!(
-                    reference.data(),
-                    e.param_by_name(name).unwrap().data(),
-                    "parameter '{name}' diverged across backends"
-                );
-            }
+            assert_eq!(
+                boxed.param_by_name(name).unwrap().data(),
+                arena.param_by_name(name).unwrap().data(),
+                "parameter '{name}' diverged across backends"
+            );
         }
-        assert_eq!(execs[1].fallback_dispatches(), 0, "MLP must not fall back");
+        assert_eq!(arena.fallback_dispatches(), 0, "MLP must not fall back");
     }
 
     #[test]
     fn train_step_loss_matches_run_step() {
-        let mut a = compile_mlp_with(|_| TrainKind::Full, |tg, s, o| Executor::arena(tg, s, o, 1));
-        let mut b = compile_mlp_with(|_| TrainKind::Full, |tg, s, o| Executor::arena(tg, s, o, 1));
+        let mut a = compile_mlp_with(|_| TrainKind::Full, Executor::arena);
+        let mut b = compile_mlp_with(|_| TrainKind::Full, Executor::arena);
         let mut rng = Rng::seed_from_u64(12);
         for _ in 0..4 {
             let data = batch(&mut rng);

@@ -8,10 +8,9 @@
 //!   dispatching nodes to the shared kernel library and applying parameter
 //!   updates in place — no autodiff, shape inference or graph work at
 //!   runtime. The default **arena** backend executes out of one
-//!   planner-sized slab (zero transient heap allocations per step) and can
-//!   dispatch schedule-independent nodes across a worker pool; backend and
-//!   thread count are selected explicitly with [`ExecutorConfig`]
-//!   (`PE_EXECUTOR` / `PE_EXECUTOR_THREADS` remain the fallback defaults).
+//!   planner-sized slab (zero transient heap allocations per step) on the
+//!   calling thread; the backend is selected explicitly with
+//!   [`ExecutorConfig`] (`PE_EXECUTOR` remains the fallback default).
 //! * [`ParamStore`] holds the canonical tensor and optimizer state of every
 //!   parameter, keyed by stable `pe_graph::ParamKey` identities. Executors
 //!   *borrow* a store (`Executor::with_store`), so many batch-size
@@ -58,7 +57,6 @@ mod boxed;
 pub mod eager;
 pub mod executor;
 pub mod optimizer;
-mod pool;
 pub mod store;
 pub mod trainer;
 

@@ -1,7 +1,7 @@
 //! The shared parameter store.
 //!
 //! PockEngine's compile pipeline may specialize one model family into many
-//! executable programs (one per batch size, backend, or thread count), but
+//! executable programs (one per batch size or backend), but
 //! the *parameters* of the family exist exactly once. [`ParamStore`] holds
 //! the canonical tensor and optimizer state for every parameter, keyed by
 //! the stable [`ParamKey`] identity from `pe-graph` (node ids are positional
@@ -20,9 +20,8 @@
 //!   guard, so any number of evaluating executors may overlap with each
 //!   other but never with a writer.
 //!
-//! *Within* one training step the owning executor may still touch cells from
-//! its worker pool; that intra-step discipline is the arena executor's
-//! wavefront invariant, not the store's. The store only promises that two
+//! *Within* one training step the owning executor touches cells one node
+//! at a time on the stepping thread; the store only promises that two
 //! executors never interleave steps unsoundly.
 //!
 //! The guard is **thread-agnostic**: it does not matter *which* thread runs
@@ -112,9 +111,9 @@ pub struct ParamStore {
 
 // SAFETY: all access to the `UnsafeCell` cells is mediated by the step
 // guard: mutation happens only under the exclusive guard (training steps,
-// `set`, `ensure_state`), shared references only under either guard. The
-// arena executor's worker threads touch cells exclusively inside a training
-// step whose owner holds the exclusive guard.
+// `set`, `ensure_state`), shared references only under either guard. An
+// executor updates cells only inside a training step, on the thread that
+// holds the exclusive guard.
 unsafe impl Sync for ParamStore {}
 unsafe impl Send for ParamStore {}
 
@@ -288,8 +287,8 @@ impl ParamStore {
     /// The caller must hold the appropriate guard for the access performed
     /// through the pointer: the exclusive guard for any mutation, at least
     /// the shared guard for reads — and must uphold Rust aliasing for the
-    /// references it forms (the arena executor's wavefront invariant orders
-    /// its intra-step accesses).
+    /// references it forms (the arena executor runs one node at a time, so
+    /// an update's mutable reference never meets a reader's view).
     pub(crate) unsafe fn cell(&self, slot: usize) -> *mut ParamCell {
         self.cells[slot].get()
     }

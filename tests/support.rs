@@ -124,7 +124,7 @@ pub fn engine(executor: ExecutorConfig, warm: Vec<usize>) -> Engine {
 /// latency estimates for every rung either backend can dispatch, so
 /// `DeadlineFeasible` decisions are deterministic from the first request.
 pub fn routed_engine(admission: AdmissionPolicy) -> Engine {
-    let default = ExecutorConfig::arena(1);
+    let default = ExecutorConfig::arena();
     let alternate = ExecutorConfig::boxed();
     let mut engine = Engine::new(
         program(Optimizer::sgd(0.1), default),

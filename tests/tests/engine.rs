@@ -98,9 +98,9 @@ fn engine_matches_single_executor_baseline_bit_for_bit() {
     }
 
     let mut engine = Engine::new(
-        program(Optimizer::sgd(0.1), ExecutorConfig::arena(1)),
+        program(Optimizer::sgd(0.1), ExecutorConfig::arena()),
         EngineConfig {
-            executor: ExecutorConfig::arena(1),
+            executor: ExecutorConfig::arena(),
             warm_batches: vec![4, 8],
             ..EngineConfig::default()
         },
@@ -110,7 +110,7 @@ fn engine_matches_single_executor_baseline_bit_for_bit() {
     // Baseline: the old world — compile() at batch 4, private parameters.
     let mut baseline = compile(
         &mlp(4),
-        &options(Optimizer::sgd(0.1), ExecutorConfig::arena(1)),
+        &options(Optimizer::sgd(0.1), ExecutorConfig::arena()),
     )
     .executor;
 
@@ -190,7 +190,7 @@ fn engine_backends_agree_bit_for_bit() {
     let stream = make_stream(11);
 
     let mut results = Vec::new();
-    for exec_cfg in [ExecutorConfig::arena(1), ExecutorConfig::boxed()] {
+    for exec_cfg in [ExecutorConfig::arena(), ExecutorConfig::boxed()] {
         let mut engine = Engine::new(
             program(Optimizer::sgd(0.05), exec_cfg),
             EngineConfig {
@@ -228,9 +228,9 @@ fn eval_padding_does_not_change_real_rows() {
     let req = request(ServingKind::Eval, 3, &mut rng);
 
     let mut padded = Engine::new(
-        program(Optimizer::sgd(0.1), ExecutorConfig::arena(1)),
+        program(Optimizer::sgd(0.1), ExecutorConfig::arena()),
         EngineConfig {
-            executor: ExecutorConfig::arena(1),
+            executor: ExecutorConfig::arena(),
             warm_batches: vec![8],
             ..EngineConfig::default()
         },
@@ -244,9 +244,9 @@ fn eval_padding_does_not_change_real_rows() {
     assert_eq!(padded.metrics().padded_rows, 5);
 
     let mut exact = Engine::new(
-        program(Optimizer::sgd(0.1), ExecutorConfig::arena(1)),
+        program(Optimizer::sgd(0.1), ExecutorConfig::arena()),
         EngineConfig {
-            executor: ExecutorConfig::arena(1),
+            executor: ExecutorConfig::arena(),
             warm_batches: vec![3],
             ..EngineConfig::default()
         },
@@ -271,9 +271,9 @@ fn eval_padding_does_not_change_real_rows() {
 #[test]
 fn specialization_cache_and_coalescing_accounting() {
     let mut engine = Engine::new(
-        program(Optimizer::sgd(0.1), ExecutorConfig::arena(1)),
+        program(Optimizer::sgd(0.1), ExecutorConfig::arena()),
         EngineConfig {
-            executor: ExecutorConfig::arena(1),
+            executor: ExecutorConfig::arena(),
             warm_batches: vec![2, 8],
             ..EngineConfig::default()
         },
@@ -331,7 +331,7 @@ fn concurrent_train_and_eval_are_deterministic() {
             let model = mlp(batch);
             let tg = build_training_graph(model.graph.clone(), model.loss, &TrainSpec::new());
             let (tg, schedule, _) = optimize(tg, OptimizeOptions::default());
-            Executor::with_store(tg, schedule, Arc::clone(store), ExecutorConfig::arena(1))
+            Executor::with_store(tg, schedule, Arc::clone(store), ExecutorConfig::arena())
         };
         (make(4), make(8))
     };
@@ -416,7 +416,7 @@ fn set_param_resets_optimizer_state() {
             let model = mlp(4);
             let tg = build_training_graph(model.graph.clone(), model.loss, &TrainSpec::new());
             let (tg, schedule, _) = optimize(tg, OptimizeOptions::default());
-            Executor::with_config(tg, schedule, optimizer, ExecutorConfig::arena(1))
+            Executor::with_config(tg, schedule, optimizer, ExecutorConfig::arena())
         };
         let mut rng = Rng::seed_from_u64(17);
         let batches: Vec<HashMap<String, Tensor>> = (0..6)
@@ -469,7 +469,7 @@ fn set_param_resets_optimizer_state() {
 /// specializations borrow it.
 #[test]
 fn store_bytes_do_not_grow_with_specializations() {
-    let mut p = program(Optimizer::adam(1e-3), ExecutorConfig::arena(1));
+    let mut p = program(Optimizer::adam(1e-3), ExecutorConfig::arena());
     p.specialize(2);
     let after_one = p.store().resident_bytes();
     p.specialize(4);

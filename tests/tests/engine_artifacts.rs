@@ -11,7 +11,7 @@
 //! 2. An engine whose warm rungs load from a registry produces exactly
 //!    the same parameters (`f32::to_bits`), per-request losses and
 //!    rejected sets as a JIT-compiled engine on a mixed train/eval
-//!    stream, across the arena (1 and multi-thread) and boxed backends.
+//!    stream, on both the arena and boxed backends.
 //! 3. With a warm registry the engine compiles nothing (`misses == 0`)
 //!    and its admission latency model is seeded before the first request.
 //! 4. Truncated, corrupted or version-bumped artifacts are rejected
@@ -160,11 +160,7 @@ fn engine_config(executor: ExecutorConfig, registry: Option<PathBuf>) -> EngineC
 
 #[test]
 fn export_is_deterministic_byte_for_byte() {
-    for exec in [
-        ExecutorConfig::arena(1),
-        ExecutorConfig::arena(3),
-        ExecutorConfig::boxed(),
-    ] {
+    for exec in [ExecutorConfig::arena(), ExecutorConfig::boxed()] {
         for batch in [1, 4, 8] {
             let first = jit_program(exec).export_artifact(batch, exec).render();
             let second = jit_program(exec).export_artifact(batch, exec).render();
@@ -179,7 +175,7 @@ fn export_is_deterministic_byte_for_byte() {
 #[test]
 fn stored_artifacts_round_trip_through_the_registry_loader() {
     let dir = scratch_dir("roundtrip");
-    let exec = ExecutorConfig::arena(2);
+    let exec = ExecutorConfig::arena();
     let program = jit_program(exec);
     let registry = ArtifactRegistry::new(&dir);
     let paths = program
@@ -204,16 +200,8 @@ fn stored_artifacts_round_trip_through_the_registry_loader() {
 #[test]
 fn registry_engine_is_bit_identical_to_jit_engine() {
     let requests = stream();
-    for exec in [
-        ExecutorConfig::arena(1),
-        ExecutorConfig::arena(2),
-        ExecutorConfig::boxed(),
-    ] {
-        let dir = scratch_dir(&format!(
-            "identity-{}-{}",
-            exec.backend.name(),
-            exec.threads
-        ));
+    for exec in [ExecutorConfig::arena(), ExecutorConfig::boxed()] {
+        let dir = scratch_dir(&format!("identity-{}", exec.backend.name()));
         let registry = ArtifactRegistry::new(&dir);
         jit_program(exec)
             .export_artifacts(&registry, &[2, 4, 8], exec)
@@ -248,7 +236,7 @@ fn registry_engine_is_bit_identical_to_jit_engine() {
 #[test]
 fn warm_registry_cold_start_skips_compilation_and_seeds_admission() {
     let dir = scratch_dir("coldstart");
-    let exec = ExecutorConfig::arena(1);
+    let exec = ExecutorConfig::arena();
     let registry = ArtifactRegistry::new(&dir);
     jit_program(exec)
         .export_artifacts(&registry, &[2, 4, 8], exec)
@@ -275,8 +263,8 @@ fn warm_registry_cold_start_skips_compilation_and_seeds_admission() {
 fn empty_registry_counts_misses_and_still_serves() {
     let dir = scratch_dir("empty");
     std::fs::create_dir_all(&dir).unwrap();
-    let engine = Engine::new(jit_program(ExecutorConfig::arena(1)), {
-        engine_config(ExecutorConfig::arena(1), Some(dir.clone()))
+    let engine = Engine::new(jit_program(ExecutorConfig::arena()), {
+        engine_config(ExecutorConfig::arena(), Some(dir.clone()))
     });
     let stats = engine.cache_stats();
     assert_eq!(stats.registry_hits, 0);
@@ -292,7 +280,7 @@ fn empty_registry_counts_misses_and_still_serves() {
 /// back to JIT without panicking, records the misses, and still matches
 /// the JIT engine bit for bit.
 fn assert_damage_falls_back(tag: &str, damage: impl Fn(&str) -> String) {
-    let exec = ExecutorConfig::arena(1);
+    let exec = ExecutorConfig::arena();
     let requests = stream();
     let dir = scratch_dir(tag);
     let registry = ArtifactRegistry::new(&dir);

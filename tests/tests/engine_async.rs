@@ -20,7 +20,7 @@ use pockengine::{QueueConfig, ServingKind, SubmitError};
 /// The acceptance-criterion test: a queued mixed stream is bit-identical —
 /// per-request losses and final parameters — to `Engine::serve` over the
 /// same slice. Runs under the session's executor fallback so the CI matrix
-/// (default / 4 threads / boxed) exercises every backend.
+/// (default / boxed) exercises both backends.
 ///
 /// The queued half is driven **through the generic `Submit` driver** in
 /// `pe_tests::support` — the exact driver the network suite runs against a

@@ -95,7 +95,7 @@ fn engine(executor: ExecutorConfig, warm: Vec<usize>) -> Engine {
 /// latency estimates for every rung either backend can dispatch, so
 /// `DeadlineFeasible` decisions are deterministic from the first request.
 fn routed_engine(admission: AdmissionPolicy) -> Engine {
-    let default = ExecutorConfig::arena(1);
+    let default = ExecutorConfig::arena();
     let alternate = ExecutorConfig::boxed();
     let mut engine = Engine::new(
         program(default),

@@ -8,7 +8,7 @@
 //!   async queue (admission is assessed against the request's full budget
 //!   on both paths).
 //! * **Routing is invisible in results** — an engine owning two executor
-//!   backends (pooled arena + boxed) serves a hinted mixed stream
+//!   backends (arena + boxed) serves a hinted mixed stream
 //!   bit-identically to a single-backend engine: backends agree bit for
 //!   bit, so routing only moves *where* work runs.
 //! * **Rejections are not cache churn** — a rejected request never
@@ -230,7 +230,7 @@ fn priority_orders_dispatch_under_a_full_queue() {
 /// `max_cached_specializations` and evictions are counted.
 #[test]
 fn engine_cache_budget_evicts_lru_specializations() {
-    let exec = ExecutorConfig::arena(1);
+    let exec = ExecutorConfig::arena();
     let mut engine = Engine::new(
         program(exec),
         EngineConfig {
@@ -311,7 +311,7 @@ proptest! {
             })
             .collect();
 
-        let default = ExecutorConfig::arena(1);
+        let default = ExecutorConfig::arena();
         let mut routed = Engine::new(
             program(default),
             EngineConfig {

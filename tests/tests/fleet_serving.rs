@@ -314,7 +314,7 @@ fn checkpoint_broadcast_converges_followers_after_every_train() {
 /// (Adam's moments) and step counts, on both executor backends.
 #[test]
 fn snapshot_restore_mid_training_matches_the_uninterrupted_run() {
-    for executor in [ExecutorConfig::arena(1), ExecutorConfig::boxed()] {
+    for executor in [ExecutorConfig::arena(), ExecutorConfig::boxed()] {
         let mut rng = Rng::seed_from_u64(77);
         let stream: Vec<Request> = (0..6)
             .map(|_| request(ServingKind::Train, 4, &mut rng))

@@ -49,7 +49,6 @@ fn steady_state_training_step_performs_zero_heap_allocations() {
             lr: 0.05,
             momentum: 0.9,
         },
-        1,
     );
     assert_eq!(exec.backend_name(), "arena");
 

@@ -30,10 +30,7 @@ fn compile(graph: Graph, loss: NodeId, spec: &TrainSpec) -> (Executor, OptimizeS
         ..OptimizeOptions::default()
     };
     let (tg, schedule, stats) = optimize(tg, options);
-    (
-        Executor::arena(tg, schedule, Optimizer::sgd(0.05), 1),
-        stats,
-    )
+    (Executor::arena(tg, schedule, Optimizer::sgd(0.05)), stats)
 }
 
 /// Nodes of `exec`'s compiled program whose op satisfies `wanted`.

@@ -52,7 +52,7 @@ fn encoder_training_step_has_zero_fallbacks_and_zero_allocations() {
         let options = CompileOptions {
             update_rule: rule,
             optimizer: Optimizer::sgd(0.05),
-            executor: ExecutorConfig::arena(1),
+            executor: ExecutorConfig::arena(),
             ..CompileOptions::default()
         };
         let mut exec = compile(&model, &options).executor;
