@@ -3,11 +3,9 @@
 //! baseline, on a tiny MobileNetV2 workload. This is the measured analogue of
 //! Figure 7 / Figure 9's framework comparison, executed with real kernels.
 //!
-//! On top of the framework comparison, the `step_arena` / `step_boxed`
-//! benches compare the two executor backends (arena slab vs per-node boxed
-//! buffers), and the final `allocation_counts` target reports heap
-//! allocations per training step via a counting global allocator —
-//! reproducing the zero-allocation claim:
+//! On top of the framework comparison, the final `allocation_counts` target
+//! reports heap allocations per training step via a counting global
+//! allocator — reproducing the zero-allocation claim:
 //!
 //! ```text
 //! cargo bench -p pe_bench --bench training_step
@@ -20,7 +18,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use criterion::{criterion_group, criterion_main, Criterion};
 use pockengine::pe_data::{generate_vision_task, VisionTaskConfig};
 use pockengine::pe_models::{build_mobilenet, MobileNetV2Config};
-use pockengine::pe_runtime::{EagerEngine, Executor, Optimizer};
+use pockengine::pe_runtime::{EagerEngine, Optimizer};
 use pockengine::pe_sparse::{apply_rule, UpdateRule};
 use pockengine::pe_tensor::{Rng, Tensor};
 use pockengine::{compile, CompileOptions};
@@ -107,67 +105,35 @@ fn bench_training_step(c: &mut Criterion) {
     });
 }
 
-/// Builds one executor per backend over the same compiled program.
-fn backends() -> Vec<(&'static str, Executor)> {
-    let mut rng = Rng::seed_from_u64(0);
-    let cfg = MobileNetV2Config::tiny(4, 3);
-    let model = build_mobilenet(&cfg, &mut rng);
-    let program = compile(
-        &model,
-        &CompileOptions {
-            optimizer: Optimizer::sgd(0.01),
-            ..CompileOptions::default()
-        },
-    );
-    let analysis = program.analysis;
-    let make = |build: fn(_, _, _) -> Executor| {
-        build(
-            analysis.training_graph.clone(),
-            analysis.schedule.clone(),
-            Optimizer::sgd(0.01),
-        )
-    };
-    vec![
-        ("boxed", make(Executor::boxed)),
-        ("arena", make(Executor::arena)),
-    ]
-}
-
-/// Arena executor versus the boxed baseline on the same compiled program:
-/// the per-step latency comparison between the two backends.
-fn bench_executor_backends(c: &mut Criterion) {
-    let data = inputs();
-    for (name, mut exec) in backends() {
-        c.bench_function(&format!("step_{name}"), |b| {
-            b.iter(|| std::hint::black_box(exec.train_step(&data).unwrap()))
-        });
-    }
-}
-
-/// Reports heap allocations per training step for every backend (not a
-/// timing bench — printed alongside the Criterion output).
+/// Reports heap allocations per steady-state training step (not a timing
+/// bench — printed alongside the Criterion output).
 fn report_allocation_counts(_c: &mut Criterion) {
+    let mut rng = Rng::seed_from_u64(0);
+    let model = build_mobilenet(&MobileNetV2Config::tiny(4, 3), &mut rng);
+    let options = CompileOptions {
+        optimizer: Optimizer::sgd(0.01),
+        ..CompileOptions::default()
+    };
+    let mut exec = compile(&model, &options).executor;
     let data = inputs();
-    println!("\nheap allocations per training step (10-step steady state):");
-    for (name, mut exec) in backends() {
-        for _ in 0..3 {
-            exec.train_step(&data).unwrap();
-        }
-        let before = ALLOC.0.load(Ordering::SeqCst);
-        for _ in 0..10 {
-            std::hint::black_box(exec.train_step(&data).unwrap());
-        }
-        let per_step = (ALLOC.0.load(Ordering::SeqCst) - before) as f64 / 10.0;
-        println!(
-            "  {name:>15}: {per_step:>8.1} allocs/step  (fallback kernel dispatches so far: {})",
-            exec.fallback_dispatches()
-        );
+    for _ in 0..3 {
+        exec.train_step(&data).unwrap();
     }
+    let before = ALLOC.0.load(Ordering::SeqCst);
+    for _ in 0..10 {
+        std::hint::black_box(exec.train_step(&data).unwrap());
+    }
+    let per_step = (ALLOC.0.load(Ordering::SeqCst) - before) as f64 / 10.0;
+    println!(
+        "\nheap allocations per training step (10-step steady state): {per_step:.1} \
+         (fallback kernel dispatches so far: {})",
+        exec.fallback_dispatches()
+    );
 }
 
 criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(10).measurement_time(std::time::Duration::from_secs(2)).warm_up_time(std::time::Duration::from_millis(500));
-    targets = bench_training_step, bench_executor_backends, report_allocation_counts
+    targets = bench_training_step, report_allocation_counts
 }
 criterion_main!(benches);

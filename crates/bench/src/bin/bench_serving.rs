@@ -9,10 +9,7 @@ fn main() {
         .nth(1)
         .unwrap_or_else(|| "BENCH_engine_serving.json".to_string());
     let result = run_serving_bench(&ServingBenchConfig::default());
-    println!(
-        "engine serving [{} backend, best of {} trials]:",
-        result.backend, result.trials,
-    );
+    println!("engine serving [best of {} trials]:", result.trials,);
     println!(
         "  queued:    {} requests ({} train steps, {} eval micro-batches) in {:.3}s -> \
          {:.0} req/s, {:.0} rows/s; latency p50/p95/p99 = {:.0}/{:.0}/{:.0} us",

@@ -1,5 +1,5 @@
 //! Training-step benchmark: writes `BENCH_training_step.json` (path
-//! overridable as the first CLI argument) with per-backend latency and
+//! overridable as the first CLI argument) with per-variant latency and
 //! allocations per step.
 
 use std::alloc::{GlobalAlloc, Layout, System};

@@ -396,18 +396,18 @@ mod tests {
     fn fails_on_slowdown_or_missing_variant() {
         let base = training(vec![
             ("step_arena", 100.0, 0.0),
-            ("step_boxed", 100.0, 700.0),
+            ("step_bias_only", 100.0, 0.0),
         ]);
         // 100µs -> 150µs is a 33% throughput drop: outside the 25% band.
         let slow = training(vec![
             ("step_arena", 150.0, 0.0),
-            ("step_boxed", 100.0, 700.0),
+            ("step_bias_only", 100.0, 0.0),
         ]);
         assert!(!check_reports(&base, &slow, CheckConfig::default()).ok());
         // 100µs -> 120µs is a 17% drop: inside.
         let fine = training(vec![
             ("step_arena", 120.0, 0.0),
-            ("step_boxed", 100.0, 700.0),
+            ("step_bias_only", 100.0, 0.0),
         ]);
         assert!(check_reports(&base, &fine, CheckConfig::default()).ok());
         let missing = training(vec![("step_arena", 100.0, 0.0)]);

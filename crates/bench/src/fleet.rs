@@ -99,8 +99,6 @@ pub struct FleetBenchResult {
     /// Open-loop submission-to-resolution percentiles across both TCP hops
     /// (`latency_p99_us` is gated as a ceiling).
     pub latency: LatencyPercentiles,
-    /// Executor backend name of the worker engines.
-    pub backend: &'static str,
 }
 
 /// Boots `workers` loopback servers and a balancer over them. The balancer
@@ -196,7 +194,6 @@ pub fn run_fleet_bench(cfg: &FleetBenchConfig) -> FleetBenchResult {
         open_loop_offered_per_sec: cfg.net.open_loop_rate,
         open_loop_achieved_per_sec: open_total as f64 / open_elapsed.max(1e-9),
         latency: percentiles(latencies),
-        backend: cfg.net.executor.backend.name(),
     }
 }
 
@@ -217,7 +214,6 @@ impl FleetBenchResult {
             .expect("at least one leg");
         let mut fields = vec![
             ("bench".to_string(), Json::Str("fleet_serving".into())),
-            ("backend".to_string(), Json::Str(self.backend.into())),
             ("clients".to_string(), Json::Int(self.clients as u64)),
             (
                 "requests_per_client".to_string(),

@@ -37,7 +37,7 @@ use pe_net::{Client, Server, ServerConfig};
 use pockengine::pe_data::serving::{
     generate_request_stream, Priority, Request, RequestStreamConfig,
 };
-use pockengine::pe_runtime::{ExecutorConfig, Optimizer};
+use pockengine::pe_runtime::Optimizer;
 use pockengine::pe_tensor::Rng;
 use pockengine::{CompileOptions, Compiler, Engine, EngineConfig, QueueConfig, Submit};
 
@@ -55,8 +55,6 @@ pub struct NetBenchConfig {
     pub batch_sizes: Vec<usize>,
     /// Pre-specialized batch ladder of the server engine.
     pub warm_batches: Vec<usize>,
-    /// Executor backend of the server engine.
-    pub executor: ExecutorConfig,
     /// Stream seed (each client stream derives its own from this).
     pub seed: u64,
     /// Independent closed-loop passes; the best is reported.
@@ -80,7 +78,6 @@ impl Default for NetBenchConfig {
             requests_per_client: 256,
             batch_sizes: vec![1, 2, 4, 8],
             warm_batches: vec![4, 8],
-            executor: ExecutorConfig::default(),
             seed: 0,
             trials: 3,
             queue_capacity: 256,
@@ -115,8 +112,6 @@ pub struct NetBenchResult {
     /// Open-loop submission-to-resolution percentiles over the wire
     /// (`latency_p99_us` is gated as a ceiling).
     pub latency: LatencyPercentiles,
-    /// Executor backend name of the server engine.
-    pub backend: &'static str,
 }
 
 /// The server engine: same model, optimizer and warm ladder as the
@@ -125,14 +120,12 @@ pub struct NetBenchResult {
 pub(crate) fn net_engine(cfg: &NetBenchConfig) -> Engine {
     let program = Compiler::new(CompileOptions {
         optimizer: Optimizer::sgd(0.05),
-        executor: cfg.executor,
         ..CompileOptions::default()
     })
     .compile(mlp_factory);
     Engine::new(
         program,
         EngineConfig {
-            executor: cfg.executor,
             warm_batches: cfg.warm_batches.clone(),
             ..EngineConfig::default()
         },
@@ -310,7 +303,6 @@ pub fn run_net_bench(cfg: &NetBenchConfig) -> NetBenchResult {
         open_loop_offered_per_sec: cfg.open_loop_rate,
         open_loop_achieved_per_sec: open_total as f64 / open_elapsed.max(1e-9),
         latency: percentiles(latencies),
-        backend: cfg.executor.backend.name(),
     }
 }
 
@@ -324,7 +316,6 @@ impl NetBenchResult {
     pub fn to_json(&self) -> Json {
         Json::obj(vec![
             ("bench", Json::Str("net_serving".into())),
-            ("backend", Json::Str(self.backend.into())),
             ("clients", Json::Int(self.clients as u64)),
             (
                 "requests_per_client",

@@ -35,7 +35,7 @@ use pockengine::pe_data::serving::{
 };
 use pockengine::pe_graph::GraphBuilder;
 use pockengine::pe_models::BuiltModel;
-use pockengine::pe_runtime::{ExecutorConfig, Optimizer};
+use pockengine::pe_runtime::Optimizer;
 use pockengine::pe_tensor::Rng;
 use pockengine::{
     AdmissionPolicy, ArtifactRegistry, BatcherStats, CompileOptions, Compiler, Engine,
@@ -55,8 +55,6 @@ pub struct ServingBenchConfig {
     pub warm_batches: Vec<usize>,
     /// Fraction of training requests.
     pub train_fraction: f64,
-    /// Executor backend.
-    pub executor: ExecutorConfig,
     /// Stream seed.
     pub seed: u64,
     /// Independent measurement passes; the best is reported.
@@ -89,7 +87,6 @@ impl Default for ServingBenchConfig {
             batch_sizes: vec![1, 2, 4, 8],
             warm_batches: vec![4, 8],
             train_fraction: 0.5,
-            executor: ExecutorConfig::default(),
             seed: 0,
             trials: 5,
             queue_capacity: 256,
@@ -190,8 +187,6 @@ pub struct ServingBenchResult {
     /// disk instead of compiling (registry population is untimed — it
     /// happens offline via `program-gen`). Best of `trials`, microseconds.
     pub cold_start_registry_us: f64,
-    /// Executor backend name.
-    pub backend: &'static str,
 }
 
 /// The bench model: a small MLP classifier family (feature dim 32). Shared
@@ -222,10 +217,9 @@ pub(crate) fn mlp_factory(batch: usize) -> BuiltModel {
     }
 }
 
-fn serving_program(cfg: &ServingBenchConfig) -> Program {
+fn serving_program() -> Program {
     Compiler::new(CompileOptions {
         optimizer: Optimizer::sgd(0.05),
-        executor: cfg.executor,
         ..CompileOptions::default()
     })
     .compile(mlp_factory)
@@ -233,9 +227,8 @@ fn serving_program(cfg: &ServingBenchConfig) -> Program {
 
 fn fresh_engine(cfg: &ServingBenchConfig, admission: AdmissionPolicy) -> Engine {
     Engine::new(
-        serving_program(cfg),
+        serving_program(),
         EngineConfig {
-            executor: cfg.executor,
             warm_batches: cfg.warm_batches.clone(),
             admission,
             ..EngineConfig::default()
@@ -264,17 +257,17 @@ fn cold_start_pass(cfg: &ServingBenchConfig, stream: &[Request]) -> (f64, f64) {
     let dir = std::env::temp_dir().join(format!("pe-serving-registry-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     {
-        let mut program = serving_program(cfg);
+        let mut program = serving_program();
         program.attach_registry(None);
         program
-            .export_artifacts(&ArtifactRegistry::new(&dir), &rungs, cfg.executor)
+            .export_artifacts(&ArtifactRegistry::new(&dir), &rungs)
             .expect("artifact export");
     }
     let time_best = |registry: Option<std::path::PathBuf>| {
         let mut best = f64::INFINITY;
         for _ in 0..cfg.trials {
             let start = Instant::now();
-            let mut program = serving_program(cfg);
+            let mut program = serving_program();
             if registry.is_none() {
                 // Measure true JIT even when the ambient environment
                 // names a registry (`PE_PROGRAM_REGISTRY`).
@@ -283,7 +276,6 @@ fn cold_start_pass(cfg: &ServingBenchConfig, stream: &[Request]) -> (f64, f64) {
             let mut engine = Engine::new(
                 program,
                 EngineConfig {
-                    executor: cfg.executor,
                     warm_batches: cfg.warm_batches.clone(),
                     registry: registry.clone(),
                     ..EngineConfig::default()
@@ -305,7 +297,7 @@ fn cold_start_pass(cfg: &ServingBenchConfig, stream: &[Request]) -> (f64, f64) {
 /// `DeadlineFeasible` decisions are deterministic from the first request.
 fn seed_estimates(engine: &mut Engine, cfg: &ServingBenchConfig) {
     for &batch in cfg.batch_sizes.iter().chain(&cfg.warm_batches) {
-        engine.seed_latency_estimate(batch, cfg.executor, cfg.seeded_latency);
+        engine.seed_latency_estimate(batch, cfg.seeded_latency);
     }
 }
 
@@ -598,7 +590,6 @@ pub fn run_serving_bench(cfg: &ServingBenchConfig) -> ServingBenchResult {
         open_loop_latency: percentiles(open_latencies),
         cold_start_jit_us,
         cold_start_registry_us,
-        backend: cfg.executor.backend.name(),
     }
 }
 
@@ -611,7 +602,6 @@ impl ServingBenchResult {
     pub fn to_json(&self) -> Json {
         let fields = vec![
             ("bench", Json::Str("engine_serving".into())),
-            ("backend", Json::Str(self.backend.into())),
             ("requests", Json::Int(self.requests)),
             ("trials", Json::Int(self.trials as u64)),
             ("train_steps", Json::Int(self.metrics.train_steps)),
@@ -729,7 +719,6 @@ mod tests {
             trials: 2,
             open_loop_requests: 24,
             open_loop_rate: 100_000.0,
-            executor: ExecutorConfig::arena(),
             ..ServingBenchConfig::default()
         }
     }

@@ -15,7 +15,7 @@ use pockengine::pe_data::{generate_vision_task, VisionTaskConfig};
 use pockengine::pe_graph::OpKind;
 use pockengine::pe_models::{build_mobilenet, MobileNetV2Config};
 use pockengine::pe_passes::{launch_count, FusionLevel};
-use pockengine::pe_runtime::{EagerEngine, ExecutorConfig, Optimizer};
+use pockengine::pe_runtime::{EagerEngine, Optimizer};
 use pockengine::pe_sparse::{apply_rule, UpdateRule};
 use pockengine::pe_tensor::{Rng, Tensor};
 use pockengine::{compile, CompileOptions};
@@ -78,7 +78,7 @@ fn inputs() -> HashMap<String, Tensor> {
 }
 
 /// Measures the per-step latency (and optionally allocations) of the
-/// compiled executor backends, the bias-only sparse variant, and the eager
+/// compiled executor (fused and unfused), the bias-only sparse variant, and the eager
 /// runtime-autodiff baseline on a tiny MobileNetV2 workload.
 ///
 /// Each variant is measured over `trials` independent windows of `steps`
@@ -103,11 +103,10 @@ pub fn measure_training_steps(
     let data = inputs();
     // Fusion is pinned explicitly per variant so the report is a controlled
     // fused-vs-unfused comparison regardless of the ambient `PE_FUSION`.
-    let options = |rule: UpdateRule, exec: ExecutorConfig, fusion: FusionLevel| {
+    let options = |rule: UpdateRule, fusion: FusionLevel| {
         let mut o = CompileOptions {
             update_rule: rule,
             optimizer: Optimizer::sgd(0.01),
-            executor: exec,
             ..CompileOptions::default()
         };
         o.optimize.fusion = fusion;
@@ -139,68 +138,35 @@ pub fn measure_training_steps(
         });
     };
 
-    let backends = [
-        ("boxed", ExecutorConfig::boxed()),
-        ("arena", ExecutorConfig::arena()),
-    ];
-    let mut launch_count_fused = 0;
-    let mut fused_regions = 0;
-    let mut fallback_dispatches = 0;
-    for (name, exec) in backends {
-        let mut e = compile(
-            &model,
-            &options(UpdateRule::Full, exec, FusionLevel::Regions),
-        )
-        .executor;
-        measure(&format!("step_{name}"), &mut || {
-            std::hint::black_box(e.train_step(&data).unwrap());
-        });
-        if name == "arena" {
-            let graph = &e.training_graph().graph;
-            launch_count_fused = launch_count(graph);
-            fused_regions = graph
-                .nodes()
-                .iter()
-                .filter(|n| matches!(n.op, OpKind::FusedRegion { .. }))
-                .count();
-            fallback_dispatches = e.fallback_dispatches();
-        }
-    }
+    let mut fused = compile(&model, &options(UpdateRule::Full, FusionLevel::Regions)).executor;
+    measure("step_arena", &mut || {
+        std::hint::black_box(fused.train_step(&data).unwrap());
+    });
+    let graph = &fused.training_graph().graph;
+    let launch_count_fused = launch_count(graph);
+    let fused_regions = graph
+        .nodes()
+        .iter()
+        .filter(|n| matches!(n.op, OpKind::FusedRegion { .. }))
+        .count();
+    let fallback_dispatches = fused.fallback_dispatches();
 
     // Fusion ablation: the same model on the same backend with fusion off,
     // so the report carries the launch-count and latency delta attributable
     // to fusion alone.
-    let mut unfused = compile(
-        &model,
-        &options(UpdateRule::Full, ExecutorConfig::arena(), FusionLevel::Off),
-    )
-    .executor;
+    let mut unfused = compile(&model, &options(UpdateRule::Full, FusionLevel::Off)).executor;
     let launch_count_unfused = launch_count(&unfused.training_graph().graph);
     measure("step_arena_fusion_off", &mut || {
         std::hint::black_box(unfused.train_step(&data).unwrap());
     });
 
-    let mut bias = compile(
-        &model,
-        &options(
-            UpdateRule::BiasOnly,
-            ExecutorConfig::arena(),
-            FusionLevel::Regions,
-        ),
-    )
-    .executor;
+    let mut bias = compile(&model, &options(UpdateRule::BiasOnly, FusionLevel::Regions)).executor;
     measure("step_bias_only", &mut || {
         std::hint::black_box(bias.train_step(&data).unwrap());
     });
 
     let spec = apply_rule(&model, &UpdateRule::Full);
-    let mut eager = EagerEngine::with_config(
-        model.graph.clone(),
-        model.loss,
-        spec,
-        Optimizer::sgd(0.01),
-        ExecutorConfig::arena(),
-    );
+    let mut eager = EagerEngine::new(model.graph.clone(), model.loss, spec, Optimizer::sgd(0.01));
     measure("step_eager_runtime_autodiff", &mut || {
         std::hint::black_box(eager.run_step(&data).unwrap());
     });
@@ -263,7 +229,6 @@ mod tests {
     fn measures_all_variants() {
         let result = measure_training_steps(2, 2, false, &|| 0);
         let names: Vec<&str> = result.variants.iter().map(|v| v.name.as_str()).collect();
-        assert!(names.contains(&"step_boxed"));
         assert!(names.contains(&"step_arena"));
         assert!(names.contains(&"step_arena_fusion_off"));
         assert!(names.contains(&"step_eager_runtime_autodiff"));

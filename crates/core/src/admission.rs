@@ -13,8 +13,7 @@
 //!
 //! The estimate is a per-specialization **EWMA** fed by the engine's
 //! existing dispatch timing: every training step and evaluation
-//! micro-batch contributes its executor wall-clock to the (rung × backend)
-//! cell it ran on. Feasibility is assessed against the request's full
+//! micro-batch contributes its executor wall-clock to the rung it ran on. Feasibility is assessed against the request's full
 //! budget — the same quantity on both paths — so the decision never
 //! depends on which path carried the request, only on the latency-model
 //! state. A stream replayed through `Engine::serve` and
@@ -22,13 +21,11 @@
 //! agree: seed them (`Engine::seed_latency_estimate`), or keep budgets
 //! decisively above or below the estimates — live EWMA cells drift with
 //! dispatch timing and grouping, so borderline budgets may tip
-//! differently (`tests/tests/engine_routing.rs` exercises the
-//! deterministic regimes).
+//! differently (`tests/tests/engine.rs` exercises the deterministic
+//! regimes).
 
 use std::collections::HashMap;
 use std::time::Duration;
-
-use pe_runtime::{Backend, ExecutorConfig};
 
 use crate::engine::Response;
 
@@ -142,36 +139,31 @@ impl Outcome {
 /// scheduler noise.
 const EWMA_ALPHA: f64 = 0.2;
 
-/// Per-specialization dispatch-latency estimates, keyed by (rung, backend).
+/// Per-specialization dispatch-latency estimates, keyed by rung.
 #[derive(Debug, Default)]
 pub(crate) struct LatencyModel {
-    ewma_us: HashMap<(usize, Backend), f64>,
+    ewma_us: HashMap<usize, f64>,
 }
 
 impl LatencyModel {
-    fn key(batch: usize, exec: ExecutorConfig) -> (usize, Backend) {
-        (batch, exec.backend)
-    }
-
     /// Feeds one dispatch observation into the rung's EWMA.
-    pub(crate) fn observe(&mut self, batch: usize, exec: ExecutorConfig, elapsed: Duration) {
+    pub(crate) fn observe(&mut self, batch: usize, elapsed: Duration) {
         let us = elapsed.as_secs_f64() * 1e6;
         self.ewma_us
-            .entry(Self::key(batch, exec))
+            .entry(batch)
             .and_modify(|mean| *mean = EWMA_ALPHA * us + (1.0 - EWMA_ALPHA) * *mean)
             .or_insert(us);
     }
 
     /// Overwrites the rung's estimate (offline profiles, tests).
-    pub(crate) fn seed(&mut self, batch: usize, exec: ExecutorConfig, latency: Duration) {
-        self.ewma_us
-            .insert(Self::key(batch, exec), latency.as_secs_f64() * 1e6);
+    pub(crate) fn seed(&mut self, batch: usize, latency: Duration) {
+        self.ewma_us.insert(batch, latency.as_secs_f64() * 1e6);
     }
 
     /// The rung's current estimate, if it was ever observed or seeded.
-    pub(crate) fn estimate(&self, batch: usize, exec: ExecutorConfig) -> Option<Duration> {
+    pub(crate) fn estimate(&self, batch: usize) -> Option<Duration> {
         self.ewma_us
-            .get(&Self::key(batch, exec))
+            .get(&batch)
             .map(|us| Duration::from_secs_f64(us / 1e6))
     }
 }
@@ -183,28 +175,25 @@ mod tests {
     #[test]
     fn ewma_initializes_then_blends() {
         let mut m = LatencyModel::default();
-        let exec = ExecutorConfig::arena();
-        assert_eq!(m.estimate(4, exec), None);
-        m.observe(4, exec, Duration::from_micros(100));
-        assert_eq!(m.estimate(4, exec), Some(Duration::from_micros(100)));
-        m.observe(4, exec, Duration::from_micros(200));
+        assert_eq!(m.estimate(4), None);
+        m.observe(4, Duration::from_micros(100));
+        assert_eq!(m.estimate(4), Some(Duration::from_micros(100)));
+        m.observe(4, Duration::from_micros(200));
         // 0.2 * 200 + 0.8 * 100 = 120.
-        let blended = m.estimate(4, exec).unwrap();
+        let blended = m.estimate(4).unwrap();
         assert!(
             (blended.as_secs_f64() * 1e6 - 120.0).abs() < 1e-6,
             "expected 120us, got {blended:?}"
         );
-        // Different rung / backend cells are independent.
-        assert_eq!(m.estimate(8, exec), None);
-        assert_eq!(m.estimate(4, ExecutorConfig::boxed()), None);
+        // Different rungs are independent.
+        assert_eq!(m.estimate(8), None);
     }
 
     #[test]
     fn seeding_overwrites_the_estimate() {
         let mut m = LatencyModel::default();
-        let exec = ExecutorConfig::boxed();
-        m.observe(2, exec, Duration::from_micros(50));
-        m.seed(2, exec, Duration::from_millis(3));
-        assert_eq!(m.estimate(2, exec), Some(Duration::from_millis(3)));
+        m.observe(2, Duration::from_micros(50));
+        m.seed(2, Duration::from_millis(3));
+        assert_eq!(m.estimate(2), Some(Duration::from_millis(3)));
     }
 }

@@ -10,7 +10,7 @@
 //!
 //! Artifacts are **content-addressed**: the file name embeds a 64-bit FNV-1a
 //! hash of (base graph structure × compile options) — see [`content_hash`] —
-//! plus the batch size and backend, so a registry lookup can never pair a
+//! plus the batch size, so a registry lookup can never pair a
 //! program with a stale or foreign artifact. Anything that
 //! fails to line up (version bump, hash mismatch, truncated file, corrupted
 //! plan, parameter-store disagreement) is a *registry miss*: the program
@@ -37,7 +37,7 @@ use pe_graph::{
 use pe_memplan::{validate_plan, MemPlanOptions, MemoryPlan, MemoryReport};
 use pe_passes::{OptimizeStats, Schedule, ScheduleStrategy};
 use pe_passes::{ScheduleStrategy::Conventional, ScheduleStrategy::Reordered};
-use pe_runtime::{Backend, Executor, ExecutorConfig, Optimizer, ParamStore};
+use pe_runtime::{Executor, Optimizer, ParamStore};
 use pe_sparse::{BlockSelector, UpdateRule};
 use pe_tensor::Tensor;
 
@@ -47,7 +47,7 @@ use crate::{CompileOptions, ProgramAnalysis};
 /// Format version stamped into (and demanded from) every artifact. Bump it
 /// whenever the layout or any stable encoding changes; older files then
 /// decode as registry misses instead of misbehaving programs.
-pub const ARTIFACT_VERSION: u64 = 4;
+pub const ARTIFACT_VERSION: u64 = 5;
 
 /// Flops the executor is assumed to retire per microsecond when
 /// deriving the default (deterministic) latency profile. The profile only
@@ -64,15 +64,15 @@ pub fn derived_latency_us(flops: u64) -> u64 {
 }
 
 /// Content hash of one (model family × compile options) pair: the address
-/// under which every batch/backend rung of the program files its artifacts.
+/// under which every batch rung of the program files its artifacts.
 ///
 /// Hashes the *structure* of the base graph (built at batch size 1 — op
 /// encodings, edges, shapes, names, roles, constant bits; parameter values
 /// are deliberately excluded, they live in the shared store) plus every
 /// compile option that changes the generated program: the update rule, the
 /// optimizer and its hyper-parameters, the optimisation flags and the
-/// schedule strategy. The executor configuration is excluded — the file
-/// name carries the backend, so one address serves all rungs.
+/// schedule strategy. One address serves every rung: the file name carries
+/// the batch.
 pub fn content_hash(base_graph: &Graph, options: &CompileOptions) -> u64 {
     let mut h = Fnv1a::new();
     h.update_str("pe-artifact-v1");
@@ -166,8 +166,8 @@ fn parse_strategy(text: &str) -> Result<ScheduleStrategy, String> {
 }
 
 /// One serialized specialization: everything
-/// [`crate::Program::specialize_with`] would otherwise compile for a
-/// (batch, backend) rung, ready to be executed or written to an
+/// [`crate::Program::specialize`] would otherwise compile for a batch
+/// rung, ready to be executed or written to an
 /// [`ArtifactRegistry`]. See the module docs for the format contract.
 #[derive(Debug, Clone)]
 pub struct ProgramArtifact {
@@ -176,8 +176,6 @@ pub struct ProgramArtifact {
     pub content_hash: u64,
     /// The batch size baked into the graph.
     pub batch: usize,
-    /// The executor configuration the memory plan was generated for.
-    pub exec: ExecutorConfig,
     /// Human-readable model family name.
     pub model_name: String,
     /// Name of the feature input node.
@@ -198,9 +196,9 @@ pub struct ProgramArtifact {
 
 impl ProgramArtifact {
     /// The canonical file name for this artifact:
-    /// `{hash:016x}-b{batch}-{backend}.json`.
+    /// `{hash:016x}-b{batch}.json`.
     pub fn file_name(&self) -> String {
-        artifact_file_name(self.content_hash, self.batch, self.exec)
+        artifact_file_name(self.content_hash, self.batch)
     }
 
     /// The latency profile as a [`Duration`].
@@ -255,7 +253,6 @@ impl ProgramArtifact {
             ("version", Json::Int(ARTIFACT_VERSION)),
             ("content_hash", Json::Int(self.content_hash)),
             ("batch", Json::Int(self.batch as u64)),
-            ("backend", Json::Str(self.exec.backend.name().to_string())),
             ("model", Json::Str(self.model_name.clone())),
             ("feature_input", Json::Str(self.feature_input.clone())),
             ("label_input", Json::Str(self.label_input.clone())),
@@ -427,12 +424,6 @@ impl ProgramArtifact {
         }
         let content_hash = int(field(&json, "content_hash")?)?;
         let batch = usize_of(field(&json, "batch")?)?;
-        let backend = match str_of(field(&json, "backend")?)? {
-            "arena" => Backend::Arena,
-            "boxed" => Backend::Boxed,
-            other => return Err(format!("unknown backend '{other}'")),
-        };
-        let exec = ExecutorConfig { backend };
 
         // --- graph ---
         let gj = field(&json, "graph")?;
@@ -581,7 +572,6 @@ impl ProgramArtifact {
         Ok(ProgramArtifact {
             content_hash,
             batch,
-            exec,
             model_name: str_of(field(&json, "model")?)?.to_string(),
             feature_input: str_of(field(&json, "feature_input")?)?.to_string(),
             label_input: str_of(field(&json, "label_input")?)?.to_string(),
@@ -600,26 +590,15 @@ impl ProgramArtifact {
 
     /// Converts the artifact into a ready-to-run [`Specialization`] borrowing
     /// `store`, validating everything a JIT compile would have established:
-    /// the executor configuration matches, every parameter resolves in the
-    /// store at its declared shape, and the embedded memory plan passes
-    /// [`pe_memplan::validate_plan`] under the exact options the executor
-    /// would replan with.
+    /// every parameter resolves in the store at its declared shape, and the
+    /// embedded memory plan passes [`pe_memplan::validate_plan`] under the
+    /// exact options the executor would replan with.
     ///
     /// # Errors
     ///
     /// Returns a description of the first mismatch; callers treat any error
     /// as a registry miss and fall back to JIT compilation.
-    pub fn into_specialization(
-        self,
-        store: Arc<ParamStore>,
-        exec: ExecutorConfig,
-    ) -> Result<Specialization, String> {
-        if exec != self.exec {
-            return Err(format!(
-                "artifact compiled for {:?}, requested {:?}",
-                self.exec, exec
-            ));
-        }
+    pub fn into_specialization(self, store: Arc<ParamStore>) -> Result<Specialization, String> {
         let graph = &self.analysis.training_graph.graph;
         for (id, key) in graph.param_keys() {
             let Some(value) = store.get(&key) else {
@@ -633,18 +612,15 @@ impl ProgramArtifact {
                 ));
             }
         }
-        if exec.backend == Backend::Arena {
-            // The options the arena executor plans with, so a plan accepted
-            // here is never silently replanned by the executor.
-            let opts = MemPlanOptions::for_execution();
-            validate_plan(graph, &self.analysis.schedule, &opts, &self.plan)?;
-        }
+        // The options the executor plans with, so a plan accepted here is
+        // never silently replanned by the executor.
+        let opts = MemPlanOptions::for_execution();
+        validate_plan(graph, &self.analysis.schedule, &opts, &self.plan)?;
         let latency = self.latency_profile();
         let executor = Executor::with_store_and_plan(
             self.analysis.training_graph.clone(),
             self.analysis.schedule.clone(),
             store,
-            exec,
             Some(self.plan),
         );
         Ok(Specialization {
@@ -657,9 +633,9 @@ impl ProgramArtifact {
     }
 }
 
-/// The canonical artifact file name for a (hash, batch, backend) rung.
-pub fn artifact_file_name(hash: u64, batch: usize, exec: ExecutorConfig) -> String {
-    format!("{hash:016x}-b{batch}-{}.json", exec.backend.name())
+/// The canonical artifact file name for a (hash, batch) rung.
+pub fn artifact_file_name(hash: u64, batch: usize) -> String {
+    format!("{hash:016x}-b{batch}.json")
 }
 
 /// Rejects schedules that are not a topological permutation of the graph —
@@ -807,8 +783,8 @@ impl ArtifactRegistry {
     }
 
     /// The path an artifact for this rung would live at.
-    pub fn path_for(&self, hash: u64, batch: usize, exec: ExecutorConfig) -> PathBuf {
-        self.dir.join(artifact_file_name(hash, batch, exec))
+    pub fn path_for(&self, hash: u64, batch: usize) -> PathBuf {
+        self.dir.join(artifact_file_name(hash, batch))
     }
 
     /// Writes an artifact into the registry (creating the directory if
@@ -826,19 +802,14 @@ impl ArtifactRegistry {
 
     /// Loads and fully validates the artifact for a rung: the file must
     /// exist, parse, carry the supported [`ARTIFACT_VERSION`], and agree
-    /// with the requested content hash, batch and executor configuration.
+    /// with the requested content hash and batch.
     ///
     /// # Errors
     ///
     /// Returns the miss reason (absent file, corruption, version or hash
     /// mismatch); callers fall back to JIT compilation.
-    pub fn load(
-        &self,
-        hash: u64,
-        batch: usize,
-        exec: ExecutorConfig,
-    ) -> Result<ProgramArtifact, String> {
-        let path = self.path_for(hash, batch, exec);
+    pub fn load(&self, hash: u64, batch: usize) -> Result<ProgramArtifact, String> {
+        let path = self.path_for(hash, batch);
         let text =
             std::fs::read_to_string(&path).map_err(|e| format!("{}: {e}", path.display()))?;
         let artifact = ProgramArtifact::decode(&text)?;
@@ -848,10 +819,10 @@ impl ArtifactRegistry {
                 artifact.content_hash
             ));
         }
-        if artifact.batch != batch || artifact.exec != exec {
+        if artifact.batch != batch {
             return Err(format!(
-                "artifact rung (b{} {:?}) != requested (b{batch} {exec:?})",
-                artifact.batch, artifact.exec
+                "artifact rung b{} != requested b{batch}",
+                artifact.batch
             ));
         }
         Ok(artifact)

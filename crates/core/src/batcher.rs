@@ -15,12 +15,8 @@
 //!   rejected request resolves its ticket as [`Outcome::Rejected`] on the
 //!   spot, without executing, without flushing the pending group, and
 //!   without touching the specialization cache;
-//! * admitted requests are **routed** to an executor configuration
-//!   ([`crate::engine::Engine::route`]); an evaluation group is
-//!   backend-homogeneous, so a request routing elsewhere is a barrier;
 //! * an eval group is dispatched as soon as it **fills the target rung**
-//!   (the largest cached batch under the group's executor config, capped by
-//!   `max_coalesced_rows`);
+//!   (the largest cached batch, capped by `max_coalesced_rows`);
 //! * or when the **earliest deadline** in the group arrives — the group is
 //!   then padded to the nearest cached rung exactly like the sync path, so
 //!   a request never waits past its budget just to fill a batch;
@@ -65,7 +61,6 @@ use crate::engine::{Engine, GroupVerdict};
 use crate::queue::{Envelope, Pop, Receiver};
 
 use pe_data::serving::ServingKind;
-use pe_runtime::ExecutorConfig;
 
 /// The batcher's shared accounting: one mutex-guarded [`BatcherStats`] that
 /// the drainer and every pool worker merge whole-group deltas into.
@@ -91,8 +86,8 @@ pub struct BatcherStats {
     /// Groups dispatched because a member's deadline arrived (includes
     /// groups that timed out waiting for companions).
     pub deadline_flushes: u64,
-    /// Groups flushed by a barrier: a training request, an incompatible
-    /// follow-up (wrong backend or no room), or queue shutdown.
+    /// Groups flushed by a barrier: a training request, a follow-up with
+    /// no room left, or queue shutdown.
     pub barrier_flushes: u64,
     /// Requests whose deadline had already expired when popped; they
     /// dispatch immediately (solo unless companions were already pending).
@@ -207,8 +202,7 @@ pub(crate) fn drain(
                 Pop::Drained => return,
             },
         };
-        let exec = engine.route(head.request());
-        if let Err(reason) = engine.admit(head.request(), exec) {
+        if let Err(reason) = engine.admit(head.request()) {
             reject(engine, head, reason, counters);
             continue;
         }
@@ -217,11 +211,11 @@ pub(crate) fn drain(
                 if let Some(pool) = pool {
                     fence(pool, engine, counters);
                 }
-                dispatch_train(engine, head, exec, counters);
+                dispatch_train(engine, head, counters);
             }
             ServingKind::Eval => {
                 let mut delta = BatcherStats::default();
-                let target = engine.eval_target_rows(exec);
+                let target = engine.eval_target_rows();
                 let mut group = vec![head];
                 let mut rows = group[0].rows();
                 if group[0].deadline() <= Instant::now() {
@@ -230,29 +224,27 @@ pub(crate) fn drain(
                     // queued and compatible, without waiting.
                     while rows < target {
                         match rx.try_pop() {
-                            Some(e) => {
-                                match engine.classify_for_group(e.request(), exec, rows, target) {
-                                    GroupVerdict::Join => {
-                                        rows += e.rows();
-                                        group.push(e);
-                                    }
-                                    GroupVerdict::Reject(reason) => {
-                                        reject(engine, e, reason, counters);
-                                    }
-                                    GroupVerdict::Barrier => {
-                                        carried = Some(e);
-                                        break;
-                                    }
+                            Some(e) => match engine.classify_for_group(e.request(), rows, target) {
+                                GroupVerdict::Join => {
+                                    rows += e.rows();
+                                    group.push(e);
                                 }
-                            }
+                                GroupVerdict::Reject(reason) => {
+                                    reject(engine, e, reason, counters);
+                                }
+                                GroupVerdict::Barrier => {
+                                    carried = Some(e);
+                                    break;
+                                }
+                            },
                             None => break,
                         }
                     }
                     delta.deadline_flushes = 1;
-                    dispatch_eval(engine, group, rows, exec, counters, pool, delta);
+                    dispatch_eval(engine, group, rows, counters, pool, delta);
                     continue;
                 }
-                let flush = accumulate(engine, rx, &mut group, &mut rows, target, exec, counters);
+                let flush = accumulate(engine, rx, &mut group, &mut rows, target, counters);
                 match flush {
                     Flush::Target => {
                         delta.target_flushes = 1;
@@ -266,11 +258,11 @@ pub(crate) fn drain(
                     }
                     Flush::Shutdown => {
                         delta.barrier_flushes = 1;
-                        dispatch_eval(engine, group, rows, exec, counters, pool, delta);
+                        dispatch_eval(engine, group, rows, counters, pool, delta);
                         return;
                     }
                 }
-                dispatch_eval(engine, group, rows, exec, counters, pool, delta);
+                dispatch_eval(engine, group, rows, counters, pool, delta);
             }
         }
     }
@@ -290,14 +282,12 @@ fn fence(pool: &WorkerPool, engine: &mut Engine, counters: &BatcherCounters) {
 /// Grows `group` until it fills `target` rows, the earliest member deadline
 /// arrives, or an incompatible request shows up. Popped requests that fail
 /// admission resolve in place and never join (nor flush) the group.
-#[allow(clippy::too_many_arguments)]
 fn accumulate(
     engine: &mut Engine,
     rx: &Receiver,
     group: &mut Vec<Envelope>,
     rows: &mut usize,
     target: usize,
-    exec: ExecutorConfig,
     counters: &BatcherCounters,
 ) -> Flush {
     loop {
@@ -311,7 +301,7 @@ fn accumulate(
             .min()
             .expect("group is never empty");
         match rx.pop(Some(earliest)) {
-            Pop::Item(e) => match engine.classify_for_group(e.request(), exec, *rows, target) {
+            Pop::Item(e) => match engine.classify_for_group(e.request(), *rows, target) {
                 GroupVerdict::Join => {
                     *rows += e.rows();
                     group.push(*e);
@@ -327,15 +317,10 @@ fn accumulate(
     }
 }
 
-fn dispatch_train(
-    engine: &mut Engine,
-    mut envelope: Envelope,
-    exec: ExecutorConfig,
-    counters: &BatcherCounters,
-) {
+fn dispatch_train(engine: &mut Engine, mut envelope: Envelope, counters: &BatcherCounters) {
     let request = envelope.take_request();
     let result = engine
-        .train_one(envelope.seq(), &request, exec)
+        .train_one(envelope.seq(), &request)
         .map(Outcome::Completed);
     // Merge before fulfilling: a redeemed ticket implies its dispatch is
     // already visible in the stats.
@@ -350,19 +335,17 @@ fn dispatch_train(
 /// group's whole stats delta merges after execution, i.e. at retirement),
 /// otherwise handed to the pool, which merges the delta when a worker
 /// retires the group.
-#[allow(clippy::too_many_arguments)]
 fn dispatch_eval(
     engine: &mut Engine,
     mut group: Vec<Envelope>,
     rows: usize,
-    exec: ExecutorConfig,
     counters: &BatcherCounters,
     pool: Option<&WorkerPool>,
     mut delta: BatcherStats,
 ) {
     delta.eval_groups = 1;
     if let Some(pool) = pool {
-        let job = engine.plan_parallel_eval(group, rows, exec, delta);
+        let job = engine.plan_parallel_eval(group, rows, delta);
         pool.submit(job);
         return;
     }
@@ -372,7 +355,7 @@ fn dispatch_eval(
         .collect();
     let pairs: Vec<(usize, &pe_data::serving::Request)> =
         requests.iter().map(|(seq, r)| (*seq, r)).collect();
-    let outcome = engine.eval_group(&pairs, rows, exec);
+    let outcome = engine.eval_group(&pairs, rows);
     // Merge before fulfilling: a redeemed ticket implies its group is
     // already visible in the stats.
     counters.merge(&delta);

@@ -6,8 +6,7 @@
 //!
 //! ```text
 //! cargo run --release -p pockengine --bin program-gen -- \
-//!     --out target/program-registry --model mlp --batches 1,2,4,8 \
-//!     --backend arena
+//!     --out target/program-registry --model mlp --batches 1,2,4,8
 //! ```
 //!
 //! Output is deterministic by default (latency profiles are derived from
@@ -25,7 +24,6 @@ use std::time::Instant;
 
 use pockengine::pe_graph::GraphBuilder;
 use pockengine::pe_models::{build_mobilenet, BuiltModel, MobileNetV2Config};
-use pockengine::pe_runtime::ExecutorConfig;
 use pockengine::pe_tensor::{Rng, Tensor};
 use pockengine::{ArtifactRegistry, CompileOptions, Compiler, Program};
 
@@ -68,18 +66,16 @@ struct Args {
     out: String,
     model: String,
     batches: Vec<usize>,
-    exec: ExecutorConfig,
     measure: bool,
 }
 
 const USAGE: &str = "usage: program-gen --out DIR [--model mlp|mobilenet] \
-     [--batches 1,2,4,8] [--backend arena|boxed] [--measure]";
+     [--batches 1,2,4,8] [--measure]";
 
 fn parse_args() -> Result<Args, String> {
     let mut out = None;
     let mut model = "mlp".to_string();
     let mut batches = vec![1, 2, 4, 8];
-    let mut backend = "arena".to_string();
     let mut measure = false;
     let mut argv = std::env::args().skip(1);
     while let Some(flag) = argv.next() {
@@ -103,22 +99,15 @@ fn parse_args() -> Result<Args, String> {
                     return Err("--batches requires at least one rung".to_string());
                 }
             }
-            "--backend" => backend = value("--backend")?,
             "--measure" => measure = true,
             "--help" | "-h" => return Err(USAGE.to_string()),
             other => return Err(format!("unknown flag '{other}'\n{USAGE}")),
         }
     }
-    let exec = match backend.as_str() {
-        "arena" => ExecutorConfig::arena(),
-        "boxed" => ExecutorConfig::boxed(),
-        other => return Err(format!("unknown backend '{other}' (arena|boxed)")),
-    };
     Ok(Args {
         out: out.ok_or_else(|| format!("--out is required\n{USAGE}"))?,
         model,
         batches,
-        exec,
         measure,
     })
 }
@@ -127,8 +116,8 @@ fn parse_args() -> Result<Args, String> {
 /// (zero-filled inputs — artifacts never carry parameter values, so the
 /// mutated store is irrelevant) and returns the best observation in
 /// microseconds.
-fn measure_latency_us(program: &mut Program, batch: usize, exec: ExecutorConfig) -> u64 {
-    let spec = program.specialize_with(batch, exec);
+fn measure_latency_us(program: &mut Program, batch: usize) -> u64 {
+    let spec = program.specialize(batch);
     let graph = &spec.analysis.training_graph.graph;
     let mut inputs = HashMap::new();
     for &id in graph.inputs() {
@@ -161,18 +150,17 @@ fn run(args: Args) -> Result<(), String> {
     program.attach_registry(None);
     let registry = ArtifactRegistry::new(&args.out);
     for &batch in &args.batches {
-        let mut artifact = program.export_artifact(batch, args.exec);
+        let mut artifact = program.export_artifact(batch);
         if args.measure {
-            artifact.latency_us = measure_latency_us(&mut program, batch, args.exec);
+            artifact.latency_us = measure_latency_us(&mut program, batch);
         }
         let path = registry
             .store(&artifact)
             .map_err(|e| format!("writing {}: {e}", args.out))?;
         println!(
-            "{:016x} batch={:<3} backend={} latency={}us -> {}",
+            "{:016x} batch={:<3} latency={}us -> {}",
             artifact.content_hash,
             batch,
-            args.exec.backend.name(),
             artifact.latency_us,
             path.display()
         );

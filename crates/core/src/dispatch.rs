@@ -5,7 +5,7 @@
 //! *formation* — membership, padding rung, specialization-cache state and
 //! admission all remain single-threaded and therefore worker-count
 //! independent. What the pool parallelises is group *execution*: each
-//! worker lazily forks a private executor per (rung, backend) from the
+//! worker lazily forks a private executor per rung from the
 //! specialization's shared [`ExecutorSeed`], so all workers read one
 //! [`pe_runtime::ParamStore`]. Evaluation takes the store's guard *shared*,
 //! which is what makes concurrent groups sound; training takes it
@@ -31,7 +31,7 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use pe_data::serving::{Priority, Request};
-use pe_runtime::{Executor, ExecutorConfig, ExecutorSeed};
+use pe_runtime::{Executor, ExecutorSeed};
 
 use crate::admission::Outcome;
 use crate::batcher::{BatcherCounters, BatcherStats};
@@ -48,8 +48,6 @@ pub(crate) struct EvalJob {
     pub(crate) rows: usize,
     /// The padded rung the group executes at.
     pub(crate) batch: usize,
-    /// The routed executor configuration.
-    pub(crate) exec: ExecutorConfig,
     /// Recipe for the worker's private executor over the shared store.
     pub(crate) seed: Arc<ExecutorSeed>,
     /// Highest priority among the members; scheduling key.
@@ -65,8 +63,6 @@ pub(crate) struct EvalJob {
 pub(crate) struct Retirement {
     /// Padded rung the group executed at.
     pub(crate) batch: usize,
-    /// Executor configuration the group ran under.
-    pub(crate) exec: ExecutorConfig,
     /// Wall-clock execution time (includes the slow-kernel test shim, so
     /// the latency model sees what callers see).
     pub(crate) elapsed: Duration,
@@ -87,7 +83,7 @@ pub struct WorkerDispatchStats {
     /// Member requests across those groups.
     pub requests: u64,
     /// Private executors this worker forked from specialization seeds (one
-    /// per distinct (rung, backend) it has seen).
+    /// per distinct rung it has seen).
     pub executors_built: u64,
 }
 
@@ -332,26 +328,25 @@ fn next_job(shared: &DispatchShared) -> Option<(u64, EvalJob)> {
 }
 
 /// One worker thread: picks jobs by priority, lazily forks a private
-/// executor per (rung, backend) from the job's seed, executes, fulfills the
-/// member tickets, and retires the group (stats delta merged atomically,
+/// executor per rung from the job's seed, executes, fulfills the member
+/// tickets, and retires the group (stats delta merged atomically,
 /// retirement queued for the batcher, fence condvar signalled).
 fn worker_loop(shared: &DispatchShared, index: usize) {
-    let mut executors: HashMap<(usize, ExecutorConfig), Executor> = HashMap::new();
+    let mut executors: HashMap<usize, Executor> = HashMap::new();
     while let Some((seq, job)) = next_job(shared) {
         let EvalJob {
             mut group,
             rows,
             batch,
-            exec,
             seed,
             priority: _,
             delta,
         } = job;
-        let executor = executors.entry((batch, exec)).or_insert_with(|| {
+        let executor = executors.entry(batch).or_insert_with(|| {
             shared.worker_cells[index]
                 .executors_built
                 .fetch_add(1, Ordering::Relaxed);
-            seed.executor(exec)
+            seed.executor()
         });
         // The clock starts before the slow-kernel shim so the latency model
         // (and the fence-wait accounting) see the full dwell time.
@@ -397,7 +392,6 @@ fn worker_loop(shared: &DispatchShared, index: usize) {
             state.in_flight.retain(|&(s, _)| s != seq);
             state.retired.push(Retirement {
                 batch,
-                exec,
                 elapsed,
                 rows,
                 group_len,

@@ -22,20 +22,13 @@
 //! store, a training request immediately improves subsequent evaluation
 //! requests — at any batch size — without any parameter copying.
 //!
-//! On top of batching, the engine is an **admission controller** and a
-//! **router**:
-//!
-//! * every request is checked on arrival against
-//!   [`EngineConfig::admission`]: under
-//!   [`AdmissionPolicy::DeadlineFeasible`], a request whose deadline budget
-//!   is below the engine's latency estimate for its target rung resolves as
-//!   [`Outcome::Rejected`] without executing (see [`crate::admission`]);
-//! * [`EngineConfig::route`] lets one engine own **heterogeneous executor
-//!   backends** per specialization ([`EngineConfig::alternates`]): requests
-//!   route via their [`crate::RequestMeta::backend`] hint or by cached-rung fit,
-//!   e.g. the arena for hot batch sizes and the boxed executor for
-//!   rare shapes. Backends are bit-identical, so routing never changes
-//!   results — only where they are computed.
+//! On top of batching, the engine is an **admission controller**: every
+//! request is checked on arrival against [`EngineConfig::admission`]. Under
+//! [`AdmissionPolicy::DeadlineFeasible`], a request whose deadline budget is
+//! below the engine's latency estimate for its target rung resolves as
+//! [`Outcome::Rejected`] without executing (see [`crate::admission`]).
+//! Every admitted request runs on the program's one specialization for its
+//! batch size: there is one executor kind, so nothing is routed.
 //!
 //! Two ingestion paths feed one engine, sharing the [`Request`]/[`Outcome`]
 //! vocabulary:
@@ -46,7 +39,7 @@
 //!   requests through a bounded submission queue ([`crate::queue`]) drained
 //!   by a deadline-aware batcher ([`crate::batcher`]) on a dedicated
 //!   thread, and is proven bit-identical to the slice path
-//!   (`tests/tests/engine_async.rs`, `tests/tests/engine_routing.rs`).
+//!   (`tests/tests/engine_async.rs`, `tests/tests/engine.rs`).
 
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -54,7 +47,7 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use pe_data::serving::{Request, ServingKind};
-use pe_runtime::{ExecError, ExecutorConfig, ParamStore};
+use pe_runtime::{ExecError, ParamStore};
 use pe_tensor::kernels::{layout, norm};
 use pe_tensor::Tensor;
 
@@ -64,48 +57,23 @@ use crate::dispatch::{self, DispatchShared, WorkerDispatchStats, WorkerPool};
 use crate::program::{CacheStats, Program};
 use crate::queue::{self, QueueConfig, SubmitError, Submitter, Ticket};
 
-/// How the engine picks an executor configuration for each request.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub enum BackendRoute {
-    /// Follow the request's [`crate::RequestMeta::backend`] hint when one of the
-    /// configured executors matches it; route unhinted requests to the
-    /// default executor unless only an alternate has a cached rung fitting
-    /// the row count. The default (with no alternates configured it
-    /// degenerates to always-default).
-    #[default]
-    HintOrFit,
-    /// Ignore hints and alternates; everything runs on
-    /// [`EngineConfig::executor`].
-    Pinned,
-}
-
 /// What to do with a candidate request relative to the evaluation group
 /// being built — the shared decision of [`Engine::classify_for_group`].
 #[derive(Debug)]
 pub(crate) enum GroupVerdict {
-    /// Admitted, same routed backend, fits: join the group.
+    /// Admitted, an evaluation, and it fits: join the group.
     Join,
     /// Rejected by admission control: resolve in place, skip it, keep
     /// accumulating (a rejection never breaks a group).
     Reject(RejectReason),
-    /// Admitted but incompatible (a train, a different routed backend, or
-    /// no room left): the group flushes and the candidate starts the next
-    /// unit of work.
+    /// Admitted but incompatible (a train, or no room left): the group
+    /// flushes and the candidate starts the next unit of work.
     Barrier,
 }
 
 /// Engine policy knobs.
 #[derive(Debug, Clone)]
 pub struct EngineConfig {
-    /// Default executor backend: the target of unhinted requests
-    /// and the configuration warm batches are pre-specialized for.
-    pub executor: ExecutorConfig,
-    /// Additional executor configurations this engine may route requests
-    /// to (e.g. a boxed executor for rare shapes next to the arena for hot
-    /// ones). Empty by default.
-    pub alternates: Vec<ExecutorConfig>,
-    /// The routing policy across `executor` + `alternates`.
-    pub route: BackendRoute,
     /// Batch sizes pre-specialized at engine construction; also the pad
     /// ladder for evaluation requests. Sorted internally.
     pub warm_batches: Vec<usize>,
@@ -131,9 +99,6 @@ pub struct EngineConfig {
 impl Default for EngineConfig {
     fn default() -> Self {
         EngineConfig {
-            executor: ExecutorConfig::default(),
-            alternates: Vec::new(),
-            route: BackendRoute::default(),
             warm_batches: vec![1, 4, 8],
             max_coalesced_rows: None,
             admission: AdmissionPolicy::default(),
@@ -173,8 +138,6 @@ pub struct EngineMetrics {
     pub requests: u64,
     /// Requests rejected on arrival by admission control.
     pub rejected: u64,
-    /// Requests served by a non-default executor backend (routing).
-    pub routed_alternate: u64,
     /// Training steps executed.
     pub train_steps: u64,
     /// Evaluation micro-batches executed (after coalescing).
@@ -192,8 +155,8 @@ pub struct EngineMetrics {
 }
 
 /// Serves mixed-size training and inference traffic over one compiled
-/// [`Program`] — see the module docs for the batching, admission and
-/// routing policies.
+/// [`Program`] — see the module docs for the batching and admission
+/// policies.
 #[derive(Debug)]
 pub struct Engine {
     program: Program,
@@ -203,8 +166,8 @@ pub struct Engine {
 }
 
 impl Engine {
-    /// Wraps a program, pre-specializing every warm batch size for the
-    /// default executor and applying the specialization-cache budget.
+    /// Wraps a program, pre-specializing every warm batch size and applying
+    /// the specialization-cache budget.
     ///
     /// With an artifact registry attached ([`EngineConfig::registry`], or
     /// already on the program), warm rungs that resolve from the registry
@@ -220,9 +183,9 @@ impl Engine {
         program.set_max_specializations(config.max_cached_specializations);
         let mut latency = LatencyModel::default();
         for &batch in &config.warm_batches {
-            let spec = program.specialize_with(batch, config.executor);
+            let spec = program.specialize(batch);
             if let Some(profile) = spec.latency_profile {
-                latency.seed(batch, config.executor, profile);
+                latency.seed(batch, profile);
             }
         }
         Engine {
@@ -264,21 +227,21 @@ impl Engine {
     /// if that rung was ever dispatched (or seeded). This is the quantity
     /// [`AdmissionPolicy::DeadlineFeasible`] compares deadline budgets
     /// against.
-    pub fn latency_estimate(&self, batch: usize, exec: ExecutorConfig) -> Option<Duration> {
-        self.latency.estimate(batch, exec)
+    pub fn latency_estimate(&self, batch: usize) -> Option<Duration> {
+        self.latency.estimate(batch)
     }
 
     /// Seeds (overwrites) the latency estimate for a rung — from an
     /// offline profile, so admission control is armed before the first
     /// dispatch, or from a test that needs deterministic feasibility
     /// decisions. Later dispatches keep blending into the seeded value.
-    pub fn seed_latency_estimate(&mut self, batch: usize, exec: ExecutorConfig, latency: Duration) {
-        self.latency.seed(batch, exec, latency);
+    pub fn seed_latency_estimate(&mut self, batch: usize, latency: Duration) {
+        self.latency.seed(batch, latency);
     }
 
     /// Serves a stream of requests in order, returning one [`Outcome`] per
-    /// request (same order). Consecutive admitted evaluation requests that
-    /// route to the same executor coalesce into padded micro-batches;
+    /// request (same order). Consecutive admitted evaluation requests
+    /// coalesce into padded micro-batches;
     /// training requests run individually at their exact size; rejected
     /// requests resolve as [`Outcome::Rejected`] without executing and
     /// without breaking the surrounding coalescing run (mirroring the
@@ -299,8 +262,7 @@ impl Engine {
         let mut i = 0;
         while i < requests.len() {
             let head = &requests[i];
-            let exec = self.route(head);
-            if let Err(reason) = self.admit(head, exec) {
+            if let Err(reason) = self.admit(head) {
                 self.metrics.rejected += 1;
                 outcomes[i] = Some(Outcome::Rejected(reason));
                 i += 1;
@@ -308,21 +270,21 @@ impl Engine {
             }
             match head.kind {
                 ServingKind::Train => {
-                    let response = self.train_one(i, head, exec)?;
+                    let response = self.train_one(i, head)?;
                     outcomes[i] = Some(Outcome::Completed(response));
                     i += 1;
                 }
                 ServingKind::Eval => {
                     // Greedily coalesce the run of admitted eval requests
-                    // routing to the same executor while the packed row
-                    // count stays within the micro-batch limit. Rejected
-                    // requests in the run resolve in place and are skipped.
+                    // while the packed row count stays within the
+                    // micro-batch limit. Rejected requests in the run
+                    // resolve in place and are skipped.
                     let mut group: Vec<(usize, &Request)> = vec![(i, head)];
                     let mut rows = head.rows();
                     let mut j = i + 1;
                     while j < requests.len() {
                         let next = &requests[j];
-                        match self.classify_for_group(next, exec, rows, limit) {
+                        match self.classify_for_group(next, rows, limit) {
                             GroupVerdict::Reject(reason) => {
                                 self.metrics.rejected += 1;
                                 outcomes[j] = Some(Outcome::Rejected(reason));
@@ -336,7 +298,7 @@ impl Engine {
                             }
                         }
                     }
-                    let responses = self.eval_group(&group, rows, exec)?;
+                    let responses = self.eval_group(&group, rows)?;
                     for ((idx, _), response) in group.iter().zip(responses) {
                         outcomes[*idx] = Some(Outcome::Completed(response));
                     }
@@ -360,16 +322,15 @@ impl Engine {
     ///
     /// Returns executor input errors (malformed features/labels).
     pub fn serve_one(&mut self, request: &Request) -> Result<Outcome, ExecError> {
-        let exec = self.route(request);
-        if let Err(reason) = self.admit(request, exec) {
+        if let Err(reason) = self.admit(request) {
             self.metrics.rejected += 1;
             return Ok(Outcome::Rejected(reason));
         }
         let id = self.metrics.requests as usize;
         match request.kind {
-            ServingKind::Train => Ok(Outcome::Completed(self.train_one(id, request, exec)?)),
+            ServingKind::Train => Ok(Outcome::Completed(self.train_one(id, request)?)),
             ServingKind::Eval => {
-                let mut responses = self.eval_group(&[(id, request)], request.rows(), exec)?;
+                let mut responses = self.eval_group(&[(id, request)], request.rows())?;
                 Ok(Outcome::Completed(
                     responses.pop().expect("one response per request"),
                 ))
@@ -390,54 +351,7 @@ impl Engine {
         AsyncEngine::spawn(self, config)
     }
 
-    /// Resolves the executor configuration a request runs on, per
-    /// [`EngineConfig::route`]. Pure: routing depends only on the request's
-    /// metadata and the current specialization cache.
-    pub fn route(&self, request: &Request) -> ExecutorConfig {
-        match self.config.route {
-            BackendRoute::Pinned => self.config.executor,
-            BackendRoute::HintOrFit => {
-                if let Some(hint) = request.meta.backend {
-                    return self.resolve_hint(hint.name());
-                }
-                if self.config.alternates.is_empty() {
-                    return self.config.executor;
-                }
-                let rows = request.rows();
-                let fits = |exec: ExecutorConfig| match request.kind {
-                    // Trains run exact-size: only an exact cached rung
-                    // avoids a compile.
-                    ServingKind::Train => self
-                        .program
-                        .cached_rungs_for(exec)
-                        .binary_search(&rows)
-                        .is_ok(),
-                    ServingKind::Eval => self.nearest_cached_for(rows, exec).is_some(),
-                };
-                if fits(self.config.executor) {
-                    self.config.executor
-                } else {
-                    self.config
-                        .alternates
-                        .iter()
-                        .copied()
-                        .find(|&exec| fits(exec))
-                        .unwrap_or(self.config.executor)
-                }
-            }
-        }
-    }
-
-    /// First configured executor (default first, then alternates) whose
-    /// backend kind matches the hint; the default when none matches.
-    fn resolve_hint(&self, hint_name: &str) -> ExecutorConfig {
-        std::iter::once(self.config.executor)
-            .chain(self.config.alternates.iter().copied())
-            .find(|exec| exec.backend.name() == hint_name)
-            .unwrap_or(self.config.executor)
-    }
-
-    /// The admission decision for a request routed to `exec`: `Err` when
+    /// The admission decision for a request: `Err` when
     /// the policy is [`AdmissionPolicy::DeadlineFeasible`], the request
     /// carries a deadline budget, and the engine's latency estimate for
     /// the target rung already exceeds that whole budget.
@@ -451,11 +365,7 @@ impl Engine {
     /// or below the estimates; live EWMA state drifts with dispatch timing
     /// and grouping, so a budget *near* the estimate may tip differently
     /// on the two paths.
-    pub(crate) fn admit(
-        &self,
-        request: &Request,
-        exec: ExecutorConfig,
-    ) -> Result<(), RejectReason> {
+    pub(crate) fn admit(&self, request: &Request) -> Result<(), RejectReason> {
         if self.config.admission == AdmissionPolicy::AcceptAll {
             return Ok(());
         }
@@ -465,10 +375,10 @@ impl Engine {
         let rung = match request.kind {
             ServingKind::Train => request.rows(),
             ServingKind::Eval => self
-                .nearest_cached_for(request.rows(), exec)
+                .nearest_cached(request.rows())
                 .unwrap_or_else(|| request.rows()),
         };
-        match self.latency.estimate(rung, exec) {
+        match self.latency.estimate(rung) {
             Some(estimated) if estimated > budget => {
                 Err(RejectReason::DeadlineInfeasible { estimated, budget })
             }
@@ -484,26 +394,20 @@ impl Engine {
 
     /// The one join/reject/barrier decision both ingestion paths apply to
     /// a candidate request relative to the evaluation group being built
-    /// (`group_exec` = the group's routed executor, `rows` = rows packed
-    /// so far, `capacity` = the group's row bound). Keeping this in one
-    /// place is what keeps the queue path bit-identical to the slice
-    /// path: admission is always checked first (a rejection never breaks
-    /// a group), then kind/backend/fit compatibility.
+    /// (`rows` = rows packed so far, `capacity` = the group's row bound).
+    /// Keeping this in one place is what keeps the queue path
+    /// bit-identical to the slice path: admission is always checked first
+    /// (a rejection never breaks a group), then kind and fit.
     pub(crate) fn classify_for_group(
         &self,
         request: &Request,
-        group_exec: ExecutorConfig,
         rows: usize,
         capacity: usize,
     ) -> GroupVerdict {
-        let exec = self.route(request);
-        if let Err(reason) = self.admit(request, exec) {
+        if let Err(reason) = self.admit(request) {
             return GroupVerdict::Reject(reason);
         }
-        if request.kind != ServingKind::Eval
-            || exec != group_exec
-            || rows + request.rows() > capacity
-        {
+        if request.kind != ServingKind::Eval || rows + request.rows() > capacity {
             return GroupVerdict::Barrier;
         }
         GroupVerdict::Join
@@ -516,14 +420,14 @@ impl Engine {
             .max(1)
     }
 
-    /// The row count the deadline-aware batcher aims to fill for a group
-    /// routed to `exec`: the largest batch size already specialized under
-    /// that executor config, capped by the coalescing limit (falls back to
-    /// the limit itself before anything is cached).
-    pub(crate) fn eval_target_rows(&self, exec: ExecutorConfig) -> usize {
+    /// The row count the deadline-aware batcher aims to fill for an eval
+    /// group: the largest batch size already specialized, capped by the
+    /// coalescing limit (falls back to the limit itself before anything is
+    /// cached).
+    pub(crate) fn eval_target_rows(&self) -> usize {
         let limit = self.max_coalesced_rows();
         self.program
-            .cached_rungs_for(exec)
+            .cached_batches()
             .iter()
             .copied()
             .filter(|&b| b <= limit)
@@ -531,49 +435,47 @@ impl Engine {
             .unwrap_or(limit)
     }
 
-    /// Smallest cached batch ≥ `rows` under the given executor config.
-    /// (Specializations compiled for other backends do not
-    /// count: padding up to them would still pay a compile.)
-    fn nearest_cached_for(&self, rows: usize, exec: ExecutorConfig) -> Option<usize> {
+    /// Smallest cached batch ≥ `rows`.
+    fn nearest_cached(&self, rows: usize) -> Option<usize> {
         self.program
-            .cached_rungs_for(exec)
+            .cached_batches()
             .iter()
             .copied()
             .find(|&b| b >= rows)
+    }
+
+    /// Arms the admission model with a registry-loaded specialization's
+    /// offline latency profile if its rung has never been timed (later
+    /// dispatches keep blending toward reality).
+    fn seed_unobserved(latency: &mut LatencyModel, batch: usize, profile: Option<Duration>) {
+        if let Some(profile) = profile {
+            if latency.estimate(batch).is_none() {
+                latency.seed(batch, profile);
+            }
+        }
     }
 
     pub(crate) fn train_one(
         &mut self,
         id: usize,
         request: &Request,
-        exec: ExecutorConfig,
     ) -> Result<Response, ExecError> {
         let rows = request.rows();
         let feature_input = self.program.feature_input().to_string();
         let label_input = self.program.label_input().to_string();
         let logits_name = self.program.logits_name().to_string();
-        let spec = self.program.specialize_for_requests(rows, exec, 1);
-        // A registry-loaded specialization carries an offline latency
-        // profile; arm the admission model with it if this rung has never
-        // been timed (later dispatches keep blending toward reality).
-        if let Some(profile) = spec.latency_profile {
-            if self.latency.estimate(rows, exec).is_none() {
-                self.latency.seed(rows, exec, profile);
-            }
-        }
+        let spec = self.program.specialize_for_requests(rows, 1);
+        Engine::seed_unobserved(&mut self.latency, rows, spec.latency_profile);
         let inputs = HashMap::from([
             (feature_input, request.features.clone()),
             (label_input, request.labels.clone()),
         ]);
         let started = Instant::now();
         let result = spec.executor.run_step(&inputs)?;
-        self.latency.observe(rows, exec, started.elapsed());
+        self.latency.observe(rows, started.elapsed());
         self.metrics.requests += 1;
         self.metrics.train_steps += 1;
         self.metrics.rows += rows as u64;
-        if exec != self.config.executor {
-            self.metrics.routed_alternate += 1;
-        }
         Ok(Response {
             id,
             client_id: request.meta.id,
@@ -586,33 +488,26 @@ impl Engine {
     }
 
     /// Runs one evaluation micro-batch over `group` (pairs of response id
-    /// and request) on the routed executor, packing and padding to the
-    /// nearest cached rung, and returns one [`Response`] per request in
-    /// group order.
+    /// and request), packing and padding to the nearest cached rung, and
+    /// returns one [`Response`] per request in group order.
     pub(crate) fn eval_group(
         &mut self,
         group: &[(usize, &Request)],
         rows: usize,
-        exec: ExecutorConfig,
     ) -> Result<Vec<Response>, ExecError> {
         // Pad to the nearest cached size; compile an exact specialization
         // only when the ladder has no rung big enough.
-        let batch = self.nearest_cached_for(rows, exec).unwrap_or(rows);
+        let batch = self.nearest_cached(rows).unwrap_or(rows);
         let io = self.eval_io();
 
         let spec = self
             .program
-            .specialize_for_requests(batch, exec, group.len() as u64);
-        if let Some(profile) = spec.latency_profile {
-            if self.latency.estimate(batch, exec).is_none() {
-                self.latency.seed(batch, exec, profile);
-            }
-        }
+            .specialize_for_requests(batch, group.len() as u64);
+        Engine::seed_unobserved(&mut self.latency, batch, spec.latency_profile);
         let started = Instant::now();
         let responses = execute_eval_group(&mut spec.executor, &io, group, rows, batch)?;
         self.note_eval_retirement(&dispatch::Retirement {
             batch,
-            exec,
             elapsed: started.elapsed(),
             rows,
             group_len: group.len(),
@@ -641,25 +536,19 @@ impl Engine {
         &mut self,
         group: Vec<crate::queue::Envelope>,
         rows: usize,
-        exec: ExecutorConfig,
         delta: BatcherStats,
     ) -> dispatch::EvalJob {
-        let batch = self.nearest_cached_for(rows, exec).unwrap_or(rows);
+        let batch = self.nearest_cached(rows).unwrap_or(rows);
         let spec = self
             .program
-            .specialize_for_requests(batch, exec, group.len() as u64);
-        if let Some(profile) = spec.latency_profile {
-            if self.latency.estimate(batch, exec).is_none() {
-                self.latency.seed(batch, exec, profile);
-            }
-        }
+            .specialize_for_requests(batch, group.len() as u64);
+        Engine::seed_unobserved(&mut self.latency, batch, spec.latency_profile);
         let seed = spec.executor_seed();
         let priority = group.iter().map(|e| e.priority()).max().unwrap_or_default();
         dispatch::EvalJob {
             group,
             rows,
             batch,
-            exec,
             seed,
             priority,
             delta,
@@ -670,12 +559,9 @@ impl Engine {
     /// by a drain worker. The inline path funnels through this too, so both
     /// drains account identically.
     pub(crate) fn note_eval_retirement(&mut self, r: &dispatch::Retirement) {
-        self.latency.observe(r.batch, r.exec, r.elapsed);
+        self.latency.observe(r.batch, r.elapsed);
         self.metrics.eval_batches += 1;
         self.metrics.padded_rows += (r.batch - r.rows) as u64;
-        if r.exec != self.config.executor {
-            self.metrics.routed_alternate += r.group_len as u64;
-        }
         self.metrics.requests += r.group_len as u64;
         self.metrics.rows += r.rows as u64;
     }

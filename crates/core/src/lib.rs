@@ -66,8 +66,8 @@ pub use admission::{AdmissionPolicy, Outcome, RejectReason};
 pub use artifact::{ArtifactRegistry, ProgramArtifact, ARTIFACT_VERSION};
 pub use batcher::BatcherStats;
 pub use dispatch::WorkerDispatchStats;
-pub use engine::{AsyncEngine, BackendRoute, Engine, EngineConfig, EngineMetrics, Response};
-pub use pe_data::serving::{BackendHint, Priority, Request, RequestMeta, ServingKind};
+pub use engine::{AsyncEngine, Engine, EngineConfig, EngineMetrics, Response};
+pub use pe_data::serving::{Priority, Request, RequestMeta, ServingKind};
 pub use program::{CacheStats, Compiler, ModelFactory, Program, Specialization};
 pub use queue::{QueueConfig, SubmitError, Submitter, Ticket, TicketNotify};
 pub use submit::{Submit, SubmitHandle};
@@ -120,18 +120,18 @@ pub use submit::{Submit, SubmitHandle};
 /// ```
 pub mod prelude {
     pub use crate::{
-        analyze, compile, AdmissionPolicy, ArtifactRegistry, AsyncEngine, BackendRoute,
-        BatcherStats, CacheStats, CompileOptions, CompiledProgram, Compiler, Engine, EngineConfig,
-        EngineMetrics, Outcome, Program, ProgramAnalysis, ProgramArtifact, QueueConfig,
-        RejectReason, Response, Specialization, Submit, SubmitError, SubmitHandle, Submitter,
-        Ticket, TicketNotify, WorkerDispatchStats,
+        analyze, compile, AdmissionPolicy, ArtifactRegistry, AsyncEngine, BatcherStats, CacheStats,
+        CompileOptions, CompiledProgram, Compiler, Engine, EngineConfig, EngineMetrics, Outcome,
+        Program, ProgramAnalysis, ProgramArtifact, QueueConfig, RejectReason, Response,
+        Specialization, Submit, SubmitError, SubmitHandle, Submitter, Ticket, TicketNotify,
+        WorkerDispatchStats,
     };
     pub use pe_backends::{DeviceProfile, FrameworkProfile};
     pub use pe_data::{
         generate_arrival_process, generate_instruct_dataset, generate_nlp_task,
-        generate_request_stream, generate_vision_task, ArrivalProcessConfig, BackendHint,
-        DeadlineDistribution, InstructConfig, NlpTaskConfig, Priority, Request, RequestMeta,
-        RequestStreamConfig, ServingKind, VisionTaskConfig,
+        generate_request_stream, generate_vision_task, ArrivalProcessConfig, DeadlineDistribution,
+        InstructConfig, NlpTaskConfig, Priority, Request, RequestMeta, RequestStreamConfig,
+        ServingKind, VisionTaskConfig,
     };
     pub use pe_graph::{GraphBuilder, ParamKey, TrainKind, TrainSpec};
     pub use pe_models::{
@@ -139,9 +139,7 @@ pub mod prelude {
         mcunet_tiny_config, BertConfig, BuiltModel, LlamaConfig, MobileNetV2Config, ResNetConfig,
     };
     pub use pe_passes::{OptimizeOptions, ScheduleStrategy};
-    pub use pe_runtime::{
-        Backend, Batch, Executor, ExecutorConfig, Optimizer, ParamStore, Trainer,
-    };
+    pub use pe_runtime::{Batch, Executor, Optimizer, ParamStore, Trainer};
     pub use pe_sparse::{
         apply_rule, paper_scheme_bert, paper_scheme_distilbert, paper_scheme_llama,
         paper_scheme_mcunet, paper_scheme_mobilenetv2, paper_scheme_resnet50, SparseScheme,
@@ -161,8 +159,8 @@ pub struct CompileOptions {
     pub optimize: OptimizeOptions,
     /// Execution order policy (reordered updates vs conventional).
     pub schedule: ScheduleStrategy,
-    /// Executor backend. Defaults to the `PE_EXECUTOR` environment
-    /// fallback.
+    /// Carries no setting (see [`ExecutorConfig`]); kept only because the
+    /// benchmark harness names it.
     pub executor: ExecutorConfig,
 }
 
@@ -173,7 +171,7 @@ impl Default for CompileOptions {
             optimizer: Optimizer::sgd(0.01),
             optimize: OptimizeOptions::default(),
             schedule: ScheduleStrategy::Reordered,
-            executor: ExecutorConfig::default(),
+            executor: ExecutorConfig,
         }
     }
 }
@@ -254,11 +252,10 @@ pub fn analyze(model: &BuiltModel, options: &CompileOptions) -> ProgramAnalysis 
 /// returned program's executor performs no graph work at runtime.
 pub fn compile(model: &BuiltModel, options: &CompileOptions) -> CompiledProgram {
     let analysis = analyze(model, options);
-    let executor = Executor::with_config(
+    let executor = Executor::new(
         analysis.training_graph.clone(),
         analysis.schedule.clone(),
         options.optimizer,
-        options.executor,
     );
     CompiledProgram {
         analysis,

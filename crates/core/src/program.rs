@@ -17,9 +17,8 @@
 //! 2. **Specialization stage** ([`Program::specialize`]): per requested
 //!    batch size, run the batch-*dependent* tail of the pipeline — autodiff
 //!    → optimisation passes → scheduling → memory planning → executor —
-//!    and cache the result under a key derived from the request content
-//!    (batch size + executor backend). Cache hits return the cached
-//!    executor; every specialization borrows the one store.
+//!    and cache the result under its batch size. Cache hits return the
+//!    cached executor; every specialization borrows the one store.
 
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -27,7 +26,7 @@ use std::time::Duration;
 
 use pe_memplan::{plan_memory_with, MemPlanOptions};
 use pe_models::BuiltModel;
-use pe_runtime::{Backend, Executor, ExecutorConfig, ExecutorSeed, ParamStore};
+use pe_runtime::{Executor, ExecutorSeed, ParamStore};
 
 use crate::artifact::{content_hash, derived_latency_us, ArtifactRegistry, ProgramArtifact};
 use crate::{analyze, CompileOptions, ProgramAnalysis};
@@ -53,29 +52,13 @@ where
     }
 }
 
-/// Content key of one specialization request.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-struct SpecKey {
-    batch: usize,
-    backend: Backend,
-}
-
-impl SpecKey {
-    fn new(batch: usize, exec: ExecutorConfig) -> Self {
-        SpecKey {
-            batch,
-            backend: exec.backend,
-        }
-    }
-}
-
 /// Specialization-cache hit/miss accounting.
 ///
 /// Counts exist at two granularities, because one executor **dispatch** may
 /// serve many coalesced requests:
 ///
 /// * `hits` / `misses` are **per dispatch** — one count per
-///   [`Program::specialize_with`] call (a training step, an eval
+///   [`Program::specialize_for_requests`] call (a training step, an eval
 ///   micro-batch, or a warmup compile);
 /// * `request_hits` / `request_misses` are **per request** — a coalesced
 ///   eval group of five requests served by a cached specialization adds 5
@@ -180,7 +163,7 @@ impl Compiler {
             content_hash,
             registry: ArtifactRegistry::from_env(),
             cache: HashMap::new(),
-            rungs: HashMap::new(),
+            rungs: Vec::new(),
             lru: HashMap::new(),
             clock: 0,
             max_specializations: None,
@@ -208,13 +191,13 @@ pub struct Program {
     /// Registry consulted before JIT compiling a specialization; `None`
     /// compiles everything.
     registry: Option<ArtifactRegistry>,
-    cache: HashMap<SpecKey, Specialization>,
-    /// Sorted cached batch sizes per backend, maintained on insert/evict so
-    /// the serving hot path (routing, admission, pad-to-nearest lookups)
-    /// never rebuilds and sorts a key scan.
-    rungs: HashMap<Backend, Vec<usize>>,
+    cache: HashMap<usize, Specialization>,
+    /// Sorted cached batch sizes, maintained on insert/evict so the serving
+    /// hot path (admission, pad-to-nearest lookups) never rebuilds and
+    /// sorts a key scan.
+    rungs: Vec<usize>,
     /// Last-access tick per cached specialization (the LRU order).
-    lru: HashMap<SpecKey, u64>,
+    lru: HashMap<usize, u64>,
     /// Monotonic access counter feeding `lru`.
     clock: u64,
     /// Size budget of the specialization cache; `None` is unbounded.
@@ -291,70 +274,36 @@ impl Program {
         self.registry = registry;
     }
 
-    /// Batch sizes with at least one cached specialization (under any
-    /// executor configuration), sorted.
-    pub fn cached_batches(&self) -> Vec<usize> {
-        let mut batches: Vec<usize> = self.cache.keys().map(|k| k.batch).collect();
-        batches.sort_unstable();
-        batches.dedup();
-        batches
+    /// Batch sizes with a cached specialization, sorted: the maintained
+    /// rung index the serving hot path reads.
+    pub fn cached_batches(&self) -> &[usize] {
+        &self.rungs
     }
 
-    /// Batch sizes cached under a *specific* executor configuration, sorted.
-    /// This is the set a caller can actually reuse without compiling — a
-    /// batch specialized for a different backend would still be a cache
-    /// miss.
-    pub fn cached_batches_for(&self, exec: ExecutorConfig) -> Vec<usize> {
-        self.cached_rungs_for(exec).to_vec()
-    }
-
-    /// [`Program::cached_batches_for`] without the copy: the maintained
-    /// sorted rung index, for the serving hot path.
-    pub fn cached_rungs_for(&self, exec: ExecutorConfig) -> &[usize] {
-        self.rungs
-            .get(&exec.backend)
-            .map(Vec::as_slice)
-            .unwrap_or(&[])
-    }
-
-    /// Whether a specialization for `batch` under the program's default
-    /// executor configuration is already compiled.
+    /// Whether a specialization for `batch` is already compiled.
     pub fn is_cached(&self, batch: usize) -> bool {
-        self.cache
-            .contains_key(&SpecKey::new(batch, self.options.executor))
+        self.cache.contains_key(&batch)
     }
 
-    /// Returns the specialization for `batch` under the program's default
-    /// executor configuration, compiling it on a cache miss.
-    pub fn specialize(&mut self, batch: usize) -> &mut Specialization {
-        self.specialize_with(batch, self.options.executor)
-    }
-
-    /// Returns the specialization for `batch` under an explicit executor
-    /// configuration, running the batch-dependent pipeline (autodiff →
-    /// passes → scheduling → memory planning → executor) on a cache miss.
+    /// Returns the specialization for `batch`, running the batch-dependent
+    /// pipeline (autodiff → passes → scheduling → memory planning →
+    /// executor) on a cache miss.
     ///
     /// # Panics
     ///
     /// Panics if the factory produces a model whose parameters disagree
     /// with the canonical store (a non-conforming [`ModelFactory`]).
-    pub fn specialize_with(&mut self, batch: usize, exec: ExecutorConfig) -> &mut Specialization {
-        self.specialize_for_requests(batch, exec, 0)
+    pub fn specialize(&mut self, batch: usize) -> &mut Specialization {
+        self.specialize_for_requests(batch, 0)
     }
 
-    /// [`Program::specialize_with`], additionally attributing the dispatch
-    /// to `requests` serving requests in the per-request cache accounting
-    /// (see [`CacheStats`]). The engine passes the coalesced group size
-    /// here; warmup compiles pass 0.
-    pub fn specialize_for_requests(
-        &mut self,
-        batch: usize,
-        exec: ExecutorConfig,
-        requests: u64,
-    ) -> &mut Specialization {
-        let key = SpecKey::new(batch, exec);
+    /// [`Program::specialize`], additionally attributing the dispatch to
+    /// `requests` serving requests in the per-request cache accounting (see
+    /// [`CacheStats`]). The engine passes the coalesced group size here;
+    /// warmup compiles pass 0.
+    pub fn specialize_for_requests(&mut self, batch: usize, requests: u64) -> &mut Specialization {
         self.clock += 1;
-        if self.cache.contains_key(&key) {
+        if self.cache.contains_key(&batch) {
             self.stats.hits += 1;
             self.stats.request_hits += requests;
         } else {
@@ -362,7 +311,7 @@ impl Program {
             // skips the whole pipeline (a hit); anything wrong with it —
             // absent, stale version, hash mismatch, corruption — falls
             // back to JIT compilation and is only slower, never unsound.
-            let loaded = self.load_from_registry(batch, exec);
+            let loaded = self.load_from_registry(batch);
             let spec = match loaded {
                 Some(spec) => {
                     self.stats.hits += 1;
@@ -382,7 +331,6 @@ impl Program {
                         analysis.training_graph.clone(),
                         analysis.schedule.clone(),
                         Arc::clone(&self.store),
-                        exec,
                     );
                     Specialization {
                         batch,
@@ -393,33 +341,32 @@ impl Program {
                     }
                 }
             };
-            self.cache.insert(key, spec);
-            let rungs = self.rungs.entry(key.backend).or_default();
-            if let Err(at) = rungs.binary_search(&batch) {
-                rungs.insert(at, batch);
+            self.cache.insert(batch, spec);
+            if let Err(at) = self.rungs.binary_search(&batch) {
+                self.rungs.insert(at, batch);
             }
-            self.evict_beyond_budget(key);
+            self.evict_beyond_budget(batch);
         }
-        self.lru.insert(key, self.clock);
-        self.cache.get_mut(&key).expect("just inserted or present")
+        self.lru.insert(batch, self.clock);
+        self.cache
+            .get_mut(&batch)
+            .expect("just inserted or present")
     }
 
     /// Tries to satisfy a specialization from the attached registry;
     /// `None` on any miss (no registry, absent rung, failed validation).
-    fn load_from_registry(&self, batch: usize, exec: ExecutorConfig) -> Option<Specialization> {
+    fn load_from_registry(&self, batch: usize) -> Option<Specialization> {
         let registry = self.registry.as_ref()?;
-        let artifact = registry.load(self.content_hash, batch, exec).ok()?;
-        artifact
-            .into_specialization(Arc::clone(&self.store), exec)
-            .ok()
+        let artifact = registry.load(self.content_hash, batch).ok()?;
+        artifact.into_specialization(Arc::clone(&self.store)).ok()
     }
 
-    /// Compiles (without caching) the specialization for `batch` under
-    /// `exec` and packages it as a serializable [`ProgramArtifact`], with a
+    /// Compiles (without caching) the specialization for `batch` and
+    /// packages it as a serializable [`ProgramArtifact`], with a
     /// deterministic flops-derived latency profile. The memory plan is
-    /// generated with the exact options the arena executor would use, so a
+    /// generated with the exact options the executor plans with, so a
     /// loaded artifact replays it instead of re-planning.
-    pub fn export_artifact(&self, batch: usize, exec: ExecutorConfig) -> ProgramArtifact {
+    pub fn export_artifact(&self, batch: usize) -> ProgramArtifact {
         let model = self.factory.build(batch);
         let analysis = analyze(&model, &self.options);
         let graph = &analysis.training_graph.graph;
@@ -428,7 +375,6 @@ impl Program {
         ProgramArtifact {
             content_hash: self.content_hash,
             batch,
-            exec,
             model_name: self.model_name.clone(),
             feature_input: self.feature_input.clone(),
             label_input: self.label_input.clone(),
@@ -448,11 +394,10 @@ impl Program {
         &self,
         registry: &ArtifactRegistry,
         batches: &[usize],
-        exec: ExecutorConfig,
     ) -> std::io::Result<Vec<std::path::PathBuf>> {
         batches
             .iter()
-            .map(|&batch| registry.store(&self.export_artifact(batch, exec)))
+            .map(|&batch| registry.store(&self.export_artifact(batch)))
             .collect()
     }
 
@@ -479,7 +424,7 @@ impl Program {
 
     /// Evicts least-recently-used specializations until the cache fits the
     /// budget, never evicting `keep` (the entry about to be returned).
-    fn evict_beyond_budget(&mut self, keep: SpecKey) {
+    fn evict_beyond_budget(&mut self, keep: usize) {
         let Some(max) = self.max_specializations else {
             return;
         };
@@ -493,10 +438,8 @@ impl Program {
             let Some(victim) = victim else { break };
             self.cache.remove(&victim);
             self.lru.remove(&victim);
-            if let Some(rungs) = self.rungs.get_mut(&victim.backend) {
-                if let Ok(at) = rungs.binary_search(&victim.batch) {
-                    rungs.remove(at);
-                }
+            if let Ok(at) = self.rungs.binary_search(&victim) {
+                self.rungs.remove(at);
             }
             self.stats.evictions += 1;
         }
@@ -513,7 +456,6 @@ mod tests {
     fn program() -> Program {
         let mut p = Compiler::new(CompileOptions {
             optimizer: Optimizer::sgd(0.05),
-            executor: ExecutorConfig::arena(),
             ..CompileOptions::default()
         })
         .compile(|batch: usize| {
@@ -554,27 +496,17 @@ mod tests {
             }
         );
         assert!(p.is_cached(2) && p.is_cached(4) && !p.is_cached(8));
-        // A different executor config is different content: separate entry.
-        p.specialize_with(2, ExecutorConfig::boxed());
-        assert_eq!(
-            p.cache_stats(),
-            CacheStats {
-                hits: 1,
-                misses: 3,
-                ..CacheStats::default()
-            }
-        );
     }
 
     #[test]
     fn request_counts_track_coalesced_group_sizes() {
         let mut p = program();
         // Warmup-style dispatch: no requests attributed.
-        p.specialize_with(4, ExecutorConfig::arena());
+        p.specialize(4);
         // A coalesced group of 5 requests hits the cached specialization.
-        p.specialize_for_requests(4, ExecutorConfig::arena(), 5);
+        p.specialize_for_requests(4, 5);
         // A train request misses at a new batch size.
-        p.specialize_for_requests(2, ExecutorConfig::arena(), 1);
+        p.specialize_for_requests(2, 1);
         assert_eq!(
             p.cache_stats(),
             CacheStats {
@@ -593,20 +525,19 @@ mod tests {
     fn lru_eviction_respects_the_budget_and_counts() {
         let mut p = program();
         p.set_max_specializations(Some(2));
-        let exec = ExecutorConfig::arena();
-        p.specialize_with(2, exec);
-        p.specialize_with(4, exec);
+        p.specialize(2);
+        p.specialize(4);
         assert_eq!(p.cached_batches(), vec![2, 4]);
         assert_eq!(p.cache_stats().evictions, 0);
 
         // Touch 2 so 4 becomes the LRU entry, then overflow the budget.
-        p.specialize_with(2, exec);
-        p.specialize_with(8, exec);
+        p.specialize(2);
+        p.specialize(8);
         assert_eq!(p.cached_batches(), vec![2, 8], "4 was least recently used");
         assert_eq!(p.cache_stats().evictions, 1);
 
         // The evicted rung recompiles on demand (a miss), evicting again.
-        p.specialize_with(4, exec);
+        p.specialize(4);
         assert_eq!(p.cache_stats().evictions, 2);
         assert!(p.cached_batches().len() <= 2);
         let stats = p.cache_stats();

@@ -6,7 +6,7 @@
 //! with inference. [`Request`] is the one request type both of the engine's
 //! ingestion paths (the synchronous slice path and the bounded submission
 //! queue) accept: a tensor payload plus [`RequestMeta`] — deadline budget,
-//! [`Priority`], an optional backend hint and a caller-assigned id — built
+//! [`Priority`] and a caller-assigned id — built
 //! via the `Request::eval(..)/train(..).deadline(..).priority(..)` builder.
 //!
 //! The generators here stand in for production traffic: a reproducible
@@ -71,31 +71,6 @@ impl Priority {
     pub const ALL: [Priority; 3] = [Priority::Low, Priority::Normal, Priority::High];
 }
 
-/// An advisory executor-backend hint carried by [`RequestMeta`].
-///
-/// The hint names a backend *kind*; the engine resolves it against the
-/// concrete executor configurations it was built with (its default plus any
-/// alternates) and silently falls back to the default when no configured
-/// executor matches. Results are bit-identical across backends, so a hint
-/// only steers *where* a request runs, never what it computes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum BackendHint {
-    /// The arena executor (zero-allocation steady state).
-    Arena,
-    /// The per-node-buffer executor kept as the differential baseline.
-    Boxed,
-}
-
-impl BackendHint {
-    /// Short lowercase name matching `pe_runtime::Backend::name`.
-    pub fn name(self) -> &'static str {
-        match self {
-            BackendHint::Arena => "arena",
-            BackendHint::Boxed => "boxed",
-        }
-    }
-}
-
 /// Request metadata shared by both ingestion paths.
 ///
 /// Every field is optional or defaulted: `Request::eval(..)` with no
@@ -111,8 +86,6 @@ pub struct RequestMeta {
     pub deadline: Option<Duration>,
     /// Scheduling priority (see [`Priority`]).
     pub priority: Priority,
-    /// Advisory backend hint (see [`BackendHint`]).
-    pub backend: Option<BackendHint>,
     /// Arrival offset from the start of an open-loop replay, set by
     /// [`generate_arrival_process`]. Replay harnesses pace submission to
     /// it; the engine itself ignores it.
@@ -127,13 +100,12 @@ pub struct RequestMeta {
 ///
 /// ```
 /// use std::time::Duration;
-/// use pe_data::serving::{BackendHint, Priority, Request};
+/// use pe_data::serving::{Priority, Request};
 /// use pe_tensor::Tensor;
 ///
 /// let request = Request::eval(Tensor::zeros([2, 16]), Tensor::zeros([2]))
 ///     .deadline(Duration::from_micros(500))
 ///     .priority(Priority::High)
-///     .backend(BackendHint::Arena)
 ///     .id(42);
 /// assert_eq!(request.rows(), 2);
 /// assert_eq!(request.meta.id, Some(42));
@@ -146,7 +118,7 @@ pub struct Request {
     pub features: Tensor,
     /// Integer class labels stored as floats, `[rows]`.
     pub labels: Tensor,
-    /// Deadline budget, priority, backend hint, caller id.
+    /// Deadline budget, priority, caller id.
     pub meta: RequestMeta,
 }
 
@@ -180,12 +152,6 @@ impl Request {
     /// Sets the scheduling priority (builder style).
     pub fn priority(mut self, priority: Priority) -> Self {
         self.meta.priority = priority;
-        self
-    }
-
-    /// Sets the advisory backend hint (builder style).
-    pub fn backend(mut self, hint: BackendHint) -> Self {
-        self.meta.backend = Some(hint);
         self
     }
 
@@ -380,13 +346,11 @@ mod tests {
         let r = Request::train(Tensor::zeros([4, 8]), Tensor::zeros([4]))
             .deadline(Duration::from_micros(250))
             .priority(Priority::High)
-            .backend(BackendHint::Boxed)
             .id(7);
         assert_eq!(r.kind, ServingKind::Train);
         assert_eq!(r.rows(), 4);
         assert_eq!(r.meta.deadline, Some(Duration::from_micros(250)));
         assert_eq!(r.meta.priority, Priority::High);
-        assert_eq!(r.meta.backend, Some(BackendHint::Boxed));
         assert_eq!(r.meta.id, Some(7));
         assert_eq!(r.meta.arrival, None);
     }

@@ -11,8 +11,8 @@
 //!   children on ephemeral loopback ports; the binary must sit next to
 //!   this one) or a comma-separated list of existing worker addresses.
 //!   Default: `2` (self-spawned).
-//! * `PE_PROGRAM_REGISTRY`, `PE_SERVER_ADMISSION`, `PE_EXECUTOR`,
-//!   `PE_DRAIN_WORKERS` — propagated to self-spawned workers, so the
+//! * `PE_PROGRAM_REGISTRY`, `PE_SERVER_ADMISSION`, `PE_DRAIN_WORKERS` —
+//!   propagated to self-spawned workers, so the
 //!   whole pool cold-starts from one shared artifact registry with
 //!   identical serving behavior.
 

@@ -4,8 +4,8 @@
 //! address on the first stdout line (`listening on <addr>`, flushed — a
 //! harness can parse it), then serves until the process is killed.
 //!
-//! Engine knobs come from the usual environment: `PE_EXECUTOR` picks the
-//! executor backend, `PE_DRAIN_WORKERS` sizes the drain pool. `PE_SERVER_ADMISSION=deadline` switches admission
+//! Engine knobs come from the usual environment: `PE_DRAIN_WORKERS` sizes
+//! the drain pool, and `PE_SERVER_ADMISSION=deadline` switches admission
 //! control to `DeadlineFeasible` (with seeded estimates, so rejection
 //! decisions are deterministic — the loopback suites depend on that).
 //!
@@ -18,7 +18,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 
 use pockengine::pe_graph::GraphBuilder;
 use pockengine::pe_models::BuiltModel;
-use pockengine::pe_runtime::{ExecutorConfig, Optimizer};
+use pockengine::pe_runtime::Optimizer;
 use pockengine::pe_tensor::Rng;
 use pockengine::{AdmissionPolicy, CompileOptions, Compiler, Engine, EngineConfig, QueueConfig};
 
@@ -79,21 +79,18 @@ fn install_signal_handlers() {}
 
 fn main() {
     install_signal_handlers();
-    let executor = ExecutorConfig::from_env();
     let admission = match std::env::var("PE_SERVER_ADMISSION").as_deref() {
         Ok("deadline") => AdmissionPolicy::DeadlineFeasible,
         _ => AdmissionPolicy::AcceptAll,
     };
     let program = Compiler::new(CompileOptions {
         optimizer: Optimizer::sgd(0.05),
-        executor,
         ..CompileOptions::default()
     })
     .compile(mlp_factory);
     let mut engine = Engine::new(
         program,
         EngineConfig {
-            executor,
             warm_batches: vec![1, 2, 4, 8],
             admission,
             ..EngineConfig::default()
@@ -101,7 +98,7 @@ fn main() {
     );
     if matches!(admission, AdmissionPolicy::DeadlineFeasible) {
         for batch in 1..=8 {
-            engine.seed_latency_estimate(batch, executor, std::time::Duration::from_micros(100));
+            engine.seed_latency_estimate(batch, std::time::Duration::from_micros(100));
         }
     }
     let server = Server::spawn(

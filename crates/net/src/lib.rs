@@ -3,7 +3,7 @@
 //! The network front door for PockEngine-RS: a versioned, length-prefixed
 //! binary wire protocol (no external dependencies — hand-rolled frames
 //! over `std::net`) that carries the full serving request vocabulary —
-//! deadlines, priorities, backend hints, caller ids — to an [`AsyncEngine`]
+//! deadlines, priorities, caller ids — to an [`AsyncEngine`]
 //! behind a TCP listener, and streams [`Outcome`]s back in completion
 //! order.
 //!

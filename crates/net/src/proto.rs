@@ -39,22 +39,23 @@
 //!
 //! The client leads with `Hello` carrying [`PROTOCOL_MAGIC`] and
 //! [`PROTOCOL_VERSION`]; the server answers `HelloAck` with its own version
-//! only when magic and version match *exactly* (there is one version so
-//! far; a future server may accept a range). Any mismatch is answered with
+//! only when magic and version match *exactly* (version 2 retired version
+//! 1's executor-backend hint; a future server may accept a range). Any
+//! mismatch is answered with
 //! an `Error` frame and a close — a client never talks payload frames to a
 //! server that did not acknowledge its version.
 
 use std::io::{Read, Write};
 use std::time::Duration;
 
-use pe_data::serving::{BackendHint, Priority, Request, RequestMeta, ServingKind};
+use pe_data::serving::{Priority, Request, RequestMeta, ServingKind};
 use pe_runtime::ExecError;
 
 /// Four magic bytes leading every `Hello`: "PockEngine Network Wire".
 pub const PROTOCOL_MAGIC: [u8; 4] = *b"PENW";
 
 /// The protocol version spoken by this build.
-pub const PROTOCOL_VERSION: u16 = 1;
+pub const PROTOCOL_VERSION: u16 = 2;
 
 /// Default cap on one frame's length (kind byte + payload), 8 MiB.
 pub const DEFAULT_MAX_FRAME_BYTES: usize = 8 * 1024 * 1024;
@@ -387,7 +388,7 @@ const KIND_EVAL: u8 = 1;
 
 const FLAG_ID: u8 = 1 << 0;
 const FLAG_DEADLINE: u8 = 1 << 1;
-const FLAG_BACKEND: u8 = 1 << 2;
+// Bit 2 carried version 1's executor-backend hint; it is now an unknown flag.
 const FLAG_ARRIVAL: u8 = 1 << 3;
 
 fn priority_byte(p: Priority) -> u8 {
@@ -404,21 +405,6 @@ fn priority_from(byte: u8) -> Result<Priority, ProtoError> {
         1 => Ok(Priority::Normal),
         2 => Ok(Priority::High),
         other => Err(err(format!("unknown priority tag {other}"))),
-    }
-}
-
-fn backend_byte(hint: BackendHint) -> u8 {
-    match hint {
-        BackendHint::Arena => 0,
-        BackendHint::Boxed => 1,
-    }
-}
-
-fn backend_from(byte: u8) -> Result<BackendHint, ProtoError> {
-    match byte {
-        0 => Ok(BackendHint::Arena),
-        1 => Ok(BackendHint::Boxed),
-        other => Err(err(format!("unknown backend-hint tag {other}"))),
     }
 }
 
@@ -444,9 +430,6 @@ pub fn encode_submit(corr: u64, mode: SubmitMode, request: &Request) -> Vec<u8> 
     if meta.deadline.is_some() {
         flags |= FLAG_DEADLINE;
     }
-    if meta.backend.is_some() {
-        flags |= FLAG_BACKEND;
-    }
     if meta.arrival.is_some() {
         flags |= FLAG_ARRIVAL;
     }
@@ -457,9 +440,6 @@ pub fn encode_submit(corr: u64, mode: SubmitMode, request: &Request) -> Vec<u8> 
     }
     if let Some(deadline) = meta.deadline {
         put_duration(&mut buf, deadline);
-    }
-    if let Some(backend) = meta.backend {
-        buf.push(backend_byte(backend));
     }
     if let Some(arrival) = meta.arrival {
         put_duration(&mut buf, arrival);
@@ -489,16 +469,13 @@ pub fn decode_submit(payload: &[u8]) -> Result<(u64, SubmitMode, Request), Proto
         other => return Err(err(format!("unknown request kind {other}"))),
     };
     let flags = b.u8()?;
-    if flags & !(FLAG_ID | FLAG_DEADLINE | FLAG_BACKEND | FLAG_ARRIVAL) != 0 {
+    if flags & !(FLAG_ID | FLAG_DEADLINE | FLAG_ARRIVAL) != 0 {
         return Err(err(format!("unknown meta flags {flags:#04x}")));
     }
     let priority = priority_from(b.u8()?)?;
     let id = (flags & FLAG_ID != 0).then(|| b.u64()).transpose()?;
     let deadline = (flags & FLAG_DEADLINE != 0)
         .then(|| b.duration())
-        .transpose()?;
-    let backend = (flags & FLAG_BACKEND != 0)
-        .then(|| b.u8().and_then(backend_from))
         .transpose()?;
     let arrival = (flags & FLAG_ARRIVAL != 0)
         .then(|| b.duration())
@@ -517,7 +494,6 @@ pub fn decode_submit(payload: &[u8]) -> Result<(u64, SubmitMode, Request), Proto
                 id,
                 deadline,
                 priority,
-                backend,
                 arrival,
             },
         },
@@ -876,7 +852,6 @@ mod tests {
         )
         .deadline(Duration::from_nanos(1_234_567_891))
         .priority(Priority::High)
-        .backend(BackendHint::Boxed)
         .id(u64::MAX)
     }
 
@@ -902,6 +877,16 @@ mod tests {
         let (_, mode, back) = decode_submit(&payload).unwrap();
         assert_eq!(mode, SubmitMode::Block);
         assert_eq!(back.meta, RequestMeta::default());
+    }
+
+    #[test]
+    fn the_retired_backend_hint_flag_is_an_unknown_meta_flag() {
+        let request = Request::eval(Tensor::zeros([1, 2]), Tensor::zeros([1]));
+        let mut payload = encode_submit(0, SubmitMode::Block, &request);
+        // corr (8 bytes), mode and kind precede the flags byte.
+        payload[10] |= 1 << 2;
+        let e = decode_submit(&payload).unwrap_err();
+        assert!(e.0.contains("unknown meta flags"), "{e}");
     }
 
     #[test]

@@ -32,8 +32,8 @@ impl FusionLevel {
     ///
     /// # Panics
     ///
-    /// Panics on an unrecognised value, like the executor's `PE_EXECUTOR`
-    /// knob — a typo should fail loudly, not silently change the pipeline.
+    /// Panics on an unrecognised value: a typo should fail loudly, not
+    /// silently change the pipeline.
     pub fn from_env() -> FusionLevel {
         match std::env::var("PE_FUSION").ok().as_deref() {
             None | Some("regions") => FusionLevel::Regions,

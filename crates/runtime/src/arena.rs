@@ -125,8 +125,13 @@ struct Shared {
     fallbacks: AtomicU64,
 }
 
-/// The arena-backed executor (see the module docs).
-pub(crate) struct ArenaExec {
+/// Executes a compiled training program out of one planner-sized slab.
+///
+/// Parameters and optimizer state live in a shared [`ParamStore`] that the
+/// executor *borrows*: [`Executor::new`] creates a private store, while
+/// [`Executor::with_store`] attaches to an existing one so several
+/// batch-size specializations train one canonical set of weights.
+pub struct Executor {
     tg: TrainingGraph,
     schedule: Schedule,
     shared: Shared,
@@ -140,22 +145,27 @@ pub(crate) struct ArenaExec {
     eval_live: Vec<bool>,
 }
 
-impl std::fmt::Debug for ArenaExec {
+impl std::fmt::Debug for Executor {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("ArenaExec")
+        f.debug_struct("Executor")
             .field("nodes", &self.schedule.len())
             .field("steps_completed", &self.step)
             .finish()
     }
 }
 
-impl ArenaExec {
-    /// Builds an arena executor with an optional precomputed memory plan (e.g.
-    /// deserialized from a program artifact). The plan is structurally
+impl Executor {
+    /// [`Executor::with_store`] with an optional precomputed memory plan
+    /// (e.g. deserialized from a program artifact). The plan is structurally
     /// validated against the graph and schedule; an invalid plan is
     /// discarded and replanned from scratch, so a corrupted artifact can
     /// cost time but never soundness.
-    pub fn new_with_plan(
+    ///
+    /// # Panics
+    ///
+    /// Panics if a parameter of the graph is missing from the store or has a
+    /// mismatched shape.
+    pub fn with_store_and_plan(
         tg: TrainingGraph,
         schedule: Schedule,
         store: Arc<ParamStore>,
@@ -275,7 +285,7 @@ impl ArenaExec {
             fallbacks: AtomicU64::new(0),
         };
 
-        ArenaExec {
+        Executor {
             tg,
             schedule,
             shared,
@@ -287,30 +297,42 @@ impl ArenaExec {
         }
     }
 
+    /// The training graph being executed.
     pub fn training_graph(&self) -> &TrainingGraph {
         &self.tg
     }
 
+    /// The execution schedule.
     pub fn schedule(&self) -> &Schedule {
         &self.schedule
     }
 
+    /// The optimizer configuration.
     pub fn optimizer(&self) -> Optimizer {
         self.shared.store.optimizer()
     }
 
+    /// The shared parameter store backing this executor.
     pub fn param_store(&self) -> &Arc<ParamStore> {
         &self.shared.store
     }
 
+    /// Number of completed optimisation steps.
     pub fn steps_completed(&self) -> usize {
         self.step
     }
 
+    /// Number of kernel dispatches that fell back to an allocating kernel
+    /// because no `_into` variant exists. Every op the compiler emits has an
+    /// arena-resident `_into` kernel, so this is 0; the counter stays as a
+    /// regression tripwire for future ops.
     pub fn fallback_dispatches(&self) -> u64 {
         self.shared.fallbacks.load(Ordering::Relaxed)
     }
 
+    /// Current value of a parameter: a snapshot cloned under the store's
+    /// shared guard, so it is safe to call while other executors sharing
+    /// the [`ParamStore`] are stepping concurrently.
     pub fn param(&self, id: NodeId) -> Option<Tensor> {
         let slot = *self.param_slots.get(&id)?;
         let _g = self.shared.store.lock_shared();
@@ -320,6 +342,15 @@ impl ArenaExec {
         Some(unsafe { (*self.shared.store.cell(slot)).value.clone() })
     }
 
+    /// Overwrites a parameter value (e.g. to load a pre-trained checkpoint)
+    /// and resets that parameter's optimizer state: momentum and Adam
+    /// moments accumulated for the *old* trajectory would otherwise be
+    /// silently applied to the new value. The next step of every executor
+    /// sharing the store sees the new value.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the parameter is unknown or the shapes do not match.
     pub fn set_param(&mut self, id: NodeId, value: Tensor) {
         let slot = *self.param_slots.get(&id).expect("unknown parameter");
         // The store resets the parameter's optimizer state.
@@ -366,7 +397,13 @@ impl ArenaExec {
         }
     }
 
-    /// Zero-allocation training step returning only the loss.
+    /// Runs one full training step and returns only the loss: the
+    /// zero-allocation hot path, which materialises no output tensors.
+    ///
+    /// # Errors
+    ///
+    /// Returns an error if a step input is missing or has the wrong shape or
+    /// dtype.
     pub fn train_step(
         &mut self,
         inputs: &HashMap<String, Tensor>,
@@ -379,6 +416,12 @@ impl ArenaExec {
         Ok(Some(self.value_view(&self.loss_arg).data()[0]))
     }
 
+    /// Runs one full training step: forward, backward, parameter updates.
+    ///
+    /// # Errors
+    ///
+    /// Returns an error if a step input is missing or has the wrong shape or
+    /// dtype.
     pub fn run_step(&mut self, inputs: &HashMap<String, Tensor>) -> Result<StepResult, ExecError> {
         self.bind_inputs(inputs)?;
         let store = Arc::clone(&self.shared.store);
@@ -388,6 +431,12 @@ impl ArenaExec {
         Ok(self.collect())
     }
 
+    /// Runs the forward part only (no parameter updates), for evaluation.
+    ///
+    /// # Errors
+    ///
+    /// Returns an error if a step input is missing or has the wrong shape or
+    /// dtype.
     pub fn run_eval(&mut self, inputs: &HashMap<String, Tensor>) -> Result<StepResult, ExecError> {
         self.bind_inputs(inputs)?;
         let store = Arc::clone(&self.shared.store);

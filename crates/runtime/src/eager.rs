@@ -33,34 +33,31 @@ pub struct EagerEngine {
     loss: NodeId,
     spec: TrainSpec,
     store: Arc<ParamStore>,
-    config: ExecutorConfig,
     steps: usize,
 }
 
 impl EagerEngine {
-    /// Creates an eager engine over a forward graph, selecting the executor
-    /// backend from the environment fallback.
+    /// Creates an eager engine over a forward graph.
     pub fn new(forward: Graph, loss: NodeId, spec: TrainSpec, optimizer: Optimizer) -> Self {
-        EagerEngine::with_config(forward, loss, spec, optimizer, ExecutorConfig::default())
-    }
-
-    /// Creates an eager engine with an explicit executor configuration.
-    pub fn with_config(
-        forward: Graph,
-        loss: NodeId,
-        spec: TrainSpec,
-        optimizer: Optimizer,
-        config: ExecutorConfig,
-    ) -> Self {
         let store = Arc::new(ParamStore::from_graph(&forward, optimizer));
         EagerEngine {
             forward,
             loss,
             spec,
             store,
-            config,
             steps: 0,
         }
+    }
+
+    /// [`EagerEngine::new`]: the [`ExecutorConfig`] carries no setting.
+    pub fn with_config(
+        forward: Graph,
+        loss: NodeId,
+        spec: TrainSpec,
+        optimizer: Optimizer,
+        _config: ExecutorConfig,
+    ) -> Self {
+        EagerEngine::new(forward, loss, spec, optimizer)
     }
 
     /// Number of completed steps.
@@ -90,7 +87,7 @@ impl EagerEngine {
         // exactly the overhead the compilation-first design removes.
         let tg = build_training_graph(self.forward.clone(), self.loss, &self.spec);
         let schedule = build_schedule(&tg.graph, ScheduleStrategy::Conventional);
-        let mut exec = Executor::with_store(tg, schedule, Arc::clone(&self.store), self.config);
+        let mut exec = Executor::with_store(tg, schedule, Arc::clone(&self.store));
         let result = exec.run_step(inputs)?;
         self.steps += 1;
         Ok(result)

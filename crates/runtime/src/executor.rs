@@ -6,93 +6,29 @@
 //! `ApplyUpdate` nodes. There is no graph construction, autodiff, or shape
 //! inference at runtime.
 //!
-//! Two backends implement that contract:
-//!
-//! * the **arena** backend (default) executes out of one preallocated slab
-//!   sized by the memory planner — every transient buffer is a view at a
-//!   compile-time offset, so a steady-state training step performs no heap
-//!   allocation;
-//! * the **boxed** backend allocates an owned tensor per node and frees it
-//!   at its compile-time free position; it is kept as the differential
-//!   baseline (`PE_EXECUTOR=boxed`) that the arena backend must match bit
-//!   for bit.
+//! There is one executor. It runs out of one preallocated slab sized by the
+//! memory planner: every transient buffer is a view at a compile-time
+//! offset, so a steady-state training step performs no heap allocation. Its
+//! differential oracle is the same executor over a plan that reuses no range
+//! and aliases nothing in place (`plan_disjoint` in the integration suites'
+//! support module), which the planned executor must match bit for bit.
 
 use std::collections::HashMap;
 use std::sync::Arc;
 
-use pe_graph::{NodeId, TrainingGraph};
+use pe_graph::TrainingGraph;
 use pe_passes::Schedule;
 use pe_tensor::{DType, Tensor};
 
-use crate::arena::ArenaExec;
-use crate::boxed::BoxedExec;
+pub use crate::arena::Executor;
 use crate::optimizer::Optimizer;
 use crate::store::ParamStore;
 
-/// Which executor backend runs the compiled program.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-pub enum Backend {
-    /// The arena-slab executor (zero transient allocations). The default.
-    #[default]
-    Arena,
-    /// The per-node-buffer executor kept as the differential baseline.
-    Boxed,
-}
-
-impl Backend {
-    /// Short lowercase name (`"arena"` / `"boxed"`).
-    pub fn name(self) -> &'static str {
-        match self {
-            Backend::Arena => "arena",
-            Backend::Boxed => "boxed",
-        }
-    }
-}
-
-/// Explicit executor selection, threaded through [`Executor::with_config`],
-/// the trainer and the engine instead of ambient environment variables.
-///
-/// [`ExecutorConfig::default`] (and therefore [`Executor::new`]) still honours
-/// `PE_EXECUTOR` as a *fallback default* via [`ExecutorConfig::from_env`], so
-/// existing workflows keep working; code that wants a specific backend
-/// passes a config explicitly.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct ExecutorConfig {
-    /// The backend to execute with.
-    pub backend: Backend,
-}
-
-impl Default for ExecutorConfig {
-    fn default() -> Self {
-        ExecutorConfig::from_env()
-    }
-}
-
-impl ExecutorConfig {
-    /// Arena backend.
-    pub fn arena() -> Self {
-        ExecutorConfig {
-            backend: Backend::Arena,
-        }
-    }
-
-    /// Boxed differential-baseline backend.
-    pub fn boxed() -> Self {
-        ExecutorConfig {
-            backend: Backend::Boxed,
-        }
-    }
-
-    /// Reads the fallback default from the environment: `PE_EXECUTOR=boxed`
-    /// selects the boxed baseline (default: arena).
-    pub fn from_env() -> Self {
-        let backend = std::env::var("PE_EXECUTOR").unwrap_or_default();
-        if backend.eq_ignore_ascii_case("boxed") || backend.eq_ignore_ascii_case("hashmap") {
-            return ExecutorConfig::boxed();
-        }
-        ExecutorConfig::arena()
-    }
-}
+/// Executor options. It carries no setting — every executor is the arena
+/// executor — and is kept, field-less, only because the benchmark harness
+/// names it; the next change to that harness deletes it.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash)]
+pub struct ExecutorConfig;
 
 /// Error raised when step inputs do not match the program signature.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -187,12 +123,6 @@ impl StepResult {
     }
 }
 
-#[derive(Debug)]
-enum Inner {
-    Boxed(Box<BoxedExec>),
-    Arena(Box<ArenaExec>),
-}
-
 /// A recipe for constructing sibling [`Executor`]s over one compiled program
 /// and one shared [`ParamStore`], captured with [`Executor::seed`].
 ///
@@ -209,15 +139,14 @@ pub struct ExecutorSeed {
 
 impl ExecutorSeed {
     /// Builds a new executor over the seed's program, attached to the shared
-    /// store, with the given backend configuration. The arena backend replans
-    /// its slab deterministically from the graph + schedule, so siblings are
-    /// bit-identical to the executor the seed was captured from.
-    pub fn executor(&self, config: ExecutorConfig) -> Executor {
+    /// store. The executor replans its slab deterministically from the graph
+    /// and schedule, so siblings are bit-identical to the executor the seed
+    /// was captured from.
+    pub fn executor(&self) -> Executor {
         Executor::with_store(
             self.tg.clone(),
             self.schedule.clone(),
             Arc::clone(&self.store),
-            config,
         )
     }
 
@@ -225,20 +154,6 @@ impl ExecutorSeed {
     pub fn param_store(&self) -> &Arc<ParamStore> {
         &self.store
     }
-}
-
-/// Executes a compiled training program.
-///
-/// Parameters and optimizer state live in a shared [`ParamStore`] that the
-/// executor *borrows*: [`Executor::new`] / [`Executor::with_config`] create a
-/// private store, while [`Executor::with_store`] attaches to an existing one
-/// so several batch-size specializations train one canonical set of weights.
-/// [`Executor::new`] picks the backend from the environment fallback
-/// ([`ExecutorConfig::from_env`]); the other constructors take an explicit
-/// [`ExecutorConfig`].
-#[derive(Debug)]
-pub struct Executor {
-    inner: Inner,
 }
 
 // Executors are moved into drainer threads by the engine's async ingestion
@@ -256,100 +171,33 @@ const _: fn() = || {
 };
 
 impl Executor {
-    /// Builds an executor with a private parameter store, selecting the
-    /// backend from the environment fallback ([`ExecutorConfig::from_env`]):
-    ///
-    /// `PE_EXECUTOR=boxed` picks the boxed baseline (default: arena).
+    /// Builds an executor with a private parameter store.
     pub fn new(tg: TrainingGraph, schedule: Schedule, optimizer: Optimizer) -> Self {
-        Executor::with_config(tg, schedule, optimizer, ExecutorConfig::default())
+        let store = Arc::new(ParamStore::from_graph(&tg.graph, optimizer));
+        Executor::with_store(tg, schedule, store)
     }
 
-    /// Builds an executor with a private parameter store and an explicit
-    /// backend configuration.
+    /// [`Executor::new`]: the [`ExecutorConfig`] carries no setting.
     pub fn with_config(
         tg: TrainingGraph,
         schedule: Schedule,
         optimizer: Optimizer,
-        config: ExecutorConfig,
+        _config: ExecutorConfig,
     ) -> Self {
-        let store = Arc::new(ParamStore::from_graph(&tg.graph, optimizer));
-        Executor::with_store(tg, schedule, store, config)
+        Executor::new(tg, schedule, optimizer)
     }
 
     /// Builds an executor that borrows parameters and optimizer state from a
-    /// shared [`ParamStore`] instead of materialising its own copies.
+    /// shared [`ParamStore`] instead of materialising its own copies, so
+    /// several batch-size specializations train one canonical set of
+    /// weights.
     ///
     /// # Panics
     ///
     /// Panics if a parameter of the graph is missing from the store or has a
     /// mismatched shape.
-    pub fn with_store(
-        tg: TrainingGraph,
-        schedule: Schedule,
-        store: Arc<ParamStore>,
-        config: ExecutorConfig,
-    ) -> Self {
-        Executor::with_store_and_plan(tg, schedule, store, config, None)
-    }
-
-    /// [`Executor::with_store`] with an optional precomputed memory plan
-    /// (deserialized from a program artifact). The arena backend validates
-    /// the plan against the graph/schedule and silently replans if it does
-    /// not hold up; the boxed backend allocates per node and ignores it.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a parameter of the graph is missing from the store or has a
-    /// mismatched shape.
-    pub fn with_store_and_plan(
-        tg: TrainingGraph,
-        schedule: Schedule,
-        store: Arc<ParamStore>,
-        config: ExecutorConfig,
-        plan: Option<pe_memplan::MemoryPlan>,
-    ) -> Self {
-        let inner = match config.backend {
-            Backend::Boxed => Inner::Boxed(Box::new(BoxedExec::new(tg, schedule, store))),
-            Backend::Arena => Inner::Arena(Box::new(ArenaExec::new_with_plan(
-                tg, schedule, store, plan,
-            ))),
-        };
-        Executor { inner }
-    }
-
-    /// Builds the arena-backed executor with a private parameter store.
-    pub fn arena(tg: TrainingGraph, schedule: Schedule, optimizer: Optimizer) -> Self {
-        Executor::with_config(tg, schedule, optimizer, ExecutorConfig::arena())
-    }
-
-    /// Builds the boxed per-node-buffer executor (differential baseline)
-    /// with a private parameter store.
-    pub fn boxed(tg: TrainingGraph, schedule: Schedule, optimizer: Optimizer) -> Self {
-        Executor::with_config(tg, schedule, optimizer, ExecutorConfig::boxed())
-    }
-
-    /// The shared parameter store backing this executor.
-    pub fn param_store(&self) -> &Arc<ParamStore> {
-        match &self.inner {
-            Inner::Boxed(e) => e.param_store(),
-            Inner::Arena(e) => e.param_store(),
-        }
-    }
-
-    /// Short name of the active backend (`"arena"` or `"boxed"`).
-    pub fn backend_name(&self) -> &'static str {
-        match &self.inner {
-            Inner::Boxed(_) => "boxed",
-            Inner::Arena(_) => "arena",
-        }
-    }
-
-    /// The backend configuration this executor was built with.
-    pub fn config(&self) -> ExecutorConfig {
-        match &self.inner {
-            Inner::Boxed(_) => ExecutorConfig::boxed(),
-            Inner::Arena(_) => ExecutorConfig::arena(),
-        }
+    pub fn with_store(tg: TrainingGraph, schedule: Schedule, store: Arc<ParamStore>) -> Self {
+        Executor::with_store_and_plan(tg, schedule, store, None)
     }
 
     /// Captures a recipe for constructing sibling executors over the same
@@ -357,11 +205,11 @@ impl Executor {
     ///
     /// The seed clones the (immutable) training graph and schedule once; each
     /// [`ExecutorSeed::executor`] call then builds an independent executor —
-    /// its own arena slab or boxed buffers — that reads and writes the
-    /// original store. This is how the engine's parallel drain gives every
-    /// worker thread a private executor without recompiling: evaluation runs
-    /// take the store's shared guard, so sibling executors evaluate
-    /// concurrently and serialize only against exclusive training steps.
+    /// its own arena slab — that reads and writes the original store. This
+    /// is how the engine's parallel drain gives every worker thread a
+    /// private executor without recompiling: evaluation runs take the
+    /// store's shared guard, so sibling executors evaluate concurrently and
+    /// serialize only against exclusive training steps.
     pub fn seed(&self) -> ExecutorSeed {
         ExecutorSeed {
             tg: self.training_graph().clone(),
@@ -370,131 +218,16 @@ impl Executor {
         }
     }
 
-    /// Builds a sibling executor: same program, same shared store, same
-    /// backend configuration, but private execution state (slab/buffers).
+    /// Builds a sibling executor: same program, same shared store, but
+    /// private execution state (its own slab).
     pub fn fork(&self) -> Executor {
-        self.seed().executor(self.config())
-    }
-
-    /// The training graph being executed.
-    pub fn training_graph(&self) -> &TrainingGraph {
-        match &self.inner {
-            Inner::Boxed(e) => e.training_graph(),
-            Inner::Arena(e) => e.training_graph(),
-        }
-    }
-
-    /// The execution schedule.
-    pub fn schedule(&self) -> &Schedule {
-        match &self.inner {
-            Inner::Boxed(e) => e.schedule(),
-            Inner::Arena(e) => e.schedule(),
-        }
-    }
-
-    /// The optimizer configuration.
-    pub fn optimizer(&self) -> Optimizer {
-        match &self.inner {
-            Inner::Boxed(e) => e.optimizer(),
-            Inner::Arena(e) => e.optimizer(),
-        }
-    }
-
-    /// Number of completed optimisation steps.
-    pub fn steps_completed(&self) -> usize {
-        match &self.inner {
-            Inner::Boxed(e) => e.steps_completed(),
-            Inner::Arena(e) => e.steps_completed(),
-        }
-    }
-
-    /// Current value of a parameter: a snapshot cloned under the store's
-    /// shared guard, so it is safe to call while other executors sharing
-    /// the [`ParamStore`] are stepping concurrently.
-    pub fn param(&self, id: NodeId) -> Option<Tensor> {
-        match &self.inner {
-            Inner::Boxed(e) => e.param(id),
-            Inner::Arena(e) => e.param(id),
-        }
+        self.seed().executor()
     }
 
     /// Current value of a parameter looked up by name.
     pub fn param_by_name(&self, name: &str) -> Option<Tensor> {
         let id = self.training_graph().graph.find_param(name)?;
         self.param(id)
-    }
-
-    /// Overwrites a parameter value (e.g. to load a pre-trained checkpoint)
-    /// and resets that parameter's optimizer state: momentum and Adam
-    /// moments accumulated for the *old* trajectory would otherwise be
-    /// silently applied to the new value. The next step of every executor
-    /// sharing the store sees the new value.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the parameter is unknown or the shapes do not match.
-    pub fn set_param(&mut self, id: NodeId, value: Tensor) {
-        match &mut self.inner {
-            Inner::Boxed(e) => e.set_param(id, value),
-            Inner::Arena(e) => e.set_param(id, value),
-        }
-    }
-
-    /// Runs one full training step: forward, backward, parameter updates.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error if a step input is missing or has the wrong shape or
-    /// dtype.
-    pub fn run_step(&mut self, inputs: &HashMap<String, Tensor>) -> Result<StepResult, ExecError> {
-        match &mut self.inner {
-            Inner::Boxed(e) => e.run_step(inputs),
-            Inner::Arena(e) => e.run_step(inputs),
-        }
-    }
-
-    /// Runs one full training step and returns only the loss value.
-    ///
-    /// On the arena backend this is the zero-allocation hot path: no output
-    /// tensors are materialised and the step touches the heap not at all.
-    /// The boxed backend falls back to [`Executor::run_step`].
-    ///
-    /// # Errors
-    ///
-    /// Returns an error if a step input is missing or has the wrong shape or
-    /// dtype.
-    pub fn train_step(
-        &mut self,
-        inputs: &HashMap<String, Tensor>,
-    ) -> Result<Option<f32>, ExecError> {
-        match &mut self.inner {
-            Inner::Boxed(e) => Ok(e.run_step(inputs)?.loss),
-            Inner::Arena(e) => e.train_step(inputs),
-        }
-    }
-
-    /// Runs the forward part only (no parameter updates), for evaluation.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error if a step input is missing or has the wrong shape or
-    /// dtype.
-    pub fn run_eval(&mut self, inputs: &HashMap<String, Tensor>) -> Result<StepResult, ExecError> {
-        match &mut self.inner {
-            Inner::Boxed(e) => e.run_eval(inputs),
-            Inner::Arena(e) => e.run_eval(inputs),
-        }
-    }
-
-    /// Number of kernel dispatches that fell back to an allocating kernel
-    /// because no `_into` variant exists. Every op the compiler emits now has
-    /// an arena-resident `_into` kernel, so this is 0 on both backends; the
-    /// counter stays as a regression tripwire for future ops.
-    pub fn fallback_dispatches(&self) -> u64 {
-        match &self.inner {
-            Inner::Boxed(_) => 0,
-            Inner::Arena(e) => e.fallback_dispatches(),
-        }
     }
 }
 
@@ -506,10 +239,7 @@ mod tests {
     use pe_tensor::Rng;
 
     /// Builds a small linear-regression-style training program.
-    fn compile_mlp_with(
-        spec_for: impl Fn(&str) -> TrainKind,
-        make: impl Fn(TrainingGraph, Schedule, Optimizer) -> Executor,
-    ) -> Executor {
+    fn compile_mlp(spec_for: impl Fn(&str) -> TrainKind) -> Executor {
         let mut rng = Rng::seed_from_u64(0);
         let mut b = GraphBuilder::new();
         let x = b.input("x", [8, 4]);
@@ -529,11 +259,7 @@ mod tests {
         }
         let tg = build_training_graph(g, loss, &spec);
         let (tg, schedule, _) = optimize(tg, OptimizeOptions::default());
-        make(tg, schedule, Optimizer::sgd(0.1))
-    }
-
-    fn compile_mlp(spec_for: impl Fn(&str) -> TrainKind) -> Executor {
-        compile_mlp_with(spec_for, Executor::new)
+        Executor::new(tg, schedule, Optimizer::sgd(0.1))
     }
 
     fn batch(rng: &mut Rng) -> HashMap<String, Tensor> {
@@ -627,19 +353,17 @@ mod tests {
 
     #[test]
     fn wrong_dtype_is_reported_not_panicked() {
-        for make in [Executor::boxed as fn(_, _, _) -> Executor, Executor::arena] {
-            let mut exec = compile_mlp_with(|_| TrainKind::Full, make);
-            let inputs = HashMap::from([
-                (
-                    "x".to_string(),
-                    Tensor::zeros([8, 4]).with_dtype(DType::F16),
-                ),
-                ("labels".to_string(), Tensor::zeros([8])),
-            ]);
-            let err = exec.run_step(&inputs).unwrap_err();
-            assert!(matches!(err, ExecError::InputDTypeMismatch { .. }));
-            assert!(err.to_string().contains("dtype"));
-        }
+        let mut exec = compile_mlp(|_| TrainKind::Full);
+        let inputs = HashMap::from([
+            (
+                "x".to_string(),
+                Tensor::zeros([8, 4]).with_dtype(DType::F16),
+            ),
+            ("labels".to_string(), Tensor::zeros([8])),
+        ]);
+        let err = exec.run_step(&inputs).unwrap_err();
+        assert!(matches!(err, ExecError::InputDTypeMismatch { .. }));
+        assert!(err.to_string().contains("dtype"));
     }
 
     #[test]
@@ -657,30 +381,9 @@ mod tests {
     }
 
     #[test]
-    fn arena_and_boxed_backends_agree_bit_for_bit() {
-        let mut rng = Rng::seed_from_u64(11);
-        let batches: Vec<_> = (0..5).map(|_| batch(&mut rng)).collect();
-        let mut boxed = compile_mlp_with(|_| TrainKind::Full, Executor::boxed);
-        let mut arena = compile_mlp_with(|_| TrainKind::Full, Executor::arena);
-        for b in &batches {
-            let lb = boxed.run_step(b).unwrap().loss.unwrap();
-            let la = arena.run_step(b).unwrap().loss.unwrap();
-            assert_eq!(lb.to_bits(), la.to_bits(), "boxed vs arena");
-        }
-        for name in ["fc1.weight", "fc1.bias", "fc2.weight", "fc2.bias"] {
-            assert_eq!(
-                boxed.param_by_name(name).unwrap().data(),
-                arena.param_by_name(name).unwrap().data(),
-                "parameter '{name}' diverged across backends"
-            );
-        }
-        assert_eq!(arena.fallback_dispatches(), 0, "MLP must not fall back");
-    }
-
-    #[test]
     fn train_step_loss_matches_run_step() {
-        let mut a = compile_mlp_with(|_| TrainKind::Full, Executor::arena);
-        let mut b = compile_mlp_with(|_| TrainKind::Full, Executor::arena);
+        let mut a = compile_mlp(|_| TrainKind::Full);
+        let mut b = compile_mlp(|_| TrainKind::Full);
         let mut rng = Rng::seed_from_u64(12);
         for _ in 0..4 {
             let data = batch(&mut rng);
@@ -688,5 +391,6 @@ mod tests {
             let lb = b.run_step(&data).unwrap().loss.unwrap();
             assert_eq!(la.to_bits(), lb.to_bits());
         }
+        assert_eq!(a.fallback_dispatches(), 0, "MLP must not fall back");
     }
 }

@@ -7,10 +7,8 @@
 //! * [`Executor`] walks a pre-computed schedule over the training graph,
 //!   dispatching nodes to the shared kernel library and applying parameter
 //!   updates in place — no autodiff, shape inference or graph work at
-//!   runtime. The default **arena** backend executes out of one
-//!   planner-sized slab (zero transient heap allocations per step) on the
-//!   calling thread; the backend is selected explicitly with
-//!   [`ExecutorConfig`] (`PE_EXECUTOR` remains the fallback default).
+//!   runtime. It executes out of one planner-sized slab (zero transient
+//!   heap allocations per step) on the calling thread.
 //! * [`ParamStore`] holds the canonical tensor and optimizer state of every
 //!   parameter, keyed by stable `pe_graph::ParamKey` identities. Executors
 //!   *borrow* a store (`Executor::with_store`), so many batch-size
@@ -53,7 +51,6 @@
 #![deny(missing_docs)]
 
 mod arena;
-mod boxed;
 pub mod eager;
 pub mod executor;
 pub mod optimizer;
@@ -61,7 +58,7 @@ pub mod store;
 pub mod trainer;
 
 pub use eager::EagerEngine;
-pub use executor::{Backend, ExecError, Executor, ExecutorConfig, ExecutorSeed, StepResult};
+pub use executor::{ExecError, Executor, ExecutorConfig, ExecutorSeed, StepResult};
 pub use optimizer::Optimizer;
 pub use store::{ParamStore, SnapshotError, SNAPSHOT_MAGIC, SNAPSHOT_VERSION};
 pub use trainer::{Batch, Trainer, TrainingHistory};

@@ -1,7 +1,7 @@
 //! The shared parameter store.
 //!
 //! PockEngine's compile pipeline may specialize one model family into many
-//! executable programs (one per batch size or backend), but
+//! executable programs (one per batch size), but
 //! the *parameters* of the family exist exactly once. [`ParamStore`] holds
 //! the canonical tensor and optimizer state for every parameter, keyed by
 //! the stable [`ParamKey`] identity from `pe-graph` (node ids are positional

@@ -181,7 +181,7 @@ pub fn fused_region_inplace(
     }
 }
 
-/// Owned-tensor variant for the boxed reference executor.
+/// Owned-tensor variant: the reference the `_into` forms are tested against.
 pub fn fused_region(prog: &[MicroOp], inputs: &[&Tensor]) -> Tensor {
     let views: Vec<TensorView> = inputs.iter().map(|t| t.view()).collect();
     let dims = inputs[0].dims().to_vec();

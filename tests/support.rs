@@ -1,25 +1,34 @@
 //! Shared fixtures and generic drivers for the integration suites.
 //!
 //! The model family, request generators and engine constructors here are
-//! the single source the queue, routing and network suites all build on,
-//! so "the same stream" means byte-for-byte the same stream on every
+//! the single source the engine, queue, network and fleet suites all build
+//! on, so "the same stream" means byte-for-byte the same stream on every
 //! transport. The submission drivers are generic over
 //! [`pockengine::Submit`]: one driver produces both the in-process
 //! baseline (via [`pockengine::AsyncEngine`] / [`pockengine::Submitter`])
 //! and the networked run (via `pe_net::Client`), which is what makes the
 //! wire protocol's bit-identity claims checkable.
+//!
+//! [`plan_disjoint`] and [`disjoint_executor`] are the executor's
+//! differential oracle: the same executor over a memory plan that reuses
+//! nothing and aliases nothing.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 use std::time::Duration;
 
-use pockengine::pe_graph::GraphBuilder;
+use pockengine::pe_graph::{Graph, GraphBuilder, NodeId, TrainingGraph};
+use pockengine::pe_memplan::{
+    analyze_lifetimes, plan_memory_with, validate_plan, MemPlanOptions, MemoryPlan,
+};
 use pockengine::pe_models::BuiltModel;
-use pockengine::pe_runtime::{ExecError, ExecutorConfig, Optimizer};
+use pockengine::pe_passes::Schedule;
+use pockengine::pe_runtime::{ExecError, Executor, Optimizer, ParamStore};
 use pockengine::pe_tensor::{Rng, Tensor};
 use pockengine::{
-    AdmissionPolicy, BackendHint, BackendRoute, CompileOptions, Compiler, Engine, EngineConfig,
-    Outcome, Priority, Program, RejectReason, Request, ServingKind, Submit, SubmitHandle,
+    AdmissionPolicy, CompileOptions, Compiler, Engine, EngineConfig, Outcome, Priority, Program,
+    RejectReason, Request, ServingKind, Submit, SubmitHandle,
 };
 
 /// The system allocator, counting allocation events, for the zero-alloc
@@ -66,6 +75,59 @@ unsafe impl GlobalAlloc for CountingAlloc {
     }
 }
 
+/// Alignment of every buffer in [`plan_disjoint`]: the executor's own.
+const ALIGN_BYTES: usize = 64;
+
+/// A memory plan that reuses nothing: every scheduled buffer owns its own
+/// 64-byte-aligned arena range for the whole step, and every alias is
+/// `None`, so each node writes fresh memory out of place. An executor over
+/// it is the oracle for the planner's reuse and in-place aliasing.
+pub fn plan_disjoint(graph: &Graph, schedule: &Schedule) -> MemoryPlan {
+    let lifetimes = analyze_lifetimes(graph, schedule);
+    let mut offsets = vec![None; graph.len()];
+    let mut arena_bytes = 0;
+    for (idx, lifetime) in lifetimes.iter().enumerate() {
+        if lifetime.is_some() {
+            offsets[idx] = Some(arena_bytes);
+            let bytes = graph.node(NodeId(idx)).shape.numel() * 4;
+            arena_bytes += bytes.next_multiple_of(ALIGN_BYTES);
+        }
+    }
+    MemoryPlan {
+        aliases: vec![None; graph.len()],
+        lifetimes,
+        offsets,
+        // Every buffer is resident for the whole step.
+        peak_transient_bytes: arena_bytes,
+        arena_bytes,
+    }
+}
+
+/// An executor with a private store over [`plan_disjoint`]: the oracle an
+/// executor over the planner's own plan must match bit for bit.
+///
+/// `Executor::with_store_and_plan` silently replans a plan that fails
+/// validation, which would make the comparison vacuous, so this first
+/// asserts that the plan validates under the execution options and that it
+/// is larger than the planned arena.
+pub fn disjoint_executor(tg: TrainingGraph, schedule: Schedule, optimizer: Optimizer) -> Executor {
+    let options = MemPlanOptions::for_execution();
+    let disjoint = plan_disjoint(&tg.graph, &schedule);
+    assert_eq!(
+        validate_plan(&tg.graph, &schedule, &options, &disjoint),
+        Ok(())
+    );
+    let planned = plan_memory_with(&tg.graph, &schedule, &options);
+    assert!(
+        disjoint.arena_bytes > planned.arena_bytes,
+        "the disjoint plan ({} B) must exceed the planned arena ({} B)",
+        disjoint.arena_bytes,
+        planned.arena_bytes
+    );
+    let store = Arc::new(ParamStore::from_graph(&tg.graph, optimizer));
+    Executor::with_store_and_plan(tg, schedule, store, Some(disjoint))
+}
+
 /// Feature width of the shared MLP family.
 pub const DIM: usize = 16;
 /// Class count of the shared MLP family.
@@ -98,48 +160,40 @@ pub fn mlp(batch: usize) -> BuiltModel {
     }
 }
 
-/// Compiles the shared MLP family with the given optimizer and executor.
-pub fn program(optimizer: Optimizer, executor: ExecutorConfig) -> Program {
+/// Compiles the shared MLP family with the given optimizer.
+pub fn program(optimizer: Optimizer) -> Program {
     Compiler::new(CompileOptions {
         optimizer,
-        executor,
         ..CompileOptions::default()
     })
     .compile(mlp)
 }
 
-/// A single-backend engine over the shared family (SGD 0.1).
-pub fn engine(executor: ExecutorConfig, warm: Vec<usize>) -> Engine {
+/// An engine over the shared family (SGD 0.1) warmed at `warm`.
+pub fn engine(warm: Vec<usize>) -> Engine {
     Engine::new(
-        program(Optimizer::sgd(0.1), executor),
+        program(Optimizer::sgd(0.1)),
         EngineConfig {
-            executor,
             warm_batches: warm,
             ..EngineConfig::default()
         },
     )
 }
 
-/// A two-backend engine (arena default + boxed alternate) with seeded
-/// latency estimates for every rung either backend can dispatch, so
-/// `DeadlineFeasible` decisions are deterministic from the first request.
-pub fn routed_engine(admission: AdmissionPolicy) -> Engine {
-    let default = ExecutorConfig::arena();
-    let alternate = ExecutorConfig::boxed();
+/// An engine warmed at `[4, 8]` with seeded latency estimates for every
+/// rung the suites' streams can dispatch, so `DeadlineFeasible` decisions
+/// are deterministic from the first request.
+pub fn seeded_engine(admission: AdmissionPolicy) -> Engine {
     let mut engine = Engine::new(
-        program(Optimizer::sgd(0.1), default),
+        program(Optimizer::sgd(0.1)),
         EngineConfig {
-            executor: default,
-            alternates: vec![alternate],
-            route: BackendRoute::HintOrFit,
             warm_batches: vec![4, 8],
             admission,
             ..EngineConfig::default()
         },
     );
     for batch in 1..=8 {
-        engine.seed_latency_estimate(batch, default, Duration::from_micros(100));
-        engine.seed_latency_estimate(batch, alternate, Duration::from_micros(100));
+        engine.seed_latency_estimate(batch, Duration::from_micros(100));
     }
     engine
 }
@@ -175,10 +229,10 @@ pub fn mixed_stream(n: usize, seed: u64) -> Vec<Request> {
         .collect()
 }
 
-/// Mixed stream with deadlines, priorities and backend hints. Budgets are
-/// either absent, far above any realistic dispatch latency (always
-/// feasible), or zero (always infeasible once an estimate exists), so
-/// admission decisions do not depend on timing noise.
+/// Mixed stream with deadlines and priorities. Budgets are either absent,
+/// far above any realistic dispatch latency (always feasible), or zero
+/// (always infeasible once an estimate exists), so admission decisions do
+/// not depend on timing noise.
 pub fn deadline_stream(n: usize, seed: u64) -> Vec<Request> {
     let mut rng = Rng::seed_from_u64(seed);
     (0..n)
@@ -189,13 +243,8 @@ pub fn deadline_stream(n: usize, seed: u64) -> Vec<Request> {
                 ServingKind::Eval
             };
             let rows = [2, 4, 8, 3][i % 4];
-            let mut r = request(kind, rows, &mut rng)
+            let r = request(kind, rows, &mut rng)
                 .priority([Priority::Low, Priority::Normal, Priority::High][i % 3]);
-            r = match i % 5 {
-                0 => r.backend(BackendHint::Boxed),
-                1 => r.backend(BackendHint::Arena),
-                _ => r,
-            };
             match i % 7 {
                 // Provably infeasible: estimates are seeded > 0.
                 2 | 5 => r.deadline(Duration::ZERO),

@@ -6,6 +6,7 @@
 
 use std::collections::HashMap;
 
+use pe_tests::support::disjoint_executor;
 use pockengine::pe_data::{
     generate_nlp_task, generate_vision_task, NlpTaskConfig, VisionTaskConfig,
 };
@@ -263,12 +264,14 @@ fn random_program(
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
-    /// For random small graphs the arena executor is bit-identical to the
-    /// boxed executor, and matches runtime-autodiff
-    /// eager mode to tight numeric tolerance (eager runs an unfused graph,
-    /// so bitwise equality is not defined for it).
+    /// For random small graphs the executor over the planner's plan is
+    /// bit-identical to the same executor over a plan that reuses nothing
+    /// and aliases nothing (reuse and in-place aliasing change where values
+    /// live, never what they are), and both match runtime-autodiff eager
+    /// mode to tight numeric tolerance (eager runs an unfused graph, so
+    /// bitwise equality is not defined for it).
     #[test]
-    fn arena_executor_matches_boxed_and_eager_on_random_graphs(
+    fn planned_arena_matches_disjoint_arena_and_eager_on_random_graphs(
         depth in 1usize..4,
         width in 3usize..12,
         batch in 1usize..5,
@@ -279,23 +282,23 @@ proptest! {
         let (tg, schedule, mut eager, inputs) =
             random_program(depth, width, batch, frozen_prefix, seed);
         let lr = 0.05;
-        let mut boxed = Executor::boxed(tg.clone(), schedule.clone(), Optimizer::sgd(lr));
-        let mut arena = Executor::arena(tg.clone(), schedule.clone(), Optimizer::sgd(lr));
+        let mut disjoint = disjoint_executor(tg.clone(), schedule.clone(), Optimizer::sgd(lr));
+        let mut planned = Executor::new(tg.clone(), schedule.clone(), Optimizer::sgd(lr));
 
         for _ in 0..3 {
-            let lb = boxed.run_step(&inputs).unwrap().loss.unwrap();
-            let la = arena.run_step(&inputs).unwrap().loss.unwrap();
+            let ld = disjoint.run_step(&inputs).unwrap().loss.unwrap();
+            let lp = planned.run_step(&inputs).unwrap().loss.unwrap();
             let le = eager.run_step(&inputs).unwrap().loss.unwrap();
-            prop_assert_eq!(lb.to_bits(), la.to_bits(), "arena loss != boxed loss");
-            prop_assert!((lb - le).abs() <= 1e-4 + 1e-4 * lb.abs(), "eager loss diverged: {} vs {}", lb, le);
+            prop_assert_eq!(ld.to_bits(), lp.to_bits(), "planned loss != disjoint loss");
+            prop_assert!((ld - le).abs() <= 1e-4 + 1e-4 * ld.abs(), "eager loss diverged: {} vs {}", ld, le);
         }
         for id in tg.graph.param_ids() {
             let name = tg.graph.node(id).name.clone();
-            let reference = boxed.param(id).unwrap();
-            let arena_value = arena.param(id).unwrap();
+            let reference = disjoint.param(id).unwrap();
+            let planned_value = planned.param(id).unwrap();
             prop_assert_eq!(
-                reference.data(), arena_value.data(),
-                "parameter '{}' differs between boxed and arena", name
+                reference.data(), planned_value.data(),
+                "parameter '{}' differs between the disjoint and planned plans", name
             );
             if let Some(eager_value) = eager.param_by_name(&name) {
                 prop_assert!(
@@ -304,6 +307,6 @@ proptest! {
                 );
             }
         }
-        prop_assert_eq!(arena.fallback_dispatches(), 0, "MLP graphs must not hit fallback kernels");
+        prop_assert_eq!(planned.fallback_dispatches(), 0, "MLP graphs must not hit fallback kernels");
     }
 }

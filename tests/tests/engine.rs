@@ -1,80 +1,35 @@
 //! Integration suite for the serving stack: shared `ParamStore`, the staged
-//! `Compiler` → `Program` specialization cache, and the `Engine` facade.
+//! `Compiler` → `Program` specialization cache, and the `Engine` facade
+//! with its admission control.
 //!
-//! The load-bearing claim: **one canonical copy of each parameter serves
-//! many batch-size specializations with bit-identical training results**
-//! versus the old per-executor world where every executor owned private
-//! parameter copies.
+//! The load-bearing claims:
+//!
+//! * **One canonical copy of each parameter** serves many batch-size
+//!   specializations with bit-identical training results versus the old
+//!   per-executor world where every executor owned private parameter
+//!   copies.
+//! * **Admission parity** — the same deadline-carrying stream produces the
+//!   same `Rejected` set whether replayed through `Engine::serve` or the
+//!   async queue (admission is assessed against the request's full budget
+//!   on both paths).
+//! * **Rejections are not cache churn** — a rejected request never
+//!   increments the per-request cache accounting.
 
 use std::collections::HashMap;
 use std::sync::Arc;
+use std::time::Duration;
 
-use pockengine::pe_graph::{build_training_graph, GraphBuilder, ParamKey, TrainSpec};
-use pockengine::pe_models::BuiltModel;
+use pe_tests::support::{
+    self, deadline_stream, engine, mlp, program, rejected_set, request, seeded_engine, CLASSES,
+};
+use pockengine::pe_graph::{build_training_graph, ParamKey, TrainSpec};
 use pockengine::pe_passes::{optimize, OptimizeOptions};
-use pockengine::pe_runtime::{Executor, ExecutorConfig, Optimizer, ParamStore};
+use pockengine::pe_runtime::{Executor, Optimizer, ParamStore};
 use pockengine::pe_tensor::{Rng, Tensor};
 use pockengine::{
-    compile, CompileOptions, Compiler, Engine, EngineConfig, Outcome, Program, Request, Response,
-    ServingKind,
+    compile, AdmissionPolicy, CompileOptions, Engine, EngineConfig, Outcome, Priority, QueueConfig,
+    Request, Response, ServingKind,
 };
-
-const DIM: usize = 16;
-const CLASSES: usize = 4;
-
-/// A deterministic two-layer MLP family: same parameter names, shapes and
-/// initial values at every batch size (the `ModelFactory` contract).
-fn mlp(batch: usize) -> BuiltModel {
-    let mut rng = Rng::seed_from_u64(42);
-    let mut b = GraphBuilder::new();
-    let x = b.input("x", [batch, DIM]);
-    let labels = b.input("labels", [batch]);
-    let w1 = b.weight("fc1.weight", [32, DIM], &mut rng);
-    let b1 = b.bias("fc1.bias", 32);
-    let h = b.linear(x, w1, Some(b1));
-    let h = b.relu(h);
-    let w2 = b.weight("fc2.weight", [CLASSES, 32], &mut rng);
-    let b2 = b.bias("fc2.bias", CLASSES);
-    let logits = b.linear(h, w2, Some(b2));
-    let loss = b.cross_entropy(logits, labels);
-    let graph = b.finish(vec![loss, logits]);
-    BuiltModel {
-        graph,
-        loss,
-        logits,
-        feature_input: "x".to_string(),
-        label_input: "labels".to_string(),
-        num_blocks: 2,
-        name: "mlp-test".to_string(),
-    }
-}
-
-fn options(optimizer: Optimizer, executor: ExecutorConfig) -> CompileOptions {
-    CompileOptions {
-        optimizer,
-        executor,
-        ..CompileOptions::default()
-    }
-}
-
-fn program(optimizer: Optimizer, executor: ExecutorConfig) -> Program {
-    Compiler::new(options(optimizer, executor)).compile(mlp)
-}
-
-/// A linearly-separable request: class signal at feature `c * 3`.
-fn request(kind: ServingKind, rows: usize, rng: &mut Rng) -> Request {
-    let mut features = Tensor::zeros([rows, DIM]);
-    let mut labels = Tensor::zeros([rows]);
-    for i in 0..rows {
-        let c = rng.next_usize(CLASSES);
-        for j in 0..DIM {
-            features.set(&[i, j], rng.normal() * 0.2);
-        }
-        features.set(&[i, c * 3], 2.0);
-        labels.data_mut()[i] = c as f32;
-    }
-    Request::new(kind, features, labels)
-}
 
 /// Unwraps a slice-serve outcome vector into completed responses.
 fn completed(outcomes: Vec<Outcome>) -> Vec<Response> {
@@ -97,22 +52,15 @@ fn engine_matches_single_executor_baseline_bit_for_bit() {
         stream.push(request(ServingKind::Eval, eval_rows, &mut rng));
     }
 
-    let mut engine = Engine::new(
-        program(Optimizer::sgd(0.1), ExecutorConfig::arena()),
-        EngineConfig {
-            executor: ExecutorConfig::arena(),
-            warm_batches: vec![4, 8],
-            ..EngineConfig::default()
-        },
-    );
+    let mut engine = engine(vec![4, 8]);
     let responses = completed(engine.serve(&stream).unwrap());
 
     // Baseline: the old world — compile() at batch 4, private parameters.
-    let mut baseline = compile(
-        &mlp(4),
-        &options(Optimizer::sgd(0.1), ExecutorConfig::arena()),
-    )
-    .executor;
+    let options = CompileOptions {
+        optimizer: Optimizer::sgd(0.1),
+        ..CompileOptions::default()
+    };
+    let mut baseline = compile(&mlp(4), &options).executor;
 
     let train_losses: Vec<f32> = responses
         .iter()
@@ -170,55 +118,6 @@ fn engine_matches_single_executor_baseline_bit_for_bit() {
     );
 }
 
-/// The arena and boxed backends must agree bit for bit when driven through
-/// the engine's shared-store path, exactly as they do standalone.
-#[test]
-fn engine_backends_agree_bit_for_bit() {
-    let make_stream = |seed| {
-        let mut rng = Rng::seed_from_u64(seed);
-        (0..8)
-            .map(|i| {
-                let kind = if i % 3 == 2 {
-                    ServingKind::Eval
-                } else {
-                    ServingKind::Train
-                };
-                request(kind, if i % 2 == 0 { 4 } else { 2 }, &mut rng)
-            })
-            .collect::<Vec<_>>()
-    };
-    let stream = make_stream(11);
-
-    let mut results = Vec::new();
-    for exec_cfg in [ExecutorConfig::arena(), ExecutorConfig::boxed()] {
-        let mut engine = Engine::new(
-            program(Optimizer::sgd(0.05), exec_cfg),
-            EngineConfig {
-                executor: exec_cfg,
-                warm_batches: vec![2, 4],
-                ..EngineConfig::default()
-            },
-        );
-        let responses = completed(engine.serve(&stream).unwrap());
-        let losses: Vec<u32> = responses
-            .iter()
-            .map(|r| r.loss.unwrap().to_bits())
-            .collect();
-        let weight = engine
-            .program()
-            .store()
-            .get(&ParamKey::new("fc1.weight"))
-            .unwrap();
-        results.push((losses, weight));
-    }
-    assert_eq!(results[0].0, results[1].0, "arena vs boxed losses");
-    assert_eq!(
-        results[0].1.data(),
-        results[1].1.data(),
-        "arena vs boxed final weights"
-    );
-}
-
 /// Padded evaluation must not leak into the reported rows: a 3-row request
 /// evaluated through a padded batch-8 specialization returns exactly the
 /// logits an exact batch-3 specialization computes.
@@ -227,14 +126,7 @@ fn eval_padding_does_not_change_real_rows() {
     let mut rng = Rng::seed_from_u64(3);
     let req = request(ServingKind::Eval, 3, &mut rng);
 
-    let mut padded = Engine::new(
-        program(Optimizer::sgd(0.1), ExecutorConfig::arena()),
-        EngineConfig {
-            executor: ExecutorConfig::arena(),
-            warm_batches: vec![8],
-            ..EngineConfig::default()
-        },
-    );
+    let mut padded = engine(vec![8]);
     let r_padded = padded
         .serve_one(&req)
         .unwrap()
@@ -243,14 +135,7 @@ fn eval_padding_does_not_change_real_rows() {
     assert_eq!(r_padded.batch, 8, "must pad to the nearest cached size");
     assert_eq!(padded.metrics().padded_rows, 5);
 
-    let mut exact = Engine::new(
-        program(Optimizer::sgd(0.1), ExecutorConfig::arena()),
-        EngineConfig {
-            executor: ExecutorConfig::arena(),
-            warm_batches: vec![3],
-            ..EngineConfig::default()
-        },
-    );
+    let mut exact = engine(vec![3]);
     let r_exact = exact
         .serve_one(&req)
         .unwrap()
@@ -270,14 +155,7 @@ fn eval_padding_does_not_change_real_rows() {
 /// hit/miss accounting tracks warmup misses and steady-state hits.
 #[test]
 fn specialization_cache_and_coalescing_accounting() {
-    let mut engine = Engine::new(
-        program(Optimizer::sgd(0.1), ExecutorConfig::arena()),
-        EngineConfig {
-            executor: ExecutorConfig::arena(),
-            warm_batches: vec![2, 8],
-            ..EngineConfig::default()
-        },
-    );
+    let mut engine = engine(vec![2, 8]);
     let warm = engine.cache_stats();
     assert_eq!(
         (warm.hits, warm.misses),
@@ -331,7 +209,7 @@ fn concurrent_train_and_eval_are_deterministic() {
             let model = mlp(batch);
             let tg = build_training_graph(model.graph.clone(), model.loss, &TrainSpec::new());
             let (tg, schedule, _) = optimize(tg, OptimizeOptions::default());
-            Executor::with_store(tg, schedule, Arc::clone(store), ExecutorConfig::arena())
+            Executor::with_store(tg, schedule, Arc::clone(store))
         };
         (make(4), make(8))
     };
@@ -416,7 +294,7 @@ fn set_param_resets_optimizer_state() {
             let model = mlp(4);
             let tg = build_training_graph(model.graph.clone(), model.loss, &TrainSpec::new());
             let (tg, schedule, _) = optimize(tg, OptimizeOptions::default());
-            Executor::with_config(tg, schedule, optimizer, ExecutorConfig::arena())
+            Executor::new(tg, schedule, optimizer)
         };
         let mut rng = Rng::seed_from_u64(17);
         let batches: Vec<HashMap<String, Tensor>> = (0..6)
@@ -469,7 +347,7 @@ fn set_param_resets_optimizer_state() {
 /// specializations borrow it.
 #[test]
 fn store_bytes_do_not_grow_with_specializations() {
-    let mut p = program(Optimizer::adam(1e-3), ExecutorConfig::arena());
+    let mut p = program(Optimizer::adam(1e-3));
     p.specialize(2);
     let after_one = p.store().resident_bytes();
     p.specialize(4);
@@ -480,4 +358,238 @@ fn store_bytes_do_not_grow_with_specializations() {
         "extra specializations must not duplicate parameters or state"
     );
     assert_eq!(p.cached_batches(), vec![2, 4, 8]);
+}
+
+/// The admission acceptance: a mixed train/eval stream with deadlines and
+/// priorities produces bit-identical params, losses and `Rejected` sets
+/// whether driven through `Engine::serve` or the async queue.
+#[test]
+fn admission_parity_between_sync_and_queue_paths() {
+    let stream = deadline_stream(42, 11);
+
+    // Sync slice path.
+    let mut sync_engine = seeded_engine(AdmissionPolicy::DeadlineFeasible);
+    let sync_outcomes = sync_engine.serve(&stream).unwrap();
+    assert_eq!(sync_outcomes.len(), stream.len());
+
+    // Queue path: identically constructed and seeded engine. Submit
+    // everything, then shut down (draining in flight) before redeeming —
+    // generous deadlines would otherwise keep the last group waiting.
+    let async_engine = seeded_engine(AdmissionPolicy::DeadlineFeasible).into_async(QueueConfig {
+        capacity: stream.len(),
+        default_deadline: Duration::from_millis(1),
+        ..QueueConfig::default()
+    });
+    let tickets: Vec<_> = stream
+        .iter()
+        .map(|r| async_engine.submit(r.clone()).expect("queue open"))
+        .collect();
+    let (drained, batcher_stats) = async_engine.shutdown_with_stats();
+    let mut queued_outcomes: Vec<Option<Outcome>> = stream.iter().map(|_| None).collect();
+    for ticket in tickets {
+        let seq = ticket.seq();
+        queued_outcomes[seq] = Some(ticket.wait().expect("well-formed stream"));
+    }
+    let queued_outcomes: Vec<Outcome> = queued_outcomes
+        .into_iter()
+        .map(|o| o.expect("every ticket resolves"))
+        .collect();
+
+    // Rejected sets are identical.
+    let sync_rejected = rejected_set(&sync_outcomes);
+    let queued_rejected = rejected_set(&queued_outcomes);
+    assert!(
+        !sync_rejected.is_empty(),
+        "the stream must actually exercise admission control"
+    );
+    assert_eq!(
+        sync_rejected, queued_rejected,
+        "both paths must reject exactly the same requests"
+    );
+
+    // Per-request losses of completed requests are bit-identical.
+    for (i, (s, q)) in sync_outcomes.iter().zip(&queued_outcomes).enumerate() {
+        match (s.as_response(), q.as_response()) {
+            (Some(sr), Some(qr)) => {
+                assert_eq!(sr.rows, stream[i].rows());
+                assert_eq!(
+                    sr.loss.expect("classification loss").to_bits(),
+                    qr.loss.expect("classification loss").to_bits(),
+                    "request {i}: losses diverged between paths"
+                );
+            }
+            (None, None) => {}
+            other => panic!("request {i}: outcome kinds diverged: {other:?}"),
+        }
+    }
+
+    support::assert_params_identical(&drained, &sync_engine);
+    assert_eq!(sync_engine.metrics().rejected as usize, sync_rejected.len());
+    assert_eq!(drained.metrics().rejected as usize, queued_rejected.len());
+    assert_eq!(
+        batcher_stats.admission_rejections as usize,
+        queued_rejected.len()
+    );
+}
+
+/// Rejections must not look like cache churn: the per-request cache
+/// accounting covers exactly the admitted requests, and a stream of
+/// rejections leaves the cache stats untouched.
+#[test]
+fn rejected_requests_never_count_as_cache_traffic() {
+    let mut engine = seeded_engine(AdmissionPolicy::DeadlineFeasible);
+    let warm = engine.cache_stats();
+
+    let mut rng = Rng::seed_from_u64(5);
+    // All-infeasible stream: everything rejected on arrival.
+    let doomed: Vec<Request> = (0..6)
+        .map(|i| {
+            request(
+                if i % 2 == 0 {
+                    ServingKind::Train
+                } else {
+                    ServingKind::Eval
+                },
+                4,
+                &mut rng,
+            )
+            .deadline(Duration::ZERO)
+        })
+        .collect();
+    let outcomes = engine.serve(&doomed).unwrap();
+    assert!(outcomes.iter().all(|o| o.is_rejected()));
+    assert_eq!(engine.metrics().rejected, 6);
+    assert_eq!(engine.metrics().requests, 0);
+    let stats = engine.cache_stats();
+    assert_eq!(
+        (stats.request_hits, stats.request_misses),
+        (warm.request_hits, warm.request_misses),
+        "rejections must not touch the per-request cache accounting"
+    );
+    assert_eq!(
+        (stats.hits, stats.misses),
+        (warm.hits, warm.misses),
+        "rejections must not dispatch at all"
+    );
+
+    // A mixed stream: accounting covers exactly the admitted requests.
+    let mixed = deadline_stream(21, 9);
+    let outcomes = engine.serve(&mixed).unwrap();
+    let admitted = outcomes.iter().filter(|o| o.is_completed()).count() as u64;
+    let stats = engine.cache_stats();
+    assert_eq!(
+        stats.request_hits + stats.request_misses,
+        admitted,
+        "per-request accounting must cover exactly the admitted requests"
+    );
+}
+
+/// A rejected request embedded in an eval run must not split the
+/// coalescing group on the sync path (mirroring the queue, where a
+/// rejected envelope is discarded mid-accumulation).
+#[test]
+fn sync_rejection_does_not_break_coalescing() {
+    let mut engine = seeded_engine(AdmissionPolicy::DeadlineFeasible);
+    let mut rng = Rng::seed_from_u64(8);
+    let stream = vec![
+        request(ServingKind::Eval, 2, &mut rng),
+        request(ServingKind::Eval, 2, &mut rng).deadline(Duration::ZERO),
+        request(ServingKind::Eval, 2, &mut rng),
+    ];
+    let outcomes = engine.serve(&stream).unwrap();
+    assert!(outcomes[0].is_completed());
+    assert!(outcomes[1].is_rejected());
+    assert!(outcomes[2].is_completed());
+    assert_eq!(
+        engine.metrics().eval_batches,
+        1,
+        "the two admitted evals must still coalesce into one dispatch"
+    );
+}
+
+/// Priority ordering under a backed-up queue: when the drainer is slower
+/// than the producers, queued high-priority evaluations dispatch before
+/// older low-priority ones, and trains fence the reordering. Exercised on
+/// a raw queue (no drainer) so fullness is deterministic.
+#[test]
+fn priority_orders_dispatch_under_a_full_queue() {
+    let (tx, rx) = pockengine::queue::channel(QueueConfig {
+        capacity: 6,
+        default_deadline: Duration::from_millis(1),
+        ..QueueConfig::default()
+    });
+    let mut rng = Rng::seed_from_u64(3);
+    // Fill the queue completely: [lo, hi, norm, TRAIN, lo, hi].
+    let kinds_and_priorities = [
+        (ServingKind::Eval, Priority::Low),
+        (ServingKind::Eval, Priority::High),
+        (ServingKind::Eval, Priority::Normal),
+        (ServingKind::Train, Priority::Low),
+        (ServingKind::Eval, Priority::Low),
+        (ServingKind::Eval, Priority::High),
+    ];
+    for (kind, priority) in kinds_and_priorities {
+        tx.try_submit(request(kind, 1, &mut rng).priority(priority))
+            .expect("queue has room");
+    }
+    assert!(matches!(
+        tx.try_submit(request(ServingKind::Eval, 1, &mut rng)),
+        Err(pockengine::SubmitError::Full(_))
+    ));
+    // Dispatch order: evals before the train by priority (FIFO within a
+    // class), then the train (a fence), then the tail by priority.
+    let order: Vec<usize> = (0..6).map(|_| rx.try_pop().unwrap().seq()).collect();
+    assert_eq!(order, vec![1, 2, 0, 3, 5, 4]);
+}
+
+/// The engine-level LRU budget: the cache never exceeds
+/// `max_cached_specializations` and evictions are counted.
+#[test]
+fn engine_cache_budget_evicts_lru_specializations() {
+    let mut engine = Engine::new(
+        program(Optimizer::sgd(0.1)),
+        EngineConfig {
+            warm_batches: vec![4, 8],
+            max_cached_specializations: Some(3),
+            ..EngineConfig::default()
+        },
+    );
+    let mut rng = Rng::seed_from_u64(17);
+    // Trains at distinct exact sizes force distinct specializations.
+    for rows in [2, 3, 5, 6, 7] {
+        let outcome = engine
+            .serve_one(&request(ServingKind::Train, rows, &mut rng))
+            .unwrap();
+        assert!(outcome.is_completed());
+        assert!(
+            engine.program().cached_batches().len() <= 3,
+            "budget exceeded: {:?}",
+            engine.program().cached_batches()
+        );
+    }
+    let stats = engine.cache_stats();
+    assert!(stats.evictions >= 4, "stats: {stats:?}");
+    assert_eq!(engine.program().max_specializations(), Some(3));
+}
+
+/// The caller-assigned id round-trips through both paths.
+#[test]
+fn client_ids_echo_back_on_responses() {
+    let mut engine = seeded_engine(AdmissionPolicy::AcceptAll);
+    let mut rng = Rng::seed_from_u64(21);
+    let req = request(ServingKind::Eval, 2, &mut rng).id(777);
+    let response = engine
+        .serve_one(&req)
+        .unwrap()
+        .expect_completed("eval completes");
+    assert_eq!(response.client_id, Some(777));
+
+    let async_engine = seeded_engine(AdmissionPolicy::AcceptAll).into_async(QueueConfig::default());
+    let ticket = async_engine.submit(req).unwrap();
+    let response = ticket
+        .wait()
+        .unwrap()
+        .expect_completed("queued eval completes");
+    assert_eq!(response.client_id, Some(777));
+    drop(async_engine);
 }

@@ -11,7 +11,7 @@
 //! 2. An engine whose warm rungs load from a registry produces exactly
 //!    the same parameters (`f32::to_bits`), per-request losses and
 //!    rejected sets as a JIT-compiled engine on a mixed train/eval
-//!    stream, on both the arena and boxed backends.
+//!    stream.
 //! 3. With a warm registry the engine compiles nothing (`misses == 0`)
 //!    and its admission latency model is seeded before the first request.
 //! 4. Truncated, corrupted or version-bumped artifacts are rejected
@@ -22,7 +22,7 @@ use std::path::PathBuf;
 
 use pockengine::pe_graph::GraphBuilder;
 use pockengine::pe_models::BuiltModel;
-use pockengine::pe_runtime::{ExecutorConfig, Optimizer, ParamStore};
+use pockengine::pe_runtime::{Optimizer, ParamStore};
 use pockengine::pe_tensor::{Rng, Tensor};
 use pockengine::{
     AdmissionPolicy, ArtifactRegistry, CompileOptions, Compiler, Engine, EngineConfig, Outcome,
@@ -59,10 +59,9 @@ fn mlp(batch: usize) -> BuiltModel {
     }
 }
 
-fn options(executor: ExecutorConfig) -> CompileOptions {
+fn options() -> CompileOptions {
     let mut o = CompileOptions {
         optimizer: Optimizer::sgd(0.1),
-        executor,
         ..CompileOptions::default()
     };
     // Pin the fusion level so this suite's artifacts always carry a
@@ -73,8 +72,8 @@ fn options(executor: ExecutorConfig) -> CompileOptions {
 
 /// A freshly-compiled program with any ambient `PE_PROGRAM_REGISTRY`
 /// detached, so the suite is deterministic regardless of the environment.
-fn jit_program(executor: ExecutorConfig) -> Program {
-    let mut p = Compiler::new(options(executor)).compile(mlp);
+fn jit_program() -> Program {
+    let mut p = Compiler::new(options()).compile(mlp);
     p.attach_registry(None);
     p
 }
@@ -148,9 +147,8 @@ fn outcome_fingerprint(outcomes: &[Outcome]) -> (Vec<Option<u32>>, Vec<usize>) {
     (losses, rejected)
 }
 
-fn engine_config(executor: ExecutorConfig, registry: Option<PathBuf>) -> EngineConfig {
+fn engine_config(registry: Option<PathBuf>) -> EngineConfig {
     EngineConfig {
-        executor,
         warm_batches: vec![2, 4, 8],
         admission: AdmissionPolicy::AcceptAll,
         registry,
@@ -160,31 +158,28 @@ fn engine_config(executor: ExecutorConfig, registry: Option<PathBuf>) -> EngineC
 
 #[test]
 fn export_is_deterministic_byte_for_byte() {
-    for exec in [ExecutorConfig::arena(), ExecutorConfig::boxed()] {
-        for batch in [1, 4, 8] {
-            let first = jit_program(exec).export_artifact(batch, exec).render();
-            let second = jit_program(exec).export_artifact(batch, exec).render();
-            assert_eq!(
-                first, second,
-                "artifact bytes differ across runs (batch {batch}, {exec:?})"
-            );
-        }
+    for batch in [1, 4, 8] {
+        let first = jit_program().export_artifact(batch).render();
+        let second = jit_program().export_artifact(batch).render();
+        assert_eq!(
+            first, second,
+            "artifact bytes differ across runs (batch {batch})"
+        );
     }
 }
 
 #[test]
 fn stored_artifacts_round_trip_through_the_registry_loader() {
     let dir = scratch_dir("roundtrip");
-    let exec = ExecutorConfig::arena();
-    let program = jit_program(exec);
+    let program = jit_program();
     let registry = ArtifactRegistry::new(&dir);
     let paths = program
-        .export_artifacts(&registry, &[2, 4], exec)
+        .export_artifacts(&registry, &[2, 4])
         .expect("export succeeds");
     assert_eq!(paths.len(), 2);
     for (path, batch) in paths.iter().zip([2usize, 4]) {
         let artifact = registry
-            .load(program.content_hash(), batch, exec)
+            .load(program.content_hash(), batch)
             .expect("stored artifact loads");
         assert_eq!(artifact.batch, batch);
         assert_eq!(artifact.content_hash, program.content_hash());
@@ -200,49 +195,46 @@ fn stored_artifacts_round_trip_through_the_registry_loader() {
 #[test]
 fn registry_engine_is_bit_identical_to_jit_engine() {
     let requests = stream();
-    for exec in [ExecutorConfig::arena(), ExecutorConfig::boxed()] {
-        let dir = scratch_dir(&format!("identity-{}", exec.backend.name()));
-        let registry = ArtifactRegistry::new(&dir);
-        jit_program(exec)
-            .export_artifacts(&registry, &[2, 4, 8], exec)
-            .expect("export succeeds");
+    let dir = scratch_dir("identity");
+    let registry = ArtifactRegistry::new(&dir);
+    jit_program()
+        .export_artifacts(&registry, &[2, 4, 8])
+        .expect("export succeeds");
 
-        let mut jit = Engine::new(jit_program(exec), engine_config(exec, None));
-        let jit_outcomes = jit.serve(&requests).unwrap();
+    let mut jit = Engine::new(jit_program(), engine_config(None));
+    let jit_outcomes = jit.serve(&requests).unwrap();
 
-        let mut cold = Engine::new(jit_program(exec), engine_config(exec, Some(dir.clone())));
-        let stats = cold.cache_stats();
-        assert_eq!(
-            stats.registry_hits, 3,
-            "every warm rung should load from the registry ({exec:?})"
-        );
-        assert_eq!(stats.registry_misses, 0, "{exec:?}");
-        let cold_outcomes = cold.serve(&requests).unwrap();
+    let mut cold = Engine::new(jit_program(), engine_config(Some(dir.clone())));
+    let stats = cold.cache_stats();
+    assert_eq!(
+        stats.registry_hits, 3,
+        "every warm rung should load from the registry"
+    );
+    assert_eq!(stats.registry_misses, 0);
+    let cold_outcomes = cold.serve(&requests).unwrap();
 
-        assert_eq!(
-            outcome_fingerprint(&jit_outcomes),
-            outcome_fingerprint(&cold_outcomes),
-            "losses/rejections diverge under {exec:?}"
-        );
-        assert_eq!(
-            param_bits(jit.program().store()),
-            param_bits(cold.program().store()),
-            "trained parameters diverge under {exec:?}"
-        );
-        let _ = std::fs::remove_dir_all(&dir);
-    }
+    assert_eq!(
+        outcome_fingerprint(&jit_outcomes),
+        outcome_fingerprint(&cold_outcomes),
+        "losses/rejections diverge"
+    );
+    assert_eq!(
+        param_bits(jit.program().store()),
+        param_bits(cold.program().store()),
+        "trained parameters diverge"
+    );
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]
 fn warm_registry_cold_start_skips_compilation_and_seeds_admission() {
     let dir = scratch_dir("coldstart");
-    let exec = ExecutorConfig::arena();
     let registry = ArtifactRegistry::new(&dir);
-    jit_program(exec)
-        .export_artifacts(&registry, &[2, 4, 8], exec)
+    jit_program()
+        .export_artifacts(&registry, &[2, 4, 8])
         .expect("export succeeds");
 
-    let engine = Engine::new(jit_program(exec), engine_config(exec, Some(dir.clone())));
+    let engine = Engine::new(jit_program(), engine_config(Some(dir.clone())));
     let stats = engine.cache_stats();
     assert_eq!(stats.misses, 0, "a warm registry compiles nothing");
     assert_eq!(stats.registry_hits, 3);
@@ -251,7 +243,7 @@ fn warm_registry_cold_start_skips_compilation_and_seeds_admission() {
     assert_eq!(metrics.registry_misses, 0);
     for batch in [2, 4, 8] {
         assert!(
-            engine.latency_estimate(batch, exec).is_some(),
+            engine.latency_estimate(batch).is_some(),
             "artifact latency profile should seed admission for batch {batch} \
              before any request is served"
         );
@@ -263,9 +255,7 @@ fn warm_registry_cold_start_skips_compilation_and_seeds_admission() {
 fn empty_registry_counts_misses_and_still_serves() {
     let dir = scratch_dir("empty");
     std::fs::create_dir_all(&dir).unwrap();
-    let engine = Engine::new(jit_program(ExecutorConfig::arena()), {
-        engine_config(ExecutorConfig::arena(), Some(dir.clone()))
-    });
+    let engine = Engine::new(jit_program(), engine_config(Some(dir.clone())));
     let stats = engine.cache_stats();
     assert_eq!(stats.registry_hits, 0);
     assert_eq!(
@@ -280,22 +270,21 @@ fn empty_registry_counts_misses_and_still_serves() {
 /// back to JIT without panicking, records the misses, and still matches
 /// the JIT engine bit for bit.
 fn assert_damage_falls_back(tag: &str, damage: impl Fn(&str) -> String) {
-    let exec = ExecutorConfig::arena();
     let requests = stream();
     let dir = scratch_dir(tag);
     let registry = ArtifactRegistry::new(&dir);
-    let paths = jit_program(exec)
-        .export_artifacts(&registry, &[2, 4, 8], exec)
+    let paths = jit_program()
+        .export_artifacts(&registry, &[2, 4, 8])
         .expect("export succeeds");
     for path in &paths {
         let text = std::fs::read_to_string(path).unwrap();
         std::fs::write(path, damage(&text)).unwrap();
     }
 
-    let mut jit = Engine::new(jit_program(exec), engine_config(exec, None));
+    let mut jit = Engine::new(jit_program(), engine_config(None));
     let jit_outcomes = jit.serve(&requests).unwrap();
 
-    let mut cold = Engine::new(jit_program(exec), engine_config(exec, Some(dir.clone())));
+    let mut cold = Engine::new(jit_program(), engine_config(Some(dir.clone())));
     let stats = cold.cache_stats();
     assert_eq!(
         stats.registry_hits, 0,

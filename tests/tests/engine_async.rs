@@ -12,15 +12,14 @@
 use std::time::{Duration, Instant};
 
 use pe_tests::support::{engine, mixed_stream, request};
-use pockengine::pe_runtime::ExecutorConfig;
 use pockengine::pe_tensor::Rng;
 use pockengine::queue;
 use pockengine::{QueueConfig, ServingKind, SubmitError};
 
 /// The acceptance-criterion test: a queued mixed stream is bit-identical —
 /// per-request losses and final parameters — to `Engine::serve` over the
-/// same slice. Runs under the session's executor fallback so the CI matrix
-/// (default / boxed) exercises both backends.
+/// same slice. Runs under the session's fusion fallback (`PE_FUSION`), so
+/// the CI matrix covers the unfused programs too.
 ///
 /// The queued half is driven **through the generic `Submit` driver** in
 /// `pe_tests::support` — the exact driver the network suite runs against a
@@ -28,11 +27,10 @@ use pockengine::{QueueConfig, ServingKind, SubmitError};
 /// of the transport-independence claim.
 #[test]
 fn queued_stream_matches_sync_slice_baseline_bit_for_bit() {
-    let exec = ExecutorConfig::default();
     let stream = mixed_stream(36, 7);
 
     // Synchronous slice baseline.
-    let mut sync_engine = engine(exec, vec![4, 8]);
+    let mut sync_engine = engine(vec![4, 8]);
     let sync_losses: Vec<u32> = sync_engine
         .serve(&stream)
         .unwrap()
@@ -47,7 +45,7 @@ fn queued_stream_matches_sync_slice_baseline_bit_for_bit() {
 
     // Queued path: identical engine, single producer submitting in order
     // through the transport-generic driver.
-    let async_engine = engine(exec, vec![4, 8]).into_async(QueueConfig {
+    let async_engine = engine(vec![4, 8]).into_async(QueueConfig {
         capacity: 8,
         default_deadline: Duration::from_millis(1),
         ..QueueConfig::default()
@@ -114,8 +112,7 @@ fn try_submit_rejects_on_a_full_queue() {
 /// budget for companions that may never come.
 #[test]
 fn expired_deadline_dispatches_solo() {
-    let exec = ExecutorConfig::default();
-    let async_engine = engine(exec, vec![8]).into_async(QueueConfig {
+    let async_engine = engine(vec![8]).into_async(QueueConfig {
         capacity: 8,
         default_deadline: Duration::from_secs(30),
         ..QueueConfig::default()
@@ -145,8 +142,7 @@ fn expired_deadline_dispatches_solo() {
 /// companions arrive) and is then flushed by the deadline, not a barrier.
 #[test]
 fn lone_request_is_flushed_when_its_deadline_arrives() {
-    let exec = ExecutorConfig::default();
-    let async_engine = engine(exec, vec![8]).into_async(QueueConfig {
+    let async_engine = engine(vec![8]).into_async(QueueConfig {
         capacity: 8,
         default_deadline: Duration::from_millis(40),
         ..QueueConfig::default()
@@ -171,8 +167,7 @@ fn lone_request_is_flushed_when_its_deadline_arrives() {
 /// (generous) deadlines.
 #[test]
 fn compatible_evals_fill_the_target_rung() {
-    let exec = ExecutorConfig::default();
-    let async_engine = engine(exec, vec![8]).into_async(QueueConfig {
+    let async_engine = engine(vec![8]).into_async(QueueConfig {
         capacity: 8,
         default_deadline: Duration::from_secs(30),
         ..QueueConfig::default()
@@ -208,8 +203,7 @@ fn compatible_evals_fill_the_target_rung() {
 /// a served response even when deadlines lie far in the future.
 #[test]
 fn shutdown_drains_in_flight_requests() {
-    let exec = ExecutorConfig::default();
-    let async_engine = engine(exec, vec![4, 8]).into_async(QueueConfig {
+    let async_engine = engine(vec![4, 8]).into_async(QueueConfig {
         capacity: 64,
         default_deadline: Duration::from_secs(30),
         ..QueueConfig::default()
@@ -239,8 +233,7 @@ fn shutdown_drains_in_flight_requests() {
 /// rejection with the request handed back.
 #[test]
 fn submissions_after_shutdown_are_rejected_as_closed() {
-    let exec = ExecutorConfig::default();
-    let async_engine = engine(exec, vec![4]).into_async(QueueConfig::default());
+    let async_engine = engine(vec![4]).into_async(QueueConfig::default());
     let submitter = async_engine.submitter();
     let _ = async_engine.shutdown();
     let mut rng = Rng::seed_from_u64(5);
@@ -257,8 +250,7 @@ fn submissions_after_shutdown_are_rejected_as_closed() {
 fn concurrent_producers_all_resolve_under_backpressure() {
     const PRODUCERS: usize = 4;
     const PER_PRODUCER: usize = 25;
-    let exec = ExecutorConfig::default();
-    let async_engine = engine(exec, vec![4, 8]).into_async(QueueConfig {
+    let async_engine = engine(vec![4, 8]).into_async(QueueConfig {
         capacity: 4,
         default_deadline: Duration::from_micros(200),
         ..QueueConfig::default()

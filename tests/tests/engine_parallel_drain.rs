@@ -6,7 +6,7 @@
 //! The load-bearing claims:
 //!
 //! * **Worker count is invisible in results** — a mixed train/eval stream
-//!   with deadlines, priorities and backend hints produces bit-identical
+//!   with deadlines and priorities produces bit-identical
 //!   parameters, per-request losses and `Rejected` sets at 1, 2 and 4 drain
 //!   workers, and all of them match the synchronous `Engine::serve` slice
 //!   baseline. Parallelism moves *where* eval groups run, never what they
@@ -32,162 +32,11 @@ use std::time::Duration;
 
 use proptest::prelude::*;
 
-use pockengine::pe_graph::GraphBuilder;
-use pockengine::pe_models::BuiltModel;
-use pockengine::pe_runtime::{ExecutorConfig, Optimizer};
-use pockengine::pe_tensor::{Rng, Tensor};
-use pockengine::{
-    AdmissionPolicy, BackendHint, BackendRoute, CompileOptions, Compiler, Engine, EngineConfig,
-    Outcome, Priority, Program, QueueConfig, RejectReason, Request, ServingKind,
+use pe_tests::support::{
+    deadline_stream, engine, mixed_stream, rejected_set, request, seeded_engine,
 };
-
-const DIM: usize = 16;
-const CLASSES: usize = 4;
-
-/// A deterministic two-layer MLP family (the `ModelFactory` contract: same
-/// parameters at every batch size).
-fn mlp(batch: usize) -> BuiltModel {
-    let mut rng = Rng::seed_from_u64(42);
-    let mut b = GraphBuilder::new();
-    let x = b.input("x", [batch, DIM]);
-    let labels = b.input("labels", [batch]);
-    let w1 = b.weight("fc1.weight", [32, DIM], &mut rng);
-    let b1 = b.bias("fc1.bias", 32);
-    let h = b.linear(x, w1, Some(b1));
-    let h = b.relu(h);
-    let w2 = b.weight("fc2.weight", [CLASSES, 32], &mut rng);
-    let b2 = b.bias("fc2.bias", CLASSES);
-    let logits = b.linear(h, w2, Some(b2));
-    let loss = b.cross_entropy(logits, labels);
-    let graph = b.finish(vec![loss, logits]);
-    BuiltModel {
-        graph,
-        loss,
-        logits,
-        feature_input: "x".to_string(),
-        label_input: "labels".to_string(),
-        num_blocks: 2,
-        name: "mlp-parallel-drain-test".to_string(),
-    }
-}
-
-fn program(executor: ExecutorConfig) -> Program {
-    Compiler::new(CompileOptions {
-        optimizer: Optimizer::sgd(0.1),
-        executor,
-        ..CompileOptions::default()
-    })
-    .compile(mlp)
-}
-
-fn engine(executor: ExecutorConfig, warm: Vec<usize>) -> Engine {
-    Engine::new(
-        program(executor),
-        EngineConfig {
-            executor,
-            warm_batches: warm,
-            ..EngineConfig::default()
-        },
-    )
-}
-
-/// A two-backend engine (arena default + boxed alternate) with seeded
-/// latency estimates for every rung either backend can dispatch, so
-/// `DeadlineFeasible` decisions are deterministic from the first request.
-fn routed_engine(admission: AdmissionPolicy) -> Engine {
-    let default = ExecutorConfig::arena();
-    let alternate = ExecutorConfig::boxed();
-    let mut engine = Engine::new(
-        program(default),
-        EngineConfig {
-            executor: default,
-            alternates: vec![alternate],
-            route: BackendRoute::HintOrFit,
-            warm_batches: vec![4, 8],
-            admission,
-            ..EngineConfig::default()
-        },
-    );
-    for batch in 1..=8 {
-        engine.seed_latency_estimate(batch, default, Duration::from_micros(100));
-        engine.seed_latency_estimate(batch, alternate, Duration::from_micros(100));
-    }
-    engine
-}
-
-/// A linearly-separable request: class signal at feature `c * 3`.
-fn request(kind: ServingKind, rows: usize, rng: &mut Rng) -> Request {
-    let mut features = Tensor::zeros([rows, DIM]);
-    let mut labels = Tensor::zeros([rows]);
-    for i in 0..rows {
-        let c = rng.next_usize(CLASSES);
-        for j in 0..DIM {
-            features.set(&[i, j], rng.normal() * 0.2);
-        }
-        features.set(&[i, c * 3], 2.0);
-        labels.data_mut()[i] = c as f32;
-    }
-    Request::new(kind, features, labels)
-}
-
-/// Mixed train/eval stream with varying row counts.
-fn mixed_stream(n: usize, seed: u64) -> Vec<Request> {
-    let mut rng = Rng::seed_from_u64(seed);
-    (0..n)
-        .map(|i| {
-            let kind = if i % 3 == 0 {
-                ServingKind::Train
-            } else {
-                ServingKind::Eval
-            };
-            let rows = [2, 4, 8, 3][i % 4];
-            request(kind, rows, &mut rng)
-        })
-        .collect()
-}
-
-/// The acceptance-criterion stream: mixed train/eval with deadlines,
-/// priorities and backend hints. Budgets are either absent, far above any
-/// realistic dispatch latency (always feasible), or zero (always
-/// infeasible once an estimate exists), so admission decisions do not
-/// depend on timing noise.
-fn deadline_stream(n: usize, seed: u64) -> Vec<Request> {
-    let mut rng = Rng::seed_from_u64(seed);
-    (0..n)
-        .map(|i| {
-            let kind = if i % 3 == 0 {
-                ServingKind::Train
-            } else {
-                ServingKind::Eval
-            };
-            let rows = [2, 4, 8, 3][i % 4];
-            let mut r = request(kind, rows, &mut rng)
-                .priority([Priority::Low, Priority::Normal, Priority::High][i % 3]);
-            r = match i % 5 {
-                0 => r.backend(BackendHint::Boxed),
-                1 => r.backend(BackendHint::Arena),
-                _ => r,
-            };
-            match i % 7 {
-                2 | 5 => r.deadline(Duration::ZERO),
-                3 => r.deadline(Duration::from_secs(3600)),
-                _ => r,
-            }
-        })
-        .collect()
-}
-
-/// Indices and budgets of the rejected outcomes.
-fn rejected_set(outcomes: &[Outcome]) -> Vec<(usize, Duration)> {
-    outcomes
-        .iter()
-        .enumerate()
-        .filter_map(|(i, o)| {
-            o.rejection()
-                .map(|RejectReason::DeadlineInfeasible { budget, .. }| (i, *budget))
-        })
-        .collect()
-}
+use pockengine::pe_tensor::Rng;
+use pockengine::{AdmissionPolicy, Engine, Outcome, Priority, QueueConfig, Request, ServingKind};
 
 /// Submits the whole stream, shuts down (draining in flight), and redeems
 /// every ticket back into submission order.
@@ -221,7 +70,7 @@ fn replay_through_queue(
     (drained, stats, outcomes)
 }
 
-/// The acceptance criterion: the same deadline/priority/hint-carrying
+/// The acceptance criterion: the same deadline- and priority-carrying
 /// stream is bit-identical — per-request losses, final parameters and
 /// `Rejected` sets — at 1, 2 and 4 drain workers, and all three match the
 /// synchronous slice baseline. Every snapshot also satisfies the
@@ -230,7 +79,7 @@ fn replay_through_queue(
 fn parallel_drain_is_bit_identical_across_worker_counts() {
     let stream = deadline_stream(42, 11);
 
-    let mut sync_engine = routed_engine(AdmissionPolicy::DeadlineFeasible);
+    let mut sync_engine = seeded_engine(AdmissionPolicy::DeadlineFeasible);
     let sync_outcomes = sync_engine.serve(&stream).unwrap();
     let sync_rejected = rejected_set(&sync_outcomes);
     assert!(
@@ -247,7 +96,7 @@ fn parallel_drain_is_bit_identical_across_worker_counts() {
 
     for workers in [1usize, 2, 4] {
         let (drained, stats, outcomes) = replay_through_queue(
-            routed_engine(AdmissionPolicy::DeadlineFeasible),
+            seeded_engine(AdmissionPolicy::DeadlineFeasible),
             &stream,
             workers,
             None,
@@ -287,7 +136,6 @@ fn parallel_drain_is_bit_identical_across_worker_counts() {
         );
         assert_eq!(stats.train_dispatches, sync_trains);
         assert_eq!(stats.admission_rejections as usize, sync_rejected.len());
-        assert!(drained.metrics().routed_alternate > 0);
         if workers > 1 {
             assert!(
                 stats.max_in_flight >= 1,
@@ -311,7 +159,6 @@ fn parallel_drain_is_bit_identical_across_worker_counts() {
 fn train_fence_no_eval_observes_half_stepped_params() {
     const TRAINS: usize = 6;
     const PROBES_PER_ROUND: usize = 4;
-    let exec = ExecutorConfig::default();
 
     let mut rng = Rng::seed_from_u64(21);
     let trains: Vec<Request> = (0..TRAINS)
@@ -321,7 +168,7 @@ fn train_fence_no_eval_observes_half_stepped_params() {
     let probe = request(ServingKind::Eval, 4, &mut rng);
 
     // Synchronous twin: replay each train, then stamp the store by probing.
-    let mut twin = engine(exec, vec![4]);
+    let mut twin = engine(vec![4]);
     let snapshots: Vec<Vec<u32>> = trains
         .iter()
         .map(|t| {
@@ -342,7 +189,7 @@ fn train_fence_no_eval_observes_half_stepped_params() {
     // Queued path: train t, then a burst of probes that must all observe
     // snapshot t. The 2ms sleep shim keeps the burst in flight when the
     // next train arrives, forcing a real fence wait.
-    let async_engine = engine(exec, vec![4]).into_async(QueueConfig {
+    let async_engine = engine(vec![4]).into_async(QueueConfig {
         capacity: 64,
         default_deadline: Duration::from_millis(1),
         drain_workers: 4,
@@ -396,8 +243,7 @@ fn train_fence_no_eval_observes_half_stepped_params() {
 /// immediately and the batcher accounts the overtake.
 #[test]
 fn high_priority_groups_overtake_in_flight_low_priority_work() {
-    let exec = ExecutorConfig::default();
-    let async_engine = engine(exec, vec![4]).into_async(QueueConfig {
+    let async_engine = engine(vec![4]).into_async(QueueConfig {
         capacity: 16,
         default_deadline: Duration::from_millis(1),
         drain_workers: 4,
@@ -453,9 +299,8 @@ fn high_priority_groups_overtake_in_flight_low_priority_work() {
 /// stream.
 #[test]
 fn shutdown_with_in_flight_groups_cancels_nothing() {
-    let exec = ExecutorConfig::default();
     let stream = mixed_stream(30, 17);
-    let async_engine = engine(exec, vec![4, 8]).into_async(QueueConfig {
+    let async_engine = engine(vec![4, 8]).into_async(QueueConfig {
         capacity: stream.len(),
         default_deadline: Duration::from_millis(1),
         drain_workers: 4,
@@ -489,9 +334,8 @@ fn shutdown_with_in_flight_groups_cancels_nothing() {
 /// which drains the backlog through the pool.
 #[test]
 fn dropping_the_engine_mid_burst_resolves_every_ticket() {
-    let exec = ExecutorConfig::default();
     let stream = mixed_stream(30, 19);
-    let async_engine = engine(exec, vec![4, 8]).into_async(QueueConfig {
+    let async_engine = engine(vec![4, 8]).into_async(QueueConfig {
         capacity: stream.len(),
         default_deadline: Duration::from_millis(1),
         drain_workers: 4,
@@ -518,9 +362,8 @@ fn dropping_the_engine_mid_burst_resolves_every_ticket() {
 /// atomically at retirement, not counter-by-counter mid-dispatch.
 #[test]
 fn batcher_stats_snapshots_are_internally_consistent_under_load() {
-    let exec = ExecutorConfig::default();
     let stream = mixed_stream(48, 23);
-    let async_engine = engine(exec, vec![4, 8]).into_async(QueueConfig {
+    let async_engine = engine(vec![4, 8]).into_async(QueueConfig {
         capacity: stream.len(),
         default_deadline: Duration::from_millis(1),
         drain_workers: 4,
@@ -574,10 +417,9 @@ proptest! {
         seed in 0u64..1000,
         n in 6usize..24,
     ) {
-        let exec = ExecutorConfig::default();
-        let stream = mixed_stream(n, seed);
+            let stream = mixed_stream(n, seed);
 
-        let mut sync_engine = engine(exec, vec![4, 8]);
+        let mut sync_engine = engine(vec![4, 8]);
         let sync_losses: Vec<u32> = sync_engine
             .serve(&stream)
             .unwrap()
@@ -591,7 +433,7 @@ proptest! {
             .collect();
 
         let (drained, stats, outcomes) = replay_through_queue(
-            engine(exec, vec![4, 8]),
+            engine(vec![4, 8]),
             &stream,
             4,
             Some(Duration::from_micros(300)),

@@ -4,8 +4,8 @@
 //!
 //! The load-bearing claims:
 //!
-//! * **Fleet transparency** — a mixed train/eval stream with deadlines,
-//!   priorities and backend hints through the balancer and two workers
+//! * **Fleet transparency** — a mixed train/eval stream with deadlines
+//!   and priorities through the balancer and two workers
 //!   yields bit-identical losses, rejected sets and final parameters to
 //!   the identical stream through the in-process `AsyncEngine`; the
 //!   follower converges purely through checkpoint broadcast.
@@ -21,12 +21,12 @@ use std::time::{Duration, Instant};
 
 use pe_fleet::{Balancer, BalancerConfig};
 use pe_net::{Client, Server, ServerConfig};
-use pe_tests::support::{self, engine, program, rejected_set, request, routed_engine};
-use pockengine::pe_runtime::{ExecutorConfig, Optimizer};
+use pe_tests::support::{self, engine, program, rejected_set, request, seeded_engine};
+use pockengine::pe_runtime::Optimizer;
 use pockengine::pe_tensor::Rng;
 use pockengine::{
-    AdmissionPolicy, BackendHint, Engine, EngineConfig, Outcome, Priority, QueueConfig, Request,
-    ServingKind, Submit,
+    AdmissionPolicy, Engine, EngineConfig, Outcome, Priority, QueueConfig, Request, ServingKind,
+    Submit,
 };
 
 /// A queue sized for the suite's bursts, with a short default deadline so
@@ -68,7 +68,7 @@ fn balancer(workers: &[&Server], capacity: usize) -> Balancer {
 }
 
 /// `support::deadline_stream` with the fleet-safe budget: same kinds, rows,
-/// priorities, hints and zero-deadline slots, but the "trivially feasible"
+/// priorities and zero-deadline slots, but the "trivially feasible"
 /// case is 500 ms instead of 3600 s. Through the fleet, a train holds its
 /// fence until every in-flight eval resolves, and a parked eval only
 /// flushes at its own group deadline — a 3600 s budget would stall the
@@ -85,13 +85,8 @@ fn fleet_stream(n: usize, seed: u64) -> Vec<Request> {
                 ServingKind::Eval
             };
             let rows = [2, 4, 8, 3][i % 4];
-            let mut r = request(kind, rows, &mut rng)
+            let r = request(kind, rows, &mut rng)
                 .priority([Priority::Low, Priority::Normal, Priority::High][i % 3]);
-            r = match i % 5 {
-                0 => r.backend(BackendHint::Boxed),
-                1 => r.backend(BackendHint::Arena),
-                _ => r,
-            };
             match i % 7 {
                 // Provably infeasible: estimates are seeded > 0.
                 2 | 5 => r.deadline(Duration::ZERO),
@@ -118,7 +113,7 @@ fn fingerprint<S: Submit>(transport: &S, stream: &[Request]) -> (Vec<(usize, Dur
 }
 
 /// The tentpole acceptance: a mixed train/eval stream with deadlines,
-/// priorities and backend hints through the balancer and two workers is
+/// priorities through the balancer and two workers is
 /// bit-identical to the in-process engine — same losses, same rejected
 /// set, and *both* workers finish with the baseline's exact parameters
 /// (the follower converged purely via checkpoint broadcast; it never ran
@@ -132,7 +127,7 @@ fn fleet_stream_matches_the_in_process_engine_bit_for_bit() {
         .count() as u64;
 
     // ---- In-process baseline. ----
-    let in_process = routed_engine(AdmissionPolicy::DeadlineFeasible).into_async(queue_config(64));
+    let in_process = seeded_engine(AdmissionPolicy::DeadlineFeasible).into_async(queue_config(64));
     let base_print = fingerprint(&in_process, &stream);
     let baseline = in_process.shutdown();
     assert!(
@@ -141,8 +136,8 @@ fn fleet_stream_matches_the_in_process_engine_bit_for_bit() {
     );
 
     // ---- The same stream through balancer + 2 workers. ----
-    let worker_a = worker(routed_engine(AdmissionPolicy::DeadlineFeasible), 64);
-    let worker_b = worker(routed_engine(AdmissionPolicy::DeadlineFeasible), 64);
+    let worker_a = worker(seeded_engine(AdmissionPolicy::DeadlineFeasible), 64);
+    let worker_b = worker(seeded_engine(AdmissionPolicy::DeadlineFeasible), 64);
     let fleet = balancer(&[&worker_a, &worker_b], 64);
     let client = Client::connect(fleet.local_addr()).expect("connect to balancer");
     let fleet_print = fingerprint(&client, &stream);
@@ -188,16 +183,10 @@ fn killing_a_worker_mid_burst_loses_no_eval() {
         default_deadline: Duration::from_secs(2),
         ..QueueConfig::default()
     };
-    let worker_a = Server::spawn(
-        engine(ExecutorConfig::default(), vec![64]).into_async(park),
-        ServerConfig::default(),
-    )
-    .expect("bind worker a");
-    let worker_b = Server::spawn(
-        engine(ExecutorConfig::default(), vec![64]).into_async(park),
-        ServerConfig::default(),
-    )
-    .expect("bind worker b");
+    let worker_a = Server::spawn(engine(vec![64]).into_async(park), ServerConfig::default())
+        .expect("bind worker a");
+    let worker_b = Server::spawn(engine(vec![64]).into_async(park), ServerConfig::default())
+        .expect("bind worker b");
     let fleet = balancer(&[&worker_a, &worker_b], 64);
     let client = Client::connect(fleet.local_addr()).expect("connect to balancer");
     let mut rng = Rng::seed_from_u64(13);
@@ -267,8 +256,8 @@ fn killing_a_worker_mid_burst_loses_no_eval() {
 /// the balancer's front door.
 #[test]
 fn checkpoint_broadcast_converges_followers_after_every_train() {
-    let worker_a = worker(engine(ExecutorConfig::default(), vec![8]), 64);
-    let worker_b = worker(engine(ExecutorConfig::default(), vec![8]), 64);
+    let worker_a = worker(engine(vec![8]), 64);
+    let worker_b = worker(engine(vec![8]), 64);
     let fleet = balancer(&[&worker_a, &worker_b], 64);
     let client = Client::connect(fleet.local_addr()).expect("connect to balancer");
     let inspect_a = Client::connect(worker_a.local_addr()).expect("inspect worker a");
@@ -311,59 +300,56 @@ fn checkpoint_broadcast_converges_followers_after_every_train() {
 /// Satellite (ParamStore round trip): snapshot mid-training, restore into
 /// a freshly-compiled store, continue — the final snapshot is bit-identical
 /// to the uninterrupted run's, covering parameters, optimizer state
-/// (Adam's moments) and step counts, on both executor backends.
+/// (Adam's moments) and step counts.
 #[test]
 fn snapshot_restore_mid_training_matches_the_uninterrupted_run() {
-    for executor in [ExecutorConfig::arena(), ExecutorConfig::boxed()] {
-        let mut rng = Rng::seed_from_u64(77);
-        let stream: Vec<Request> = (0..6)
-            .map(|_| request(ServingKind::Train, 4, &mut rng))
-            .collect();
-        let config = EngineConfig {
-            executor,
-            warm_batches: vec![4],
-            ..EngineConfig::default()
-        };
-        let losses = |outcomes: Vec<Outcome>| -> Vec<u32> {
-            outcomes
-                .into_iter()
-                .map(|o| {
-                    o.expect_completed("train completes")
-                        .loss
-                        .expect("classification loss")
-                        .to_bits()
-                })
-                .collect()
-        };
+    let mut rng = Rng::seed_from_u64(77);
+    let stream: Vec<Request> = (0..6)
+        .map(|_| request(ServingKind::Train, 4, &mut rng))
+        .collect();
+    let config = EngineConfig {
+        warm_batches: vec![4],
+        ..EngineConfig::default()
+    };
+    let losses = |outcomes: Vec<Outcome>| -> Vec<u32> {
+        outcomes
+            .into_iter()
+            .map(|o| {
+                o.expect_completed("train completes")
+                    .loss
+                    .expect("classification loss")
+                    .to_bits()
+            })
+            .collect()
+    };
 
-        // Uninterrupted: all six steps on one engine.
-        let mut straight = Engine::new(program(Optimizer::adam(0.05), executor), config.clone());
-        let straight_losses = losses(straight.serve(&stream).expect("uninterrupted run"));
+    // Uninterrupted: all six steps on one engine.
+    let mut straight = Engine::new(program(Optimizer::adam(0.05)), config.clone());
+    let straight_losses = losses(straight.serve(&stream).expect("uninterrupted run"));
 
-        // Interrupted: three steps, snapshot, restore into a fresh
-        // identically-compiled program, three more steps.
-        let mut first_half = Engine::new(program(Optimizer::adam(0.05), executor), config.clone());
-        let mut resumed_losses = losses(first_half.serve(&stream[..3]).expect("first half"));
-        let checkpoint = first_half.program().store().snapshot();
-        drop(first_half);
-        let resumed_program = program(Optimizer::adam(0.05), executor);
-        resumed_program
-            .store()
-            .restore(&checkpoint)
-            .expect("snapshot restores");
-        let mut resumed = Engine::new(resumed_program, config);
-        resumed_losses.extend(losses(resumed.serve(&stream[3..]).expect("second half")));
+    // Interrupted: three steps, snapshot, restore into a fresh
+    // identically-compiled program, three more steps.
+    let mut first_half = Engine::new(program(Optimizer::adam(0.05)), config.clone());
+    let mut resumed_losses = losses(first_half.serve(&stream[..3]).expect("first half"));
+    let checkpoint = first_half.program().store().snapshot();
+    drop(first_half);
+    let resumed_program = program(Optimizer::adam(0.05));
+    resumed_program
+        .store()
+        .restore(&checkpoint)
+        .expect("snapshot restores");
+    let mut resumed = Engine::new(resumed_program, config);
+    resumed_losses.extend(losses(resumed.serve(&stream[3..]).expect("second half")));
 
-        assert_eq!(
-            resumed_losses, straight_losses,
-            "{executor:?}: losses diverged across the snapshot boundary"
-        );
-        assert_eq!(
-            resumed.program().store().snapshot(),
-            straight.program().store().snapshot(),
-            "{executor:?}: final params/optimizer state/steps diverged"
-        );
-    }
+    assert_eq!(
+        resumed_losses, straight_losses,
+        "losses diverged across the snapshot boundary"
+    );
+    assert_eq!(
+        resumed.program().store().snapshot(),
+        straight.program().store().snapshot(),
+        "final params/optimizer state/steps diverged"
+    );
 }
 
 /// Satellite (client hardening): `connect_timeout` fails fast against a
@@ -394,7 +380,7 @@ fn connect_timeout_and_backoff_against_a_dead_port() {
     );
 
     // And against a live worker the same helper connects on attempt one.
-    let server = worker(engine(ExecutorConfig::default(), vec![4]), 16);
+    let server = worker(engine(vec![4]), 16);
     let client = Client::connect_with_backoff(
         server.local_addr(),
         3,

@@ -7,7 +7,7 @@
 //!   `pe_tests::support` produces bit-identical losses, parameters and
 //!   rejected sets whether it runs against the in-process `AsyncEngine` or
 //!   a TCP `pe_net::Client`, including four concurrent clients with mixed
-//!   priorities, deadlines and backend hints.
+//!   priorities and deadlines.
 //! * **Fault containment** — malformed frames, oversized frames, version
 //!   mismatches and abrupt disconnects kill only the offending connection;
 //!   the server keeps serving and every outstanding ticket resolves
@@ -20,13 +20,11 @@ use std::time::Duration;
 use pe_net::proto::{self, FrameKind, NackReason, SubmitMode};
 use pe_net::{Client, Server, ServerConfig};
 use pe_tests::support::{
-    self, engine, mixed_stream, rejected_set, request, routed_engine, served_loss_bits,
+    self, engine, mixed_stream, rejected_set, request, seeded_engine, served_loss_bits,
 };
-use pockengine::pe_runtime::ExecutorConfig;
 use pockengine::pe_tensor::Rng;
 use pockengine::{
-    AdmissionPolicy, BackendHint, Outcome, Priority, QueueConfig, Request, ServingKind, Submit,
-    SubmitError,
+    AdmissionPolicy, Outcome, Priority, QueueConfig, Request, ServingKind, Submit, SubmitError,
 };
 
 /// A queue sized for the suite's bursts, with a short default deadline so
@@ -53,14 +51,13 @@ fn serve(engine: pockengine::Engine, capacity: usize) -> Server {
 /// driver, only the transport differs.
 #[test]
 fn networked_stream_matches_the_in_process_engine_bit_for_bit() {
-    let exec = ExecutorConfig::default();
     let stream = mixed_stream(24, 7);
 
-    let in_process = engine(exec, vec![4, 8]).into_async(queue_config(32));
+    let in_process = engine(vec![4, 8]).into_async(queue_config(32));
     let baseline_losses = served_loss_bits(&in_process, &stream);
     let baseline = in_process.shutdown();
 
-    let server = serve(engine(exec, vec![4, 8]), 32);
+    let server = serve(engine(vec![4, 8]), 32);
     let client = Client::connect(server.local_addr()).expect("connect");
     let net_losses = served_loss_bits(&client, &stream);
     drop(client);
@@ -74,21 +71,16 @@ fn networked_stream_matches_the_in_process_engine_bit_for_bit() {
     assert_eq!(drained.metrics().requests, stream.len() as u64);
 }
 
-/// One client's eval-only stream with mixed priorities, deadlines and
-/// backend hints; `salt` decorrelates the per-client contents.
+/// One client's eval-only stream with mixed priorities and deadlines;
+/// `salt` decorrelates the per-client contents.
 fn eval_stream(n: usize, salt: u64) -> Vec<Request> {
     let mut rng = Rng::seed_from_u64(500 + salt);
     (0..n)
         .map(|i| {
             let rows = [2, 4, 8, 3][i % 4];
-            let mut r = request(ServingKind::Eval, rows, &mut rng)
+            let r = request(ServingKind::Eval, rows, &mut rng)
                 .priority([Priority::Low, Priority::Normal, Priority::High][i % 3])
                 .id(salt * 1000 + i as u64);
-            r = match (i + salt as usize) % 5 {
-                0 => r.backend(BackendHint::Boxed),
-                1 => r.backend(BackendHint::Arena),
-                _ => r,
-            };
             match i % 4 {
                 // Provably infeasible: estimates are seeded > 0.
                 1 => r.deadline(Duration::ZERO),
@@ -117,7 +109,7 @@ fn fingerprint<S: Submit>(transport: &S, stream: &[Request]) -> (Vec<(usize, Dur
 }
 
 /// The multi-client acceptance (issue criterion): four concurrent TCP
-/// clients with mixed priorities, deadlines and backend hints produce the
+/// clients with mixed priorities and deadlines produce the
 /// same losses, the same rejected sets and the same final parameters as
 /// the identical four-producer run against the in-process engine.
 ///
@@ -138,7 +130,7 @@ fn four_concurrent_tcp_clients_match_the_in_process_run() {
         .collect();
 
     // ---- In-process baseline: same phases, Submitter transports. ----
-    let in_process = routed_engine(AdmissionPolicy::DeadlineFeasible).into_async(queue_config(128));
+    let in_process = seeded_engine(AdmissionPolicy::DeadlineFeasible).into_async(queue_config(128));
     let base_train_losses = served_loss_bits(&in_process, &train_phase);
     let base_prints: Vec<_> = std::thread::scope(|s| {
         let handles: Vec<_> = eval_phases
@@ -153,7 +145,7 @@ fn four_concurrent_tcp_clients_match_the_in_process_run() {
     let baseline = in_process.shutdown();
 
     // ---- Networked run: identical engine behind the TCP front door. ----
-    let server = serve(routed_engine(AdmissionPolicy::DeadlineFeasible), 128);
+    let server = serve(seeded_engine(AdmissionPolicy::DeadlineFeasible), 128);
     let addr = server.local_addr();
     let first = Client::connect(addr).expect("connect");
     let net_train_losses = served_loss_bits(&first, &train_phase);
@@ -188,7 +180,7 @@ fn four_concurrent_tcp_clients_match_the_in_process_run() {
 /// acknowledged and then resolves with the served response.
 #[test]
 fn try_submit_over_tcp_serves_like_submit() {
-    let server = serve(engine(ExecutorConfig::default(), vec![4]), 64);
+    let server = serve(engine(vec![4]), 64);
     let client = Client::connect(server.local_addr()).expect("connect");
     let mut rng = Rng::seed_from_u64(3);
     let handle = client
@@ -212,7 +204,7 @@ fn disconnect_mid_burst_cancels_outstanding_tickets_and_server_keeps_serving() {
     // Generous default deadline: the second half of the burst sits in the
     // batcher, guaranteeing genuinely outstanding tickets at disconnect.
     let server = Server::spawn(
-        engine(ExecutorConfig::default(), vec![8]).into_async(QueueConfig {
+        engine(vec![8]).into_async(QueueConfig {
             capacity: 64,
             default_deadline: Duration::from_secs(30),
             ..QueueConfig::default()
@@ -268,7 +260,7 @@ fn disconnect_mid_burst_cancels_outstanding_tickets_and_server_keeps_serving() {
 #[test]
 fn server_shutdown_cancels_client_tickets_and_closes_the_transport() {
     let server = Server::spawn(
-        engine(ExecutorConfig::default(), vec![8]).into_async(QueueConfig {
+        engine(vec![8]).into_async(QueueConfig {
             capacity: 64,
             default_deadline: Duration::from_secs(30),
             ..QueueConfig::default()
@@ -340,7 +332,7 @@ fn assert_still_serving(addr: std::net::SocketAddr, seed: u64) {
 /// close for that connection only; the server keeps serving.
 #[test]
 fn malformed_frames_kill_only_the_offending_connection() {
-    let server = serve(engine(ExecutorConfig::default(), vec![8]), 64);
+    let server = serve(engine(vec![8]), 64);
     let addr = server.local_addr();
 
     // Garbage Submit payload.
@@ -365,7 +357,7 @@ fn malformed_frames_kill_only_the_offending_connection() {
 #[test]
 fn oversized_frames_are_refused_without_wedging_the_server() {
     let server = Server::spawn(
-        engine(ExecutorConfig::default(), vec![8]).into_async(queue_config(64)),
+        engine(vec![8]).into_async(queue_config(64)),
         ServerConfig {
             max_frame: 4096,
             ..ServerConfig::default()
@@ -406,7 +398,7 @@ fn oversized_frames_are_refused_without_wedging_the_server() {
 /// handshake with a descriptive `Error` frame.
 #[test]
 fn handshake_rejects_version_and_magic_mismatches() {
-    let server = serve(engine(ExecutorConfig::default(), vec![8]), 64);
+    let server = serve(engine(vec![8]), 64);
     let addr = server.local_addr();
 
     // Wrong version.
@@ -440,7 +432,7 @@ fn handshake_rejects_version_and_magic_mismatches() {
 #[test]
 fn connection_limit_refuses_and_recovers() {
     let server = Server::spawn(
-        engine(ExecutorConfig::default(), vec![8]).into_async(queue_config(64)),
+        engine(vec![8]).into_async(queue_config(64)),
         ServerConfig {
             max_connections: 1,
             ..ServerConfig::default()

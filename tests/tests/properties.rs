@@ -7,6 +7,7 @@ use std::collections::HashMap;
 
 use proptest::prelude::*;
 
+use pe_tests::support::disjoint_executor;
 use pockengine::pe_graph::{
     build_training_graph, graph_cost, GraphBuilder, NodeId, TrainKind, TrainSpec,
 };
@@ -92,13 +93,15 @@ type BitSnapshot = (
 );
 
 /// Compiles `random_mlp` at the given fusion level, trains it for three SGD
-/// steps on `inputs`, and snapshots the observable results bit-for-bit.
+/// steps on `inputs` over the planner's plan (or, with `disjoint`, over a
+/// plan that reuses nothing), and snapshots the observable results
+/// bit-for-bit.
 fn train_at_fusion_level(
     widths: &[usize],
     batch: usize,
     frozen_prefix: usize,
     level: FusionLevel,
-    arena: bool,
+    disjoint: bool,
     inputs: &HashMap<String, Tensor>,
 ) -> BitSnapshot {
     let tg = random_mlp(widths, batch, frozen_prefix);
@@ -108,10 +111,10 @@ fn train_at_fusion_level(
     };
     let (tg, schedule, _) = optimize(tg, options);
     let launches = launch_count(&tg.graph);
-    let mut exec = if arena {
-        Executor::arena(tg, schedule, Optimizer::sgd(0.05))
+    let mut exec = if disjoint {
+        disjoint_executor(tg, schedule, Optimizer::sgd(0.05))
     } else {
-        Executor::boxed(tg, schedule, Optimizer::sgd(0.05))
+        Executor::new(tg, schedule, Optimizer::sgd(0.05))
     };
     let bits = |t: &Tensor| -> Vec<u32> { t.data().iter().map(|f| f.to_bits()).collect() };
     let mut losses = Vec::new();
@@ -323,8 +326,9 @@ proptest! {
 
     /// Fusion is a pure dispatch-count optimisation: for random MLPs the
     /// region-fused program produces bit-identical losses, outputs and trained
-    /// parameters to the completely unfused program, on both the arena and
-    /// boxed backends — while never launching more kernels than no fusion.
+    /// parameters to the completely unfused program, over both the planner's
+    /// plan and a plan that reuses nothing — while never launching more
+    /// kernels than no fusion.
     #[test]
     fn region_fusion_is_bit_identical_to_unfused(
         depth in 1usize..4,
@@ -343,9 +347,9 @@ proptest! {
         }
         let inputs = HashMap::from([("x".to_string(), xs), ("labels".to_string(), ys)]);
 
-        for arena in [true, false] {
+        for disjoint in [false, true] {
             let run = |level| train_at_fusion_level(
-                &widths, batch, frozen_prefix, level, arena, &inputs,
+                &widths, batch, frozen_prefix, level, disjoint, &inputs,
             );
             let off = run(FusionLevel::Off);
             let regions = run(FusionLevel::Regions);
@@ -354,9 +358,9 @@ proptest! {
                 "fusion must never add launches: off={} regions={}",
                 off.0, regions.0
             );
-            prop_assert_eq!(&off.1, &regions.1, "losses diverged under region fusion (arena={})", arena);
-            prop_assert_eq!(&off.2, &regions.2, "outputs diverged under region fusion (arena={})", arena);
-            prop_assert_eq!(&off.3, &regions.3, "parameters diverged under region fusion (arena={})", arena);
+            prop_assert_eq!(&off.1, &regions.1, "losses diverged under region fusion (disjoint={})", disjoint);
+            prop_assert_eq!(&off.2, &regions.2, "outputs diverged under region fusion (disjoint={})", disjoint);
+            prop_assert_eq!(&off.3, &regions.3, "parameters diverged under region fusion (disjoint={})", disjoint);
         }
     }
 }

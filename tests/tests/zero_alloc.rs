@@ -42,7 +42,7 @@ fn steady_state_training_step_performs_zero_heap_allocations() {
     let (tg, schedule, _) = optimize(tg, OptimizeOptions::default());
 
     // Momentum exercises preallocated optimizer state as well.
-    let mut exec = Executor::arena(
+    let mut exec = Executor::new(
         tg,
         schedule,
         Optimizer::Momentum {
@@ -50,7 +50,6 @@ fn steady_state_training_step_performs_zero_heap_allocations() {
             momentum: 0.9,
         },
     );
-    assert_eq!(exec.backend_name(), "arena");
 
     let mut data_rng = Rng::seed_from_u64(1);
     let xs = Tensor::randn([8, 16], 1.0, &mut data_rng);

@@ -21,7 +21,7 @@ use pockengine::pe_tensor::{Rng, Tensor};
 #[global_allocator]
 static ALLOC: CountingAlloc = CountingAlloc::new();
 
-/// Compiles `graph` for the arena executor with region fusion pinned (so
+/// Compiles `graph` for the executor with region fusion pinned (so
 /// the measurement is independent of `PE_FUSION`).
 fn compile(graph: Graph, loss: NodeId, spec: &TrainSpec) -> (Executor, OptimizeStats) {
     let tg = build_training_graph(graph, loss, spec);
@@ -30,7 +30,7 @@ fn compile(graph: Graph, loss: NodeId, spec: &TrainSpec) -> (Executor, OptimizeS
         ..OptimizeOptions::default()
     };
     let (tg, schedule, stats) = optimize(tg, options);
-    (Executor::arena(tg, schedule, Optimizer::sgd(0.05)), stats)
+    (Executor::new(tg, schedule, Optimizer::sgd(0.05)), stats)
 }
 
 /// Nodes of `exec`'s compiled program whose op satisfies `wanted`.

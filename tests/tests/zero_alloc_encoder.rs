@@ -12,7 +12,7 @@ use std::collections::HashMap;
 use pe_tests::support::CountingAlloc;
 use pockengine::pe_graph::OpKind;
 use pockengine::pe_models::{build_bert, BertConfig};
-use pockengine::pe_runtime::{ExecutorConfig, Optimizer};
+use pockengine::pe_runtime::Optimizer;
 use pockengine::pe_sparse::{paper_scheme_distilbert, UpdateRule};
 use pockengine::pe_tensor::{Rng, Tensor};
 use pockengine::{compile, CompileOptions};
@@ -46,17 +46,14 @@ fn encoder_training_step_has_zero_fallbacks_and_zero_allocations() {
         ("full backpropagation", UpdateRule::Full),
     ] {
         let model = build_bert(&config, &mut Rng::seed_from_u64(0));
-        // The executor is pinned (the claim is the arena's); fusion is left
-        // to the environment, so the `PE_FUSION=off` leg covers the unfused
-        // encoder as well.
+        // Fusion is left to the environment, so the `PE_FUSION=off` leg
+        // covers the unfused encoder as well.
         let options = CompileOptions {
             update_rule: rule,
             optimizer: Optimizer::sgd(0.05),
-            executor: ExecutorConfig::arena(),
             ..CompileOptions::default()
         };
         let mut exec = compile(&model, &options).executor;
-        assert_eq!(exec.backend_name(), "arena");
 
         // The program must contain the op kinds this file is about.
         let nodes = exec.training_graph().graph.nodes();
