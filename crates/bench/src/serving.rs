@@ -38,8 +38,8 @@ use pockengine::pe_models::BuiltModel;
 use pockengine::pe_runtime::Optimizer;
 use pockengine::pe_tensor::Rng;
 use pockengine::{
-    AdmissionPolicy, ArtifactRegistry, BatcherStats, CompileOptions, Compiler, Engine,
-    EngineConfig, EngineMetrics, Outcome, Program, QueueConfig,
+    AdmissionPolicy, BatcherStats, CompileOptions, Compiler, Engine, EngineConfig, EngineMetrics,
+    Outcome, Program, QueueConfig,
 };
 
 use crate::report::Json;
@@ -180,13 +180,6 @@ pub struct ServingBenchResult {
     pub open_loop_achieved_per_sec: f64,
     /// Latency percentiles of the open-loop run.
     pub open_loop_latency: LatencyPercentiles,
-    /// Cold start, JIT path: engine construction (warm-ladder compiles)
-    /// through the first served response, best of `trials`, microseconds.
-    pub cold_start_jit_us: f64,
-    /// Cold start with a warm artifact registry: every rung loads from
-    /// disk instead of compiling (registry population is untimed — it
-    /// happens offline via `program-gen`). Best of `trials`, microseconds.
-    pub cold_start_registry_us: f64,
 }
 
 /// The bench model: a small MLP classifier family (feature dim 32). Shared
@@ -234,62 +227,6 @@ fn fresh_engine(cfg: &ServingBenchConfig, admission: AdmissionPolicy) -> Engine 
             ..EngineConfig::default()
         },
     )
-}
-
-/// Cold-start comparison: wall-clock from engine construction (ladder
-/// warmup compiles) through the first served response, JIT-compiling
-/// versus loading every rung from a warm artifact registry. Registry
-/// population is untimed (it happens offline via `program-gen` in
-/// production); each variant reports the best of `trials` runs, in
-/// microseconds.
-fn cold_start_pass(cfg: &ServingBenchConfig, stream: &[Request]) -> (f64, f64) {
-    let first = stream.first().expect("non-empty stream");
-    // Every rung the warm ladder or the first request can touch, so the
-    // registry path never falls back to JIT.
-    let mut rungs: Vec<usize> = cfg
-        .warm_batches
-        .iter()
-        .chain(&cfg.batch_sizes)
-        .copied()
-        .collect();
-    rungs.sort_unstable();
-    rungs.dedup();
-    let dir = std::env::temp_dir().join(format!("pe-serving-registry-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    {
-        let mut program = serving_program();
-        program.attach_registry(None);
-        program
-            .export_artifacts(&ArtifactRegistry::new(&dir), &rungs)
-            .expect("artifact export");
-    }
-    let time_best = |registry: Option<std::path::PathBuf>| {
-        let mut best = f64::INFINITY;
-        for _ in 0..cfg.trials {
-            let start = Instant::now();
-            let mut program = serving_program();
-            if registry.is_none() {
-                // Measure true JIT even when the ambient environment
-                // names a registry (`PE_PROGRAM_REGISTRY`).
-                program.attach_registry(None);
-            }
-            let mut engine = Engine::new(
-                program,
-                EngineConfig {
-                    warm_batches: cfg.warm_batches.clone(),
-                    registry: registry.clone(),
-                    ..EngineConfig::default()
-                },
-            );
-            engine.serve_one(first).expect("cold-start serve");
-            best = best.min(start.elapsed().as_secs_f64() * 1e6);
-        }
-        best
-    };
-    let jit_us = time_best(None);
-    let registry_us = time_best(Some(dir.clone()));
-    let _ = std::fs::remove_dir_all(&dir);
-    (jit_us, registry_us)
 }
 
 /// Seeds the engine's latency model for every rung the stream can touch
@@ -563,8 +500,6 @@ pub fn run_serving_bench(cfg: &ServingBenchConfig) -> ServingBenchResult {
         .map(|o| o.latency_us)
         .collect();
 
-    let (cold_start_jit_us, cold_start_registry_us) = cold_start_pass(cfg, &stream);
-
     ServingBenchResult {
         requests: best.metrics.requests,
         trials: cfg.trials,
@@ -588,8 +523,6 @@ pub fn run_serving_bench(cfg: &ServingBenchConfig) -> ServingBenchResult {
         open_loop_offered_per_sec: cfg.open_loop_rate,
         open_loop_achieved_per_sec: cfg.open_loop_requests as f64 / open_elapsed.max(1e-9),
         open_loop_latency: percentiles(open_latencies),
-        cold_start_jit_us,
-        cold_start_registry_us,
     }
 }
 
@@ -678,11 +611,6 @@ impl ServingBenchResult {
                 "open_loop_latency_p99_us",
                 Json::Num(self.open_loop_latency.p99_us),
             ),
-            ("cold_start_jit_us", Json::Num(self.cold_start_jit_us)),
-            (
-                "cold_start_registry_us",
-                Json::Num(self.cold_start_registry_us),
-            ),
         ];
         let mut json = Json::obj(fields);
         if let Json::Obj(fields) = &mut json {
@@ -743,8 +671,6 @@ mod tests {
         assert!(result.latency.p50_us <= result.latency.p99_us);
         // 48 requests with every 16th zero-budget: exactly 3 rejections.
         assert_eq!(result.rejected_requests, 3);
-        assert!(result.cold_start_jit_us > 0.0);
-        assert!(result.cold_start_registry_us > 0.0);
         let json = result.to_json().render();
         assert!(json.contains("\"requests_per_sec\""));
         assert!(json.contains("\"latency_p99_us\""));
@@ -754,8 +680,6 @@ mod tests {
         assert!(json.contains("\"latency_p99_high_us\""));
         assert!(json.contains("\"latency_p99_normal_us\""));
         assert!(json.contains("\"latency_p99_low_us\""));
-        assert!(json.contains("\"cold_start_jit_us\""));
-        assert!(json.contains("\"cold_start_registry_us\""));
         // Parallel drain: one throughput figure per configured worker
         // count, all non-zero (every pass asserts it served the stream).
         assert_eq!(result.queued_workers_rps.len(), 2);

@@ -86,14 +86,6 @@ pub struct EngineConfig {
     /// `None` (the default) keeps the cache unbounded. The warm ladder
     /// counts toward the budget.
     pub max_cached_specializations: Option<usize>,
-    /// Directory of serialized program artifacts the engine's program
-    /// consults before JIT compiling (see [`crate::ArtifactRegistry`]).
-    /// `None` (the default) keeps whatever the program already has —
-    /// typically the `PE_PROGRAM_REGISTRY` environment attachment made at
-    /// compile time. With a warm registry the engine's warm-up loop loads
-    /// every rung instead of compiling it, and the artifacts' latency
-    /// profiles arm deadline admission before the first request.
-    pub registry: Option<std::path::PathBuf>,
 }
 
 impl Default for EngineConfig {
@@ -103,7 +95,6 @@ impl Default for EngineConfig {
             max_coalesced_rows: None,
             admission: AdmissionPolicy::default(),
             max_cached_specializations: None,
-            registry: None,
         }
     }
 }
@@ -146,12 +137,6 @@ pub struct EngineMetrics {
     pub rows: u64,
     /// Zero rows added by the pad-to-nearest-cached policy.
     pub padded_rows: u64,
-    /// Specializations loaded from the artifact registry instead of
-    /// compiled (mirrors [`CacheStats::registry_hits`]).
-    pub registry_hits: u64,
-    /// Registry lookups that fell back to JIT compilation (mirrors
-    /// [`CacheStats::registry_misses`]).
-    pub registry_misses: u64,
 }
 
 /// Serves mixed-size training and inference traffic over one compiled
@@ -168,31 +153,18 @@ pub struct Engine {
 impl Engine {
     /// Wraps a program, pre-specializing every warm batch size and applying
     /// the specialization-cache budget.
-    ///
-    /// With an artifact registry attached ([`EngineConfig::registry`], or
-    /// already on the program), warm rungs that resolve from the registry
-    /// skip compilation entirely and their latency profiles seed the
-    /// admission model — deadline feasibility is decided correctly from
-    /// the very first request.
     pub fn new(mut program: Program, mut config: EngineConfig) -> Self {
         config.warm_batches.sort_unstable();
         config.warm_batches.dedup();
-        if let Some(dir) = &config.registry {
-            program.attach_registry(Some(crate::ArtifactRegistry::new(dir.clone())));
-        }
         program.set_max_specializations(config.max_cached_specializations);
-        let mut latency = LatencyModel::default();
         for &batch in &config.warm_batches {
-            let spec = program.specialize(batch);
-            if let Some(profile) = spec.latency_profile {
-                latency.seed(batch, profile);
-            }
+            program.specialize(batch);
         }
         Engine {
             program,
             config,
             metrics: EngineMetrics::default(),
-            latency,
+            latency: LatencyModel::default(),
         }
     }
 
@@ -206,15 +178,9 @@ impl Engine {
         &mut self.program
     }
 
-    /// Serving counters so far. The registry counters mirror the
-    /// program's cache accounting, so warm-up loads are included.
+    /// Serving counters so far.
     pub fn metrics(&self) -> EngineMetrics {
-        let stats = self.program.cache_stats();
-        EngineMetrics {
-            registry_hits: stats.registry_hits,
-            registry_misses: stats.registry_misses,
-            ..self.metrics
-        }
+        self.metrics
     }
 
     /// Specialization-cache accounting (including warmup misses and LRU
@@ -444,17 +410,6 @@ impl Engine {
             .find(|&b| b >= rows)
     }
 
-    /// Arms the admission model with a registry-loaded specialization's
-    /// offline latency profile if its rung has never been timed (later
-    /// dispatches keep blending toward reality).
-    fn seed_unobserved(latency: &mut LatencyModel, batch: usize, profile: Option<Duration>) {
-        if let Some(profile) = profile {
-            if latency.estimate(batch).is_none() {
-                latency.seed(batch, profile);
-            }
-        }
-    }
-
     pub(crate) fn train_one(
         &mut self,
         id: usize,
@@ -465,7 +420,6 @@ impl Engine {
         let label_input = self.program.label_input().to_string();
         let logits_name = self.program.logits_name().to_string();
         let spec = self.program.specialize_for_requests(rows, 1);
-        Engine::seed_unobserved(&mut self.latency, rows, spec.latency_profile);
         let inputs = HashMap::from([
             (feature_input, request.features.clone()),
             (label_input, request.labels.clone()),
@@ -503,7 +457,6 @@ impl Engine {
         let spec = self
             .program
             .specialize_for_requests(batch, group.len() as u64);
-        Engine::seed_unobserved(&mut self.latency, batch, spec.latency_profile);
         let started = Instant::now();
         let responses = execute_eval_group(&mut spec.executor, &io, group, rows, batch)?;
         self.note_eval_retirement(&dispatch::Retirement {
@@ -527,8 +480,8 @@ impl Engine {
 
     /// Resolves everything an eval group needs to run on a drain worker —
     /// padded rung, cached specialization (compiling if necessary, with the
-    /// usual cache accounting), admission latency seeding, and the shared
-    /// executor seed workers fork their private executors from — and wraps
+    /// usual cache accounting), and the shared executor seed workers fork
+    /// their private executors from — and wraps
     /// the envelopes into an [`dispatch::EvalJob`]. Runs on the batcher
     /// thread so specialization-cache state stays single-threaded and
     /// worker-count independent.
@@ -542,7 +495,6 @@ impl Engine {
         let spec = self
             .program
             .specialize_for_requests(batch, group.len() as u64);
-        Engine::seed_unobserved(&mut self.latency, batch, spec.latency_profile);
         let seed = spec.executor_seed();
         let priority = group.iter().map(|e| e.priority()).max().unwrap_or_default();
         dispatch::EvalJob {

@@ -37,7 +37,6 @@
 #![deny(missing_docs)]
 
 pub mod admission;
-pub mod artifact;
 pub mod batcher;
 pub mod dispatch;
 pub mod engine;
@@ -63,7 +62,6 @@ use pe_runtime::{Executor, ExecutorConfig, Optimizer, Trainer};
 use pe_sparse::{apply_rule, trainable_elements, UpdateRule};
 
 pub use admission::{AdmissionPolicy, Outcome, RejectReason};
-pub use artifact::{ArtifactRegistry, ProgramArtifact, ARTIFACT_VERSION};
 pub use batcher::BatcherStats;
 pub use dispatch::WorkerDispatchStats;
 pub use engine::{AsyncEngine, Engine, EngineConfig, EngineMetrics, Response};
@@ -120,11 +118,10 @@ pub use submit::{Submit, SubmitHandle};
 /// ```
 pub mod prelude {
     pub use crate::{
-        analyze, compile, AdmissionPolicy, ArtifactRegistry, AsyncEngine, BatcherStats, CacheStats,
-        CompileOptions, CompiledProgram, Compiler, Engine, EngineConfig, EngineMetrics, Outcome,
-        Program, ProgramAnalysis, ProgramArtifact, QueueConfig, RejectReason, Response,
-        Specialization, Submit, SubmitError, SubmitHandle, Submitter, Ticket, TicketNotify,
-        WorkerDispatchStats,
+        analyze, compile, AdmissionPolicy, AsyncEngine, BatcherStats, CacheStats, CompileOptions,
+        CompiledProgram, Compiler, Engine, EngineConfig, EngineMetrics, Outcome, Program,
+        ProgramAnalysis, QueueConfig, RejectReason, Response, Specialization, Submit, SubmitError,
+        SubmitHandle, Submitter, Ticket, TicketNotify, WorkerDispatchStats,
     };
     pub use pe_backends::{DeviceProfile, FrameworkProfile};
     pub use pe_data::{

@@ -22,13 +22,10 @@
 
 use std::collections::HashMap;
 use std::sync::Arc;
-use std::time::Duration;
 
-use pe_memplan::{plan_memory_with, MemPlanOptions};
 use pe_models::BuiltModel;
 use pe_runtime::{Executor, ExecutorSeed, ParamStore};
 
-use crate::artifact::{content_hash, derived_latency_us, ArtifactRegistry, ProgramArtifact};
 use crate::{analyze, CompileOptions, ProgramAnalysis};
 
 /// Builds the forward graph of one model family at a requested batch size.
@@ -80,14 +77,6 @@ pub struct CacheStats {
     /// Specializations evicted by the size-budgeted LRU policy (see
     /// [`Program::set_max_specializations`]).
     pub evictions: u64,
-    /// Dispatches answered by loading a serialized artifact from the
-    /// attached [`ArtifactRegistry`] instead of compiling. Registry hits
-    /// are counted as cache `hits` (the pipeline never ran), plus here.
-    pub registry_hits: u64,
-    /// Dispatches that consulted an attached registry and fell back to JIT
-    /// compilation (absent file, version or hash mismatch, corruption).
-    /// Always counted inside `misses`; zero when no registry is attached.
-    pub registry_misses: u64,
 }
 
 /// One batch-size specialization: the compiled analysis plus the pooled
@@ -100,11 +89,6 @@ pub struct Specialization {
     pub analysis: ProgramAnalysis,
     /// The executor; borrows the program's [`ParamStore`].
     pub executor: Executor,
-    /// Offline latency profile carried by a registry-loaded artifact
-    /// (`None` for JIT-compiled specializations). The engine seeds its
-    /// admission latency model from this, so a cold worker with a warm
-    /// registry makes deadline decisions from the first request.
-    pub latency_profile: Option<Duration>,
     /// Lazily captured recipe for building sibling executors (the parallel
     /// drain's per-worker executors) over the shared store; populated on the
     /// first [`Specialization::executor_seed`] call.
@@ -141,17 +125,11 @@ impl Compiler {
     /// Runs the generic stage: builds the model once (at batch size 1) to
     /// materialise the canonical parameter store and capture the family's
     /// input/output names, and returns a [`Program`] whose batch-dependent
-    /// pipeline runs lazily per specialization.
-    ///
-    /// The program's artifact content hash is derived here from the base
-    /// graph and the compile options, and the `PE_PROGRAM_REGISTRY`
-    /// environment variable (when set) attaches an [`ArtifactRegistry`]
-    /// that specializations consult before compiling; use
-    /// [`Program::attach_registry`] to override either way.
+    /// pipeline runs lazily per specialization. Every specialization is
+    /// compiled in process, on first use of its batch size.
     pub fn compile<F: ModelFactory + 'static>(self, factory: F) -> Program {
         let base = factory.build(1);
         let store = Arc::new(ParamStore::from_graph(&base.graph, self.options.optimizer));
-        let content_hash = content_hash(&base.graph, &self.options);
         Program {
             factory: Box::new(factory),
             options: self.options,
@@ -160,8 +138,6 @@ impl Compiler {
             label_input: base.label_input.clone(),
             logits_name: base.logits_name(),
             model_name: base.name,
-            content_hash,
-            registry: ArtifactRegistry::from_env(),
             cache: HashMap::new(),
             rungs: Vec::new(),
             lru: HashMap::new(),
@@ -185,12 +161,6 @@ pub struct Program {
     label_input: String,
     logits_name: String,
     model_name: String,
-    /// Content address of (base graph structure × compile options); the key
-    /// under which the artifact registry files this program's rungs.
-    content_hash: u64,
-    /// Registry consulted before JIT compiling a specialization; `None`
-    /// compiles everything.
-    registry: Option<ArtifactRegistry>,
     cache: HashMap<usize, Specialization>,
     /// Sorted cached batch sizes, maintained on insert/evict so the serving
     /// hot path (admission, pad-to-nearest lookups) never rebuilds and
@@ -211,8 +181,6 @@ impl std::fmt::Debug for Program {
             .field("model", &self.model_name)
             .field("params", &self.store.len())
             .field("specializations", &self.cache.len())
-            .field("content_hash", &format_args!("{:016x}", self.content_hash))
-            .field("registry", &self.registry.as_ref().map(|r| r.dir()))
             .field("stats", &self.stats)
             .finish()
     }
@@ -254,26 +222,6 @@ impl Program {
         self.stats
     }
 
-    /// The program's artifact content address: a 64-bit hash of the base
-    /// graph structure and the compile options (see
-    /// [`crate::artifact::content_hash`]).
-    pub fn content_hash(&self) -> u64 {
-        self.content_hash
-    }
-
-    /// The attached artifact registry, if any.
-    pub fn registry(&self) -> Option<&ArtifactRegistry> {
-        self.registry.as_ref()
-    }
-
-    /// Attaches (or with `None` detaches) the artifact registry future
-    /// specializations consult before JIT compiling. Overrides whatever
-    /// `PE_PROGRAM_REGISTRY` attached at compile time; already-cached
-    /// specializations are unaffected.
-    pub fn attach_registry(&mut self, registry: Option<ArtifactRegistry>) {
-        self.registry = registry;
-    }
-
     /// Batch sizes with a cached specialization, sorted: the maintained
     /// rung index the serving hot path reads.
     pub fn cached_batches(&self) -> &[usize] {
@@ -307,39 +255,20 @@ impl Program {
             self.stats.hits += 1;
             self.stats.request_hits += requests;
         } else {
-            // Consult the artifact registry first: a validated artifact
-            // skips the whole pipeline (a hit); anything wrong with it —
-            // absent, stale version, hash mismatch, corruption — falls
-            // back to JIT compilation and is only slower, never unsound.
-            let loaded = self.load_from_registry(batch);
-            let spec = match loaded {
-                Some(spec) => {
-                    self.stats.hits += 1;
-                    self.stats.request_hits += requests;
-                    self.stats.registry_hits += 1;
-                    spec
-                }
-                None => {
-                    self.stats.misses += 1;
-                    self.stats.request_misses += requests;
-                    if self.registry.is_some() {
-                        self.stats.registry_misses += 1;
-                    }
-                    let model = self.factory.build(batch);
-                    let analysis = analyze(&model, &self.options);
-                    let executor = Executor::with_store(
-                        analysis.training_graph.clone(),
-                        analysis.schedule.clone(),
-                        Arc::clone(&self.store),
-                    );
-                    Specialization {
-                        batch,
-                        analysis,
-                        executor,
-                        latency_profile: None,
-                        fork_seed: None,
-                    }
-                }
+            self.stats.misses += 1;
+            self.stats.request_misses += requests;
+            let model = self.factory.build(batch);
+            let analysis = analyze(&model, &self.options);
+            let executor = Executor::with_store(
+                analysis.training_graph.clone(),
+                analysis.schedule.clone(),
+                Arc::clone(&self.store),
+            );
+            let spec = Specialization {
+                batch,
+                analysis,
+                executor,
+                fork_seed: None,
             };
             self.cache.insert(batch, spec);
             if let Err(at) = self.rungs.binary_search(&batch) {
@@ -351,54 +280,6 @@ impl Program {
         self.cache
             .get_mut(&batch)
             .expect("just inserted or present")
-    }
-
-    /// Tries to satisfy a specialization from the attached registry;
-    /// `None` on any miss (no registry, absent rung, failed validation).
-    fn load_from_registry(&self, batch: usize) -> Option<Specialization> {
-        let registry = self.registry.as_ref()?;
-        let artifact = registry.load(self.content_hash, batch).ok()?;
-        artifact.into_specialization(Arc::clone(&self.store)).ok()
-    }
-
-    /// Compiles (without caching) the specialization for `batch` and
-    /// packages it as a serializable [`ProgramArtifact`], with a
-    /// deterministic flops-derived latency profile. The memory plan is
-    /// generated with the exact options the executor plans with, so a
-    /// loaded artifact replays it instead of re-planning.
-    pub fn export_artifact(&self, batch: usize) -> ProgramArtifact {
-        let model = self.factory.build(batch);
-        let analysis = analyze(&model, &self.options);
-        let graph = &analysis.training_graph.graph;
-        let plan = plan_memory_with(graph, &analysis.schedule, &MemPlanOptions::for_execution());
-        let latency_us = derived_latency_us(pe_graph::graph_cost(graph).flops);
-        ProgramArtifact {
-            content_hash: self.content_hash,
-            batch,
-            model_name: self.model_name.clone(),
-            feature_input: self.feature_input.clone(),
-            label_input: self.label_input.clone(),
-            analysis,
-            plan,
-            latency_us,
-        }
-    }
-
-    /// Exports one artifact per batch rung into `registry` (see
-    /// [`Program::export_artifact`]) and returns the written paths.
-    ///
-    /// # Errors
-    ///
-    /// Propagates filesystem errors from the registry.
-    pub fn export_artifacts(
-        &self,
-        registry: &ArtifactRegistry,
-        batches: &[usize],
-    ) -> std::io::Result<Vec<std::path::PathBuf>> {
-        batches
-            .iter()
-            .map(|&batch| registry.store(&self.export_artifact(batch)))
-            .collect()
     }
 
     /// Sets the size budget of the specialization cache: at most `max`
@@ -454,18 +335,14 @@ mod tests {
     use pe_tensor::Rng;
 
     fn program() -> Program {
-        let mut p = Compiler::new(CompileOptions {
+        Compiler::new(CompileOptions {
             optimizer: Optimizer::sgd(0.05),
             ..CompileOptions::default()
         })
         .compile(|batch: usize| {
             let mut rng = Rng::seed_from_u64(0);
             build_mobilenet(&MobileNetV2Config::tiny(batch, 3), &mut rng)
-        });
-        // Exact-stats assertions below must not depend on whatever
-        // PE_PROGRAM_REGISTRY the test process inherited.
-        p.attach_registry(None);
-        p
+        })
     }
 
     #[test]
@@ -515,8 +392,6 @@ mod tests {
                 request_hits: 5,
                 request_misses: 1,
                 evictions: 0,
-                registry_hits: 0,
-                registry_misses: 0,
             }
         );
     }

@@ -3,11 +3,10 @@
 //! The container has no serde, so this module implements the tiny subset of
 //! JSON the repository needs: objects of numbers, strings and arrays —
 //! enough for the bench reports (`BENCH_training_step.json`,
-//! `BENCH_engine_serving.json`), the CI perf-regression gate that reads the
-//! committed baselines back, and the serialized program artifacts consumed
-//! by the `ArtifactRegistry`.
+//! `BENCH_engine_serving.json`) and the CI perf-regression gate that reads
+//! the committed baselines back.
 //!
-//! Design constraints shared by every consumer:
+//! Design constraints:
 //!
 //! * there is no `Null` variant — `null` parses to `Num(f64::NAN)` and
 //!   non-finite floats render as `null`, so formats that need exact

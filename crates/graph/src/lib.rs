@@ -38,17 +38,12 @@
 pub mod autodiff;
 pub mod builder;
 pub mod cost;
-pub mod encode;
 pub mod graph;
 pub mod op;
 
 pub use autodiff::{build_training_graph, TrainSpec, TrainingGraph};
 pub use builder::GraphBuilder;
 pub use cost::{graph_cost, node_cost, total_cost, NodeCost};
-pub use encode::{
-    decode_dtype, decode_op, decode_param_role, encode_dtype, encode_op, encode_param_role,
-    fnv1a_64, graph_fingerprint, Fnv1a,
-};
 pub use graph::{Graph, Node, ParamInfo, ParamInit, ParamKey};
 pub use op::{NodeId, OpKind, ParamRole, TrainKind};
 

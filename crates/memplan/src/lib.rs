@@ -332,8 +332,9 @@ pub fn plan_memory_with(graph: &Graph, schedule: &Schedule, opts: &MemPlanOption
     }
 }
 
-/// Structurally validates a [`MemoryPlan`] (e.g. one deserialized from a
-/// program artifact) against the graph and schedule it claims to plan.
+/// Structurally validates a [`MemoryPlan`] built outside [`plan_memory_with`]
+/// (e.g. a test oracle's no-reuse plan) against the graph and schedule it
+/// claims to plan.
 ///
 /// The check is much cheaper than re-running best-fit placement, yet strong
 /// enough that a corrupted or mismatched plan cannot make the arena executor

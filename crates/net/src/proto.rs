@@ -5,11 +5,10 @@
 //! frame length *before* allocating, so a malformed or hostile length
 //! prefix cannot balloon memory — it errors out that one connection.
 //!
-//! Payload encodings follow the same stable byte conventions as
-//! `pe_graph::encode`: little-endian integers, `f32` values as their
-//! IEEE-754 bit patterns (exact round trip — the bit-identity proofs in
-//! `tests/tests/net_serving.rs` depend on it), durations as `u64`
-//! nanoseconds, strings as `u32` length + UTF-8 bytes.
+//! Payload encodings use stable byte conventions: little-endian integers,
+//! `f32` values as their IEEE-754 bit patterns (exact round trip — the
+//! bit-identity proofs in `tests/tests/net_serving.rs` depend on it),
+//! durations as `u64` nanoseconds, strings as `u32` length + UTF-8 bytes.
 //!
 //! # Frame vocabulary
 //!

@@ -155,16 +155,15 @@ impl std::fmt::Debug for Executor {
 }
 
 impl Executor {
-    /// [`Executor::with_store`] with an optional precomputed memory plan
-    /// (e.g. deserialized from a program artifact). The plan is structurally
-    /// validated against the graph and schedule; an invalid plan is
-    /// discarded and replanned from scratch, so a corrupted artifact can
-    /// cost time but never soundness.
+    /// [`Executor::with_store`] with an optional precomputed memory plan in
+    /// place of the planner's own (`None` plans from scratch). A supplied
+    /// plan is structurally validated against the graph and schedule under
+    /// the execution options before the executor runs on it.
     ///
     /// # Panics
     ///
     /// Panics if a parameter of the graph is missing from the store or has a
-    /// mismatched shape.
+    /// mismatched shape, or if a supplied plan fails [`validate_plan`].
     pub fn with_store_and_plan(
         tg: TrainingGraph,
         schedule: Schedule,
@@ -197,12 +196,16 @@ impl Executor {
             inputs.push(Tensor::zeros(graph.node(*id).shape.clone()));
         }
 
-        // Memory plan. A supplied (artifact) plan is used only if it
-        // validates against this exact graph/schedule/options combination.
+        // Memory plan: a supplied one must validate against this exact
+        // graph/schedule/options combination.
         let opts = MemPlanOptions::for_execution();
         let plan = match plan {
-            Some(p) if validate_plan(graph, &schedule, &opts, &p).is_ok() => p,
-            _ => plan_memory_with(graph, &schedule, &opts),
+            Some(p) => {
+                validate_plan(graph, &schedule, &opts, &p)
+                    .unwrap_or_else(|e| panic!("supplied memory plan is invalid: {e}"));
+                p
+            }
+            None => plan_memory_with(graph, &schedule, &opts),
         };
 
         // Resolve every schedule position.

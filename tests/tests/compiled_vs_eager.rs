@@ -5,12 +5,14 @@
 //! compiler applies.
 
 use std::collections::HashMap;
+use std::sync::Arc;
 
 use pe_tests::support::disjoint_executor;
 use pockengine::pe_data::{
     generate_nlp_task, generate_vision_task, NlpTaskConfig, VisionTaskConfig,
 };
 use pockengine::pe_graph::{build_training_graph, TrainKind, TrainSpec};
+use pockengine::pe_memplan::{plan_memory_with, MemPlanOptions};
 use pockengine::pe_passes::optimize;
 use pockengine::pe_runtime::EagerEngine;
 use pockengine::prelude::*;
@@ -259,6 +261,23 @@ fn random_program(
     }
     let inputs = HashMap::from([("x".to_string(), xs), ("labels".to_string(), ys)]);
     (tg, schedule, eager, inputs)
+}
+
+/// A supplied memory plan is validated, not trusted: a plan with one buffer
+/// moved past the end of the arena is refused when the executor is built.
+#[test]
+#[should_panic(expected = "exceeds arena")]
+fn supplied_plan_with_a_buffer_outside_the_arena_panics() {
+    let (tg, schedule, _, _) = random_program(2, 8, 2, 0, 1);
+    let mut plan = plan_memory_with(&tg.graph, &schedule, &MemPlanOptions::for_execution());
+    let moved = plan
+        .offsets
+        .iter()
+        .position(Option::is_some)
+        .expect("a planned buffer");
+    plan.offsets[moved] = Some(plan.arena_bytes);
+    let store = Arc::new(ParamStore::from_graph(&tg.graph, Optimizer::sgd(0.05)));
+    Executor::with_store_and_plan(tg, schedule, store, Some(plan));
 }
 
 proptest! {
