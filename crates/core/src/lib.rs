@@ -8,8 +8,8 @@
 //!
 //! * [`pe_tensor`] — tensors and the shared forward/backward kernel library;
 //! * [`pe_graph`] — the unified IR, graph builder and compile-time autodiff;
-//! * [`pe_passes`] — training-graph optimisations (pruning/DCE, fusion,
-//!   operator reordering) and scheduling;
+//! * [`pe_passes`] — training-graph optimisations (pruning/DCE, operator
+//!   reordering) and scheduling;
 //! * [`pe_memplan`] — tensor lifetime analysis and memory planning;
 //! * [`pe_runtime`] — the slim executor, optimizers and the eager baseline;
 //! * [`pe_sparse`] — update schemes and the scheme search;
@@ -181,7 +181,7 @@ pub struct ProgramAnalysis {
     pub training_graph: TrainingGraph,
     /// The execution schedule.
     pub schedule: Schedule,
-    /// Optimisation statistics (fusion counts, DCE, launch counts).
+    /// Optimisation statistics (DCE, launch counts).
     pub stats: OptimizeStats,
     /// Training-memory breakdown.
     pub memory: MemoryReport,
@@ -343,11 +343,6 @@ mod tests {
         let o = CompileOptions::default();
         assert_eq!(o.update_rule, UpdateRule::Full);
         assert_eq!(o.schedule, ScheduleStrategy::Reordered);
-        // The fusion level follows `PE_FUSION`, defaulting to regions; this
-        // test only pins that fusion is not silently disabled by default.
-        if std::env::var("PE_FUSION").is_err() {
-            assert_eq!(o.optimize.fusion, pe_passes::FusionLevel::Regions);
-        }
         assert!(o.optimize.dce);
     }
 }

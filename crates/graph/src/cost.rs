@@ -102,28 +102,6 @@ pub fn node_cost(graph: &Graph, id: NodeId) -> NodeCost {
         | OpKind::TanhGrad
         | OpKind::Softmax
         | OpKind::SoftmaxGrad => 8 * out_elems,
-        OpKind::FusedRegion { prog } => {
-            // Sum the per-element cost of each micro-op in the program.
-            use pe_tensor::kernels::elementwise::{UnaryGradOp, UnaryOp};
-            use pe_tensor::kernels::fused::MicroOp;
-            let per_elem: u64 = prog
-                .iter()
-                .map(|op| match op {
-                    MicroOp::Unary(
-                        UnaryOp::Gelu | UnaryOp::Silu | UnaryOp::Sigmoid | UnaryOp::Tanh,
-                    ) => 8,
-                    MicroOp::UnaryGrad(
-                        UnaryGradOp::Gelu
-                        | UnaryGradOp::Silu
-                        | UnaryGradOp::Sigmoid
-                        | UnaryGradOp::Tanh,
-                        _,
-                    ) => 8,
-                    _ => 1,
-                })
-                .sum();
-            per_elem.max(1) * out_elems
-        }
         OpKind::Reduce { .. } | OpKind::ReduceGrad { .. } => {
             let in_elems: u64 = node
                 .inputs

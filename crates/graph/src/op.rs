@@ -6,7 +6,6 @@
 //! optimisations apply to training graphs.
 
 use pe_tensor::kernels::conv::Conv2dParams;
-use pe_tensor::kernels::fused::MicroOp;
 use pe_tensor::kernels::pool::Pool2dParams;
 use pe_tensor::kernels::reduce::ReduceOp;
 
@@ -157,16 +156,6 @@ pub enum OpKind {
     BroadcastGradTo {
         /// Target (pre-broadcast) dimensions.
         dims: Vec<usize>,
-    },
-
-    // ----- fused ops (produced by the fusion pass) -----
-    /// A fused elementwise region: `inputs[0]` is the carrier the micro-op
-    /// program threads through; the remaining inputs are the extra operands
-    /// the program's indices reference. Executed as a single dispatch by
-    /// the region interpreter (`pe_tensor::kernels::fused`).
-    FusedRegion {
-        /// The ordered micro-op program.
-        prog: Vec<MicroOp>,
     },
 
     // ----- reductions and shape ops -----
@@ -346,7 +335,6 @@ impl OpKind {
             OpKind::SigmoidGrad => "sigmoid_grad",
             OpKind::TanhGrad => "tanh_grad",
             OpKind::BroadcastGradTo { .. } => "broadcast_grad",
-            OpKind::FusedRegion { .. } => "fused_region",
             OpKind::Reduce { .. } => "reduce",
             OpKind::ReduceGrad { .. } => "reduce_grad",
             OpKind::Reshape { .. } => "reshape",
@@ -383,12 +371,7 @@ impl OpKind {
     }
 
     /// Whether the op belongs to the backward part of a training graph.
-    /// A fused region counts as backward when its program carries an
-    /// activation VJP (it then sits on the gradient path).
     pub fn is_backward(&self) -> bool {
-        if let OpKind::FusedRegion { prog } = self {
-            return prog.iter().any(|op| matches!(op, MicroOp::UnaryGrad(..)));
-        }
         matches!(
             self,
             OpKind::Conv2dGradInput { .. }

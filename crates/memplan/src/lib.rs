@@ -195,11 +195,6 @@ fn is_inplace_safe(op: &OpKind) -> bool {
             | OpKind::Tanh
             | OpKind::Scale { .. }
             | OpKind::Reshape { .. }
-            // A fused region reads element `i` of every operand before
-            // writing element `i` of the output, and the fusion pass never
-            // lets the carrier input reappear as an extra operand, so
-            // aliasing the output onto the carrier is safe.
-            | OpKind::FusedRegion { .. }
     )
 }
 

@@ -2,10 +2,10 @@
 //!
 //! After the sparse-backpropagation scheme prunes gradient *emission* at
 //! autodiff time, DCE removes any remaining unreachable nodes (forward
-//! activations only needed by pruned branches, ops orphaned by fusion, and so
-//! on). Because this happens on the graph at compile time, the savings are
-//! realised as actual buffers never allocated and kernels never launched —
-//! the paper's central argument for why sparse BP needs system support.
+//! activations only needed by pruned branches, and so on). Because this
+//! happens on the graph at compile time, the savings are realised as actual
+//! buffers never allocated and kernels never launched — the paper's central
+//! argument for why sparse BP needs system support.
 
 use std::collections::HashMap;
 

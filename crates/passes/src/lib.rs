@@ -3,8 +3,6 @@
 //! Training-graph optimisation passes for PockEngine-RS (paper §3.2):
 //!
 //! * [`dce`] — dead-code elimination after sparse-backpropagation pruning;
-//! * [`fusion`] — operator fusion: elementwise chains (bias, activation,
-//!   residual add, activation VJPs) collapse into single-dispatch regions;
 //! * [`schedule`] — execution scheduling, including operator reordering that
 //!   applies parameter updates as soon as their gradients are available;
 //! * [`manager`] — the fixed pipeline combining all of the above.
@@ -34,11 +32,9 @@
 #![deny(missing_docs)]
 
 pub mod dce;
-pub mod fusion;
 pub mod manager;
 pub mod schedule;
 
 pub use dce::{eliminate_dead_code, DceStats};
-pub use fusion::{fuse_regions, launch_count, FusionLevel, FusionStats};
-pub use manager::{optimize, OptimizeOptions, OptimizeStats};
+pub use manager::{launch_count, optimize, FusionStats, OptimizeOptions, OptimizeStats};
 pub use schedule::{build_schedule, update_latencies, Schedule, ScheduleStrategy};

@@ -37,7 +37,7 @@ use pe_memplan::{plan_memory_with, validate_plan, MemPlanOptions, MemoryPlan};
 use pe_passes::Schedule;
 use pe_tensor::kernels::elementwise::{UnaryGradOp, UnaryOp};
 use pe_tensor::kernels::{
-    conv, elementwise as ew, embedding, fused, gemm, layout, norm, pool as poolk, reduce,
+    conv, elementwise as ew, embedding, gemm, layout, norm, pool as poolk, reduce,
 };
 use pe_tensor::{Tensor, TensorView};
 
@@ -543,27 +543,6 @@ unsafe fn dispatch(shared: &Shared, step: &StepNode) {
     // In-place nodes: the output range *is* the first input's range, so only
     // one (mutable) slice may exist.
     if step.inplace {
-        if let OpKind::FusedRegion { prog } = &step.op {
-            // Extras (operands past the carrier) live in planner-disjoint
-            // ranges or persistent storage, so their shared views cannot
-            // overlap the carrier buffer the region rewrites; the fusion
-            // pass never emits a program that re-reads the carrier.
-            let n_extras = step.ins.len() - 1;
-            assert!(n_extras < fused::MAX_REGION_INPUTS, "region fan-in");
-            if n_extras == 0 {
-                let buf = shared.arena.slice_mut(off, len);
-                fused::fused_region_inplace(prog, &[], &step.ins[0].dims, buf);
-            } else {
-                let ev = |i: usize| arg_view(shared, &step.ins[i]);
-                let mut extras = [ev(1); fused::MAX_REGION_INPUTS];
-                for (i, slot) in extras.iter_mut().enumerate().take(n_extras).skip(1) {
-                    *slot = ev(i + 1);
-                }
-                let buf = shared.arena.slice_mut(off, len);
-                fused::fused_region_inplace(prog, &extras[..n_extras], &step.ins[0].dims, buf);
-            }
-            return;
-        }
         let buf = shared.arena.slice_mut(off, len);
         match unary_of(&step.op) {
             Some(op) => ew::unary_inplace(op, buf),
@@ -616,19 +595,6 @@ unsafe fn dispatch(shared: &Shared, step: &StepNode) {
         OpKind::SigmoidGrad => ew::unary_grad_into(UnaryGradOp::Sigmoid, v(0), v(1), out),
         OpKind::TanhGrad => ew::unary_grad_into(UnaryGradOp::Tanh, v(0), v(1), out),
         OpKind::BroadcastGradTo { dims } => ew::reduce_to_shape_into(v(0), dims, out),
-        OpKind::FusedRegion { prog } => {
-            // Views collected on the stack (TensorView is Copy) so the
-            // region interpreter runs without a heap allocation.
-            assert!(
-                step.ins.len() <= fused::MAX_REGION_INPUTS,
-                "region fan-in exceeds MAX_REGION_INPUTS"
-            );
-            let mut views = [v(0); fused::MAX_REGION_INPUTS];
-            for (i, slot) in views.iter_mut().enumerate().take(step.ins.len()).skip(1) {
-                *slot = v(i);
-            }
-            fused::fused_region_into(prog, &views[..step.ins.len()], &step.ins[0].dims, out)
-        }
         // The reduction output layout with kept dims is byte-identical to
         // the squeezed one, so one `_into` kernel serves both modes.
         OpKind::Reduce { op, axes, .. } => reduce::reduce_into(v(0), *op, axes, out),

@@ -3,8 +3,8 @@
 //!
 //! Every loop here walks contiguous slices with the op chosen *outside* the
 //! loop (see `with_unary!` and friends), so the body is straight-line f32
-//! arithmetic the autovectoriser takes. The scalar `apply`/`eval` functions are
-//! the single definition of each formula; they use only IEEE `mul`/`add`/`div`,
+//! arithmetic the autovectoriser takes. The scalar `apply` functions are the
+//! single definition of each formula; they use only IEEE `mul`/`add`/`div`,
 //! compares and bit moves, so the vectorised loop and a lone scalar call
 //! produce the same bits.
 
@@ -51,9 +51,8 @@ macro_rules! bind_op {
 }
 
 /// Runs `$body` once per variant with `$o` bound to that variant as a
-/// *constant*, so the `match` inside `$o.apply(..)` / `$o.eval(..)` folds
-/// away and an element loop in the body is straight-line code with no branch
-/// on the op.
+/// *constant*, so the `match` inside `$o.apply(..)` folds away and an
+/// element loop in the body is straight-line code with no branch on the op.
 macro_rules! with_binary {
     ($op:expr, |$o:ident| $body:expr) => {
         match $op {
@@ -282,28 +281,9 @@ pub enum UnaryOp {
 }
 
 impl UnaryOp {
-    /// Applies the op to one element.
-    ///
-    /// This is the entry for callers that pick the op per element (the
-    /// fused-region interpreter): the `exp`-based arms sit behind a call, as
-    /// libm's did, so that loop's body stays small. The kernels in this file
-    /// pick the op per call and inline `eval` instead.
-    #[inline]
-    pub fn apply(self, v: f32) -> f32 {
-        match self {
-            UnaryOp::Gelu | UnaryOp::Silu | UnaryOp::Sigmoid => self.eval_out_of_line(v),
-            _ => self.eval(v),
-        }
-    }
-
-    #[inline(never)]
-    fn eval_out_of_line(self, v: f32) -> f32 {
-        self.eval(v)
-    }
-
-    /// The one definition of each formula.
+    /// Applies the op to one element: the one definition of each formula.
     #[inline(always)]
-    fn eval(self, v: f32) -> f32 {
+    pub fn apply(self, v: f32) -> f32 {
         match self {
             UnaryOp::Relu => v.max(0.0),
             UnaryOp::Relu6 => v.clamp(0.0, 6.0),
@@ -340,7 +320,7 @@ macro_rules! with_unary {
 pub fn unary_into(op: UnaryOp, x: TensorView, out: &mut [f32]) {
     assert_eq!(out.len(), x.numel(), "unary output length mismatch");
     with_unary!(op, |op| for (o, &v) in out.iter_mut().zip(x.data()) {
-        *o = op.eval(v);
+        *o = op.apply(v);
     });
 }
 
@@ -348,7 +328,7 @@ pub fn unary_into(op: UnaryOp, x: TensorView, out: &mut [f32]) {
 /// aliases an op's output onto its dying input).
 pub fn unary_inplace(op: UnaryOp, buf: &mut [f32]) {
     with_unary!(op, |op| for v in buf.iter_mut() {
-        *v = op.eval(*v);
+        *v = op.apply(*v);
     });
 }
 
@@ -493,24 +473,10 @@ pub enum UnaryGradOp {
 }
 
 impl UnaryGradOp {
-    /// Applies the VJP to one `(x_or_y, dy)` pair; like [`UnaryOp::apply`],
-    /// the per-element entry with the `exp`-based arms behind a call.
-    #[inline]
-    pub fn apply(self, v: f32, g: f32) -> f32 {
-        match self {
-            UnaryGradOp::Gelu | UnaryGradOp::Silu => self.eval_out_of_line(v, g),
-            _ => self.eval(v, g),
-        }
-    }
-
-    #[inline(never)]
-    fn eval_out_of_line(self, v: f32, g: f32) -> f32 {
-        self.eval(v, g)
-    }
-
-    /// The one definition of each formula.
+    /// Applies the VJP to one `(x_or_y, dy)` pair: the one definition of
+    /// each formula.
     #[inline(always)]
-    fn eval(self, v: f32, g: f32) -> f32 {
+    pub fn apply(self, v: f32, g: f32) -> f32 {
         match self {
             UnaryGradOp::Relu => {
                 if v > 0.0 {
@@ -567,7 +533,7 @@ pub fn unary_grad_into(op: UnaryGradOp, x_or_y: TensorView, dy: TensorView, out:
     let (vs, gs) = (x_or_y.data(), dy.data());
     let each = out.iter_mut().zip(vs).zip(gs);
     with_unary_grad!(op, |op| for ((o, &v), &g) in each {
-        *o = op.eval(v, g);
+        *o = op.apply(v, g);
     });
 }
 
@@ -701,7 +667,6 @@ mod oracle {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::kernels::fused::{fused_region_into, MicroOp};
     use crate::Rng;
 
     #[test]
@@ -962,7 +927,6 @@ mod tests {
         let specials = [0.0, -0.0, 90.0, -90.0, 6.0, f32::INFINITY, f32::NAN];
         x.data_mut()[500..500 + specials.len()].copy_from_slice(&specials);
         let dy = Tensor::randn([17, 59], 1.0, &mut rng);
-        let bias = Tensor::randn([59], 1.0, &mut rng);
         let (mut out, mut lone) = (vec![0.0f32; N], vec![0.0f32; N]);
 
         for op in UNARY_OPS {
@@ -976,15 +940,6 @@ mod tests {
             lone.copy_from_slice(x.data());
             unary_inplace(op, &mut lone);
             assert_same(&lone, &out, &what);
-
-            let prog = [MicroOp::AddBias(1), MicroOp::Unary(op)];
-            fused_region_into(&prog, &[x.view(), bias.view()], x.dims(), &mut out);
-            for k in 0..N {
-                let v = TensorView::new(&[1, 1], &x.data()[k..k + 1]);
-                let b = TensorView::new(&[1], &bias.data()[k % 59..k % 59 + 1]);
-                fused_region_into(&prog, &[v, b], &[1, 1], &mut lone[k..k + 1]);
-            }
-            assert_same(&out, &lone, &what);
         }
         for op in UNARY_GRAD_OPS {
             unary_grad_into(op, x.view(), dy.view(), &mut out);

@@ -9,7 +9,6 @@
 pub mod conv;
 pub mod elementwise;
 pub mod embedding;
-pub mod fused;
 pub mod gemm;
 pub mod layout;
 pub mod norm;

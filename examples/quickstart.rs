@@ -61,7 +61,7 @@ fn main() {
         full.memory.transient_peak_bytes as f64 / 1024.0
     );
     println!(
-        "graph: {} nodes ({} launches removed by fusion/DCE)\n",
+        "graph: {} nodes ({} launches removed by DCE)\n",
         program.analysis.training_graph.graph.len(),
         program.analysis.stats.launches_before - program.analysis.stats.launches_after
     );

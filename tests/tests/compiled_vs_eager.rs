@@ -287,8 +287,8 @@ proptest! {
     /// bit-identical to the same executor over a plan that reuses nothing
     /// and aliases nothing (reuse and in-place aliasing change where values
     /// live, never what they are), and both match runtime-autodiff eager
-    /// mode to tight numeric tolerance (eager runs an unfused graph, so
-    /// bitwise equality is not defined for it).
+    /// mode to tight numeric tolerance (eager derives its own backward
+    /// graph every step, so the test does not hold it to the bit).
     #[test]
     fn planned_arena_matches_disjoint_arena_and_eager_on_random_graphs(
         depth in 1usize..4,

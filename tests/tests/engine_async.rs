@@ -18,8 +18,7 @@ use pockengine::{QueueConfig, ServingKind, SubmitError};
 
 /// The acceptance-criterion test: a queued mixed stream is bit-identical —
 /// per-request losses and final parameters — to `Engine::serve` over the
-/// same slice. Runs under the session's fusion fallback (`PE_FUSION`), so
-/// the CI matrix covers the unfused programs too.
+/// same slice.
 ///
 /// The queued half is driven **through the generic `Submit` driver** in
 /// `pe_tests::support` — the exact driver the network suite runs against a

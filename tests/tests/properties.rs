@@ -3,11 +3,8 @@
 //! memory-planner non-overlap, and autodiff/DCE invariants over randomly
 //! shaped MLPs.
 
-use std::collections::HashMap;
-
 use proptest::prelude::*;
 
-use pe_tests::support::disjoint_executor;
 use pockengine::pe_graph::{
     build_training_graph, graph_cost, GraphBuilder, NodeId, TrainKind, TrainSpec,
 };
@@ -15,10 +12,8 @@ use pockengine::pe_memplan::{
     analyze_lifetimes, plan_memory, plan_memory_with, validate_plan, MemPlanOptions,
 };
 use pockengine::pe_passes::{
-    build_schedule, launch_count, optimize, FusionLevel, OptimizeOptions, Schedule,
-    ScheduleStrategy,
+    build_schedule, optimize, OptimizeOptions, Schedule, ScheduleStrategy,
 };
-use pockengine::pe_runtime::{Executor, Optimizer};
 use pockengine::pe_tensor::kernels::gemm::matmul;
 use pockengine::pe_tensor::kernels::layout::transpose2d;
 use pockengine::pe_tensor::{Rng, Tensor};
@@ -80,65 +75,6 @@ fn random_topo_schedule(graph: &pockengine::pe_graph::Graph, seed: u64) -> Sched
         order,
         strategy: ScheduleStrategy::Reordered,
     }
-}
-
-/// Everything a training run produces, with floats captured as exact bit
-/// patterns: `(kernel launches, per-step losses, final graph outputs, final
-/// parameters)`.
-type BitSnapshot = (
-    usize,
-    Vec<u32>,
-    Vec<(String, Vec<u32>)>,
-    Vec<(String, Vec<u32>)>,
-);
-
-/// Compiles `random_mlp` at the given fusion level, trains it for three SGD
-/// steps on `inputs` over the planner's plan (or, with `disjoint`, over a
-/// plan that reuses nothing), and snapshots the observable results
-/// bit-for-bit.
-fn train_at_fusion_level(
-    widths: &[usize],
-    batch: usize,
-    frozen_prefix: usize,
-    level: FusionLevel,
-    disjoint: bool,
-    inputs: &HashMap<String, Tensor>,
-) -> BitSnapshot {
-    let tg = random_mlp(widths, batch, frozen_prefix);
-    let options = OptimizeOptions {
-        fusion: level,
-        ..OptimizeOptions::default()
-    };
-    let (tg, schedule, _) = optimize(tg, options);
-    let launches = launch_count(&tg.graph);
-    let mut exec = if disjoint {
-        disjoint_executor(tg, schedule, Optimizer::sgd(0.05))
-    } else {
-        Executor::new(tg, schedule, Optimizer::sgd(0.05))
-    };
-    let bits = |t: &Tensor| -> Vec<u32> { t.data().iter().map(|f| f.to_bits()).collect() };
-    let mut losses = Vec::new();
-    let mut outputs: Vec<(String, Vec<u32>)> = Vec::new();
-    for step in 0..3 {
-        let result = exec.run_step(inputs).unwrap();
-        losses.push(result.loss.unwrap().to_bits());
-        if step == 2 {
-            outputs = result
-                .outputs
-                .iter()
-                .map(|(name, value)| (name.clone(), bits(value)))
-                .collect();
-            outputs.sort();
-        }
-    }
-    let graph = &exec.training_graph().graph;
-    let mut params: Vec<(String, Vec<u32>)> = graph
-        .param_ids()
-        .into_iter()
-        .map(|id| (graph.node(id).name.clone(), bits(&exec.param(id).unwrap())))
-        .collect();
-    params.sort();
-    (launches, losses, outputs, params)
 }
 
 proptest! {
@@ -322,45 +258,5 @@ proptest! {
         // The VJP of broadcasting `small` is a row-sum: check linearity.
         let reduced = reduce_to_shape(&Tensor::ones([rows, cols]), small.shape());
         prop_assert!(reduced.data().iter().all(|&v| (v - rows as f32).abs() < 1e-5));
-    }
-
-    /// Fusion is a pure dispatch-count optimisation: for random MLPs the
-    /// region-fused program produces bit-identical losses, outputs and trained
-    /// parameters to the completely unfused program, over both the planner's
-    /// plan and a plan that reuses nothing — while never launching more
-    /// kernels than no fusion.
-    #[test]
-    fn region_fusion_is_bit_identical_to_unfused(
-        depth in 1usize..4,
-        width in 3usize..12,
-        batch in 1usize..5,
-        frozen_prefix in 0usize..3,
-        seed in 0u64..10_000,
-    ) {
-        let widths: Vec<usize> = std::iter::repeat_n(width, depth + 1).collect();
-        let frozen_prefix = frozen_prefix.min(depth);
-        let mut data_rng = Rng::seed_from_u64(seed);
-        let xs = Tensor::randn([batch, width], 1.0, &mut data_rng);
-        let mut ys = Tensor::zeros([batch]);
-        for i in 0..batch {
-            ys.data_mut()[i] = data_rng.next_usize(3) as f32;
-        }
-        let inputs = HashMap::from([("x".to_string(), xs), ("labels".to_string(), ys)]);
-
-        for disjoint in [false, true] {
-            let run = |level| train_at_fusion_level(
-                &widths, batch, frozen_prefix, level, disjoint, &inputs,
-            );
-            let off = run(FusionLevel::Off);
-            let regions = run(FusionLevel::Regions);
-            prop_assert!(
-                regions.0 <= off.0,
-                "fusion must never add launches: off={} regions={}",
-                off.0, regions.0
-            );
-            prop_assert_eq!(&off.1, &regions.1, "losses diverged under region fusion (disjoint={})", disjoint);
-            prop_assert_eq!(&off.2, &regions.2, "outputs diverged under region fusion (disjoint={})", disjoint);
-            prop_assert_eq!(&off.3, &regions.3, "parameters diverged under region fusion (disjoint={})", disjoint);
-        }
     }
 }

@@ -21,7 +21,7 @@ static ALLOC: CountingAlloc = CountingAlloc::new();
 
 #[test]
 fn steady_state_training_step_performs_zero_heap_allocations() {
-    // An MLP with bias fusion, ReLU/GELU activations and cross-entropy:
+    // An MLP with bias adds, ReLU/GELU activations and cross-entropy:
     // every op it compiles to has an allocation-free `_into` kernel.
     let mut rng = Rng::seed_from_u64(0);
     let mut b = GraphBuilder::new();

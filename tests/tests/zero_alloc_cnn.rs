@@ -1,8 +1,8 @@
 //! Counting-allocator proof that the arena executor runs a *convolutional*
 //! training step — the GEMM-lowered forward kernels of a frozen backbone
 //! with its weight gradients pruned, the forward, grad-input and grad-weight
-//! kernels (and their stack panels) of a trainable one, region-fused
-//! bias/activation chains, rank-4 bias-gradient reductions — without ever
+//! kernels (and their stack panels) of a trainable one, rank-4 bias adds
+//! and in-place activations, rank-4 bias-gradient reductions — without ever
 //! dispatching an allocating fallback kernel and without touching the heap
 //! in steady state. Companion to `zero_alloc.rs`
 //! (the MLP variant); this file also holds a single `#[test]` because the
@@ -13,7 +13,7 @@ use std::collections::HashMap;
 use pe_tests::support::CountingAlloc;
 use pockengine::pe_graph::{build_training_graph, Graph, NodeId, TrainKind, TrainSpec};
 use pockengine::pe_graph::{GraphBuilder, OpKind};
-use pockengine::pe_passes::{optimize, FusionLevel, OptimizeOptions, OptimizeStats};
+use pockengine::pe_passes::{optimize, OptimizeOptions};
 use pockengine::pe_runtime::{Executor, Optimizer};
 use pockengine::pe_tensor::kernels::conv::Conv2dParams;
 use pockengine::pe_tensor::{Rng, Tensor};
@@ -21,16 +21,11 @@ use pockengine::pe_tensor::{Rng, Tensor};
 #[global_allocator]
 static ALLOC: CountingAlloc = CountingAlloc::new();
 
-/// Compiles `graph` for the executor with region fusion pinned (so
-/// the measurement is independent of `PE_FUSION`).
-fn compile(graph: Graph, loss: NodeId, spec: &TrainSpec) -> (Executor, OptimizeStats) {
+/// Compiles `graph` for the executor through the default pipeline.
+fn compile(graph: Graph, loss: NodeId, spec: &TrainSpec) -> Executor {
     let tg = build_training_graph(graph, loss, spec);
-    let options = OptimizeOptions {
-        fusion: FusionLevel::Regions,
-        ..OptimizeOptions::default()
-    };
-    let (tg, schedule, stats) = optimize(tg, options);
-    (Executor::new(tg, schedule, Optimizer::sgd(0.05)), stats)
+    let (tg, schedule, _) = optimize(tg, OptimizeOptions::default());
+    Executor::new(tg, schedule, Optimizer::sgd(0.05))
 }
 
 /// Nodes of `exec`'s compiled program whose op satisfies `wanted`.
@@ -97,8 +92,8 @@ fn cnn_training_step_has_zero_fallbacks_and_zero_allocations() {
     // 3x3 stride-1 convolutions with trainable per-channel biases and a
     // trainable linear head. The backward pass therefore exercises the
     // rank-4 bias reduction and activation gradients but computes no conv
-    // weight gradient, while the forward pass runs the lowered convs and
-    // region-fused bias+ReLU chains.
+    // weight gradient, while the forward pass runs the lowered convs, their
+    // rank-4 bias adds and ReLUs.
     let mut rng = Rng::seed_from_u64(0);
     let mut b = GraphBuilder::new();
     let x = b.input("x", [2, 3, 12, 12]);
@@ -119,11 +114,11 @@ fn cnn_training_step_has_zero_fallbacks_and_zero_allocations() {
     let logits = b.linear(p, head, None);
     let loss = b.cross_entropy(logits, labels);
     let graph = b.finish(vec![loss, logits]);
-    let (exec, stats) = compile(graph, loss, &spec);
+    let exec = compile(graph, loss, &spec);
 
     // The program must actually contain the interesting kernels: both frozen
     // convolutions as forward-only lowered convs (sparse backprop prunes
-    // their weight gradients) and at least one fused region.
+    // their weight gradients) and a rank-4 bias add behind each of them.
     let graph = &exec.training_graph().graph;
     let conv_weights: Vec<&str> = graph
         .nodes()
@@ -141,10 +136,10 @@ fn cnn_training_step_has_zero_fallbacks_and_zero_allocations() {
         0,
         "frozen conv weights must get no weight gradient"
     );
-    assert!(
-        stats.fusion.regions >= 1,
-        "the bias+relu chains must fuse into regions: {:?}",
-        stats.fusion
+    assert_eq!(
+        count_ops(&exec, |op| matches!(op, OpKind::AddBias)),
+        2,
+        "each conv must be followed by its bias add"
     );
 
     assert_steady_state_is_clean(exec, [2, 3, 12, 12], "frozen backbone");
@@ -173,7 +168,7 @@ fn cnn_training_step_has_zero_fallbacks_and_zero_allocations() {
     let logits = b.linear(p, head, None);
     let loss = b.cross_entropy(logits, labels);
     let graph = b.finish(vec![loss, logits]);
-    let (exec, _) = compile(graph, loss, &TrainSpec::new());
+    let exec = compile(graph, loss, &TrainSpec::new());
     let count = |wanted| count_ops(&exec, wanted);
     assert_eq!(count(|op| matches!(op, OpKind::Conv2d(_))), 4);
     assert_eq!(count(|op| matches!(op, OpKind::Conv2dGradInput { .. })), 3);

@@ -46,8 +46,6 @@ fn encoder_training_step_has_zero_fallbacks_and_zero_allocations() {
         ("full backpropagation", UpdateRule::Full),
     ] {
         let model = build_bert(&config, &mut Rng::seed_from_u64(0));
-        // Fusion is left to the environment, so the `PE_FUSION=off` leg
-        // covers the unfused encoder as well.
         let options = CompileOptions {
             update_rule: rule,
             optimizer: Optimizer::sgd(0.05),
