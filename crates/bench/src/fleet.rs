@@ -108,7 +108,6 @@ fn boot_fleet(cfg: &FleetBenchConfig, workers: usize) -> (Vec<Server>, Balancer)
     let queue = QueueConfig {
         capacity: cfg.net.queue_capacity,
         default_deadline: cfg.net.queue_deadline,
-        ..QueueConfig::default()
     };
     let pool: Vec<Server> = (0..workers)
         .map(|_| {

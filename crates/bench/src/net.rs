@@ -269,7 +269,6 @@ pub fn run_net_bench(cfg: &NetBenchConfig) -> NetBenchResult {
         net_engine(cfg).into_async(QueueConfig {
             capacity: cfg.queue_capacity,
             default_deadline: cfg.queue_deadline,
-            ..QueueConfig::default()
         }),
         ServerConfig::default(),
     )

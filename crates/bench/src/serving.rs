@@ -74,10 +74,6 @@ pub struct ServingBenchConfig {
     pub open_loop_requests: usize,
     /// Offered rate (requests/second) of the open-loop run.
     pub open_loop_rate: f64,
-    /// Drain-worker counts to measure the queued throughput pass at, in
-    /// addition to the single-worker headline (the parallel drain:
-    /// `QueueConfig::drain_workers`).
-    pub parallel_drain_workers: Vec<usize>,
 }
 
 impl Default for ServingBenchConfig {
@@ -95,7 +91,6 @@ impl Default for ServingBenchConfig {
             seeded_latency: Duration::from_micros(50),
             open_loop_requests: 1024,
             open_loop_rate: 25_000.0,
-            parallel_drain_workers: vec![2, 4],
         }
     }
 }
@@ -150,15 +145,8 @@ pub struct ServingBenchResult {
     pub specializations: usize,
     /// Wall-clock of the best queued pass (first submit → last completion).
     pub elapsed_secs: f64,
-    /// **The gated headline**: queued-path throughput with the inline
-    /// single-worker drain, best of `trials`.
+    /// **The gated headline**: queued-path throughput, best of `trials`.
     pub requests_per_sec: f64,
-    /// Queued-path throughput of the parallel drain, best of `trials` per
-    /// worker count in `parallel_drain_workers` (gated per count).
-    pub queued_workers_rps: Vec<(usize, f64)>,
-    /// Batcher accounting of the best pass at the highest worker count
-    /// (train-fence waits, priority overtakes, in-flight high-water).
-    pub parallel_batcher: BatcherStats,
     /// Real rows per second through the queue, best pass.
     pub rows_per_sec: f64,
     /// Closed-loop submission-to-completion latency percentiles (measured
@@ -299,17 +287,14 @@ fn redeem_concurrently(
 
 /// One closed-loop **throughput** pass through the queue: submit the whole
 /// stream as fast as backpressure admits, then let `shutdown` drain. Only
-/// the producer and the drainer (plus `workers - 1` extra drain workers
-/// when `workers >= 2`) run — no ticket-waiter thread — so the measurement
+/// the producer and the drainer run — no ticket-waiter thread — so the measurement
 /// carries the minimum scheduling noise on small (1-core CI) containers;
 /// tickets are fulfilled but intentionally dropped unredeemed. Latency
 /// percentiles come from the separate [`latency_pass`].
-fn queued_pass(cfg: &ServingBenchConfig, stream: &[Request], workers: usize) -> QueuedPass {
+fn queued_pass(cfg: &ServingBenchConfig, stream: &[Request]) -> QueuedPass {
     let engine = fresh_engine(cfg, AdmissionPolicy::AcceptAll).into_async(QueueConfig {
         capacity: cfg.queue_capacity,
         default_deadline: cfg.queue_deadline,
-        drain_workers: workers,
-        eval_group_sleep: None,
     });
     let start = Instant::now();
     for r in stream {
@@ -342,8 +327,6 @@ fn latency_pass(cfg: &ServingBenchConfig, stream: &[Request]) -> (WaiterReport, 
     let engine = engine.into_async(QueueConfig {
         capacity: cfg.queue_capacity,
         default_deadline: cfg.queue_deadline,
-        drain_workers: 1,
-        eval_group_sleep: None,
     });
     let report = redeem_concurrently(|tx| {
         for (i, r) in stream.iter().enumerate() {
@@ -389,36 +372,12 @@ pub fn run_serving_bench(cfg: &ServingBenchConfig) -> ServingBenchResult {
     // Queued path: best of N (producer + drainer only; see `queued_pass`).
     let mut best: Option<QueuedPass> = None;
     for _ in 0..cfg.trials {
-        let pass = queued_pass(cfg, &stream, 1);
+        let pass = queued_pass(cfg, &stream);
         if best.as_ref().is_none_or(|b| pass.elapsed < b.elapsed) {
             best = Some(pass);
         }
     }
     let best = best.expect("trials > 0");
-
-    // Parallel drain: the same throughput pass at each configured worker
-    // count, best of N. The batcher accounting of the best pass at the
-    // highest count is reported (fence waits, overtakes, in-flight peak).
-    let mut queued_workers_rps = Vec::new();
-    let mut parallel_batcher = best.batcher;
-    for &workers in &cfg.parallel_drain_workers {
-        let mut best_parallel: Option<QueuedPass> = None;
-        for _ in 0..cfg.trials {
-            let pass = queued_pass(cfg, &stream, workers);
-            if best_parallel
-                .as_ref()
-                .is_none_or(|b| pass.elapsed < b.elapsed)
-            {
-                best_parallel = Some(pass);
-            }
-        }
-        let best_parallel = best_parallel.expect("trials > 0");
-        queued_workers_rps.push((
-            workers,
-            best_parallel.metrics.requests as f64 / best_parallel.elapsed.max(1e-9),
-        ));
-        parallel_batcher = best_parallel.batcher;
-    }
 
     // Closed-loop latency percentiles + admission accounting (separate
     // pass with a ticket waiter and DeadlineFeasible admission).
@@ -470,8 +429,6 @@ pub fn run_serving_bench(cfg: &ServingBenchConfig) -> ServingBenchResult {
     let engine = fresh_engine(cfg, AdmissionPolicy::AcceptAll).into_async(QueueConfig {
         capacity: cfg.queue_capacity,
         default_deadline: cfg.queue_deadline,
-        drain_workers: 1,
-        eval_group_sleep: None,
     });
     let start = Instant::now();
     let open_report = redeem_concurrently(|tx| {
@@ -512,8 +469,6 @@ pub fn run_serving_bench(cfg: &ServingBenchConfig) -> ServingBenchResult {
         specializations: best.specializations,
         elapsed_secs: best.elapsed,
         requests_per_sec: best.metrics.requests as f64 / best.elapsed.max(1e-9),
-        queued_workers_rps,
-        parallel_batcher,
         rows_per_sec: best.metrics.rows as f64 / best.elapsed.max(1e-9),
         latency: percentiles(closed_latencies),
         latency_by_priority,
@@ -564,22 +519,6 @@ impl ServingBenchResult {
                 "batcher_expired_dispatches",
                 Json::Int(self.batcher.expired_dispatches),
             ),
-            (
-                "parallel_fence_waits",
-                Json::Int(self.parallel_batcher.fence_waits),
-            ),
-            (
-                "parallel_fence_wait_us",
-                Json::Int(self.parallel_batcher.fence_wait_us),
-            ),
-            (
-                "parallel_priority_overtakes",
-                Json::Int(self.parallel_batcher.priority_overtakes),
-            ),
-            (
-                "parallel_max_in_flight",
-                Json::Int(self.parallel_batcher.max_in_flight),
-            ),
             ("elapsed_secs", Json::Num(self.elapsed_secs)),
             ("requests_per_sec", Json::Num(self.requests_per_sec)),
             ("rows_per_sec", Json::Num(self.rows_per_sec)),
@@ -614,19 +553,6 @@ impl ServingBenchResult {
         ];
         let mut json = Json::obj(fields);
         if let Json::Obj(fields) = &mut json {
-            // The single-worker headline doubles as the workers=1 entry of
-            // the parallel-drain scaling series, so the gate reads one
-            // uniform field family.
-            fields.push((
-                "requests_per_sec_workers_1".to_string(),
-                Json::Num(self.requests_per_sec),
-            ));
-            for &(workers, rps) in &self.queued_workers_rps {
-                fields.push((
-                    format!("requests_per_sec_workers_{workers}"),
-                    Json::Num(rps),
-                ));
-            }
             for (priority, latency) in &self.latency_by_priority {
                 let name = priority.name();
                 fields.push((format!("latency_p50_{name}_us"), Json::Num(latency.p50_us)));
@@ -680,15 +606,6 @@ mod tests {
         assert!(json.contains("\"latency_p99_high_us\""));
         assert!(json.contains("\"latency_p99_normal_us\""));
         assert!(json.contains("\"latency_p99_low_us\""));
-        // Parallel drain: one throughput figure per configured worker
-        // count, all non-zero (every pass asserts it served the stream).
-        assert_eq!(result.queued_workers_rps.len(), 2);
-        assert!(result.queued_workers_rps.iter().all(|&(_, rps)| rps > 0.0));
-        assert!(json.contains("\"requests_per_sec_workers_1\""));
-        assert!(json.contains("\"requests_per_sec_workers_2\""));
-        assert!(json.contains("\"requests_per_sec_workers_4\""));
-        assert!(json.contains("\"parallel_fence_waits\""));
-        assert!(json.contains("\"parallel_max_in_flight\""));
     }
 
     #[test]

@@ -29,48 +29,29 @@
 //!   execution order (the queue never reorders across a train), which is
 //!   what keeps the queued path bit-identical to the synchronous baseline.
 //!
-//! # Parallel drain
-//!
-//! Group *formation* always happens here, on the single batcher thread, so
-//! group membership is a pure function of submission order and deadlines —
-//! independent of how many workers execute the groups. Group *execution*
-//! has two modes ([`crate::QueueConfig::drain_workers`]):
-//!
-//! * **inline** (1 worker, the default): the batcher executes each group
-//!   itself before popping further, exactly the historical single-threaded
-//!   drain;
-//! * **pooled** (N ≥ 2): each formed group is handed to a
-//!   `crate::dispatch::WorkerPool`; because evaluation holds the
-//!   `ParamStore` guard shared, groups execute concurrently. A training
-//!   request then *fences the pool*: the batcher waits for every in-flight
-//!   group to retire before running the step exclusively, so no eval ever
-//!   observes a half-stepped parameter and results stay bit-identical to
-//!   the inline drain.
-//!
-//! Grouping differences between the two paths are invisible in the results:
-//! evaluation is read-only and padding/packing never leaks into per-request
-//! losses (`tests/tests/engine.rs::eval_padding_does_not_change_real_rows`),
-//! so only the train-step order matters — and that is FIFO on both paths.
+//! Groups are formed and executed inline on this one drainer thread: the
+//! batcher runs each group before popping further, so group membership is a
+//! pure function of submission order and deadlines. Grouping may differ
+//! from the slice path's, but that is invisible in the results: evaluation
+//! is read-only and padding/packing never leaks into per-request losses
+//! (`tests/tests/engine.rs::eval_padding_does_not_change_real_rows`), so
+//! only the train-step order matters — and that is FIFO on both paths.
 
 use std::sync::Mutex;
 use std::time::Instant;
 
 use crate::admission::{Outcome, RejectReason};
-use crate::dispatch::WorkerPool;
 use crate::engine::{Engine, GroupVerdict};
 use crate::queue::{Envelope, Pop, Receiver};
 
 use pe_data::serving::ServingKind;
 
 /// The batcher's shared accounting: one mutex-guarded [`BatcherStats`] that
-/// the drainer and every pool worker merge whole-group deltas into.
+/// the drainer merges whole-group deltas into and the facade reads.
 ///
-/// Counters used to be independent atomics bumped at different points of the
-/// dispatch path, so a [`BatcherCounters::snapshot`] taken mid-dispatch could
-/// observe a group counted in `eval_groups` but not yet in any flush-cause
-/// counter (or vice versa). Deltas are now merged *atomically at retirement*
-/// — the whole group's accounting lands in one critical section — so every
-/// snapshot satisfies `eval_groups == target + deadline + barrier flushes`.
+/// A group's whole accounting lands in one critical section after it runs,
+/// so every [`BatcherCounters::snapshot`] satisfies
+/// `eval_groups == target + deadline + barrier flushes`.
 #[derive(Debug, Default)]
 pub(crate) struct BatcherCounters {
     stats: Mutex<BatcherStats>,
@@ -97,26 +78,11 @@ pub struct BatcherStats {
     /// Requests rejected on arrival by admission control (resolved as
     /// [`Outcome::Rejected`], never dispatched).
     pub admission_rejections: u64,
-    /// Training fences that found eval groups still in flight on the drain
-    /// pool and had to wait for them to retire (always 0 for the inline
-    /// drain, which never has an in-flight window).
-    pub fence_waits: u64,
-    /// Total microseconds training fences spent waiting for in-flight eval
-    /// groups to retire.
-    pub fence_wait_us: u64,
-    /// Times a drain worker picked up a group while a *lower-priority*
-    /// group submitted *earlier* was still executing — PR 5's priority
-    /// classes genuinely overtaking a long-running group mid-flight.
-    pub priority_overtakes: u64,
-    /// High-water mark of eval groups handed to the drain pool and not yet
-    /// retired (0 for the inline drain).
-    pub max_in_flight: u64,
 }
 
 impl BatcherStats {
-    /// Adds `delta` into `self`; `max_in_flight` merges by maximum (it is a
-    /// high-water mark, not a sum).
-    pub(crate) fn absorb(&mut self, delta: &BatcherStats) {
+    /// Adds `delta` into `self`.
+    fn absorb(&mut self, delta: &BatcherStats) {
         self.eval_groups += delta.eval_groups;
         self.target_flushes += delta.target_flushes;
         self.deadline_flushes += delta.deadline_flushes;
@@ -124,15 +90,11 @@ impl BatcherStats {
         self.expired_dispatches += delta.expired_dispatches;
         self.train_dispatches += delta.train_dispatches;
         self.admission_rejections += delta.admission_rejections;
-        self.fence_waits += delta.fence_waits;
-        self.fence_wait_us += delta.fence_wait_us;
-        self.priority_overtakes += delta.priority_overtakes;
-        self.max_in_flight = self.max_in_flight.max(delta.max_in_flight);
     }
 }
 
 impl BatcherCounters {
-    /// Merges one retirement's whole delta in a single critical section.
+    /// Merges one dispatch's whole delta in a single critical section.
     pub(crate) fn merge(&self, delta: &BatcherStats) {
         self.stats
             .lock()
@@ -177,23 +139,10 @@ enum Flush {
 /// Every popped envelope is fulfilled exactly once — with the served
 /// [`crate::engine::Response`], an admission rejection, or the executor's
 /// error — so producers blocked on tickets always resolve, including during
-/// shutdown drain. With a `pool`, eval groups are handed off for concurrent
-/// execution and this function returns while the final groups may still be
-/// in flight; the caller quiesces the pool ([`WorkerPool::shutdown`]) before
-/// treating the engine as settled.
-pub(crate) fn drain(
-    engine: &mut Engine,
-    rx: &Receiver,
-    counters: &BatcherCounters,
-    pool: Option<&WorkerPool>,
-) {
+/// shutdown drain.
+pub(crate) fn drain(engine: &mut Engine, rx: &Receiver, counters: &BatcherCounters) {
     let mut carried: Option<Envelope> = None;
     loop {
-        // Fold retired groups back into the engine's metrics and latency
-        // model as they complete, not just at fences/shutdown.
-        if let Some(pool) = pool {
-            pool.drain_retired(engine);
-        }
         let head = match carried.take() {
             Some(envelope) => envelope,
             None => match rx.pop(None) {
@@ -207,12 +156,7 @@ pub(crate) fn drain(
             continue;
         }
         match head.request().kind {
-            ServingKind::Train => {
-                if let Some(pool) = pool {
-                    fence(pool, engine, counters);
-                }
-                dispatch_train(engine, head, counters);
-            }
+            ServingKind::Train => dispatch_train(engine, head, counters),
             ServingKind::Eval => {
                 let mut delta = BatcherStats::default();
                 let target = engine.eval_target_rows();
@@ -241,7 +185,7 @@ pub(crate) fn drain(
                         }
                     }
                     delta.deadline_flushes = 1;
-                    dispatch_eval(engine, group, rows, counters, pool, delta);
+                    dispatch_eval(engine, group, rows, counters, delta);
                     continue;
                 }
                 let flush = accumulate(engine, rx, &mut group, &mut rows, target, counters);
@@ -258,25 +202,14 @@ pub(crate) fn drain(
                     }
                     Flush::Shutdown => {
                         delta.barrier_flushes = 1;
-                        dispatch_eval(engine, group, rows, counters, pool, delta);
+                        dispatch_eval(engine, group, rows, counters, delta);
                         return;
                     }
                 }
-                dispatch_eval(engine, group, rows, counters, pool, delta);
+                dispatch_eval(engine, group, rows, counters, delta);
             }
         }
     }
-}
-
-/// Waits for every in-flight eval group to retire before a training step
-/// takes the exclusive `ParamStore` guard, merging fence accounting.
-fn fence(pool: &WorkerPool, engine: &mut Engine, counters: &BatcherCounters) {
-    let (waited, had_work) = pool.quiesce(engine);
-    counters.merge(&BatcherStats {
-        fence_waits: had_work as u64,
-        fence_wait_us: waited.as_micros() as u64,
-        ..BatcherStats::default()
-    });
 }
 
 /// Grows `group` until it fills `target` rows, the earliest member deadline
@@ -331,24 +264,16 @@ fn dispatch_train(engine: &mut Engine, mut envelope: Envelope, counters: &Batche
     envelope.fulfill(result);
 }
 
-/// Dispatches one formed eval group: inline when there is no pool (the
-/// group's whole stats delta merges after execution, i.e. at retirement),
-/// otherwise handed to the pool, which merges the delta when a worker
-/// retires the group.
+/// Executes one formed eval group; the group's whole stats delta merges
+/// after execution.
 fn dispatch_eval(
     engine: &mut Engine,
     mut group: Vec<Envelope>,
     rows: usize,
     counters: &BatcherCounters,
-    pool: Option<&WorkerPool>,
     mut delta: BatcherStats,
 ) {
     delta.eval_groups = 1;
-    if let Some(pool) = pool {
-        let job = engine.plan_parallel_eval(group, rows, delta);
-        pool.submit(job);
-        return;
-    }
     let requests: Vec<_> = group
         .iter_mut()
         .map(|e| (e.seq(), e.take_request()))

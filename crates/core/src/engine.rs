@@ -53,7 +53,6 @@ use pe_tensor::Tensor;
 
 use crate::admission::{AdmissionPolicy, LatencyModel, Outcome, RejectReason};
 use crate::batcher::{self, BatcherCounters, BatcherStats};
-use crate::dispatch::{self, DispatchShared, WorkerDispatchStats, WorkerPool};
 use crate::program::{CacheStats, Program};
 use crate::queue::{self, QueueConfig, SubmitError, Submitter, Ticket};
 
@@ -416,14 +415,17 @@ impl Engine {
         request: &Request,
     ) -> Result<Response, ExecError> {
         let rows = request.rows();
-        let feature_input = self.program.feature_input().to_string();
-        let label_input = self.program.label_input().to_string();
-        let logits_name = self.program.logits_name().to_string();
-        let spec = self.program.specialize_for_requests(rows, 1);
         let inputs = HashMap::from([
-            (feature_input, request.features.clone()),
-            (label_input, request.labels.clone()),
+            (
+                self.program.feature_input().to_string(),
+                request.features.clone(),
+            ),
+            (
+                self.program.label_input().to_string(),
+                request.labels.clone(),
+            ),
         ]);
+        let spec = self.program.specialize_for_requests(rows, 1);
         let started = Instant::now();
         let result = spec.executor.run_step(&inputs)?;
         self.latency.observe(rows, started.elapsed());
@@ -437,7 +439,7 @@ impl Engine {
             rows,
             batch: rows,
             loss: result.loss,
-            logits: result.outputs.get(&logits_name).cloned(),
+            logits: result.outputs.get(self.program.logits_name()).cloned(),
         })
     }
 
@@ -452,129 +454,50 @@ impl Engine {
         // Pad to the nearest cached size; compile an exact specialization
         // only when the ladder has no rung big enough.
         let batch = self.nearest_cached(rows).unwrap_or(rows);
-        let io = self.eval_io();
-
+        let features = pack_rows(group.iter().map(|(_, r)| &r.features), rows, batch);
+        let labels = pack_rows(group.iter().map(|(_, r)| &r.labels), rows, batch);
+        let inputs = HashMap::from([
+            (self.program.feature_input().to_string(), features),
+            (self.program.label_input().to_string(), labels),
+        ]);
         let spec = self
             .program
             .specialize_for_requests(batch, group.len() as u64);
         let started = Instant::now();
-        let responses = execute_eval_group(&mut spec.executor, &io, group, rows, batch)?;
-        self.note_eval_retirement(&dispatch::Retirement {
-            batch,
-            elapsed: started.elapsed(),
-            rows,
-            group_len: group.len(),
-        });
+        let result = spec.executor.run_eval(&inputs)?;
+        let logits = result.outputs.get(self.program.logits_name());
+        let mut responses = Vec::with_capacity(group.len());
+        let mut offset = 0usize;
+        for &(id, request) in group {
+            let n = request.rows();
+            let sliced = logits.and_then(|l| slice_rows(l, offset, n));
+            let loss = sliced
+                .as_ref()
+                .filter(|l| l.dims().len() == 2 && request.labels.dims().len() == 1)
+                .map(|l| norm::cross_entropy_loss(l, &request.labels).data()[0]);
+            responses.push(Response {
+                id,
+                client_id: request.meta.id,
+                kind: ServingKind::Eval,
+                rows: n,
+                batch,
+                loss,
+                logits: sliced,
+            });
+            offset += n;
+        }
+        self.latency.observe(batch, started.elapsed());
+        self.metrics.eval_batches += 1;
+        self.metrics.padded_rows += (batch - rows) as u64;
+        self.metrics.requests += group.len() as u64;
+        self.metrics.rows += rows as u64;
         Ok(responses)
     }
-
-    /// The program's input/output names needed to execute an eval group off
-    /// the engine thread.
-    pub(crate) fn eval_io(&self) -> EvalIo {
-        EvalIo {
-            feature_input: self.program.feature_input().to_string(),
-            label_input: self.program.label_input().to_string(),
-            logits_name: self.program.logits_name().to_string(),
-        }
-    }
-
-    /// Resolves everything an eval group needs to run on a drain worker —
-    /// padded rung, cached specialization (compiling if necessary, with the
-    /// usual cache accounting), and the shared executor seed workers fork
-    /// their private executors from — and wraps
-    /// the envelopes into an [`dispatch::EvalJob`]. Runs on the batcher
-    /// thread so specialization-cache state stays single-threaded and
-    /// worker-count independent.
-    pub(crate) fn plan_parallel_eval(
-        &mut self,
-        group: Vec<crate::queue::Envelope>,
-        rows: usize,
-        delta: BatcherStats,
-    ) -> dispatch::EvalJob {
-        let batch = self.nearest_cached(rows).unwrap_or(rows);
-        let spec = self
-            .program
-            .specialize_for_requests(batch, group.len() as u64);
-        let seed = spec.executor_seed();
-        let priority = group.iter().map(|e| e.priority()).max().unwrap_or_default();
-        dispatch::EvalJob {
-            group,
-            rows,
-            batch,
-            seed,
-            priority,
-            delta,
-        }
-    }
-
-    /// Merges the metrics and latency observation of one eval group retired
-    /// by a drain worker. The inline path funnels through this too, so both
-    /// drains account identically.
-    pub(crate) fn note_eval_retirement(&mut self, r: &dispatch::Retirement) {
-        self.latency.observe(r.batch, r.elapsed);
-        self.metrics.eval_batches += 1;
-        self.metrics.padded_rows += (r.batch - r.rows) as u64;
-        self.metrics.requests += r.group_len as u64;
-        self.metrics.rows += r.rows as u64;
-    }
-}
-
-/// The program input/output names an eval group needs at execution time,
-/// detached from the engine so drain workers can run groups without `&Engine`.
-#[derive(Debug, Clone)]
-pub(crate) struct EvalIo {
-    pub(crate) feature_input: String,
-    pub(crate) label_input: String,
-    pub(crate) logits_name: String,
-}
-
-/// Executes one packed evaluation micro-batch on the given executor: packs
-/// and zero-pads the group to `batch` rows, runs the forward pass, slices
-/// per-request logits back out and computes per-request losses. Pure with
-/// respect to the engine — metrics and latency accounting happen at
-/// retirement ([`Engine::note_eval_retirement`]) — so the inline drain and
-/// every pool worker produce bit-identical responses.
-pub(crate) fn execute_eval_group(
-    executor: &mut pe_runtime::Executor,
-    io: &EvalIo,
-    group: &[(usize, &Request)],
-    rows: usize,
-    batch: usize,
-) -> Result<Vec<Response>, ExecError> {
-    let features = pack_rows(group.iter().map(|(_, r)| &r.features), rows, batch);
-    let labels = pack_rows(group.iter().map(|(_, r)| &r.labels), rows, batch);
-    let inputs = HashMap::from([
-        (io.feature_input.clone(), features),
-        (io.label_input.clone(), labels),
-    ]);
-    let result = executor.run_eval(&inputs)?;
-    let logits = result.outputs.get(&io.logits_name);
-    let mut responses = Vec::with_capacity(group.len());
-    let mut offset = 0usize;
-    for &(id, request) in group {
-        let n = request.rows();
-        let sliced = logits.and_then(|l| slice_rows(l, offset, n));
-        let loss = sliced
-            .as_ref()
-            .filter(|l| l.dims().len() == 2 && request.labels.dims().len() == 1)
-            .map(|l| norm::cross_entropy_loss(l, &request.labels).data()[0]);
-        responses.push(Response {
-            id,
-            client_id: request.meta.id,
-            kind: ServingKind::Eval,
-            rows: n,
-            batch,
-            loss,
-            logits: sliced,
-        });
-        offset += n;
-    }
-    Ok(responses)
 }
 
 // The drainer thread takes ownership of the engine, so the whole serving
-// stack (program, factory, specializations, executors, worker pools) must
-// stay `Send`. This fails to compile if a future field regresses that.
+// stack (program, factory, specializations, executors) must stay `Send`.
+// This fails to compile if a future field regresses that.
 const _: fn() = || {
     fn assert_send<T: Send>() {}
     assert_send::<Engine>();
@@ -603,7 +526,6 @@ const _: fn() = || {
 pub struct AsyncEngine {
     submitter: Submitter,
     counters: Arc<BatcherCounters>,
-    dispatch: Option<Arc<DispatchShared>>,
     drainer: Option<JoinHandle<Engine>>,
     store: Arc<ParamStore>,
 }
@@ -613,38 +535,18 @@ impl AsyncEngine {
         let (submitter, receiver) = queue::channel(config);
         let counters = Arc::new(BatcherCounters::default());
         let store = Arc::clone(engine.program().store());
-        let workers = config.drain_workers.max(1);
-        // With one drain worker, the batcher executes groups inline exactly
-        // as the historical single-threaded drain did: no pool threads, no
-        // cross-thread handoff on the 1-CPU baseline path.
-        let dispatch = (workers > 1).then(|| {
-            Arc::new(DispatchShared::new(
-                workers,
-                config.eval_group_sleep,
-                engine.eval_io(),
-                Arc::clone(&counters),
-            ))
-        });
         let drainer_counters = Arc::clone(&counters);
-        let drainer_dispatch = dispatch.clone();
         let mut engine = engine;
         let drainer = std::thread::Builder::new()
             .name("pe-engine-drainer".to_string())
             .spawn(move || {
-                let pool = drainer_dispatch.map(WorkerPool::start);
-                batcher::drain(&mut engine, &receiver, &drainer_counters, pool.as_ref());
-                if let Some(pool) = pool {
-                    // Quiesce the workers (fulfilling every remaining
-                    // ticket), merge their retirements, and join them.
-                    pool.shutdown(&mut engine);
-                }
+                batcher::drain(&mut engine, &receiver, &drainer_counters);
                 engine
             })
             .expect("failed to spawn the engine drainer thread");
         AsyncEngine {
             submitter,
             counters,
-            dispatch,
             drainer: Some(drainer),
             store,
         }
@@ -708,34 +610,12 @@ impl AsyncEngine {
     }
 
     /// Live batcher accounting (groups formed, deadline/target/barrier
-    /// flushes, expired dispatches, admission rejections, fence waits,
-    /// priority overtakes). Snapshots are internally consistent: every
-    /// group's counters are merged atomically at retirement, so
-    /// `eval_groups` always equals the sum of the flush-cause counters.
+    /// flushes, expired dispatches, admission rejections). Snapshots are
+    /// internally consistent: every group's counters are merged in one
+    /// critical section, so `eval_groups` always equals the sum of the
+    /// flush-cause counters.
     pub fn batcher_stats(&self) -> BatcherStats {
         self.counters.snapshot()
-    }
-
-    /// The number of drain workers evaluating groups behind the batcher
-    /// (1 = the historical inline drain).
-    pub fn drain_workers(&self) -> usize {
-        self.dispatch.as_ref().map_or(1, |d| d.workers())
-    }
-
-    /// Eval groups handed to the drain pool and not yet retired (always 0
-    /// for the inline single-worker drain, which never exposes an in-flight
-    /// window).
-    pub fn in_flight(&self) -> usize {
-        self.dispatch.as_ref().map_or(0, |d| d.in_flight())
-    }
-
-    /// Per-worker dispatch accounting for the drain pool: groups and
-    /// requests executed, executors built. Empty for the inline
-    /// single-worker drain.
-    pub fn worker_stats(&self) -> Vec<WorkerDispatchStats> {
-        self.dispatch
-            .as_ref()
-            .map_or_else(Vec::new, |d| d.worker_stats())
     }
 
     /// Closes the queue, waits for the drainer to serve every in-flight

@@ -38,7 +38,6 @@
 
 pub mod admission;
 pub mod batcher;
-pub mod dispatch;
 pub mod engine;
 pub mod program;
 pub mod queue;
@@ -63,7 +62,6 @@ use pe_sparse::{apply_rule, trainable_elements, UpdateRule};
 
 pub use admission::{AdmissionPolicy, Outcome, RejectReason};
 pub use batcher::BatcherStats;
-pub use dispatch::WorkerDispatchStats;
 pub use engine::{AsyncEngine, Engine, EngineConfig, EngineMetrics, Response};
 pub use pe_data::serving::{Priority, Request, RequestMeta, ServingKind};
 pub use program::{CacheStats, Compiler, ModelFactory, Program, Specialization};
@@ -121,7 +119,7 @@ pub mod prelude {
         analyze, compile, AdmissionPolicy, AsyncEngine, BatcherStats, CacheStats, CompileOptions,
         CompiledProgram, Compiler, Engine, EngineConfig, EngineMetrics, Outcome, Program,
         ProgramAnalysis, QueueConfig, RejectReason, Response, Specialization, Submit, SubmitError,
-        SubmitHandle, Submitter, Ticket, TicketNotify, WorkerDispatchStats,
+        SubmitHandle, Submitter, Ticket, TicketNotify,
     };
     pub use pe_backends::{DeviceProfile, FrameworkProfile};
     pub use pe_data::{

@@ -24,7 +24,7 @@ use std::collections::HashMap;
 use std::sync::Arc;
 
 use pe_models::BuiltModel;
-use pe_runtime::{Executor, ExecutorSeed, ParamStore};
+use pe_runtime::{Executor, ParamStore};
 
 use crate::{analyze, CompileOptions, ProgramAnalysis};
 
@@ -89,24 +89,6 @@ pub struct Specialization {
     pub analysis: ProgramAnalysis,
     /// The executor; borrows the program's [`ParamStore`].
     pub executor: Executor,
-    /// Lazily captured recipe for building sibling executors (the parallel
-    /// drain's per-worker executors) over the shared store; populated on the
-    /// first [`Specialization::executor_seed`] call.
-    pub(crate) fork_seed: Option<Arc<ExecutorSeed>>,
-}
-
-impl Specialization {
-    /// A shared recipe for constructing sibling executors of this
-    /// specialization — same compiled program, same shared [`ParamStore`],
-    /// private execution state. Captured from [`Specialization::executor`]
-    /// on first call and cached, so repeated dispatches of the same rung
-    /// hand workers one `Arc` instead of recloning the graph.
-    pub fn executor_seed(&mut self) -> Arc<ExecutorSeed> {
-        if self.fork_seed.is_none() {
-            self.fork_seed = Some(Arc::new(self.executor.seed()));
-        }
-        Arc::clone(self.fork_seed.as_ref().expect("fork_seed populated above"))
-    }
 }
 
 /// The staged compiler: fixes the compilation options, then binds a model
@@ -268,7 +250,6 @@ impl Program {
                 batch,
                 analysis,
                 executor,
-                fork_seed: None,
             };
             self.cache.insert(batch, spec);
             if let Err(at) = self.rungs.binary_search(&batch) {

@@ -57,19 +57,6 @@ pub struct QueueConfig {
     /// unset: how long a request may wait in the batcher for companions
     /// before it must be dispatched.
     pub default_deadline: Duration,
-    /// Number of drain workers evaluating dispatched groups in parallel
-    /// behind the batcher. `1` keeps the historical single-threaded drain
-    /// (the batcher executes groups inline); `N >= 2` starts a pool of N
-    /// worker threads, each holding its own executor over the shared
-    /// parameter store. Values below 1 are treated as 1. Defaults to the
-    /// `PE_DRAIN_WORKERS` environment fallback (else 1).
-    pub drain_workers: usize,
-    /// Test shim: when set, every evaluation group sleeps this long on its
-    /// drain worker before executing, emulating a slow kernel so concurrency
-    /// tests can force groups to genuinely straddle one another. Ignored by
-    /// the inline (`drain_workers == 1`) path. Defaults to the
-    /// `PE_EVAL_GROUP_SLEEP_US` environment fallback (else `None`).
-    pub eval_group_sleep: Option<Duration>,
 }
 
 impl Default for QueueConfig {
@@ -77,29 +64,8 @@ impl Default for QueueConfig {
         QueueConfig {
             capacity: 64,
             default_deadline: Duration::from_millis(2),
-            drain_workers: drain_workers_from_env(),
-            eval_group_sleep: eval_group_sleep_from_env(),
         }
     }
-}
-
-/// `PE_DRAIN_WORKERS` environment fallback for [`QueueConfig::drain_workers`].
-fn drain_workers_from_env() -> usize {
-    std::env::var("PE_DRAIN_WORKERS")
-        .ok()
-        .and_then(|v| v.parse::<usize>().ok())
-        .map(|n| n.max(1))
-        .unwrap_or(1)
-}
-
-/// `PE_EVAL_GROUP_SLEEP_US` environment fallback for
-/// [`QueueConfig::eval_group_sleep`] (microseconds; unset or 0 disables).
-fn eval_group_sleep_from_env() -> Option<Duration> {
-    std::env::var("PE_EVAL_GROUP_SLEEP_US")
-        .ok()
-        .and_then(|v| v.parse::<u64>().ok())
-        .filter(|&us| us > 0)
-        .map(Duration::from_micros)
 }
 
 /// Why a submission was not accepted.
@@ -747,7 +713,6 @@ mod tests {
         QueueConfig {
             capacity,
             default_deadline: Duration::from_millis(1),
-            ..QueueConfig::default()
         }
     }
 

@@ -11,9 +11,8 @@
 //!   children on ephemeral loopback ports; the binary must sit next to
 //!   this one) or a comma-separated list of existing worker addresses.
 //!   Default: `2` (self-spawned).
-//! * `PE_SERVER_ADMISSION`, `PE_DRAIN_WORKERS` — propagated to
-//!   self-spawned workers, so the whole pool serves with identical
-//!   behavior.
+//! * `PE_SERVER_ADMISSION` — propagated to self-spawned workers, so the
+//!   whole pool serves with identical behavior.
 
 use std::io::{BufRead, BufReader, Write};
 use std::process::{Child, Command, Stdio};

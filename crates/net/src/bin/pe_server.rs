@@ -4,10 +4,9 @@
 //! address on the first stdout line (`listening on <addr>`, flushed — a
 //! harness can parse it), then serves until the process is killed.
 //!
-//! Engine knobs come from the usual environment: `PE_DRAIN_WORKERS` sizes
-//! the drain pool, and `PE_SERVER_ADMISSION=deadline` switches admission
-//! control to `DeadlineFeasible` (with seeded estimates, so rejection
-//! decisions are deterministic — the loopback suites depend on that).
+//! `PE_SERVER_ADMISSION=deadline` switches admission control to
+//! `DeadlineFeasible` (with seeded estimates, so rejection decisions are
+//! deterministic — the loopback suites depend on that).
 //!
 //! SIGINT / SIGTERM trigger a graceful stop: the listener closes, every
 //! in-flight request drains through `Server::shutdown`, and the process

@@ -12,9 +12,10 @@
 //!
 //! Parameters and optimizer state are **not** owned here: they live in a
 //! shared [`ParamStore`] that several specialized executors may borrow at
-//! once. A training step runs under the store's exclusive guard, an
-//! evaluation step under its shared guard, so cross-executor interleavings
-//! stay sound.
+//! once. A training step takes the store's exclusive guard once and passes
+//! the cells down as `&mut [ParamCell]`; an evaluation step takes the shared
+//! guard and passes `&[ParamCell]`, so the borrow checker enforces the
+//! guard's contract.
 //!
 //! # Safety
 //!
@@ -43,7 +44,7 @@ use pe_tensor::{Tensor, TensorView};
 
 use crate::executor::{check_input, ExecError, StepResult};
 use crate::optimizer::Optimizer;
-use crate::store::{resolve_param_slots, ParamStore};
+use crate::store::{resolve_param_slots, ParamCell, ParamStore};
 
 /// Where a node's value lives at runtime.
 #[derive(Debug, Clone, Copy)]
@@ -115,9 +116,8 @@ impl ArenaBuf {
 struct Shared {
     steps: Vec<StepNode>,
     arena: ArenaBuf,
-    /// The shared canonical parameters; an update only ever forms a
-    /// reference to the single cell it touches, never to the store's
-    /// backing vector.
+    /// The shared canonical parameters, reached only through the guard a
+    /// step takes.
     store: Arc<ParamStore>,
     consts: Vec<Tensor>,
     /// Step-input staging, one tensor per graph input.
@@ -338,11 +338,7 @@ impl Executor {
     /// the [`ParamStore`] are stepping concurrently.
     pub fn param(&self, id: NodeId) -> Option<Tensor> {
         let slot = *self.param_slots.get(&id)?;
-        let _g = self.shared.store.lock_shared();
-        // SAFETY: shared guard held — no training step or set can be
-        // mutating the cell, so a snapshot clone is sound even while other
-        // executors share the store.
-        Some(unsafe { (*self.shared.store.cell(slot)).value.clone() })
+        Some(self.shared.store.lock_shared()[slot].value.clone())
     }
 
     /// Overwrites a parameter value (e.g. to load a pre-trained checkpoint)
@@ -372,31 +368,30 @@ impl Executor {
     }
 
     /// Reads a value (post-execution) as a borrowed view.
-    fn value_view<'a>(&'a self, arg: &'a Arg) -> TensorView<'a> {
+    fn value_view<'a>(&'a self, params: &'a [ParamCell], arg: &'a Arg) -> TensorView<'a> {
         // SAFETY: called between steps / after execution; no writers active.
-        unsafe { arg_view(&self.shared, arg) }
+        unsafe { arg_view(&self.shared, params, arg) }
     }
 
-    /// Runs the full schedule. Caller must hold the store's exclusive guard.
-    fn execute_train(&mut self) {
+    /// Runs the full schedule over the cells of the store's exclusive guard.
+    fn execute_train(&mut self, params: &mut [ParamCell]) {
         self.shared.store.begin_step();
         for pos in 0..self.shared.steps.len() {
-            // SAFETY: sequential walk of a position-granular plan;
-            // exclusive store guard held by the caller.
-            unsafe { exec_position(&self.shared, pos, true) };
+            // SAFETY: sequential walk of a position-granular plan.
+            unsafe { exec_train_position(&self.shared, params, pos) };
         }
     }
 
-    /// Runs the forward subset. Caller must hold (at least) the store's
-    /// shared guard.
-    fn execute_eval(&mut self) {
+    /// Runs the forward subset over the cells of the store's shared guard.
+    fn execute_eval(&mut self, params: &[ParamCell]) {
         for (pos, &id) in self.schedule.order.iter().enumerate() {
-            if !self.eval_live[id.index()] {
+            let step = &self.shared.steps[pos];
+            if !self.eval_live[id.index()] || !matches!(step.task, Task::Compute) {
                 continue;
             }
             // SAFETY: sequential walk; eval runs a subset of the schedule in
-            // order, which only shortens lifetimes. Parameters are only read.
-            unsafe { exec_position(&self.shared, pos, false) };
+            // order, which only shortens lifetimes.
+            unsafe { dispatch(&self.shared, params, step) };
         }
     }
 
@@ -413,10 +408,10 @@ impl Executor {
     ) -> Result<Option<f32>, ExecError> {
         self.bind_inputs(inputs)?;
         let store = Arc::clone(&self.shared.store);
-        let _guard = store.lock_exclusive();
+        let mut params = store.lock_exclusive();
         self.step += 1;
-        self.execute_train();
-        Ok(Some(self.value_view(&self.loss_arg).data()[0]))
+        self.execute_train(&mut params);
+        Ok(Some(self.value_view(&params, &self.loss_arg).data()[0]))
     }
 
     /// Runs one full training step: forward, backward, parameter updates.
@@ -428,10 +423,10 @@ impl Executor {
     pub fn run_step(&mut self, inputs: &HashMap<String, Tensor>) -> Result<StepResult, ExecError> {
         self.bind_inputs(inputs)?;
         let store = Arc::clone(&self.shared.store);
-        let _guard = store.lock_exclusive();
+        let mut params = store.lock_exclusive();
         self.step += 1;
-        self.execute_train();
-        Ok(self.collect())
+        self.execute_train(&mut params);
+        Ok(self.collect(&params))
     }
 
     /// Runs the forward part only (no parameter updates), for evaluation.
@@ -443,16 +438,16 @@ impl Executor {
     pub fn run_eval(&mut self, inputs: &HashMap<String, Tensor>) -> Result<StepResult, ExecError> {
         self.bind_inputs(inputs)?;
         let store = Arc::clone(&self.shared.store);
-        let _guard = store.lock_shared();
-        self.execute_eval();
-        Ok(self.collect())
+        let params = store.lock_shared();
+        self.execute_eval(&params);
+        Ok(self.collect(&params))
     }
 
-    fn collect(&self) -> StepResult {
+    fn collect(&self, params: &[ParamCell]) -> StepResult {
         let mut outputs = HashMap::new();
         let mut loss = None;
         for (name, arg) in &self.outputs {
-            let value = self.value_view(arg).to_tensor();
+            let value = self.value_view(params, arg).to_tensor();
             if arg.id == self.tg.loss {
                 loss = Some(value.data()[0]);
             }
@@ -466,38 +461,36 @@ impl Executor {
 ///
 /// # Safety
 ///
-/// The caller must guarantee no writer to the operand's storage while the
-/// view lives (plan invariant, store guard).
-unsafe fn arg_view<'a>(shared: &'a Shared, arg: &'a Arg) -> TensorView<'a> {
+/// The caller must guarantee no writer to the operand's arena range while
+/// the view lives (plan invariant).
+unsafe fn arg_view<'a>(
+    shared: &'a Shared,
+    params: &'a [ParamCell],
+    arg: &'a Arg,
+) -> TensorView<'a> {
     match arg.loc {
         Loc::Arena(off, len) => TensorView::new(&arg.dims, shared.arena.slice(off, len)),
-        Loc::Param(i) => (*shared.store.cell(i)).value.view(),
+        Loc::Param(i) => params[i].value.view(),
         Loc::Const(i) => shared.consts[i].view(),
         Loc::Input(i) => shared.inputs[i].view(),
     }
 }
 
-/// Executes the node at schedule position `pos`.
+/// Executes the node at schedule position `pos` of a training step.
 ///
 /// # Safety
 ///
 /// The caller must walk the schedule one position at a time over a
-/// position-granular plan (module docs), holding the store's exclusive
-/// guard when `train` is set and at least its shared guard otherwise.
-unsafe fn exec_position(shared: &Shared, pos: usize, train: bool) {
+/// position-granular plan (module docs).
+unsafe fn exec_train_position(shared: &Shared, params: &mut [ParamCell], pos: usize) {
     let step = &shared.steps[pos];
     match step.task {
         Task::Leaf => {}
         Task::Update { slot, rows } => {
-            if !train {
-                return;
-            }
-            let grad = arg_view(shared, &step.ins[0]);
-            // SAFETY (store cell): the owning executor holds the store's
-            // exclusive guard for the whole training step, and nodes run one
-            // at a time, so the gradient view (an arena range, never the
-            // parameter) is the only other live reference.
-            let cell = &mut *shared.store.cell(slot);
+            // A gradient is never a parameter, so it resolves without the
+            // cells and the update may borrow its own cell mutably.
+            let grad = arg_view(shared, &[], &step.ins[0]);
+            let cell = &mut params[slot];
             let updated_len = match rows {
                 Some(k) => {
                     let row_elems: usize = cell.value.dims()[1..].iter().product::<usize>().max(1);
@@ -520,7 +513,7 @@ unsafe fn exec_position(shared: &Shared, pos: usize, train: bool) {
                 cell.steps,
             );
         }
-        Task::Compute => dispatch(shared, step),
+        Task::Compute => dispatch(shared, params, step),
     }
 }
 
@@ -538,7 +531,7 @@ fn unary_of(op: &OpKind) -> Option<UnaryOp> {
     })
 }
 
-unsafe fn dispatch(shared: &Shared, step: &StepNode) {
+unsafe fn dispatch(shared: &Shared, params: &[ParamCell], step: &StepNode) {
     let (off, len) = step.out.expect("compute node has an arena slot");
     // In-place nodes: the output range *is* the first input's range, so only
     // one (mutable) slice may exist.
@@ -555,7 +548,7 @@ unsafe fn dispatch(shared: &Shared, step: &StepNode) {
         return;
     }
 
-    let v = |i: usize| arg_view(shared, &step.ins[i]);
+    let v = |i: usize| arg_view(shared, params, &step.ins[i]);
     let out = shared.arena.slice_mut(off, len);
 
     match &step.op {

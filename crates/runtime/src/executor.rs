@@ -123,51 +123,16 @@ impl StepResult {
     }
 }
 
-/// A recipe for constructing sibling [`Executor`]s over one compiled program
-/// and one shared [`ParamStore`], captured with [`Executor::seed`].
-///
-/// Cloning the seed is cheap relative to recompilation: it holds the already
-/// optimized training graph, its schedule, and an `Arc` of the store. It is
-/// `Send + Sync`, so a drain pool can hand one seed to N worker threads and
-/// let each build its executor lazily on first use.
-#[derive(Debug, Clone)]
-pub struct ExecutorSeed {
-    tg: TrainingGraph,
-    schedule: Schedule,
-    store: Arc<ParamStore>,
-}
-
-impl ExecutorSeed {
-    /// Builds a new executor over the seed's program, attached to the shared
-    /// store. The executor replans its slab deterministically from the graph
-    /// and schedule, so siblings are bit-identical to the executor the seed
-    /// was captured from.
-    pub fn executor(&self) -> Executor {
-        Executor::with_store(
-            self.tg.clone(),
-            self.schedule.clone(),
-            Arc::clone(&self.store),
-        )
-    }
-
-    /// The shared parameter store sibling executors will attach to.
-    pub fn param_store(&self) -> &Arc<ParamStore> {
-        &self.store
-    }
-}
-
-// Executors are moved into drainer threads by the engine's async ingestion
-// path (and shared stores already promise `Sync`). Assert `Send` at compile
-// time so a future non-`Send` field (e.g. an `Rc` cache) cannot silently
-// break every consumer that owns executors on a background thread.
+// Executors are moved into the engine's drainer thread, and a served store
+// is read by network threads answering snapshot requests. Assert both at
+// compile time so a future non-`Send` field (e.g. an `Rc` cache) cannot
+// silently break every consumer that owns executors on a background thread.
 const _: fn() = || {
     fn assert_send<T: Send>() {}
     fn assert_sync<T: Sync>() {}
     assert_send::<Executor>();
     assert_send::<ParamStore>();
-    // The drain pool shares one seed across N worker threads.
-    assert_send::<ExecutorSeed>();
-    assert_sync::<ExecutorSeed>();
+    assert_sync::<ParamStore>();
 };
 
 impl Executor {
@@ -198,30 +163,6 @@ impl Executor {
     /// mismatched shape.
     pub fn with_store(tg: TrainingGraph, schedule: Schedule, store: Arc<ParamStore>) -> Self {
         Executor::with_store_and_plan(tg, schedule, store, None)
-    }
-
-    /// Captures a recipe for constructing sibling executors over the same
-    /// compiled program and the *same shared* [`ParamStore`].
-    ///
-    /// The seed clones the (immutable) training graph and schedule once; each
-    /// [`ExecutorSeed::executor`] call then builds an independent executor —
-    /// its own arena slab — that reads and writes the original store. This
-    /// is how the engine's parallel drain gives every worker thread a
-    /// private executor without recompiling: evaluation runs take the
-    /// store's shared guard, so sibling executors evaluate concurrently and
-    /// serialize only against exclusive training steps.
-    pub fn seed(&self) -> ExecutorSeed {
-        ExecutorSeed {
-            tg: self.training_graph().clone(),
-            schedule: self.schedule().clone(),
-            store: Arc::clone(self.param_store()),
-        }
-    }
-
-    /// Builds a sibling executor: same program, same shared store, but
-    /// private execution state (its own slab).
-    pub fn fork(&self) -> Executor {
-        self.seed().executor()
     }
 
     /// Current value of a parameter looked up by name.

@@ -58,7 +58,7 @@ pub mod store;
 pub mod trainer;
 
 pub use eager::EagerEngine;
-pub use executor::{ExecError, Executor, ExecutorConfig, ExecutorSeed, StepResult};
+pub use executor::{ExecError, Executor, ExecutorConfig, StepResult};
 pub use optimizer::Optimizer;
 pub use store::{ParamStore, SnapshotError, SNAPSHOT_MAGIC, SNAPSHOT_VERSION};
 pub use trainer::{Batch, Trainer, TrainingHistory};

@@ -12,34 +12,28 @@
 //!
 //! # Concurrency contract
 //!
-//! The store serialises cross-executor access with a reader/writer guard:
+//! The cells live *inside* the store's reader/writer lock, so the step
+//! guard is the only way to reach them and the compiler checks every access:
 //!
 //! * a **training step** (which updates parameters in place) takes the
-//!   exclusive guard for the duration of the step;
-//! * an **evaluation step** (read-only parameter access) takes the shared
-//!   guard, so any number of evaluating executors may overlap with each
-//!   other but never with a writer.
+//!   exclusive guard once, for the whole step, and hands `&mut [ParamCell]`
+//!   down to the nodes it runs;
+//! * an **evaluation step** takes the shared guard and hands down
+//!   `&[ParamCell]`, so it can never write a parameter and never overlaps a
+//!   writer;
+//! * `snapshot`, `get` and `resident_bytes` read under the shared guard;
+//!   `set`, `ensure_state` and `restore` write under the exclusive one.
 //!
-//! *Within* one training step the owning executor touches cells one node
-//! at a time on the stepping thread; the store only promises that two
-//! executors never interleave steps unsoundly.
-//!
-//! The guard is **thread-agnostic**: it does not matter *which* thread runs
-//! a step, only that the step holds the right guard. In particular the
-//! engine's queue-drainer thread (`pockengine`'s async ingestion path) is
-//! just another stepping thread — a queued training request acquires the
-//! exclusive guard through `run_step` exactly like a caller-thread step, so
-//! evaluation executors on other threads need no special case for drained
-//! traffic. The executor type asserts its own `Send`-ness at compile time
-//! for the same reason: a drainer owning executors outright must stay sound
-//! to move across threads.
+//! The guard does not care which thread takes it. In the engine, one
+//! drainer thread runs every queued step; the other thread that touches a
+//! served store is a network connection answering a snapshot request, and
+//! the shared guard keeps that snapshot from observing a half-applied step.
 //!
 //! Executors read parameter values straight from the cells at every step
 //! and cache nothing derived from them, so a value replaced by `set` or
 //! `restore` — by this executor or any other sharing the store — is what
 //! the next step of every executor sees.
 
-use std::cell::UnsafeCell;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard};
@@ -55,7 +49,7 @@ pub(crate) fn resolve_param_slots(
     tg: &TrainingGraph,
     store: &ParamStore,
 ) -> HashMap<NodeId, usize> {
-    let _g = store.lock_shared();
+    let cells = store.lock_shared();
     tg.graph
         .param_keys()
         .into_iter()
@@ -63,10 +57,8 @@ pub(crate) fn resolve_param_slots(
             let slot = store
                 .slot(&key)
                 .unwrap_or_else(|| panic!("parameter '{key}' missing from the shared store"));
-            // SAFETY: shared guard held; no writer can be active.
-            let stored = unsafe { &(*store.cell(slot)).value };
             assert_eq!(
-                stored.shape(),
+                cells[slot].value.shape(),
                 &tg.graph.node(id).shape,
                 "parameter '{key}' shape differs from the store's canonical tensor"
             );
@@ -98,29 +90,20 @@ pub(crate) struct ParamCell {
 /// are batch-independent) and then shared across every specialized executor
 /// via `Arc`.
 pub struct ParamStore {
-    cells: Vec<UnsafeCell<ParamCell>>,
+    /// The cells, owned by the step guard (see the module docs).
+    cells: RwLock<Vec<ParamCell>>,
     slots: HashMap<ParamKey, usize>,
     keys: Vec<ParamKey>,
     optimizer: Optimizer,
     /// 1-based count of completed optimisation steps across *all* executors
     /// sharing the store (drives Adam bias correction).
     steps: AtomicUsize,
-    /// Cross-executor step guard (see the module docs).
-    guard: RwLock<()>,
 }
-
-// SAFETY: all access to the `UnsafeCell` cells is mediated by the step
-// guard: mutation happens only under the exclusive guard (training steps,
-// `set`, `ensure_state`), shared references only under either guard. An
-// executor updates cells only inside a training step, on the thread that
-// holds the exclusive guard.
-unsafe impl Sync for ParamStore {}
-unsafe impl Send for ParamStore {}
 
 impl std::fmt::Debug for ParamStore {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("ParamStore")
-            .field("params", &self.cells.len())
+            .field("params", &self.keys.len())
             .field("optimizer", &self.optimizer)
             .field("steps", &self.steps.load(Ordering::Relaxed))
             .finish()
@@ -144,19 +127,18 @@ impl ParamStore {
             let value = info.init.materialize(&graph.node(id).shape);
             slots.insert(key.clone(), cells.len());
             keys.push(key);
-            cells.push(UnsafeCell::new(ParamCell {
+            cells.push(ParamCell {
                 value,
                 state: Vec::new(),
                 steps: 0,
-            }));
+            });
         }
         ParamStore {
-            cells,
+            cells: RwLock::new(cells),
             slots,
             keys,
             optimizer,
             steps: AtomicUsize::new(0),
-            guard: RwLock::new(()),
         }
     }
 
@@ -167,12 +149,12 @@ impl ParamStore {
 
     /// Number of parameters in the store.
     pub fn len(&self) -> usize {
-        self.cells.len()
+        self.keys.len()
     }
 
     /// Whether the store holds no parameters.
     pub fn is_empty(&self) -> bool {
-        self.cells.is_empty()
+        self.keys.is_empty()
     }
 
     /// All parameter keys, in slot order.
@@ -193,9 +175,7 @@ impl ParamStore {
     /// Current value of a parameter (cloned under the shared guard).
     pub fn get(&self, key: &ParamKey) -> Option<Tensor> {
         let slot = self.slot(key)?;
-        let _g = self.lock_shared();
-        // SAFETY: shared guard held; no writer can be active.
-        Some(unsafe { (*self.cells[slot].get()).value.clone() })
+        Some(self.lock_shared()[slot].value.clone())
     }
 
     /// Overwrites a parameter value (e.g. loading a checkpoint) and
@@ -219,9 +199,8 @@ impl ParamStore {
     ///
     /// Panics if the slot is out of range or the shapes do not match.
     pub fn set_slot(&self, slot: usize, value: Tensor) {
-        let _g = self.lock_exclusive();
-        // SAFETY: exclusive guard held.
-        let cell = unsafe { &mut *self.cells[slot].get() };
+        let mut cells = self.lock_exclusive();
+        let cell = &mut cells[slot];
         assert_eq!(
             cell.value.shape(),
             value.shape(),
@@ -241,9 +220,8 @@ impl ParamStore {
     /// matter how many specializations share the store.
     pub fn ensure_state(&self, slot: usize) {
         let slots_needed = self.optimizer.state_slots();
-        let _g = self.lock_exclusive();
-        // SAFETY: exclusive guard held.
-        let cell = unsafe { &mut *self.cells[slot].get() };
+        let mut cells = self.lock_exclusive();
+        let cell = &mut cells[slot];
         if cell.state.len() < slots_needed {
             let n = cell.value.numel();
             cell.state = (0..slots_needed).map(|_| vec![0.0f32; n]).collect();
@@ -252,25 +230,17 @@ impl ParamStore {
 
     /// Bytes held by parameter values plus allocated optimizer state.
     pub fn resident_bytes(&self) -> usize {
-        let _g = self.lock_shared();
-        self.cells
-            .iter()
-            .map(|c| {
-                // SAFETY: shared guard held.
-                let cell = unsafe { &*c.get() };
-                (cell.value.numel() + cell.state.iter().map(Vec::len).sum::<usize>()) * 4
-            })
-            .sum()
+        resident_bytes(&self.lock_shared())
     }
 
-    /// Acquires the exclusive (training-step) guard.
-    pub fn lock_exclusive(&self) -> RwLockWriteGuard<'_, ()> {
-        self.guard.write().unwrap_or_else(PoisonError::into_inner)
+    /// Acquires the exclusive (training-step) guard over the cells.
+    pub(crate) fn lock_exclusive(&self) -> RwLockWriteGuard<'_, Vec<ParamCell>> {
+        self.cells.write().unwrap_or_else(PoisonError::into_inner)
     }
 
-    /// Acquires the shared (evaluation-step) guard.
-    pub fn lock_shared(&self) -> RwLockReadGuard<'_, ()> {
-        self.guard.read().unwrap_or_else(PoisonError::into_inner)
+    /// Acquires the shared (evaluation-step) guard over the cells.
+    pub(crate) fn lock_shared(&self) -> RwLockReadGuard<'_, Vec<ParamCell>> {
+        self.cells.read().unwrap_or_else(PoisonError::into_inner)
     }
 
     /// Increments the global step counter, returning the new 1-based count.
@@ -278,19 +248,6 @@ impl ParamStore {
     /// Must be called under the exclusive guard, once per training step.
     pub(crate) fn begin_step(&self) -> usize {
         self.steps.fetch_add(1, Ordering::Relaxed) + 1
-    }
-
-    /// Raw pointer to a cell.
-    ///
-    /// # Safety
-    ///
-    /// The caller must hold the appropriate guard for the access performed
-    /// through the pointer: the exclusive guard for any mutation, at least
-    /// the shared guard for reads — and must uphold Rust aliasing for the
-    /// references it forms (the arena executor runs one node at a time, so
-    /// an update's mutable reference never meets a reader's view).
-    pub(crate) unsafe fn cell(&self, slot: usize) -> *mut ParamCell {
-        self.cells[slot].get()
     }
 
     /// Serialises the complete training state into the versioned binary
@@ -324,16 +281,14 @@ impl ParamStore {
             );
             v as u32
         };
-        let _g = self.lock_shared();
-        let mut buf = Vec::with_capacity(64 + self.resident_bytes_locked());
+        let cells = self.lock_shared();
+        let mut buf = Vec::with_capacity(64 + resident_bytes(&cells));
         buf.extend_from_slice(&SNAPSHOT_MAGIC);
         buf.extend_from_slice(&SNAPSHOT_VERSION.to_le_bytes());
         buf.push(optimizer_tag(self.optimizer));
         buf.extend_from_slice(&(self.steps.load(Ordering::Relaxed) as u64).to_le_bytes());
-        buf.extend_from_slice(&fits_u32(self.cells.len(), "parameter count").to_le_bytes());
-        for (slot, key) in self.keys.iter().enumerate() {
-            // SAFETY: shared guard held; no writer can be active.
-            let cell = unsafe { &*self.cells[slot].get() };
+        buf.extend_from_slice(&fits_u32(cells.len(), "parameter count").to_le_bytes());
+        for (cell, key) in cells.iter().zip(&self.keys) {
             let name = key.as_str().as_bytes();
             buf.extend_from_slice(&fits_u32(name.len(), "parameter name length").to_le_bytes());
             buf.extend_from_slice(name);
@@ -391,16 +346,20 @@ impl ParamStore {
         }
         let global_steps = r.u64()? as usize;
         let count = r.u32()? as usize;
-        if count != self.cells.len() {
+        if count != self.keys.len() {
             return Err(SnapshotError(format!(
                 "snapshot holds {count} parameters, the store holds {}",
-                self.cells.len()
+                self.keys.len()
             )));
         }
+        let state_slots = self.optimizer.state_slots();
+        let mut cells = self.lock_exclusive();
         // Decode fully before touching any cell, so a truncated or
-        // mismatched snapshot can never leave the store half-restored.
+        // mismatched snapshot can never leave the store half-restored. Each
+        // parameter's dims are checked against its slot before they size
+        // anything, so hostile dims never reach a product.
         let mut decoded = Vec::with_capacity(count);
-        for key in &self.keys {
+        for (cell, key) in cells.iter().zip(&self.keys) {
             let name = r.string()?;
             if name != key.as_str() {
                 return Err(SnapshotError(format!(
@@ -413,14 +372,27 @@ impl ParamStore {
             for _ in 0..ndims {
                 dims.push(r.u32()? as usize);
             }
-            let numel: usize = dims.iter().product();
+            if cell.value.dims() != dims.as_slice() {
+                return Err(SnapshotError(format!(
+                    "parameter '{key}' shape {:?} differs from the snapshot's {dims:?}",
+                    cell.value.dims()
+                )));
+            }
+            let numel = cell.value.numel();
             let values = r.f32_row(numel)?;
             let rows = r.u8()? as usize;
+            if rows != 0 && rows != state_slots {
+                return Err(SnapshotError(format!(
+                    "parameter '{key}' carries {rows} optimizer state rows, \
+                     {:?} keeps {state_slots}",
+                    self.optimizer
+                )));
+            }
             let state: Vec<Vec<f32>> = (0..rows)
                 .map(|_| r.f32_row(numel))
                 .collect::<Result<_, _>>()?;
             let steps = r.u64()? as usize;
-            decoded.push((dims, values, state, steps));
+            decoded.push((values, state, steps));
         }
         if r.at != r.bytes.len() {
             return Err(SnapshotError(format!(
@@ -428,23 +400,8 @@ impl ParamStore {
                 r.bytes.len() - r.at
             )));
         }
-        let _g = self.lock_exclusive();
-        for (slot, (dims, _, _, _)) in decoded.iter().enumerate() {
-            // SAFETY: exclusive guard held.
-            let cell = unsafe { &*self.cells[slot].get() };
-            if cell.value.dims() != dims.as_slice() {
-                return Err(SnapshotError(format!(
-                    "parameter '{}' shape {:?} differs from the snapshot's {:?}",
-                    self.keys[slot],
-                    cell.value.dims(),
-                    dims
-                )));
-            }
-        }
-        for (slot, (dims, values, state, steps)) in decoded.into_iter().enumerate() {
-            // SAFETY: exclusive guard held.
-            let cell = unsafe { &mut *self.cells[slot].get() };
-            cell.value = Tensor::from_vec(values, dims);
+        for (cell, (values, state, steps)) in cells.iter_mut().zip(decoded) {
+            cell.value.data_mut().copy_from_slice(&values);
             if state.is_empty() {
                 // The snapshot predates this parameter's first training
                 // step; keep any rows an executor already registered, but
@@ -461,19 +418,14 @@ impl ParamStore {
         self.steps.store(global_steps, Ordering::Relaxed);
         Ok(())
     }
+}
 
-    /// [`ParamStore::resident_bytes`] without re-acquiring the guard the
-    /// caller already holds.
-    fn resident_bytes_locked(&self) -> usize {
-        self.cells
-            .iter()
-            .map(|c| {
-                // SAFETY: the caller holds a guard.
-                let cell = unsafe { &*c.get() };
-                (cell.value.numel() + cell.state.iter().map(Vec::len).sum::<usize>()) * 4
-            })
-            .sum()
-    }
+/// Bytes held by parameter values plus allocated optimizer state.
+fn resident_bytes(cells: &[ParamCell]) -> usize {
+    cells
+        .iter()
+        .map(|cell| (cell.value.numel() + cell.state.iter().map(Vec::len).sum::<usize>()) * 4)
+        .sum()
 }
 
 /// Four magic bytes leading every snapshot: "PockEngine SNapshot".
@@ -563,21 +515,27 @@ mod tests {
     use pe_graph::{GraphBuilder, ParamKey};
     use pe_tensor::Rng;
 
-    fn store() -> ParamStore {
+    /// A one-parameter store (`fc.weight`, `[3, 4]`) under `optimizer`.
+    fn store_with(optimizer: Optimizer) -> ParamStore {
         let mut rng = Rng::seed_from_u64(0);
         let mut b = GraphBuilder::new();
         let x = b.input("x", [2, 4]);
         let w = b.weight("fc.weight", [3, 4], &mut rng);
         let logits = b.linear(x, w, None);
         let g = b.finish(vec![logits]);
-        ParamStore::from_graph(
-            &g,
-            Optimizer::Momentum {
-                lr: 0.1,
-                momentum: 0.9,
-            },
-        )
+        ParamStore::from_graph(&g, optimizer)
     }
+
+    fn store() -> ParamStore {
+        store_with(Optimizer::Momentum {
+            lr: 0.1,
+            momentum: 0.9,
+        })
+    }
+
+    /// Byte offset of `fc.weight`'s rank byte: magic, version, optimizer
+    /// tag, global steps, parameter count, then the length-prefixed name.
+    const RANK_AT: usize = 4 + 4 + 1 + 8 + 4 + 4 + "fc.weight".len();
 
     #[test]
     fn slots_and_keys_round_trip() {
@@ -595,20 +553,17 @@ mod tests {
     fn set_resets_state_and_update_count() {
         let s = store();
         s.ensure_state(0);
-        // SAFETY: single-threaded test, no guards needed for inspection.
-        unsafe {
-            let cell = &mut *s.cell(0);
+        {
+            let cell = &mut s.lock_exclusive()[0];
             assert_eq!(cell.state.len(), 1);
             cell.state[0].fill(7.0);
             cell.steps = 4;
         }
         s.set(&ParamKey::new("fc.weight"), Tensor::ones([3, 4]));
-        unsafe {
-            let cell = &*s.cell(0);
-            assert!(cell.state[0].iter().all(|&v| v == 0.0), "state must reset");
-            assert_eq!(cell.steps, 0, "update count must restart");
-            assert_eq!(cell.value.data()[0], 1.0);
-        }
+        let cell = &s.lock_shared()[0];
+        assert!(cell.state[0].iter().all(|&v| v == 0.0), "state must reset");
+        assert_eq!(cell.steps, 0, "update count must restart");
+        assert_eq!(cell.value.data()[0], 1.0);
     }
 
     #[test]
@@ -622,8 +577,8 @@ mod tests {
     fn snapshot_restores_values_state_and_steps_bit_exactly() {
         let s = store();
         s.ensure_state(0);
-        unsafe {
-            let cell = &mut *s.cell(0);
+        {
+            let cell = &mut s.lock_exclusive()[0];
             cell.value.data_mut()[0] = f32::from_bits(0x3f8f_5c29);
             cell.state[0].fill(0.25);
             cell.steps = 3;
@@ -635,8 +590,8 @@ mod tests {
         fresh.ensure_state(0);
         fresh.restore(&bytes).unwrap();
         assert_eq!(fresh.steps_completed(), 5);
-        unsafe {
-            let cell = &*fresh.cell(0);
+        {
+            let cell = &fresh.lock_shared()[0];
             assert_eq!(cell.value.data()[0].to_bits(), 0x3f8f_5c29);
             assert!(cell.state[0].iter().all(|&v| v == 0.25));
             assert_eq!(cell.steps, 3);
@@ -660,16 +615,41 @@ mod tests {
         assert!(s.restore(&trailing).unwrap_err().0.contains("trailing"));
         // A different optimizer family must be refused: state layouts are
         // incompatible.
-        let mut rng = Rng::seed_from_u64(0);
-        let mut b = GraphBuilder::new();
-        let x = b.input("x", [2, 4]);
-        let w = b.weight("fc.weight", [3, 4], &mut rng);
-        let logits = b.linear(x, w, None);
-        let g = b.finish(vec![logits]);
-        let adam = ParamStore::from_graph(&g, crate::Optimizer::adam(0.001));
+        let adam = store_with(Optimizer::adam(0.001));
         assert!(adam.restore(&good).unwrap_err().0.contains("optimizer"));
         // The good bytes still restore cleanly after all the rejections.
         assert!(s.restore(&good).is_ok());
+    }
+
+    #[test]
+    fn restore_rejects_a_state_row_count_the_optimizer_cannot_use() {
+        let adam = store_with(Optimizer::adam(0.001));
+        adam.ensure_state(0);
+        let good = adam.snapshot();
+        // Drop Adam's second state row: [.., rows, row0, row1, steps].
+        let row = 12 * 4;
+        let tail = good.len() - 8;
+        let mut one_row = good[..tail - row].to_vec();
+        one_row[tail - 2 * row - 1] = 1;
+        one_row.extend_from_slice(&good[tail..]);
+        let err = adam.restore(&one_row).unwrap_err();
+        assert!(err.0.contains("state rows"), "{err}");
+        assert_eq!(adam.snapshot(), good, "a refused restore leaves the store");
+    }
+
+    #[test]
+    fn restore_rejects_hostile_dims_before_sizing_anything() {
+        let s = store();
+        let good = s.snapshot();
+        assert_eq!(good[RANK_AT], 2);
+        let mut hostile = good[..RANK_AT].to_vec();
+        hostile.push(4);
+        for _ in 0..4 {
+            hostile.extend_from_slice(&65536u32.to_le_bytes());
+        }
+        let err = s.restore(&hostile).unwrap_err();
+        assert!(err.0.contains("shape"), "{err}");
+        assert_eq!(s.snapshot(), good);
     }
 
     #[test]

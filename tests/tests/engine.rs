@@ -378,7 +378,6 @@ fn admission_parity_between_sync_and_queue_paths() {
     let async_engine = seeded_engine(AdmissionPolicy::DeadlineFeasible).into_async(QueueConfig {
         capacity: stream.len(),
         default_deadline: Duration::from_millis(1),
-        ..QueueConfig::default()
     });
     let tickets: Vec<_> = stream
         .iter()
@@ -516,7 +515,6 @@ fn priority_orders_dispatch_under_a_full_queue() {
     let (tx, rx) = pockengine::queue::channel(QueueConfig {
         capacity: 6,
         default_deadline: Duration::from_millis(1),
-        ..QueueConfig::default()
     });
     let mut rng = Rng::seed_from_u64(3);
     // Fill the queue completely: [lo, hi, norm, TRAIN, lo, hi].

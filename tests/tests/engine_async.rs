@@ -7,14 +7,66 @@
 //! slice-based `Engine::serve` baseline** — the batcher may group
 //! evaluations differently than slice coalescing (it batches across *time*,
 //! not slice adjacency), but training order is FIFO on both paths and
-//! padding/packing never leaks into per-request results.
+//! padding/packing never leaks into per-request results. That holds with
+//! deadlines, priorities and admission control in the stream, and under
+//! random interleavings of producer and drainer.
+//!
+//! The suite also pins teardown (shutdown and drop resolve every accepted
+//! ticket), race-free batcher stats, and the store's step guard: a snapshot
+//! taken while the drainer trains always shows a whole number of steps.
 
+use std::collections::HashSet;
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::Barrier;
 use std::time::{Duration, Instant};
 
-use pe_tests::support::{engine, mixed_stream, request};
+use proptest::prelude::*;
+
+use pe_tests::support::{
+    deadline_stream, engine, mixed_stream, rejected_set, request, seeded_engine,
+};
 use pockengine::pe_tensor::Rng;
 use pockengine::queue;
-use pockengine::{QueueConfig, ServingKind, SubmitError};
+use pockengine::{
+    AdmissionPolicy, BatcherStats, Engine, Outcome, QueueConfig, Request, ServingKind, SubmitError,
+};
+
+/// Submits the whole stream, shuts down (draining everything queued), and
+/// redeems every ticket back into submission order.
+fn replay_through_queue(
+    engine: Engine,
+    stream: &[Request],
+) -> (Engine, BatcherStats, Vec<Outcome>) {
+    let async_engine = engine.into_async(QueueConfig {
+        capacity: stream.len().max(1),
+        default_deadline: Duration::from_millis(1),
+    });
+    let tickets: Vec<_> = stream
+        .iter()
+        .map(|r| async_engine.submit(r.clone()).expect("queue open"))
+        .collect();
+    let (drained, stats) = async_engine.shutdown_with_stats();
+    let mut outcomes: Vec<Option<Outcome>> = stream.iter().map(|_| None).collect();
+    for ticket in tickets {
+        let seq = ticket.seq();
+        outcomes[seq] = Some(ticket.wait().expect("well-formed stream"));
+    }
+    let outcomes = outcomes
+        .into_iter()
+        .map(|o| o.expect("every ticket resolves"))
+        .collect();
+    (drained, stats, outcomes)
+}
+
+/// Every batcher snapshot accounts each eval group to exactly one flush
+/// cause.
+fn assert_flush_causes_add_up(stats: &BatcherStats) {
+    assert_eq!(
+        stats.eval_groups,
+        stats.target_flushes + stats.deadline_flushes + stats.barrier_flushes,
+        "flush causes must account for every group: {stats:?}"
+    );
+}
 
 /// The acceptance-criterion test: a queued mixed stream is bit-identical —
 /// per-request losses and final parameters — to `Engine::serve` over the
@@ -47,7 +99,6 @@ fn queued_stream_matches_sync_slice_baseline_bit_for_bit() {
     let async_engine = engine(vec![4, 8]).into_async(QueueConfig {
         capacity: 8,
         default_deadline: Duration::from_millis(1),
-        ..QueueConfig::default()
     });
     let queued_losses = pe_tests::support::served_loss_bits(&async_engine, &stream);
     let drained = async_engine.shutdown();
@@ -86,7 +137,6 @@ fn try_submit_rejects_on_a_full_queue() {
     let (tx, rx) = queue::channel(QueueConfig {
         capacity: 2,
         default_deadline: Duration::from_millis(1),
-        ..QueueConfig::default()
     });
     let mut rng = Rng::seed_from_u64(1);
     tx.try_submit(request(ServingKind::Eval, 2, &mut rng))
@@ -114,7 +164,6 @@ fn expired_deadline_dispatches_solo() {
     let async_engine = engine(vec![8]).into_async(QueueConfig {
         capacity: 8,
         default_deadline: Duration::from_secs(30),
-        ..QueueConfig::default()
     });
     let mut rng = Rng::seed_from_u64(2);
     let start = Instant::now();
@@ -144,7 +193,6 @@ fn lone_request_is_flushed_when_its_deadline_arrives() {
     let async_engine = engine(vec![8]).into_async(QueueConfig {
         capacity: 8,
         default_deadline: Duration::from_millis(40),
-        ..QueueConfig::default()
     });
     let mut rng = Rng::seed_from_u64(3);
     let start = Instant::now();
@@ -169,7 +217,6 @@ fn compatible_evals_fill_the_target_rung() {
     let async_engine = engine(vec![8]).into_async(QueueConfig {
         capacity: 8,
         default_deadline: Duration::from_secs(30),
-        ..QueueConfig::default()
     });
     let mut rng = Rng::seed_from_u64(4);
     let start = Instant::now();
@@ -205,7 +252,6 @@ fn shutdown_drains_in_flight_requests() {
     let async_engine = engine(vec![4, 8]).into_async(QueueConfig {
         capacity: 64,
         default_deadline: Duration::from_secs(30),
-        ..QueueConfig::default()
     });
     let stream = mixed_stream(20, 9);
     let start = Instant::now();
@@ -252,7 +298,6 @@ fn concurrent_producers_all_resolve_under_backpressure() {
     let async_engine = engine(vec![4, 8]).into_async(QueueConfig {
         capacity: 4,
         default_deadline: Duration::from_micros(200),
-        ..QueueConfig::default()
     });
     let results = std::thread::scope(|s| {
         let handles: Vec<_> = (0..PRODUCERS)
@@ -303,4 +348,276 @@ fn concurrent_producers_all_resolve_under_backpressure() {
         total_trains,
         "every queued train request ran exactly one exclusive store step"
     );
+}
+
+/// A deadline- and priority-carrying stream under `DeadlineFeasible`
+/// admission is bit-identical through the queue — per-request losses, final
+/// parameters and `Rejected` sets — to the synchronous slice baseline.
+#[test]
+fn queued_deadline_stream_is_bit_identical_to_sync() {
+    let stream = deadline_stream(42, 11);
+
+    let mut sync_engine = seeded_engine(AdmissionPolicy::DeadlineFeasible);
+    let sync_outcomes = sync_engine.serve(&stream).unwrap();
+    let sync_rejected = rejected_set(&sync_outcomes);
+    assert!(
+        !sync_rejected.is_empty(),
+        "the stream must actually exercise admission control"
+    );
+    let sync_trains = sync_outcomes
+        .iter()
+        .filter(|o| {
+            o.as_response()
+                .is_some_and(|r| r.kind == ServingKind::Train)
+        })
+        .count() as u64;
+
+    let (drained, stats, outcomes) =
+        replay_through_queue(seeded_engine(AdmissionPolicy::DeadlineFeasible), &stream);
+
+    assert_eq!(rejected_set(&outcomes), sync_rejected);
+    for (i, (s, q)) in sync_outcomes.iter().zip(&outcomes).enumerate() {
+        match (s.as_response(), q.as_response()) {
+            (Some(sr), Some(qr)) => {
+                assert_eq!(qr.rows, stream[i].rows());
+                assert_eq!(
+                    sr.loss.expect("classification loss").to_bits(),
+                    qr.loss.expect("classification loss").to_bits(),
+                    "request {i} loss diverged from sync"
+                );
+            }
+            (None, None) => {}
+            other => panic!("request {i} outcome kinds diverged: {other:?}"),
+        }
+    }
+    pe_tests::support::assert_params_identical(&drained, &sync_engine);
+    assert_flush_causes_add_up(&stats);
+    assert_eq!(stats.train_dispatches, sync_trains);
+    assert_eq!(stats.admission_rejections as usize, sync_rejected.len());
+}
+
+/// Shutdown while most of a burst is still queued cancels nothing: every
+/// accepted request resolves with a `Response`, and the drained engine
+/// accounts the full stream.
+#[test]
+fn shutdown_with_a_queued_burst_cancels_nothing() {
+    let stream = mixed_stream(30, 17);
+    let async_engine = engine(vec![4, 8]).into_async(QueueConfig {
+        capacity: stream.len(),
+        default_deadline: Duration::from_millis(1),
+    });
+    let tickets: Vec<_> = stream
+        .iter()
+        .map(|r| async_engine.submit(r.clone()).expect("queue open"))
+        .collect();
+    let (drained, stats) = async_engine.shutdown_with_stats();
+    for (i, ticket) in tickets.into_iter().enumerate() {
+        let outcome = ticket.wait().expect("well-formed stream");
+        assert!(
+            !outcome.is_cancelled(),
+            "request {i} was cancelled by an orderly shutdown"
+        );
+        assert_eq!(outcome.expect_completed("accepted request serves").id, i);
+    }
+    assert_eq!(drained.metrics().requests, stream.len() as u64);
+    assert_flush_causes_add_up(&stats);
+}
+
+/// Dropping the facade mid-burst (no explicit shutdown) still resolves
+/// every ticket: the drop path closes the queue and joins the drainer,
+/// which serves the backlog.
+#[test]
+fn dropping_the_engine_mid_burst_resolves_every_ticket() {
+    let stream = mixed_stream(30, 19);
+    let async_engine = engine(vec![4, 8]).into_async(QueueConfig {
+        capacity: stream.len(),
+        default_deadline: Duration::from_millis(1),
+    });
+    let tickets: Vec<_> = stream
+        .iter()
+        .map(|r| async_engine.submit(r.clone()).expect("queue open"))
+        .collect();
+    drop(async_engine);
+    for (i, ticket) in tickets.into_iter().enumerate() {
+        let response = ticket
+            .wait()
+            .expect("well-formed stream")
+            .expect_completed("dropping the facade must not abandon accepted requests");
+        assert_eq!(response.id, i);
+        assert_eq!(response.rows, stream[i].rows());
+    }
+}
+
+/// A sampler thread hammering `batcher_stats` while the drainer serves a
+/// burst never observes a snapshot where the flush-cause counters disagree
+/// with `eval_groups`: a group's whole delta merges in one critical
+/// section.
+#[test]
+fn batcher_stats_snapshots_are_internally_consistent_under_load() {
+    let stream = mixed_stream(48, 23);
+    let async_engine = engine(vec![4, 8]).into_async(QueueConfig {
+        capacity: stream.len(),
+        default_deadline: Duration::from_millis(1),
+    });
+    let stop = AtomicBool::new(false);
+    std::thread::scope(|s| {
+        s.spawn(|| {
+            while !stop.load(Ordering::Relaxed) {
+                assert_flush_causes_add_up(&async_engine.batcher_stats());
+                std::hint::spin_loop();
+            }
+        });
+        let tickets: Vec<_> = stream
+            .iter()
+            .map(|r| async_engine.submit(r.clone()).expect("queue open"))
+            .collect();
+        for ticket in tickets {
+            ticket.wait().unwrap().expect_completed("request serves");
+        }
+        stop.store(true, Ordering::Relaxed);
+    });
+    let (drained, stats) = async_engine.shutdown_with_stats();
+    assert_flush_causes_add_up(&stats);
+    assert_eq!(stats.eval_groups, drained.metrics().eval_batches);
+    assert_eq!(
+        stats.train_dispatches,
+        drained.metrics().train_steps,
+        "every dispatched train is a training step"
+    );
+}
+
+/// The step guard's contract, seen from outside: a thread looping
+/// `param_store().snapshot()` while the drainer serves a stream in which
+/// half the requests train only ever sees a whole number of steps. Every
+/// snapshot is byte-equal to one a synchronous twin took between steps.
+#[test]
+fn snapshots_taken_while_training_match_a_whole_step() {
+    let mut rng = Rng::seed_from_u64(29);
+    let stream: Vec<Request> = (0..40)
+        .map(|i| {
+            let kind = if i % 2 == 0 {
+                ServingKind::Train
+            } else {
+                ServingKind::Eval
+            };
+            request(kind, [4, 8][i % 2], &mut rng)
+        })
+        .collect();
+
+    // The twin's snapshot before any step and after every train.
+    let mut twin = engine(vec![4, 8]);
+    let mut whole_steps = HashSet::from([twin.program().store().snapshot()]);
+    for r in &stream {
+        twin.serve_one(r).unwrap();
+        if r.kind == ServingKind::Train {
+            whole_steps.insert(twin.program().store().snapshot());
+        }
+    }
+    assert_eq!(
+        whole_steps.len(),
+        21,
+        "every train step is a distinct state"
+    );
+
+    let async_engine = engine(vec![4, 8]).into_async(QueueConfig {
+        capacity: stream.len(),
+        default_deadline: Duration::from_micros(200),
+    });
+    let store = async_engine.param_store();
+    let started = Barrier::new(2);
+    let stop = AtomicBool::new(false);
+    let last = std::thread::scope(|s| {
+        let sampler = s.spawn(|| {
+            let mut taken = 0usize;
+            loop {
+                // Read the flag first: once it is set every train has run,
+                // so this round's snapshot is the final state.
+                let done = stop.load(Ordering::Acquire);
+                let snapshot = store.snapshot();
+                assert!(
+                    whole_steps.contains(&snapshot),
+                    "snapshot {taken} matches no whole-step state (torn by a train)"
+                );
+                if taken == 0 {
+                    started.wait();
+                }
+                taken += 1;
+                if done {
+                    return snapshot;
+                }
+            }
+        });
+        // The stream starts only once the sampler is looping.
+        started.wait();
+        let tickets: Vec<_> = stream
+            .iter()
+            .map(|r| async_engine.submit(r.clone()).expect("queue open"))
+            .collect();
+        for ticket in tickets {
+            ticket.wait().unwrap().expect_completed("request serves");
+        }
+        stop.store(true, Ordering::Release);
+        sampler.join().expect("sampler panicked")
+    });
+    drop(async_engine);
+
+    assert_eq!(
+        last,
+        twin.program().store().snapshot(),
+        "the last snapshot is the fully trained state"
+    );
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(8))]
+
+    /// Interleaving stress: random mixed streams replayed through the queue
+    /// stay bit-identical to the synchronous slice baseline — how the
+    /// producer and the drainer interleave never leaks into results.
+    #[test]
+    fn queued_stream_matches_sync_under_interleaving_stress(
+        seed in 0u64..1000,
+        n in 6usize..24,
+    ) {
+        let stream = mixed_stream(n, seed);
+
+        let mut sync_engine = engine(vec![4, 8]);
+        let sync_losses: Vec<u32> = sync_engine
+            .serve(&stream)
+            .unwrap()
+            .into_iter()
+            .map(|o| {
+                o.expect_completed("sync request must complete")
+                    .loss
+                    .expect("classification loss")
+                    .to_bits()
+            })
+            .collect();
+
+        let (drained, stats, outcomes) = replay_through_queue(engine(vec![4, 8]), &stream);
+        let queued_losses: Vec<u32> = outcomes
+            .into_iter()
+            .map(|o| {
+                o.expect_completed("queued request must complete")
+                    .loss
+                    .expect("classification loss")
+                    .to_bits()
+            })
+            .collect();
+
+        prop_assert_eq!(queued_losses, sync_losses);
+        for key in drained.program().store().keys().to_vec() {
+            let queued = drained.program().store().get(&key).unwrap();
+            let synced = sync_engine.program().store().get(&key).unwrap();
+            prop_assert_eq!(
+                queued.data(),
+                synced.data(),
+                "parameter '{}' diverged between ingestion paths", key
+            );
+        }
+        prop_assert_eq!(
+            stats.eval_groups,
+            stats.target_flushes + stats.deadline_flushes + stats.barrier_flushes
+        );
+    }
 }

@@ -35,7 +35,6 @@ fn queue_config(capacity: usize) -> QueueConfig {
     QueueConfig {
         capacity,
         default_deadline: Duration::from_millis(1),
-        ..QueueConfig::default()
     }
 }
 
@@ -181,7 +180,6 @@ fn killing_a_worker_mid_burst_loses_no_eval() {
     let park = QueueConfig {
         capacity: 64,
         default_deadline: Duration::from_secs(2),
-        ..QueueConfig::default()
     };
     let worker_a = Server::spawn(engine(vec![64]).into_async(park), ServerConfig::default())
         .expect("bind worker a");

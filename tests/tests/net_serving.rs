@@ -20,11 +20,13 @@ use std::time::Duration;
 use pe_net::proto::{self, FrameKind, NackReason, SubmitMode};
 use pe_net::{Client, Server, ServerConfig};
 use pe_tests::support::{
-    self, engine, mixed_stream, rejected_set, request, seeded_engine, served_loss_bits,
+    self, engine, mixed_stream, program, rejected_set, request, seeded_engine, served_loss_bits,
 };
+use pockengine::pe_runtime::Optimizer;
 use pockengine::pe_tensor::Rng;
 use pockengine::{
-    AdmissionPolicy, Outcome, Priority, QueueConfig, Request, ServingKind, Submit, SubmitError,
+    AdmissionPolicy, Engine, EngineConfig, Outcome, Priority, QueueConfig, Request, ServingKind,
+    Submit, SubmitError,
 };
 
 /// A queue sized for the suite's bursts, with a short default deadline so
@@ -33,7 +35,6 @@ fn queue_config(capacity: usize) -> QueueConfig {
     QueueConfig {
         capacity,
         default_deadline: Duration::from_millis(1),
-        ..QueueConfig::default()
     }
 }
 
@@ -207,7 +208,6 @@ fn disconnect_mid_burst_cancels_outstanding_tickets_and_server_keeps_serving() {
         engine(vec![8]).into_async(QueueConfig {
             capacity: 64,
             default_deadline: Duration::from_secs(30),
-            ..QueueConfig::default()
         }),
         ServerConfig::default(),
     )
@@ -263,7 +263,6 @@ fn server_shutdown_cancels_client_tickets_and_closes_the_transport() {
         engine(vec![8]).into_async(QueueConfig {
             capacity: 64,
             default_deadline: Duration::from_secs(30),
-            ..QueueConfig::default()
         }),
         ServerConfig::default(),
     )
@@ -618,4 +617,68 @@ fn ping_is_answered_while_a_blocking_submit_waits_on_a_full_queue() {
         .join()
         .unwrap()
         .expect("stalled submit admitted once room opened");
+}
+
+/// Rewrites a snapshot so its first parameter carries one optimizer state
+/// row instead of all of them. Layout: magic, version, optimizer tag,
+/// global steps, parameter count; then per parameter a length-prefixed
+/// name, rank, dims, values, state-row count, rows and update count.
+fn with_one_state_row(snapshot: &[u8]) -> Vec<u8> {
+    let u32_at = |at: usize| u32::from_le_bytes(snapshot[at..at + 4].try_into().unwrap()) as usize;
+    let mut at = 4 + 4 + 1 + 8 + 4;
+    at += 4 + u32_at(at);
+    let rank = snapshot[at] as usize;
+    let numel: usize = (0..rank).map(|d| u32_at(at + 1 + 4 * d)).product();
+    at += 1 + 4 * rank + 4 * numel;
+    assert_eq!(snapshot[at], 2, "Adam keeps two state rows");
+    let second_row = at + 1 + 4 * numel;
+    let mut bytes = snapshot[..second_row].to_vec();
+    bytes[at] = 1;
+    bytes.extend_from_slice(&snapshot[second_row + 4 * numel..]);
+    bytes
+}
+
+/// A `Checkpoint` whose state rows the store's optimizer cannot use is
+/// refused before it touches the store, and the server keeps training.
+#[test]
+fn a_checkpoint_the_store_cannot_train_is_refused() {
+    let adam = Engine::new(
+        program(Optimizer::adam(1e-3)),
+        EngineConfig {
+            warm_batches: vec![4, 8],
+            ..EngineConfig::default()
+        },
+    );
+    let server = serve(adam, 16);
+    let addr = server.local_addr();
+    let before = Client::connect(addr)
+        .and_then(|c| c.fetch_snapshot(Duration::from_secs(10)))
+        .expect("fetch snapshot");
+
+    let pusher = Client::connect(addr).expect("connect");
+    let refused = pusher.push_checkpoint(&with_one_state_row(&before), Duration::from_secs(10));
+    assert!(
+        refused.is_err(),
+        "a one-row Adam checkpoint must be refused"
+    );
+
+    let client = Client::connect(addr).expect("server must still accept");
+    assert_eq!(
+        client.fetch_snapshot(Duration::from_secs(10)).unwrap(),
+        before,
+        "a refused checkpoint leaves the store untouched"
+    );
+    let mut rng = Rng::seed_from_u64(31);
+    for kind in [ServingKind::Train, ServingKind::Eval] {
+        let outcome = client
+            .submit(request(kind, 4, &mut rng))
+            .expect("queue open")
+            .wait()
+            .expect("well-formed");
+        assert!(
+            outcome.is_completed(),
+            "{kind:?} after the refusal: {outcome:?}"
+        );
+    }
+    server.shutdown();
 }
