@@ -1,14 +1,16 @@
 //! Reproduces Figure 7: compile-time versus runtime auto-differentiation.
-//! Measures (on the host CPU, with identical kernels) the per-step cost of
-//! the compiled engine against an eager engine that re-derives the backward
-//! graph every iteration.
+//! Measures (on this host, with identical kernels) the median per-step cost
+//! of the compiled engine against an eager engine that re-derives the
+//! backward graph every iteration.
 
 use pe_bench::overhead::measure_autodiff_overhead;
 
 fn main() {
     let steps = 10;
     let report = measure_autodiff_overhead(steps);
-    println!("Figure 7: runtime vs compile-time autodiff (tiny MobileNetV2, {steps} steps)\n");
+    println!(
+        "Figure 7: runtime vs compile-time autodiff, measured on this host (tiny MobileNetV2, median of {steps} steps)\n"
+    );
     println!(
         "one-time compilation:        {:>10.1} us",
         report.compile_us

@@ -1,6 +1,5 @@
 //! Training-memory experiments (Table 4 and the MCU reordering ablation).
 
-use pockengine::pe_backends::{memory_fit, DeviceProfile};
 use pockengine::pe_runtime::Optimizer;
 use pockengine::pe_sparse::UpdateRule;
 use pockengine::pe_tensor::Rng;
@@ -37,34 +36,43 @@ impl MemoryRow {
     }
 }
 
+/// A Table 4 platform: its name and the training-memory budget the paper
+/// gives it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Platform {
+    /// Name used in the table.
+    pub name: &'static str,
+    /// Usable training memory in bytes; a configuration that needs more is
+    /// reported as "-".
+    pub capacity_bytes: usize,
+}
+
+/// STM32F746 microcontroller: 320 KiB of SRAM.
+pub const STM32F746: Platform = Platform {
+    name: "STM32F746 MCU",
+    capacity_bytes: 320 * 1024,
+};
+
+/// NVIDIA Jetson Nano: 4 GiB.
+pub const JETSON_NANO: Platform = Platform {
+    name: "Jetson Nano GPU",
+    capacity_bytes: 4 << 30,
+};
+
+/// NVIDIA Jetson AGX Orin: 60 GiB usable for training.
+pub const JETSON_AGX_ORIN: Platform = Platform {
+    name: "Jetson AGX Orin GPU",
+    capacity_bytes: 60 << 30,
+};
+
 /// The (platform, model, optimizer) combinations of Table 4.
-pub fn table4_workloads() -> Vec<(DeviceProfile, PaperModel, Optimizer)> {
+pub fn table4_workloads() -> Vec<(Platform, PaperModel, Optimizer)> {
     vec![
-        (
-            DeviceProfile::stm32f746(),
-            PaperModel::McuNet,
-            Optimizer::sgd(0.01),
-        ),
-        (
-            DeviceProfile::jetson_nano(),
-            PaperModel::MobileNetV2,
-            Optimizer::sgd(0.01),
-        ),
-        (
-            DeviceProfile::jetson_nano(),
-            PaperModel::ResNet50,
-            Optimizer::sgd(0.01),
-        ),
-        (
-            DeviceProfile::jetson_agx_orin(),
-            PaperModel::Bert,
-            Optimizer::adam(1e-4),
-        ),
-        (
-            DeviceProfile::jetson_agx_orin(),
-            PaperModel::Llama7b,
-            Optimizer::lion(1e-4),
-        ),
+        (STM32F746, PaperModel::McuNet, Optimizer::sgd(0.01)),
+        (JETSON_NANO, PaperModel::MobileNetV2, Optimizer::sgd(0.01)),
+        (JETSON_NANO, PaperModel::ResNet50, Optimizer::sgd(0.01)),
+        (JETSON_AGX_ORIN, PaperModel::Bert, Optimizer::adam(1e-4)),
+        (JETSON_AGX_ORIN, PaperModel::Llama7b, Optimizer::lion(1e-4)),
     ]
 }
 
@@ -72,7 +80,7 @@ pub fn table4_workloads() -> Vec<(DeviceProfile, PaperModel, Optimizer)> {
 /// across batch sizes, with "-" where the workload exceeds device memory.
 pub fn table4_memory(batch_sizes: &[usize]) -> Vec<MemoryRow> {
     let mut rows = Vec::new();
-    for (device, pm, optimizer) in table4_workloads() {
+    for (platform, pm, optimizer) in table4_workloads() {
         for (method, rule) in [
             ("full-bp", UpdateRule::Full),
             ("sparse-bp", UpdateRule::Sparse(pm.paper_scheme())),
@@ -84,9 +92,9 @@ pub fn table4_memory(batch_sizes: &[usize]) -> Vec<MemoryRow> {
                 let model = pm.build(batch, &mut rng);
                 let analysis = analyze_model(&model, rule.clone(), optimizer);
                 let total = analysis.memory.total_bytes();
-                let fits = memory_fit(total, &device).fits();
+                let fits = total <= platform.capacity_bytes;
                 rows.push(MemoryRow {
-                    device: device.name.clone(),
+                    device: platform.name.to_string(),
                     model: pm.name().to_string(),
                     method: method.to_string(),
                     batch,
@@ -96,16 +104,6 @@ pub fn table4_memory(batch_sizes: &[usize]) -> Vec<MemoryRow> {
         }
     }
     rows
-}
-
-/// Memory-saving ratio of sparse over full BP for one model/batch, used by
-/// the headline "up to 21x less memory" style claims.
-pub fn sparse_memory_saving(pm: PaperModel, batch: usize, optimizer: Optimizer) -> f64 {
-    let mut rng = Rng::seed_from_u64(7);
-    let model = pm.build(batch, &mut rng);
-    let full = analyze_model(&model, UpdateRule::Full, optimizer);
-    let sparse = analyze_model(&model, UpdateRule::Sparse(pm.paper_scheme()), optimizer);
-    full.memory.total_bytes() as f64 / sparse.memory.total_bytes() as f64
 }
 
 /// Reproduces the §3.2 claim that the compile-time plan (reordering + planner)
@@ -149,22 +147,39 @@ pub fn mcu_reordering_saving() -> (usize, usize) {
 mod tests {
     use super::*;
 
+    fn cell<'a>(
+        rows: &'a [MemoryRow],
+        platform: Platform,
+        pm: PaperModel,
+        method: &str,
+        batch: usize,
+    ) -> &'a MemoryRow {
+        rows.iter()
+            .find(|r| {
+                r.device == platform.name
+                    && r.model == pm.name()
+                    && r.method == method
+                    && r.batch == batch
+            })
+            .unwrap()
+    }
+
+    #[test]
+    fn orin_budget_drops_llama_full_bp_at_batch_4_but_fits_sparse_bp() {
+        let rows = table4_memory(&[1, 4]);
+        let llama = |method| cell(&rows, JETSON_AGX_ORIN, PaperModel::Llama7b, method, 4);
+        assert_eq!(llama("full-bp").formatted(), "-");
+        assert!(llama("sparse-bp").total_bytes.is_some());
+    }
+
     #[test]
     fn sparse_uses_less_memory_for_every_workload() {
         // Use batch size 1 to keep the test fast; the full Table 4 sweep runs
         // in the repro binary.
         let rows = table4_memory(&[1]);
-        for (device, pm, _) in table4_workloads() {
-            let full = rows
-                .iter()
-                .find(|r| r.device == device.name && r.model == pm.name() && r.method == "full-bp")
-                .unwrap();
-            let sparse = rows
-                .iter()
-                .find(|r| {
-                    r.device == device.name && r.model == pm.name() && r.method == "sparse-bp"
-                })
-                .unwrap();
+        for (platform, pm, _) in table4_workloads() {
+            let full = cell(&rows, platform, pm, "full-bp", 1);
+            let sparse = cell(&rows, platform, pm, "sparse-bp", 1);
             match (full.total_bytes, sparse.total_bytes) {
                 (Some(f), Some(s)) => assert!(s < f, "{}: sparse {s} >= full {f}", pm.name()),
                 // If full BP does not fit, sparse must fit or also not fit —

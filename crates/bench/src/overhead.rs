@@ -7,26 +7,23 @@
 //! is purely the runtime-bookkeeping overhead the paper's Figure 7
 //! illustrates.
 
-use std::collections::HashMap;
-use std::time::Instant;
-
-use pockengine::pe_data::{generate_vision_task, VisionTaskConfig};
-use pockengine::pe_graph::TrainSpec;
 use pockengine::pe_models::{build_mobilenet, MobileNetV2Config};
-use pockengine::pe_runtime::{EagerEngine, Optimizer};
-use pockengine::pe_sparse::{apply_rule, UpdateRule};
-use pockengine::pe_tensor::{Rng, Tensor};
-use pockengine::{compile, CompileOptions};
+use pockengine::pe_runtime::Optimizer;
+use pockengine::pe_sparse::UpdateRule;
+use pockengine::pe_tensor::Rng;
+
+use crate::speed::{measure_steps, timing, Setup};
 
 /// Timings of the compiled engine versus the eager (runtime-autodiff)
 /// baseline over the same steps and kernels.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct OverheadReport {
-    /// One-time compilation cost of the compiled engine (µs).
+    /// One-time compilation cost of the compiled engine (µs): analysis and
+    /// executor construction.
     pub compile_us: f64,
-    /// Mean per-step wall time of the compiled engine (µs).
+    /// Median per-step wall time of the compiled engine (µs).
     pub compiled_step_us: f64,
-    /// Mean per-step wall time of the eager baseline (µs), which re-derives
+    /// Median per-step wall time of the eager baseline (µs), which re-derives
     /// the backward graph every step.
     pub eager_step_us: f64,
     /// Steps measured.
@@ -51,66 +48,23 @@ impl OverheadReport {
 }
 
 /// Measures compiled versus eager per-step cost on a tiny MobileNetV2
-/// workload for `steps` steps.
+/// workload, as the median of `steps` interleaved steps each.
 pub fn measure_autodiff_overhead(steps: usize) -> OverheadReport {
-    let mut rng = Rng::seed_from_u64(0);
-    let cfg = MobileNetV2Config::tiny(4, 3);
-    let model = build_mobilenet(&cfg, &mut rng);
-    let mut data_rng = Rng::seed_from_u64(1);
-    let task = generate_vision_task(
-        "overhead",
-        VisionTaskConfig {
-            num_classes: 3,
-            resolution: 16,
-            batch: 4,
-            train_batches: 1,
-            test_batches: 1,
-            noise: 0.5,
-            signal: 1.0,
-        },
-        &mut data_rng,
-    );
-    let (x, y) = &task.train[0];
-    let inputs: HashMap<String, Tensor> = HashMap::from([
-        ("x".to_string(), x.clone()),
-        ("labels".to_string(), y.clone()),
-    ]);
-
-    // Compiled engine: all graph work happens once, up front.
-    let start = Instant::now();
-    let program = compile(
+    let model = build_mobilenet(&MobileNetV2Config::tiny(4, 3), &mut Rng::seed_from_u64(0));
+    let timings = measure_steps(
         &model,
-        &CompileOptions {
-            optimizer: Optimizer::sgd(0.01),
-            ..CompileOptions::default()
-        },
+        &[
+            ("compiled", Setup::compiled(UpdateRule::Full)),
+            ("eager", Setup::Eager(UpdateRule::Full)),
+        ],
+        Optimizer::sgd(0.01),
+        steps,
     );
-    let compile_us = start.elapsed().as_secs_f64() * 1e6;
-    let mut exec = program.executor;
-    let spec: TrainSpec = apply_rule(&model, &UpdateRule::Full);
-    let mut eager = EagerEngine::new(model.graph.clone(), model.loss, spec, Optimizer::sgd(0.01));
-
-    // Warm both engines up (allocator, caches, CPU frequency), then measure
-    // the two interleaved so ambient effects hit them equally.
-    exec.run_step(&inputs).expect("warm-up step");
-    eager.run_step(&inputs).expect("warm-up step");
-    let mut compiled_total = 0.0f64;
-    let mut eager_total = 0.0f64;
-    for _ in 0..steps {
-        let start = Instant::now();
-        exec.run_step(&inputs).expect("compiled step");
-        compiled_total += start.elapsed().as_secs_f64();
-        let start = Instant::now();
-        eager.run_step(&inputs).expect("eager step");
-        eager_total += start.elapsed().as_secs_f64();
-    }
-    let compiled_step_us = compiled_total * 1e6 / steps as f64;
-    let eager_step_us = eager_total * 1e6 / steps as f64;
-
+    let compiled = timing(&timings, "compiled");
     OverheadReport {
-        compile_us,
-        compiled_step_us,
-        eager_step_us,
+        compile_us: compiled.setup_us,
+        compiled_step_us: compiled.step_us,
+        eager_step_us: timing(&timings, "eager").step_us,
         steps,
     }
 }

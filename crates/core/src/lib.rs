@@ -15,7 +15,6 @@
 //! * [`pe_sparse`] — update schemes and the scheme search;
 //! * [`pe_models`] — the model zoo (MCUNet, MobileNetV2, ResNet, BERT,
 //!   DistilBERT, Llama);
-//! * [`pe_backends`] — device / framework cost models;
 //! * [`pe_data`] — synthetic workloads.
 //!
 //! # Quickstart
@@ -43,7 +42,6 @@ pub mod program;
 pub mod queue;
 pub mod submit;
 
-pub use pe_backends;
 pub use pe_data;
 pub use pe_graph;
 pub use pe_memplan;
@@ -121,7 +119,6 @@ pub mod prelude {
         ProgramAnalysis, QueueConfig, RejectReason, Response, Specialization, Submit, SubmitError,
         SubmitHandle, Submitter, Ticket, TicketNotify,
     };
-    pub use pe_backends::{DeviceProfile, FrameworkProfile};
     pub use pe_data::{
         generate_arrival_process, generate_instruct_dataset, generate_nlp_task,
         generate_request_stream, generate_vision_task, ArrivalProcessConfig, DeadlineDistribution,
@@ -172,7 +169,7 @@ impl Default for CompileOptions {
 }
 
 /// Compile-time analysis of a training program (no executor, no parameter
-/// materialisation) — everything the cost models and memory planner need.
+/// materialisation) — everything the memory planner and the reports need.
 #[derive(Debug, Clone)]
 pub struct ProgramAnalysis {
     /// The optimized training graph.
@@ -214,8 +211,7 @@ impl CompiledProgram {
 /// or building an executor.
 ///
 /// Use this for paper-scale configurations (ResNet-50 at 224x224, BERT-base,
-/// Llama-7B) whose graphs are only consumed by the memory planner and the
-/// device cost models.
+/// Llama-7B) whose graphs are only consumed by the memory planner.
 pub fn analyze(model: &BuiltModel, options: &CompileOptions) -> ProgramAnalysis {
     let spec = apply_rule(model, &options.update_rule);
     let trainable = trainable_elements(model, &spec);

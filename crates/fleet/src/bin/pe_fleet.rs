@@ -9,16 +9,20 @@
 //! * `PE_FLEET_ADDR` — front-door bind address (default `127.0.0.1:0`).
 //! * `PE_FLEET_WORKERS` — either an integer N (self-spawn N `pe-server`
 //!   children on ephemeral loopback ports; the binary must sit next to
-//!   this one) or a comma-separated list of existing worker addresses.
-//!   Default: `2` (self-spawned).
+//!   this one, N ≥ 1) or a comma-separated list of existing worker
+//!   addresses. Default: `2` (self-spawned).
 //! * `PE_SERVER_ADMISSION` — propagated to self-spawned workers, so the
 //!   whole pool serves with identical behavior.
+//!
+//! A `PE_*` variable set to a value it cannot use stops the process with a
+//! non-zero exit and a message naming the variable and the value.
 
 use std::io::{BufRead, BufReader, Write};
 use std::process::{Child, Command, Stdio};
 use std::sync::atomic::{AtomicBool, Ordering};
 
 use pe_fleet::{Balancer, BalancerConfig};
+use pe_net::env::{env_value, EnvError};
 use pe_net::ServerConfig;
 
 static STOP: AtomicBool = AtomicBool::new(false);
@@ -89,28 +93,57 @@ fn spawn_worker() -> (Child, String) {
     (child, addr)
 }
 
+/// What `PE_FLEET_WORKERS` asks for.
+#[derive(Debug, PartialEq, Eq)]
+enum Workers {
+    /// Self-spawn this many `pe-server` children.
+    Spawn(usize),
+    /// Balance over these existing workers.
+    Addrs(Vec<String>),
+}
+
+/// Parses `PE_FLEET_WORKERS` (`None` when unset).
+fn workers_from(value: Option<&str>) -> Result<Workers, EnvError> {
+    let spec = value.unwrap_or("2");
+    let addrs: Vec<String> = spec
+        .split(',')
+        .map(|s| s.trim().to_string())
+        .filter(|s| !s.is_empty())
+        .collect();
+    match spec.trim().parse::<usize>() {
+        Ok(count) if count > 0 => Ok(Workers::Spawn(count)),
+        Err(_) if !addrs.is_empty() => Ok(Workers::Addrs(addrs)),
+        _ => Err(EnvError::new(
+            "PE_FLEET_WORKERS",
+            spec,
+            "a worker count of at least 1 or a comma-separated list of worker addresses",
+        )),
+    }
+}
+
 fn main() {
     install_signal_handlers();
-    let spec = std::env::var("PE_FLEET_WORKERS").unwrap_or_else(|_| "2".to_string());
+    let (workers, server) = workers_from(env_value("PE_FLEET_WORKERS").as_deref())
+        .and_then(|workers| Ok((workers, ServerConfig::from_env()?)))
+        .unwrap_or_else(|e| {
+            eprintln!("pe-fleet: {e}");
+            std::process::exit(2)
+        });
     let mut children: Vec<Child> = Vec::new();
-    let worker_addrs: Vec<String> = if let Ok(count) = spec.trim().parse::<usize>() {
-        (0..count.max(1))
+    let worker_addrs: Vec<String> = match workers {
+        Workers::Spawn(count) => (0..count)
             .map(|_| {
                 let (child, addr) = spawn_worker();
                 children.push(child);
                 addr
             })
-            .collect()
-    } else {
-        spec.split(',')
-            .map(|s| s.trim().to_string())
-            .filter(|s| !s.is_empty())
-            .collect()
+            .collect(),
+        Workers::Addrs(addrs) => addrs,
     };
     let config = BalancerConfig {
         server: ServerConfig {
-            addr: std::env::var("PE_FLEET_ADDR").unwrap_or_else(|_| "127.0.0.1:0".to_string()),
-            ..ServerConfig::from_env()
+            addr: env_value("PE_FLEET_ADDR").unwrap_or_else(|| "127.0.0.1:0".to_string()),
+            ..server
         },
         ..BalancerConfig::default()
     };
@@ -129,4 +162,21 @@ fn main() {
         stats.evals_routed, stats.trains_routed, stats.checkpoints_broadcast, stats.redispatches
     );
     std::process::exit(0);
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn workers_spec_parses_counts_and_lists_and_rejects_zero() {
+        assert_eq!(workers_from(None), Ok(Workers::Spawn(2)));
+        assert_eq!(workers_from(Some(" 3 ")), Ok(Workers::Spawn(3)));
+        let addrs = vec!["127.0.0.1:1".to_string(), "127.0.0.1:2".to_string()];
+        let listed = workers_from(Some("127.0.0.1:1, 127.0.0.1:2,"));
+        assert_eq!(listed, Ok(Workers::Addrs(addrs)));
+        for bad in ["0", " , "] {
+            assert_eq!(workers_from(Some(bad)).unwrap_err().value, bad);
+        }
+    }
 }

@@ -50,8 +50,8 @@ impl GraphBuilder {
     /// Creates a builder that defers parameter initialisation.
     ///
     /// Use this for paper-scale configurations (hundreds of millions to
-    /// billions of parameters) that are only analysed by the cost models and
-    /// memory planner, never executed: no initial tensors are allocated.
+    /// billions of parameters) that are only analysed by the memory planner,
+    /// never executed: no initial tensors are allocated.
     pub fn new_deferred() -> Self {
         GraphBuilder {
             graph: Graph::new(),

@@ -1,5 +1,5 @@
-//! Per-node cost metrics (FLOPs and memory traffic) used by the device cost
-//! models and by the scheme-search memory/compute accounting.
+//! Per-node cost metrics (FLOPs and memory traffic) of the IR: static
+//! counts of the work a graph does, not time estimates.
 
 use pe_tensor::kernels::conv::conv2d_flops;
 use pe_tensor::kernels::gemm::matmul_flops;

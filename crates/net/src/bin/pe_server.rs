@@ -6,7 +6,11 @@
 //!
 //! `PE_SERVER_ADMISSION=deadline` switches admission control to
 //! `DeadlineFeasible` (with seeded estimates, so rejection decisions are
-//! deterministic — the loopback suites depend on that).
+//! deterministic — the loopback suites depend on that); unset or
+//! `accept-all` admits everything.
+//!
+//! A `PE_*` variable set to a value it cannot use stops the process with a
+//! non-zero exit and a message naming the variable and the value.
 //!
 //! SIGINT / SIGTERM trigger a graceful stop: the listener closes, every
 //! in-flight request drains through `Server::shutdown`, and the process
@@ -21,6 +25,7 @@ use pockengine::pe_runtime::Optimizer;
 use pockengine::pe_tensor::Rng;
 use pockengine::{AdmissionPolicy, CompileOptions, Compiler, Engine, EngineConfig, QueueConfig};
 
+use pe_net::env::{env_value, EnvError};
 use pe_net::{Server, ServerConfig};
 
 /// The same two-layer MLP family the serving benchmark uses: 32 features,
@@ -76,12 +81,27 @@ fn install_signal_handlers() {
 #[cfg(not(unix))]
 fn install_signal_handlers() {}
 
+/// Parses `PE_SERVER_ADMISSION` (`None` when unset).
+fn admission_from(value: Option<&str>) -> Result<AdmissionPolicy, EnvError> {
+    match value.map(str::trim) {
+        None | Some("accept-all") => Ok(AdmissionPolicy::AcceptAll),
+        Some("deadline") => Ok(AdmissionPolicy::DeadlineFeasible),
+        Some(other) => Err(EnvError::new(
+            "PE_SERVER_ADMISSION",
+            other,
+            "`accept-all` or `deadline`",
+        )),
+    }
+}
+
 fn main() {
     install_signal_handlers();
-    let admission = match std::env::var("PE_SERVER_ADMISSION").as_deref() {
-        Ok("deadline") => AdmissionPolicy::DeadlineFeasible,
-        _ => AdmissionPolicy::AcceptAll,
-    };
+    let (admission, config) = admission_from(env_value("PE_SERVER_ADMISSION").as_deref())
+        .and_then(|admission| Ok((admission, ServerConfig::from_env()?)))
+        .unwrap_or_else(|e| {
+            eprintln!("pe-server: {e}");
+            std::process::exit(2)
+        });
     let program = Compiler::new(CompileOptions {
         optimizer: Optimizer::sgd(0.05),
         ..CompileOptions::default()
@@ -100,11 +120,8 @@ fn main() {
             engine.seed_latency_estimate(batch, std::time::Duration::from_micros(100));
         }
     }
-    let server = Server::spawn(
-        engine.into_async(QueueConfig::default()),
-        ServerConfig::from_env(),
-    )
-    .expect("bind server");
+    let server =
+        Server::spawn(engine.into_async(QueueConfig::default()), config).expect("bind server");
     println!("listening on {}", server.local_addr());
     std::io::stdout().flush().expect("flush stdout");
     // Serve until signalled, then drain and exit cleanly.
@@ -114,4 +131,26 @@ fn main() {
     let engine = server.shutdown();
     drop(engine);
     std::process::exit(0);
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn admission_is_accept_all_unless_set_to_deadline() {
+        for value in [None, Some("accept-all")] {
+            assert!(matches!(
+                admission_from(value),
+                Ok(AdmissionPolicy::AcceptAll)
+            ));
+        }
+        let deadline = admission_from(Some("deadline"));
+        assert!(matches!(deadline, Ok(AdmissionPolicy::DeadlineFeasible)));
+        let err = admission_from(Some("deadlin")).unwrap_err();
+        assert_eq!(
+            (err.var.as_str(), err.value.as_str()),
+            ("PE_SERVER_ADMISSION", "deadlin")
+        );
+    }
 }

@@ -26,17 +26,34 @@ use pockengine::{Outcome, Submit, SubmitError, SubmitHandle, TicketNotify};
 
 use pe_data::serving::Request;
 
+use crate::env::{env_value, parse_var, EnvError};
 use crate::proto::{
     self, FrameKind, NackReason, SubmitMode, DEFAULT_MAX_FRAME_BYTES, PROTOCOL_VERSION,
 };
 
 /// Reads `PE_NET_MAX_FRAME` (bytes), falling back to
-/// [`DEFAULT_MAX_FRAME_BYTES`].
-pub fn max_frame_from_env() -> usize {
-    std::env::var("PE_NET_MAX_FRAME")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(DEFAULT_MAX_FRAME_BYTES)
+/// [`DEFAULT_MAX_FRAME_BYTES`] when unset.
+///
+/// # Errors
+///
+/// [`EnvError`] when the variable is set to something other than a byte
+/// count.
+pub fn max_frame_from_env() -> Result<usize, EnvError> {
+    max_frame_from(env_value("PE_NET_MAX_FRAME").as_deref())
+}
+
+/// [`max_frame_from_env`] over an explicit value (`None` when unset).
+///
+/// # Errors
+///
+/// [`EnvError`] when `value` is not a byte count.
+pub(crate) fn max_frame_from(value: Option<&str>) -> Result<usize, EnvError> {
+    parse_var(
+        "PE_NET_MAX_FRAME",
+        value,
+        DEFAULT_MAX_FRAME_BYTES,
+        "a frame size in bytes",
+    )
 }
 
 enum NetSlot {
@@ -404,7 +421,8 @@ impl Client {
             stream.set_read_timeout(handshake_timeout)?;
             stream.set_write_timeout(handshake_timeout)?;
         }
-        let max_frame = max_frame_from_env();
+        let max_frame =
+            max_frame_from_env().map_err(|e| io::Error::new(io::ErrorKind::InvalidInput, e))?;
         let mut writer = stream.try_clone()?;
         proto::write_frame(&mut writer, FrameKind::Hello, &proto::encode_hello())?;
         let mut reader = stream.try_clone()?;

@@ -26,10 +26,12 @@
 #![deny(missing_docs)]
 
 pub mod client;
+pub mod env;
 pub mod proto;
 pub mod server;
 
 pub use client::{max_frame_from_env, Client, NetTicket};
+pub use env::EnvError;
 pub use proto::{FrameKind, NackReason, ProtoError, SubmitMode, PROTOCOL_VERSION};
 pub use server::{Server, ServerConfig, ServerCore};
 

@@ -30,7 +30,8 @@ use std::time::Duration;
 use pe_runtime::ParamStore;
 use pockengine::{AsyncEngine, Engine, SubmitError, Submitter, Ticket, TicketNotify};
 
-use crate::client::max_frame_from_env;
+use crate::client::max_frame_from;
+use crate::env::{env_value, parse_var, EnvError};
 use crate::proto::{self, FrameKind, NackReason, SubmitMode, DEFAULT_MAX_FRAME_BYTES};
 
 /// Server tuning knobs; [`ServerConfig::from_env`] reads the documented
@@ -64,25 +65,42 @@ impl Default for ServerConfig {
 }
 
 impl ServerConfig {
-    /// Reads every knob from its environment variable, using the defaults
-    /// for unset or unparsable values.
-    pub fn from_env() -> ServerConfig {
+    /// Reads every knob from its environment variable, using the default
+    /// for an unset one.
+    ///
+    /// # Errors
+    ///
+    /// [`EnvError`] naming the first variable set to a value that does not
+    /// parse.
+    pub fn from_env() -> Result<ServerConfig, EnvError> {
+        ServerConfig::from_vars(env_value)
+    }
+
+    /// [`ServerConfig::from_env`] over `lookup`, which returns a
+    /// variable's value or `None` when it is unset.
+    ///
+    /// # Errors
+    ///
+    /// As [`ServerConfig::from_env`].
+    pub fn from_vars(lookup: impl Fn(&str) -> Option<String>) -> Result<ServerConfig, EnvError> {
         let default = ServerConfig::default();
-        let parse = |name: &str, fallback: usize| {
-            std::env::var(name)
-                .ok()
-                .and_then(|v| v.parse().ok())
-                .unwrap_or(fallback)
-        };
-        ServerConfig {
-            addr: std::env::var("PE_SERVER_ADDR").unwrap_or(default.addr),
-            max_frame: max_frame_from_env(),
-            max_connections: parse("PE_NET_MAX_CONNS", default.max_connections),
-            write_timeout: Duration::from_millis(parse(
-                "PE_NET_WRITE_TIMEOUT_MS",
-                default.write_timeout.as_millis() as usize,
-            ) as u64),
-        }
+        let write_timeout_ms = parse_var(
+            "PE_NET_WRITE_TIMEOUT_MS",
+            lookup("PE_NET_WRITE_TIMEOUT_MS").as_deref(),
+            default.write_timeout.as_millis() as u64,
+            "a timeout in milliseconds",
+        )?;
+        Ok(ServerConfig {
+            addr: lookup("PE_SERVER_ADDR").unwrap_or(default.addr),
+            max_frame: max_frame_from(lookup("PE_NET_MAX_FRAME").as_deref())?,
+            max_connections: parse_var(
+                "PE_NET_MAX_CONNS",
+                lookup("PE_NET_MAX_CONNS").as_deref(),
+                default.max_connections,
+                "a connection count",
+            )?,
+            write_timeout: Duration::from_millis(write_timeout_ms),
+        })
     }
 }
 
@@ -783,4 +801,40 @@ fn writer_loop(mut stream: TcpStream, conn: Arc<Conn>) {
 /// Severs both directions so the companion reader thread unblocks too.
 fn sever(stream: &TcpStream) {
     let _ = stream.shutdown(Shutdown::Both);
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn config(vars: &[(&str, &str)]) -> Result<ServerConfig, EnvError> {
+        ServerConfig::from_vars(|name| {
+            let found = vars.iter().find(|(var, _)| *var == name);
+            found.map(|(_, value)| value.to_string())
+        })
+    }
+
+    #[test]
+    fn knobs_default_when_unset_parse_when_set_and_name_a_bad_value() {
+        let unset = config(&[]).unwrap();
+        assert_eq!(
+            unset.max_connections,
+            ServerConfig::default().max_connections
+        );
+        let set = config(&[
+            ("PE_NET_MAX_FRAME", "4096"),
+            ("PE_NET_WRITE_TIMEOUT_MS", "250"),
+        ]);
+        let set = set.unwrap();
+        assert_eq!(set.max_frame, 4096);
+        assert_eq!(set.write_timeout, Duration::from_millis(250));
+        for var in [
+            "PE_NET_MAX_FRAME",
+            "PE_NET_MAX_CONNS",
+            "PE_NET_WRITE_TIMEOUT_MS",
+        ] {
+            let err = config(&[(var, "-1")]).unwrap_err();
+            assert_eq!((err.var.as_str(), err.value.as_str()), (var, "-1"));
+        }
+    }
 }
