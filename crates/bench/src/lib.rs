@@ -23,29 +23,16 @@
 //! Figure 9 compares frameworks on devices this repository cannot run and
 //! has no binary.
 //!
-//! Beyond the paper artefacts, the perf trajectory of this repository is
-//! tracked by machine-readable reports: `bench_training_step` writes
-//! `BENCH_training_step.json` ([`stepbench`]), `bench_serving` writes
-//! `BENCH_engine_serving.json` ([`serving`]), `bench_net` writes
-//! `BENCH_net_serving.json` ([`net`], the multi-client TCP loopback run)
-//! and `bench_fleet` writes `BENCH_fleet_serving.json` ([`fleet`], the
-//! balancer + worker-pool run at several pool sizes) using the tiny JSON
-//! codec in [`report`]. The `bench_check` binary
-//! ([`check`]) is the CI gate that compares freshly emitted reports
-//! against the committed baselines and fails the build on a regression.
+//! Kernel and compile-time microbenchmarks live in `benches/`. End-to-end
+//! speed, memory and serving cost are measured by the repository benchmark
+//! (`BENCHMARK.json`, the `benchmarks/` package), not by this crate.
 
 #![deny(missing_docs)]
 
 pub mod accuracy;
-pub mod check;
-pub mod fleet;
 pub mod memory;
-pub mod net;
 pub mod overhead;
-pub mod report;
-pub mod serving;
 pub mod speed;
-pub mod stepbench;
 pub mod table;
 
 pub use table::TextTable;

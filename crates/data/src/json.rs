@@ -2,9 +2,8 @@
 //!
 //! The container has no serde, so this module implements the tiny subset of
 //! JSON the repository needs: objects of numbers, strings and arrays —
-//! enough for the bench reports (`BENCH_training_step.json`,
-//! `BENCH_engine_serving.json`) and the CI perf-regression gate that reads
-//! the committed baselines back.
+//! enough for the repository benchmark (`benchmarks/`) to write its result
+//! line and trace, and to read those and `BENCHMARK.json` back.
 //!
 //! Design constraints:
 //!
@@ -340,15 +339,6 @@ fn parse_number(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
             .or_else(|_| text.parse::<f64>().map(Json::Num))
             .map_err(|e| format!("bad number '{text}': {e}"))
     }
-}
-
-/// Writes a report to disk (pretty enough for diffs: one trailing newline).
-///
-/// # Errors
-///
-/// Propagates filesystem errors.
-pub fn write_report(path: &str, json: &Json) -> std::io::Result<()> {
-    std::fs::write(path, json.render() + "\n")
 }
 
 #[cfg(test)]

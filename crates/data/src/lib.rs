@@ -18,7 +18,7 @@ pub mod serving;
 pub mod vision;
 
 pub use instruct::{generate_instruct_dataset, response_accuracy, InstructConfig, InstructDataset};
-pub use json::{write_report, Json};
+pub use json::Json;
 pub use nlp::{generate_nlp_task, table3_nlp_tasks, NlpTask, NlpTaskConfig};
 pub use serving::{
     generate_arrival_process, generate_request_stream, ArrivalProcessConfig, DeadlineDistribution,

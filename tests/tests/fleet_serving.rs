@@ -8,7 +8,8 @@
 //!   and priorities through the balancer and two workers
 //!   yields bit-identical losses, rejected sets and final parameters to
 //!   the identical stream through the in-process `AsyncEngine`; the
-//!   follower converges purely through checkpoint broadcast.
+//!   follower converges purely through checkpoint broadcast. A pool of one
+//!   worker matches too.
 //! * **Worker-loss containment** — killing a worker mid-burst loses no
 //!   eval: its in-flight requests re-dispatch to the surviving peer, every
 //!   ticket resolves `Completed`, never `Cancelled`, never hangs, and the
@@ -167,6 +168,19 @@ fn fleet_stream_matches_the_in_process_engine_bit_for_bit() {
     assert_eq!(stats.redispatches, 0, "no worker died: {stats:?}");
     assert_eq!(stats.cancelled, 0, "nothing may be lost: {stats:?}");
     assert_eq!(stats.workers_up(), 2);
+
+    // ---- A pool of one: the lone worker is the primary. ----
+    let solo = worker(seeded_engine(AdmissionPolicy::DeadlineFeasible), 64);
+    let fleet = balancer(&[&solo], 64);
+    let client = Client::connect(fleet.local_addr()).expect("connect to balancer");
+    let solo_print = fingerprint(&client, &stream);
+    drop(client);
+    let stats = fleet.shutdown();
+    assert_eq!(solo_print, base_print, "the one-worker fleet diverged");
+    support::assert_params_identical(&solo.shutdown(), &baseline);
+    assert_eq!(stats.evals_routed, stream.len() as u64 - trains);
+    assert_eq!(stats.cancelled, 0, "nothing may be lost: {stats:?}");
+    assert_eq!(stats.workers_up(), 1);
 }
 
 /// The worker-loss acceptance: kill one worker while it holds parked

@@ -4,7 +4,10 @@
 //! kernels (and their stack panels) of a trainable one, rank-4 bias adds
 //! and in-place activations, rank-4 bias-gradient reductions — without ever
 //! dispatching an allocating fallback kernel and without touching the heap
-//! in steady state. Companion to `zero_alloc.rs`
+//! in steady state. The hand-built stacks isolate each kernel family; the
+//! tiny MobileNetV2 (stem, inverted residual blocks, depthwise convs,
+//! classifier) is the real model, trained under full backpropagation and
+//! bias-only updates. Companion to `zero_alloc.rs`
 //! (the MLP variant); this file also holds a single `#[test]` because the
 //! global allocator counts every thread in the process.
 
@@ -13,10 +16,13 @@ use std::collections::HashMap;
 use pe_tests::support::CountingAlloc;
 use pockengine::pe_graph::{build_training_graph, Graph, NodeId, TrainKind, TrainSpec};
 use pockengine::pe_graph::{GraphBuilder, OpKind};
+use pockengine::pe_models::{build_mobilenet, MobileNetV2Config};
 use pockengine::pe_passes::{optimize, OptimizeOptions};
 use pockengine::pe_runtime::{Executor, Optimizer};
+use pockengine::pe_sparse::UpdateRule;
 use pockengine::pe_tensor::kernels::conv::Conv2dParams;
 use pockengine::pe_tensor::{Rng, Tensor};
+use pockengine::CompileOptions;
 
 #[global_allocator]
 static ALLOC: CountingAlloc = CountingAlloc::new();
@@ -34,14 +40,20 @@ fn count_ops(exec: &Executor, wanted: fn(&OpKind) -> bool) -> usize {
     nodes.iter().filter(|n| wanted(&n.op)).count()
 }
 
-/// Steps `exec` on one seeded batch of `x_dims` images: after a warm-up the
-/// steady state must not allocate or fall back, and the loss must fall.
-fn assert_steady_state_is_clean(mut exec: Executor, x_dims: [usize; 4], what: &str) {
+/// Steps `exec` on one seeded batch of `x_dims` images labelled with
+/// `classes` classes: after a warm-up the steady state must not allocate or
+/// fall back, and the loss must fall.
+fn assert_steady_state_is_clean(
+    mut exec: Executor,
+    x_dims: [usize; 4],
+    classes: usize,
+    what: &str,
+) {
     let mut data_rng = Rng::seed_from_u64(1);
     let xs = Tensor::randn(x_dims, 1.0, &mut data_rng);
     let mut ys = Tensor::zeros([x_dims[0]]);
     for y in ys.data_mut() {
-        *y = data_rng.next_usize(4) as f32;
+        *y = data_rng.next_usize(classes) as f32;
     }
     let inputs = HashMap::from([("x".to_string(), xs), ("labels".to_string(), ys)]);
 
@@ -142,7 +154,7 @@ fn cnn_training_step_has_zero_fallbacks_and_zero_allocations() {
         "each conv must be followed by its bias add"
     );
 
-    assert_steady_state_is_clean(exec, [2, 3, 12, 12], "frozen backbone");
+    assert_steady_state_is_clean(exec, [2, 3, 12, 12], 4, "frozen backbone");
 
     // The same shape of program with nothing frozen: behind a first layer
     // (whose input is data and has no gradient) a dense 3x3 stride-2 conv, a
@@ -173,5 +185,21 @@ fn cnn_training_step_has_zero_fallbacks_and_zero_allocations() {
     assert_eq!(count(|op| matches!(op, OpKind::Conv2d(_))), 4);
     assert_eq!(count(|op| matches!(op, OpKind::Conv2dGradInput { .. })), 3);
     assert_eq!(count(|op| matches!(op, OpKind::Conv2dGradWeight { .. })), 4);
-    assert_steady_state_is_clean(exec, [2, 3, 12, 12], "trainable lowered convs");
+    assert_steady_state_is_clean(exec, [2, 3, 12, 12], 4, "trainable lowered convs");
+
+    // The tiny MobileNetV2 (batch 4, 16x16 images, 3 classes) under full
+    // backpropagation and under bias-only updates.
+    let model = build_mobilenet(&MobileNetV2Config::tiny(4, 3), &mut rng);
+    for (rule, what) in [
+        (UpdateRule::Full, "MobileNetV2, full backprop"),
+        (UpdateRule::BiasOnly, "MobileNetV2, bias only"),
+    ] {
+        let options = CompileOptions {
+            update_rule: rule,
+            optimizer: Optimizer::sgd(0.01),
+            ..CompileOptions::default()
+        };
+        let exec = pockengine::compile(&model, &options).executor;
+        assert_steady_state_is_clean(exec, [4, 3, 16, 16], 3, what);
+    }
 }
