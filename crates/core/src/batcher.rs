@@ -10,13 +10,16 @@
 //! waiting for more traffic only as long as *every* member's deadline
 //! permits:
 //!
-//! * every popped request first passes **admission control** (the same
-//!   check the sync path runs on arrival — see [`crate::admission`]): a
-//!   rejected request resolves its ticket as [`Outcome::Rejected`] on the
-//!   spot, without executing, without flushing the pending group, and
-//!   without touching the specialization cache;
+//! * every popped request is first **checked against the program** (shapes,
+//!   label and token ids in range): a malformed one resolves its ticket
+//!   with the `ExecError` alone, so it never fails the requests around it;
+//! * then it passes **admission control** (the same check the sync path
+//!   runs on arrival — see [`crate::admission`]): a rejected request
+//!   resolves its ticket as [`Outcome::Rejected`] on the spot, without
+//!   executing, without flushing the pending group, and without touching
+//!   the specialization cache;
 //! * an eval group is dispatched as soon as it **fills the target rung**
-//!   (the largest cached batch, capped by `max_coalesced_rows`);
+//!   (the largest cached batch, capped by the largest warm batch);
 //! * or when the **earliest deadline** in the group arrives — the group is
 //!   then padded to the nearest cached rung exactly like the sync path, so
 //!   a request never waits past its budget just to fill a batch;
@@ -151,6 +154,10 @@ pub(crate) fn drain(engine: &mut Engine, rx: &Receiver, counters: &BatcherCounte
                 Pop::Drained => return,
             },
         };
+        if let Err(e) = engine.program().check_request(head.request()) {
+            head.fulfill(Err(e));
+            continue;
+        }
         if let Err(reason) = engine.admit(head.request()) {
             reject(engine, head, reason, counters);
             continue;
@@ -173,6 +180,7 @@ pub(crate) fn drain(engine: &mut Engine, rx: &Receiver, counters: &BatcherCounte
                                     rows += e.rows();
                                     group.push(e);
                                 }
+                                GroupVerdict::Invalid(error) => e.fulfill(Err(error)),
                                 GroupVerdict::Reject(reason) => {
                                     reject(engine, e, reason, counters);
                                 }
@@ -213,8 +221,9 @@ pub(crate) fn drain(engine: &mut Engine, rx: &Receiver, counters: &BatcherCounte
 }
 
 /// Grows `group` until it fills `target` rows, the earliest member deadline
-/// arrives, or an incompatible request shows up. Popped requests that fail
-/// admission resolve in place and never join (nor flush) the group.
+/// arrives, or an incompatible request shows up. Popped requests that are
+/// malformed or fail admission resolve in place and never join (nor flush)
+/// the group.
 fn accumulate(
     engine: &mut Engine,
     rx: &Receiver,
@@ -239,6 +248,7 @@ fn accumulate(
                     *rows += e.rows();
                     group.push(*e);
                 }
+                GroupVerdict::Invalid(error) => e.fulfill(Err(error)),
                 GroupVerdict::Reject(reason) => {
                     reject(engine, *e, reason, counters);
                 }

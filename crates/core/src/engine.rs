@@ -62,6 +62,9 @@ use crate::queue::{self, QueueConfig, SubmitError, Submitter, Ticket};
 pub(crate) enum GroupVerdict {
     /// Admitted, an evaluation, and it fits: join the group.
     Join,
+    /// Malformed for the program (see [`Program::check_request`]): it must
+    /// not join, and resolves alone with the error.
+    Invalid(ExecError),
     /// Rejected by admission control: resolve in place, skip it, keep
     /// accumulating (a rejection never breaks a group).
     Reject(RejectReason),
@@ -74,11 +77,9 @@ pub(crate) enum GroupVerdict {
 #[derive(Debug, Clone)]
 pub struct EngineConfig {
     /// Batch sizes pre-specialized at engine construction; also the pad
-    /// ladder for evaluation requests. Sorted internally.
+    /// ladder for evaluation requests. Sorted internally. The largest is the
+    /// upper bound on rows packed into one evaluation micro-batch.
     pub warm_batches: Vec<usize>,
-    /// Upper bound on rows packed into one evaluation micro-batch. Defaults
-    /// to the largest warm batch.
-    pub max_coalesced_rows: Option<usize>,
     /// The admission policy (default: accept everything).
     pub admission: AdmissionPolicy,
     /// Size budget of the specialization cache (LRU eviction beyond it);
@@ -91,7 +92,6 @@ impl Default for EngineConfig {
     fn default() -> Self {
         EngineConfig {
             warm_batches: vec![1, 4, 8],
-            max_coalesced_rows: None,
             admission: AdmissionPolicy::default(),
             max_cached_specializations: None,
         }
@@ -219,14 +219,17 @@ impl Engine {
     ///
     /// # Errors
     ///
-    /// Returns the first executor input error encountered (malformed
-    /// features/labels for the program's graph).
+    /// Returns the first input error encountered (features/labels that do
+    /// not fit the program's graph, or a label or token id out of range).
+    /// A malformed request never joins a micro-batch: the requests before
+    /// it run, then `serve` returns its error.
     pub fn serve(&mut self, requests: &[Request]) -> Result<Vec<Outcome>, ExecError> {
         let mut outcomes: Vec<Option<Outcome>> = requests.iter().map(|_| None).collect();
         let limit = self.max_coalesced_rows();
         let mut i = 0;
         while i < requests.len() {
             let head = &requests[i];
+            self.program.check_request(head)?;
             if let Err(reason) = self.admit(head) {
                 self.metrics.rejected += 1;
                 outcomes[i] = Some(Outcome::Rejected(reason));
@@ -255,7 +258,7 @@ impl Engine {
                                 outcomes[j] = Some(Outcome::Rejected(reason));
                                 j += 1;
                             }
-                            GroupVerdict::Barrier => break,
+                            GroupVerdict::Barrier | GroupVerdict::Invalid(_) => break,
                             GroupVerdict::Join => {
                                 rows += next.rows();
                                 group.push((j, next));
@@ -285,8 +288,10 @@ impl Engine {
     ///
     /// # Errors
     ///
-    /// Returns executor input errors (malformed features/labels).
+    /// Returns input errors (malformed features/labels, out-of-range label
+    /// or token ids).
     pub fn serve_one(&mut self, request: &Request) -> Result<Outcome, ExecError> {
+        self.program.check_request(request)?;
         if let Err(reason) = self.admit(request) {
             self.metrics.rejected += 1;
             return Ok(Outcome::Rejected(reason));
@@ -361,14 +366,18 @@ impl Engine {
     /// a candidate request relative to the evaluation group being built
     /// (`rows` = rows packed so far, `capacity` = the group's row bound).
     /// Keeping this in one place is what keeps the queue path
-    /// bit-identical to the slice path: admission is always checked first
-    /// (a rejection never breaks a group), then kind and fit.
+    /// bit-identical to the slice path: the request is checked against the
+    /// program first, then admission (a rejection never breaks a group),
+    /// then kind and fit.
     pub(crate) fn classify_for_group(
         &self,
         request: &Request,
         rows: usize,
         capacity: usize,
     ) -> GroupVerdict {
+        if let Err(e) = self.program.check_request(request) {
+            return GroupVerdict::Invalid(e);
+        }
         if let Err(reason) = self.admit(request) {
             return GroupVerdict::Reject(reason);
         }
@@ -378,11 +387,10 @@ impl Engine {
         GroupVerdict::Join
     }
 
+    /// Upper bound on rows packed into one evaluation micro-batch: the
+    /// largest warm batch.
     pub(crate) fn max_coalesced_rows(&self) -> usize {
-        self.config
-            .max_coalesced_rows
-            .unwrap_or_else(|| self.config.warm_batches.last().copied().unwrap_or(1))
-            .max(1)
+        self.config.warm_batches.last().copied().unwrap_or(1).max(1)
     }
 
     /// The row count the deadline-aware batcher aims to fill for an eval
@@ -474,7 +482,11 @@ impl Engine {
             let loss = sliced
                 .as_ref()
                 .filter(|l| l.dims().len() == 2 && request.labels.dims().len() == 1)
-                .map(|l| norm::cross_entropy_loss(l, &request.labels).data()[0]);
+                .map(|l| {
+                    let mut loss = [0.0];
+                    norm::cross_entropy_loss_into(l.view(), request.labels.view(), &mut loss);
+                    loss[0]
+                });
             responses.push(Response {
                 id,
                 client_id: request.meta.id,
@@ -655,29 +667,31 @@ impl Drop for AsyncEngine {
     }
 }
 
-/// Concatenates tensors along axis 0 (via the shared `concat` kernel) and
-/// zero-pads to `batch` rows.
+/// Concatenates tensors of `rows` rows in all along axis 0 (`concat_into`)
+/// into a zeroed `[batch, ..]` tensor: rows past `rows` are padding.
 ///
 /// # Panics
 ///
 /// Panics if the tensors disagree on trailing dimensions.
 fn pack_rows<'a>(parts: impl Iterator<Item = &'a Tensor>, rows: usize, batch: usize) -> Tensor {
-    let mut parts: Vec<&Tensor> = parts.collect();
-    let mut pad_dims = parts.first().expect("at least one request").dims().to_vec();
-    pad_dims[0] = batch - rows;
-    let pad = (batch > rows).then(|| Tensor::zeros(pad_dims));
-    if let Some(p) = &pad {
-        parts.push(p);
-    }
-    layout::concat(&parts, 0)
+    let parts: Vec<_> = parts.map(Tensor::view).collect();
+    let mut dims = parts.first().expect("at least one request").dims().to_vec();
+    let filled = rows * dims[1..].iter().product::<usize>();
+    dims[0] = batch;
+    let mut packed = Tensor::zeros(dims);
+    layout::concat_into(&parts, 0, &mut packed.data_mut()[..filled]);
+    packed
 }
 
 /// Rows `[offset, offset + n)` of a tensor whose axis 0 is the batch (the
-/// shared `slice_axis` kernel behind a bounds check).
+/// shared `slice_axis_into` kernel behind a bounds check).
 fn slice_rows(t: &Tensor, offset: usize, n: usize) -> Option<Tensor> {
-    let dims = t.dims();
+    let mut dims = t.dims().to_vec();
     if dims.is_empty() || dims[0] < offset + n {
         return None;
     }
-    Some(layout::slice_axis(t, 0, offset, n))
+    dims[0] = n;
+    let mut rows = Tensor::zeros(dims);
+    layout::slice_axis_into(t.view(), 0, offset, n, rows.data_mut());
+    Some(rows)
 }

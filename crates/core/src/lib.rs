@@ -120,10 +120,9 @@ pub mod prelude {
         SubmitHandle, Submitter, Ticket, TicketNotify,
     };
     pub use pe_data::{
-        generate_arrival_process, generate_instruct_dataset, generate_nlp_task,
-        generate_request_stream, generate_vision_task, ArrivalProcessConfig, DeadlineDistribution,
-        InstructConfig, NlpTaskConfig, Priority, Request, RequestMeta, RequestStreamConfig,
-        ServingKind, VisionTaskConfig,
+        generate_instruct_dataset, generate_nlp_task, generate_request_stream,
+        generate_vision_task, InstructConfig, NlpTaskConfig, Priority, Request, RequestMeta,
+        RequestStreamConfig, ServingKind, VisionTaskConfig,
     };
     pub use pe_graph::{GraphBuilder, ParamKey, TrainKind, TrainSpec};
     pub use pe_models::{

@@ -23,8 +23,11 @@
 use std::collections::HashMap;
 use std::sync::Arc;
 
+use pe_data::serving::Request;
+use pe_graph::{Graph, Node, OpKind};
 use pe_models::BuiltModel;
-use pe_runtime::{Executor, ParamStore};
+use pe_runtime::{ExecError, Executor, ParamStore};
+use pe_tensor::Tensor;
 
 use crate::{analyze, CompileOptions, ProgramAnalysis};
 
@@ -116,8 +119,8 @@ impl Compiler {
             factory: Box::new(factory),
             options: self.options,
             store,
-            feature_input: base.feature_input.clone(),
-            label_input: base.label_input.clone(),
+            features: InputSpec::of(&base.graph, &base.feature_input),
+            labels: InputSpec::of(&base.graph, &base.label_input),
             logits_name: base.logits_name(),
             model_name: base.name,
             cache: HashMap::new(),
@@ -126,6 +129,67 @@ impl Compiler {
             clock: 0,
             max_specializations: None,
             stats: CacheStats::default(),
+        }
+    }
+}
+
+/// One step input as a request must carry it, read off the model's graph.
+#[derive(Debug)]
+struct InputSpec {
+    name: String,
+    /// The input's dims after the first, which is a request's row count.
+    row_dims: Vec<usize>,
+    /// The exclusive bound of the input's values when the graph uses them as
+    /// indices: the embedding table's rows for token ids, the logits' last
+    /// dim for cross-entropy targets.
+    index_bound: Option<usize>,
+}
+
+impl InputSpec {
+    fn of(graph: &Graph, name: &str) -> Self {
+        let input = graph
+            .inputs()
+            .iter()
+            .map(|&id| graph.node(id))
+            .find(|n| n.name == name);
+        let input = input.unwrap_or_else(|| panic!("the model has no input named '{name}'"));
+        let bound = |node: &Node| match (&node.op, &node.inputs[..]) {
+            (OpKind::Embedding, &[table, ids]) if ids == input.id => {
+                Some(graph.node(table).shape.dims()[0])
+            }
+            (OpKind::CrossEntropyLoss, &[logits, targets]) if targets == input.id => {
+                graph.node(logits).shape.dims().last().copied()
+            }
+            _ => None,
+        };
+        InputSpec {
+            name: name.to_string(),
+            row_dims: input.shape.dims().get(1..).unwrap_or_default().to_vec(),
+            index_bound: graph.nodes().iter().find_map(bound),
+        }
+    }
+
+    /// Checks one request tensor of `rows` rows against the input.
+    fn check(&self, t: &Tensor, rows: usize) -> Result<(), ExecError> {
+        if t.dims().split_first() != Some((&rows, &self.row_dims[..])) {
+            return Err(ExecError::InputShapeMismatch {
+                name: self.name.clone(),
+                expected: [&[rows][..], &self.row_dims].concat(),
+                actual: t.dims().to_vec(),
+            });
+        }
+        let Some(bound) = self.index_bound else {
+            return Ok(());
+        };
+        // NaN fails the first comparison, so it is out of range too.
+        let is_index = |v: f32| v >= 0.0 && v < bound as f32 && v.fract() == 0.0;
+        match t.data().iter().position(|&v| !is_index(v)) {
+            None => Ok(()),
+            Some(position) => Err(ExecError::InputIndexOutOfRange {
+                name: self.name.clone(),
+                position,
+                bound,
+            }),
         }
     }
 }
@@ -139,8 +203,9 @@ pub struct Program {
     factory: Box<dyn ModelFactory>,
     options: CompileOptions,
     store: Arc<ParamStore>,
-    feature_input: String,
-    label_input: String,
+    /// The feature and label inputs, as a request must carry them.
+    features: InputSpec,
+    labels: InputSpec,
     logits_name: String,
     model_name: String,
     cache: HashMap<usize, Specialization>,
@@ -181,12 +246,12 @@ impl Program {
 
     /// Name of the model family's feature input node.
     pub fn feature_input(&self) -> &str {
-        &self.feature_input
+        &self.features.name
     }
 
     /// Name of the model family's label input node.
     pub fn label_input(&self) -> &str {
-        &self.label_input
+        &self.labels.name
     }
 
     /// Name of the logits output node.
@@ -197,6 +262,15 @@ impl Program {
     /// Human-readable model family name.
     pub fn model_name(&self) -> &str {
         &self.model_name
+    }
+
+    /// Checks that a request fits this program before it joins a batch: its
+    /// features and labels match the inputs in every dim but the first (its
+    /// row count), and every class index or token id is an integer in range.
+    pub(crate) fn check_request(&self, request: &Request) -> Result<(), ExecError> {
+        let rows = request.rows();
+        self.features.check(&request.features, rows)?;
+        self.labels.check(&request.labels, rows)
     }
 
     /// Cache hit/miss counts so far.

@@ -21,7 +21,6 @@ pub use instruct::{generate_instruct_dataset, response_accuracy, InstructConfig,
 pub use json::Json;
 pub use nlp::{generate_nlp_task, table3_nlp_tasks, NlpTask, NlpTaskConfig};
 pub use serving::{
-    generate_arrival_process, generate_request_stream, ArrivalProcessConfig, DeadlineDistribution,
-    Priority, Request, RequestMeta, RequestStreamConfig, ServingKind,
+    generate_request_stream, Priority, Request, RequestMeta, RequestStreamConfig, ServingKind,
 };
 pub use vision::{generate_vision_task, table2_vision_tasks, VisionTask, VisionTaskConfig};

@@ -13,14 +13,6 @@
 //! stream of requests over one underlying classification task (shared class
 //! templates, so training requests actually improve later evaluation
 //! requests), with per-request row counts drawn from a configurable ladder.
-//!
-//! For the engine's *queued* ingestion path the closed-loop stream is not
-//! enough: deadline-aware batching behaves differently under an open-loop
-//! arrival process (requests show up on their own clock, whether or not the
-//! engine kept up). [`generate_arrival_process`] decorates a stream with
-//! Poisson arrival offsets at a configurable mean rate (stored in
-//! [`RequestMeta::arrival`]) and per-request deadline budgets drawn from a
-//! configurable distribution.
 
 use std::time::Duration;
 
@@ -86,10 +78,6 @@ pub struct RequestMeta {
     pub deadline: Option<Duration>,
     /// Scheduling priority (see [`Priority`]).
     pub priority: Priority,
-    /// Arrival offset from the start of an open-loop replay, set by
-    /// [`generate_arrival_process`]. Replay harnesses pace submission to
-    /// it; the engine itself ignores it.
-    pub arrival: Option<Duration>,
 }
 
 /// One serving request: the tensor payload plus [`RequestMeta`].
@@ -209,8 +197,7 @@ impl Default for RequestStreamConfig {
 /// templates), so the stream is coherent: training requests move the model
 /// toward higher accuracy on subsequent evaluation requests. Priorities are
 /// drawn uniformly from `cfg.priorities`; deadlines are left unset (the
-/// closed-loop regime) — decorate with [`generate_arrival_process`] for
-/// deadline-diverse open-loop traffic.
+/// closed-loop regime).
 ///
 /// # Panics
 ///
@@ -251,92 +238,6 @@ pub fn generate_request_stream(cfg: &RequestStreamConfig, rng: &mut Rng) -> Vec<
         .collect()
 }
 
-/// How per-request deadline budgets are drawn by
-/// [`generate_arrival_process`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum DeadlineDistribution {
-    /// Every request gets the same budget.
-    Fixed(Duration),
-    /// Budgets drawn uniformly from `[lo, hi]`.
-    Uniform(Duration, Duration),
-}
-
-impl DeadlineDistribution {
-    fn sample(&self, rng: &mut Rng) -> Duration {
-        match *self {
-            DeadlineDistribution::Fixed(d) => d,
-            DeadlineDistribution::Uniform(lo, hi) => {
-                let (lo_us, hi_us) = (lo.as_micros() as u64, hi.as_micros() as u64);
-                assert!(lo_us <= hi_us, "uniform deadline range is inverted");
-                let span = hi_us - lo_us;
-                let offset = if span == 0 {
-                    0
-                } else {
-                    rng.next_u64() % (span + 1)
-                };
-                Duration::from_micros(lo_us + offset)
-            }
-        }
-    }
-}
-
-/// Configuration for [`generate_arrival_process`].
-#[derive(Debug, Clone, PartialEq)]
-pub struct ArrivalProcessConfig {
-    /// The underlying request stream (row counts, train mix, task).
-    pub stream: RequestStreamConfig,
-    /// Mean arrival rate of the Poisson process, in requests per second.
-    pub rate_per_sec: f64,
-    /// Distribution of per-request deadline budgets (how long a request
-    /// tolerates waiting for batch companions after it arrives).
-    pub deadline: DeadlineDistribution,
-}
-
-impl Default for ArrivalProcessConfig {
-    fn default() -> Self {
-        ArrivalProcessConfig {
-            stream: RequestStreamConfig::default(),
-            rate_per_sec: 10_000.0,
-            deadline: DeadlineDistribution::Fixed(Duration::from_millis(1)),
-        }
-    }
-}
-
-/// Generates a reproducible open-loop arrival process: the request stream
-/// of [`generate_request_stream`], with Poisson arrival offsets
-/// (exponential inter-arrival times at `rate_per_sec`) in
-/// [`RequestMeta::arrival`] and per-request deadline budgets in
-/// [`RequestMeta::deadline`].
-///
-/// "Open loop" means arrival times are fixed up front, independent of how
-/// fast the server drains — the regime a bounded submission queue exists
-/// for: when the engine falls behind, the queue fills and backpressure (or
-/// explicit `try_submit` shedding) becomes observable.
-///
-/// # Panics
-///
-/// Panics if `rate_per_sec` is not strictly positive, or on an invalid
-/// stream/deadline configuration.
-pub fn generate_arrival_process(cfg: &ArrivalProcessConfig, rng: &mut Rng) -> Vec<Request> {
-    assert!(
-        cfg.rate_per_sec > 0.0 && cfg.rate_per_sec.is_finite(),
-        "arrival rate must be positive and finite"
-    );
-    let requests = generate_request_stream(&cfg.stream, rng);
-    let mut at = 0.0f64;
-    requests
-        .into_iter()
-        .map(|mut request| {
-            // Exponential inter-arrival time: -ln(U) / rate, U ~ (0, 1].
-            let u = ((rng.next_u64() >> 11) as f64 + 1.0) / (1u64 << 53) as f64;
-            at += -u.ln() / cfg.rate_per_sec;
-            request.meta.arrival = Some(Duration::from_secs_f64(at));
-            request.meta.deadline = Some(cfg.deadline.sample(rng));
-            request
-        })
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -352,7 +253,6 @@ mod tests {
         assert_eq!(r.meta.deadline, Some(Duration::from_micros(250)));
         assert_eq!(r.meta.priority, Priority::High);
         assert_eq!(r.meta.id, Some(7));
-        assert_eq!(r.meta.arrival, None);
     }
 
     #[test]
@@ -420,67 +320,6 @@ mod tests {
             &mut rng,
         );
         assert!(all_eval.iter().all(|r| r.kind == ServingKind::Eval));
-    }
-
-    #[test]
-    fn arrival_process_is_monotone_and_near_the_rate() {
-        let cfg = ArrivalProcessConfig {
-            stream: RequestStreamConfig {
-                num_requests: 400,
-                ..RequestStreamConfig::default()
-            },
-            rate_per_sec: 1000.0,
-            deadline: DeadlineDistribution::Uniform(
-                Duration::from_micros(100),
-                Duration::from_micros(900),
-            ),
-        };
-        let mut rng = Rng::seed_from_u64(3);
-        let process = generate_arrival_process(&cfg, &mut rng);
-        assert_eq!(process.len(), 400);
-        for pair in process.windows(2) {
-            assert!(
-                pair[0].meta.arrival < pair[1].meta.arrival,
-                "arrivals must increase"
-            );
-        }
-        for t in &process {
-            let deadline = t.meta.deadline.expect("open-loop requests carry budgets");
-            assert!(deadline >= Duration::from_micros(100));
-            assert!(deadline <= Duration::from_micros(900));
-        }
-        // 400 arrivals at 1000/s should span roughly 0.4s (loose band: the
-        // mean of 400 exponentials has ~5% relative std deviation).
-        let span = process.last().unwrap().meta.arrival.unwrap().as_secs_f64();
-        assert!(
-            (0.25..0.6).contains(&span),
-            "span {span} off the 1000/s rate"
-        );
-    }
-
-    #[test]
-    fn arrival_process_is_deterministic_for_a_seed() {
-        let cfg = ArrivalProcessConfig::default();
-        let a = generate_arrival_process(&cfg, &mut Rng::seed_from_u64(4));
-        let b = generate_arrival_process(&cfg, &mut Rng::seed_from_u64(4));
-        assert_eq!(a.len(), b.len());
-        for (x, y) in a.iter().zip(&b) {
-            assert_eq!(x.meta.arrival, y.meta.arrival);
-            assert_eq!(x.meta.deadline, y.meta.deadline);
-            assert_eq!(x.features.data(), y.features.data());
-        }
-    }
-
-    #[test]
-    fn fixed_deadlines_are_fixed() {
-        let cfg = ArrivalProcessConfig {
-            deadline: DeadlineDistribution::Fixed(Duration::from_millis(2)),
-            ..ArrivalProcessConfig::default()
-        };
-        let process = generate_arrival_process(&cfg, &mut Rng::seed_from_u64(5));
-        assert!(process
-            .iter()
-            .all(|t| t.meta.deadline == Some(Duration::from_millis(2))));
     }
 
     #[test]

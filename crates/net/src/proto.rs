@@ -39,8 +39,9 @@
 //! The client leads with `Hello` carrying [`PROTOCOL_MAGIC`] and
 //! [`PROTOCOL_VERSION`]; the server answers `HelloAck` with its own version
 //! only when magic and version match *exactly* (version 2 retired version
-//! 1's executor-backend hint; a future server may accept a range). Any
-//! mismatch is answered with
+//! 1's executor-backend hint; version 3 retired the arrival stamp and added
+//! exec-error tag 3, an out-of-range index; a future server may accept a
+//! range). Any mismatch is answered with
 //! an `Error` frame and a close — a client never talks payload frames to a
 //! server that did not acknowledge its version.
 
@@ -54,7 +55,7 @@ use pe_runtime::ExecError;
 pub const PROTOCOL_MAGIC: [u8; 4] = *b"PENW";
 
 /// The protocol version spoken by this build.
-pub const PROTOCOL_VERSION: u16 = 2;
+pub const PROTOCOL_VERSION: u16 = 3;
 
 /// Default cap on one frame's length (kind byte + payload), 8 MiB.
 pub const DEFAULT_MAX_FRAME_BYTES: usize = 8 * 1024 * 1024;
@@ -387,8 +388,8 @@ const KIND_EVAL: u8 = 1;
 
 const FLAG_ID: u8 = 1 << 0;
 const FLAG_DEADLINE: u8 = 1 << 1;
-// Bit 2 carried version 1's executor-backend hint; it is now an unknown flag.
-const FLAG_ARRIVAL: u8 = 1 << 3;
+// Bit 2 carried version 1's executor-backend hint and bit 3 version 2's
+// arrival stamp; both are now unknown flags.
 
 fn priority_byte(p: Priority) -> u8 {
     match p {
@@ -429,9 +430,6 @@ pub fn encode_submit(corr: u64, mode: SubmitMode, request: &Request) -> Vec<u8> 
     if meta.deadline.is_some() {
         flags |= FLAG_DEADLINE;
     }
-    if meta.arrival.is_some() {
-        flags |= FLAG_ARRIVAL;
-    }
     buf.push(flags);
     buf.push(priority_byte(meta.priority));
     if let Some(id) = meta.id {
@@ -439,9 +437,6 @@ pub fn encode_submit(corr: u64, mode: SubmitMode, request: &Request) -> Vec<u8> 
     }
     if let Some(deadline) = meta.deadline {
         put_duration(&mut buf, deadline);
-    }
-    if let Some(arrival) = meta.arrival {
-        put_duration(&mut buf, arrival);
     }
     put_tensor(&mut buf, &request.features);
     put_tensor(&mut buf, &request.labels);
@@ -468,15 +463,12 @@ pub fn decode_submit(payload: &[u8]) -> Result<(u64, SubmitMode, Request), Proto
         other => return Err(err(format!("unknown request kind {other}"))),
     };
     let flags = b.u8()?;
-    if flags & !(FLAG_ID | FLAG_DEADLINE | FLAG_ARRIVAL) != 0 {
+    if flags & !(FLAG_ID | FLAG_DEADLINE) != 0 {
         return Err(err(format!("unknown meta flags {flags:#04x}")));
     }
     let priority = priority_from(b.u8()?)?;
     let id = (flags & FLAG_ID != 0).then(|| b.u64()).transpose()?;
     let deadline = (flags & FLAG_DEADLINE != 0)
-        .then(|| b.duration())
-        .transpose()?;
-    let arrival = (flags & FLAG_ARRIVAL != 0)
         .then(|| b.duration())
         .transpose()?;
     let features = b.tensor()?;
@@ -493,7 +485,6 @@ pub fn decode_submit(payload: &[u8]) -> Result<(u64, SubmitMode, Request), Proto
                 id,
                 deadline,
                 priority,
-                arrival,
             },
         },
     ))
@@ -618,6 +609,16 @@ pub fn encode_outcome(corr: u64, result: &Result<Outcome, ExecError>) -> Vec<u8>
                     buf.push(dtype_byte(*expected));
                     buf.push(dtype_byte(*actual));
                 }
+                ExecError::InputIndexOutOfRange {
+                    name,
+                    position,
+                    bound,
+                } => {
+                    buf.push(3);
+                    put_string(&mut buf, name);
+                    buf.extend_from_slice(&(*position as u64).to_le_bytes());
+                    buf.extend_from_slice(&(*bound as u64).to_le_bytes());
+                }
             }
         }
     }
@@ -680,6 +681,11 @@ pub fn decode_outcome(payload: &[u8]) -> Result<(u64, Result<Outcome, ExecError>
                 name: b.string()?,
                 expected: dtype_from(b.u8()?)?,
                 actual: dtype_from(b.u8()?)?,
+            },
+            3 => ExecError::InputIndexOutOfRange {
+                name: b.string()?,
+                position: b.u64()? as usize,
+                bound: b.u64()? as usize,
             },
             other => return Err(err(format!("unknown exec-error tag {other}"))),
         }),
@@ -881,11 +887,14 @@ mod tests {
     #[test]
     fn the_retired_backend_hint_flag_is_an_unknown_meta_flag() {
         let request = Request::eval(Tensor::zeros([1, 2]), Tensor::zeros([1]));
-        let mut payload = encode_submit(0, SubmitMode::Block, &request);
-        // corr (8 bytes), mode and kind precede the flags byte.
-        payload[10] |= 1 << 2;
-        let e = decode_submit(&payload).unwrap_err();
-        assert!(e.0.contains("unknown meta flags"), "{e}");
+        // Bit 2 was version 1's backend hint, bit 3 version 2's arrival stamp.
+        for bit in [2, 3] {
+            let mut payload = encode_submit(0, SubmitMode::Block, &request);
+            // corr (8 bytes), mode and kind precede the flags byte.
+            payload[10] |= 1 << bit;
+            let e = decode_submit(&payload).unwrap_err();
+            assert!(e.0.contains("unknown meta flags"), "{e}");
+        }
     }
 
     #[test]
@@ -915,6 +924,11 @@ mod tests {
                 name: "x".into(),
                 expected: pe_tensor::DType::F32,
                 actual: pe_tensor::DType::I8,
+            }),
+            Err(ExecError::InputIndexOutOfRange {
+                name: "labels".into(),
+                position: 3,
+                bound: 4,
             }),
         ];
         for (i, result) in [completed, rejected, cancelled]

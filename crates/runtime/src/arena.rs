@@ -30,7 +30,6 @@
 
 use std::cell::UnsafeCell;
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use pe_graph::{NodeId, OpKind, TrainingGraph};
@@ -122,7 +121,6 @@ struct Shared {
     consts: Vec<Tensor>,
     /// Step-input staging, one tensor per graph input.
     inputs: Vec<Tensor>,
-    fallbacks: AtomicU64,
 }
 
 /// Executes a compiled training program out of one planner-sized slab.
@@ -285,7 +283,6 @@ impl Executor {
             store,
             consts,
             inputs,
-            fallbacks: AtomicU64::new(0),
         };
 
         Executor {
@@ -325,12 +322,12 @@ impl Executor {
         self.step
     }
 
-    /// Number of kernel dispatches that fell back to an allocating kernel
-    /// because no `_into` variant exists. Every op the compiler emits has an
-    /// arena-resident `_into` kernel, so this is 0; the counter stays as a
-    /// regression tripwire for future ops.
+    /// Number of kernel dispatches that fell back to an allocating kernel:
+    /// always 0, because no allocating kernel is left — every op dispatches
+    /// an `_into` kernel writing its arena range. Kept because the benchmark
+    /// harness reports it.
     pub fn fallback_dispatches(&self) -> u64 {
-        self.shared.fallbacks.load(Ordering::Relaxed)
+        0
     }
 
     /// Current value of a parameter: a snapshot cloned under the store's

@@ -53,6 +53,16 @@ pub enum ExecError {
         /// Provided dtype.
         actual: DType,
     },
+    /// A provided step input holds a value used as a class or token index
+    /// that is not an integer in `0..bound`.
+    InputIndexOutOfRange {
+        /// Input name.
+        name: String,
+        /// Flat position of the first such value.
+        position: usize,
+        /// Exclusive bound: the class count or the vocabulary size.
+        bound: usize,
+    },
 }
 
 impl std::fmt::Display for ExecError {
@@ -76,6 +86,14 @@ impl std::fmt::Display for ExecError {
             } => {
                 write!(f, "input '{name}' has dtype {actual}, expected {expected}")
             }
+            ExecError::InputIndexOutOfRange {
+                name,
+                position,
+                bound,
+            } => write!(
+                f,
+                "input '{name}' holds a value at {position} that is not an integer in 0..{bound}"
+            ),
         }
     }
 }

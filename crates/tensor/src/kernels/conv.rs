@@ -2,7 +2,7 @@
 //! input- and weight-gradient kernels used by the compiled backward graph.
 
 use super::gemm::{gemm, MatMut, MatRef};
-use crate::{Tensor, TensorView};
+use crate::TensorView;
 
 /// Static convolution geometry shared by the forward and backward kernels.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -350,23 +350,11 @@ fn dot_lanes(acc: &mut [f32; LANES], a: &[f32], b: &[f32], b_step: usize) {
     }
 }
 
-/// Forward 2-D convolution.
+/// Forward 2-D convolution writing into a preallocated `out` of
+/// [`conv2d_out_dims`].
 ///
-/// `x` is `[N, Cin, H, W]`, `weight` is `[Cout, Cin/groups, KH, KW]`.
-///
-/// # Panics
-///
-/// Panics if the channel counts are inconsistent with the group count.
-pub fn conv2d(x: &Tensor, weight: &Tensor, p: Conv2dParams) -> Tensor {
-    let od = conv2d_out_dims(x.dims(), weight.dims(), p);
-    let mut out = Tensor::zeros(&od[..]);
-    conv2d_into(x.view(), weight.view(), p, out.data_mut());
-    out
-}
-
-/// Allocation-free forward convolution writing into a preallocated `out`.
-///
-/// Per image and group the output is the GEMM `W[Cout x K] · Patches[K x
+/// `x` is `[N, Cin, H, W]`, `weight` is `[Cout, Cin/groups, KH, KW]`. Per
+/// image and group the output is the GEMM `W[Cout x K] · Patches[K x
 /// OH·OW]`; the patch matrix is never materialised — a window of it is
 /// gathered into a stack panel, and a 1x1 convolution reads the image itself.
 /// `out` is fully overwritten.
@@ -419,25 +407,11 @@ pub fn conv2d_into(x: TensorView, weight: TensorView, p: Conv2dParams, out: &mut
     }
 }
 
-/// Gradient of a convolution with respect to its input (`dL/dX`).
+/// Gradient of a convolution with respect to its input (`dL/dX`), written
+/// into a preallocated `out` of `x_dims`, which is fully overwritten.
 ///
-/// `dy` is `[N, Cout, OH, OW]`; the result has the shape of the forward input
-/// `x_dims = [N, Cin, H, W]`.
-pub fn conv2d_grad_input(
-    dy: &Tensor,
-    weight: &Tensor,
-    x_dims: &[usize],
-    p: Conv2dParams,
-) -> Tensor {
-    let mut dx = Tensor::zeros(x_dims.to_vec());
-    conv2d_grad_input_into(dy.view(), weight.view(), x_dims, p, dx.data_mut());
-    dx
-}
-
-/// Allocation-free convolution input gradient writing into a preallocated
-/// `out`, which is fully overwritten.
-///
-/// Per image and group this is the GEMM `Wᵀ[K x Cout] · dY[Cout x OH·OW]`,
+/// `dy` is `[N, Cout, OH, OW]`, the forward output's shape. Per image and
+/// group this is the GEMM `Wᵀ[K x Cout] · dY[Cout x OH·OW]`,
 /// computed a panel at a time and scattered back onto the image (col2im); a
 /// 1x1 convolution writes the product straight into `out`.
 ///
@@ -502,22 +476,13 @@ pub fn conv2d_grad_input_into(
     }
 }
 
-/// Gradient of a convolution with respect to its weight (`dL/dW`).
+/// Gradient of a convolution with respect to its weight (`dL/dW`), written
+/// into a preallocated `out`, which is fully overwritten.
 ///
-/// `dy` may have fewer output channels than the full layer (its channel count
-/// determines the produced weight-gradient channel count), which is how the
-/// sub-layer (channel-sparse) backpropagation scheme computes gradients for
-/// only the first `k` output channels.
-pub fn conv2d_grad_weight(x: &Tensor, dy: &Tensor, w_dims: &[usize], p: Conv2dParams) -> Tensor {
-    let grad_cout = dy.dims()[1];
-    let mut dw = Tensor::zeros([grad_cout, w_dims[1], w_dims[2], w_dims[3]]);
-    conv2d_grad_weight_into(x.view(), dy.view(), w_dims, p, dw.data_mut());
-    dw
-}
-
-/// Allocation-free convolution weight gradient writing into a preallocated
-/// `out`, which is fully overwritten. `out` covers only the `dy.dims()[1]`
-/// gradient channels, as in [`conv2d_grad_weight`].
+/// `dy` may have fewer output channels than the full layer: `out` covers only
+/// its `dy.dims()[1]` channels, `[grad_cout, w_dims[1], w_dims[2],
+/// w_dims[3]]`, which is how the sub-layer (channel-sparse) backpropagation
+/// scheme computes gradients for only the first `k` output channels.
 ///
 /// Per image and group this accumulates the GEMM `dY[Cout x OH·OW] ·
 /// Patchesᵀ[OH·OW x K]` over the same stack panels as the forward pass.
@@ -690,7 +655,25 @@ mod oracle {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::Rng;
+    use crate::kernels::layout::slice_axis_into;
+    use crate::kernels::run_into;
+    use crate::{Rng, Tensor};
+
+    fn conv2d(x: &Tensor, w: &Tensor, p: Conv2dParams) -> Tensor {
+        let dims = conv2d_out_dims(x.dims(), w.dims(), p);
+        run_into(dims, |o| conv2d_into(x.view(), w.view(), p, o))
+    }
+
+    fn conv2d_grad_input(dy: &Tensor, w: &Tensor, x_dims: &[usize], p: Conv2dParams) -> Tensor {
+        let (dy, w) = (dy.view(), w.view());
+        run_into(x_dims, |o| conv2d_grad_input_into(dy, w, x_dims, p, o))
+    }
+
+    fn conv2d_grad_weight(x: &Tensor, dy: &Tensor, w_dims: &[usize], p: Conv2dParams) -> Tensor {
+        let dims = [dy.dims()[1], w_dims[1], w_dims[2], w_dims[3]];
+        let (x, dy) = (x.view(), dy.view());
+        run_into(dims, |o| conv2d_grad_weight_into(x, dy, w_dims, p, o))
+    }
 
     /// Finite-difference gradient check for both conv gradients.
     fn grad_check(p: Conv2dParams, x_dims: [usize; 4], w_dims: [usize; 4]) {
@@ -814,7 +797,7 @@ mod tests {
         let dy = Tensor::randn(&conv2d_out_dims(x.dims(), w.dims(), p)[..], 1.0, &mut rng);
         let full = conv2d_grad_weight(&x, &dy, w.dims(), p);
         // First two channels only.
-        let dy_sliced = super::super::layout::slice_axis(&dy, 1, 0, 2);
+        let dy_sliced = run_into([2, 2, 6, 6], |o| slice_axis_into(dy.view(), 1, 0, 2, o));
         let partial = conv2d_grad_weight(&x, &dy_sliced, w.dims(), p);
         assert_eq!(partial.dims(), &[2, 3, 3, 3]);
         let full_prefix = Tensor::from_vec(full.data()[..partial.numel()].to_vec(), partial.dims());
@@ -858,7 +841,8 @@ mod tests {
         let what = format!("x {x_dims:?} w {w_dims:?} {p:?} grad_cout {grad_cout}");
         let x = Tensor::randn(&x_dims[..], 1.0, rng);
         let w = Tensor::randn(&w_dims[..], 0.5, rng);
-        let dy = Tensor::randn(&conv2d_out_dims(&x_dims, &w_dims, p)[..], 1.0, rng);
+        let [n, cout, oh, ow] = conv2d_out_dims(&x_dims, &w_dims, p);
+        let dy = Tensor::randn([n, cout, oh, ow], 1.0, rng);
         let y = conv2d(&x, &w, p);
         assert!(
             rel_err(y.data(), &oracle::conv2d(&x, &w, p)) <= 1e-5,
@@ -867,7 +851,9 @@ mod tests {
         let dx = conv2d_grad_input(&dy, &w, &x_dims, p);
         let want = oracle::conv2d_grad_input(&dy, &w, &x_dims, p);
         assert!(rel_err(dx.data(), &want) <= 1e-5, "grad-input: {what}");
-        let dy_part = super::super::layout::slice_axis(&dy, 1, 0, grad_cout);
+        let dy_part = run_into([n, grad_cout, oh, ow], |o| {
+            slice_axis_into(dy.view(), 1, 0, grad_cout, o)
+        });
         let dw = conv2d_grad_weight(&x, &dy_part, &w_dims, p);
         let want = oracle::conv2d_grad_weight(&x, &dy_part, &w_dims, p);
         assert_eq!(dw.dims(), &[grad_cout, w_dims[1], w_dims[2], w_dims[3]]);

@@ -8,7 +8,7 @@
 //! compares and bit moves, so the vectorised loop and a lone scalar call
 //! produce the same bits.
 
-use crate::{Shape, Tensor, TensorView};
+use crate::TensorView;
 
 /// Maximum tensor rank supported by the allocation-free broadcast helpers.
 pub const MAX_RANK: usize = 8;
@@ -77,25 +77,8 @@ fn rows_into(big: &[f32], small: &[f32], out: &mut [f32], f: impl Fn(f32, f32) -
     }
 }
 
-/// Applies a binary op with NumPy-style broadcasting.
-///
-/// # Panics
-///
-/// Panics if the shapes are not broadcast-compatible.
-pub fn binary(op: BinaryOp, a: &Tensor, b: &Tensor) -> Tensor {
-    let out_shape = a.shape().broadcast_with(b.shape()).unwrap_or_else(|| {
-        panic!(
-            "shapes {} and {} are not broadcastable",
-            a.shape(),
-            b.shape()
-        )
-    });
-    let mut out = Tensor::zeros(out_shape);
-    binary_into(op, a.view(), b.view(), out.data_mut());
-    out
-}
-
-/// Allocation-free broadcasting binary op writing into a preallocated `out`.
+/// Applies a binary op with NumPy-style broadcasting, writing into a
+/// preallocated `out`.
 ///
 /// `out` must have the length of the broadcast result shape; it is fully
 /// overwritten. Supports ranks up to [`MAX_RANK`].
@@ -174,26 +157,6 @@ pub(crate) fn padded_strides(dims: &[usize; MAX_RANK], rank: usize) -> [usize; M
         strides[i] = strides[i + 1] * dims[i + 1];
     }
     strides
-}
-
-/// Element-wise addition with broadcasting.
-pub fn add(a: &Tensor, b: &Tensor) -> Tensor {
-    binary(BinaryOp::Add, a, b)
-}
-
-/// Element-wise subtraction with broadcasting.
-pub fn sub(a: &Tensor, b: &Tensor) -> Tensor {
-    binary(BinaryOp::Sub, a, b)
-}
-
-/// Element-wise multiplication with broadcasting.
-pub fn mul(a: &Tensor, b: &Tensor) -> Tensor {
-    binary(BinaryOp::Mul, a, b)
-}
-
-/// Element-wise division with broadcasting.
-pub fn div(a: &Tensor, b: &Tensor) -> Tensor {
-    binary(BinaryOp::Div, a, b)
 }
 
 /// `e^x` in pure f32 `mul`/`add`: the one exponential behind GELU, sigmoid,
@@ -332,30 +295,9 @@ pub fn unary_inplace(op: UnaryOp, buf: &mut [f32]) {
     });
 }
 
-/// The allocating form of [`unary_inplace`] behind the `&Tensor` wrappers.
-fn unary(op: UnaryOp, x: &Tensor) -> Tensor {
-    let mut out = x.clone();
-    unary_inplace(op, out.data_mut());
-    out
-}
-
-/// Scales every element by a constant.
-pub fn scale(a: &Tensor, factor: f32) -> Tensor {
-    unary(UnaryOp::Scale(factor), a)
-}
-
-/// Reduces a broadcasted gradient back to the original operand shape by
-/// summing over the broadcast dimensions. This is the VJP of broadcasting.
-pub fn reduce_to_shape(grad: &Tensor, target: &Shape) -> Tensor {
-    if grad.shape() == target {
-        return grad.clone();
-    }
-    let mut out = Tensor::zeros(target.clone());
-    reduce_to_shape_into(grad.view(), target.dims(), out.data_mut());
-    out
-}
-
-/// Allocation-free [`reduce_to_shape`] writing into a preallocated `out`.
+/// Reduces a broadcasted gradient back to the operand shape `target` by
+/// summing over the broadcast dimensions (the VJP of broadcasting), writing
+/// into a preallocated `out`.
 ///
 /// `out` is fully overwritten (zero-filled first, then accumulated).
 ///
@@ -389,66 +331,6 @@ pub fn reduce_to_shape_into(grad: TensorView, target: &[usize], out: &mut [f32])
         }
         out[ti] += g;
     }
-}
-
-/// Rectified linear unit.
-pub fn relu(x: &Tensor) -> Tensor {
-    unary(UnaryOp::Relu, x)
-}
-
-/// VJP of ReLU: passes the gradient where the forward input was positive.
-pub fn relu_grad(x: &Tensor, dy: &Tensor) -> Tensor {
-    unary_grad(UnaryGradOp::Relu, x, dy)
-}
-
-/// ReLU6 (used by MobileNet-family blocks).
-pub fn relu6(x: &Tensor) -> Tensor {
-    unary(UnaryOp::Relu6, x)
-}
-
-/// VJP of ReLU6.
-pub fn relu6_grad(x: &Tensor, dy: &Tensor) -> Tensor {
-    unary_grad(UnaryGradOp::Relu6, x, dy)
-}
-
-/// Gaussian error linear unit (tanh approximation, as used by BERT/Llama).
-pub fn gelu(x: &Tensor) -> Tensor {
-    unary(UnaryOp::Gelu, x)
-}
-
-/// VJP of GELU (tanh approximation).
-pub fn gelu_grad(x: &Tensor, dy: &Tensor) -> Tensor {
-    unary_grad(UnaryGradOp::Gelu, x, dy)
-}
-
-/// SiLU / swish activation (used by Llama FFNs).
-pub fn silu(x: &Tensor) -> Tensor {
-    unary(UnaryOp::Silu, x)
-}
-
-/// VJP of SiLU.
-pub fn silu_grad(x: &Tensor, dy: &Tensor) -> Tensor {
-    unary_grad(UnaryGradOp::Silu, x, dy)
-}
-
-/// Logistic sigmoid.
-pub fn sigmoid(x: &Tensor) -> Tensor {
-    unary(UnaryOp::Sigmoid, x)
-}
-
-/// VJP of sigmoid, given the forward *output* `y`.
-pub fn sigmoid_grad_from_output(y: &Tensor, dy: &Tensor) -> Tensor {
-    unary_grad(UnaryGradOp::Sigmoid, y, dy)
-}
-
-/// Hyperbolic tangent.
-pub fn tanh(x: &Tensor) -> Tensor {
-    unary(UnaryOp::Tanh, x)
-}
-
-/// VJP of tanh, given the forward *output* `y`.
-pub fn tanh_grad_from_output(y: &Tensor, dy: &Tensor) -> Tensor {
-    unary_grad(UnaryGradOp::Tanh, y, dy)
 }
 
 /// The VJP corresponding to a [`UnaryOp`] activation.
@@ -537,44 +419,12 @@ pub fn unary_grad_into(op: UnaryGradOp, x_or_y: TensorView, dy: TensorView, out:
     });
 }
 
-/// The allocating form of [`unary_grad_into`] behind the `&Tensor` wrappers.
-fn unary_grad(op: UnaryGradOp, x_or_y: &Tensor, dy: &Tensor) -> Tensor {
-    assert_eq!(x_or_y.shape(), dy.shape(), "unary grad shape mismatch");
-    let mut out = Tensor::zeros(dy.shape().clone());
-    unary_grad_into(op, x_or_y.view(), dy.view(), out.data_mut());
-    out
-}
-
-/// Adds a per-channel bias to an activation.
+/// Adds a per-channel bias to an activation, writing into a preallocated
+/// `out`.
 ///
 /// For rank-4 activations `[N, C, H, W]` the bias has shape `[C]`; for rank-2
 /// activations `[N, F]` the bias has shape `[F]`; rank-3 `[N, T, F]` uses a
 /// `[F]` bias over the trailing dimension.
-pub fn add_bias(x: &Tensor, bias: &Tensor) -> Tensor {
-    let mut out = x.clone();
-    add_bias_into(x.view(), bias.view(), out.data_mut());
-    out
-}
-
-/// In-place variant of [`add_bias`].
-pub fn add_bias_inplace(x: &mut Tensor, bias: &Tensor) {
-    *x = add_bias(x, bias);
-}
-
-/// VJP of [`add_bias`] with respect to the bias: sums the upstream gradient
-/// over every non-channel dimension.
-pub fn bias_grad(dy: &Tensor) -> Tensor {
-    let channels = match dy.dims() {
-        &[_, c, _, _] => c,
-        &[.., f] => f,
-        [] => panic!("bias_grad unsupported rank 0"),
-    };
-    let mut out = Tensor::zeros([channels]);
-    bias_grad_into(dy.view(), out.data_mut());
-    out
-}
-
-/// Allocation-free [`add_bias`] writing into a preallocated `out`.
 ///
 /// # Panics
 ///
@@ -600,7 +450,8 @@ pub fn add_bias_into(x: TensorView, bias: TensorView, out: &mut [f32]) {
     }
 }
 
-/// Allocation-free [`bias_grad`] writing into a preallocated `out`.
+/// VJP of [`add_bias_into`] with respect to the bias: sums the upstream
+/// gradient over every non-channel dimension into a preallocated `out`.
 ///
 /// `out` is fully overwritten (zero-filled first, then accumulated).
 ///
@@ -667,23 +518,39 @@ mod oracle {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::Rng;
+    use crate::kernels::run_into;
+    use crate::{Rng, Tensor};
+
+    /// `op(a, b)` into a tensor of the broadcast shape.
+    fn binary(op: BinaryOp, a: &Tensor, b: &Tensor) -> Tensor {
+        let dims = a.shape().broadcast_with(b.shape()).expect("broadcastable");
+        run_into(dims, |o| binary_into(op, a.view(), b.view(), o))
+    }
+
+    fn unary(op: UnaryOp, x: &Tensor) -> Tensor {
+        run_into(x.dims(), |o| unary_into(op, x.view(), o))
+    }
+
+    fn unary_grad(op: UnaryGradOp, x_or_y: &Tensor, dy: &Tensor) -> Tensor {
+        let (v, g) = (x_or_y.view(), dy.view());
+        run_into(dy.dims(), |o| unary_grad_into(op, v, g, o))
+    }
 
     #[test]
     fn add_same_shape() {
         let a = Tensor::from_vec(vec![1.0, 2.0], [2]);
         let b = Tensor::from_vec(vec![10.0, 20.0], [2]);
-        assert_eq!(add(&a, &b).data(), &[11.0, 22.0]);
-        assert_eq!(sub(&a, &b).data(), &[-9.0, -18.0]);
-        assert_eq!(mul(&a, &b).data(), &[10.0, 40.0]);
-        assert_eq!(div(&b, &a).data(), &[10.0, 10.0]);
+        assert_eq!(binary(BinaryOp::Add, &a, &b).data(), &[11.0, 22.0]);
+        assert_eq!(binary(BinaryOp::Sub, &a, &b).data(), &[-9.0, -18.0]);
+        assert_eq!(binary(BinaryOp::Mul, &a, &b).data(), &[10.0, 40.0]);
+        assert_eq!(binary(BinaryOp::Div, &b, &a).data(), &[10.0, 10.0]);
     }
 
     #[test]
     fn broadcast_row_vector() {
         let a = Tensor::from_vec(vec![1.0, 2.0, 3.0, 4.0, 5.0, 6.0], [2, 3]);
         let b = Tensor::from_vec(vec![10.0, 20.0, 30.0], [3]);
-        let c = add(&a, &b);
+        let c = binary(BinaryOp::Add, &a, &b);
         assert_eq!(c.dims(), &[2, 3]);
         assert_eq!(c.data(), &[11.0, 22.0, 33.0, 14.0, 25.0, 36.0]);
     }
@@ -692,17 +559,17 @@ mod tests {
     fn broadcast_column_vector() {
         let a = Tensor::ones([2, 3]);
         let b = Tensor::from_vec(vec![1.0, 2.0], [2, 1]);
-        let c = mul(&a, &b);
+        let c = binary(BinaryOp::Mul, &a, &b);
         assert_eq!(c.data(), &[1.0, 1.0, 1.0, 2.0, 2.0, 2.0]);
     }
 
     #[test]
     fn reduce_to_shape_undoes_broadcast() {
         let g = Tensor::ones([2, 3]);
-        let r = reduce_to_shape(&g, &Shape::new(vec![3]));
+        let r = run_into([3], |o| reduce_to_shape_into(g.view(), &[3], o));
         assert_eq!(r.dims(), &[3]);
         assert_eq!(r.data(), &[2.0, 2.0, 2.0]);
-        let r = reduce_to_shape(&g, &Shape::new(vec![2, 1]));
+        let r = run_into([2, 1], |o| reduce_to_shape_into(g.view(), &[2, 1], o));
         assert_eq!(r.data(), &[3.0, 3.0]);
     }
 
@@ -710,19 +577,22 @@ mod tests {
     fn relu_and_grad() {
         let x = Tensor::from_vec(vec![-1.0, 0.5, 2.0], [3]);
         let dy = Tensor::ones([3]);
-        assert_eq!(relu(&x).data(), &[0.0, 0.5, 2.0]);
-        assert_eq!(relu_grad(&x, &dy).data(), &[0.0, 1.0, 1.0]);
+        assert_eq!(unary(UnaryOp::Relu, &x).data(), &[0.0, 0.5, 2.0]);
+        let grad = unary_grad(UnaryGradOp::Relu, &x, &dy);
+        assert_eq!(grad.data(), &[0.0, 1.0, 1.0]);
         let x6 = Tensor::from_vec(vec![-1.0, 3.0, 8.0], [3]);
-        assert_eq!(relu6(&x6).data(), &[0.0, 3.0, 6.0]);
-        assert_eq!(relu6_grad(&x6, &dy).data(), &[0.0, 1.0, 0.0]);
+        assert_eq!(unary(UnaryOp::Relu6, &x6).data(), &[0.0, 3.0, 6.0]);
+        let grad = unary_grad(UnaryGradOp::Relu6, &x6, &dy);
+        assert_eq!(grad.data(), &[0.0, 1.0, 0.0]);
     }
 
     /// Finite-difference check for a scalar activation and its VJP.
-    fn check_grad(f: impl Fn(&Tensor) -> Tensor, g: impl Fn(&Tensor, &Tensor) -> Tensor) {
+    fn check_grad(f: UnaryOp, g: UnaryGradOp) {
         let mut rng = Rng::seed_from_u64(9);
         let x = Tensor::randn([16], 1.0, &mut rng);
         let dy = Tensor::ones([16]);
-        let analytic = g(&x, &dy);
+        let analytic = unary_grad(g, &x, &dy);
+        let f = |x: &Tensor| unary(f, x);
         let eps = 1e-3;
         for i in 0..x.numel() {
             let mut xp = x.clone();
@@ -740,12 +610,12 @@ mod tests {
 
     #[test]
     fn gelu_grad_matches_finite_difference() {
-        check_grad(gelu, gelu_grad);
+        check_grad(UnaryOp::Gelu, UnaryGradOp::Gelu);
     }
 
     #[test]
     fn silu_grad_matches_finite_difference() {
-        check_grad(silu, silu_grad);
+        check_grad(UnaryOp::Silu, UnaryGradOp::Silu);
     }
 
     #[test]
@@ -753,8 +623,9 @@ mod tests {
         let mut rng = Rng::seed_from_u64(10);
         let x = Tensor::randn([8], 1.0, &mut rng);
         let dy = Tensor::ones([8]);
+        let sigmoid = |x: &Tensor| unary(UnaryOp::Sigmoid, x);
         let y = sigmoid(&x);
-        let analytic = sigmoid_grad_from_output(&y, &dy);
+        let analytic = unary_grad(UnaryGradOp::Sigmoid, &y, &dy);
         let eps = 1e-3;
         for i in 0..x.numel() {
             let mut xp = x.clone();
@@ -764,8 +635,9 @@ mod tests {
             let fd = (sigmoid(&xp).data()[i] - sigmoid(&xm).data()[i]) / (2.0 * eps);
             assert!((fd - analytic.data()[i]).abs() < 1e-2);
         }
+        let tanh = |x: &Tensor| unary(UnaryOp::Tanh, x);
         let y = tanh(&x);
-        let analytic = tanh_grad_from_output(&y, &dy);
+        let analytic = unary_grad(UnaryGradOp::Tanh, &y, &dy);
         for i in 0..x.numel() {
             let mut xp = x.clone();
             xp.data_mut()[i] += eps;
@@ -780,16 +652,18 @@ mod tests {
     fn bias_add_rank2_and_rank4() {
         let x = Tensor::zeros([2, 3]);
         let b = Tensor::from_vec(vec![1.0, 2.0, 3.0], [3]);
-        assert_eq!(add_bias(&x, &b).data(), &[1.0, 2.0, 3.0, 1.0, 2.0, 3.0]);
+        let y = run_into(x.dims(), |o| add_bias_into(x.view(), b.view(), o));
+        assert_eq!(y.data(), &[1.0, 2.0, 3.0, 1.0, 2.0, 3.0]);
 
         let x = Tensor::zeros([1, 2, 2, 2]);
         let b = Tensor::from_vec(vec![5.0, 7.0], [2]);
-        let y = add_bias(&x, &b);
+        let y = run_into(x.dims(), |o| add_bias_into(x.view(), b.view(), o));
         assert_eq!(y.data(), &[5.0, 5.0, 5.0, 5.0, 7.0, 7.0, 7.0, 7.0]);
     }
 
     #[test]
     fn bias_grad_sums_over_non_channel_dims() {
+        let bias_grad = |dy: &Tensor| run_into([3], |o| bias_grad_into(dy.view(), o));
         let dy = Tensor::ones([2, 3]);
         assert_eq!(bias_grad(&dy).data(), &[2.0, 2.0, 2.0]);
         let dy = Tensor::ones([2, 3, 4, 4]);
@@ -801,7 +675,7 @@ mod tests {
     #[test]
     fn scale_multiplies() {
         let x = Tensor::from_vec(vec![1.0, -2.0], [2]);
-        assert_eq!(scale(&x, 0.5).data(), &[0.5, -1.0]);
+        assert_eq!(unary(UnaryOp::Scale(0.5), &x).data(), &[0.5, -1.0]);
     }
 
     #[test]
@@ -809,7 +683,7 @@ mod tests {
     fn incompatible_broadcast_panics() {
         let a = Tensor::zeros([2, 3]);
         let b = Tensor::zeros([4, 5]);
-        add(&a, &b);
+        binary_into(BinaryOp::Add, a.view(), b.view(), &mut [0.0; 20]);
     }
 
     #[test]
@@ -977,12 +851,14 @@ mod tests {
             add_bias_into(x.view(), bias.view(), &mut got);
             oracle::add_bias_into(x.view(), bias.data(), &mut want);
             assert_same(&got, &want, &format!("add_bias {dims:?}"));
-            assert_same(add_bias(&x, &bias).data(), &want, "add_bias wrapper");
+            let zeroed = run_into(x.dims(), |o| add_bias_into(x.view(), bias.view(), o));
+            assert_same(zeroed.data(), &want, "add_bias into a zeroed output");
             let (mut got, mut want) = (vec![1.0; channels], vec![2.0; channels]);
             bias_grad_into(x.view(), &mut got);
             oracle::bias_grad_into(x.view(), &mut want);
             assert_same(&got, &want, &format!("bias_grad {dims:?}"));
-            assert_same(bias_grad(&x).data(), &want, "bias_grad wrapper");
+            let zeroed = run_into([channels], |o| bias_grad_into(x.view(), o));
+            assert_same(zeroed.data(), &want, "bias_grad into a zeroed output");
         }
     }
 

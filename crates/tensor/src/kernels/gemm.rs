@@ -1,11 +1,11 @@
 //! General matrix multiplication (GEMM) kernels.
 //!
-//! `matmul` is the workhorse shared by linear layers, attention, and — via
+//! [`matmul_into`] is the workhorse shared by linear layers, attention, and — via
 //! the transpose flags — by every backward pass of a linear layer, exactly as
 //! in the paper's Figure 3 where `dY/dW = X^T · G` and `dY/dX = G · W^T` are
 //! expressed with the same MatMul primitive.
 
-use crate::{Tensor, TensorView};
+use crate::TensorView;
 
 /// Output dimensions `[m, n]` of `op(A) · op(B)` for rank-2 operand dims.
 ///
@@ -35,25 +35,12 @@ pub fn matmul_out_dims(
     [m, n]
 }
 
-/// 2-D matrix multiplication with optional transposes: `C = op(A) · op(B)`.
+/// 2-D matrix multiplication with optional transposes, `C = op(A) · op(B)`,
+/// writing into a preallocated `out` of length `m * n`.
 ///
 /// `a` is `[m, k]` (or `[k, m]` when `trans_a`), `b` is `[k, n]`
-/// (or `[n, k]` when `trans_b`); the result is `[m, n]`.
-///
-/// # Panics
-///
-/// Panics if the operands are not rank-2 or the contraction dimensions do not
-/// agree.
-pub fn matmul(a: &Tensor, b: &Tensor, trans_a: bool, trans_b: bool) -> Tensor {
-    let [m, n] = matmul_out_dims(a.dims(), b.dims(), trans_a, trans_b);
-    let mut out = Tensor::zeros([m, n]);
-    matmul_into(a.view(), b.view(), trans_a, trans_b, out.data_mut());
-    out
-}
-
-/// Allocation-free matmul writing into a preallocated `out` of length `m * n`.
-///
-/// `out` is fully overwritten; its previous contents are ignored.
+/// (or `[n, k]` when `trans_b`). `out` is fully overwritten; its previous
+/// contents are ignored.
 ///
 /// # Panics
 ///
@@ -525,21 +512,6 @@ mod avx2 {
     }
 }
 
-/// Batched matrix multiplication over the leading dimensions.
-///
-/// `a` is `[..., m, k]` and `b` is `[..., k, n]` (transposes apply to the two
-/// trailing dimensions); the leading batch dimensions must match exactly.
-///
-/// # Panics
-///
-/// Panics on rank < 2 or mismatched batch/contraction dimensions.
-pub fn batched_matmul(a: &Tensor, b: &Tensor, trans_a: bool, trans_b: bool) -> Tensor {
-    let dims = batched_matmul_out_dims(a.dims(), b.dims(), trans_a, trans_b);
-    let mut out = Tensor::zeros(dims);
-    batched_matmul_into(a.view(), b.view(), trans_a, trans_b, out.data_mut());
-    out
-}
-
 /// Checks the operand dims of a rank > 2 batched matmul and splits them into
 /// `(batch dims, m, k, n)` without allocating.
 fn batched_matmul_split<'a>(
@@ -585,8 +557,11 @@ pub fn batched_matmul_out_dims(
     out_dims
 }
 
-/// Allocation-free batched matmul writing into a preallocated `out`.
+/// Batched matrix multiplication writing into a preallocated `out` of
+/// [`batched_matmul_out_dims`].
 ///
+/// `a` is `[..., m, k]` and `b` is `[..., k, n]` (transposes apply to the two
+/// trailing dimensions); the leading batch dimensions must match exactly.
 /// `out` is fully overwritten; its previous contents are ignored.
 ///
 /// # Panics
@@ -632,7 +607,20 @@ pub fn matmul_flops(m: usize, k: usize, n: usize, batch: usize) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::Rng;
+    use crate::kernels::layout::transpose2d_into;
+    use crate::kernels::run_into;
+    use crate::{Rng, Tensor};
+
+    fn matmul(a: &Tensor, b: &Tensor, trans_a: bool, trans_b: bool) -> Tensor {
+        let dims = matmul_out_dims(a.dims(), b.dims(), trans_a, trans_b);
+        let (a, b) = (a.view(), b.view());
+        run_into(dims, |o| matmul_into(a, b, trans_a, trans_b, o))
+    }
+
+    fn transpose2d(x: &Tensor) -> Tensor {
+        let dims = [x.dims()[1], x.dims()[0]];
+        run_into(dims, |o| transpose2d_into(x.view(), o))
+    }
 
     #[test]
     fn transpose_flags_are_consistent() {
@@ -641,8 +629,8 @@ mod tests {
         let b = Tensor::randn([6, 3], 1.0, &mut rng);
         let reference = matmul(&a, &b, false, false);
 
-        let at = super::super::layout::transpose2d(&a);
-        let bt = super::super::layout::transpose2d(&b);
+        let at = transpose2d(&a);
+        let bt = transpose2d(&b);
         assert!(matmul(&at, &b, true, false).allclose(&reference, 1e-4));
         assert!(matmul(&a, &bt, false, true).allclose(&reference, 1e-4));
         assert!(matmul(&at, &bt, true, true).allclose(&reference, 1e-4));
@@ -662,7 +650,9 @@ mod tests {
         let mut rng = Rng::seed_from_u64(4);
         let a = Tensor::randn([2, 3, 4, 5], 1.0, &mut rng);
         let b = Tensor::randn([2, 3, 5, 6], 1.0, &mut rng);
-        let c = batched_matmul(&a, &b, false, false);
+        let dims = batched_matmul_out_dims(a.dims(), b.dims(), false, false);
+        let (av, bv) = (a.view(), b.view());
+        let c = run_into(dims, |o| batched_matmul_into(av, bv, false, false, o));
         assert_eq!(c.dims(), &[2, 3, 4, 6]);
         // Check one arbitrary batch element against a 2-D matmul.
         let a_sub = Tensor::from_vec(a.data()[5 * 20..6 * 20].to_vec(), [4, 5]);
@@ -683,7 +673,7 @@ mod tests {
     fn mismatched_inner_dim_panics() {
         let a = Tensor::zeros([2, 3]);
         let b = Tensor::zeros([4, 5]);
-        matmul(&a, &b, false, false);
+        matmul_into(a.view(), b.view(), false, false, &mut [0.0; 10]);
     }
 
     /// `op(A) · op(B)` in f64 from the operands as stored.
@@ -820,7 +810,7 @@ mod tests {
         let c = matmul(&a, &b, false, false);
         assert!(c.data()[0].is_nan());
         assert_eq!(c.data()[1], 4.0);
-        let bt = super::super::layout::transpose2d(&b);
+        let bt = transpose2d(&b);
         assert!(matmul(&a, &bt, false, true).data()[0].is_nan());
     }
 

@@ -1,5 +1,5 @@
-//! Layout transformation kernels: transpose, permute, NCHW/NHWC conversion,
-//! concatenation and channel slicing.
+//! Layout transformation kernels: transpose, permute (NCHW/NHWC conversion
+//! is a permute), concatenation and channel slicing.
 //!
 //! Layout transforms are one of the training-graph optimisations the paper
 //! applies at compile time (§3.2): NCHW is preferred on server GPUs but NHWC
@@ -7,47 +7,10 @@
 //! code generation.
 
 use crate::kernels::elementwise::{pad_dims, padded_strides, MAX_RANK};
-use crate::{Shape, Tensor, TensorView};
+use crate::TensorView;
 
-/// Transposes a rank-2 tensor.
-///
-/// # Panics
-///
-/// Panics if the input is not rank 2.
-pub fn transpose2d(x: &Tensor) -> Tensor {
-    assert_eq!(x.shape().rank(), 2, "transpose2d requires rank 2");
-    let (m, n) = (x.dims()[0], x.dims()[1]);
-    let mut out = vec![0.0f32; m * n];
-    for i in 0..m {
-        for j in 0..n {
-            out[j * m + i] = x.data()[i * n + j];
-        }
-    }
-    Tensor::from_vec(out, [n, m])
-}
-
-/// Permutes tensor dimensions according to `perm` (a permutation of
-/// `0..rank`).
-///
-/// # Panics
-///
-/// Panics if `perm` is not a permutation of the axes.
-pub fn permute(x: &Tensor, perm: &[usize]) -> Tensor {
-    assert_eq!(perm.len(), x.shape().rank(), "perm length must equal rank");
-    let out_dims: Vec<usize> = perm
-        .iter()
-        .map(|&p| {
-            *x.dims()
-                .get(p)
-                .expect("perm must be a permutation of 0..rank")
-        })
-        .collect();
-    let mut out = Tensor::zeros(Shape::new(out_dims));
-    permute_into(x.view(), perm, out.data_mut());
-    out
-}
-
-/// Inverse permutation, such that `permute(permute(x, p), inverse_perm(p)) == x`.
+/// Inverse permutation: permuting by `perm` and then by `inverse_perm(perm)`
+/// restores the original layout.
 pub fn inverse_perm(perm: &[usize]) -> Vec<usize> {
     let mut inv = vec![0usize; perm.len()];
     for (i, &p) in perm.iter().enumerate() {
@@ -56,119 +19,7 @@ pub fn inverse_perm(perm: &[usize]) -> Vec<usize> {
     inv
 }
 
-/// Converts an NCHW activation to NHWC.
-///
-/// # Panics
-///
-/// Panics if the input is not rank 4.
-pub fn nchw_to_nhwc(x: &Tensor) -> Tensor {
-    assert_eq!(x.shape().rank(), 4, "nchw_to_nhwc requires rank 4");
-    permute(x, &[0, 2, 3, 1])
-}
-
-/// Converts an NHWC activation to NCHW.
-///
-/// # Panics
-///
-/// Panics if the input is not rank 4.
-pub fn nhwc_to_nchw(x: &Tensor) -> Tensor {
-    assert_eq!(x.shape().rank(), 4, "nhwc_to_nchw requires rank 4");
-    permute(x, &[0, 3, 1, 2])
-}
-
-/// Concatenates tensors along `axis`. All other dimensions must agree.
-///
-/// # Panics
-///
-/// Panics if `inputs` is empty, ranks differ, or non-concat dims mismatch.
-pub fn concat(inputs: &[&Tensor], axis: usize) -> Tensor {
-    assert!(!inputs.is_empty(), "concat requires at least one input");
-    let r = inputs[0].shape().rank();
-    assert!(axis < r, "concat axis out of range");
-    let mut out_dims = inputs[0].dims().to_vec();
-    let mut axis_total = 0;
-    for t in inputs {
-        assert_eq!(t.shape().rank(), r, "concat rank mismatch");
-        for (d, (&td, &od)) in t.dims().iter().zip(out_dims.iter()).enumerate() {
-            if d != axis {
-                assert_eq!(td, od, "concat non-axis dim mismatch");
-            }
-        }
-        axis_total += t.dims()[axis];
-    }
-    out_dims[axis] = axis_total;
-    let out_shape = Shape::new(out_dims);
-    let mut out = Tensor::zeros(out_shape.clone());
-
-    // Views as [outer, axis, inner].
-    let outer: usize = inputs[0].dims()[..axis].iter().product();
-    let inner: usize = inputs[0].dims()[axis + 1..].iter().product();
-    let out_axis = axis_total;
-    let mut axis_off = 0;
-    for t in inputs {
-        let a = t.dims()[axis];
-        for o in 0..outer {
-            for ai in 0..a {
-                let src = (o * a + ai) * inner;
-                let dst = (o * out_axis + axis_off + ai) * inner;
-                out.data_mut()[dst..dst + inner].copy_from_slice(&t.data()[src..src + inner]);
-            }
-        }
-        axis_off += a;
-    }
-    out
-}
-
-/// Extracts `[start, start + len)` along `axis`.
-///
-/// # Panics
-///
-/// Panics if the slice is out of bounds.
-pub fn slice_axis(x: &Tensor, axis: usize, start: usize, len: usize) -> Tensor {
-    let r = x.shape().rank();
-    assert!(axis < r, "slice axis out of range");
-    assert!(start + len <= x.dims()[axis], "slice out of bounds");
-    let mut out_dims = x.dims().to_vec();
-    out_dims[axis] = len;
-    let out_shape = Shape::new(out_dims);
-    let mut out = Tensor::zeros(out_shape);
-
-    let outer: usize = x.dims()[..axis].iter().product();
-    let inner: usize = x.dims()[axis + 1..].iter().product();
-    let a = x.dims()[axis];
-    for o in 0..outer {
-        for ai in 0..len {
-            let src = (o * a + start + ai) * inner;
-            let dst = (o * len + ai) * inner;
-            out.data_mut()[dst..dst + inner].copy_from_slice(&x.data()[src..src + inner]);
-        }
-    }
-    out
-}
-
-/// Scatter-adds `src` into a zero tensor shaped like `full_dims` at
-/// `[start, start + src_len)` along `axis`. This is the VJP of
-/// [`slice_axis`].
-pub fn unslice_axis(src: &Tensor, axis: usize, start: usize, full_dims: &[usize]) -> Tensor {
-    let out_shape = Shape::new(full_dims.to_vec());
-    let mut out = Tensor::zeros(out_shape);
-    let len = src.dims()[axis];
-    let outer: usize = full_dims[..axis].iter().product();
-    let inner: usize = full_dims[axis + 1..].iter().product();
-    let a = full_dims[axis];
-    for o in 0..outer {
-        for ai in 0..len {
-            let dst = (o * a + start + ai) * inner;
-            let srci = (o * len + ai) * inner;
-            for k in 0..inner {
-                out.data_mut()[dst + k] += src.data()[srci + k];
-            }
-        }
-    }
-    out
-}
-
-/// Allocation-free rank-2 transpose writing into a preallocated `out`.
+/// Transposes a rank-2 tensor into a preallocated `out`.
 ///
 /// # Panics
 ///
@@ -184,7 +35,9 @@ pub fn transpose2d_into(x: TensorView, out: &mut [f32]) {
     }
 }
 
-/// Allocation-free dimension permutation writing into a preallocated `out`.
+/// Permutes tensor dimensions according to `perm` (a permutation of
+/// `0..rank`), writing into a preallocated `out`: output axis `d` is input
+/// axis `perm[d]`. NCHW → NHWC is `[0, 2, 3, 1]`, NHWC → NCHW `[0, 3, 1, 2]`.
 ///
 /// # Panics
 ///
@@ -239,7 +92,8 @@ pub fn permute_into(x: TensorView, perm: &[usize], out: &mut [f32]) {
     }
 }
 
-/// Allocation-free concatenation writing into a preallocated `out`.
+/// Concatenates tensors along `axis` into a preallocated `out`. All other
+/// dimensions must agree.
 ///
 /// # Panics
 ///
@@ -279,7 +133,7 @@ pub fn concat_into(inputs: &[TensorView], axis: usize, out: &mut [f32]) {
     }
 }
 
-/// Allocation-free axis slice writing into a preallocated `out`.
+/// Extracts `[start, start + len)` along `axis` into a preallocated `out`.
 ///
 /// # Panics
 ///
@@ -305,7 +159,8 @@ pub fn slice_axis_into(x: TensorView, axis: usize, start: usize, len: usize, out
     }
 }
 
-/// Allocation-free [`unslice_axis`] writing into a preallocated `out`.
+/// Scatter-adds `src` into `out`, shaped like `full_dims`, at
+/// `[start, start + src_len)` along `axis`: the VJP of [`slice_axis_into`].
 ///
 /// `out` is fully overwritten (zero-filled first, then scatter-added).
 ///
@@ -376,7 +231,18 @@ mod oracle {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::Rng;
+    use crate::kernels::run_into;
+    use crate::{Rng, Tensor};
+
+    fn permute(x: &Tensor, perm: &[usize]) -> Tensor {
+        let dims: Vec<usize> = perm.iter().map(|&p| x.dims()[p]).collect();
+        run_into(dims, |o| permute_into(x.view(), perm, o))
+    }
+
+    fn transpose2d(x: &Tensor) -> Tensor {
+        let dims = [x.dims()[1], x.dims()[0]];
+        run_into(dims, |o| transpose2d_into(x.view(), o))
+    }
 
     #[test]
     fn transpose_roundtrip() {
@@ -403,20 +269,21 @@ mod tests {
     fn nchw_nhwc_roundtrip() {
         let mut rng = Rng::seed_from_u64(3);
         let x = Tensor::randn([2, 3, 4, 5], 1.0, &mut rng);
-        let nhwc = nchw_to_nhwc(&x);
+        let nhwc = permute(&x, &[0, 2, 3, 1]);
         assert_eq!(nhwc.dims(), &[2, 4, 5, 3]);
         assert_eq!(nhwc.at(&[1, 2, 3, 0]), x.at(&[1, 0, 2, 3]));
-        assert!(nhwc_to_nchw(&nhwc).allclose(&x, 0.0));
+        assert!(permute(&nhwc, &[0, 3, 1, 2]).allclose(&x, 0.0));
     }
 
     #[test]
     fn concat_axis0_and_axis1() {
         let a = Tensor::from_vec(vec![1.0, 2.0], [1, 2]);
         let b = Tensor::from_vec(vec![3.0, 4.0], [1, 2]);
-        let c0 = concat(&[&a, &b], 0);
+        let parts = [a.view(), b.view()];
+        let c0 = run_into([2, 2], |o| concat_into(&parts, 0, o));
         assert_eq!(c0.dims(), &[2, 2]);
         assert_eq!(c0.data(), &[1.0, 2.0, 3.0, 4.0]);
-        let c1 = concat(&[&a, &b], 1);
+        let c1 = run_into([1, 4], |o| concat_into(&parts, 1, o));
         assert_eq!(c1.dims(), &[1, 4]);
         assert_eq!(c1.data(), &[1.0, 2.0, 3.0, 4.0]);
     }
@@ -425,10 +292,11 @@ mod tests {
     fn slice_then_unslice_restores_positions() {
         let mut rng = Rng::seed_from_u64(4);
         let x = Tensor::randn([2, 6, 3], 1.0, &mut rng);
-        let s = slice_axis(&x, 1, 2, 3);
+        let s = run_into([2, 3, 3], |o| slice_axis_into(x.view(), 1, 2, 3, o));
         assert_eq!(s.dims(), &[2, 3, 3]);
         assert_eq!(s.at(&[1, 0, 2]), x.at(&[1, 2, 2]));
-        let u = unslice_axis(&s, 1, 2, &[2, 6, 3]);
+        let full = [2, 6, 3];
+        let u = run_into(full, |o| unslice_axis_into(s.view(), 1, 2, &full, o));
         assert_eq!(u.at(&[1, 2, 2]), x.at(&[1, 2, 2]));
         assert_eq!(u.at(&[1, 0, 0]), 0.0);
         assert_eq!(u.at(&[1, 5, 0]), 0.0);
@@ -438,13 +306,14 @@ mod tests {
     fn slice_full_is_identity() {
         let mut rng = Rng::seed_from_u64(5);
         let x = Tensor::randn([4, 5], 1.0, &mut rng);
-        assert!(slice_axis(&x, 0, 0, 4).allclose(&x, 0.0));
+        let s = run_into([4, 5], |o| slice_axis_into(x.view(), 0, 0, 4, o));
+        assert!(s.allclose(&x, 0.0));
     }
 
     #[test]
     #[should_panic(expected = "slice out of bounds")]
     fn slice_out_of_bounds_panics() {
-        slice_axis(&Tensor::zeros([2, 3]), 1, 2, 2);
+        slice_axis_into(Tensor::zeros([2, 3]).view(), 1, 2, 2, &mut [0.0; 4]);
     }
 
     /// Every permutation of `0..r`, in lexicographic order.
@@ -490,6 +359,7 @@ mod tests {
             oracle::permute_into(x.view(), &perm, &mut want);
             let bits = |v: &[f32]| v.iter().map(|f| f.to_bits()).collect::<Vec<_>>();
             assert!(bits(&got) == bits(&want), "dims {dims:?} perm {perm:?}");
+            // Into a zeroed output as well as the NaN-filled one.
             assert!(bits(permute(&x, &perm).data()) == bits(&want));
         }
     }

@@ -8,16 +8,9 @@
 //! transformers.
 
 use crate::kernels::elementwise::exp;
-use crate::{Tensor, TensorView};
+use crate::TensorView;
 
-/// Softmax along the last axis.
-pub fn softmax(x: &Tensor) -> Tensor {
-    let mut out = x.clone();
-    softmax_rows(out.data_mut(), *x.dims().last().expect("rank >= 1"));
-    out
-}
-
-/// Allocation-free softmax writing into a preallocated `out`.
+/// Softmax along the last axis, writing into a preallocated `out`.
 ///
 /// # Panics
 ///
@@ -47,15 +40,8 @@ fn softmax_rows(buf: &mut [f32], cols: usize) {
     }
 }
 
-/// VJP of softmax given the forward *output* `y`:
-/// `dx = y * (dy - sum(dy * y, last_axis))`.
-pub fn softmax_grad_from_output(y: &Tensor, dy: &Tensor) -> Tensor {
-    let mut dx = Tensor::zeros(y.shape().clone());
-    softmax_grad_into(y.view(), dy.view(), dx.data_mut());
-    dx
-}
-
-/// Allocation-free softmax VJP writing into a preallocated `out`.
+/// VJP of softmax given the forward *output* `y`,
+/// `dx = y * (dy - sum(dy * y, last_axis))`, written into a preallocated `out`.
 ///
 /// # Panics
 ///
@@ -76,38 +62,9 @@ pub fn softmax_grad_into(y: TensorView, dy: TensorView, out: &mut [f32]) {
     }
 }
 
-/// Numerically-stable log-softmax along the last axis.
-pub fn log_softmax(x: &Tensor) -> Tensor {
-    let cols = *x.dims().last().expect("rank >= 1");
-    let rows = x.numel() / cols;
-    let mut out = x.clone();
-    for r in 0..rows {
-        let row = &mut out.data_mut()[r * cols..(r + 1) * cols];
-        let max = row.iter().cloned().fold(f32::NEG_INFINITY, f32::max);
-        let logsum = row.iter().map(|v| exp(v - max)).sum::<f32>().ln() + max;
-        for v in row.iter_mut() {
-            *v -= logsum;
-        }
-    }
-    out
-}
-
 /// Mean cross-entropy loss between logits `[N, C]` (or `[N, T, C]` flattened
-/// by the caller) and integer class targets stored as floats.
-///
-/// Returns a scalar tensor.
-///
-/// # Panics
-///
-/// Panics if the number of targets does not equal the number of logit rows.
-pub fn cross_entropy_loss(logits: &Tensor, targets: &Tensor) -> Tensor {
-    let mut out = Tensor::scalar(0.0);
-    cross_entropy_loss_into(logits.view(), targets.view(), out.data_mut());
-    out
-}
-
-/// Allocation-free mean cross-entropy loss writing the scalar result into
-/// `out[0]`.
+/// by the caller) and integer class targets stored as floats, writing the
+/// scalar result into `out[0]`.
 ///
 /// # Panics
 ///
@@ -130,14 +87,8 @@ pub fn cross_entropy_loss_into(logits: TensorView, targets: TensorView, out: &mu
 }
 
 /// Gradient of the mean cross-entropy loss with respect to the logits,
-/// scaled by the upstream scalar gradient `dloss`.
-pub fn cross_entropy_grad(logits: &Tensor, targets: &Tensor, dloss: f32) -> Tensor {
-    let mut grad = Tensor::zeros(logits.shape().clone());
-    cross_entropy_grad_into(logits.view(), targets.view(), dloss, grad.data_mut());
-    grad
-}
-
-/// Allocation-free cross-entropy gradient writing into a preallocated `out`.
+/// scaled by the upstream scalar gradient `dloss`, written into a
+/// preallocated `out`.
 ///
 /// # Panics
 ///
@@ -161,67 +112,9 @@ pub fn cross_entropy_grad_into(
     }
 }
 
-/// Layer normalisation along the last axis with affine parameters.
-///
-/// `gamma` and `beta` have the size of the last axis.
-pub fn layer_norm(x: &Tensor, gamma: &Tensor, beta: &Tensor, eps: f32) -> Tensor {
-    let cols = *x.dims().last().expect("rank >= 1");
-    assert_eq!(gamma.numel(), cols, "gamma size mismatch");
-    assert_eq!(beta.numel(), cols, "beta size mismatch");
-    let rows = x.numel() / cols;
-    let mut out = Tensor::zeros(x.shape().clone());
-    for r in 0..rows {
-        let xs = &x.data()[r * cols..(r + 1) * cols];
-        let mean = xs.iter().sum::<f32>() / cols as f32;
-        let var = xs.iter().map(|v| (v - mean) * (v - mean)).sum::<f32>() / cols as f32;
-        let inv_std = 1.0 / (var + eps).sqrt();
-        let os = &mut out.data_mut()[r * cols..(r + 1) * cols];
-        for j in 0..cols {
-            os[j] = (xs[j] - mean) * inv_std * gamma.data()[j] + beta.data()[j];
-        }
-    }
-    out
-}
-
-/// Gradients of layer normalisation: returns `(dx, dgamma, dbeta)`.
-pub fn layer_norm_grad(
-    x: &Tensor,
-    gamma: &Tensor,
-    dy: &Tensor,
-    eps: f32,
-) -> (Tensor, Tensor, Tensor) {
-    let cols = *x.dims().last().expect("rank >= 1");
-    let rows = x.numel() / cols;
-    let mut dx = Tensor::zeros(x.shape().clone());
-    let mut dgamma = Tensor::zeros([cols]);
-    let mut dbeta = Tensor::zeros([cols]);
-    for r in 0..rows {
-        let xs = &x.data()[r * cols..(r + 1) * cols];
-        let gs = &dy.data()[r * cols..(r + 1) * cols];
-        let mean = xs.iter().sum::<f32>() / cols as f32;
-        let var = xs.iter().map(|v| (v - mean) * (v - mean)).sum::<f32>() / cols as f32;
-        let inv_std = 1.0 / (var + eps).sqrt();
-        let xhat: Vec<f32> = xs.iter().map(|v| (v - mean) * inv_std).collect();
-
-        for j in 0..cols {
-            dgamma.data_mut()[j] += gs[j] * xhat[j];
-            dbeta.data_mut()[j] += gs[j];
-        }
-
-        // dx = (1/std) * (dxhat - mean(dxhat) - xhat * mean(dxhat * xhat))
-        let dxhat: Vec<f32> = (0..cols).map(|j| gs[j] * gamma.data()[j]).collect();
-        let mean_dxhat = dxhat.iter().sum::<f32>() / cols as f32;
-        let mean_dxhat_xhat =
-            dxhat.iter().zip(&xhat).map(|(a, b)| a * b).sum::<f32>() / cols as f32;
-        let os = &mut dx.data_mut()[r * cols..(r + 1) * cols];
-        for j in 0..cols {
-            os[j] = inv_std * (dxhat[j] - mean_dxhat - xhat[j] * mean_dxhat_xhat);
-        }
-    }
-    (dx, dgamma, dbeta)
-}
-
-/// Allocation-free layer normalisation writing into a preallocated `out`.
+/// Layer normalisation along the last axis with affine parameters, writing
+/// into a preallocated `out`. `gamma` and `beta` have the size of the last
+/// axis.
 ///
 /// # Panics
 ///
@@ -250,8 +143,8 @@ pub fn layer_norm_into(
     }
 }
 
-/// Allocation-free LayerNorm input gradient writing into a preallocated
-/// `out` (the `dx` component of [`layer_norm_grad`]).
+/// LayerNorm input gradient `dx`, written into a preallocated `out`. The
+/// beta gradient is [`crate::kernels::elementwise::bias_grad_into`] of `dy`.
 ///
 /// # Panics
 ///
@@ -283,8 +176,8 @@ pub fn layer_norm_grad_x_into(
     }
 }
 
-/// Allocation-free LayerNorm gamma gradient writing into a preallocated
-/// `out` (gamma does not influence its own gradient, so it is not taken).
+/// LayerNorm gamma gradient, written into a preallocated `out` (gamma does
+/// not influence its own gradient, so it is not taken).
 ///
 /// `out` is fully overwritten (zero-filled first, then accumulated).
 ///
@@ -308,50 +201,8 @@ pub fn layer_norm_grad_gamma_into(x: TensorView, dy: TensorView, eps: f32, out: 
     }
 }
 
-/// RMS normalisation along the last axis (as used by Llama blocks).
-pub fn rms_norm(x: &Tensor, gamma: &Tensor, eps: f32) -> Tensor {
-    let cols = *x.dims().last().expect("rank >= 1");
-    assert_eq!(gamma.numel(), cols, "gamma size mismatch");
-    let rows = x.numel() / cols;
-    let mut out = Tensor::zeros(x.shape().clone());
-    for r in 0..rows {
-        let xs = &x.data()[r * cols..(r + 1) * cols];
-        let ms = xs.iter().map(|v| v * v).sum::<f32>() / cols as f32;
-        let inv = 1.0 / (ms + eps).sqrt();
-        let os = &mut out.data_mut()[r * cols..(r + 1) * cols];
-        for j in 0..cols {
-            os[j] = xs[j] * inv * gamma.data()[j];
-        }
-    }
-    out
-}
-
-/// Gradients of RMS normalisation: returns `(dx, dgamma)`.
-pub fn rms_norm_grad(x: &Tensor, gamma: &Tensor, dy: &Tensor, eps: f32) -> (Tensor, Tensor) {
-    let cols = *x.dims().last().expect("rank >= 1");
-    let rows = x.numel() / cols;
-    let mut dx = Tensor::zeros(x.shape().clone());
-    let mut dgamma = Tensor::zeros([cols]);
-    for r in 0..rows {
-        let xs = &x.data()[r * cols..(r + 1) * cols];
-        let gs = &dy.data()[r * cols..(r + 1) * cols];
-        let ms = xs.iter().map(|v| v * v).sum::<f32>() / cols as f32;
-        let inv = 1.0 / (ms + eps).sqrt();
-
-        for j in 0..cols {
-            dgamma.data_mut()[j] += gs[j] * xs[j] * inv;
-        }
-        // dx_j = inv * g_j * gamma_j - inv^3 / cols * x_j * sum_k(g_k * gamma_k * x_k)
-        let dot: f32 = (0..cols).map(|k| gs[k] * gamma.data()[k] * xs[k]).sum();
-        let os = &mut dx.data_mut()[r * cols..(r + 1) * cols];
-        for j in 0..cols {
-            os[j] = inv * gs[j] * gamma.data()[j] - inv * inv * inv / cols as f32 * xs[j] * dot;
-        }
-    }
-    (dx, dgamma)
-}
-
-/// Allocation-free RMS normalisation writing into a preallocated `out`.
+/// RMS normalisation along the last axis (as used by Llama blocks), writing
+/// into a preallocated `out`.
 ///
 /// # Panics
 ///
@@ -372,7 +223,7 @@ pub fn rms_norm_into(x: TensorView, gamma: TensorView, eps: f32, out: &mut [f32]
     }
 }
 
-/// Allocation-free RMSNorm input gradient writing into a preallocated `out`.
+/// RMSNorm input gradient `dx`, written into a preallocated `out`.
 ///
 /// # Panics
 ///
@@ -400,8 +251,8 @@ pub fn rms_norm_grad_x_into(
     }
 }
 
-/// Allocation-free RMSNorm gamma gradient writing into a preallocated `out`
-/// (gamma does not influence its own gradient, so it is not taken).
+/// RMSNorm gamma gradient, written into a preallocated `out` (gamma does not
+/// influence its own gradient, so it is not taken).
 ///
 /// `out` is fully overwritten (zero-filled first, then accumulated).
 ///
@@ -427,7 +278,18 @@ pub fn rms_norm_grad_gamma_into(x: TensorView, dy: TensorView, eps: f32, out: &m
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::Rng;
+    use crate::kernels::elementwise::bias_grad_into;
+    use crate::kernels::run_into;
+    use crate::{Rng, Shape, Tensor};
+
+    fn softmax(x: &Tensor) -> Tensor {
+        run_into(x.dims(), |o| softmax_into(x.view(), o))
+    }
+
+    fn cross_entropy_loss(logits: &Tensor, targets: &Tensor) -> Tensor {
+        let (l, t) = (logits.view(), targets.view());
+        run_into(Shape::scalar(), |o| cross_entropy_loss_into(l, t, o))
+    }
 
     #[test]
     fn softmax_rows_sum_to_one() {
@@ -454,7 +316,7 @@ mod tests {
         let x = Tensor::randn([2, 5], 1.0, &mut rng);
         let dy = Tensor::randn([2, 5], 1.0, &mut rng);
         let y = softmax(&x);
-        let analytic = softmax_grad_from_output(&y, &dy);
+        let analytic = run_into(y.dims(), |o| softmax_grad_into(y.view(), dy.view(), o));
         let loss = |x: &Tensor| -> f32 {
             softmax(x)
                 .data()
@@ -495,7 +357,8 @@ mod tests {
         let mut rng = Rng::seed_from_u64(3);
         let logits = Tensor::randn([3, 4], 1.0, &mut rng);
         let targets = Tensor::from_vec(vec![1.0, 3.0, 0.0], [3]);
-        let analytic = cross_entropy_grad(&logits, &targets, 1.0);
+        let (lv, tv) = (logits.view(), targets.view());
+        let analytic = run_into(logits.dims(), |o| cross_entropy_grad_into(lv, tv, 1.0, o));
         let eps = 1e-3;
         for i in 0..logits.numel() {
             let mut lp = logits.clone();
@@ -515,7 +378,8 @@ mod tests {
         let x = Tensor::randn([3, 16], 3.0, &mut rng);
         let gamma = Tensor::ones([16]);
         let beta = Tensor::zeros([16]);
-        let y = layer_norm(&x, &gamma, &beta, 1e-5);
+        let (xv, gv, bv) = (x.view(), gamma.view(), beta.view());
+        let y = run_into(x.dims(), |o| layer_norm_into(xv, gv, bv, 1e-5, o));
         for r in 0..3 {
             let row = &y.data()[r * 16..(r + 1) * 16];
             let mean: f32 = row.iter().sum::<f32>() / 16.0;
@@ -532,14 +396,14 @@ mod tests {
         let gamma = Tensor::rand_uniform([8], 0.5, 1.5, &mut rng);
         let beta = Tensor::randn([8], 0.2, &mut rng);
         let dy = Tensor::randn([2, 8], 1.0, &mut rng);
-        let (dx, dgamma, dbeta) = layer_norm_grad(&x, &gamma, &dy, 1e-5);
+        let (xv, gv, dyv) = (x.view(), gamma.view(), dy.view());
+        let dx = run_into(x.dims(), |o| layer_norm_grad_x_into(xv, gv, dyv, 1e-5, o));
+        let dgamma = run_into([8], |o| layer_norm_grad_gamma_into(xv, dyv, 1e-5, o));
+        let dbeta = run_into([8], |o| bias_grad_into(dyv, o));
         let loss = |x: &Tensor, g: &Tensor, b: &Tensor| -> f32 {
-            layer_norm(x, g, b, 1e-5)
-                .data()
-                .iter()
-                .zip(dy.data())
-                .map(|(a, b)| a * b)
-                .sum()
+            let (x, g, b) = (x.view(), g.view(), b.view());
+            let y = run_into(x.dims(), |o| layer_norm_into(x, g, b, 1e-5, o));
+            y.data().iter().zip(dy.data()).map(|(a, b)| a * b).sum()
         };
         let eps = 1e-3;
         for i in 0..x.numel() {
@@ -575,21 +439,19 @@ mod tests {
         let mut rng = Rng::seed_from_u64(6);
         let x = Tensor::randn([2, 6], 1.0, &mut rng);
         let gamma = Tensor::rand_uniform([6], 0.5, 1.5, &mut rng);
-        let y = rms_norm(&x, &gamma, 1e-6);
+        let y = run_into(x.dims(), |o| rms_norm_into(x.view(), gamma.view(), 1e-6, o));
         // Manual check of one element.
         let row = &x.data()[..6];
         let rms = (row.iter().map(|v| v * v).sum::<f32>() / 6.0 + 1e-6).sqrt();
         assert!((y.data()[0] - row[0] / rms * gamma.data()[0]).abs() < 1e-5);
 
         let dy = Tensor::randn([2, 6], 1.0, &mut rng);
-        let (dx, dgamma) = rms_norm_grad(&x, &gamma, &dy, 1e-6);
+        let (xv, gv, dyv) = (x.view(), gamma.view(), dy.view());
+        let dx = run_into(x.dims(), |o| rms_norm_grad_x_into(xv, gv, dyv, 1e-6, o));
+        let dgamma = run_into([6], |o| rms_norm_grad_gamma_into(xv, dyv, 1e-6, o));
         let loss = |x: &Tensor, g: &Tensor| -> f32 {
-            rms_norm(x, g, 1e-6)
-                .data()
-                .iter()
-                .zip(dy.data())
-                .map(|(a, b)| a * b)
-                .sum()
+            let y = run_into(x.dims(), |o| rms_norm_into(x.view(), g.view(), 1e-6, o));
+            y.data().iter().zip(dy.data()).map(|(a, b)| a * b).sum()
         };
         let eps = 1e-3;
         for i in 0..x.numel() {

@@ -1,6 +1,6 @@
 //! Pooling kernels (average, max, global average) and their gradients.
 
-use crate::{Tensor, TensorView};
+use crate::TensorView;
 
 /// Pooling geometry.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -29,151 +29,8 @@ impl Pool2dParams {
     }
 }
 
-/// Average pooling over an `[N, C, H, W]` input.
-pub fn avg_pool2d(x: &Tensor, p: Pool2dParams) -> Tensor {
-    let [n, c, h, w] = [x.dims()[0], x.dims()[1], x.dims()[2], x.dims()[3]];
-    let (oh, ow) = (p.out_size(h), p.out_size(w));
-    let mut out = Tensor::zeros([n, c, oh, ow]);
-    let norm = 1.0 / (p.kernel * p.kernel) as f32;
-    for ni in 0..n {
-        for ci in 0..c {
-            for ohi in 0..oh {
-                for owi in 0..ow {
-                    let mut acc = 0.0;
-                    for kh in 0..p.kernel {
-                        let ih = (ohi * p.stride + kh) as isize - p.padding as isize;
-                        if ih < 0 || ih >= h as isize {
-                            continue;
-                        }
-                        for kw in 0..p.kernel {
-                            let iw = (owi * p.stride + kw) as isize - p.padding as isize;
-                            if iw < 0 || iw >= w as isize {
-                                continue;
-                            }
-                            acc += x.data()[((ni * c + ci) * h + ih as usize) * w + iw as usize];
-                        }
-                    }
-                    out.data_mut()[((ni * c + ci) * oh + ohi) * ow + owi] = acc * norm;
-                }
-            }
-        }
-    }
-    out
-}
-
-/// Gradient of average pooling.
-pub fn avg_pool2d_grad(dy: &Tensor, x_dims: &[usize], p: Pool2dParams) -> Tensor {
-    let [n, c, h, w] = [x_dims[0], x_dims[1], x_dims[2], x_dims[3]];
-    let (oh, ow) = (dy.dims()[2], dy.dims()[3]);
-    let mut dx = Tensor::zeros([n, c, h, w]);
-    let norm = 1.0 / (p.kernel * p.kernel) as f32;
-    for ni in 0..n {
-        for ci in 0..c {
-            for ohi in 0..oh {
-                for owi in 0..ow {
-                    let g = dy.data()[((ni * c + ci) * oh + ohi) * ow + owi] * norm;
-                    for kh in 0..p.kernel {
-                        let ih = (ohi * p.stride + kh) as isize - p.padding as isize;
-                        if ih < 0 || ih >= h as isize {
-                            continue;
-                        }
-                        for kw in 0..p.kernel {
-                            let iw = (owi * p.stride + kw) as isize - p.padding as isize;
-                            if iw < 0 || iw >= w as isize {
-                                continue;
-                            }
-                            dx.data_mut()[((ni * c + ci) * h + ih as usize) * w + iw as usize] += g;
-                        }
-                    }
-                }
-            }
-        }
-    }
-    dx
-}
-
-/// Max pooling returning the pooled output and the flat input index of each
-/// selected maximum (needed by the backward pass).
-pub fn max_pool2d_with_indices(x: &Tensor, p: Pool2dParams) -> (Tensor, Vec<usize>) {
-    let [n, c, h, w] = [x.dims()[0], x.dims()[1], x.dims()[2], x.dims()[3]];
-    let (oh, ow) = (p.out_size(h), p.out_size(w));
-    let mut out = Tensor::zeros([n, c, oh, ow]);
-    let mut indices = vec![0usize; n * c * oh * ow];
-    for ni in 0..n {
-        for ci in 0..c {
-            for ohi in 0..oh {
-                for owi in 0..ow {
-                    let mut best = f32::NEG_INFINITY;
-                    let mut best_idx = 0usize;
-                    for kh in 0..p.kernel {
-                        let ih = (ohi * p.stride + kh) as isize - p.padding as isize;
-                        if ih < 0 || ih >= h as isize {
-                            continue;
-                        }
-                        for kw in 0..p.kernel {
-                            let iw = (owi * p.stride + kw) as isize - p.padding as isize;
-                            if iw < 0 || iw >= w as isize {
-                                continue;
-                            }
-                            let idx = ((ni * c + ci) * h + ih as usize) * w + iw as usize;
-                            if x.data()[idx] > best {
-                                best = x.data()[idx];
-                                best_idx = idx;
-                            }
-                        }
-                    }
-                    let o = ((ni * c + ci) * oh + ohi) * ow + owi;
-                    out.data_mut()[o] = best;
-                    indices[o] = best_idx;
-                }
-            }
-        }
-    }
-    (out, indices)
-}
-
-/// Gradient of max pooling given the argmax indices from the forward pass.
-pub fn max_pool2d_grad(dy: &Tensor, indices: &[usize], x_dims: &[usize]) -> Tensor {
-    let mut dx = Tensor::zeros(x_dims.to_vec());
-    for (o, &g) in dy.data().iter().enumerate() {
-        dx.data_mut()[indices[o]] += g;
-    }
-    dx
-}
-
-/// Global average pooling: `[N, C, H, W] -> [N, C]`.
-pub fn global_avg_pool(x: &Tensor) -> Tensor {
-    let [n, c, h, w] = [x.dims()[0], x.dims()[1], x.dims()[2], x.dims()[3]];
-    let mut out = Tensor::zeros([n, c]);
-    let norm = 1.0 / (h * w) as f32;
-    for ni in 0..n {
-        for ci in 0..c {
-            let base = (ni * c + ci) * h * w;
-            let s: f32 = x.data()[base..base + h * w].iter().sum();
-            out.data_mut()[ni * c + ci] = s * norm;
-        }
-    }
-    out
-}
-
-/// Gradient of global average pooling.
-pub fn global_avg_pool_grad(dy: &Tensor, x_dims: &[usize]) -> Tensor {
-    let [n, c, h, w] = [x_dims[0], x_dims[1], x_dims[2], x_dims[3]];
-    let norm = 1.0 / (h * w) as f32;
-    let mut dx = Tensor::zeros(x_dims.to_vec());
-    for ni in 0..n {
-        for ci in 0..c {
-            let g = dy.data()[ni * c + ci] * norm;
-            let base = (ni * c + ci) * h * w;
-            for v in &mut dx.data_mut()[base..base + h * w] {
-                *v = g;
-            }
-        }
-    }
-    dx
-}
-
-/// Allocation-free average pooling writing into a preallocated `out`.
+/// Average pooling over an `[N, C, H, W]` input, writing into a
+/// preallocated `out`.
 ///
 /// # Panics
 ///
@@ -212,8 +69,8 @@ pub fn avg_pool2d_into(x: TensorView, p: Pool2dParams, out: &mut [f32]) {
     }
 }
 
-/// Allocation-free average-pooling gradient writing into a preallocated
-/// `out` (zero-filled first, then accumulated).
+/// Gradient of average pooling, written into a preallocated `out` of
+/// `x_dims` (zero-filled first, then accumulated).
 ///
 /// # Panics
 ///
@@ -248,8 +105,8 @@ pub fn avg_pool2d_grad_into(dy: TensorView, x_dims: &[usize], p: Pool2dParams, o
     }
 }
 
-/// Allocation-free max pooling (output only, no index buffer) writing into a
-/// preallocated `out`.
+/// Max pooling over an `[N, C, H, W]` input (output only, no index buffer),
+/// writing into a preallocated `out`.
 ///
 /// # Panics
 ///
@@ -259,13 +116,13 @@ pub fn max_pool2d_into(x: TensorView, p: Pool2dParams, out: &mut [f32]) {
     max_pool_core(x, p, |o, best, _| out[o] = best, out_len);
 }
 
-/// Allocation-free max-pooling gradient that recomputes the argmax per
-/// window from the forward input `x` (no index buffer), scatter-adding the
-/// upstream gradient into `out` (zero-filled first).
+/// Gradient of max pooling: recomputes the argmax per window from the
+/// forward input `x` (no index buffer) and scatter-adds the upstream
+/// gradient into `out` (zero-filled first).
 ///
-/// The tie-breaking (first strictly-greater element wins) is identical to
-/// [`max_pool2d_with_indices`], so the result matches the two-step kernel
-/// bit for bit.
+/// The window scan is [`max_pool2d_into`]'s (the first strictly-greater
+/// element wins a tie), so each gradient lands on the element the forward
+/// pass selected.
 ///
 /// # Panics
 ///
@@ -323,7 +180,8 @@ fn max_pool_core(
     }
 }
 
-/// Allocation-free global average pooling writing into a preallocated `out`.
+/// Global average pooling, `[N, C, H, W] -> [N, C]`, writing into a
+/// preallocated `out`.
 ///
 /// # Panics
 ///
@@ -341,8 +199,8 @@ pub fn global_avg_pool_into(x: TensorView, out: &mut [f32]) {
     }
 }
 
-/// Allocation-free global-average-pooling gradient writing into a
-/// preallocated `out`.
+/// Gradient of global average pooling, written into a preallocated `out` of
+/// `x_dims`.
 ///
 /// # Panics
 ///
@@ -365,12 +223,14 @@ pub fn global_avg_pool_grad_into(dy: TensorView, x_dims: &[usize], out: &mut [f3
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::Rng;
+    use crate::kernels::run_into;
+    use crate::{Rng, Tensor};
 
     #[test]
     fn avg_pool_known_values() {
         let x = Tensor::from_vec((1..=16).map(|v| v as f32).collect(), [1, 1, 4, 4]);
-        let y = avg_pool2d(&x, Pool2dParams::new(2, 2, 0));
+        let p = Pool2dParams::new(2, 2, 0);
+        let y = run_into([1, 1, 2, 2], |o| avg_pool2d_into(x.view(), p, o));
         assert_eq!(y.dims(), &[1, 1, 2, 2]);
         assert_eq!(y.data(), &[3.5, 5.5, 11.5, 13.5]);
     }
@@ -378,17 +238,21 @@ mod tests {
     #[test]
     fn avg_pool_grad_distributes_evenly() {
         let dy = Tensor::ones([1, 1, 2, 2]);
-        let dx = avg_pool2d_grad(&dy, &[1, 1, 4, 4], Pool2dParams::new(2, 2, 0));
+        let p = Pool2dParams::new(2, 2, 0);
+        let x_dims = [1, 1, 4, 4];
+        let dx = run_into(x_dims, |o| avg_pool2d_grad_into(dy.view(), &x_dims, p, o));
         assert!(dx.data().iter().all(|&v| (v - 0.25).abs() < 1e-6));
     }
 
     #[test]
     fn max_pool_picks_max_and_routes_gradient() {
         let x = Tensor::from_vec((1..=16).map(|v| v as f32).collect(), [1, 1, 4, 4]);
-        let (y, idx) = max_pool2d_with_indices(&x, Pool2dParams::new(2, 2, 0));
+        let p = Pool2dParams::new(2, 2, 0);
+        let y = run_into([1, 1, 2, 2], |o| max_pool2d_into(x.view(), p, o));
         assert_eq!(y.data(), &[6.0, 8.0, 14.0, 16.0]);
         let dy = Tensor::from_vec(vec![1.0, 2.0, 3.0, 4.0], [1, 1, 2, 2]);
-        let dx = max_pool2d_grad(&dy, &idx, &[1, 1, 4, 4]);
+        let (xv, dyv) = (x.view(), dy.view());
+        let dx = run_into(x.dims(), |o| max_pool2d_grad_from_input_into(xv, dyv, p, o));
         assert_eq!(dx.at(&[0, 0, 1, 1]), 1.0);
         assert_eq!(dx.at(&[0, 0, 3, 3]), 4.0);
         assert_eq!(dx.sum(), 10.0);
@@ -398,13 +262,14 @@ mod tests {
     fn global_avg_pool_and_grad() {
         let mut rng = Rng::seed_from_u64(5);
         let x = Tensor::randn([2, 3, 4, 4], 1.0, &mut rng);
-        let y = global_avg_pool(&x);
+        let y = run_into([2, 3], |o| global_avg_pool_into(x.view(), o));
         assert_eq!(y.dims(), &[2, 3]);
         let manual: f32 = x.data()[..16].iter().sum::<f32>() / 16.0;
         assert!((y.data()[0] - manual).abs() < 1e-5);
 
         let dy = Tensor::ones([2, 3]);
-        let dx = global_avg_pool_grad(&dy, &[2, 3, 4, 4]);
+        let x_dims = [2, 3, 4, 4];
+        let dx = run_into(x_dims, |o| global_avg_pool_grad_into(dy.view(), &x_dims, o));
         assert!((dx.sum() - 6.0).abs() < 1e-4);
     }
 
@@ -413,7 +278,7 @@ mod tests {
         let p = Pool2dParams::new(3, 2, 1);
         assert_eq!(p.out_size(8), 4);
         let x = Tensor::ones([1, 1, 8, 8]);
-        let y = avg_pool2d(&x, p);
+        let y = run_into([1, 1, 4, 4], |o| avg_pool2d_into(x.view(), p, o));
         assert_eq!(y.dims(), &[1, 1, 4, 4]);
     }
 }

@@ -1,7 +1,7 @@
 //! Reduction kernels: sum / mean / max along axes and their gradients.
 
 use crate::kernels::elementwise::{pad_dims, padded_strides, MAX_RANK};
-use crate::{Shape, Tensor, TensorView};
+use crate::TensorView;
 
 /// Reduction operation kind.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -14,88 +14,11 @@ pub enum ReduceOp {
     Max,
 }
 
-/// Reduces `x` over `axes` (keeping reduced dimensions as size 1 when
-/// `keep_dims` is set).
+/// Reduces `x` over `axes`, writing into a preallocated `out`.
 ///
-/// # Panics
-///
-/// Panics if any axis is out of range.
-pub fn reduce(x: &Tensor, op: ReduceOp, axes: &[usize], keep_dims: bool) -> Tensor {
-    let r = x.shape().rank();
-    for &a in axes {
-        assert!(a < r, "reduce axis {a} out of range for rank {r}");
-    }
-    let reduce_mask: Vec<bool> = (0..r).map(|d| axes.contains(&d)).collect();
-    let out_dims_kept: Vec<usize> = x
-        .dims()
-        .iter()
-        .enumerate()
-        .map(|(d, &s)| if reduce_mask[d] { 1 } else { s })
-        .collect();
-    let out_shape_kept = Shape::new(out_dims_kept.clone());
-    let init = match op {
-        ReduceOp::Sum | ReduceOp::Mean => 0.0,
-        ReduceOp::Max => f32::NEG_INFINITY,
-    };
-    let mut out = Tensor::full(out_shape_kept.clone(), init);
-
-    for flat in 0..x.numel() {
-        let idx = x.shape().unravel(flat);
-        let out_idx: Vec<usize> = idx
-            .iter()
-            .enumerate()
-            .map(|(d, &i)| if reduce_mask[d] { 0 } else { i })
-            .collect();
-        let o = out_shape_kept.ravel(&out_idx);
-        let v = x.data()[flat];
-        match op {
-            ReduceOp::Sum | ReduceOp::Mean => out.data_mut()[o] += v,
-            ReduceOp::Max => {
-                if v > out.data()[o] {
-                    out.data_mut()[o] = v;
-                }
-            }
-        }
-    }
-    if op == ReduceOp::Mean {
-        let count: usize = x
-            .dims()
-            .iter()
-            .enumerate()
-            .filter(|(d, _)| reduce_mask[*d])
-            .map(|(_, &s)| s)
-            .product::<usize>()
-            .max(1);
-        let scale = 1.0 / count as f32;
-        for v in out.data_mut() {
-            *v *= scale;
-        }
-    }
-
-    if keep_dims {
-        out
-    } else {
-        let squeezed: Vec<usize> = out_dims_kept
-            .iter()
-            .enumerate()
-            .filter(|(d, _)| !reduce_mask[*d])
-            .map(|(_, &s)| s)
-            .collect();
-        out.reshape(Shape::new(squeezed))
-    }
-}
-
-/// Sums all elements to a scalar tensor.
-pub fn reduce_all_sum(x: &Tensor) -> Tensor {
-    Tensor::scalar(x.sum())
-}
-
-/// Allocation-free [`reduce`] writing into a preallocated `out`.
-///
-/// The output layout is the kept-dims layout, which is byte-identical to
-/// the squeezed layout, so the same buffer serves both `keep_dims` modes.
-/// Accumulation visits input elements in flat order — exactly the order
-/// [`reduce`] uses — so results are bit-identical to the allocating kernel.
+/// The output layout is the kept-dims layout (reduced dimensions of size 1),
+/// which is byte-identical to the squeezed layout, so the same buffer serves
+/// both. Accumulation visits input elements in flat order.
 ///
 /// # Panics
 ///
@@ -153,7 +76,8 @@ pub fn reduce_into(x: TensorView, op: ReduceOp, axes: &[usize], out: &mut [f32])
     }
 }
 
-/// Allocation-free [`reduce_grad`] writing into a preallocated `out`.
+/// Gradient of a sum/mean reduction: broadcasts `dy` back to `input_dims`,
+/// dividing by the reduction count for mean, into a preallocated `out`.
 ///
 /// # Panics
 ///
@@ -207,60 +131,126 @@ pub fn reduce_grad_into(
     }
 }
 
-/// Gradient of a sum/mean reduction: broadcasts `dy` back to `input_dims`,
-/// dividing by the reduction count for mean.
-pub fn reduce_grad(dy: &Tensor, op: ReduceOp, input_dims: &[usize], axes: &[usize]) -> Tensor {
-    assert!(
-        op != ReduceOp::Max,
-        "max reduction gradient requires the forward input; not supported here"
-    );
-    let r = input_dims.len();
-    let reduce_mask: Vec<bool> = (0..r).map(|d| axes.contains(&d)).collect();
-    let count: usize = input_dims
-        .iter()
-        .enumerate()
-        .filter(|(d, _)| reduce_mask[*d])
-        .map(|(_, &s)| s)
-        .product::<usize>()
-        .max(1);
-    let scale = if op == ReduceOp::Mean {
-        1.0 / count as f32
-    } else {
-        1.0
-    };
+/// The index-vector loops `reduce_into` and `reduce_grad_into` replaced,
+/// kept as the oracle the tests hold them to bit for bit.
+#[cfg(test)]
+mod oracle {
+    use super::ReduceOp;
+    use crate::{Shape, Tensor};
 
-    // dy may have been produced with or without keep_dims; rebuild the kept
-    // shape for indexing.
-    let kept_dims: Vec<usize> = input_dims
-        .iter()
-        .enumerate()
-        .map(|(d, &s)| if reduce_mask[d] { 1 } else { s })
-        .collect();
-    let dy_kept = dy.reshape(Shape::new(kept_dims.clone()));
-    let kept_shape = Shape::new(kept_dims);
-
-    let in_shape = Shape::new(input_dims.to_vec());
-    let mut out = Tensor::zeros(in_shape.clone());
-    for flat in 0..out.numel() {
-        let idx = in_shape.unravel(flat);
-        let out_idx: Vec<usize> = idx
+    /// Reduces `x` over `axes`, keeping reduced dimensions as size 1 (the
+    /// squeezed layout has the same bytes).
+    pub fn reduce(x: &Tensor, op: ReduceOp, axes: &[usize]) -> Tensor {
+        let r = x.shape().rank();
+        for &a in axes {
+            assert!(a < r, "reduce axis {a} out of range for rank {r}");
+        }
+        let reduce_mask: Vec<bool> = (0..r).map(|d| axes.contains(&d)).collect();
+        let out_dims_kept: Vec<usize> = x
+            .dims()
             .iter()
             .enumerate()
-            .map(|(d, &i)| if reduce_mask[d] { 0 } else { i })
+            .map(|(d, &s)| if reduce_mask[d] { 1 } else { s })
             .collect();
-        out.data_mut()[flat] = dy_kept.data()[kept_shape.ravel(&out_idx)] * scale;
+        let out_shape_kept = Shape::new(out_dims_kept);
+        let init = match op {
+            ReduceOp::Sum | ReduceOp::Mean => 0.0,
+            ReduceOp::Max => f32::NEG_INFINITY,
+        };
+        let mut out = Tensor::full(out_shape_kept.clone(), init);
+
+        for flat in 0..x.numel() {
+            let idx = x.shape().unravel(flat);
+            let out_idx: Vec<usize> = idx
+                .iter()
+                .enumerate()
+                .map(|(d, &i)| if reduce_mask[d] { 0 } else { i })
+                .collect();
+            let o = out_shape_kept.ravel(&out_idx);
+            let v = x.data()[flat];
+            match op {
+                ReduceOp::Sum | ReduceOp::Mean => out.data_mut()[o] += v,
+                ReduceOp::Max => {
+                    if v > out.data()[o] {
+                        out.data_mut()[o] = v;
+                    }
+                }
+            }
+        }
+        if op == ReduceOp::Mean {
+            let count: usize = x
+                .dims()
+                .iter()
+                .enumerate()
+                .filter(|(d, _)| reduce_mask[*d])
+                .map(|(_, &s)| s)
+                .product::<usize>()
+                .max(1);
+            let scale = 1.0 / count as f32;
+            for v in out.data_mut() {
+                *v *= scale;
+            }
+        }
+        out
     }
-    out
+
+    /// Gradient of a sum/mean reduction: broadcasts `dy` back to `input_dims`,
+    /// dividing by the reduction count for mean.
+    pub fn reduce_grad(dy: &Tensor, op: ReduceOp, input_dims: &[usize], axes: &[usize]) -> Tensor {
+        assert!(
+            op != ReduceOp::Max,
+            "max reduction gradient requires the forward input; not supported here"
+        );
+        let r = input_dims.len();
+        let reduce_mask: Vec<bool> = (0..r).map(|d| axes.contains(&d)).collect();
+        let count: usize = input_dims
+            .iter()
+            .enumerate()
+            .filter(|(d, _)| reduce_mask[*d])
+            .map(|(_, &s)| s)
+            .product::<usize>()
+            .max(1);
+        let scale = if op == ReduceOp::Mean {
+            1.0 / count as f32
+        } else {
+            1.0
+        };
+
+        // dy may have been produced with or without keep_dims; rebuild the kept
+        // shape for indexing.
+        let kept_dims: Vec<usize> = input_dims
+            .iter()
+            .enumerate()
+            .map(|(d, &s)| if reduce_mask[d] { 1 } else { s })
+            .collect();
+        let dy_kept = dy.reshape(Shape::new(kept_dims.clone()));
+        let kept_shape = Shape::new(kept_dims);
+
+        let in_shape = Shape::new(input_dims.to_vec());
+        let mut out = Tensor::zeros(in_shape.clone());
+        for flat in 0..out.numel() {
+            let idx = in_shape.unravel(flat);
+            let out_idx: Vec<usize> = idx
+                .iter()
+                .enumerate()
+                .map(|(d, &i)| if reduce_mask[d] { 0 } else { i })
+                .collect();
+            out.data_mut()[flat] = dy_kept.data()[kept_shape.ravel(&out_idx)] * scale;
+        }
+        out
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::kernels::run_into;
+    use crate::{Shape, Tensor};
 
     #[test]
     fn sum_over_axis0() {
         let x = Tensor::from_vec(vec![1.0, 2.0, 3.0, 4.0, 5.0, 6.0], [2, 3]);
-        let s = reduce(&x, ReduceOp::Sum, &[0], false);
+        let s = run_into([3], |o| reduce_into(x.view(), ReduceOp::Sum, &[0], o));
         assert_eq!(s.dims(), &[3]);
         assert_eq!(s.data(), &[5.0, 7.0, 9.0]);
     }
@@ -268,7 +258,7 @@ mod tests {
     #[test]
     fn sum_keep_dims() {
         let x = Tensor::ones([2, 3]);
-        let s = reduce(&x, ReduceOp::Sum, &[1], true);
+        let s = run_into([2, 1], |o| reduce_into(x.view(), ReduceOp::Sum, &[1], o));
         assert_eq!(s.dims(), &[2, 1]);
         assert_eq!(s.data(), &[3.0, 3.0]);
     }
@@ -276,16 +266,16 @@ mod tests {
     #[test]
     fn mean_and_max() {
         let x = Tensor::from_vec(vec![1.0, 2.0, 3.0, 4.0, 5.0, 6.0], [2, 3]);
-        let m = reduce(&x, ReduceOp::Mean, &[1], false);
+        let m = run_into([2], |o| reduce_into(x.view(), ReduceOp::Mean, &[1], o));
         assert_eq!(m.data(), &[2.0, 5.0]);
-        let mx = reduce(&x, ReduceOp::Max, &[0], false);
+        let mx = run_into([3], |o| reduce_into(x.view(), ReduceOp::Max, &[0], o));
         assert_eq!(mx.data(), &[4.0, 5.0, 6.0]);
     }
 
     #[test]
     fn reduce_multiple_axes() {
         let x = Tensor::ones([2, 3, 4]);
-        let s = reduce(&x, ReduceOp::Sum, &[0, 2], false);
+        let s = run_into([3], |o| reduce_into(x.view(), ReduceOp::Sum, &[0, 2], o));
         assert_eq!(s.dims(), &[3]);
         assert_eq!(s.data(), &[8.0, 8.0, 8.0]);
     }
@@ -293,13 +283,16 @@ mod tests {
     #[test]
     fn reduce_all_to_scalar() {
         let x = Tensor::from_vec(vec![1.0, 2.0, 3.0], [3]);
-        assert_eq!(reduce_all_sum(&x).data(), &[6.0]);
+        let sum = |o: &mut [f32]| reduce_into(x.view(), ReduceOp::Sum, &[0], o);
+        let s = run_into(Shape::scalar(), sum);
+        assert_eq!(s.data(), &[6.0]);
     }
 
     #[test]
     fn sum_grad_broadcasts() {
         let dy = Tensor::from_vec(vec![1.0, 2.0, 3.0], [3]);
-        let g = reduce_grad(&dy, ReduceOp::Sum, &[2, 3], &[0]);
+        let (dyv, sum) = (dy.view(), ReduceOp::Sum);
+        let g = run_into([2, 3], |o| reduce_grad_into(dyv, sum, &[2, 3], &[0], o));
         assert_eq!(g.dims(), &[2, 3]);
         assert_eq!(g.data(), &[1.0, 2.0, 3.0, 1.0, 2.0, 3.0]);
     }
@@ -307,7 +300,8 @@ mod tests {
     #[test]
     fn mean_grad_scales() {
         let dy = Tensor::from_vec(vec![4.0, 8.0], [2]);
-        let g = reduce_grad(&dy, ReduceOp::Mean, &[2, 4], &[1]);
+        let (dyv, mean) = (dy.view(), ReduceOp::Mean);
+        let g = run_into([2, 4], |o| reduce_grad_into(dyv, mean, &[2, 4], &[1], o));
         assert_eq!(g.dims(), &[2, 4]);
         assert_eq!(g.data()[0], 1.0);
         assert_eq!(g.data()[4], 2.0);
@@ -316,7 +310,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "out of range")]
     fn bad_axis_panics() {
-        reduce(&Tensor::zeros([2]), ReduceOp::Sum, &[3], false);
+        reduce_into(Tensor::zeros([2]).view(), ReduceOp::Sum, &[3], &mut [0.0]);
     }
 
     #[test]
@@ -326,7 +320,7 @@ mod tests {
         let x = Tensor::randn([2, 3, 4], 1.0, &mut rng);
         for op in [ReduceOp::Sum, ReduceOp::Mean, ReduceOp::Max] {
             for axes in [vec![0], vec![1], vec![0, 2], vec![0, 1, 2]] {
-                let expect = reduce(&x, op, &axes, false);
+                let expect = oracle::reduce(&x, op, &axes);
                 let mut out = vec![0.0f32; expect.numel()];
                 reduce_into(x.view(), op, &axes, &mut out);
                 assert_eq!(&out[..], expect.data(), "{op:?} over {axes:?}");
@@ -347,7 +341,7 @@ mod tests {
                     .map(|(d, &s)| if axes.contains(&d) { 1 } else { s })
                     .product();
                 let dy = Tensor::randn([kept], 1.0, &mut rng);
-                let expect = reduce_grad(&dy, op, &input_dims, &axes);
+                let expect = oracle::reduce_grad(&dy, op, &input_dims, &axes);
                 let mut out = vec![0.0f32; expect.numel()];
                 reduce_grad_into(dy.view(), op, &input_dims, &axes, &mut out);
                 assert_eq!(&out[..], expect.data(), "{op:?} over {axes:?}");

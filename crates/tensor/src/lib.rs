@@ -18,7 +18,8 @@
 //!
 //! let a = Tensor::from_vec(vec![1.0, 2.0, 3.0, 4.0], &[2, 2]);
 //! let b = Tensor::eye(2);
-//! let c = kernels::gemm::matmul(&a, &b, false, false);
+//! let mut c = Tensor::zeros([2, 2]);
+//! kernels::gemm::matmul_into(a.view(), b.view(), false, false, c.data_mut());
 //! assert_eq!(c.data(), a.data());
 //! ```
 

@@ -23,9 +23,10 @@ use std::time::{Duration, Instant};
 use proptest::prelude::*;
 
 use pe_tests::support::{
-    deadline_stream, engine, mixed_stream, rejected_set, request, seeded_engine,
+    deadline_stream, engine, mixed_stream, rejected_set, request, seeded_engine, CLASSES, DIM,
 };
-use pockengine::pe_tensor::Rng;
+use pockengine::pe_runtime::ExecError;
+use pockengine::pe_tensor::{Rng, Tensor};
 use pockengine::queue;
 use pockengine::{
     AdmissionPolicy, BatcherStats, Engine, Outcome, QueueConfig, Request, ServingKind, SubmitError,
@@ -243,6 +244,69 @@ fn compatible_evals_fill_the_target_rung() {
     let stats = async_engine.batcher_stats();
     assert!(stats.target_flushes >= 1, "stats: {stats:?}");
     drop(async_engine);
+}
+
+/// A request the program cannot serve (a label out of range, negative,
+/// fractional or NaN; features too wide; features and labels that disagree
+/// on rows) resolves alone with a typed error. The valid requests submitted
+/// around it still form one group and complete, the requests after it are
+/// served, and the sync paths return the same errors instead of panicking.
+#[test]
+fn malformed_requests_resolve_alone_and_never_break_their_group() {
+    let async_engine = engine(vec![4]).into_async(QueueConfig {
+        capacity: 16,
+        default_deadline: Duration::from_secs(30),
+    });
+    let submit = |r: Request| async_engine.submit(r).unwrap();
+    let mut rng = Rng::seed_from_u64(12);
+    let train = request(ServingKind::Train, 3, &mut rng);
+    let mut eval = || request(ServingKind::Eval, 2, &mut rng);
+    let labelled =
+        |l: [f32; 2]| Request::eval(Tensor::zeros([2, DIM]), Tensor::from_vec(l.into(), [2]));
+    let out_of_range = |position| ExecError::InputIndexOutOfRange {
+        name: "labels".into(),
+        position,
+        bound: CLASSES,
+    };
+    let misshapen = |actual: Vec<usize>| ExecError::InputShapeMismatch {
+        name: "x".into(),
+        expected: vec![2, DIM],
+        actual,
+    };
+    let features = |dims: [usize; 2]| Request::eval(Tensor::zeros(dims), Tensor::zeros([2]));
+    let bad = [
+        (labelled([CLASSES as f32, 0.0]), out_of_range(0)),
+        (labelled([1.0, -1.0]), out_of_range(1)),
+        (labelled([0.0, 2.5]), out_of_range(1)),
+        (labelled([f32::NAN, 0.0]), out_of_range(0)),
+        (features([2, DIM + 1]), misshapen(vec![2, DIM + 1])),
+        (features([3, DIM]), misshapen(vec![3, DIM])),
+    ];
+
+    let deadline = Instant::now() + Duration::from_secs(10);
+    let first = submit(eval());
+    let bad_tickets: Vec<_> = bad.iter().map(|(r, _)| submit(r.clone())).collect();
+    let second = submit(eval());
+    for (ticket, (_, want)) in bad_tickets.into_iter().zip(&bad) {
+        assert_eq!(&ticket.wait().unwrap_err(), want);
+    }
+    let r1 = first.wait().unwrap().expect_completed("eval completes");
+    let r2 = second.wait().unwrap().expect_completed("eval completes");
+    assert!(Instant::now() < deadline, "the pair fills the rung");
+    assert_eq!(
+        (r1.batch, r2.batch),
+        (4, 4),
+        "one group around the bad ones"
+    );
+
+    let (train, later) = (submit(train), submit(eval()));
+    let mut engine = async_engine.shutdown();
+    train.wait().unwrap().expect_completed("a later train runs");
+    later.wait().unwrap().expect_completed("a later eval runs");
+    for (r, want) in &bad {
+        assert_eq!(&engine.serve_one(r).unwrap_err(), want);
+        assert_eq!(&engine.serve(&[eval(), r.clone()]).unwrap_err(), want);
+    }
 }
 
 /// Shutdown drains in-flight requests: every accepted ticket resolves with

@@ -21,9 +21,10 @@ use pe_net::proto::{self, FrameKind, NackReason, SubmitMode};
 use pe_net::{Client, Server, ServerConfig};
 use pe_tests::support::{
     self, engine, mixed_stream, program, rejected_set, request, seeded_engine, served_loss_bits,
+    CLASSES,
 };
-use pockengine::pe_runtime::Optimizer;
-use pockengine::pe_tensor::Rng;
+use pockengine::pe_runtime::{ExecError, Optimizer};
+use pockengine::pe_tensor::{Rng, Tensor};
 use pockengine::{
     AdmissionPolicy, Engine, EngineConfig, Outcome, Priority, QueueConfig, Request, ServingKind,
     Submit, SubmitError,
@@ -348,6 +349,27 @@ fn malformed_frames_kill_only_the_offending_connection() {
     assert!(message.contains("unexpected frame kind"), "{message}");
     assert_still_serving(addr, 22);
 
+    server.shutdown();
+}
+
+/// One well-framed `Submit` whose label is out of range draws that
+/// request's typed error; it does not take the server's engine down.
+#[test]
+fn an_out_of_range_label_draws_its_error_and_the_server_keeps_serving() {
+    let server = serve(engine(vec![4]), 64);
+    let addr = server.local_addr();
+    let client = Client::connect(addr).expect("connect");
+    let mut rng = Rng::seed_from_u64(23);
+    let mut bad = request(ServingKind::Eval, 2, &mut rng);
+    bad.labels = Tensor::from_vec(vec![CLASSES as f32, 0.0], [2]);
+    let result = client.submit(bad).expect("queue open").wait();
+    let want = ExecError::InputIndexOutOfRange {
+        name: "labels".into(),
+        position: 0,
+        bound: CLASSES,
+    };
+    assert_eq!(result.unwrap_err(), want);
+    assert_still_serving(addr, 24);
     server.shutdown();
 }
 

@@ -14,9 +14,23 @@ use pockengine::pe_memplan::{
 use pockengine::pe_passes::{
     build_schedule, optimize, OptimizeOptions, Schedule, ScheduleStrategy,
 };
-use pockengine::pe_tensor::kernels::gemm::matmul;
-use pockengine::pe_tensor::kernels::layout::transpose2d;
+use pockengine::pe_tensor::kernels::elementwise::{binary_into, reduce_to_shape_into, BinaryOp};
+use pockengine::pe_tensor::kernels::gemm::{matmul_into, matmul_out_dims};
+use pockengine::pe_tensor::kernels::layout::transpose2d_into;
 use pockengine::pe_tensor::{Rng, Tensor};
+
+/// `a · b` through the kernel the executor runs.
+fn matmul(a: &Tensor, b: &Tensor) -> Tensor {
+    let mut c = Tensor::zeros(matmul_out_dims(a.dims(), b.dims(), false, false));
+    matmul_into(a.view(), b.view(), false, false, c.data_mut());
+    c
+}
+
+fn transpose2d(x: &Tensor) -> Tensor {
+    let mut t = Tensor::zeros([x.dims()[1], x.dims()[0]]);
+    transpose2d_into(x.view(), t.data_mut());
+    t
+}
 
 /// Builds a random MLP training graph from a shape description.
 fn random_mlp(
@@ -91,8 +105,8 @@ proptest! {
         let mut rng = Rng::seed_from_u64(seed);
         let a = Tensor::randn([m, k], 1.0, &mut rng);
         let b = Tensor::randn([k, n], 1.0, &mut rng);
-        let left = transpose2d(&matmul(&a, &b, false, false));
-        let right = matmul(&transpose2d(&b), &transpose2d(&a), false, false);
+        let left = transpose2d(&matmul(&a, &b));
+        let right = matmul(&transpose2d(&b), &transpose2d(&a));
         prop_assert!(left.allclose(&right, 1e-4));
     }
 
@@ -249,14 +263,17 @@ proptest! {
         cols in 1usize..6,
         seed in 0u64..1000,
     ) {
-        use pockengine::pe_tensor::kernels::elementwise::{add, reduce_to_shape};
         let mut rng = Rng::seed_from_u64(seed);
         let big = Tensor::randn([rows, cols], 1.0, &mut rng);
         let small = Tensor::randn([cols], 1.0, &mut rng);
-        let sum = add(&big, &small);
+        let dims = big.shape().broadcast_with(small.shape()).expect("broadcastable");
+        let mut sum = Tensor::zeros(dims);
+        binary_into(BinaryOp::Add, big.view(), small.view(), sum.data_mut());
         prop_assert_eq!(sum.dims(), big.dims());
         // The VJP of broadcasting `small` is a row-sum: check linearity.
-        let reduced = reduce_to_shape(&Tensor::ones([rows, cols]), small.shape());
+        let mut reduced = Tensor::zeros(small.shape().clone());
+        let ones = Tensor::ones([rows, cols]);
+        reduce_to_shape_into(ones.view(), small.dims(), reduced.data_mut());
         prop_assert!(reduced.data().iter().all(|&v| (v - rows as f32).abs() < 1e-5));
     }
 }
