@@ -55,6 +55,7 @@ use crate::admission::{AdmissionPolicy, LatencyModel, Outcome, RejectReason};
 use crate::batcher::{self, BatcherCounters, BatcherStats};
 use crate::program::{CacheStats, Program};
 use crate::queue::{self, QueueConfig, SubmitError, Submitter, Ticket};
+use crate::submit::Submit;
 
 /// What to do with a candidate request relative to the evaluation group
 /// being built — the shared decision of [`Engine::classify_for_group`].
@@ -526,8 +527,8 @@ const _: fn() = || {
 ///
 /// # Backpressure contract
 ///
-/// The queue is bounded by [`QueueConfig::capacity`]. [`AsyncEngine::submit`]
-/// blocks while the queue is full; [`AsyncEngine::try_submit`] instead hands
+/// The queue is bounded by [`QueueConfig::capacity`]. [`Submit::submit`]
+/// blocks while the queue is full; [`Submit::try_submit`] instead hands
 /// the request back as [`SubmitError::Full`], so load shedding is the
 /// caller's explicit decision. Requests are never silently dropped: every
 /// accepted ticket resolves — with a [`Response`], an admission rejection,
@@ -562,42 +563,6 @@ impl AsyncEngine {
             drainer: Some(drainer),
             store,
         }
-    }
-
-    /// Enqueues a request, blocking while the queue is at capacity. The
-    /// batching deadline is the request's own [`crate::RequestMeta::deadline`]
-    /// budget, falling back to the queue's default.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SubmitError::Closed`] after shutdown.
-    pub fn submit(&self, request: Request) -> Result<Ticket, SubmitError> {
-        self.submitter.submit(request)
-    }
-
-    /// [`AsyncEngine::submit`] with an explicit deadline budget (stored
-    /// into the request's metadata, so admission control sees it too).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SubmitError::Closed`] after shutdown.
-    pub fn submit_with_deadline(
-        &self,
-        request: Request,
-        deadline: Duration,
-    ) -> Result<Ticket, SubmitError> {
-        self.submitter.submit_with_deadline(request, deadline)
-    }
-
-    /// Enqueues without blocking; a full queue is an explicit
-    /// [`SubmitError::Full`] rejection with the request handed back.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SubmitError::Full`] on a full queue, [`SubmitError::Closed`]
-    /// after shutdown.
-    pub fn try_submit(&self, request: Request) -> Result<Ticket, SubmitError> {
-        self.submitter.try_submit(request)
     }
 
     /// A cloneable producer handle, for feeding the queue from other
@@ -653,6 +618,16 @@ impl AsyncEngine {
         let drainer = self.drainer.take().expect("drainer joined twice");
         let engine = drainer.join().expect("engine drainer thread panicked");
         (engine, self.counters.snapshot())
+    }
+}
+
+impl Submit for AsyncEngine {
+    fn submit(&self, request: Request) -> Result<Ticket, SubmitError> {
+        self.submitter.submit(request)
+    }
+
+    fn try_submit(&self, request: Request) -> Result<Ticket, SubmitError> {
+        self.submitter.try_submit(request)
     }
 }
 

@@ -63,7 +63,7 @@ pub use batcher::BatcherStats;
 pub use engine::{AsyncEngine, Engine, EngineConfig, EngineMetrics, Response};
 pub use pe_data::serving::{Priority, Request, RequestMeta, ServingKind};
 pub use program::{CacheStats, Compiler, ModelFactory, Program, Specialization};
-pub use queue::{QueueConfig, SubmitError, Submitter, Ticket, TicketNotify};
+pub use queue::{QueueConfig, Resolver, SubmitError, Submitter, Ticket, TicketNotify};
 pub use submit::{Submit, SubmitHandle};
 
 /// Everything most users need, in one import.
@@ -117,7 +117,7 @@ pub mod prelude {
         analyze, compile, AdmissionPolicy, AsyncEngine, BatcherStats, CacheStats, CompileOptions,
         CompiledProgram, Compiler, Engine, EngineConfig, EngineMetrics, Outcome, Program,
         ProgramAnalysis, QueueConfig, RejectReason, Response, Specialization, Submit, SubmitError,
-        SubmitHandle, Submitter, Ticket, TicketNotify,
+        Submitter, Ticket, TicketNotify,
     };
     pub use pe_data::{
         generate_instruct_dataset, generate_nlp_task, generate_request_stream,

@@ -8,14 +8,15 @@
 //! * [`channel`] creates a ([`Submitter`], [`Receiver`]) pair with a fixed
 //!   capacity. [`Submitter`] is cheaply cloneable, so any number of producer
 //!   threads can feed one queue.
-//! * [`Submitter::submit`] **blocks** while the queue is at capacity — the
-//!   backpressure a bounded queue exists to apply. [`Submitter::try_submit`]
-//!   never blocks: a full queue hands the request back as
-//!   [`SubmitError::Full`], so callers can shed load explicitly instead of
-//!   stalling.
+//! * [`Submitter`] implements [`Submit`]: `submit` **blocks** while the
+//!   queue is at capacity — the backpressure a bounded queue exists to
+//!   apply — and `try_submit` never blocks: a full queue hands the request
+//!   back as [`SubmitError::Full`], so callers can shed load explicitly
+//!   instead of stalling.
 //! * Every accepted request yields a [`Ticket`], a future-style handle the
 //!   producer redeems for the request's [`Outcome`] once the drainer has
-//!   resolved it. Tickets never dangle: an [`Envelope`] dropped unserved (a
+//!   resolved it. Tickets never dangle: the ticket's [`Resolver`] rides in
+//!   the request's [`Envelope`], and a resolver dropped unfulfilled (a
 //!   drainer torn down mid-flight) resolves its ticket with
 //!   [`Outcome::Cancelled`].
 //!
@@ -45,13 +46,14 @@ use pe_data::serving::{Priority, Request, ServingKind};
 use pe_runtime::ExecError;
 
 use crate::admission::Outcome;
+use crate::submit::Submit;
 
 /// Submission-queue policy knobs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct QueueConfig {
     /// Maximum queued (accepted but not yet dispatched) requests. Submitting
-    /// beyond it blocks ([`Submitter::submit`]) or is rejected
-    /// ([`Submitter::try_submit`]).
+    /// beyond it blocks ([`Submit::submit`]) or is rejected
+    /// ([`Submit::try_submit`]).
     pub capacity: usize,
     /// Deadline budget given to requests whose [`crate::RequestMeta::deadline`] is
     /// unset: how long a request may wait in the batcher for companions
@@ -71,9 +73,9 @@ impl Default for QueueConfig {
 /// Why a submission was not accepted.
 #[derive(Debug)]
 pub enum SubmitError {
-    /// The queue is at capacity (only [`Submitter::try_submit`] reports
-    /// this); the request is handed back untouched (boxed, so the error
-    /// path stays cheap to return).
+    /// The queue is at capacity (only [`Submit::try_submit`] and
+    /// [`Submitter::submit_for`] report this); the request is handed back
+    /// untouched (boxed, so the error path stays cheap to return).
     Full(Box<Request>),
     /// The queue was closed (engine shut down); the request is handed back.
     Closed(Box<Request>),
@@ -101,7 +103,7 @@ enum TicketSlot {
     Taken,
 }
 
-/// Shared completion cell between a [`Ticket`] and its [`Envelope`].
+/// Shared completion cell between a [`Ticket`] and its [`Resolver`].
 #[derive(Debug)]
 struct TicketCell {
     slot: Mutex<TicketSlot>,
@@ -194,8 +196,26 @@ pub struct Ticket {
 }
 
 impl Ticket {
-    /// The request's submission sequence number (the `id` its
-    /// [`crate::engine::Response`] will carry).
+    /// A pending ticket and the [`Resolver`] that completes it. Whoever
+    /// holds the resolver owes the ticket exactly one result: fulfilling
+    /// it, or dropping it (which resolves the ticket
+    /// [`Outcome::Cancelled`]).
+    pub fn pending(seq: usize) -> (Ticket, Resolver) {
+        let cell = Arc::new(TicketCell {
+            slot: Mutex::new(TicketSlot::Pending),
+            ready: Condvar::new(),
+            watcher: Mutex::new(None),
+        });
+        let resolver = Resolver {
+            cell: Arc::clone(&cell),
+        };
+        (Ticket { cell, seq }, resolver)
+    }
+
+    /// The `seq` the ticket was made with: for a queue ticket, the
+    /// request's submission sequence number (the `id` its
+    /// [`crate::engine::Response`] will carry); for a ticket a `pe_net`
+    /// client hands out, the submission's wire correlation id.
     pub fn seq(&self) -> usize {
         self.seq
     }
@@ -275,19 +295,43 @@ impl Ticket {
     }
 }
 
+/// The producer side of a [`Ticket`], made by [`Ticket::pending`].
+///
+/// Dropping a resolver unfulfilled resolves its ticket with
+/// [`Outcome::Cancelled`], so a ticket never waits on a result nobody owes
+/// any more.
+#[derive(Debug)]
+pub struct Resolver {
+    cell: Arc<TicketCell>,
+}
+
+impl Resolver {
+    /// Resolves the ticket with `result`.
+    pub fn fulfill(self, result: Result<Outcome, ExecError>) {
+        self.cell.fulfill(result);
+        // Drop runs next but finds the cell already fulfilled.
+    }
+}
+
+impl Drop for Resolver {
+    fn drop(&mut self) {
+        self.cell.fulfill(Ok(Outcome::Cancelled));
+    }
+}
+
 /// One queued request on the drainer side: the request (payload + meta),
 /// its submission sequence number, its absolute dispatch deadline, and the
-/// producer's ticket.
+/// [`Resolver`] of the producer's ticket.
 ///
-/// Dropping an envelope unserved resolves the ticket with
-/// [`Outcome::Cancelled`], so producers never wait on a request a drainer
-/// abandoned.
+/// Dropping an envelope unserved drops its resolver, which resolves the
+/// ticket with [`Outcome::Cancelled`], so producers never wait on a
+/// request a drainer abandoned.
 #[derive(Debug)]
 pub struct Envelope {
     seq: usize,
     deadline: Instant,
     request: Option<Request>,
-    cell: Arc<TicketCell>,
+    resolver: Resolver,
 }
 
 impl Envelope {
@@ -336,14 +380,7 @@ impl Envelope {
 
     /// Resolves the producer's ticket.
     pub fn fulfill(self, result: Result<Outcome, ExecError>) {
-        self.cell.fulfill(result);
-        // Drop runs next but finds the cell already fulfilled.
-    }
-}
-
-impl Drop for Envelope {
-    fn drop(&mut self) {
-        self.cell.fulfill(Ok(Outcome::Cancelled));
+        self.resolver.fulfill(result);
     }
 }
 
@@ -439,61 +476,11 @@ pub struct Submitter {
 }
 
 impl Submitter {
-    /// Enqueues a request, **blocking while the queue is full**
-    /// (bounded-queue backpressure). The batching deadline is the request's
-    /// own [`crate::RequestMeta::deadline`] budget, or the queue default when the
-    /// request carries none.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SubmitError::Closed`] (with the request handed back) if the
-    /// queue was closed.
-    pub fn submit(&self, request: Request) -> Result<Ticket, SubmitError> {
-        let budget = request
-            .meta
-            .deadline
-            .unwrap_or(self.shared.default_deadline);
-        self.submit_with_budget(request, budget)
-    }
-
-    /// [`Submitter::submit`] with an explicit deadline budget, which is
-    /// also written into the request's metadata so admission control and
-    /// the batcher agree on it.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SubmitError::Closed`] if the queue was closed.
-    pub fn submit_with_deadline(
-        &self,
-        mut request: Request,
-        deadline: Duration,
-    ) -> Result<Ticket, SubmitError> {
-        request.meta.deadline = Some(deadline);
-        self.submit_with_budget(request, deadline)
-    }
-
-    fn submit_with_budget(
-        &self,
-        request: Request,
-        budget: Duration,
-    ) -> Result<Ticket, SubmitError> {
-        let mut state = self.shared.state.lock().unwrap();
-        loop {
-            if state.closed {
-                return Err(SubmitError::Closed(Box::new(request)));
-            }
-            if state.items.len() < self.shared.capacity {
-                return Ok(push(&self.shared, &mut state, request, budget));
-            }
-            state = self.shared.not_full.wait(state).unwrap();
-        }
-    }
-
-    /// [`Submitter::submit`] bounded to `wait`: blocks on a full queue
-    /// like `submit`, but hands the request back as [`SubmitError::Full`]
-    /// when no room opened within the window. Admission is condvar-driven,
-    /// so room opening mid-wait admits immediately rather than on a poll
-    /// tick — `pe_net`'s reader interleaves these with socket polls so a
+    /// [`Submit::submit`] bounded to `wait`: blocks on a full queue like
+    /// `submit`, but hands the request back as [`SubmitError::Full`] when
+    /// no room opened within the window. Admission is condvar-driven, so
+    /// room opening mid-wait admits immediately rather than on a poll tick
+    /// — `pe_net`'s reader interleaves these with socket polls so a
     /// backpressure stall never makes the connection deaf to control
     /// frames.
     ///
@@ -502,11 +489,20 @@ impl Submitter {
     /// Returns [`SubmitError::Full`] when the queue stayed full for the
     /// whole window and [`SubmitError::Closed`] on a closed queue.
     pub fn submit_for(&self, request: Request, wait: Duration) -> Result<Ticket, SubmitError> {
+        self.admit(request, Some(wait))
+    }
+
+    /// The one admission loop: enqueues `request`, waiting for room while
+    /// the queue is full — without bound for `None`, else for at most
+    /// `wait` (zero: not at all). The batching deadline is the request's
+    /// own [`crate::RequestMeta::deadline`] budget, or the queue default
+    /// when the request carries none.
+    fn admit(&self, request: Request, wait: Option<Duration>) -> Result<Ticket, SubmitError> {
         let budget = request
             .meta
             .deadline
             .unwrap_or(self.shared.default_deadline);
-        let give_up = Instant::now() + wait;
+        let give_up = wait.map(|wait| Instant::now() + wait);
         let mut state = self.shared.state.lock().unwrap();
         loop {
             if state.closed {
@@ -515,56 +511,18 @@ impl Submitter {
             if state.items.len() < self.shared.capacity {
                 return Ok(push(&self.shared, &mut state, request, budget));
             }
-            let now = Instant::now();
-            if now >= give_up {
-                return Err(SubmitError::Full(Box::new(request)));
-            }
-            state = self
-                .shared
-                .not_full
-                .wait_timeout(state, give_up - now)
-                .unwrap()
-                .0;
+            state = match give_up {
+                None => self.shared.not_full.wait(state).unwrap(),
+                Some(give_up) => {
+                    let now = Instant::now();
+                    if now >= give_up {
+                        return Err(SubmitError::Full(Box::new(request)));
+                    }
+                    let timeout = give_up - now;
+                    self.shared.not_full.wait_timeout(state, timeout).unwrap().0
+                }
+            };
         }
-    }
-
-    /// Enqueues without blocking: a full queue is an explicit
-    /// [`SubmitError::Full`] rejection with the request handed back, so the
-    /// caller decides whether to retry, redirect or shed the load.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SubmitError::Full`] on a full queue and
-    /// [`SubmitError::Closed`] on a closed one.
-    pub fn try_submit(&self, request: Request) -> Result<Ticket, SubmitError> {
-        let budget = request
-            .meta
-            .deadline
-            .unwrap_or(self.shared.default_deadline);
-        let mut state = self.shared.state.lock().unwrap();
-        if state.closed {
-            return Err(SubmitError::Closed(Box::new(request)));
-        }
-        if state.items.len() >= self.shared.capacity {
-            return Err(SubmitError::Full(Box::new(request)));
-        }
-        Ok(push(&self.shared, &mut state, request, budget))
-    }
-
-    /// [`Submitter::try_submit`] with an explicit deadline budget (also
-    /// written into the request's metadata).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SubmitError::Full`] on a full queue and
-    /// [`SubmitError::Closed`] on a closed one.
-    pub fn try_submit_with_deadline(
-        &self,
-        mut request: Request,
-        deadline: Duration,
-    ) -> Result<Ticket, SubmitError> {
-        request.meta.deadline = Some(deadline);
-        self.try_submit(request)
     }
 
     /// Requests currently queued (accepted, not yet popped by the drainer).
@@ -584,22 +542,28 @@ impl Submitter {
     }
 }
 
+impl Submit for Submitter {
+    fn submit(&self, request: Request) -> Result<Ticket, SubmitError> {
+        self.admit(request, None)
+    }
+
+    fn try_submit(&self, request: Request) -> Result<Ticket, SubmitError> {
+        self.admit(request, Some(Duration::ZERO))
+    }
+}
+
 fn push(shared: &Shared, state: &mut State, request: Request, budget: Duration) -> Ticket {
     let seq = state.next_seq;
     state.next_seq += 1;
-    let cell = Arc::new(TicketCell {
-        slot: Mutex::new(TicketSlot::Pending),
-        ready: Condvar::new(),
-        watcher: Mutex::new(None),
-    });
+    let (ticket, resolver) = Ticket::pending(seq);
     state.items.push_back(Envelope {
         seq,
         deadline: Instant::now() + budget,
         request: Some(request),
-        cell: Arc::clone(&cell),
+        resolver,
     });
     shared.not_empty.notify_one();
-    Ticket { cell, seq }
+    ticket
 }
 
 /// Outcome of a [`Receiver::pop`].
@@ -617,7 +581,7 @@ pub enum Pop {
 /// The consumer end of a submission queue (owned by the drainer).
 ///
 /// Dropping the receiver closes the queue, so producers blocked in
-/// [`Submitter::submit`] unblock with [`SubmitError::Closed`] instead of
+/// [`Submit::submit`] unblock with [`SubmitError::Closed`] instead of
 /// waiting forever on a dead drainer.
 #[derive(Debug)]
 pub struct Receiver {
@@ -851,6 +815,36 @@ mod tests {
         let ticket = tx.submit(req(1)).unwrap();
         drop(rx.try_pop().unwrap());
         assert!(matches!(ticket.wait(), Ok(Outcome::Cancelled)));
+    }
+
+    #[test]
+    fn dropping_an_unfulfilled_resolver_cancels_and_pokes_the_watcher() {
+        let notify = Arc::new(TicketNotify::new());
+        let (mut ticket, resolver) = Ticket::pending(7);
+        assert_eq!(ticket.seq(), 7);
+        ticket.watch(Arc::clone(&notify));
+        let seen = notify.generation();
+        assert!(!ticket.is_ready());
+        drop(resolver);
+        assert!(notify.wait(seen, Duration::from_secs(5)) > seen);
+        assert!(matches!(ticket.try_take(), Some(Ok(Outcome::Cancelled))));
+    }
+
+    #[test]
+    fn fulfill_resolves_exactly_once() {
+        let notify = Arc::new(TicketNotify::new());
+        let (ticket, resolver) = Ticket::pending(0);
+        ticket.watch(Arc::clone(&notify));
+        let seen = notify.generation();
+        let reason = crate::RejectReason::DeadlineInfeasible {
+            estimated: Duration::from_millis(2),
+            budget: Duration::from_millis(1),
+        };
+        resolver.fulfill(Ok(Outcome::Rejected(reason)));
+        // The resolver's drop after `fulfill` neither overwrites the result
+        // with `Cancelled` nor pokes the watcher a second time.
+        assert_eq!(notify.generation(), seen + 1);
+        assert!(matches!(ticket.wait(), Ok(Outcome::Rejected(r)) if r == reason));
     }
 
     #[test]

@@ -5,52 +5,33 @@
 //! carried by both the synchronous slice path and the bounded queue); this
 //! module unifies the *submission* surface. [`Submit`] is the capability a
 //! serving client programs against — accept a request now (or refuse with
-//! backpressure), hand back a redeemable completion handle — and it is
-//! implemented by every transport:
+//! backpressure), hand back a [`Ticket`] — and it is implemented by every
+//! transport:
 //!
-//! * [`Submitter`] / [`crate::engine::AsyncEngine`] — the in-process bounded
-//!   MPSC queue (handle: [`Ticket`]);
-//! * `pe_net::Client` — the TCP wire protocol (handle: `pe_net::NetTicket`),
-//!   in the `pe_net` crate.
+//! * [`crate::Submitter`] / [`crate::engine::AsyncEngine`] — the in-process
+//!   bounded MPSC queue;
+//! * `pe_net::Client` — the TCP wire protocol, in the `pe_net` crate.
 //!
-//! Code written against `impl Submit` — tests above all — runs unchanged
-//! whether the engine lives in-process or behind a socket, which is what
-//! makes the network path's bit-identity claims checkable: the *same*
-//! generic driver produces the baseline and the networked run.
+//! Every transport hands out the same [`Ticket`], resolved through its
+//! [`crate::queue::Resolver`]. Code written against `impl Submit` — tests
+//! above all — runs unchanged whether the engine lives in-process or behind
+//! a socket, which is what makes the network path's bit-identity claims
+//! checkable: the *same* generic driver produces the baseline and the
+//! networked run.
 
 use std::time::Duration;
 
 use pe_data::serving::Request;
-use pe_runtime::ExecError;
 
-use crate::admission::Outcome;
-use crate::engine::AsyncEngine;
-use crate::queue::{SubmitError, Submitter, Ticket};
+use crate::queue::{SubmitError, Ticket};
 
-/// A redeemable completion handle for one accepted request — the
-/// transport-independent shape of [`Ticket`].
-///
-/// A handle resolves exactly once, with the same [`Outcome`] vocabulary
-/// every serving path speaks: completed, rejected by admission control, or
-/// cancelled (the serving path was torn down before dispatch — including a
-/// network connection dying under the request).
-pub trait SubmitHandle: Send {
-    /// Whether the request has been resolved (stays `true` after the
-    /// result was redeemed with [`SubmitHandle::try_take`]).
-    fn is_ready(&self) -> bool;
-
-    /// Takes the result without blocking, if the request has been
-    /// resolved. Returns `None` both while pending and after the result
-    /// was already taken.
-    fn try_take(&mut self) -> Option<Result<Outcome, ExecError>>;
-
-    /// Blocks until the request has been resolved and returns its
-    /// [`Outcome`] (or the executor's input error).
-    fn wait(self) -> Result<Outcome, ExecError>;
-}
+/// The completion handle's former trait name, kept as an alias of
+/// [`Ticket`] only because the benchmark harness in `benchmarks/` (its one
+/// user) names it.
+pub type SubmitHandle = Ticket;
 
 /// The unified submission capability: accept a [`Request`], return a
-/// [`SubmitHandle`] future-style completion handle.
+/// future-style [`Ticket`].
 ///
 /// Semantics every implementation upholds:
 ///
@@ -66,22 +47,19 @@ pub trait SubmitHandle: Send {
 ///   admission verdict, in this and the blocking mode both.)
 /// * [`Submit::submit_with_deadline`] stamps the deadline budget into the
 ///   request's metadata before submitting, so admission control and the
-///   batcher agree on it — identical to
-///   [`Submitter::submit_with_deadline`].
-/// * Every accepted handle **resolves**: with the served response, an
-///   admission rejection, or [`Outcome::Cancelled`] on teardown — never a
-///   hang.
+///   batcher agree on it.
+/// * Every accepted ticket **resolves** exactly once: with the served
+///   response, an admission rejection, or [`crate::Outcome::Cancelled`] on
+///   teardown (including a network connection dying under the request) —
+///   never a hang.
 pub trait Submit {
-    /// The completion handle this transport hands out.
-    type Handle: SubmitHandle;
-
     /// Submits a request, blocking under backpressure.
     ///
     /// # Errors
     ///
     /// [`SubmitError::Closed`] when the serving path is gone (queue closed,
     /// connection dead); the request is handed back.
-    fn submit(&self, request: Request) -> Result<Self::Handle, SubmitError>;
+    fn submit(&self, request: Request) -> Result<Ticket, SubmitError>;
 
     /// Submits without queue-capacity blocking; a saturated transport
     /// hands the request back.
@@ -90,7 +68,7 @@ pub trait Submit {
     ///
     /// [`SubmitError::Full`] on a saturated transport,
     /// [`SubmitError::Closed`] on a dead one; both hand the request back.
-    fn try_submit(&self, request: Request) -> Result<Self::Handle, SubmitError>;
+    fn try_submit(&self, request: Request) -> Result<Ticket, SubmitError>;
 
     /// [`Submit::submit`] with an explicit deadline budget written into
     /// the request's metadata.
@@ -102,69 +80,16 @@ pub trait Submit {
         &self,
         mut request: Request,
         deadline: Duration,
-    ) -> Result<Self::Handle, SubmitError> {
+    ) -> Result<Ticket, SubmitError> {
         request.meta.deadline = Some(deadline);
         self.submit(request)
-    }
-}
-
-impl SubmitHandle for Ticket {
-    fn is_ready(&self) -> bool {
-        Ticket::is_ready(self)
-    }
-
-    fn try_take(&mut self) -> Option<Result<Outcome, ExecError>> {
-        Ticket::try_take(self)
-    }
-
-    fn wait(self) -> Result<Outcome, ExecError> {
-        Ticket::wait(self)
-    }
-}
-
-impl Submit for Submitter {
-    type Handle = Ticket;
-
-    fn submit(&self, request: Request) -> Result<Ticket, SubmitError> {
-        Submitter::submit(self, request)
-    }
-
-    fn try_submit(&self, request: Request) -> Result<Ticket, SubmitError> {
-        Submitter::try_submit(self, request)
-    }
-
-    fn submit_with_deadline(
-        &self,
-        request: Request,
-        deadline: Duration,
-    ) -> Result<Ticket, SubmitError> {
-        Submitter::submit_with_deadline(self, request, deadline)
-    }
-}
-
-impl Submit for AsyncEngine {
-    type Handle = Ticket;
-
-    fn submit(&self, request: Request) -> Result<Ticket, SubmitError> {
-        AsyncEngine::submit(self, request)
-    }
-
-    fn try_submit(&self, request: Request) -> Result<Ticket, SubmitError> {
-        AsyncEngine::try_submit(self, request)
-    }
-
-    fn submit_with_deadline(
-        &self,
-        request: Request,
-        deadline: Duration,
-    ) -> Result<Ticket, SubmitError> {
-        AsyncEngine::submit_with_deadline(self, request, deadline)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::admission::Outcome;
     use crate::queue::{channel, QueueConfig};
     use pe_tensor::Tensor;
 
@@ -174,7 +99,7 @@ mod tests {
 
     /// A driver written against the trait, exercised over the in-process
     /// transport (the engine suites run the same shape over TCP).
-    fn submit_and_cancel<S: Submit>(transport: &S) -> Vec<S::Handle> {
+    fn submit_and_cancel<S: Submit>(transport: &S) -> Vec<Ticket> {
         vec![
             transport.submit(req(1)).unwrap(),
             transport

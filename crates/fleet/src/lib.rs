@@ -38,10 +38,12 @@ use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use pe_net::{Client, NetTicket, ServerConfig, ServerCore};
+use pe_net::{Client, ServerConfig, ServerCore};
 use pockengine::pe_data::serving::Request;
 use pockengine::queue::{self, Envelope, Pop, Receiver};
-use pockengine::{Outcome, QueueConfig, ServingKind, Submit, SubmitError, Submitter, TicketNotify};
+use pockengine::{
+    Outcome, QueueConfig, ServingKind, Submit, SubmitError, Submitter, Ticket, TicketNotify,
+};
 
 /// Fleet tuning knobs.
 #[derive(Debug, Clone)]
@@ -187,7 +189,7 @@ struct InFlight {
     /// Retained clone for re-dispatch after a worker loss.
     request: Request,
     worker: usize,
-    ticket: NetTicket,
+    ticket: Ticket,
     attempts: usize,
 }
 

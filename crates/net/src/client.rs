@@ -4,25 +4,30 @@
 //!
 //! One background reader thread per connection correlates `Outcome`,
 //! `Ack` and `Nack` frames back to their submissions by correlation id and
-//! resolves the matching [`NetTicket`]s. The client is cheaply cloneable —
+//! resolves the matching [`Ticket`]s. The client is cheaply cloneable —
 //! clones share the connection — and any clone may submit from any thread;
 //! frame writes are serialized by a mutex.
 //!
 //! **Disconnect guarantee:** when the connection dies for any reason —
 //! server shutdown, an `Error` frame, an abrupt TCP reset — every
-//! outstanding [`NetTicket`] resolves as [`Outcome::Cancelled`] and every
+//! outstanding [`Ticket`] resolves as [`Outcome::Cancelled`] and every
 //! in-flight admission decision (either mode) resolves as
-//! [`SubmitError::Closed`] with the request handed back. Nothing hangs.
+//! [`SubmitError::Closed`] with the request handed back. Nothing hangs:
+//! teardown drops every waiter the connection still owes an answer, and a
+//! dropped [`Resolver`] cancels its ticket while a dropped reply sender
+//! fails its receiver.
+//!
+//! [`Outcome::Cancelled`]: pockengine::Outcome::Cancelled
 
 use std::collections::HashMap;
 use std::io;
 use std::net::{SocketAddr, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
-use std::time::{Duration, Instant};
+use std::sync::mpsc::{sync_channel, RecvTimeoutError, SyncSender};
+use std::sync::{Arc, Mutex};
+use std::time::Duration;
 
-use pe_runtime::ExecError;
-use pockengine::{Outcome, Submit, SubmitError, SubmitHandle, TicketNotify};
+use pockengine::{Resolver, Submit, SubmitError, Ticket};
 
 use pe_data::serving::Request;
 
@@ -56,161 +61,6 @@ pub(crate) fn max_frame_from(value: Option<&str>) -> Result<usize, EnvError> {
     )
 }
 
-enum NetSlot {
-    Pending,
-    Ready(Box<Result<Outcome, ExecError>>, Instant),
-    Taken,
-}
-
-struct NetCell {
-    slot: Mutex<NetSlot>,
-    ready: Condvar,
-    /// An optional external observer (see [`NetTicket::watch`]), poked
-    /// once on resolution — the wire counterpart of a queue ticket's
-    /// watcher.
-    watcher: Mutex<Option<Arc<TicketNotify>>>,
-}
-
-impl NetCell {
-    fn new() -> Arc<NetCell> {
-        Arc::new(NetCell {
-            slot: Mutex::new(NetSlot::Pending),
-            ready: Condvar::new(),
-            watcher: Mutex::new(None),
-        })
-    }
-
-    fn fulfill(&self, result: Result<Outcome, ExecError>) {
-        let mut slot = self.slot.lock().unwrap();
-        if matches!(*slot, NetSlot::Pending) {
-            *slot = NetSlot::Ready(Box::new(result), Instant::now());
-            self.ready.notify_all();
-            drop(slot);
-            if let Some(watcher) = &*self.watcher.lock().unwrap() {
-                watcher.notify();
-            }
-        }
-    }
-}
-
-/// The completion handle a [`Client`] hands out: the wire-protocol
-/// counterpart of [`pockengine::Ticket`], resolved by the connection's
-/// reader thread when the matching `Outcome` frame arrives (or as
-/// [`Outcome::Cancelled`] when the connection dies first).
-pub struct NetTicket {
-    cell: Arc<NetCell>,
-}
-
-impl std::fmt::Debug for NetTicket {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("NetTicket")
-            .field("ready", &self.is_ready())
-            .finish()
-    }
-}
-
-impl NetTicket {
-    /// Whether the submission has been resolved (stays `true` after the
-    /// result was taken).
-    pub fn is_ready(&self) -> bool {
-        !matches!(*self.cell.slot.lock().unwrap(), NetSlot::Pending)
-    }
-
-    /// Takes the result without blocking, if resolved; `None` while
-    /// pending and after the result was already taken.
-    pub fn try_take(&mut self) -> Option<Result<Outcome, ExecError>> {
-        let mut slot = self.cell.slot.lock().unwrap();
-        if matches!(*slot, NetSlot::Ready(..)) {
-            if let NetSlot::Ready(result, _) = std::mem::replace(&mut *slot, NetSlot::Taken) {
-                return Some(*result);
-            }
-        }
-        None
-    }
-
-    /// Blocks until the submission resolves and returns the result.
-    pub fn wait(self) -> Result<Outcome, ExecError> {
-        self.wait_timed().0
-    }
-
-    /// Registers a notify handle poked when this ticket resolves (or
-    /// immediately, if it already has). One condvar can watch many tickets
-    /// — the idiom a balancer's reaper thread uses to sleep until *any*
-    /// in-flight submission on any worker resolves. A later `watch`
-    /// replaces the previous observer.
-    pub fn watch(&self, notify: Arc<TicketNotify>) {
-        // Publish the watcher before checking readiness, so a fulfill that
-        // races this call cannot slip between the check and the store.
-        *self.cell.watcher.lock().unwrap() = Some(Arc::clone(&notify));
-        if self.is_ready() {
-            notify.notify();
-        }
-    }
-
-    /// Blocks until the submission resolves; also returns the instant the
-    /// reader thread resolved it (for latency accounting).
-    pub fn wait_timed(self) -> (Result<Outcome, ExecError>, Instant) {
-        let mut slot = self.cell.slot.lock().unwrap();
-        loop {
-            match std::mem::replace(&mut *slot, NetSlot::Taken) {
-                NetSlot::Ready(result, at) => return (*result, at),
-                NetSlot::Taken => panic!("NetTicket result already taken"),
-                NetSlot::Pending => {
-                    *slot = NetSlot::Pending;
-                    slot = self.cell.ready.wait(slot).unwrap();
-                }
-            }
-        }
-    }
-}
-
-impl SubmitHandle for NetTicket {
-    fn is_ready(&self) -> bool {
-        NetTicket::is_ready(self)
-    }
-
-    fn try_take(&mut self) -> Option<Result<Outcome, ExecError>> {
-        NetTicket::try_take(self)
-    }
-
-    fn wait(self) -> Result<Outcome, ExecError> {
-        NetTicket::wait(self)
-    }
-}
-
-/// A try-mode submission's pending verdict (`Ack` or `Nack`).
-struct Decision {
-    verdict: Mutex<Option<Result<(), NackReason>>>,
-    decided: Condvar,
-}
-
-impl Decision {
-    fn new() -> Arc<Decision> {
-        Arc::new(Decision {
-            verdict: Mutex::new(None),
-            decided: Condvar::new(),
-        })
-    }
-
-    fn decide(&self, verdict: Result<(), NackReason>) {
-        let mut slot = self.verdict.lock().unwrap();
-        if slot.is_none() {
-            *slot = Some(verdict);
-            self.decided.notify_all();
-        }
-    }
-
-    fn wait(&self) -> Result<(), NackReason> {
-        let mut slot = self.verdict.lock().unwrap();
-        loop {
-            if let Some(verdict) = *slot {
-                return verdict;
-            }
-            slot = self.decided.wait(slot).unwrap();
-        }
-    }
-}
-
 /// What a control-plane round trip resolved to.
 enum ControlReply {
     /// `Pong`: the server's queue depth at probe time.
@@ -221,58 +71,25 @@ enum ControlReply {
     Snapshot(Vec<u8>),
 }
 
-/// A pending control-plane reply (ping / checkpoint push / snapshot
-/// fetch), resolved by the reader thread or by connection teardown.
-struct ControlCell {
-    slot: Mutex<Option<Result<ControlReply, String>>>,
-    ready: Condvar,
-}
-
-impl ControlCell {
-    fn new() -> Arc<ControlCell> {
-        Arc::new(ControlCell {
-            slot: Mutex::new(None),
-            ready: Condvar::new(),
-        })
-    }
-
-    fn resolve(&self, reply: Result<ControlReply, String>) {
-        let mut slot = self.slot.lock().unwrap();
-        if slot.is_none() {
-            *slot = Some(reply);
-            self.ready.notify_all();
-        }
-    }
-
-    /// `None` on timeout (the reply may still arrive later; the caller
-    /// must deregister the cell so it is dropped instead).
-    fn wait_timeout(&self, timeout: Duration) -> Option<Result<ControlReply, String>> {
-        let deadline = Instant::now() + timeout;
-        let mut slot = self.slot.lock().unwrap();
-        loop {
-            if slot.is_some() {
-                return slot.take();
-            }
-            let left = deadline.saturating_duration_since(Instant::now());
-            if left.is_zero() {
-                return None;
-            }
-            let (next, timed_out) = self.ready.wait_timeout(slot, left).unwrap();
-            slot = next;
-            if timed_out.timed_out() && slot.is_none() {
-                return None;
-            }
-        }
-    }
+/// Everything the connection still owes an answer, by correlation id.
+/// Dropping an entry answers it: a dropped [`Resolver`] cancels its ticket,
+/// a dropped sender makes its receiver fail.
+#[derive(Default)]
+struct Waiters {
+    /// Admitted (or awaiting admission) submissions' tickets.
+    tickets: HashMap<u64, Resolver>,
+    /// Submissions awaiting their `Ack`/`Nack` verdict.
+    verdicts: HashMap<u64, SyncSender<Result<(), NackReason>>>,
+    /// Control-plane round trips (ping / checkpoint push / snapshot fetch).
+    replies: HashMap<u64, SyncSender<ControlReply>>,
 }
 
 struct ClientShared {
     stream: TcpStream,
     writer: Mutex<TcpStream>,
-    pending: Mutex<HashMap<u64, Arc<NetCell>>>,
-    decisions: Mutex<HashMap<u64, Arc<Decision>>>,
-    control: Mutex<HashMap<u64, Arc<ControlCell>>>,
+    waiters: Mutex<Waiters>,
     next_corr: AtomicU64,
+    /// Set under the `waiters` lock, so nothing registers after teardown.
     closed: AtomicBool,
     last_error: Mutex<Option<String>>,
     max_frame: usize,
@@ -283,27 +100,49 @@ struct ClientShared {
 }
 
 impl ClientShared {
-    /// Marks the connection dead and resolves everything outstanding:
-    /// pending tickets become `Cancelled`, pending try-decisions become
-    /// `Closed`. Safe to call more than once.
+    /// Marks the connection dead and drops every waiter: pending tickets
+    /// resolve `Cancelled`, pending verdicts and control replies see their
+    /// sender gone. Safe to call more than once.
     fn tear_down(&self, reason: Option<String>) {
-        self.closed.store(true, Ordering::SeqCst);
         if let Some(reason) = reason {
             self.last_error.lock().unwrap().get_or_insert(reason);
         }
-        let cells: Vec<_> = self.pending.lock().unwrap().drain().collect();
-        for (_, cell) in cells {
-            cell.fulfill(Ok(Outcome::Cancelled));
-        }
-        let decisions: Vec<_> = self.decisions.lock().unwrap().drain().collect();
-        for (_, decision) in decisions {
-            decision.decide(Err(NackReason::Closed));
-        }
-        let controls: Vec<_> = self.control.lock().unwrap().drain().collect();
-        for (_, cell) in controls {
-            cell.resolve(Err("connection closed".to_string()));
-        }
+        let waiters = {
+            let mut waiters = self.waiters.lock().unwrap();
+            self.closed.store(true, Ordering::SeqCst);
+            std::mem::take(&mut *waiters)
+        };
+        drop(waiters);
         let _ = self.stream.shutdown(std::net::Shutdown::Both);
+    }
+
+    /// Registers waiters under the next correlation id, unless the
+    /// connection is already torn down (`None`).
+    fn register(&self, add: impl FnOnce(u64, &mut Waiters)) -> Option<u64> {
+        let mut waiters = self.waiters.lock().unwrap();
+        if self.closed.load(Ordering::SeqCst) {
+            return None;
+        }
+        let corr = self.next_corr.fetch_add(1, Ordering::Relaxed);
+        add(corr, &mut waiters);
+        Some(corr)
+    }
+
+    /// Writes one frame; a failed write tears the connection down.
+    fn write(&self, kind: FrameKind, payload: &[u8]) -> bool {
+        let wrote = proto::write_frame(&mut *self.writer.lock().unwrap(), kind, payload);
+        if wrote.is_err() {
+            self.tear_down(Some("write failed: connection lost".into()));
+        }
+        wrote.is_ok()
+    }
+
+    /// Hands a control reply to its waiter, if one is still registered.
+    fn reply(&self, corr: u64, reply: ControlReply) {
+        let waiter = self.waiters.lock().unwrap().replies.remove(&corr);
+        if let Some(waiter) = waiter {
+            let _ = waiter.send(reply);
+        }
     }
 }
 
@@ -312,8 +151,8 @@ impl ClientShared {
 /// Cloneable — clones share the connection and its reader thread, exactly
 /// as [`pockengine::Submitter`] clones share the queue. Dropping the last
 /// clone closes the connection: any tickets still outstanding resolve as
-/// [`Outcome::Cancelled`] (nobody is left to redeem a served result over
-/// a readerless socket).
+/// cancelled (nobody is left to redeem a served result over a readerless
+/// socket).
 pub struct Client {
     shared: Arc<ClientShared>,
 }
@@ -457,9 +296,7 @@ impl Client {
         let shared = Arc::new(ClientShared {
             stream,
             writer: Mutex::new(writer),
-            pending: Mutex::new(HashMap::new()),
-            decisions: Mutex::new(HashMap::new()),
-            control: Mutex::new(HashMap::new()),
+            waiters: Mutex::new(Waiters::default()),
             next_corr: AtomicU64::new(1),
             closed: AtomicBool::new(false),
             last_error: Mutex::new(None),
@@ -488,71 +325,49 @@ impl Client {
     }
 
     /// Closes the connection now: outstanding tickets resolve as
-    /// [`Outcome::Cancelled`].
+    /// cancelled.
     pub fn close(&self) {
         self.shared.tear_down(None);
     }
 
-    /// The submission path shared by both modes: register the ticket cell
-    /// and the admission decision *before* the frame hits the wire (the
-    /// verdict can race back), write the `Submit` frame, then wait for the
-    /// server's `Ack`/`Nack`. A refused submission never hands out a
-    /// handle — the caller keeps the request on every failure, so a
+    /// The submission path shared by both modes: register the ticket's
+    /// resolver and the verdict channel *before* the frame hits the wire
+    /// (the verdict can race back), write the `Submit` frame, then wait for
+    /// the server's `Ack`/`Nack`. A refused submission never hands out its
+    /// ticket — the caller keeps the request on every failure, so a
     /// never-admitted request surfaces as `SubmitError`, distinct from a
     /// torn-down in-flight one (`Outcome::Cancelled`).
-    fn send(&self, request: Request, mode: SubmitMode) -> Result<(u64, NetTicket), SubmitError> {
+    fn send(&self, request: Request, mode: SubmitMode) -> Result<Ticket, SubmitError> {
         let shared = &self.shared;
-        if shared.closed.load(Ordering::SeqCst) {
+        let (verdict_tx, verdict) = sync_channel(1);
+        let mut ticket = None;
+        let registered = shared.register(|corr, waiters| {
+            let (pending, resolver) = Ticket::pending(corr as usize);
+            ticket = Some(pending);
+            waiters.tickets.insert(corr, resolver);
+            waiters.verdicts.insert(corr, verdict_tx);
+        });
+        let Some(corr) = registered else {
             return Err(SubmitError::Closed(Box::new(request)));
-        }
-        let corr = shared.next_corr.fetch_add(1, Ordering::Relaxed);
-        let cell = NetCell::new();
-        shared
-            .pending
-            .lock()
-            .unwrap()
-            .insert(corr, Arc::clone(&cell));
-        let decision = Decision::new();
-        shared
-            .decisions
-            .lock()
-            .unwrap()
-            .insert(corr, Arc::clone(&decision));
-        // Re-check after registering: the reader may have torn down and
-        // drained the maps between our first check and the inserts.
-        if shared.closed.load(Ordering::SeqCst) {
-            shared.pending.lock().unwrap().remove(&corr);
-            shared.decisions.lock().unwrap().remove(&corr);
-            return Err(SubmitError::Closed(Box::new(request)));
-        }
-        let payload = proto::encode_submit(corr, mode, &request);
-        let wrote = {
-            let mut writer = shared.writer.lock().unwrap();
-            proto::write_frame(&mut *writer, FrameKind::Submit, &payload)
         };
-        if wrote.is_err() {
-            shared.pending.lock().unwrap().remove(&corr);
-            shared.decisions.lock().unwrap().remove(&corr);
-            shared.tear_down(Some("write failed: connection lost".into()));
+        if !shared.write(
+            FrameKind::Submit,
+            &proto::encode_submit(corr, mode, &request),
+        ) {
             return Err(SubmitError::Closed(Box::new(request)));
         }
         // Block-mode backpressure propagates through this wait: the server
-        // only acks once the queue admits the request.
-        match decision.wait() {
-            Ok(()) => Ok((corr, NetTicket { cell })),
-            Err(NackReason::Full) => {
-                shared.pending.lock().unwrap().remove(&corr);
-                Err(SubmitError::Full(Box::new(request)))
-            }
-            Err(NackReason::Closed) => {
-                shared.pending.lock().unwrap().remove(&corr);
-                Err(SubmitError::Closed(Box::new(request)))
-            }
+        // only acks once the queue admits the request. A `Nack` (or a
+        // teardown) has already dropped the ticket's resolver.
+        match verdict.recv() {
+            Ok(Ok(())) => Ok(ticket.expect("registered with the verdict")),
+            Ok(Err(NackReason::Full)) => Err(SubmitError::Full(Box::new(request))),
+            Ok(Err(NackReason::Closed)) | Err(_) => Err(SubmitError::Closed(Box::new(request))),
         }
     }
 
-    /// One control-plane round trip: register the reply cell, write the
-    /// frame, wait (bounded). A timeout deregisters the cell, so a late
+    /// One control-plane round trip: register the reply channel, write the
+    /// frame, wait (bounded). A timeout deregisters the channel, so a late
     /// reply is dropped instead of resolving into the void.
     fn control(
         &self,
@@ -562,35 +377,20 @@ impl Client {
     ) -> io::Result<ControlReply> {
         let shared = &self.shared;
         let closed = || io::Error::new(io::ErrorKind::NotConnected, "connection closed");
-        if shared.closed.load(Ordering::SeqCst) {
+        let (reply_tx, reply) = sync_channel(1);
+        let corr = shared
+            .register(|corr, waiters| {
+                waiters.replies.insert(corr, reply_tx);
+            })
+            .ok_or_else(closed)?;
+        if !shared.write(kind, &payload(corr)) {
             return Err(closed());
         }
-        let corr = shared.next_corr.fetch_add(1, Ordering::Relaxed);
-        let cell = ControlCell::new();
-        shared
-            .control
-            .lock()
-            .unwrap()
-            .insert(corr, Arc::clone(&cell));
-        if shared.closed.load(Ordering::SeqCst) {
-            shared.control.lock().unwrap().remove(&corr);
-            return Err(closed());
-        }
-        let payload = payload(corr);
-        let wrote = {
-            let mut writer = shared.writer.lock().unwrap();
-            proto::write_frame(&mut *writer, kind, &payload)
-        };
-        if wrote.is_err() {
-            shared.control.lock().unwrap().remove(&corr);
-            shared.tear_down(Some("write failed: connection lost".into()));
-            return Err(closed());
-        }
-        match cell.wait_timeout(timeout) {
-            Some(Ok(reply)) => Ok(reply),
-            Some(Err(message)) => Err(io::Error::new(io::ErrorKind::NotConnected, message)),
-            None => {
-                shared.control.lock().unwrap().remove(&corr);
+        match reply.recv_timeout(timeout) {
+            Ok(reply) => Ok(reply),
+            Err(RecvTimeoutError::Disconnected) => Err(closed()),
+            Err(RecvTimeoutError::Timeout) => {
+                shared.waiters.lock().unwrap().replies.remove(&corr);
                 Err(io::Error::new(
                     io::ErrorKind::TimedOut,
                     "control reply timed out",
@@ -660,20 +460,19 @@ impl Client {
 }
 
 impl Submit for Client {
-    type Handle = NetTicket;
-
-    fn submit(&self, request: Request) -> Result<NetTicket, SubmitError> {
-        self.send(request, SubmitMode::Block).map(|(_, t)| t)
+    fn submit(&self, request: Request) -> Result<Ticket, SubmitError> {
+        self.send(request, SubmitMode::Block)
     }
 
-    fn try_submit(&self, request: Request) -> Result<NetTicket, SubmitError> {
-        self.send(request, SubmitMode::Try).map(|(_, t)| t)
+    fn try_submit(&self, request: Request) -> Result<Ticket, SubmitError> {
+        self.send(request, SubmitMode::Try)
     }
 }
 
 /// Drains frames off the socket until the connection dies, resolving
-/// tickets and decisions; on exit — EOF, I/O error, protocol violation or
-/// a server `Error` frame — tears the connection down so nothing hangs.
+/// tickets, verdicts and control replies; on exit — EOF, I/O error,
+/// protocol violation or a server `Error` frame — tears the connection down
+/// so nothing hangs.
 fn reader_loop(shared: Arc<ClientShared>, mut stream: TcpStream) {
     let reason = loop {
         let frame = match proto::read_frame(&mut stream, shared.max_frame) {
@@ -681,102 +480,50 @@ fn reader_loop(shared: Arc<ClientShared>, mut stream: TcpStream) {
             Err(e) if e.kind() == io::ErrorKind::UnexpectedEof => break None,
             Err(e) => break Some(format!("read failed: {e}")),
         };
-        match FrameKind::from_u8(frame.kind) {
-            Some(FrameKind::Outcome) => match proto::decode_outcome(&frame.payload) {
-                Ok((corr, result)) => {
-                    let cell = shared.pending.lock().unwrap().remove(&corr);
-                    if let Some(cell) = cell {
-                        cell.fulfill(result);
-                    }
+        let payload = &frame.payload;
+        let handled = match FrameKind::from_u8(frame.kind) {
+            Some(FrameKind::Outcome) => proto::decode_outcome(payload).map(|(corr, result)| {
+                let resolver = shared.waiters.lock().unwrap().tickets.remove(&corr);
+                if let Some(resolver) = resolver {
+                    resolver.fulfill(result);
                 }
-                Err(e) => break Some(e.to_string()),
-            },
-            Some(FrameKind::Ack) => match proto::decode_ack(&frame.payload) {
-                Ok(corr) => {
-                    let decision = shared.decisions.lock().unwrap().remove(&corr);
-                    if let Some(decision) = decision {
-                        decision.decide(Ok(()));
-                    } else {
-                        // An Ack may also confirm a pushed checkpoint.
-                        let cell = shared.control.lock().unwrap().remove(&corr);
-                        if let Some(cell) = cell {
-                            cell.resolve(Ok(ControlReply::Ack));
-                        }
-                    }
+            }),
+            Some(FrameKind::Ack) => proto::decode_ack(payload).map(|corr| {
+                let verdict = shared.waiters.lock().unwrap().verdicts.remove(&corr);
+                match verdict {
+                    Some(verdict) => drop(verdict.send(Ok(()))),
+                    // An Ack may also confirm a pushed checkpoint.
+                    None => shared.reply(corr, ControlReply::Ack),
                 }
-                Err(e) => break Some(e.to_string()),
-            },
-            Some(FrameKind::Pong) => match proto::decode_pong(&frame.payload) {
-                Ok((corr, depth)) => {
-                    let cell = shared.control.lock().unwrap().remove(&corr);
-                    if let Some(cell) = cell {
-                        cell.resolve(Ok(ControlReply::Pong(depth)));
-                    }
+            }),
+            Some(FrameKind::Nack) => proto::decode_nack(payload).map(|(corr, reason)| {
+                // A refused submission's ticket is never handed out: drop
+                // its resolver with the verdict. A duplicate or
+                // uncorrelated Nack finds no verdict, and cancels a ticket
+                // that is somehow out rather than leave it hanging.
+                let verdict = {
+                    let mut waiters = shared.waiters.lock().unwrap();
+                    waiters.tickets.remove(&corr);
+                    waiters.verdicts.remove(&corr)
+                };
+                if let Some(verdict) = verdict {
+                    let _ = verdict.send(Err(reason));
                 }
-                Err(e) => break Some(e.to_string()),
-            },
-            Some(FrameKind::Checkpoint) => match proto::decode_checkpoint(&frame.payload) {
-                Ok((corr, bytes)) => {
-                    let cell = shared.control.lock().unwrap().remove(&corr);
-                    if let Some(cell) = cell {
-                        cell.resolve(Ok(ControlReply::Snapshot(bytes)));
-                    }
-                }
-                Err(e) => break Some(e.to_string()),
-            },
-            Some(FrameKind::Nack) => match proto::decode_nack(&frame.payload) {
-                Ok((corr, reason)) => {
-                    let decision = shared.decisions.lock().unwrap().remove(&corr);
-                    match decision {
-                        Some(decision) => decision.decide(Err(reason)),
-                        None => {
-                            // Both modes register a decision, so this is a
-                            // misbehaving server (duplicate or uncorrelated
-                            // Nack). If a handle is somehow out, cancel it
-                            // rather than leave it hanging.
-                            let cell = shared.pending.lock().unwrap().remove(&corr);
-                            if let Some(cell) = cell {
-                                cell.fulfill(Ok(Outcome::Cancelled));
-                            }
-                        }
-                    }
-                }
-                Err(e) => break Some(e.to_string()),
-            },
+            }),
+            Some(FrameKind::Pong) => proto::decode_pong(payload)
+                .map(|(corr, depth)| shared.reply(corr, ControlReply::Pong(depth))),
+            Some(FrameKind::Checkpoint) => proto::decode_checkpoint(payload)
+                .map(|(corr, bytes)| shared.reply(corr, ControlReply::Snapshot(bytes))),
             Some(FrameKind::Error) => {
-                let message = proto::decode_error(&frame.payload)
+                let message = proto::decode_error(payload)
                     .unwrap_or_else(|_| "unreadable server error".into());
                 break Some(format!("server error: {message}"));
             }
             _ => break Some(format!("unexpected frame kind {}", frame.kind)),
+        };
+        if let Err(e) = handled {
+            break Some(e.to_string());
         }
     };
     shared.tear_down(reason);
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn net_ticket_resolves_through_the_cell() {
-        let cell = NetCell::new();
-        let mut ticket = NetTicket {
-            cell: Arc::clone(&cell),
-        };
-        assert!(!ticket.is_ready());
-        assert!(ticket.try_take().is_none());
-        cell.fulfill(Ok(Outcome::Cancelled));
-        assert!(ticket.is_ready());
-        assert!(matches!(ticket.try_take(), Some(Ok(Outcome::Cancelled))));
-        assert!(ticket.try_take().is_none(), "take is one-shot");
-    }
-
-    #[test]
-    fn decisions_are_first_writer_wins() {
-        let decision = Decision::new();
-        decision.decide(Err(NackReason::Full));
-        decision.decide(Ok(()));
-        assert_eq!(decision.wait(), Err(NackReason::Full));
-    }
 }

@@ -15,7 +15,8 @@
 //! * [`Server`] — accept loop, thread-per-connection readers feeding
 //!   cloned [`Submitter`]s, per-connection writers resolving tickets in
 //!   completion order via [`TicketNotify`];
-//! * [`Client`] — implements [`pockengine::Submit`], so engine code and
+//! * [`Client`] — implements [`pockengine::Submit`] and hands out the same
+//!   [`pockengine::Ticket`] the in-process queue does, so engine code and
 //!   tests written against the trait run unchanged over TCP.
 //!
 //! [`AsyncEngine`]: pockengine::AsyncEngine
@@ -30,11 +31,11 @@ pub mod env;
 pub mod proto;
 pub mod server;
 
-pub use client::{max_frame_from_env, Client, NetTicket};
+pub use client::{max_frame_from_env, Client};
 pub use env::EnvError;
 pub use proto::{FrameKind, NackReason, ProtoError, SubmitMode, PROTOCOL_VERSION};
 pub use server::{Server, ServerConfig, ServerCore};
 
 // Re-export the traits a client binary needs, so depending on pe_net
 // alone is enough to drive a remote engine.
-pub use pockengine::{Outcome, Submit, SubmitError, SubmitHandle};
+pub use pockengine::{Outcome, Submit, SubmitError, Ticket};

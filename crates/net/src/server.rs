@@ -28,11 +28,11 @@ use std::thread::JoinHandle;
 use std::time::Duration;
 
 use pe_runtime::ParamStore;
-use pockengine::{AsyncEngine, Engine, SubmitError, Submitter, Ticket, TicketNotify};
+use pockengine::{AsyncEngine, Engine, Submit, SubmitError, Submitter, Ticket, TicketNotify};
 
 use crate::client::max_frame_from;
 use crate::env::{env_value, parse_var, EnvError};
-use crate::proto::{self, FrameKind, NackReason, SubmitMode, DEFAULT_MAX_FRAME_BYTES};
+use crate::proto::{self, Frame, FrameKind, NackReason, SubmitMode, DEFAULT_MAX_FRAME_BYTES};
 
 /// Server tuning knobs; [`ServerConfig::from_env`] reads the documented
 /// environment variables.
@@ -109,17 +109,9 @@ enum Cmd {
     /// A submission was admitted into the queue: send the `Ack` frame,
     /// then stream the outcome when ready.
     Track { corr: u64, ticket: Ticket },
-    /// A submission was refused; tell the client.
-    Nack { corr: u64, reason: NackReason },
-    /// A health probe arrived: answer with the queue depth sampled at
-    /// probe time.
-    Pong { corr: u64, depth: u32 },
-    /// A `Checkpoint` frame was applied to the parameter store: confirm
-    /// with an `Ack` carrying the same correlation id.
-    CheckpointOk { corr: u64 },
-    /// A `SnapshotReq` was served: stream the snapshot back as a
-    /// `Checkpoint` frame.
-    Snapshot { corr: u64, bytes: Vec<u8> },
+    /// One encoded answer the reader produced itself: a `Nack`, a `Pong`,
+    /// a checkpoint's `Ack` or a snapshot's `Checkpoint` frame.
+    Reply { kind: FrameKind, payload: Vec<u8> },
     /// The reader hit a protocol violation: send one `Error` frame, then
     /// sever the connection.
     Fatal(String),
@@ -136,6 +128,47 @@ impl Conn {
     fn push(&self, cmd: Cmd) {
         self.commands.lock().unwrap().push_back(cmd);
         self.notify.notify();
+    }
+
+    fn reply(&self, kind: FrameKind, payload: Vec<u8>) {
+        self.push(Cmd::Reply { kind, payload });
+    }
+
+    fn nack(&self, corr: u64, reason: NackReason) {
+        self.reply(FrameKind::Nack, proto::encode_nack(corr, reason));
+    }
+
+    /// Answers a `Ping` with the queue depth sampled now.
+    fn pong(&self, state: &ServerState, payload: &[u8]) -> Result<(), proto::ProtoError> {
+        let corr = proto::decode_ping(payload)?;
+        let depth = state.submitter.len().min(u32::MAX as usize) as u32;
+        self.reply(FrameKind::Pong, proto::encode_pong(corr, depth));
+        Ok(())
+    }
+}
+
+/// Frames read off the socket during a block-mode stall, replayed in order
+/// before fresh bytes are read, and the memory they hold.
+#[derive(Default)]
+struct Deferred {
+    frames: VecDeque<Frame>,
+    bytes: usize,
+}
+
+impl Deferred {
+    fn held(frame: &Frame) -> usize {
+        std::mem::size_of::<Frame>() + frame.payload.len()
+    }
+
+    fn push(&mut self, frame: Frame) {
+        self.bytes += Deferred::held(&frame);
+        self.frames.push_back(frame);
+    }
+
+    fn pop(&mut self) -> Option<Frame> {
+        let frame = self.frames.pop_front()?;
+        self.bytes -= Deferred::held(&frame);
+        Some(frame)
     }
 }
 
@@ -436,11 +469,9 @@ fn handshake(stream: &mut TcpStream, state: &ServerState) -> Result<(), String> 
 /// are still answered, and other frames read during the stall are deferred
 /// in arrival order (see [`block_submit`]).
 fn read_loop(stream: &mut TcpStream, state: &ServerState, conn: &Conn) {
-    // Frames read off the socket during a block-mode stall, replayed in
-    // order before reading fresh bytes.
-    let mut deferred: VecDeque<proto::Frame> = VecDeque::new();
+    let mut deferred = Deferred::default();
     loop {
-        let frame = if let Some(frame) = deferred.pop_front() {
+        let frame = if let Some(frame) = deferred.pop() {
             frame
         } else {
             match proto::read_frame(stream, state.config.max_frame) {
@@ -462,15 +493,9 @@ fn read_loop(stream: &mut TcpStream, state: &ServerState, conn: &Conn) {
         match FrameKind::from_u8(frame.kind) {
             Some(FrameKind::Submit) => {}
             Some(FrameKind::Ping) => {
-                match proto::decode_ping(&frame.payload) {
-                    Ok(corr) => conn.push(Cmd::Pong {
-                        corr,
-                        depth: state.submitter.len().min(u32::MAX as usize) as u32,
-                    }),
-                    Err(e) => {
-                        conn.push(Cmd::Fatal(e.to_string()));
-                        return;
-                    }
+                if let Err(e) = conn.pong(state, &frame.payload) {
+                    conn.push(Cmd::Fatal(e.to_string()));
+                    return;
                 }
                 continue;
             }
@@ -495,7 +520,7 @@ fn read_loop(stream: &mut TcpStream, state: &ServerState, conn: &Conn) {
                 // fence and the next eval), and the store's exclusive guard
                 // orders the restore against any stragglers anyway.
                 match store.restore(&bytes) {
-                    Ok(()) => conn.push(Cmd::CheckpointOk { corr }),
+                    Ok(()) => conn.reply(FrameKind::Ack, proto::encode_ack(corr)),
                     Err(e) => {
                         conn.push(Cmd::Fatal(e.to_string()));
                         return;
@@ -519,10 +544,8 @@ fn read_loop(stream: &mut TcpStream, state: &ServerState, conn: &Conn) {
                     ));
                     return;
                 };
-                conn.push(Cmd::Snapshot {
-                    corr,
-                    bytes: store.snapshot(),
-                });
+                let snapshot = proto::encode_checkpoint(corr, &store.snapshot());
+                conn.reply(FrameKind::Checkpoint, snapshot);
                 continue;
             }
             _ => {
@@ -549,14 +572,8 @@ fn read_loop(stream: &mut TcpStream, state: &ServerState, conn: &Conn) {
             }
             SubmitMode::Try => match state.submitter.try_submit(request) {
                 Ok(ticket) => track(conn, corr, ticket),
-                Err(SubmitError::Full(_)) => conn.push(Cmd::Nack {
-                    corr,
-                    reason: NackReason::Full,
-                }),
-                Err(SubmitError::Closed(_)) => conn.push(Cmd::Nack {
-                    corr,
-                    reason: NackReason::Closed,
-                }),
+                Err(SubmitError::Full(_)) => conn.nack(corr, NackReason::Full),
+                Err(SubmitError::Closed(_)) => conn.nack(corr, NackReason::Closed),
             },
         }
     }
@@ -581,9 +598,12 @@ const BLOCK_PEEK: Duration = Duration::from_millis(1);
 /// and re-homing all its in-flight evals, a load-induced mark-down
 /// cascade.
 ///
-/// Deferral is bounded in practice by the client's un-`Ack`ed window (a
-/// blocking client waits for the `Ack` before pipelining more), and every
-/// deferred frame already passed the `max_frame` bound.
+/// Deferral is bounded whatever the peer sends: once the deferred frames
+/// hold `max_frame` bytes, the reader stops reading the socket and only
+/// waits on the queue, so TCP flow control throttles the sender. (A
+/// well-behaved blocking client never gets near the bound: it waits for
+/// the `Ack` before pipelining more.) Pings behind a full deferral wait
+/// with everything else until the submission lands.
 ///
 /// Returns `false` when the connection must close.
 fn block_submit(
@@ -592,7 +612,7 @@ fn block_submit(
     conn: &Conn,
     corr: u64,
     request: pockengine::pe_data::serving::Request,
-    deferred: &mut VecDeque<proto::Frame>,
+    deferred: &mut Deferred,
 ) -> bool {
     let mut request = request;
     loop {
@@ -602,30 +622,28 @@ fn block_submit(
                 return true;
             }
             Err(SubmitError::Closed(_)) => {
-                conn.push(Cmd::Nack {
-                    corr,
-                    reason: NackReason::Closed,
-                });
+                conn.nack(corr, NackReason::Closed);
                 return true;
             }
             Err(SubmitError::Full(r)) => request = *r,
         }
+        if deferred.bytes >= state.config.max_frame {
+            // Not reading, the reader cannot see its socket severed:
+            // shutdown is its cue to give up on an undrained queue.
+            if state.shutting_down.load(Ordering::SeqCst) {
+                conn.push(Cmd::Hangup);
+                return false;
+            }
+            continue;
+        }
         match try_read_frame(stream, state.config.max_frame, BLOCK_PEEK) {
             Ok(None) => {} // No bytes yet; retry the submission.
             Ok(Some(frame)) => {
-                if FrameKind::from_u8(frame.kind) == Some(FrameKind::Ping) {
-                    match proto::decode_ping(&frame.payload) {
-                        Ok(ping_corr) => conn.push(Cmd::Pong {
-                            corr: ping_corr,
-                            depth: state.submitter.len().min(u32::MAX as usize) as u32,
-                        }),
-                        Err(e) => {
-                            conn.push(Cmd::Fatal(e.to_string()));
-                            return false;
-                        }
-                    }
-                } else {
-                    deferred.push_back(frame);
+                if FrameKind::from_u8(frame.kind) != Some(FrameKind::Ping) {
+                    deferred.push(frame);
+                } else if let Err(e) = conn.pong(state, &frame.payload) {
+                    conn.push(Cmd::Fatal(e.to_string()));
+                    return false;
                 }
             }
             Err(e) if e.kind() == io::ErrorKind::UnexpectedEof => {
@@ -653,7 +671,7 @@ fn try_read_frame(
     stream: &mut TcpStream,
     max_frame: usize,
     wait: Duration,
-) -> io::Result<Option<proto::Frame>> {
+) -> io::Result<Option<Frame>> {
     stream.set_read_timeout(Some(wait))?;
     let arrived = match stream.peek(&mut [0u8; 1]) {
         Ok(0) => Err(io::Error::from(io::ErrorKind::UnexpectedEof)),
@@ -696,66 +714,14 @@ fn writer_loop(mut stream: TcpStream, conn: Arc<Conn>) {
     let mut pending: Vec<(u64, Ticket)> = Vec::new();
     let mut seen = conn.notify.generation();
     loop {
-        let mut drained = Vec::new();
-        {
-            let mut commands = conn.commands.lock().unwrap();
-            drained.extend(commands.drain(..));
-        }
+        let drained: Vec<Cmd> = conn.commands.lock().unwrap().drain(..).collect();
         for cmd in drained {
-            match cmd {
+            let (kind, payload) = match cmd {
                 Cmd::Track { corr, ticket } => {
-                    if proto::write_frame(&mut stream, FrameKind::Ack, &proto::encode_ack(corr))
-                        .is_err()
-                    {
-                        sever(&stream);
-                        return;
-                    }
                     pending.push((corr, ticket));
+                    (FrameKind::Ack, proto::encode_ack(corr))
                 }
-                Cmd::Nack { corr, reason } => {
-                    if proto::write_frame(
-                        &mut stream,
-                        FrameKind::Nack,
-                        &proto::encode_nack(corr, reason),
-                    )
-                    .is_err()
-                    {
-                        sever(&stream);
-                        return;
-                    }
-                }
-                Cmd::Pong { corr, depth } => {
-                    if proto::write_frame(
-                        &mut stream,
-                        FrameKind::Pong,
-                        &proto::encode_pong(corr, depth),
-                    )
-                    .is_err()
-                    {
-                        sever(&stream);
-                        return;
-                    }
-                }
-                Cmd::CheckpointOk { corr } => {
-                    if proto::write_frame(&mut stream, FrameKind::Ack, &proto::encode_ack(corr))
-                        .is_err()
-                    {
-                        sever(&stream);
-                        return;
-                    }
-                }
-                Cmd::Snapshot { corr, bytes } => {
-                    if proto::write_frame(
-                        &mut stream,
-                        FrameKind::Checkpoint,
-                        &proto::encode_checkpoint(corr, &bytes),
-                    )
-                    .is_err()
-                    {
-                        sever(&stream);
-                        return;
-                    }
-                }
+                Cmd::Reply { kind, payload } => (kind, payload),
                 Cmd::Fatal(message) => {
                     let _ = proto::write_frame(
                         &mut stream,
@@ -769,6 +735,9 @@ fn writer_loop(mut stream: TcpStream, conn: Arc<Conn>) {
                     sever(&stream);
                     return;
                 }
+            };
+            if !write_or_sever(&mut stream, kind, &payload) {
+                return;
             }
         }
         // Stream every resolved ticket, preserving arrival order among
@@ -780,14 +749,8 @@ fn writer_loop(mut stream: TcpStream, conn: Arc<Conn>) {
                 let result = ticket
                     .try_take()
                     .expect("ready ticket yields a result exactly once");
-                if proto::write_frame(
-                    &mut stream,
-                    FrameKind::Outcome,
-                    &proto::encode_outcome(corr, &result),
-                )
-                .is_err()
-                {
-                    sever(&stream);
+                let payload = proto::encode_outcome(corr, &result);
+                if !write_or_sever(&mut stream, FrameKind::Outcome, &payload) {
                     return;
                 }
             } else {
@@ -796,6 +759,16 @@ fn writer_loop(mut stream: TcpStream, conn: Arc<Conn>) {
         }
         seen = conn.notify.wait(seen, Duration::from_millis(50));
     }
+}
+
+/// Writes one frame, severing the connection when the write fails.
+/// Returns whether the frame was written.
+fn write_or_sever(stream: &mut TcpStream, kind: FrameKind, payload: &[u8]) -> bool {
+    let wrote = proto::write_frame(stream, kind, payload).is_ok();
+    if !wrote {
+        sever(stream);
+    }
+    wrote
 }
 
 /// Severs both directions so the companion reader thread unblocks too.

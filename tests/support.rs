@@ -26,7 +26,7 @@ use pockengine::pe_runtime::{ExecError, Executor, Optimizer, ParamStore};
 use pockengine::pe_tensor::{Rng, Tensor};
 use pockengine::{
     AdmissionPolicy, CompileOptions, Compiler, Engine, EngineConfig, Outcome, Priority, Program,
-    RejectReason, Request, ServingKind, Submit, SubmitHandle,
+    RejectReason, Request, ServingKind, Submit, Ticket,
 };
 
 /// The system allocator, counting allocation events, for the zero-alloc
@@ -264,7 +264,7 @@ pub fn rejected_set(outcomes: &[Outcome]) -> Vec<(usize, Duration)> {
 
 /// Submits the whole stream in order through any [`Submit`] transport,
 /// blocking under backpressure; panics if the transport refuses.
-pub fn submit_stream<S: Submit>(transport: &S, stream: &[Request]) -> Vec<S::Handle> {
+pub fn submit_stream<S: Submit>(transport: &S, stream: &[Request]) -> Vec<Ticket> {
     stream
         .iter()
         .map(|r| {
@@ -275,9 +275,9 @@ pub fn submit_stream<S: Submit>(transport: &S, stream: &[Request]) -> Vec<S::Han
         .collect()
 }
 
-/// Redeems handles in submission order into their raw results.
-pub fn redeem<H: SubmitHandle>(handles: Vec<H>) -> Vec<Result<Outcome, ExecError>> {
-    handles.into_iter().map(|h| h.wait()).collect()
+/// Redeems tickets in submission order into their raw results.
+pub fn redeem(tickets: Vec<Ticket>) -> Vec<Result<Outcome, ExecError>> {
+    tickets.into_iter().map(Ticket::wait).collect()
 }
 
 /// Submits a stream and redeems the outcomes in submission order,

@@ -28,7 +28,7 @@ use pockengine::pe_runtime::{Executor, Optimizer, ParamStore};
 use pockengine::pe_tensor::{Rng, Tensor};
 use pockengine::{
     compile, AdmissionPolicy, CompileOptions, Engine, EngineConfig, Outcome, Priority, QueueConfig,
-    Request, Response, ServingKind,
+    Request, Response, ServingKind, Submit,
 };
 
 /// Unwraps a slice-serve outcome vector into completed responses.

@@ -29,7 +29,8 @@ use pockengine::pe_runtime::ExecError;
 use pockengine::pe_tensor::{Rng, Tensor};
 use pockengine::queue;
 use pockengine::{
-    AdmissionPolicy, BatcherStats, Engine, Outcome, QueueConfig, Request, ServingKind, SubmitError,
+    AdmissionPolicy, BatcherStats, Engine, Outcome, QueueConfig, Request, ServingKind, Submit,
+    SubmitError,
 };
 
 /// Submits the whole stream, shuts down (draining everything queued), and

@@ -13,7 +13,7 @@
 //!   the server keeps serving and every outstanding ticket resolves
 //!   (`Cancelled`), never hangs.
 
-use std::io::Write;
+use std::io::{self, Write};
 use std::net::{TcpListener, TcpStream};
 use std::time::Duration;
 
@@ -639,6 +639,118 @@ fn ping_is_answered_while_a_blocking_submit_waits_on_a_full_queue() {
         .join()
         .unwrap()
         .expect("stalled submit admitted once room opened");
+}
+
+/// A stalled blocking submit defers the frames that arrive behind it, and a
+/// hostile peer must not turn that into unbounded buffering: once the
+/// deferred frames hold `max_frame` bytes the reader stops reading the
+/// socket, so TCP flow control stalls the sender's writes.
+#[test]
+fn a_stalled_blocking_submit_stops_reading_once_its_deferral_holds_a_frame() {
+    let (submitter, _undrained) = pockengine::queue::channel(QueueConfig {
+        capacity: 1,
+        ..QueueConfig::default()
+    });
+    let config = ServerConfig {
+        max_frame: 4096,
+        ..ServerConfig::default()
+    };
+    let core = pe_net::ServerCore::spawn(submitter, None, config).expect("bind core");
+    let mut stream = raw_handshake(core.local_addr());
+    stream
+        .set_write_timeout(Some(Duration::from_secs(2)))
+        .unwrap();
+    let mut rng = Rng::seed_from_u64(78);
+    // The first submit fills the queue; the second stalls the reader.
+    for corr in [1, 2] {
+        let request = request(ServingKind::Eval, 1, &mut rng);
+        let payload = proto::encode_submit(corr, SubmitMode::Block, &request);
+        proto::write_frame(&mut stream, FrameKind::Submit, &payload).unwrap();
+    }
+    const LIMIT: usize = 64 << 20;
+    let filler = vec![0u8; 4095];
+    let mut sent = 0;
+    let stalled = loop {
+        if sent >= LIMIT {
+            break false;
+        }
+        match proto::write_frame(&mut stream, FrameKind::Submit, &filler) {
+            Ok(()) => sent += 4 + 1 + filler.len(),
+            Err(e) => {
+                let kind = e.kind();
+                assert!(
+                    matches!(kind, io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut),
+                    "{e}"
+                );
+                break true;
+            }
+        }
+    };
+    assert!(stalled, "the server read all {sent} bytes the peer sent");
+    drop(stream);
+    drop(core);
+}
+
+/// A spoofed server that reads a blocking `Submit` and a `Ping` and then
+/// hangs up without answering either: teardown must release both waiters
+/// at once. The submit returns `Closed` with the request handed back
+/// intact, and the ping fails `NotConnected` long before its timeout.
+#[test]
+fn a_server_hanging_up_on_a_submit_and_a_ping_releases_both() {
+    let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+    let addr = listener.local_addr().unwrap();
+    let spoof = std::thread::spawn(move || {
+        let (mut stream, _) = listener.accept().unwrap();
+        let hello = proto::read_frame(&mut stream, 1 << 20).unwrap();
+        assert_eq!(FrameKind::from_u8(hello.kind), Some(FrameKind::Hello));
+        proto::write_frame(&mut stream, FrameKind::HelloAck, &proto::encode_hello_ack()).unwrap();
+        // The two frames race from two client threads: take either order.
+        let mut kinds: Vec<_> = (0..2)
+            .map(|_| {
+                let frame = proto::read_frame(&mut stream, 1 << 20).unwrap();
+                if let Some(FrameKind::Submit) = FrameKind::from_u8(frame.kind) {
+                    let (_, mode, _) = proto::decode_submit(&frame.payload).unwrap();
+                    assert_eq!(mode, SubmitMode::Block);
+                }
+                frame.kind
+            })
+            .collect();
+        kinds.sort_unstable();
+        assert_eq!(
+            kinds,
+            [FrameKind::Submit as u8, FrameKind::Ping as u8],
+            "one Submit and one Ping"
+        );
+    });
+
+    let client = Client::connect(addr).expect("connect to spoof");
+    let mut rng = Rng::seed_from_u64(33);
+    let original = request(ServingKind::Eval, 3, &mut rng).id(9);
+    let submitting = client.clone();
+    let sent = original.clone();
+    let submit = std::thread::spawn(move || submitting.submit(sent));
+    let started = std::time::Instant::now();
+    let ping = client.ping(Duration::from_secs(30));
+    assert_eq!(ping.map_err(|e| e.kind()), Err(io::ErrorKind::NotConnected));
+    assert!(
+        started.elapsed() < Duration::from_secs(10),
+        "the ping waited {:?} on a closed connection",
+        started.elapsed()
+    );
+    match submit.join().unwrap() {
+        Err(SubmitError::Closed(handed_back)) => {
+            assert_eq!(handed_back.meta.id, Some(9));
+            assert_eq!(handed_back.labels.data(), original.labels.data());
+            assert_eq!(
+                handed_back.features.data(),
+                original.features.data(),
+                "the unanswered request must come back intact"
+            );
+        }
+        other => panic!("expected Closed, got {other:?}"),
+    }
+    spoof.join().unwrap();
+    assert!(client.is_closed());
 }
 
 /// Rewrites a snapshot so its first parameter carries one optimizer state
