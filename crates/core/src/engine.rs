@@ -173,11 +173,6 @@ impl Engine {
         &self.program
     }
 
-    /// Mutable access to the wrapped program.
-    pub fn program_mut(&mut self) -> &mut Program {
-        &mut self.program
-    }
-
     /// Serving counters so far.
     pub fn metrics(&self) -> EngineMetrics {
         self.metrics
@@ -187,14 +182,6 @@ impl Engine {
     /// evictions).
     pub fn cache_stats(&self) -> CacheStats {
         self.program.cache_stats()
-    }
-
-    /// The engine's dispatch-latency estimate for a specialization rung,
-    /// if that rung was ever dispatched (or seeded). This is the quantity
-    /// [`AdmissionPolicy::DeadlineFeasible`] compares deadline budgets
-    /// against.
-    pub fn latency_estimate(&self, batch: usize) -> Option<Duration> {
-        self.latency.estimate(batch)
     }
 
     /// Seeds (overwrites) the latency estimate for a rung — from an

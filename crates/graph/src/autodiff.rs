@@ -13,7 +13,7 @@
 use std::collections::HashMap;
 
 use pe_tensor::kernels::reduce::ReduceOp;
-use pe_tensor::{DType, Shape, Tensor};
+use pe_tensor::{Shape, Tensor};
 
 use crate::graph::Graph;
 use crate::op::{NodeId, OpKind, TrainKind};
@@ -122,8 +122,7 @@ impl Autodiff {
         shape: impl Into<Shape>,
         name: String,
     ) -> NodeId {
-        self.graph
-            .push_node(op, inputs, shape.into(), DType::F32, name)
+        self.graph.push_node(op, inputs, shape.into(), name)
     }
 
     fn dims(&self, id: NodeId) -> Vec<usize> {

@@ -8,7 +8,7 @@
 use pe_tensor::kernels::conv::{conv2d_out_dims, Conv2dParams};
 use pe_tensor::kernels::pool::Pool2dParams;
 use pe_tensor::kernels::reduce::ReduceOp;
-use pe_tensor::{DType, Rng, Shape, Tensor};
+use pe_tensor::{Rng, Shape, Tensor};
 
 use crate::graph::Graph;
 use crate::op::{NodeId, OpKind, ParamRole};
@@ -59,12 +59,6 @@ impl GraphBuilder {
         }
     }
 
-    /// Whether parameters are being created without materialised initial
-    /// values.
-    pub fn defers_init(&self) -> bool {
-        self.defer_init
-    }
-
     /// Finishes the build, setting the graph outputs.
     pub fn finish(mut self, outputs: Vec<NodeId>) -> Graph {
         self.graph.set_outputs(outputs);
@@ -93,8 +87,7 @@ impl GraphBuilder {
         shape: impl Into<Shape>,
         name: String,
     ) -> NodeId {
-        self.graph
-            .push_node(op, inputs, shape.into(), DType::F32, name)
+        self.graph.push_node(op, inputs, shape.into(), name)
     }
 
     fn auto_name(&self, mnemonic: &str) -> String {

@@ -2,7 +2,7 @@
 
 use std::collections::HashMap;
 
-use pe_tensor::{DType, Shape, Tensor};
+use pe_tensor::{Shape, Tensor};
 
 use crate::op::{NodeId, OpKind, ParamRole};
 
@@ -17,16 +17,14 @@ pub struct Node {
     pub inputs: Vec<NodeId>,
     /// Static output shape.
     pub shape: Shape,
-    /// Logical element type (storage accounting).
-    pub dtype: DType,
     /// Human-readable name (`"blocks.3.conv1.weight"`, `"grad.logits"`, ...).
     pub name: String,
 }
 
 impl Node {
-    /// Output storage size in bytes.
+    /// Output storage size in bytes (`f32` elements).
     pub fn size_bytes(&self) -> usize {
-        self.shape.numel() * self.dtype.size_bytes()
+        self.shape.numel() * 4
     }
 }
 
@@ -244,7 +242,6 @@ impl Graph {
         op: OpKind,
         inputs: Vec<NodeId>,
         shape: Shape,
-        dtype: DType,
         name: impl Into<String>,
     ) -> NodeId {
         for &i in &inputs {
@@ -256,7 +253,6 @@ impl Graph {
             op,
             inputs,
             shape,
-            dtype,
             name: name.into(),
         });
         id
@@ -419,21 +415,9 @@ mod tests {
 
     fn tiny_graph() -> Graph {
         let mut g = Graph::new();
-        let x = g.push_node(
-            OpKind::Input,
-            vec![],
-            Shape::new(vec![2, 3]),
-            DType::F32,
-            "x",
-        );
+        let x = g.push_node(OpKind::Input, vec![], Shape::new(vec![2, 3]), "x");
         g.mark_input(x);
-        let w = g.push_node(
-            OpKind::Parameter,
-            vec![],
-            Shape::new(vec![4, 3]),
-            DType::F32,
-            "w",
-        );
+        let w = g.push_node(OpKind::Parameter, vec![], Shape::new(vec![4, 3]), "w");
         g.mark_param(w, ParamRole::Weight, Tensor::zeros([4, 3]));
         let y = g.push_node(
             OpKind::MatMul {
@@ -442,7 +426,6 @@ mod tests {
             },
             vec![x, w],
             Shape::new(vec![2, 4]),
-            DType::F32,
             "y",
         );
         g.set_outputs(vec![y]);
@@ -484,25 +467,13 @@ mod tests {
     #[should_panic(expected = "does not exist yet")]
     fn forward_reference_panics() {
         let mut g = Graph::new();
-        g.push_node(
-            OpKind::Relu,
-            vec![NodeId(5)],
-            Shape::new(vec![1]),
-            DType::F32,
-            "bad",
-        );
+        g.push_node(OpKind::Relu, vec![NodeId(5)], Shape::new(vec![1]), "bad");
     }
 
     #[test]
     fn param_init_shape_checked() {
         let mut g = Graph::new();
-        let w = g.push_node(
-            OpKind::Parameter,
-            vec![],
-            Shape::new(vec![2, 2]),
-            DType::F32,
-            "w",
-        );
+        let w = g.push_node(OpKind::Parameter, vec![], Shape::new(vec![2, 2]), "w");
         let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             g.mark_param(w, ParamRole::Weight, Tensor::zeros([3, 3]));
         }));

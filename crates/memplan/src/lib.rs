@@ -5,8 +5,10 @@
 //! Because the entire training step (forward, backward, parameter updates) is
 //! a static graph with a static schedule, the compiler can compute every
 //! buffer's lifetime ahead of time, assign arena offsets, and report the peak
-//! training memory — the quantity Table 4 of the paper measures. The effects
-//! reproduced here:
+//! training memory — the quantity Table 4 of the paper measures. There is one
+//! plan, [`plan_memory`]: the arena executor allocates exactly the slab it
+//! sizes, and [`memory_report`] reports that slab. The effects reproduced
+//! here:
 //!
 //! * sparse backpropagation shrinks the set of saved activations, so peak
 //!   memory drops even at larger batch sizes;
@@ -31,62 +33,14 @@ pub struct MemoryPlan {
     pub offsets: Vec<Option<usize>>,
     /// In-place aliasing hints: `aliases[n] == Some(i)` means node `n`'s
     /// output shares its arena range with input `i`, whose last use is `n`
-    /// itself; the executor may run such a node in place. Always all-`None`
-    /// unless [`MemPlanOptions::inplace`] was set.
+    /// itself; the executor runs such a node in place.
     pub aliases: Vec<Option<NodeId>>,
-    /// Size of the activation arena produced by best-fit assignment.
+    /// Size of the activation arena produced by best-fit assignment: the
+    /// slab the executor allocates.
     pub arena_bytes: usize,
     /// Peak of the sum of simultaneously-live transient buffers (a lower
     /// bound on any arena assignment).
     pub peak_transient_bytes: usize,
-}
-
-/// Options for [`plan_memory_with`].
-///
-/// The defaults reproduce [`plan_memory`] exactly: logical dtype sizes, no
-/// alignment and no in-place aliasing.
-#[derive(Debug, Clone, Default)]
-pub struct MemPlanOptions {
-    /// Round every buffer offset up to this many bytes (0 or 1 = none).
-    pub align_bytes: usize,
-    /// Size every buffer by its runtime representation (4-byte `f32`)
-    /// instead of the logical dtype, which may be narrower (f16/i8). The
-    /// executor computes in `f32` regardless of the logical dtype, so arena
-    /// plans meant for execution must set this.
-    pub runtime_f32_sizes: bool,
-    /// Alias the output of safe same-index unary ops (activations, scale,
-    /// reshape) onto their input when this node is the input's last use,
-    /// eliminating the copy and the extra arena range.
-    pub inplace: bool,
-}
-
-impl MemPlanOptions {
-    /// The configuration the arena executor uses: runtime `f32` sizes,
-    /// 64-byte alignment and in-place aliasing.
-    pub fn for_execution() -> Self {
-        MemPlanOptions {
-            align_bytes: 64,
-            runtime_f32_sizes: true,
-            inplace: true,
-        }
-    }
-}
-
-impl MemoryPlan {
-    /// Position-indexed total of live transient bytes (the memory profile
-    /// over the step). Useful for plotting and for locating the peak.
-    pub fn live_bytes_profile(&self, graph: &Graph, schedule: &Schedule) -> Vec<usize> {
-        let mut profile = vec![0usize; schedule.len()];
-        for (idx, lt) in self.lifetimes.iter().enumerate() {
-            if let Some((def, last)) = lt {
-                let sz = graph.node(NodeId(idx)).size_bytes();
-                for p in profile.iter_mut().take(*last + 1).skip(*def) {
-                    *p += sz;
-                }
-            }
-        }
-        profile
-    }
 }
 
 /// Breakdown of the memory needed by one training step.
@@ -101,7 +55,8 @@ pub struct MemoryReport {
     pub input_bytes: usize,
     /// Peak bytes of transient buffers (activations + gradients).
     pub transient_peak_bytes: usize,
-    /// Arena size chosen by the planner (>= `transient_peak_bytes`).
+    /// Arena size chosen by [`plan_memory`] (>= `transient_peak_bytes`): the
+    /// slab the executor allocates.
     pub arena_bytes: usize,
 }
 
@@ -114,22 +69,6 @@ impl MemoryReport {
     /// Total in mebibytes.
     pub fn total_mib(&self) -> f64 {
         self.total_bytes() as f64 / (1024.0 * 1024.0)
-    }
-
-    /// Total memory for `specializations` executors sharing one canonical
-    /// parameter store.
-    ///
-    /// Parameters and optimizer state are *not* part of a specialization's
-    /// transient arena — they live once in the shared `ParamStore` no matter
-    /// how many batch-size specializations borrow them — so only the step
-    /// inputs and the arena multiply. (This approximates every
-    /// specialization with this report's shapes; batch-dependent arenas of
-    /// different specializations differ in practice, but the params-shared
-    /// vs params-duplicated comparison is what matters.)
-    pub fn shared_store_total_bytes(&self, specializations: usize) -> usize {
-        self.params_bytes
-            + self.optimizer_bytes
-            + specializations * (self.input_bytes + self.arena_bytes)
     }
 }
 
@@ -173,15 +112,6 @@ pub fn analyze_lifetimes(graph: &Graph, schedule: &Schedule) -> Vec<Option<Lifet
     lifetimes
 }
 
-/// Greedy best-fit arena assignment over the computed lifetimes.
-///
-/// Buffers are placed in order of decreasing size; each buffer takes the
-/// lowest offset that does not overlap (in both address range and lifetime)
-/// any previously placed buffer.
-pub fn plan_memory(graph: &Graph, schedule: &Schedule) -> MemoryPlan {
-    plan_memory_with(graph, schedule, &MemPlanOptions::default())
-}
-
 /// Whether a node may execute in place on its first input's buffer: every
 /// output element depends only on the input element at the same index.
 fn is_inplace_safe(op: &OpKind) -> bool {
@@ -198,23 +128,22 @@ fn is_inplace_safe(op: &OpKind) -> bool {
     )
 }
 
-/// Buffer size in planning units (runtime `f32` or logical dtype).
-fn plan_size_of(graph: &Graph, opts: &MemPlanOptions, idx: usize) -> usize {
-    let node = graph.node(NodeId(idx));
-    if opts.runtime_f32_sizes {
-        node.shape.numel() * 4
-    } else {
-        node.size_bytes()
-    }
-}
+/// Every buffer offset is a multiple of this many bytes.
+const ALIGN_BYTES: usize = 64;
 
-/// [`plan_memory`] with explicit [`MemPlanOptions`] (alignment, runtime
-/// sizes, and in-place aliasing of safe unary ops).
-pub fn plan_memory_with(graph: &Graph, schedule: &Schedule, opts: &MemPlanOptions) -> MemoryPlan {
+/// Plans the arena the executor runs: 4-byte `f32` elements, offsets aligned
+/// to 64 bytes, and the output of a safe unary op (activation, scale,
+/// reshape) aliased onto its input when this node is the input's last use.
+///
+/// Alias chains share one range; their roots are placed by greedy best fit
+/// in order of decreasing size, each taking the lowest aligned offset that
+/// does not overlap (in both address range and lifetime) any previously
+/// placed root.
+pub fn plan_memory(graph: &Graph, schedule: &Schedule) -> MemoryPlan {
     let lifetimes = analyze_lifetimes(graph, schedule);
     let n = graph.len();
     let positions = schedule.positions(n);
-    let size_of = |idx: usize| plan_size_of(graph, opts, idx);
+    let size_of = |idx: usize| graph.node(NodeId(idx)).size_bytes();
 
     // In-place aliasing: a safe unary op whose first input dies at this very
     // node may write straight into the input's range. Chains (e.g.
@@ -224,32 +153,30 @@ pub fn plan_memory_with(graph: &Graph, schedule: &Schedule, opts: &MemPlanOption
     let mut alias_root: Vec<usize> = (0..n).collect();
     // Planning lifetime per chain root, extended as members join.
     let mut chain: Vec<Option<Lifetime>> = lifetimes.clone();
-    if opts.inplace {
-        for &id in &schedule.order {
-            let idx = id.index();
-            let node = graph.node(id);
-            if !is_inplace_safe(&node.op) || lifetimes[idx].is_none() {
-                continue;
-            }
-            let input = node.inputs[0];
-            let i = input.index();
-            let Some((_, input_last)) = lifetimes[i] else {
-                continue; // persistent or unscheduled input
-            };
-            let pos = positions[idx];
-            if input_last != pos || graph.outputs().contains(&input) {
-                continue;
-            }
-            if size_of(idx) != size_of(i) {
-                continue;
-            }
-            let root = alias_root[i];
-            aliases[idx] = Some(input);
-            alias_root[idx] = root;
-            let (rd, rl) = chain[root].expect("alias root must have a lifetime");
-            let (_, nl) = lifetimes[idx].expect("aliased node is scheduled");
-            chain[root] = Some((rd, rl.max(nl)));
+    for &id in &schedule.order {
+        let idx = id.index();
+        let node = graph.node(id);
+        if !is_inplace_safe(&node.op) || lifetimes[idx].is_none() {
+            continue;
         }
+        let input = node.inputs[0];
+        let i = input.index();
+        let Some((_, input_last)) = lifetimes[i] else {
+            continue; // persistent or unscheduled input
+        };
+        let pos = positions[idx];
+        if input_last != pos || graph.outputs().contains(&input) {
+            continue;
+        }
+        if size_of(idx) != size_of(i) {
+            continue;
+        }
+        let root = alias_root[i];
+        aliases[idx] = Some(input);
+        alias_root[idx] = root;
+        let (rd, rl) = chain[root].expect("alias root must have a lifetime");
+        let (_, nl) = lifetimes[idx].expect("aliased node is scheduled");
+        chain[root] = Some((rd, rl.max(nl)));
     }
 
     // Peak of simultaneously live bytes over chain roots.
@@ -274,8 +201,6 @@ pub fn plan_memory_with(graph: &Graph, schedule: &Schedule, opts: &MemPlanOption
     let peak_transient_bytes = peak as usize;
 
     // Best-fit offsets over chain roots.
-    let align = opts.align_bytes.max(1);
-    let round_up = |v: usize| v.div_ceil(align) * align;
     let mut order: Vec<usize> = (0..n)
         .filter(|&i| lifetimes[i].is_some() && alias_root[i] == i)
         .collect();
@@ -304,7 +229,7 @@ pub fn plan_memory_with(graph: &Graph, schedule: &Schedule, opts: &MemPlanOption
             if candidate + size <= off {
                 break;
             }
-            candidate = round_up(candidate.max(off + sz));
+            candidate = candidate.max(off + sz).next_multiple_of(ALIGN_BYTES);
         }
         offsets[idx] = Some(candidate);
         arena_bytes = arena_bytes.max(candidate + size);
@@ -327,7 +252,7 @@ pub fn plan_memory_with(graph: &Graph, schedule: &Schedule, opts: &MemPlanOption
     }
 }
 
-/// Structurally validates a [`MemoryPlan`] built outside [`plan_memory_with`]
+/// Structurally validates a [`MemoryPlan`] built outside [`plan_memory`]
 /// (e.g. a test oracle's no-reuse plan) against the graph and schedule it
 /// claims to plan.
 ///
@@ -347,12 +272,7 @@ pub fn plan_memory_with(graph: &Graph, schedule: &Schedule, opts: &MemPlanOption
 /// # Errors
 ///
 /// Returns a human-readable description of the first violation.
-pub fn validate_plan(
-    graph: &Graph,
-    schedule: &Schedule,
-    opts: &MemPlanOptions,
-    plan: &MemoryPlan,
-) -> Result<(), String> {
+pub fn validate_plan(graph: &Graph, schedule: &Schedule, plan: &MemoryPlan) -> Result<(), String> {
     let n = graph.len();
     if plan.lifetimes.len() != n || plan.offsets.len() != n || plan.aliases.len() != n {
         return Err(format!(
@@ -366,7 +286,7 @@ pub fn validate_plan(
     if plan.lifetimes != expected {
         return Err("plan lifetimes disagree with the schedule".to_string());
     }
-    let size_of = |idx: usize| plan_size_of(graph, opts, idx);
+    let size_of = |idx: usize| graph.node(NodeId(idx)).size_bytes();
     for idx in 0..n {
         if plan.lifetimes[idx].is_none() {
             continue;
@@ -559,38 +479,6 @@ mod tests {
     }
 
     #[test]
-    fn offsets_do_not_overlap_for_concurrent_buffers() {
-        let tg = mlp(3, |_, _| TrainKind::Full);
-        let schedule = build_schedule(&tg.graph, ScheduleStrategy::Reordered);
-        let plan = plan_memory(&tg.graph, &schedule);
-        let n = tg.graph.len();
-        for a in 0..n {
-            for b in (a + 1)..n {
-                let (Some((da, la)), Some((db, lb))) = (plan.lifetimes[a], plan.lifetimes[b])
-                else {
-                    continue;
-                };
-                // Overlapping lifetimes must not overlap in the arena.
-                if la < db || lb < da {
-                    continue;
-                }
-                let (oa, ob) = (plan.offsets[a].unwrap(), plan.offsets[b].unwrap());
-                let (sa, sb) = (
-                    tg.graph.node(NodeId(a)).size_bytes(),
-                    tg.graph.node(NodeId(b)).size_bytes(),
-                );
-                if sa == 0 || sb == 0 {
-                    continue;
-                }
-                assert!(
-                    oa + sa <= ob || ob + sb <= oa,
-                    "buffers {a} and {b} overlap in time and space"
-                );
-            }
-        }
-    }
-
-    #[test]
     fn reordered_updates_reduce_peak_memory() {
         let tg = mlp(8, |_, _| TrainKind::Full);
         let conventional = build_schedule(&tg.graph, ScheduleStrategy::Conventional);
@@ -638,20 +526,6 @@ mod tests {
     }
 
     #[test]
-    fn shared_store_totals_pay_params_once() {
-        let tg = mlp(2, |_, _| TrainKind::Full);
-        let schedule = build_schedule(&tg.graph, ScheduleStrategy::Reordered);
-        let report = memory_report(&tg.graph, &schedule, tg.trainable_element_count(), 2);
-        assert_eq!(report.shared_store_total_bytes(1), report.total_bytes());
-        let three = report.shared_store_total_bytes(3);
-        // Sharing beats three private copies by exactly two params+opt sets.
-        assert_eq!(
-            3 * report.total_bytes() - three,
-            2 * (report.params_bytes + report.optimizer_bytes)
-        );
-    }
-
-    #[test]
     fn optimizer_state_scales_with_trainable_elements() {
         let full = mlp(4, |_, _| TrainKind::Full);
         let bias_only = mlp(4, |_, role| {
@@ -677,7 +551,7 @@ mod tests {
     fn execution_options_align_offsets_and_alias_activations() {
         let tg = mlp(4, |_, _| TrainKind::Full);
         let schedule = build_schedule(&tg.graph, ScheduleStrategy::Reordered);
-        let plan = plan_memory_with(&tg.graph, &schedule, &MemPlanOptions::for_execution());
+        let plan = plan_memory(&tg.graph, &schedule);
         let mut aliased = 0;
         for idx in 0..tg.graph.len() {
             if let Some(off) = plan.offsets[idx] {
@@ -704,13 +578,21 @@ mod tests {
         );
     }
 
-    #[test]
-    fn non_aliased_execution_buffers_never_overlap() {
-        let tg = mlp(3, |_, _| TrainKind::Full);
-        let schedule = build_schedule(&tg.graph, ScheduleStrategy::Reordered);
-        let plan = plan_memory_with(&tg.graph, &schedule, &MemPlanOptions::for_execution());
+    /// Asserts that every two buffers whose lifetimes intersect either
+    /// belong to one in-place alias chain, and so share one offset, or
+    /// occupy disjoint arena ranges.
+    fn assert_concurrent_buffers_disjoint_outside_alias_chains(
+        tg: &TrainingGraph,
+        plan: &MemoryPlan,
+    ) {
         let n = tg.graph.len();
-        let size = |i: usize| tg.graph.node(NodeId(i)).shape.numel() * 4;
+        let size = |i: usize| tg.graph.node(NodeId(i)).size_bytes();
+        let root = |mut i: usize| {
+            while let Some(p) = plan.aliases[i] {
+                i = p.index();
+            }
+            i
+        };
         for a in 0..n {
             for b in (a + 1)..n {
                 let (Some((da, la)), Some((db, lb))) = (plan.lifetimes[a], plan.lifetimes[b])
@@ -720,21 +602,19 @@ mod tests {
                 if la < db || lb < da {
                     continue;
                 }
+                let (oa, ob) = (plan.offsets[a].unwrap(), plan.offsets[b].unwrap());
                 // Members of one alias chain intentionally share a range.
-                let root = |mut i: usize| {
-                    while let Some(p) = plan.aliases[i] {
-                        i = p.index();
-                    }
-                    i
-                };
                 if root(a) == root(b) {
+                    assert_eq!(
+                        oa, ob,
+                        "alias chain members {a} and {b} sit at different offsets"
+                    );
                     continue;
                 }
                 let (sa, sb) = (size(a), size(b));
                 if sa == 0 || sb == 0 {
                     continue;
                 }
-                let (oa, ob) = (plan.offsets[a].unwrap(), plan.offsets[b].unwrap());
                 assert!(
                     oa + sa <= ob || ob + sb <= oa,
                     "buffers {a} and {b} overlap in time and space"
@@ -744,44 +624,42 @@ mod tests {
     }
 
     #[test]
-    fn runtime_sizes_account_f32_for_narrow_dtypes() {
-        use pe_tensor::DType;
-        let mut tg = mlp(2, |_, _| TrainKind::Full);
-        // Pretend an activation is stored as f16 for accounting purposes.
-        let id = tg
-            .graph
-            .nodes()
-            .iter()
-            .find(|n| !n.op.is_leaf())
-            .map(|n| n.id)
-            .unwrap();
-        tg.graph.node_mut(id).dtype = DType::F16;
+    fn offsets_do_not_overlap_for_concurrent_buffers() {
+        let sparse = |i: usize, kind: &str| {
+            if i == 0 || kind == "bias" {
+                TrainKind::Full
+            } else {
+                TrainKind::Frozen
+            }
+        };
+        for tg in [mlp(3, |_, _| TrainKind::Full), mlp(3, sparse)] {
+            for strategy in [ScheduleStrategy::Conventional, ScheduleStrategy::Reordered] {
+                let schedule = build_schedule(&tg.graph, strategy);
+                let plan = plan_memory(&tg.graph, &schedule);
+                assert_concurrent_buffers_disjoint_outside_alias_chains(&tg, &plan);
+            }
+        }
+    }
+
+    #[test]
+    fn non_aliased_execution_buffers_never_overlap() {
+        let tg = mlp(3, |_, _| TrainKind::Full);
         let schedule = build_schedule(&tg.graph, ScheduleStrategy::Reordered);
-        let logical = plan_memory(&tg.graph, &schedule);
-        let runtime = plan_memory_with(
-            &tg.graph,
-            &schedule,
-            &MemPlanOptions {
-                runtime_f32_sizes: true,
-                ..MemPlanOptions::default()
-            },
-        );
-        assert!(runtime.arena_bytes >= logical.arena_bytes);
-        assert_eq!(runtime.arena_bytes % 4, 0);
+        let plan = plan_memory(&tg.graph, &schedule);
+        assert_concurrent_buffers_disjoint_outside_alias_chains(&tg, &plan);
     }
 
     #[test]
     fn fresh_plans_validate_and_corrupted_plans_do_not() {
         let tg = mlp(4, |_, _| TrainKind::Full);
         let schedule = build_schedule(&tg.graph, ScheduleStrategy::Reordered);
-        let opts = MemPlanOptions::for_execution();
-        let plan = plan_memory_with(&tg.graph, &schedule, &opts);
-        assert_eq!(validate_plan(&tg.graph, &schedule, &opts, &plan), Ok(()));
+        let plan = plan_memory(&tg.graph, &schedule);
+        assert_eq!(validate_plan(&tg.graph, &schedule, &plan), Ok(()));
 
         // Truncated vectors.
         let mut bad = plan.clone();
         bad.offsets.pop();
-        assert!(validate_plan(&tg.graph, &schedule, &opts, &bad).is_err());
+        assert!(validate_plan(&tg.graph, &schedule, &bad).is_err());
 
         // An offset pushed past the arena end.
         let mut bad = plan.clone();
@@ -789,7 +667,7 @@ mod tests {
             .find(|&i| plan.lifetimes[i].is_some() && plan.offsets[i].is_some())
             .unwrap();
         bad.offsets[victim] = Some(bad.arena_bytes);
-        assert!(validate_plan(&tg.graph, &schedule, &opts, &bad).is_err());
+        assert!(validate_plan(&tg.graph, &schedule, &bad).is_err());
 
         // Two concurrently-live, non-aliased buffers forced onto one offset.
         let concurrent = |i: usize, j: usize| {
@@ -810,7 +688,7 @@ mod tests {
         let (i, j) = pair.expect("an MLP step has concurrently-live buffers");
         let mut bad = plan.clone();
         bad.offsets[j] = bad.offsets[i];
-        assert!(validate_plan(&tg.graph, &schedule, &opts, &bad).is_err());
+        assert!(validate_plan(&tg.graph, &schedule, &bad).is_err());
 
         // Lifetimes that disagree with the schedule.
         let mut bad = plan.clone();
@@ -818,7 +696,7 @@ mod tests {
             .find(|&i| bad.lifetimes[i].is_some())
             .unwrap();
         bad.lifetimes[victim] = None;
-        assert!(validate_plan(&tg.graph, &schedule, &opts, &bad).is_err());
+        assert!(validate_plan(&tg.graph, &schedule, &bad).is_err());
     }
 
     #[test]
@@ -826,7 +704,30 @@ mod tests {
         let tg = mlp(3, |_, _| TrainKind::Full);
         let schedule = build_schedule(&tg.graph, ScheduleStrategy::Reordered);
         let plan = plan_memory(&tg.graph, &schedule);
-        let profile = plan.live_bytes_profile(&tg.graph, &schedule);
+        // Live bytes per position: an alias chain is one buffer, live from
+        // its root's definition to its last member's last use.
+        let root = |mut i: usize| {
+            while let Some(p) = plan.aliases[i] {
+                i = p.index();
+            }
+            i
+        };
+        let mut chain = plan.lifetimes.clone();
+        for idx in 0..tg.graph.len() {
+            let r = root(idx);
+            if let (Some((rd, rl)), Some((_, l))) = (chain[r], plan.lifetimes[idx]) {
+                chain[r] = Some((rd, rl.max(l)));
+            }
+        }
+        let mut profile = vec![0usize; schedule.len()];
+        for idx in (0..tg.graph.len()).filter(|&i| root(i) == i) {
+            if let Some((def, last)) = chain[idx] {
+                for p in &mut profile[def..=last] {
+                    *p += tg.graph.node(NodeId(idx)).size_bytes();
+                }
+            }
+        }
+        assert!(plan.aliases.iter().any(Option::is_some));
         assert_eq!(
             profile.iter().copied().max().unwrap_or(0),
             plan.peak_transient_bytes

@@ -40,10 +40,11 @@
 //! [`PROTOCOL_VERSION`]; the server answers `HelloAck` with its own version
 //! only when magic and version match *exactly* (version 2 retired version
 //! 1's executor-backend hint; version 3 retired the arrival stamp and added
-//! exec-error tag 3, an out-of-range index; a future server may accept a
-//! range). Any mismatch is answered with
-//! an `Error` frame and a close — a client never talks payload frames to a
-//! server that did not acknowledge its version.
+//! exec-error tag 3, an out-of-range index; version 4 retired exec-error
+//! tag 2, the element-type mismatch; a future server may accept a range).
+//! Any mismatch is answered with an `Error` frame and a close — a client
+//! never talks payload frames to a server that did not acknowledge its
+//! version.
 
 use std::io::{Read, Write};
 use std::time::Duration;
@@ -55,7 +56,7 @@ use pe_runtime::ExecError;
 pub const PROTOCOL_MAGIC: [u8; 4] = *b"PENW";
 
 /// The protocol version spoken by this build.
-pub const PROTOCOL_VERSION: u16 = 3;
+pub const PROTOCOL_VERSION: u16 = 4;
 
 /// Default cap on one frame's length (kind byte + payload), 8 MiB.
 pub const DEFAULT_MAX_FRAME_BYTES: usize = 8 * 1024 * 1024;
@@ -505,25 +506,6 @@ const RESP_CLIENT_ID: u8 = 1 << 0;
 const RESP_LOSS: u8 = 1 << 1;
 const RESP_LOGITS: u8 = 1 << 2;
 
-fn dtype_byte(dtype: pe_tensor::DType) -> u8 {
-    match dtype {
-        pe_tensor::DType::F32 => 0,
-        pe_tensor::DType::F16 => 1,
-        pe_tensor::DType::I32 => 2,
-        pe_tensor::DType::I8 => 3,
-    }
-}
-
-fn dtype_from(byte: u8) -> Result<pe_tensor::DType, ProtoError> {
-    match byte {
-        0 => Ok(pe_tensor::DType::F32),
-        1 => Ok(pe_tensor::DType::F16),
-        2 => Ok(pe_tensor::DType::I32),
-        3 => Ok(pe_tensor::DType::I8),
-        other => Err(err(format!("unknown dtype tag {other}"))),
-    }
-}
-
 fn put_dims(buf: &mut Vec<u8>, dims: &[usize]) {
     buf.push(dims.len() as u8);
     for &d in dims {
@@ -599,16 +581,6 @@ pub fn encode_outcome(corr: u64, result: &Result<Outcome, ExecError>) -> Vec<u8>
                     put_dims(&mut buf, expected);
                     put_dims(&mut buf, actual);
                 }
-                ExecError::InputDTypeMismatch {
-                    name,
-                    expected,
-                    actual,
-                } => {
-                    buf.push(2);
-                    put_string(&mut buf, name);
-                    buf.push(dtype_byte(*expected));
-                    buf.push(dtype_byte(*actual));
-                }
                 ExecError::InputIndexOutOfRange {
                     name,
                     position,
@@ -676,11 +648,6 @@ pub fn decode_outcome(payload: &[u8]) -> Result<(u64, Result<Outcome, ExecError>
                 name: b.string()?,
                 expected: take_dims(&mut b)?,
                 actual: take_dims(&mut b)?,
-            },
-            2 => ExecError::InputDTypeMismatch {
-                name: b.string()?,
-                expected: dtype_from(b.u8()?)?,
-                actual: dtype_from(b.u8()?)?,
             },
             3 => ExecError::InputIndexOutOfRange {
                 name: b.string()?,
@@ -898,6 +865,18 @@ mod tests {
     }
 
     #[test]
+    fn the_retired_exec_error_tag_2_is_refused() {
+        // Version 3's tag 2, an element-type mismatch: name "x", then the
+        // expected and provided type bytes (0 = f32, 3 = i8).
+        let mut payload = 5u64.to_le_bytes().to_vec();
+        payload.extend_from_slice(&[OUTCOME_EXEC_ERROR, 2]);
+        put_string(&mut payload, "x");
+        payload.extend_from_slice(&[0, 3]);
+        let e = decode_outcome(&payload).unwrap_err();
+        assert!(e.0.contains("unknown exec-error tag 2"), "{e}");
+    }
+
+    #[test]
     fn outcome_round_trips_every_variant() {
         let completed = Ok(Outcome::Completed(Response {
             id: 7,
@@ -919,11 +898,6 @@ mod tests {
                 name: "labels".into(),
                 expected: vec![4],
                 actual: vec![2, 2],
-            }),
-            Err(ExecError::InputDTypeMismatch {
-                name: "x".into(),
-                expected: pe_tensor::DType::F32,
-                actual: pe_tensor::DType::I8,
             }),
             Err(ExecError::InputIndexOutOfRange {
                 name: "labels".into(),

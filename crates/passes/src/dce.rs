@@ -55,7 +55,6 @@ pub fn eliminate_dead_code(tg: &TrainingGraph) -> (TrainingGraph, DceStats) {
             node.op.clone(),
             new_inputs,
             node.shape.clone(),
-            node.dtype,
             node.name.clone(),
         );
         remap[node.id.index()] = Some(new_id);

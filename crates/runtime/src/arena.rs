@@ -1,10 +1,11 @@
 //! The arena-backed zero-allocation executor.
 //!
 //! At construction time the memory planner assigns every transient buffer an
-//! offset in one slab ([`pe_memplan::plan_memory_with`] with runtime `f32`
-//! sizes, 64-byte alignment and in-place aliasing); execution then walks the
-//! schedule handing each node a [`TensorView`] at its precomputed offset and
-//! dispatching to the kernels' `_into` variants. Parameters, optimizer
+//! offset in one slab ([`pe_memplan::plan_memory`]: 4-byte `f32` elements,
+//! 64-byte alignment and in-place aliasing), the same plan the compiler's
+//! memory report describes. Execution then walks the schedule handing each
+//! node a [`TensorView`] at its precomputed offset and dispatching to the
+//! kernels' `_into` variants. Parameters, optimizer
 //! state, constants and step-input staging buffers are materialised once and
 //! reused, so a steady-state training step performs **zero transient heap
 //! allocations** (asserted by the counting-allocator test in `tests/`).
@@ -33,7 +34,7 @@ use std::collections::HashMap;
 use std::sync::Arc;
 
 use pe_graph::{NodeId, OpKind, TrainingGraph};
-use pe_memplan::{plan_memory_with, validate_plan, MemPlanOptions, MemoryPlan};
+use pe_memplan::{plan_memory, validate_plan, MemoryPlan};
 use pe_passes::Schedule;
 use pe_tensor::kernels::elementwise::{UnaryGradOp, UnaryOp};
 use pe_tensor::kernels::{
@@ -154,9 +155,9 @@ impl std::fmt::Debug for Executor {
 
 impl Executor {
     /// [`Executor::with_store`] with an optional precomputed memory plan in
-    /// place of the planner's own (`None` plans from scratch). A supplied
-    /// plan is structurally validated against the graph and schedule under
-    /// the execution options before the executor runs on it.
+    /// place of [`plan_memory`]'s (`None` plans from scratch). A supplied
+    /// plan is structurally validated against the graph and schedule before
+    /// the executor runs on it.
     ///
     /// # Panics
     ///
@@ -195,15 +196,14 @@ impl Executor {
         }
 
         // Memory plan: a supplied one must validate against this exact
-        // graph/schedule/options combination.
-        let opts = MemPlanOptions::for_execution();
+        // graph and schedule.
         let plan = match plan {
             Some(p) => {
-                validate_plan(graph, &schedule, &opts, &p)
+                validate_plan(graph, &schedule, &p)
                     .unwrap_or_else(|e| panic!("supplied memory plan is invalid: {e}"));
                 p
             }
-            None => plan_memory_with(graph, &schedule, &opts),
+            None => plan_memory(graph, &schedule),
         };
 
         // Resolve every schedule position.
@@ -397,8 +397,7 @@ impl Executor {
     ///
     /// # Errors
     ///
-    /// Returns an error if a step input is missing or has the wrong shape or
-    /// dtype.
+    /// Returns an error if a step input is missing or has the wrong shape.
     pub fn train_step(
         &mut self,
         inputs: &HashMap<String, Tensor>,
@@ -415,8 +414,7 @@ impl Executor {
     ///
     /// # Errors
     ///
-    /// Returns an error if a step input is missing or has the wrong shape or
-    /// dtype.
+    /// Returns an error if a step input is missing or has the wrong shape.
     pub fn run_step(&mut self, inputs: &HashMap<String, Tensor>) -> Result<StepResult, ExecError> {
         self.bind_inputs(inputs)?;
         let store = Arc::clone(&self.shared.store);
@@ -430,8 +428,7 @@ impl Executor {
     ///
     /// # Errors
     ///
-    /// Returns an error if a step input is missing or has the wrong shape or
-    /// dtype.
+    /// Returns an error if a step input is missing or has the wrong shape.
     pub fn run_eval(&mut self, inputs: &HashMap<String, Tensor>) -> Result<StepResult, ExecError> {
         self.bind_inputs(inputs)?;
         let store = Arc::clone(&self.shared.store);

@@ -18,7 +18,7 @@ use std::sync::Arc;
 
 use pe_graph::TrainingGraph;
 use pe_passes::Schedule;
-use pe_tensor::{DType, Tensor};
+use pe_tensor::Tensor;
 
 pub use crate::arena::Executor;
 use crate::optimizer::Optimizer;
@@ -43,15 +43,6 @@ pub enum ExecError {
         expected: Vec<usize>,
         /// Provided dims.
         actual: Vec<usize>,
-    },
-    /// A provided step input has the wrong logical dtype.
-    InputDTypeMismatch {
-        /// Input name.
-        name: String,
-        /// Expected dtype.
-        expected: DType,
-        /// Provided dtype.
-        actual: DType,
     },
     /// A provided step input holds a value used as a class or token index
     /// that is not an integer in `0..bound`.
@@ -79,13 +70,6 @@ impl std::fmt::Display for ExecError {
                     "input '{name}' has shape {actual:?}, expected {expected:?}"
                 )
             }
-            ExecError::InputDTypeMismatch {
-                name,
-                expected,
-                actual,
-            } => {
-                write!(f, "input '{name}' has dtype {actual}, expected {expected}")
-            }
             ExecError::InputIndexOutOfRange {
                 name,
                 position,
@@ -100,7 +84,7 @@ impl std::fmt::Display for ExecError {
 
 impl std::error::Error for ExecError {}
 
-/// Validates one step input against its graph node: presence, shape, dtype.
+/// Validates one step input against its graph node: presence and shape.
 pub(crate) fn check_input<'a>(
     node: &pe_graph::Node,
     inputs: &'a HashMap<String, Tensor>,
@@ -113,13 +97,6 @@ pub(crate) fn check_input<'a>(
             name: node.name.clone(),
             expected: node.shape.dims().to_vec(),
             actual: provided.dims().to_vec(),
-        });
-    }
-    if provided.dtype() != node.dtype {
-        return Err(ExecError::InputDTypeMismatch {
-            name: node.name.clone(),
-            expected: node.dtype,
-            actual: provided.dtype(),
         });
     }
     Ok(provided)
@@ -308,21 +285,6 @@ mod tests {
         ]);
         let err = exec.run_step(&inputs).unwrap_err();
         assert!(matches!(err, ExecError::InputShapeMismatch { .. }));
-    }
-
-    #[test]
-    fn wrong_dtype_is_reported_not_panicked() {
-        let mut exec = compile_mlp(|_| TrainKind::Full);
-        let inputs = HashMap::from([
-            (
-                "x".to_string(),
-                Tensor::zeros([8, 4]).with_dtype(DType::F16),
-            ),
-            ("labels".to_string(), Tensor::zeros([8])),
-        ]);
-        let err = exec.run_step(&inputs).unwrap_err();
-        assert!(matches!(err, ExecError::InputDTypeMismatch { .. }));
-        assert!(err.to_string().contains("dtype"));
     }
 
     #[test]

@@ -97,11 +97,6 @@ impl Trainer {
         &self.executor
     }
 
-    /// Mutable access to the wrapped executor.
-    pub fn executor_mut(&mut self) -> &mut Executor {
-        &mut self.executor
-    }
-
     /// The shared parameter store behind the wrapped executor (useful for
     /// snapshotting weights or attaching further executors to the same
     /// store).

@@ -2,7 +2,9 @@
 //!
 //! Tensor substrate for PockEngine-RS: a small, dependency-light numerical
 //! library providing the dense tensor type and the CPU kernels that the
-//! PockEngine runtime executes.
+//! PockEngine runtime executes. `f32` is the one element type: every tensor
+//! stores it, every kernel computes in it, and the memory planner sizes every
+//! buffer as four bytes per element.
 //!
 //! The crate deliberately mirrors the primitive operator set that the paper's
 //! compiler shares between inference and training (§2.5): GEMM, convolution
@@ -26,14 +28,12 @@
 #![deny(missing_docs)]
 #![deny(clippy::undocumented_unsafe_blocks)]
 
-pub mod dtype;
 pub mod kernels;
 pub mod rng;
 pub mod shape;
 pub mod tensor;
 pub mod view;
 
-pub use dtype::DType;
 pub use rng::Rng;
 pub use shape::Shape;
 pub use tensor::Tensor;

@@ -1,11 +1,9 @@
 //! The dense tensor type.
 
-use crate::{DType, Rng, Shape, TensorError};
+use crate::{Rng, Shape, TensorError};
 
-/// A dense, row-major, `f32`-backed tensor.
-///
-/// All engine computation happens in `f32`; the logical [`DType`] is carried
-/// for storage accounting by the compiler and memory planner.
+/// A dense, row-major `f32` tensor: `f32` is the one element type the
+/// engine computes, stores and plans memory for.
 ///
 /// # Example
 ///
@@ -19,7 +17,6 @@ use crate::{DType, Rng, Shape, TensorError};
 pub struct Tensor {
     shape: Shape,
     data: Vec<f32>,
-    dtype: DType,
 }
 
 impl Default for Tensor {
@@ -36,7 +33,6 @@ impl Tensor {
         Tensor {
             shape,
             data: vec![0.0; n],
-            dtype: DType::F32,
         }
     }
 
@@ -52,7 +48,6 @@ impl Tensor {
         Tensor {
             shape,
             data: vec![value; n],
-            dtype: DType::F32,
         }
     }
 
@@ -61,7 +56,6 @@ impl Tensor {
         Tensor {
             shape: Shape::scalar(),
             data: vec![value],
-            dtype: DType::F32,
         }
     }
 
@@ -98,11 +92,7 @@ impl Tensor {
                 actual: data.len(),
             });
         }
-        Ok(Tensor {
-            shape,
-            data,
-            dtype: DType::F32,
-        })
+        Ok(Tensor { shape, data })
     }
 
     /// Creates a tensor with values drawn from `N(0, std^2)`.
@@ -111,22 +101,14 @@ impl Tensor {
         let data = (0..shape.numel())
             .map(|_| rng.normal_with(0.0, std))
             .collect();
-        Tensor {
-            shape,
-            data,
-            dtype: DType::F32,
-        }
+        Tensor { shape, data }
     }
 
     /// Creates a tensor with values drawn uniformly from `[lo, hi)`.
     pub fn rand_uniform(shape: impl Into<Shape>, lo: f32, hi: f32, rng: &mut Rng) -> Self {
         let shape = shape.into();
         let data = (0..shape.numel()).map(|_| rng.uniform(lo, hi)).collect();
-        Tensor {
-            shape,
-            data,
-            dtype: DType::F32,
-        }
+        Tensor { shape, data }
     }
 
     /// Kaiming/He initialisation for a weight of the given shape, where
@@ -151,22 +133,6 @@ impl Tensor {
         self.shape.numel()
     }
 
-    /// The logical element type.
-    pub fn dtype(&self) -> DType {
-        self.dtype
-    }
-
-    /// Sets the logical element type (used for storage accounting only).
-    pub fn with_dtype(mut self, dtype: DType) -> Self {
-        self.dtype = dtype;
-        self
-    }
-
-    /// Storage size in bytes according to the logical dtype.
-    pub fn size_bytes(&self) -> usize {
-        self.numel() * self.dtype.size_bytes()
-    }
-
     /// Immutable view of the underlying data.
     pub fn data(&self) -> &[f32] {
         &self.data
@@ -175,11 +141,6 @@ impl Tensor {
     /// Mutable view of the underlying data.
     pub fn data_mut(&mut self) -> &mut [f32] {
         &mut self.data
-    }
-
-    /// Consumes the tensor and returns the underlying data vector.
-    pub fn into_vec(self) -> Vec<f32> {
-        self.data
     }
 
     /// Element at a multi-dimensional index.
@@ -212,7 +173,6 @@ impl Tensor {
         Tensor {
             shape,
             data: self.data.clone(),
-            dtype: self.dtype,
         }
     }
 
@@ -221,7 +181,6 @@ impl Tensor {
         Tensor {
             shape: self.shape.clone(),
             data: self.data.iter().map(|&x| f(x)).collect(),
-            dtype: self.dtype,
         }
     }
 
@@ -297,7 +256,6 @@ mod tests {
         assert_eq!(t.numel(), 6);
         assert_eq!(t.dims(), &[2, 3]);
         assert_eq!(t.at(&[1, 2]), 2.5);
-        assert_eq!(t.size_bytes(), 24);
     }
 
     #[test]

@@ -19,7 +19,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use pockengine::pe_graph::{Graph, GraphBuilder, NodeId, TrainingGraph};
-use pockengine::pe_memplan::{analyze_lifetimes, plan_memory_with, MemPlanOptions, MemoryPlan};
+use pockengine::pe_memplan::{analyze_lifetimes, plan_memory, MemoryPlan};
 use pockengine::pe_models::BuiltModel;
 use pockengine::pe_passes::Schedule;
 use pockengine::pe_runtime::{ExecError, Executor, Optimizer, ParamStore};
@@ -87,7 +87,7 @@ pub fn plan_disjoint(graph: &Graph, schedule: &Schedule) -> MemoryPlan {
     for (idx, lifetime) in lifetimes.iter().enumerate() {
         if lifetime.is_some() {
             offsets[idx] = Some(arena_bytes);
-            let bytes = graph.node(NodeId(idx)).shape.numel() * 4;
+            let bytes = graph.node(NodeId(idx)).size_bytes();
             arena_bytes += bytes.next_multiple_of(ALIGN_BYTES);
         }
     }
@@ -106,9 +106,8 @@ pub fn plan_disjoint(graph: &Graph, schedule: &Schedule) -> MemoryPlan {
 /// disjoint plan is larger than the planned arena, so the comparison is not
 /// vacuous.
 pub fn disjoint_executor(tg: TrainingGraph, schedule: Schedule, optimizer: Optimizer) -> Executor {
-    let options = MemPlanOptions::for_execution();
     let disjoint = plan_disjoint(&tg.graph, &schedule);
-    let planned = plan_memory_with(&tg.graph, &schedule, &options);
+    let planned = plan_memory(&tg.graph, &schedule);
     assert!(
         disjoint.arena_bytes > planned.arena_bytes,
         "the disjoint plan ({} B) must exceed the planned arena ({} B)",

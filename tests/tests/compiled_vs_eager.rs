@@ -12,7 +12,7 @@ use pockengine::pe_data::{
     generate_nlp_task, generate_vision_task, NlpTaskConfig, VisionTaskConfig,
 };
 use pockengine::pe_graph::{build_training_graph, TrainKind, TrainSpec};
-use pockengine::pe_memplan::{plan_memory_with, MemPlanOptions};
+use pockengine::pe_memplan::plan_memory;
 use pockengine::pe_passes::optimize;
 use pockengine::pe_runtime::EagerEngine;
 use pockengine::prelude::*;
@@ -269,7 +269,7 @@ fn random_program(
 #[should_panic(expected = "exceeds arena")]
 fn supplied_plan_with_a_buffer_outside_the_arena_panics() {
     let (tg, schedule, _, _) = random_program(2, 8, 2, 0, 1);
-    let mut plan = plan_memory_with(&tg.graph, &schedule, &MemPlanOptions::for_execution());
+    let mut plan = plan_memory(&tg.graph, &schedule);
     let moved = plan
         .offsets
         .iter()

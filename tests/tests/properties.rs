@@ -1,16 +1,14 @@
 //! Property-based tests over the core data structures and invariants:
 //! kernel equivalences (matmul transpose identities), schedule validity,
-//! memory-planner non-overlap, and autodiff/DCE invariants over randomly
-//! shaped MLPs.
+//! memory-planner non-overlap outside in-place alias chains, and
+//! autodiff/DCE invariants over randomly shaped MLPs.
 
 use proptest::prelude::*;
 
 use pockengine::pe_graph::{
     build_training_graph, graph_cost, GraphBuilder, NodeId, TrainKind, TrainSpec,
 };
-use pockengine::pe_memplan::{
-    analyze_lifetimes, plan_memory, plan_memory_with, validate_plan, MemPlanOptions,
-};
+use pockengine::pe_memplan::{plan_memory, validate_plan, MemoryPlan};
 use pockengine::pe_passes::{
     build_schedule, optimize, OptimizeOptions, Schedule, ScheduleStrategy,
 };
@@ -91,6 +89,78 @@ fn random_topo_schedule(graph: &pockengine::pe_graph::Graph, seed: u64) -> Sched
     }
 }
 
+/// Checks that `schedule` orders every node after all of its inputs.
+fn check_topological(
+    graph: &pockengine::pe_graph::Graph,
+    schedule: &Schedule,
+    order: &str,
+) -> Result<(), TestCaseError> {
+    prop_assert_eq!(schedule.len(), graph.len());
+    let pos = schedule.positions(graph.len());
+    for node in graph.nodes() {
+        for input in &node.inputs {
+            prop_assert!(
+                pos[input.index()] < pos[node.id.index()],
+                "{} schedule violates a dependency",
+                order
+            );
+        }
+    }
+    Ok(())
+}
+
+/// Checks that buffers whose position-granular lifetimes intersect never
+/// share arena bytes unless they belong to one in-place alias chain, whose
+/// members all sit at the chain root's offset.
+fn check_no_overlap_outside_alias_chains(
+    graph: &pockengine::pe_graph::Graph,
+    plan: &MemoryPlan,
+    order: &str,
+) -> Result<(), TestCaseError> {
+    prop_assert!(plan.arena_bytes >= plan.peak_transient_bytes);
+    let root = |mut i: usize| {
+        while let Some(p) = plan.aliases[i] {
+            i = p.index();
+        }
+        i
+    };
+    let size = |i: usize| graph.node(NodeId(i)).size_bytes();
+    for a in 0..graph.len() {
+        for b in (a + 1)..graph.len() {
+            let (Some((da, la)), Some((db, lb))) = (plan.lifetimes[a], plan.lifetimes[b]) else {
+                continue;
+            };
+            if la < db || lb < da {
+                continue;
+            }
+            let (oa, ob) = (plan.offsets[a].unwrap(), plan.offsets[b].unwrap());
+            if root(a) == root(b) {
+                prop_assert_eq!(
+                    oa,
+                    ob,
+                    "alias chain members {} and {} sit apart ({} schedule)",
+                    a,
+                    b,
+                    order
+                );
+                continue;
+            }
+            let (sa, sb) = (size(a), size(b));
+            if sa == 0 || sb == 0 {
+                continue;
+            }
+            prop_assert!(
+                oa + sa <= ob || ob + sb <= oa,
+                "live buffers {} and {} overlap outside an alias chain ({} schedule)",
+                a,
+                b,
+                order
+            );
+        }
+    }
+    Ok(())
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
@@ -108,46 +178,6 @@ proptest! {
         let left = transpose2d(&matmul(&a, &b));
         let right = matmul(&transpose2d(&b), &transpose2d(&a));
         prop_assert!(left.allclose(&right, 1e-4));
-    }
-
-    /// Every schedule strategy yields a complete, dependency-respecting order,
-    /// and the memory planner never overlaps two live buffers.
-    #[test]
-    fn schedules_and_memory_plans_are_valid(
-        depth in 1usize..5,
-        width in 4usize..24,
-        batch in 1usize..6,
-        frozen_prefix in 0usize..3,
-        reorder in proptest::bool::ANY,
-    ) {
-        let widths: Vec<usize> = std::iter::repeat_n(width, depth + 1).collect();
-        let tg = random_mlp(&widths, batch, frozen_prefix.min(depth));
-        let strategy = if reorder { ScheduleStrategy::Reordered } else { ScheduleStrategy::Conventional };
-        let schedule = build_schedule(&tg.graph, strategy);
-        prop_assert_eq!(schedule.len(), tg.graph.len());
-        let pos = schedule.positions(tg.graph.len());
-        for node in tg.graph.nodes() {
-            for input in &node.inputs {
-                prop_assert!(pos[input.index()] < pos[node.id.index()], "dependency violated");
-            }
-        }
-
-        let plan = plan_memory(&tg.graph, &schedule);
-        prop_assert!(plan.arena_bytes >= plan.peak_transient_bytes);
-        let lifetimes = analyze_lifetimes(&tg.graph, &schedule);
-        for a in 0..tg.graph.len() {
-            for b in (a + 1)..tg.graph.len() {
-                let (Some((da, la)), Some((db, lb))) = (lifetimes[a], lifetimes[b]) else { continue };
-                if la < db || lb < da { continue; }
-                let (sa, sb) = (
-                    tg.graph.node(pockengine::pe_graph::NodeId(a)).size_bytes(),
-                    tg.graph.node(pockengine::pe_graph::NodeId(b)).size_bytes(),
-                );
-                if sa == 0 || sb == 0 { continue; }
-                let (oa, ob) = (plan.offsets[a].unwrap(), plan.offsets[b].unwrap());
-                prop_assert!(oa + sa <= ob || ob + sb <= oa, "overlapping buffers in arena");
-            }
-        }
     }
 
     /// Freezing a prefix of the network can only shrink the training graph
@@ -170,9 +200,34 @@ proptest! {
         prop_assert_eq!(schedule.len(), opt.graph.len());
     }
 
+    /// Every built-in schedule strategy yields a complete, dependency-respecting
+    /// order, and the memory planner never overlaps two live buffers outside
+    /// an in-place alias chain.
+    #[test]
+    fn schedules_and_memory_plans_are_valid(
+        depth in 1usize..5,
+        width in 4usize..24,
+        batch in 1usize..6,
+        frozen_prefix in 0usize..3,
+        reorder in proptest::bool::ANY,
+    ) {
+        let widths: Vec<usize> = std::iter::repeat_n(width, depth + 1).collect();
+        let tg = random_mlp(&widths, batch, frozen_prefix.min(depth));
+        let (order, strategy) = if reorder {
+            ("reordered", ScheduleStrategy::Reordered)
+        } else {
+            ("conventional", ScheduleStrategy::Conventional)
+        };
+        let schedule = build_schedule(&tg.graph, strategy);
+        check_topological(&tg.graph, &schedule, order)?;
+        let plan = plan_memory(&tg.graph, &schedule);
+        check_no_overlap_outside_alias_chains(&tg.graph, &plan, order)?;
+    }
+
     /// `plan_memory` never assigns overlapping `[offset, offset + size)`
-    /// ranges to buffers with intersecting lifetimes — across *randomized*
-    /// topological schedules, not just the two built-in strategies.
+    /// ranges to buffers with intersecting lifetimes outside an in-place
+    /// alias chain — across *randomized* topological schedules, not just the
+    /// two built-in strategies — and every alias shares its input's offset.
     #[test]
     fn planner_never_overlaps_across_random_schedules(
         depth in 1usize..5,
@@ -185,38 +240,20 @@ proptest! {
         let tg = random_mlp(&widths, batch, frozen_prefix.min(depth));
         let schedule = random_topo_schedule(&tg.graph, seed);
         // The random order must itself be a valid schedule.
-        let pos = schedule.positions(tg.graph.len());
-        for node in tg.graph.nodes() {
-            for input in &node.inputs {
-                prop_assert!(pos[input.index()] < pos[node.id.index()], "random schedule not topological");
-            }
-        }
+        check_topological(&tg.graph, &schedule, "random")?;
         let plan = plan_memory(&tg.graph, &schedule);
-        prop_assert!(plan.arena_bytes >= plan.peak_transient_bytes);
-        prop_assert!(plan.aliases.iter().all(Option::is_none), "default plan must not alias");
-        for a in 0..tg.graph.len() {
-            for b in (a + 1)..tg.graph.len() {
-                let (Some((da, la)), Some((db, lb))) = (plan.lifetimes[a], plan.lifetimes[b]) else { continue };
-                if la < db || lb < da { continue; }
-                let (sa, sb) = (
-                    tg.graph.node(NodeId(a)).size_bytes(),
-                    tg.graph.node(NodeId(b)).size_bytes(),
-                );
-                if sa == 0 || sb == 0 { continue; }
-                let (oa, ob) = (plan.offsets[a].unwrap(), plan.offsets[b].unwrap());
-                prop_assert!(
-                    oa + sa <= ob || ob + sb <= oa,
-                    "buffers {} and {} overlap under a randomized schedule", a, b
-                );
+        for (idx, alias) in plan.aliases.iter().enumerate() {
+            if let Some(input) = alias {
+                prop_assert_eq!(plan.offsets[idx], plan.offsets[input.index()], "alias {} moved off its input", idx);
             }
         }
+        check_no_overlap_outside_alias_chains(&tg.graph, &plan, "random")?;
     }
 
-    /// The plan the arena executor runs (`for_execution`: runtime sizes,
-    /// 64-byte alignment, in-place aliasing) passes `validate_plan`, and
-    /// buffers whose position-granular lifetimes intersect never share
-    /// arena bytes unless they belong to one in-place alias chain — under
-    /// the reordered schedule and randomized topological ones.
+    /// The plan the arena executor runs passes `validate_plan`, and buffers
+    /// whose position-granular lifetimes intersect never share arena bytes
+    /// unless they belong to one in-place alias chain — under the reordered
+    /// schedule and randomized topological ones.
     #[test]
     fn execution_plans_validate_and_never_overlap_outside_alias_chains(
         depth in 1usize..5,
@@ -228,31 +265,14 @@ proptest! {
     ) {
         let widths: Vec<usize> = std::iter::repeat_n(width, depth + 1).collect();
         let tg = random_mlp(&widths, batch, frozen_prefix.min(depth));
-        let schedule = if reorder {
-            build_schedule(&tg.graph, ScheduleStrategy::Reordered)
+        let (order, schedule) = if reorder {
+            ("reordered", build_schedule(&tg.graph, ScheduleStrategy::Reordered))
         } else {
-            random_topo_schedule(&tg.graph, seed)
+            ("random", random_topo_schedule(&tg.graph, seed))
         };
-        let opts = MemPlanOptions::for_execution();
-        let plan = plan_memory_with(&tg.graph, &schedule, &opts);
-        prop_assert_eq!(validate_plan(&tg.graph, &schedule, &opts, &plan), Ok(()));
-
-        let root = |mut i: usize| { while let Some(p) = plan.aliases[i] { i = p.index(); } i };
-        let size = |i: usize| tg.graph.node(NodeId(i)).shape.numel() * 4;
-        for a in 0..tg.graph.len() {
-            for b in (a + 1)..tg.graph.len() {
-                let (Some((da, la)), Some((db, lb))) = (plan.lifetimes[a], plan.lifetimes[b]) else { continue };
-                if la < db || lb < da { continue; }
-                if root(a) == root(b) { continue; }
-                let (sa, sb) = (size(a), size(b));
-                if sa == 0 || sb == 0 { continue; }
-                let (oa, ob) = (plan.offsets[a].unwrap(), plan.offsets[b].unwrap());
-                prop_assert!(
-                    oa + sa <= ob || ob + sb <= oa,
-                    "live buffers {} and {} overlap outside an alias chain", a, b
-                );
-            }
-        }
+        let plan = plan_memory(&tg.graph, &schedule);
+        prop_assert_eq!(validate_plan(&tg.graph, &schedule, &plan), Ok(()));
+        check_no_overlap_outside_alias_chains(&tg.graph, &plan, order)?;
     }
 
     /// Broadcast-add then reduce-to-shape is the identity on the gradient
