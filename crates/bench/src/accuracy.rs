@@ -2,7 +2,7 @@
 //! (Table 2, Table 3, Figure 8's loss curves, and Table 5's quality half).
 //!
 //! The models are scaled-down versions of the paper's architectures and the
-//! datasets are the synthetic substitutes from `pe-data` (see `DESIGN.md`).
+//! datasets are the synthetic substitutes from `pe-data` (see its crate docs).
 //! The paper fine-tunes from ImageNet / BooksCorpus checkpoints; here the
 //! "pretrained" backbone is obtained by fully training the same model on a
 //! *source* task drawn from the same generator family (different class

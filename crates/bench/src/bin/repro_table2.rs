@@ -2,9 +2,9 @@
 //! Bias-only and Sparse BP across the seven downstream tasks.
 //!
 //! Models are scaled-down versions of the paper's architectures and the
-//! datasets are synthetic stand-ins (see DESIGN.md); the comparison of
-//! interest is the relative one across methods. Pass `--quick` to run a
-//! reduced sweep (one model, three tasks, one seed).
+//! datasets are synthetic stand-ins (see `pe_data`'s crate docs); the
+//! comparison of interest is the relative one across methods. Pass
+//! `--quick` to run a reduced sweep (one model, three tasks, one seed).
 
 use pe_bench::accuracy::{vision_methods, Method, TinyModel, TrainSettings};
 use pe_bench::TextTable;

@@ -51,11 +51,13 @@ pub use pe_runtime;
 pub use pe_sparse;
 pub use pe_tensor;
 
+use std::sync::Arc;
+
 use pe_graph::{build_training_graph, TrainingGraph};
-use pe_memplan::{memory_report, MemoryReport};
+use pe_memplan::{memory_report, memory_report_for_plan, MemoryReport};
 use pe_models::BuiltModel;
 use pe_passes::{optimize, OptimizeOptions, OptimizeStats, Schedule, ScheduleStrategy};
-use pe_runtime::{Executor, ExecutorConfig, Optimizer, Trainer};
+use pe_runtime::{Executor, ExecutorConfig, Optimizer, ParamStore, Trainer};
 use pe_sparse::{apply_rule, trainable_elements, UpdateRule};
 
 pub use admission::{AdmissionPolicy, Outcome, RejectReason};
@@ -212,26 +214,20 @@ impl CompiledProgram {
 /// Use this for paper-scale configurations (ResNet-50 at 224x224, BERT-base,
 /// Llama-7B) whose graphs are only consumed by the memory planner.
 pub fn analyze(model: &BuiltModel, options: &CompileOptions) -> ProgramAnalysis {
-    let spec = apply_rule(model, &options.update_rule);
-    let trainable = trainable_elements(model, &spec);
-    let tg = build_training_graph(model.graph.clone(), model.loss, &spec);
-    let mut opts = options.optimize;
-    opts.reorder_updates = options.schedule == ScheduleStrategy::Reordered;
-    let (tg, schedule, stats) = optimize(tg, opts);
+    let (tg, schedule, stats, trainable) = lower(model, options);
     let memory = memory_report(
         &tg.graph,
         &schedule,
         trainable,
         options.optimizer.state_slots(),
     );
-    let logits_name = model.logits_name();
     ProgramAnalysis {
         training_graph: tg,
         schedule,
         stats,
         memory,
         trainable_elements: trainable,
-        logits_name,
+        logits_name: model.logits_name(),
     }
 }
 
@@ -241,18 +237,58 @@ pub fn analyze(model: &BuiltModel, options: &CompileOptions) -> ProgramAnalysis 
 /// graph derivation, graph optimisation, scheduling and memory planning. The
 /// returned program's executor performs no graph work at runtime.
 pub fn compile(model: &BuiltModel, options: &CompileOptions) -> CompiledProgram {
-    let analysis = analyze(model, options);
-    let executor = Executor::new(
-        analysis.training_graph.clone(),
-        analysis.schedule.clone(),
-        options.optimizer,
-    );
+    let (analysis, executor) = build_executor(model, options, None);
     CompiledProgram {
         analysis,
         executor,
         feature_input: model.feature_input.clone(),
         label_input: model.label_input.clone(),
     }
+}
+
+/// Lowers `model` to its executor over `store` (a private store when
+/// `None`) and the analysis of that program. The memory planner runs once:
+/// the report is derived from the plan the executor was built on.
+pub(crate) fn build_executor(
+    model: &BuiltModel,
+    options: &CompileOptions,
+    store: Option<Arc<ParamStore>>,
+) -> (ProgramAnalysis, Executor) {
+    let (tg, schedule, stats, trainable) = lower(model, options);
+    let store =
+        store.unwrap_or_else(|| Arc::new(ParamStore::from_graph(&tg.graph, options.optimizer)));
+    let executor = Executor::with_store(tg.clone(), schedule.clone(), store);
+    let memory = memory_report_for_plan(
+        &tg.graph,
+        executor.memory_plan(),
+        trainable,
+        options.optimizer.state_slots(),
+    );
+    let analysis = ProgramAnalysis {
+        training_graph: tg,
+        schedule,
+        stats,
+        memory,
+        trainable_elements: trainable,
+        logits_name: model.logits_name(),
+    };
+    (analysis, executor)
+}
+
+/// The compile pipeline before memory planning: scheme application,
+/// autodiff, graph optimisation and scheduling. Also returns the number of
+/// parameter elements that receive updates.
+fn lower(
+    model: &BuiltModel,
+    options: &CompileOptions,
+) -> (TrainingGraph, Schedule, OptimizeStats, usize) {
+    let spec = apply_rule(model, &options.update_rule);
+    let trainable = trainable_elements(model, &spec);
+    let tg = build_training_graph(model.graph.clone(), model.loss, &spec);
+    let mut opts = options.optimize;
+    opts.reorder_updates = options.schedule == ScheduleStrategy::Reordered;
+    let (tg, schedule, stats) = optimize(tg, opts);
+    (tg, schedule, stats, trainable)
 }
 
 #[cfg(test)]

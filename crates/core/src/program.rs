@@ -29,7 +29,7 @@ use pe_models::BuiltModel;
 use pe_runtime::{ExecError, Executor, ParamStore};
 use pe_tensor::Tensor;
 
-use crate::{analyze, CompileOptions, ProgramAnalysis};
+use crate::{build_executor, CompileOptions, ProgramAnalysis};
 
 /// Builds the forward graph of one model family at a requested batch size.
 ///
@@ -314,12 +314,8 @@ impl Program {
             self.stats.misses += 1;
             self.stats.request_misses += requests;
             let model = self.factory.build(batch);
-            let analysis = analyze(&model, &self.options);
-            let executor = Executor::with_store(
-                analysis.training_graph.clone(),
-                analysis.schedule.clone(),
-                Arc::clone(&self.store),
-            );
+            let (analysis, executor) =
+                build_executor(&model, &self.options, Some(Arc::clone(&self.store)));
             let spec = Specialization {
                 batch,
                 analysis,

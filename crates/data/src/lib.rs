@@ -4,7 +4,7 @@
 //! paper's evaluation: vision transfer-learning tasks (Table 2), GLUE-style
 //! sequence classification (Table 3, Figure 8), an Alpaca-style
 //! instruction-tuning corpus (Table 5), and mixed-size serving request
-//! streams for the engine facade. See `DESIGN.md` for the substitution
+//! streams for the engine facade. The substitution rests on one
 //! rationale: every generator preserves the *relative* comparison the paper
 //! makes (full vs bias-only vs sparse backpropagation) rather than absolute
 //! dataset-specific accuracy.

@@ -1,6 +1,7 @@
 //! The static computation graph (unified IR).
 
 use std::collections::HashMap;
+use std::sync::Arc;
 
 use pe_tensor::{Shape, Tensor};
 
@@ -30,14 +31,21 @@ impl Node {
 
 /// Initial value of a parameter.
 ///
+/// A concrete value is reference-counted: cloning a graph, deriving its
+/// backward graph, rebuilding it after DCE and materialising a parameter
+/// store all share the one buffer the model builder allocated, so a weight
+/// exists once however many graphs name it. Nothing writes through the
+/// shared handle; a store cell that is updated unshares its value first.
+///
 /// Paper-scale model configurations (e.g. a 7B-parameter Llama used only for
 /// memory and latency accounting) defer initialisation so that building the
 /// graph does not allocate gigabytes; the runtime materialises deferred
 /// parameters as zeros only if such a graph is actually executed.
 #[derive(Debug, Clone, PartialEq)]
 pub enum ParamInit {
-    /// A concrete initial tensor.
-    Value(Tensor),
+    /// A concrete initial tensor, shared by every graph and store built
+    /// from this one.
+    Value(Arc<Tensor>),
     /// No materialised value; the runtime substitutes zeros if needed.
     Deferred,
 }
@@ -50,19 +58,11 @@ impl ParamInit {
             ParamInit::Deferred => None,
         }
     }
-
-    /// Materialises the initial value for a parameter of the given shape.
-    pub fn materialize(&self, shape: &Shape) -> Tensor {
-        match self {
-            ParamInit::Value(t) => t.clone(),
-            ParamInit::Deferred => Tensor::zeros(shape.clone()),
-        }
-    }
 }
 
 impl From<Tensor> for ParamInit {
     fn from(value: Tensor) -> Self {
-        ParamInit::Value(value)
+        ParamInit::Value(Arc::new(value))
     }
 }
 

@@ -384,7 +384,9 @@ pub fn validate_plan(graph: &Graph, schedule: &Schedule, plan: &MemoryPlan) -> R
     Ok(())
 }
 
-/// Produces the full training-memory breakdown for a scheduled graph.
+/// Produces the full training-memory breakdown for a scheduled graph by
+/// planning it ([`plan_memory`]) and reporting that plan
+/// ([`memory_report_for_plan`]).
 ///
 /// `trainable_elements` is the number of parameter elements that receive
 /// updates (see `TrainingGraph::trainable_element_count`), and
@@ -397,6 +399,18 @@ pub fn memory_report(
     optimizer_slots: usize,
 ) -> MemoryReport {
     let plan = plan_memory(graph, schedule);
+    memory_report_for_plan(graph, &plan, trainable_elements, optimizer_slots)
+}
+
+/// The training-memory breakdown of `graph` run out of an existing `plan`
+/// (for example the one an executor was built on), without planning again.
+/// Arguments are as for [`memory_report`].
+pub fn memory_report_for_plan(
+    graph: &Graph,
+    plan: &MemoryPlan,
+    trainable_elements: usize,
+    optimizer_slots: usize,
+) -> MemoryReport {
     let params_bytes: usize = graph
         .params()
         .keys()

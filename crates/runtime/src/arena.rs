@@ -133,6 +133,8 @@ struct Shared {
 pub struct Executor {
     tg: TrainingGraph,
     schedule: Schedule,
+    /// The memory plan the arena and every step's offsets come from.
+    plan: MemoryPlan,
     shared: Shared,
     /// Steps completed by this executor (the store counts globally).
     step: usize,
@@ -288,6 +290,7 @@ impl Executor {
         Executor {
             tg,
             schedule,
+            plan,
             shared,
             step: 0,
             param_slots,
@@ -305,6 +308,14 @@ impl Executor {
     /// The execution schedule.
     pub fn schedule(&self) -> &Schedule {
         &self.schedule
+    }
+
+    /// The memory plan this executor runs: its arena is
+    /// `plan.arena_bytes` long and every transient buffer sits at the
+    /// plan's offset, so a report derived from it
+    /// ([`pe_memplan::memory_report_for_plan`]) describes the executed slab.
+    pub fn memory_plan(&self) -> &MemoryPlan {
+        &self.plan
     }
 
     /// The optimizer configuration.
@@ -335,7 +346,7 @@ impl Executor {
     /// the [`ParamStore`] are stepping concurrently.
     pub fn param(&self, id: NodeId) -> Option<Tensor> {
         let slot = *self.param_slots.get(&id)?;
-        Some(self.shared.store.lock_shared()[slot].value.clone())
+        Some(Tensor::clone(&self.shared.store.lock_shared()[slot].value))
     }
 
     /// Overwrites a parameter value (e.g. to load a pre-trained checkpoint)
@@ -500,8 +511,10 @@ unsafe fn exec_train_position(shared: &Shared, params: &mut [ParamCell], pos: us
             // Per-cell update count: restarts after set_param, so Adam bias
             // correction behaves like a freshly initialized parameter.
             cell.steps += 1;
+            let value = Arc::get_mut(&mut cell.value)
+                .expect("an updated parameter owns its value: ensure_state unshared it");
             shared.store.optimizer().apply(
-                &mut cell.value.data_mut()[..updated_len],
+                &mut value.data_mut()[..updated_len],
                 grad.data(),
                 &mut cell.state,
                 cell.steps,

@@ -33,12 +33,27 @@
 //! and cache nothing derived from them, so a value replaced by `set` or
 //! `restore` — by this executor or any other sharing the store — is what
 //! the next step of every executor sees.
+//!
+//! # Shared and owned values
+//!
+//! A cell's value is an `Arc<Tensor>`. [`ParamStore::from_graph`] shares it
+//! with the graph's initial value (`ParamInit::Value`), so a fresh store
+//! copies no weight, and every graph of the family — the model's, the
+//! optimised training graph, each executor's — names that same buffer.
+//! A cell is unshared exactly once, by [`ParamStore::ensure_state`], which
+//! every executor build calls for each parameter its program updates: the
+//! update then writes a buffer the cell owns, and the step allocates
+//! nothing. A frozen parameter is never unshared, so it stays one buffer
+//! for the life of the process. `set` and `restore` never write through a
+//! shared value: `set` installs the caller's tensor as a new owned buffer,
+//! and `restore` replaces a value whose bits change (and leaves one whose
+//! bits match, so a frozen parameter stays shared across a restore).
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard};
+use std::sync::{Arc, PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard};
 
-use pe_graph::{Graph, NodeId, ParamKey, TrainingGraph};
+use pe_graph::{Graph, NodeId, ParamInit, ParamKey, TrainingGraph};
 use pe_tensor::Tensor;
 
 use crate::optimizer::Optimizer;
@@ -70,8 +85,10 @@ pub(crate) fn resolve_param_slots(
 /// Canonical value and optimizer state of one parameter.
 #[derive(Debug)]
 pub(crate) struct ParamCell {
-    /// The parameter tensor, updated in place by `ApplyUpdate` nodes.
-    pub value: Tensor,
+    /// The parameter tensor: shared with the graph's initial value until
+    /// [`ParamStore::ensure_state`] unshares it, then owned and updated in
+    /// place by `ApplyUpdate` nodes (module docs).
+    pub value: Arc<Tensor>,
     /// Optimizer state rows ([`Optimizer::state_slots`] vectors), allocated
     /// lazily the first time an executor registers the parameter as
     /// trainable.
@@ -111,7 +128,9 @@ impl std::fmt::Debug for ParamStore {
 }
 
 impl ParamStore {
-    /// Materialises the canonical store from a graph's parameter table.
+    /// Builds the canonical store from a graph's parameter table. Each cell
+    /// shares the graph's initial value rather than copying it; a deferred
+    /// parameter gets zeros.
     ///
     /// Slots are assigned in sorted node-id order, which is deterministic
     /// for a given builder run. Optimizer state is *not* allocated here —
@@ -123,8 +142,10 @@ impl ParamStore {
         let mut slots = HashMap::new();
         let mut keys = Vec::new();
         for (id, key) in graph.param_keys() {
-            let info = &graph.params()[&id];
-            let value = info.init.materialize(&graph.node(id).shape);
+            let value = match &graph.params()[&id].init {
+                ParamInit::Value(init) => Arc::clone(init),
+                ParamInit::Deferred => Arc::new(Tensor::zeros(graph.node(id).shape.clone())),
+            };
             slots.insert(key.clone(), cells.len());
             keys.push(key);
             cells.push(ParamCell {
@@ -175,7 +196,7 @@ impl ParamStore {
     /// Current value of a parameter (cloned under the shared guard).
     pub fn get(&self, key: &ParamKey) -> Option<Tensor> {
         let slot = self.slot(key)?;
-        Some(self.lock_shared()[slot].value.clone())
+        Some(Tensor::clone(&self.lock_shared()[slot].value))
     }
 
     /// Overwrites a parameter value (e.g. loading a checkpoint) and
@@ -183,7 +204,8 @@ impl ParamStore {
     /// the old trajectory are meaningless for the new value, so they are
     /// zeroed — and the parameter's update count restarts, so Adam's bias
     /// correction warms up again exactly as for a freshly initialized
-    /// parameter.
+    /// parameter. The value becomes a buffer the cell owns; a graph whose
+    /// initial value the cell shared is left as it was.
     ///
     /// # Panics
     ///
@@ -206,22 +228,26 @@ impl ParamStore {
             value.shape(),
             "parameter shape mismatch"
         );
-        cell.value = value;
+        cell.value = Arc::new(value);
         for row in &mut cell.state {
             row.fill(0.0);
         }
         cell.steps = 0;
     }
 
-    /// Allocates optimizer state rows for a slot if not yet present.
+    /// Makes a slot's value a buffer the cell owns (copying it out of the
+    /// graph's shared initial value the first time) and allocates its
+    /// optimizer state rows if not yet present.
     ///
     /// Called by executors at construction for every parameter their program
-    /// updates, so state exists exactly once per trainable parameter no
-    /// matter how many specializations share the store.
+    /// updates, so the updated value and its state exist exactly once per
+    /// trainable parameter no matter how many specializations share the
+    /// store, and a training step never allocates to unshare.
     pub fn ensure_state(&self, slot: usize) {
         let slots_needed = self.optimizer.state_slots();
         let mut cells = self.lock_exclusive();
         let cell = &mut cells[slot];
+        Arc::make_mut(&mut cell.value);
         if cell.state.len() < slots_needed {
             let n = cell.value.numel();
             cell.state = (0..slots_needed).map(|_| vec![0.0f32; n]).collect();
@@ -321,6 +347,10 @@ impl ParamStore {
     /// trajectory — a restore resumes the snapshot's own trajectory, so the
     /// state rows and step counts come along bit-exactly.
     ///
+    /// A value whose bits the snapshot changes is replaced by a buffer the
+    /// cell owns, never written through a value shared with a graph; one
+    /// whose bits match (a frozen parameter) keeps its buffer.
+    ///
     /// # Errors
     ///
     /// [`SnapshotError`] when the bytes are malformed, were produced by an
@@ -401,7 +431,15 @@ impl ParamStore {
             )));
         }
         for (cell, (values, state, steps)) in cells.iter_mut().zip(decoded) {
-            cell.value.data_mut().copy_from_slice(&values);
+            let same_bits = cell
+                .value
+                .data()
+                .iter()
+                .zip(&values)
+                .all(|(a, b)| a.to_bits() == b.to_bits());
+            if !same_bits {
+                cell.value = Arc::new(Tensor::from_vec(values, cell.value.shape().clone()));
+            }
             if state.is_empty() {
                 // The snapshot predates this parameter's first training
                 // step; keep any rows an executor already registered, but
@@ -512,8 +550,11 @@ impl<'a> SnapReader<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pe_graph::{GraphBuilder, ParamKey};
+    use pe_graph::{build_training_graph, GraphBuilder, ParamKey, TrainKind, TrainSpec};
+    use pe_passes::{build_schedule, ScheduleStrategy};
     use pe_tensor::Rng;
+
+    use crate::Executor;
 
     /// A one-parameter store (`fc.weight`, `[3, 4]`) under `optimizer`.
     fn store_with(optimizer: Optimizer) -> ParamStore {
@@ -579,7 +620,7 @@ mod tests {
         s.ensure_state(0);
         {
             let cell = &mut s.lock_exclusive()[0];
-            cell.value.data_mut()[0] = f32::from_bits(0x3f8f_5c29);
+            Arc::get_mut(&mut cell.value).unwrap().data_mut()[0] = f32::from_bits(0x3f8f_5c29);
             cell.state[0].fill(0.25);
             cell.steps = 3;
         }
@@ -650,6 +691,118 @@ mod tests {
         let err = s.restore(&hostile).unwrap_err();
         assert!(err.0.contains("shape"), "{err}");
         assert_eq!(s.snapshot(), good);
+    }
+
+    /// A linear classifier whose `fc.weight` is frozen and `fc.bias`
+    /// trained, as a training graph, with a momentum store built from it.
+    fn frozen_weight_program() -> (TrainingGraph, ParamStore) {
+        let mut rng = Rng::seed_from_u64(0);
+        let mut b = GraphBuilder::new();
+        let x = b.input("x", [2, 4]);
+        let labels = b.input("labels", [2]);
+        let w = b.weight("fc.weight", [3, 4], &mut rng);
+        let bias = b.bias("fc.bias", 3);
+        let logits = b.linear(x, w, Some(bias));
+        let loss = b.cross_entropy(logits, labels);
+        let g = b.finish(vec![loss]);
+        let spec = TrainSpec::from([(w, TrainKind::Frozen), (bias, TrainKind::Full)]);
+        let tg = build_training_graph(g, loss, &spec);
+        let store = ParamStore::from_graph(
+            &tg.graph,
+            Optimizer::Momentum {
+                lr: 0.1,
+                momentum: 0.9,
+            },
+        );
+        (tg, store)
+    }
+
+    /// The graph's shared initial value of the parameter named `name`.
+    fn init_of<'g>(graph: &'g Graph, name: &str) -> &'g Arc<Tensor> {
+        match &graph.params()[&graph.find_param(name).unwrap()].init {
+            ParamInit::Value(init) => init,
+            ParamInit::Deferred => panic!("'{name}' has no initial value"),
+        }
+    }
+
+    /// Bit patterns of a tensor, for exact comparisons.
+    fn bits(t: &Tensor) -> Vec<u32> {
+        t.data().iter().map(|v| v.to_bits()).collect()
+    }
+
+    #[test]
+    fn a_fresh_store_shares_every_initial_value_with_the_graph() {
+        let (tg, store) = frozen_weight_program();
+        let cells = store.lock_shared();
+        for name in ["fc.weight", "fc.bias"] {
+            let slot = store.slot(&ParamKey::new(name)).unwrap();
+            assert!(
+                Arc::ptr_eq(&cells[slot].value, init_of(&tg.graph, name)),
+                "'{name}' must share the graph's buffer until an executor updates it"
+            );
+        }
+    }
+
+    #[test]
+    fn an_executor_unshares_only_the_cells_it_updates() {
+        let (tg, store) = frozen_weight_program();
+        let graph = tg.graph.clone();
+        let bias_init = bits(init_of(&graph, "fc.bias"));
+        let schedule = build_schedule(&tg.graph, ScheduleStrategy::Reordered);
+        let mut exec = Executor::with_store(tg, schedule, Arc::new(store));
+        let store = Arc::clone(exec.param_store());
+        let slot = |name: &str| store.slot(&ParamKey::new(name)).unwrap();
+        {
+            let cells = store.lock_shared();
+            let weight = &cells[slot("fc.weight")].value;
+            assert!(Arc::ptr_eq(weight, init_of(&graph, "fc.weight")), "frozen");
+            let bias = &cells[slot("fc.bias")].value;
+            assert!(!Arc::ptr_eq(bias, init_of(&graph, "fc.bias")), "updated");
+            assert_eq!(Arc::strong_count(bias), 1, "the cell owns its buffer");
+        }
+        let inputs = HashMap::from([
+            ("x".to_string(), Tensor::ones([2, 4])),
+            ("labels".to_string(), Tensor::from_vec(vec![0.0, 2.0], [2])),
+        ]);
+        for _ in 0..3 {
+            exec.train_step(&inputs).unwrap();
+        }
+        let cells = store.lock_shared();
+        assert_ne!(bits(&cells[slot("fc.bias")].value), bias_init, "trained");
+        assert_eq!(bits(init_of(&graph, "fc.bias")), bias_init);
+        assert!(Arc::ptr_eq(
+            &cells[slot("fc.weight")].value,
+            init_of(&graph, "fc.weight")
+        ));
+    }
+
+    #[test]
+    fn set_and_restore_never_write_through_a_shared_initial_value() {
+        let (tg, store) = frozen_weight_program();
+        let weight = ParamKey::new("fc.weight");
+        let slot = store.slot(&weight).unwrap();
+        let init = Arc::clone(init_of(&tg.graph, "fc.weight"));
+        let before = bits(&init);
+
+        // A restore of the same bits keeps the cell shared.
+        let same = store.snapshot();
+        store.restore(&same).unwrap();
+        assert!(Arc::ptr_eq(&store.lock_shared()[slot].value, &init));
+
+        store.set(&weight, Tensor::ones([3, 4]));
+        assert!(!Arc::ptr_eq(&store.lock_shared()[slot].value, &init));
+        assert_eq!(bits(&init), before, "set must not write the graph's value");
+        let ones = store.snapshot();
+
+        let (tg, fresh) = frozen_weight_program();
+        let init = Arc::clone(init_of(&tg.graph, "fc.weight"));
+        fresh.restore(&ones).unwrap();
+        assert_eq!(fresh.get(&weight).unwrap(), Tensor::ones([3, 4]));
+        assert_eq!(
+            bits(&init),
+            before,
+            "restore must not write the graph's value"
+        );
     }
 
     #[test]

@@ -29,11 +29,14 @@ use pockengine::{
     RejectReason, Request, ServingKind, Submit, Ticket,
 };
 
-/// The system allocator, counting allocation events, for the zero-alloc
-/// suites: each installs one as its `#[global_allocator]` and holds a single
-/// `#[test]`, because the count covers every thread in the process.
+/// The system allocator, counting allocation events and live heap bytes,
+/// for the zero-alloc and one-copy suites: each installs one as its
+/// `#[global_allocator]` and holds a single `#[test]`, because the counts
+/// cover every thread in the process.
 pub struct CountingAlloc {
     allocs: AtomicU64,
+    live: AtomicU64,
+    peak: AtomicU64,
 }
 
 impl CountingAlloc {
@@ -41,12 +44,39 @@ impl CountingAlloc {
     pub const fn new() -> Self {
         CountingAlloc {
             allocs: AtomicU64::new(0),
+            live: AtomicU64::new(0),
+            peak: AtomicU64::new(0),
         }
     }
 
     /// Allocations and reallocations so far.
     pub fn count(&self) -> u64 {
         self.allocs.load(Ordering::SeqCst)
+    }
+
+    /// Heap bytes allocated and not yet freed.
+    pub fn live_bytes(&self) -> u64 {
+        self.live.load(Ordering::SeqCst)
+    }
+
+    /// The most live heap bytes seen since the last
+    /// [`CountingAlloc::reset_peak`] (or since start-up).
+    pub fn peak_bytes(&self) -> u64 {
+        self.peak.load(Ordering::SeqCst)
+    }
+
+    /// Restarts the peak at the current live bytes.
+    pub fn reset_peak(&self) {
+        self.peak.store(self.live_bytes(), Ordering::SeqCst);
+    }
+
+    fn grow(&self, bytes: usize) {
+        let live = self.live.fetch_add(bytes as u64, Ordering::Relaxed) + bytes as u64;
+        self.peak.fetch_max(live, Ordering::Relaxed);
+    }
+
+    fn shrink(&self, bytes: usize) {
+        self.live.fetch_sub(bytes as u64, Ordering::Relaxed);
     }
 }
 
@@ -56,20 +86,31 @@ impl Default for CountingAlloc {
     }
 }
 
-// SAFETY: every call forwards to `System` unchanged; the counter is atomic.
+// SAFETY: every call forwards to `System` unchanged; the counters are
+// atomic.
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         self.allocs.fetch_add(1, Ordering::Relaxed);
-        System.alloc(layout)
+        let ptr = System.alloc(layout);
+        if !ptr.is_null() {
+            self.grow(layout.size());
+        }
+        ptr
     }
 
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        System.dealloc(ptr, layout)
+        System.dealloc(ptr, layout);
+        self.shrink(layout.size());
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
         self.allocs.fetch_add(1, Ordering::Relaxed);
-        System.realloc(ptr, layout, new_size)
+        let new = System.realloc(ptr, layout, new_size);
+        if !new.is_null() {
+            self.shrink(layout.size());
+            self.grow(new_size);
+        }
+        new
     }
 }
 
