@@ -1,13 +1,13 @@
 //! Criterion micro-benchmarks for the shared kernel library: the GEMM and
-//! convolution kernels that dominate training time, and the GEMM and
-//! non-GEMM kernels of the benchmark's training steps at their shapes. The
+//! convolution kernels that dominate training time, and the GEMM, depthwise
+//! and non-GEMM kernels of the benchmark's training steps at their shapes. The
 //! first line printed names the GEMM microkernel this CPU runs.
 
 use std::hint::black_box;
 
 use criterion::{criterion_group, Criterion};
 use pockengine::pe_tensor::kernels::conv::{
-    conv2d_grad_input_into, conv2d_grad_weight_into, conv2d_into, Conv2dParams,
+    conv2d_grad_input_into, conv2d_grad_weight_into, conv2d_into, conv2d_out_dims, Conv2dParams,
 };
 use pockengine::pe_tensor::kernels::elementwise::{
     add_bias_into, bias_grad_into, binary_into, unary_grad_into, unary_into, BinaryOp, UnaryGradOp,
@@ -142,6 +142,39 @@ fn bench_conv(c: &mut Criterion) {
     black_box((&y, &y8, &dw));
 }
 
+/// `finetune_cnn_full`'s depthwise layers, all three kernels: the 3×3,
+/// pad-1 layers at `[8,32,8,8]` stride 1 and `[8,16,16,16]` stride 2.
+fn bench_depthwise(c: &mut Criterion) {
+    let mut rng = Rng::seed_from_u64(4);
+    for (dims, stride) in [([8, 32, 8, 8], 1), ([8, 16, 16, 16], 2)] {
+        let [n, ch, h, w] = dims;
+        let x = Tensor::randn(dims, 1.0, &mut rng);
+        let wd = Tensor::randn([ch, 1, 3, 3], 0.5, &mut rng);
+        let p = Conv2dParams::new(stride, 1).with_groups(ch);
+        let out_dims = conv2d_out_dims(&dims, wd.dims(), p);
+        let dy = Tensor::randn(out_dims, 1.0, &mut rng);
+        let (mut y, mut dx, mut dw) = (
+            vec![0.0f32; dy.numel()],
+            vec![0.0f32; x.numel()],
+            vec![0.0f32; wd.numel()],
+        );
+        let shape = format!("{n}x{ch}x{h}x{w}_s{stride}");
+        c.bench_function(&format!("depthwise_fwd_{shape}"), |bencher| {
+            bencher.iter(|| conv2d_into(black_box(x.view()), wd.view(), p, &mut y))
+        });
+        c.bench_function(&format!("depthwise_grad_input_{shape}"), |bencher| {
+            bencher
+                .iter(|| conv2d_grad_input_into(black_box(dy.view()), wd.view(), &dims, p, &mut dx))
+        });
+        c.bench_function(&format!("depthwise_grad_weight_{shape}"), |bencher| {
+            bencher.iter(|| {
+                conv2d_grad_weight_into(black_box(x.view()), dy.view(), wd.dims(), p, &mut dw)
+            })
+        });
+        black_box((&y, &dx, &dw));
+    }
+}
+
 /// What the encoder's step spends outside GEMM, through the `_into` kernels
 /// the arena executor dispatches, at `finetune_bert_sparse`'s shapes (batch
 /// 4, 32 tokens, hidden 64, 4 heads, FFN 128).
@@ -213,7 +246,7 @@ fn bench_encoder_floor(c: &mut Criterion) {
 criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(10).measurement_time(std::time::Duration::from_secs(2)).warm_up_time(std::time::Duration::from_millis(500));
-    targets = bench_gemm_shapes, bench_conv, bench_encoder_floor
+    targets = bench_gemm_shapes, bench_conv, bench_depthwise, bench_encoder_floor
 }
 
 fn main() {

@@ -1,5 +1,27 @@
 //! 2-D convolution kernels (NCHW) with grouped/depthwise support, plus the
 //! input- and weight-gradient kernels used by the compiled backward graph.
+//!
+//! Dense and grouped convolutions lower onto the GEMM core a stack panel of
+//! patches at a time. A depthwise convolution has no channel contraction to
+//! hand to GEMM; its forward and input gradient run one padded-row kernel
+//! instead. For each band of output rows it stages the input rows those
+//! outputs read into the 32 KB patch panel, zero-bordered, and at stride > 1
+//! split by column phase, so that every tap reads a contiguous run. It then
+//! computes 8-wide output strips of four rows at a time: each strip's
+//! accumulators start at +0, take all `kh x kw` taps in `(ky, kx)` order and
+//! are stored once. The input gradient is the same loop at stride 1 over
+//! `dy`, zero-upsampled by the stride and bordered, with the taps mirrored.
+//!
+//! Each output therefore sums the taps that read inside the input in the
+//! same order as a clipped per-tap loop does, plus padding taps that add
+//! `w · 0 = ±0`. A sum that starts at +0 never becomes −0 (round to nearest
+//! gives `x + (−x) = +0`), and adding ±0 to any other value leaves it
+//! unchanged, so the padding taps change no bit, for finite weights. An
+//! infinite or NaN weight makes `w · 0` NaN, which turns a border output
+//! the clipped loop leaves at ±inf or finite into NaN. The depthwise weight
+//! gradient keeps per-tap clipped blocks and lane-accumulated dots.
+
+use std::ops::Range;
 
 use super::gemm::{gemm, MatMut, MatRef};
 use crate::TensorView;
@@ -257,12 +279,12 @@ impl Geometry {
         });
     }
 
-    /// The depthwise kernels' loop nest: `f(tap_block, plane)` for every
-    /// kernel tap and channel plane, the block being the output rows and
-    /// columns whose tap reads inside the input, so no bounds test is left
-    /// for the kernels' inner loops. Planes go in groups small enough to stay
-    /// in L1 across the taps, which also shares one block among the group.
-    fn for_each_tap_plane(&self, planes: usize, mut f: impl FnMut(&TapBlock, usize)) {
+    /// The depthwise weight gradient's loop nest: `f(tap_block, planes)` for
+    /// every kernel tap and group of channel planes, the block being the
+    /// output rows and columns whose tap reads inside the input, so no bounds
+    /// test is left for the inner loops. A group is small enough to stay in
+    /// L1 across the taps.
+    fn for_each_tap_block(&self, planes: usize, mut f: impl FnMut(&TapBlock, Range<usize>)) {
         let Geometry {
             p, h, w, kh, kw, ..
         } = *self;
@@ -285,9 +307,7 @@ impl Geometry {
                         o_at: row_lo * self.ow + col_lo,
                         o_pitch: self.ow,
                     };
-                    for plane in first..planes.min(first + group) {
-                        f(&block, plane);
-                    }
+                    f(&block, first..planes.min(first + group));
                 }
             }
         }
@@ -312,41 +332,481 @@ struct TapBlock {
     o_pitch: usize,
 }
 
-/// `dst[t * dst_step] += alpha * src[t * src_step]` for `t < len`.
-#[inline(always)]
-fn axpy(alpha: f32, src: &[f32], src_step: usize, dst: &mut [f32], dst_step: usize, len: usize) {
-    if src_step == 1 && dst_step == 1 {
-        for (d, s) in dst[..len].iter_mut().zip(&src[..len]) {
-            *d += alpha * *s;
+/// Width of a depthwise output strip: the accumulators one strip keeps in
+/// registers across all of its taps.
+const STRIP: usize = 8;
+/// Elements of the depthwise staging tile: the convolution's patch panel,
+/// which a depthwise call does not otherwise use.
+const STAGE: usize = PANEL_ROWS * PANEL_COLS;
+/// Most taps one depthwise pass takes. A kernel with more runs in passes of
+/// whole tap rows, or of pieces of one row when a row alone is longer, so
+/// every output still takes its taps in `(ky, kx)` order.
+const PASS_TAPS: usize = 64;
+/// Output rows whose strips take each tap together: independent
+/// accumulator chains, so the adds do not wait on each other.
+const ROWS: usize = 4;
+
+/// A depthwise convolution, or its input gradient, as one correlation over
+/// zero-bordered rows: output `(r, c)` sums `w[ky][kx] · v(r·step + pos(ky),
+/// c·step + pos(kx))` over the taps in `(ky, kx)` order, where `v` is a
+/// virtual plane that is zero wherever it has no source element.
+///
+/// Forward, the source is the input, `step` is the stride, `pos(k) = k`, and
+/// `v(a, b) = x[a − pad][b − pad]` is the padded input. For the input
+/// gradient the source is `dy`, `step` is 1, the taps are mirrored (`pos(k)
+/// = taps − 1 − k`), and `v` is `dy` zero-upsampled by the stride and
+/// bordered: `v(a, b) = dy[u / stride][u' / stride]` for `u = a + pad − (kh
+/// − 1)` and `u' = b + pad − (kw − 1)` when the stride divides both.
+#[derive(Clone, Copy)]
+struct Depthwise {
+    stride: usize,
+    pad: usize,
+    kh: usize,
+    kw: usize,
+    /// Rows and columns of the source plane.
+    src: (usize, usize),
+    /// Rows and columns of the output plane.
+    out: (usize, usize),
+    /// The input gradient's mirrored taps over the upsampled `dy`.
+    mirrored: bool,
+}
+
+/// How one pass of a [`Depthwise`] op cuts the plane and the staging tile.
+///
+/// A staged row is `phases` phase rows of `len` elements: phase `q` holds
+/// virtual columns `(c0 + m)·step + first.1 + q`, so a tap reads one
+/// contiguous run at any stride. A band of `band` output rows stages the
+/// `(band − 1)·step + rows` virtual rows from `r0·step + first.0` on.
+struct Pass {
+    rows: usize,
+    /// The smallest virtual row and column offsets of the pass's taps.
+    first: (usize, usize),
+    phases: usize,
+    len: usize,
+    /// Output columns per column tile, a multiple of [`STRIP`].
+    tile_cols: usize,
+    band: usize,
+    /// Output strips start from +0, not from the previous passes' sums.
+    first_pass: bool,
+    /// `(weight index, tile offset from an output row's first staged row,
+    /// row class)` of each tap, in `(ky, kx)` order; the first `n` are used.
+    /// A tap serves only the output rows of its class (see
+    /// [`Depthwise::run_planes`]).
+    taps: [(usize, usize, usize); PASS_TAPS],
+    n: usize,
+}
+
+impl Depthwise {
+    fn forward(g: &Geometry) -> Self {
+        Depthwise {
+            stride: g.p.stride,
+            pad: g.p.padding,
+            kh: g.kh,
+            kw: g.kw,
+            src: (g.h, g.w),
+            out: (g.oh, g.ow),
+            mirrored: false,
         }
-    } else {
-        for t in 0..len {
-            dst[t * dst_step] += alpha * src[t * src_step];
+    }
+
+    fn grad_input(g: &Geometry) -> Self {
+        Depthwise {
+            src: (g.oh, g.ow),
+            out: (g.h, g.w),
+            mirrored: true,
+            ..Depthwise::forward(g)
+        }
+    }
+
+    /// Virtual distance between neighbouring outputs.
+    fn step(&self) -> usize {
+        if self.mirrored {
+            1
+        } else {
+            self.stride
+        }
+    }
+
+    /// Virtual offset of tap `k` on an axis of `taps` taps.
+    fn pos(&self, k: usize, taps: usize) -> usize {
+        if self.mirrored {
+            taps - 1 - k
+        } else {
+            k
+        }
+    }
+
+    /// The source elements behind the virtual coordinates `base + m·gap`,
+    /// `m < len`, on an axis of `n` source elements and `taps` taps (`gap`
+    /// is 1 when mirrored): `[m0, j0, count, dm, dj]`, the run `m = m0 +
+    /// t·dm` reading element `j0 + t·dj` for `t < count`. Every other `m` is
+    /// zero.
+    fn run(&self, base: usize, gap: usize, len: usize, n: usize, taps: usize) -> [usize; 5] {
+        let (s, pad) = (self.stride, self.pad);
+        if !self.mirrored {
+            // Element `base + m·gap − pad`, inside `0..n`.
+            let m0 = pad.saturating_sub(base).div_ceil(gap);
+            let end = (pad + n).saturating_sub(base).div_ceil(gap).min(len);
+            return [
+                m0,
+                (base + m0 * gap).saturating_sub(pad),
+                end.saturating_sub(m0),
+                1,
+                gap,
+            ];
+        }
+        // Upsampled index `u = base + m + pad − (taps − 1)`: element `u / s`
+        // when `s` divides `u` and `u / s < n`.
+        let u0 = (base + pad) as isize - (taps - 1) as isize;
+        let j0 = u0.max(0).unsigned_abs().div_ceil(s);
+        let end = (u0 + len as isize).max(0).unsigned_abs().div_ceil(s).min(n);
+        let m0 = (j0 * s) as isize - u0;
+        [m0.max(0).unsigned_abs(), j0, end.saturating_sub(j0), s, 1]
+    }
+
+    /// The layout of the pass over taps `ky x kx`.
+    fn pass(&self, ky: Range<usize>, kx: Range<usize>) -> Pass {
+        let (out_h, out_w) = self.out;
+        let step = self.step();
+        let (rows, cols) = (ky.len(), kx.len());
+        let first = (
+            self.pos(ky.start, self.kh)
+                .min(self.pos(ky.end - 1, self.kh)),
+            self.pos(kx.start, self.kw)
+                .min(self.pos(kx.end - 1, self.kw)),
+        );
+        let phases = step.min(cols);
+        // Virtual columns a phase row reaches past its last strip.
+        let reach = (cols - 1) / step;
+        // At most PASS_TAPS taps leave room for a strip of `rows` staged rows.
+        let most = (STAGE / rows / phases - reach) / STRIP * STRIP;
+        let tile_cols = most.min(out_w.next_multiple_of(STRIP)).max(STRIP);
+        let len = tile_cols + reach;
+        let width = phases * len;
+        let band = ((STAGE / width - rows) / step + 1).min(out_h).max(1);
+        let mut taps = [(0, 0, 0); PASS_TAPS];
+        let mut n = 0;
+        for y in ky.clone() {
+            for x in kx.clone() {
+                let (dy, dx) = (
+                    self.pos(y, self.kh) - first.0,
+                    self.pos(x, self.kw) - first.1,
+                );
+                let at = dy * width + dx % step * len + dx / step;
+                // Mirrored, output row `r` reads upsampled row `r + pad − y`.
+                let class = if self.mirrored {
+                    (y % self.stride + self.stride - self.pad % self.stride) % self.stride
+                } else {
+                    0
+                };
+                taps[n] = (y * self.kw + x, at, class);
+                n += 1;
+            }
+        }
+        Pass {
+            rows,
+            first,
+            phases,
+            len,
+            tile_cols,
+            band,
+            first_pass: ky.start == 0 && kx.start == 0,
+            taps,
+            n,
+        }
+    }
+
+    /// The op over `planes` planes of `src` into `out`, plane `i` filtered
+    /// by channel `i % channels` of `w` (`[channels, 1, kh, kw]`).
+    ///
+    /// Which tile elements a plane's source fills depends only on the band
+    /// and the column tile, so the zeros around them are written once per
+    /// tile position and each plane only copies its source runs in.
+    fn run_planes(
+        &self,
+        (planes, channels): (usize, usize),
+        (src, w): (&[f32], &[f32]),
+        out: &mut [f32],
+        tile: &mut PatchPanel,
+    ) {
+        let ((src_h, src_w), (out_h, out_w)) = (self.src, self.out);
+        let (src_len, out_len, kernel) = (src_h * src_w, out_h * out_w, self.kh * self.kw);
+        let step = self.step();
+        // The input gradient's output rows fall in `stride` classes by which
+        // upsampled rows they read: a tap whose row is all zeros for a class
+        // adds ±0, which leaves a sum started at +0 unchanged, so each class
+        // takes only the taps that read `dy`.
+        let classes = if self.mirrored { self.stride } else { 1 };
+        let mut col_runs = [[0usize; 5]; PASS_TAPS];
+        let mut taps = [(0, 0.0f32); PASS_TAPS];
+        for (ky, kx) in tap_windows(self.kh, self.kw) {
+            let pass = self.pass(ky, kx);
+            let width = pass.phases * pass.len;
+            let pitches = (classes * step * width, classes * out_w);
+            for r0 in (0..out_h).step_by(pass.band) {
+                let nr = pass.band.min(out_h - r0);
+                let rows = (nr - 1) * step + pass.rows;
+                let row_run = self.run(r0 * step + pass.first.0, 1, rows, src_h, self.kh);
+                for c0 in (0..out_w).step_by(pass.tile_cols) {
+                    let nc = pass.tile_cols.min(out_w - c0);
+                    let col_runs = &mut col_runs[..pass.phases];
+                    for (q, run) in col_runs.iter_mut().enumerate() {
+                        let base = c0 * step + pass.first.1 + q;
+                        *run = self.run(base, step, pass.len, src_w, self.kw);
+                    }
+                    let staged = &mut tile[..rows * width];
+                    staged.fill(0.0);
+                    for plane in 0..planes {
+                        let sp = &src[plane * src_len..][..src_len];
+                        stage(sp, src_w, (row_run, col_runs), (width, pass.len), staged);
+                        let wp = &w[plane % channels * kernel..][..kernel];
+                        let op = &mut out[plane * out_len..][..out_len];
+                        for class in 0..classes {
+                            let mut n = 0;
+                            for &(k, at, c) in &pass.taps[..pass.n] {
+                                if c == class {
+                                    taps[n] = (at, wp[k]);
+                                    n += 1;
+                                }
+                            }
+                            let first = r0 + (class + classes - r0 % classes) % classes;
+                            let mut left = (r0 + nr).saturating_sub(first).div_ceil(classes);
+                            let mut r = first;
+                            while left > 0 {
+                                let from = &staged[(r - r0) * step * width..];
+                                let to = &mut op[r * out_w + c0..];
+                                let block = if left >= ROWS { ROWS } else { 1 };
+                                let strip = Strips {
+                                    taps: &taps[..n],
+                                    pitches,
+                                    cols: nc,
+                                    first_pass: pass.first_pass,
+                                };
+                                if block == ROWS {
+                                    strips::<ROWS>(from, to, strip);
+                                } else {
+                                    strips::<1>(from, to, strip);
+                                }
+                                (r, left) = (r + block * classes, left - block);
+                            }
+                        }
+                    }
+                }
+            }
+        }
+    }
+}
+
+/// Copies one source plane's runs into the staging tile: source row `j0 +
+/// t·dj` to staged row `b0 + t·db` for `t < count` (the row run) and, in
+/// each, phase `q`'s column run `[m0, i0, n, dm, di]`: source element `i0 +
+/// u·di` to phase element `m0 + u·dm` for `u < n`. A staged row is `width`
+/// elements, phase rows of `len`.
+fn stage(
+    src: &[f32],
+    src_w: usize,
+    ([b0, j0, count, db, dj], col_runs): ([usize; 5], &[[usize; 5]]),
+    (width, len): (usize, usize),
+    staged: &mut [f32],
+) {
+    if let [[m0, i0, n0, 1, 2], [m1, i1, n1, 1, 2]] = *col_runs {
+        if n0 > 0 && n1 > 0 {
+            // Stride 2, both phases: one contiguous source run, split into
+            // its even and odd elements in one pass per row. The phase whose
+            // run starts first takes the even elements.
+            let (lo, total) = (i0.min(i1), n0 + n1);
+            let (even, odd) = if i0 < i1 {
+                (m0, len + m1)
+            } else {
+                (len + m1, m0)
+            };
+            let (mut from, mut to) = (j0 * src_w + lo, b0 * width);
+            for _ in 0..count {
+                let (pairs, last) = src[from..from + total].as_chunks::<2>();
+                let row = &mut staged[to..to + width];
+                let (row, odd_row) = row.split_at_mut(even.max(odd));
+                let (even_row, odd_row) = if even < odd {
+                    (&mut row[even..], &mut odd_row[..])
+                } else {
+                    (&mut odd_row[..], &mut row[odd..])
+                };
+                for ((x, e), o) in pairs.iter().zip(even_row.iter_mut()).zip(odd_row) {
+                    (*e, *o) = (x[0], x[1]);
+                }
+                if let [x] = last {
+                    even_row[pairs.len()] = *x;
+                }
+                (from, to) = (from + dj * src_w, to + db * width);
+            }
+            return;
+        }
+    }
+    for (q, &[m0, i0, n, dm, di]) in col_runs.iter().enumerate() {
+        if n == 0 {
+            continue;
+        }
+        let (from_span, to_span) = ((n - 1) * di + 1, (n - 1) * dm + 1);
+        let (mut from, mut to) = (j0 * src_w + i0, b0 * width + q * len + m0);
+        for _ in 0..count {
+            let (f, t) = (&src[from..from + from_span], &mut staged[to..to + to_span]);
+            if dm == 1 && di == 1 {
+                copy_run(t, f);
+            } else if dm == 1 {
+                for (d, v) in t.iter_mut().zip(f.chunks(di)) {
+                    *d = v[0];
+                }
+            } else {
+                for (d, v) in t.chunks_mut(dm).zip(f) {
+                    d[0] = *v;
+                }
+            }
+            (from, to) = (from + dj * src_w, to + db * width);
+        }
+    }
+}
+
+/// `to.copy_from_slice(from)` for the short runs of a staged row: a
+/// [`STRIP`] at a time and inline, not through `memcpy`.
+#[inline(always)]
+fn copy_run(to: &mut [f32], from: &[f32]) {
+    let (to8, to_tail) = to.as_chunks_mut::<STRIP>();
+    let (from8, from_tail) = from.as_chunks::<STRIP>();
+    for (d, v) in to8.iter_mut().zip(from8) {
+        *d = *v;
+    }
+    for (d, v) in to_tail.iter_mut().zip(from_tail) {
+        *d = *v;
+    }
+}
+
+/// The passes of a `kh x kw` kernel, in `(ky, kx)` order: as many whole tap
+/// rows as [`PASS_TAPS`] holds, or pieces of one row when a row alone is
+/// longer.
+fn tap_windows(kh: usize, kw: usize) -> impl Iterator<Item = (Range<usize>, Range<usize>)> {
+    let (rows, piece) = ((PASS_TAPS / kw).max(1), kw.min(PASS_TAPS));
+    (0..kh).step_by(rows).flat_map(move |y0| {
+        let ky = y0..kh.min(y0 + rows);
+        (0..kw)
+            .step_by(piece)
+            .map(move |x0| (ky.clone(), x0..kw.min(x0 + piece)))
+    })
+}
+
+/// What the strips of one block of output rows share.
+#[derive(Clone, Copy)]
+struct Strips<'a> {
+    /// `(tile offset, weight)` of each tap, in order.
+    taps: &'a [(usize, f32)],
+    /// Distances between the block's rows in the tile and in the output.
+    pitches: (usize, usize),
+    cols: usize,
+    /// Strips start from +0, not from the previous passes' sums in `out`.
+    first_pass: bool,
+}
+
+/// `R` output rows, a [`STRIP`] of their columns at a time: each strip's
+/// accumulators start at +0 (past the first pass, at `out`), take every tap
+/// `(offset, weight)` in order from `tile[offset + r·pitch + column]`, and
+/// are stored once. Output row `r` starts at `out[r·out_pitch]`; `tile` is
+/// readable a whole strip past each row's last column.
+#[inline(always)]
+fn strips<const R: usize>(tile: &[f32], out: &mut [f32], s: Strips) {
+    let Strips {
+        taps,
+        pitches: (pitch, out_pitch),
+        cols: nc,
+        first_pass,
+    } = s;
+    // Every read of row `r` lies in `rows[r]`; clamping an offset to
+    // `span − STRIP` changes none of them and lets the reads go unchecked.
+    let span = taps.iter().map(|t| t.0).max().unwrap_or(0) + nc.next_multiple_of(STRIP);
+    let rows: [&[f32]; R] = std::array::from_fn(|r| &tile[r * pitch..][..span]);
+    for j in (0..nc).step_by(STRIP) {
+        let n = STRIP.min(nc - j);
+        let mut acc = [[0.0f32; STRIP]; R];
+        if !first_pass {
+            for (r, a) in acc.iter_mut().enumerate() {
+                copy_run(&mut a[..n], &out[r * out_pitch + j..][..n]);
+            }
+        }
+        for &(at, wv) in taps {
+            let i = (at + j).min(span - STRIP);
+            for (a, row) in acc.iter_mut().zip(&rows) {
+                let x: &[f32; STRIP] = row[i..i + STRIP].try_into().unwrap();
+                for l in 0..STRIP {
+                    a[l] += wv * x[l];
+                }
+            }
+        }
+        for (r, a) in acc.iter().enumerate() {
+            copy_run(&mut out[r * out_pitch + j..][..n], &a[..n]);
         }
     }
 }
 
 /// Independent partial sums of the depthwise weight-gradient reduction.
 const LANES: usize = 4;
+/// Planes whose weight-gradient dots one call of [`tap_dots`] interleaves.
+const DOT_PLANES: usize = 4;
 
-/// `acc[t % LANES] += a[t] * b[t * b_step]` for `t < a.len()`.
+/// Adds tap block `t`'s weight-gradient term of the `P` `dy` planes from
+/// `plane` on to `out`. Per plane, lane `l` sums `dy · x` over the block's
+/// rows in order and, within a row, over its columns `≡ l (mod LANES)` in
+/// order; then `out[ch·taps + tap] += (l0 + l2) + (l1 + l3)`, the planes in
+/// order. The planes' lanes are independent chains, so each row's chunks of
+/// all `P` planes run interleaved.
 #[inline(always)]
-fn dot_lanes(acc: &mut [f32; LANES], a: &[f32], b: &[f32], b_step: usize) {
-    if b_step == 1 {
-        let (a4, a_tail) = a.as_chunks::<LANES>();
-        let (b4, b_tail) = b[..a.len()].as_chunks::<LANES>();
-        for (av, bv) in a4.iter().zip(b4) {
-            for l in 0..LANES {
-                acc[l] += av[l] * bv[l];
+fn tap_dots<const P: usize>(
+    g: &Geometry,
+    t: &TapBlock,
+    (plane, grad_cout): (usize, usize),
+    (xd, dyd): (&[f32], &[f32]),
+    out: &mut [f32],
+) {
+    let (hw, ohow, stride) = (g.h * g.w, g.oh * g.ow, g.p.stride);
+    // `(channel, input plane)` of each `dy` plane.
+    let (mut ni, mut ch) = (plane / grad_cout, plane % grad_cout);
+    let planes: [(usize, usize); P] = std::array::from_fn(|_| {
+        let at = (ch, ni * g.cin + ch);
+        ch += 1;
+        if ch == grad_cout {
+            (ni, ch) = (ni + 1, 0);
+        }
+        at
+    });
+    let (chunks, tail) = (t.len / LANES, t.len % LANES);
+    let x_len = (t.len - 1) * stride + 1;
+    let mut acc = [[0.0f32; LANES]; P];
+    for r in 0..t.rows {
+        let dy: [&[f32]; P] =
+            std::array::from_fn(|i| &dyd[(plane + i) * ohow + t.o_at + r * t.o_pitch..][..t.len]);
+        let x: [&[f32]; P] =
+            std::array::from_fn(|i| &xd[planes[i].1 * hw + t.x_at + r * t.x_pitch..][..x_len]);
+        if stride == 1 {
+            for c in 0..chunks {
+                for (a, (dy, x)) in acc.iter_mut().zip(dy.iter().zip(&x)) {
+                    let (dy, x) = (&dy[c * LANES..][..LANES], &x[c * LANES..][..LANES]);
+                    for l in 0..LANES {
+                        a[l] += dy[l] * x[l];
+                    }
+                }
+            }
+            for l in 0..tail {
+                for (a, (dy, x)) in acc.iter_mut().zip(dy.iter().zip(&x)) {
+                    a[l] += dy[chunks * LANES + l] * x[chunks * LANES + l];
+                }
+            }
+        } else {
+            for u in 0..t.len {
+                for (a, (dy, x)) in acc.iter_mut().zip(dy.iter().zip(&x)) {
+                    a[u % LANES] += dy[u] * x[u * stride];
+                }
             }
         }
-        for (l, (av, bv)) in a_tail.iter().zip(b_tail).enumerate() {
-            acc[l] += av * bv;
-        }
-    } else {
-        for (t, av) in a.iter().enumerate() {
-            acc[t % LANES] += av * b[t * b_step];
-        }
+    }
+    let taps = g.kh * g.kw;
+    for (a, &(ch, _)) in acc.iter().zip(&planes) {
+        out[ch * taps + t.tap] += (a[0] + a[2]) + (a[1] + a[3]);
     }
 }
 
@@ -357,6 +817,9 @@ fn dot_lanes(acc: &mut [f32; LANES], a: &[f32], b: &[f32], b_step: usize) {
 /// image and group the output is the GEMM `W[Cout x K] · Patches[K x
 /// OH·OW]`; the patch matrix is never materialised — a window of it is
 /// gathered into a stack panel, and a 1x1 convolution reads the image itself.
+/// A depthwise convolution runs the padded-row kernel (see the module docs):
+/// every output sums its taps in `(ky, kx)` order from +0, padding taps
+/// included, which changes no bit unless a weight is infinite or NaN.
 /// `out` is fully overwritten.
 ///
 /// # Panics
@@ -371,21 +834,13 @@ pub fn conv2d_into(x: TensorView, weight: TensorView, p: Conv2dParams, out: &mut
         "conv2d output length mismatch"
     );
     let (xd, wd) = (x.data(), weight.data());
+    let mut panel: PatchPanel = [0.0; PANEL_ROWS * PANEL_COLS];
     if g.is_depthwise() {
-        out.fill(0.0);
-        g.for_each_tap_plane(g.n * g.cout, |t, plane| {
-            let (xp, op) = (&xd[plane * hw..][..hw], &mut out[plane * ohow..][..ohow]);
-            let wv = wd[plane % g.cout * k + t.tap];
-            for r in 0..t.rows {
-                let xrow = &xp[t.x_at + r * t.x_pitch..];
-                let orow = &mut op[t.o_at + r * t.o_pitch..];
-                axpy(wv, xrow, p.stride, orow, 1, t.len);
-            }
-        });
+        let planes = (g.n * g.cout, g.cout);
+        Depthwise::forward(&g).run_planes(planes, (xd, wd), out, &mut panel);
         return;
     }
     let cout_g = g.cout / p.groups;
-    let mut panel: PatchPanel = [0.0; PANEL_ROWS * PANEL_COLS];
     for ni in 0..g.n {
         for gi in 0..p.groups {
             let xg = &xd[(ni * g.cin + gi * g.cing) * hw..][..g.cing * hw];
@@ -413,7 +868,11 @@ pub fn conv2d_into(x: TensorView, weight: TensorView, p: Conv2dParams, out: &mut
 /// `dy` is `[N, Cout, OH, OW]`, the forward output's shape. Per image and
 /// group this is the GEMM `Wᵀ[K x Cout] · dY[Cout x OH·OW]`,
 /// computed a panel at a time and scattered back onto the image (col2im); a
-/// 1x1 convolution writes the product straight into `out`.
+/// 1x1 convolution writes the product straight into `out`. A depthwise
+/// convolution runs the forward's padded-row kernel at stride 1 over `dy`
+/// zero-upsampled by the stride, with the taps mirrored; a row of `dx`
+/// skips the taps whose upsampled row is all zeros. The same caveat on
+/// non-finite weights holds.
 ///
 /// # Panics
 ///
@@ -439,21 +898,13 @@ pub fn conv2d_grad_input_into(
         "conv2d_dx output length mismatch"
     );
     let (dyd, wd) = (dy.data(), weight.data());
+    let mut panel: PatchPanel = [0.0; PANEL_ROWS * PANEL_COLS];
     if g.is_depthwise() {
-        out.fill(0.0);
-        g.for_each_tap_plane(g.n * g.cout, |t, plane| {
-            let (dyp, dxp) = (&dyd[plane * ohow..][..ohow], &mut out[plane * hw..][..hw]);
-            let wv = wd[plane % g.cout * k + t.tap];
-            for r in 0..t.rows {
-                let dyrow = &dyp[t.o_at + r * t.o_pitch..];
-                let dxrow = &mut dxp[t.x_at + r * t.x_pitch..];
-                axpy(wv, dyrow, 1, dxrow, p.stride, t.len);
-            }
-        });
+        let planes = (g.n * g.cout, g.cout);
+        Depthwise::grad_input(&g).run_planes(planes, (dyd, wd), out, &mut panel);
         return;
     }
     let cout_g = g.cout / p.groups;
-    let mut panel: PatchPanel = [0.0; PANEL_ROWS * PANEL_COLS];
     for ni in 0..g.n {
         for gi in 0..p.groups {
             let dyg = &dyd[(ni * g.cout + gi * cout_g) * ohow..][..cout_g * ohow];
@@ -485,7 +936,9 @@ pub fn conv2d_grad_input_into(
 /// scheme computes gradients for only the first `k` output channels.
 ///
 /// Per image and group this accumulates the GEMM `dY[Cout x OH·OW] ·
-/// Patchesᵀ[OH·OW x K]` over the same stack panels as the forward pass.
+/// Patchesᵀ[OH·OW x K]` over the same stack panels as the forward pass. A
+/// depthwise convolution sums each tap's clipped block as a 4-lane dot per
+/// plane, four planes interleaved.
 ///
 /// # Panics
 ///
@@ -514,16 +967,15 @@ pub fn conv2d_grad_weight_into(
     out.fill(0.0);
     if g.is_depthwise() {
         // Planes of `dy`: a partial `grad_cout` skips the input's other channels.
-        g.for_each_tap_plane(g.n * grad_cout, |t, plane| {
-            let (ni, ch) = (plane / grad_cout, plane % grad_cout);
-            let xp = &xd[(ni * g.cin + ch) * hw..][..hw];
-            let dyp = &dyd[plane * ohow..][..ohow];
-            let mut acc = [0.0f32; LANES];
-            for r in 0..t.rows {
-                let dyrow = &dyp[t.o_at + r * t.o_pitch..][..t.len];
-                dot_lanes(&mut acc, dyrow, &xp[t.x_at + r * t.x_pitch..], p.stride);
+        g.for_each_tap_block(g.n * grad_cout, |t, planes| {
+            let mut plane = planes.start;
+            while planes.end - plane >= DOT_PLANES {
+                tap_dots::<DOT_PLANES>(&g, t, (plane, grad_cout), (xd, dyd), out);
+                plane += DOT_PLANES;
             }
-            out[ch * k + t.tap] += (acc[0] + acc[2]) + (acc[1] + acc[3]);
+            for plane in plane..planes.end {
+                tap_dots::<1>(&g, t, (plane, grad_cout), (xd, dyd), out);
+            }
         });
         return;
     }
@@ -566,12 +1018,71 @@ pub fn conv2d_flops(x_dims: &[usize], w_dims: &[usize], p: Conv2dParams) -> u64 
     2 * od.iter().product::<usize>() as u64 * (cing * kh * kw) as u64
 }
 
-/// The direct seven-deep loops the lowered kernels replaced, kept as the
-/// oracle the tests compare against.
+/// The direct seven-deep loops the lowered kernels replaced, and the
+/// one-plane-at-a-time tap-block depthwise loops the padded-row kernel and
+/// the interleaved weight-gradient dots replaced, kept as the oracles the
+/// tests compare against.
 #[cfg(test)]
 mod oracle {
-    use super::{conv2d_out_dims, Conv2dParams};
+    use super::{conv2d_out_dims, Conv2dParams, Geometry, TapBlock, LANES};
     use crate::Tensor;
+
+    /// `f(tap_block, plane)` for every kernel tap and channel plane, taps
+    /// in `(ky, kx)` order for each plane.
+    fn for_each_tap_plane(g: &Geometry, planes: usize, mut f: impl FnMut(&TapBlock, usize)) {
+        g.for_each_tap_block(planes, |t, group| group.for_each(|plane| f(t, plane)));
+    }
+
+    /// Depthwise forward as one clipped row `axpy` per kernel tap, taps in
+    /// `(ky, kx)` order, into a zeroed output.
+    pub fn depthwise_tap_blocks(x: &Tensor, weight: &Tensor, p: Conv2dParams) -> Vec<f32> {
+        let g = Geometry::new(x.dims(), weight.dims(), p);
+        let (hw, ohow, k) = (g.h * g.w, g.oh * g.ow, g.patch());
+        let mut out = vec![0.0; g.n * g.cout * ohow];
+        for_each_tap_plane(&g, g.n * g.cout, |t, plane| {
+            let (xp, op) = (
+                &x.data()[plane * hw..][..hw],
+                &mut out[plane * ohow..][..ohow],
+            );
+            let wv = weight.data()[plane % g.cout * k + t.tap];
+            for r in 0..t.rows {
+                let xrow = &xp[t.x_at + r * t.x_pitch..];
+                let orow = &mut op[t.o_at + r * t.o_pitch..][..t.len];
+                for (c, o) in orow.iter_mut().enumerate() {
+                    *o += wv * xrow[c * p.stride];
+                }
+            }
+        });
+        out
+    }
+
+    /// Depthwise input gradient as one clipped row `axpy` per kernel tap,
+    /// taps in `(ky, kx)` order, into a zeroed `dx`.
+    pub fn depthwise_grad_input_tap_blocks(
+        dy: &Tensor,
+        weight: &Tensor,
+        x_dims: &[usize],
+        p: Conv2dParams,
+    ) -> Vec<f32> {
+        let g = Geometry::new(x_dims, weight.dims(), p);
+        let (hw, ohow, k) = (g.h * g.w, g.oh * g.ow, g.patch());
+        let mut dx = vec![0.0; g.n * g.cin * hw];
+        for_each_tap_plane(&g, g.n * g.cout, |t, plane| {
+            let (dyp, dxp) = (
+                &dy.data()[plane * ohow..][..ohow],
+                &mut dx[plane * hw..][..hw],
+            );
+            let wv = weight.data()[plane % g.cout * k + t.tap];
+            for r in 0..t.rows {
+                let dyrow = &dyp[t.o_at + r * t.o_pitch..][..t.len];
+                let dxrow = &mut dxp[t.x_at + r * t.x_pitch..];
+                for (c, d) in dyrow.iter().enumerate() {
+                    dxrow[c * p.stride] += wv * d;
+                }
+            }
+        });
+        dx
+    }
 
     /// Visits `(x index, weight index, output index)` of every multiply-add
     /// of a convolution whose output has `grad_cout` channels.
@@ -613,6 +1124,53 @@ mod oracle {
                 }
             }
         }
+    }
+
+    /// `acc[t % LANES] += a[t] * b[t * b_step]` for `t < a.len()`.
+    fn dot_lanes(acc: &mut [f32; LANES], a: &[f32], b: &[f32], b_step: usize) {
+        if b_step == 1 {
+            let (a4, a_tail) = a.as_chunks::<LANES>();
+            let (b4, b_tail) = b[..a.len()].as_chunks::<LANES>();
+            for (av, bv) in a4.iter().zip(b4) {
+                for l in 0..LANES {
+                    acc[l] += av[l] * bv[l];
+                }
+            }
+            for (l, (av, bv)) in a_tail.iter().zip(b_tail).enumerate() {
+                acc[l] += av * bv;
+            }
+        } else {
+            for (t, av) in a.iter().enumerate() {
+                acc[t % LANES] += av * b[t * b_step];
+            }
+        }
+    }
+
+    /// Depthwise weight gradient one plane at a time: per kernel tap, a
+    /// lane-accumulated dot over the tap's clipped block, added to the
+    /// zeroed gradient in plane order.
+    pub fn depthwise_grad_weight_tap_blocks(
+        x: &Tensor,
+        dy: &Tensor,
+        w_dims: &[usize],
+        p: Conv2dParams,
+    ) -> Vec<f32> {
+        let g = Geometry::new(x.dims(), w_dims, p);
+        let (hw, ohow, k) = (g.h * g.w, g.oh * g.ow, g.patch());
+        let grad_cout = dy.dims()[1];
+        let mut out = vec![0.0; grad_cout * k];
+        for_each_tap_plane(&g, g.n * grad_cout, |t, plane| {
+            let (ni, ch) = (plane / grad_cout, plane % grad_cout);
+            let xp = &x.data()[(ni * g.cin + ch) * hw..][..hw];
+            let dyp = &dy.data()[plane * ohow..][..ohow];
+            let mut acc = [0.0f32; LANES];
+            for r in 0..t.rows {
+                let dyrow = &dyp[t.o_at + r * t.o_pitch..][..t.len];
+                dot_lanes(&mut acc, dyrow, &xp[t.x_at + r * t.x_pitch..], p.stride);
+            }
+            out[ch * k + t.tap] += (acc[0] + acc[2]) + (acc[1] + acc[3]);
+        });
+        out
     }
 
     pub fn conv2d(x: &Tensor, weight: &Tensor, p: Conv2dParams) -> Vec<f32> {
@@ -935,6 +1493,92 @@ mod tests {
             4,
             &mut rng,
         );
+    }
+
+    /// A seeded tensor with exact `0.0` and `-0.0` among its values.
+    fn with_signed_zeros(dims: &[usize], scale: f32, rng: &mut Rng) -> Tensor {
+        let mut t = Tensor::randn(dims, scale, rng);
+        for (i, v) in t.data_mut().iter_mut().enumerate() {
+            match i % 7 {
+                2 => *v = 0.0,
+                5 => *v = -0.0,
+                _ => {}
+            }
+        }
+        t
+    }
+
+    /// The depthwise forward, input gradient and weight gradient of one
+    /// geometry against the tap-block loops, bit for bit.
+    fn check_depthwise_bits(x_dims: [usize; 4], kernel: (usize, usize), p: Conv2dParams) {
+        let what = format!("x {x_dims:?} kernel {kernel:?} {p:?}");
+        let mut rng = Rng::seed_from_u64(x_dims.iter().product::<usize>() as u64);
+        let c = x_dims[1];
+        let x = with_signed_zeros(&x_dims, 1.0, &mut rng);
+        let w = with_signed_zeros(&[c, 1, kernel.0, kernel.1], 0.5, &mut rng);
+        let p = p.with_groups(c);
+        let dy = with_signed_zeros(&conv2d_out_dims(&x_dims, w.dims(), p), 1.0, &mut rng);
+        let bits = |v: &[f32]| v.iter().map(|f| f.to_bits()).collect::<Vec<_>>();
+        let y = conv2d(&x, &w, p);
+        let want = oracle::depthwise_tap_blocks(&x, &w, p);
+        assert_eq!(bits(y.data()), bits(&want), "forward: {what}");
+        let dx = conv2d_grad_input(&dy, &w, &x_dims, p);
+        let want = oracle::depthwise_grad_input_tap_blocks(&dy, &w, &x_dims, p);
+        assert_eq!(bits(dx.data()), bits(&want), "grad-input: {what}");
+        // The weight gradient of every channel and of a leading few.
+        let [n, _, oh, ow] = conv2d_out_dims(&x_dims, w.dims(), p);
+        for grad_cout in [c, c.div_ceil(2)] {
+            let dy_part = run_into([n, grad_cout, oh, ow], |o| {
+                slice_axis_into(dy.view(), 1, 0, grad_cout, o)
+            });
+            let dw = conv2d_grad_weight(&x, &dy_part, w.dims(), p);
+            let want = oracle::depthwise_grad_weight_tap_blocks(&x, &dy_part, w.dims(), p);
+            assert_eq!(
+                bits(dw.data()),
+                bits(&want),
+                "grad-weight {grad_cout}: {what}"
+            );
+        }
+    }
+
+    #[test]
+    fn depthwise_kernels_match_the_tap_block_loops_bit_for_bit() {
+        for kernel in [1usize, 3, 5, 7] {
+            for stride in [1, 2, 3] {
+                for padding in 0..=kernel {
+                    let p = Conv2dParams::new(stride, padding);
+                    let k = (kernel, kernel);
+                    // Odd, even and non-square planes, at batch 1 and 2.
+                    check_depthwise_bits([2, 3, 9, 9], k, p);
+                    check_depthwise_bits([1, 2, 8, 12], k, p);
+                    check_depthwise_bits([2, 2, 13, 7], k, p);
+                    // Paper-scale rows.
+                    check_depthwise_bits([2, 2, 7, 112], k, p);
+                    check_depthwise_bits([1, 2, 7, 130], k, p);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn depthwise_tiling_matches_the_tap_block_loops_bit_for_bit() {
+        // Rows too wide for one staging tile, and planes too tall for one
+        // band of output rows.
+        check_depthwise_bits([1, 2, 3, 3001], (7, 7), Conv2dParams::new(1, 3));
+        check_depthwise_bits([1, 2, 2, 2500], (3, 3), Conv2dParams::new(2, 1));
+        check_depthwise_bits([2, 1, 1100, 9], (3, 3), Conv2dParams::new(1, 1));
+        check_depthwise_bits([1, 2, 1700, 5], (5, 5), Conv2dParams::new(3, 2));
+        // Kernels with more taps than one pass: several whole tap rows a
+        // pass, and pieces of one tap row.
+        check_depthwise_bits([2, 2, 11, 12], (9, 9), Conv2dParams::new(1, 4));
+        check_depthwise_bits([1, 2, 10, 9], (9, 9), Conv2dParams::new(2, 2));
+        check_depthwise_bits([1, 2, 3, 80], (1, 70), Conv2dParams::new(1, 0));
+        check_depthwise_bits([1, 2, 4, 40], (2, 70), Conv2dParams::new(3, 16));
+        check_depthwise_bits([1, 2, 80, 3], (70, 1), Conv2dParams::new(2, 1));
+        // Padding beyond the kernel, and strides beyond it.
+        check_depthwise_bits([2, 2, 5, 6], (3, 3), Conv2dParams::new(1, 5));
+        check_depthwise_bits([1, 3, 12, 11], (3, 2), Conv2dParams::new(5, 4));
+        check_depthwise_bits([1, 2, 1, 1], (1, 1), Conv2dParams::new(4, 3));
     }
 
     #[test]

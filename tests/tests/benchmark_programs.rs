@@ -1,27 +1,46 @@
-//! Exact compile-time counts of the two programs the benchmark's finetune
-//! workloads train (`benchmarks/src/finetune.rs`): a tiny MobileNetV2 under
-//! full backpropagation and a 6-block encoder under the paper's DistilBERT
-//! sparse scheme. The arena bytes are `analysis.memory.arena_bytes`: the slab
-//! the executor allocates for the step. A pass that adds or removes a kernel
-//! launch, or a planner change that moves a byte of the arena, fails here and
-//! must restate the count on purpose.
+//! Exact compile-time counts and loss bits of the two programs the
+//! benchmark's finetune workloads train (`benchmarks/src/finetune.rs`): a
+//! tiny MobileNetV2 under full backpropagation and a 6-block encoder under
+//! the paper's DistilBERT sparse scheme. The arena bytes are
+//! `analysis.memory.arena_bytes`: the slab the executor allocates for the
+//! step. A pass that adds or removes a kernel launch, or a planner change
+//! that moves a byte of the arena, fails here and must restate the count on
+//! purpose.
+//!
+//! The loss pins train each program for [`PINNED_STEPS`] steps on seeded
+//! `pe_data` batches and hash the losses' bits, so a kernel or pass change
+//! that moves one bit of a step also fails here and must restate the pin on
+//! purpose. Those pins hold only for this toolchain and its libm: weight
+//! initialisation and the data generators call `ln`, `sin` and `cos`.
 
+use std::collections::HashMap;
+
+use pockengine::pe_data::{
+    generate_nlp_task, generate_vision_task, NlpTaskConfig, VisionTaskConfig,
+};
 use pockengine::pe_models::{
     build_bert, build_mobilenet, BertConfig, BuiltModel, MobileNetV2Config,
 };
 use pockengine::pe_runtime::Optimizer;
 use pockengine::pe_sparse::{paper_scheme_distilbert, UpdateRule};
-use pockengine::pe_tensor::Rng;
-use pockengine::{analyze, CompileOptions, ProgramAnalysis};
+use pockengine::pe_tensor::{Rng, Tensor};
+use pockengine::{analyze, compile, CompileOptions, ProgramAnalysis};
+
+/// Training steps behind each loss pin: enough for every kernel of the step
+/// to feed a later loss, few enough for a debug build.
+const PINNED_STEPS: usize = 6;
 
 /// The benchmark's compile options: SGD over `rule`, everything else default.
-fn analyze_benchmark_model(model: &BuiltModel, rule: UpdateRule) -> ProgramAnalysis {
-    let options = CompileOptions {
+fn benchmark_options(rule: UpdateRule) -> CompileOptions {
+    CompileOptions {
         update_rule: rule,
         optimizer: Optimizer::sgd(0.05),
         ..CompileOptions::default()
-    };
-    analyze(model, &options)
+    }
+}
+
+fn analyze_benchmark_model(model: &BuiltModel, rule: UpdateRule) -> ProgramAnalysis {
+    analyze(model, &benchmark_options(rule))
 }
 
 /// `(launches per step, executed arena bytes, fused regions)` of a program.
@@ -33,16 +52,12 @@ fn counts(analysis: &ProgramAnalysis) -> (usize, usize, usize) {
     )
 }
 
-#[test]
-fn finetune_cnn_full_program_counts_are_exact() {
-    let model = build_mobilenet(&MobileNetV2Config::tiny(8, 4), &mut Rng::seed_from_u64(0));
-    let analysis = analyze_benchmark_model(&model, UpdateRule::Full);
-    assert_eq!(counts(&analysis), (132, 852_676, 0));
+fn cnn_model(rng: &mut Rng) -> BuiltModel {
+    build_mobilenet(&MobileNetV2Config::tiny(8, 4), rng)
 }
 
-#[test]
-fn finetune_bert_sparse_program_counts_are_exact() {
-    let config = BertConfig {
+fn bert_config() -> BertConfig {
+    BertConfig {
         name: "bert-bench".into(),
         num_blocks: 6,
         hidden: 64,
@@ -53,8 +68,94 @@ fn finetune_bert_sparse_program_counts_are_exact() {
         batch: 4,
         num_classes: 2,
         deferred: false,
-    };
-    let model = build_bert(&config, &mut Rng::seed_from_u64(0));
+    }
+}
+
+/// FNV-1a 64 over each loss's bits as little-endian bytes.
+fn fnv1a(losses: &[f32]) -> u64 {
+    let mut hash = 0xcbf2_9ce4_8422_2325u64;
+    for byte in losses.iter().flat_map(|l| l.to_bits().to_le_bytes()) {
+        hash ^= u64::from(byte);
+        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
+    }
+    hash
+}
+
+/// Compiles `model` under `rule` and trains it for [`PINNED_STEPS`] steps
+/// on `batches` (`(feature, labels)` pairs fed as `feature_name`), cycled.
+fn loss_hash(
+    model: &BuiltModel,
+    rule: UpdateRule,
+    feature_name: &str,
+    batches: Vec<(Tensor, Tensor)>,
+) -> u64 {
+    let mut executor = compile(model, &benchmark_options(rule)).executor;
+    let batches: Vec<HashMap<String, Tensor>> = batches
+        .into_iter()
+        .map(|(x, y)| HashMap::from([(feature_name.to_string(), x), ("labels".to_string(), y)]))
+        .collect();
+    let losses: Vec<f32> = (0..PINNED_STEPS)
+        .map(|step| {
+            let batch = &batches[step % batches.len()];
+            executor.train_step(batch).unwrap().unwrap()
+        })
+        .collect();
+    assert!(losses.iter().all(|l| l.is_finite()), "losses {losses:?}");
+    fnv1a(&losses)
+}
+
+#[test]
+fn finetune_cnn_full_program_counts_are_exact() {
+    let model = cnn_model(&mut Rng::seed_from_u64(0));
+    let analysis = analyze_benchmark_model(&model, UpdateRule::Full);
+    assert_eq!(counts(&analysis), (132, 852_676, 0));
+}
+
+#[test]
+fn finetune_bert_sparse_program_counts_are_exact() {
+    let model = build_bert(&bert_config(), &mut Rng::seed_from_u64(0));
     let analysis = analyze_benchmark_model(&model, UpdateRule::Sparse(paper_scheme_distilbert()));
     assert_eq!(counts(&analysis), (432, 1_343_812, 0));
+}
+
+#[test]
+fn finetune_cnn_full_loss_bits_are_pinned() {
+    let config = VisionTaskConfig {
+        num_classes: 4,
+        resolution: 16,
+        batch: 8,
+        train_batches: 4,
+        test_batches: 0,
+        noise: 0.5,
+        signal: 1.0,
+    };
+    let task = generate_vision_task("pin", config, &mut Rng::seed_from_u64(1));
+    let model = cnn_model(&mut Rng::seed_from_u64(1));
+    let hash = loss_hash(&model, UpdateRule::Full, "x", task.train);
+    assert_eq!(
+        hash, 0xd183_6434_6a1a_3e1e,
+        "restate the pin on purpose: {hash:#018x}"
+    );
+}
+
+#[test]
+fn finetune_bert_sparse_loss_bits_are_pinned() {
+    let cfg = bert_config();
+    let config = NlpTaskConfig {
+        num_classes: cfg.num_classes,
+        vocab: cfg.vocab,
+        seq_len: cfg.seq_len,
+        batch: cfg.batch,
+        train_batches: 4,
+        test_batches: 0,
+        marker_dropout: 0.1,
+    };
+    let task = generate_nlp_task("pin", config, &mut Rng::seed_from_u64(1));
+    let model = build_bert(&cfg, &mut Rng::seed_from_u64(1));
+    let rule = UpdateRule::Sparse(paper_scheme_distilbert());
+    let hash = loss_hash(&model, rule, "ids", task.train);
+    assert_eq!(
+        hash, 0x5c1f_3195_7efe_bab3,
+        "restate the pin on purpose: {hash:#018x}"
+    );
 }
