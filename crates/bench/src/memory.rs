@@ -1,5 +1,6 @@
 //! Training-memory experiments (Table 4 and the MCU reordering ablation).
 
+use pockengine::pe_memplan::{attribute_peak, plan_memory, MemoryReport, PeakAttribution};
 use pockengine::pe_runtime::Optimizer;
 use pockengine::pe_sparse::UpdateRule;
 use pockengine::pe_tensor::Rng;
@@ -106,6 +107,57 @@ pub fn table4_memory(batch_sizes: &[usize]) -> Vec<MemoryRow> {
     rows
 }
 
+/// What holds the MCU workload's planned peak, per method at batch 1: the
+/// peak's schedule position, its bytes by class and its largest buffers by
+/// node name (ROADMAP item 2(1)).
+#[derive(Debug, Clone, PartialEq)]
+pub struct PeakRow {
+    /// Method label (`full-bp` / `sparse-bp`).
+    pub method: String,
+    /// Nodes in the schedule.
+    pub schedule_len: usize,
+    /// The training-memory breakdown Table 4's cell is judged on.
+    pub memory: MemoryReport,
+    /// The planner's attribution of its peak.
+    pub peak: PeakAttribution,
+    /// Names of `peak.largest`'s nodes, in the same order.
+    pub largest_names: Vec<String>,
+}
+
+/// Attributes the planned peak of MCUNet on the STM32F746 row (batch 1,
+/// full-bp and sparse-bp), naming the `top` largest live buffers.
+pub fn mcu_peak_attribution(top: usize) -> Vec<PeakRow> {
+    let mut rng = Rng::seed_from_u64(7);
+    let model = PaperModel::McuNet.build(1, &mut rng);
+    [
+        ("full-bp", UpdateRule::Full),
+        (
+            "sparse-bp",
+            UpdateRule::Sparse(PaperModel::McuNet.paper_scheme()),
+        ),
+    ]
+    .into_iter()
+    .map(|(method, rule)| {
+        let analysis = analyze_model(&model, rule, Optimizer::sgd(0.01));
+        let graph = &analysis.training_graph.graph;
+        let plan = plan_memory(graph, &analysis.schedule);
+        let peak = attribute_peak(graph, &analysis.schedule, &plan, top);
+        let largest_names = peak
+            .largest
+            .iter()
+            .map(|&(id, _)| graph.node(id).name.clone())
+            .collect();
+        PeakRow {
+            method: method.to_string(),
+            schedule_len: analysis.schedule.len(),
+            memory: analysis.memory,
+            peak,
+            largest_names,
+        }
+    })
+    .collect()
+}
+
 /// Reproduces the §3.2 claim that the compile-time plan (reordering + planner)
 /// cuts MCU training memory versus the conventional schedule. Returns
 /// (conventional_bytes, reordered_bytes).
@@ -205,6 +257,17 @@ mod tests {
             ..kb.clone()
         };
         assert_eq!(none.formatted(), "-");
+    }
+
+    #[test]
+    fn mcu_peak_attribution_accounts_for_every_peak_byte() {
+        for row in mcu_peak_attribution(3) {
+            let total = row.peak.total_bytes();
+            assert!(row.peak.position < row.schedule_len);
+            assert_eq!(row.largest_names.len(), 3);
+            assert!(row.peak.largest.iter().map(|&(_, b)| b).sum::<usize>() <= total);
+            assert_eq!(total, row.memory.transient_peak_bytes);
+        }
     }
 
     #[test]

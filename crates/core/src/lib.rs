@@ -173,8 +173,9 @@ impl Default for CompileOptions {
 /// materialisation) — everything the memory planner and the reports need.
 #[derive(Debug, Clone)]
 pub struct ProgramAnalysis {
-    /// The optimized training graph.
-    pub training_graph: TrainingGraph,
+    /// The optimized training graph; a compiled program's executor runs
+    /// this same graph, not a copy.
+    pub training_graph: Arc<TrainingGraph>,
     /// The execution schedule.
     pub schedule: Schedule,
     /// Optimisation statistics (DCE, launch counts).
@@ -222,7 +223,7 @@ pub fn analyze(model: &BuiltModel, options: &CompileOptions) -> ProgramAnalysis 
         options.optimizer.state_slots(),
     );
     ProgramAnalysis {
-        training_graph: tg,
+        training_graph: Arc::new(tg),
         schedule,
         stats,
         memory,
@@ -248,16 +249,18 @@ pub fn compile(model: &BuiltModel, options: &CompileOptions) -> CompiledProgram 
 
 /// Lowers `model` to its executor over `store` (a private store when
 /// `None`) and the analysis of that program. The memory planner runs once:
-/// the report is derived from the plan the executor was built on.
+/// the report is derived from the plan the executor was built on. The
+/// analysis and the executor share one training graph.
 pub(crate) fn build_executor(
     model: &BuiltModel,
     options: &CompileOptions,
     store: Option<Arc<ParamStore>>,
 ) -> (ProgramAnalysis, Executor) {
     let (tg, schedule, stats, trainable) = lower(model, options);
+    let tg = Arc::new(tg);
     let store =
         store.unwrap_or_else(|| Arc::new(ParamStore::from_graph(&tg.graph, options.optimizer)));
-    let executor = Executor::with_store(tg.clone(), schedule.clone(), store);
+    let executor = Executor::with_store(Arc::clone(&tg), schedule.clone(), store);
     let memory = memory_report_for_plan(
         &tg.graph,
         executor.memory_plan(),

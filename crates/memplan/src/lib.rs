@@ -13,7 +13,10 @@
 //! * sparse backpropagation shrinks the set of saved activations, so peak
 //!   memory drops even at larger batch sizes;
 //! * operator reordering (updates issued right after their gradients) lets
-//!   gradient buffers die immediately instead of all being co-resident.
+//!   gradient buffers die immediately instead of all being co-resident;
+//! * a reshape shares its input's buffer, and an activation or activation
+//!   gradient overwrites an operand that dies at it, so neither holds a
+//!   second copy.
 
 #![deny(missing_docs)]
 
@@ -31,9 +34,11 @@ pub struct MemoryPlan {
     pub lifetimes: Vec<Option<Lifetime>>,
     /// Arena byte offset for each transient buffer.
     pub offsets: Vec<Option<usize>>,
-    /// In-place aliasing hints: `aliases[n] == Some(i)` means node `n`'s
-    /// output shares its arena range with input `i`, whose last use is `n`
-    /// itself; the executor runs such a node in place.
+    /// Range sharing: `aliases[n] == Some(i)` means node `n`'s output
+    /// shares its arena range with its operand `i`. Either `n` is a reshape
+    /// viewing `i` (the executor runs it as a no-op), or `n` writes its
+    /// output over `i` in place, and then nothing sharing `i`'s range is
+    /// read after `n`.
     pub aliases: Vec<Option<NodeId>>,
     /// Size of the activation arena produced by best-fit assignment: the
     /// slab the executor allocates.
@@ -70,6 +75,130 @@ impl MemoryReport {
     pub fn total_mib(&self) -> f64 {
         self.total_bytes() as f64 / (1024.0 * 1024.0)
     }
+}
+
+/// Where a plan's transient bytes peak and what holds them there: the live
+/// alias chains at the first schedule position whose live bytes equal
+/// [`MemoryPlan::peak_transient_bytes`], split into three classes.
+///
+/// A chain is *backward* when the member holding its range at the peak is
+/// a gradient or backward temporary: a backward op, or any op with a
+/// backward operand. Otherwise it holds a forward value, which is *saved
+/// for backward* when some member of its chain is read by a backward node,
+/// and a *forward temporary* when not.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct PeakAttribution {
+    /// Schedule position of the peak.
+    pub position: usize,
+    /// Bytes of forward values kept alive for the backward pass.
+    pub saved_activation_bytes: usize,
+    /// Bytes of gradients and backward temporaries.
+    pub backward_bytes: usize,
+    /// Bytes of forward values that no backward node reads.
+    pub forward_temporary_bytes: usize,
+    /// The largest live chains: the node holding each range at the peak and
+    /// its bytes, largest first.
+    pub largest: Vec<(NodeId, usize)>,
+}
+
+impl PeakAttribution {
+    /// Sum of the three classes: the plan's `peak_transient_bytes`.
+    pub fn total_bytes(&self) -> usize {
+        self.saved_activation_bytes + self.backward_bytes + self.forward_temporary_bytes
+    }
+}
+
+/// Attributes `plan`'s peak (see [`PeakAttribution`]), naming the `top`
+/// largest live buffers.
+pub fn attribute_peak(
+    graph: &Graph,
+    schedule: &Schedule,
+    plan: &MemoryPlan,
+    top: usize,
+) -> PeakAttribution {
+    let n = graph.len();
+    let size_of = |idx: usize| graph.node(NodeId(idx)).size_bytes();
+    // Gradient-ness, propagated in schedule (topological) order.
+    let mut backward = vec![false; n];
+    for &id in &schedule.order {
+        let node = graph.node(id);
+        backward[id.index()] =
+            node.op.is_backward() || node.inputs.iter().any(|i| backward[i.index()]);
+    }
+    let root_of = |mut i: usize| {
+        while let Some(p) = plan.aliases[i] {
+            i = p.index();
+        }
+        i
+    };
+    let root: Vec<usize> = (0..n).map(root_of).collect();
+    let mut chain = plan.lifetimes.clone();
+    let mut read_by_backward = vec![false; n];
+    for idx in 0..n {
+        if let (Some((rd, rl)), Some((_, l))) = (chain[root[idx]], plan.lifetimes[idx]) {
+            chain[root[idx]] = Some((rd, rl.max(l)));
+        }
+        if backward[idx] {
+            for i in &graph.node(NodeId(idx)).inputs {
+                read_by_backward[root[i.index()]] = true;
+            }
+        }
+    }
+    // Live bytes per position over chain roots; the first maximum is the peak.
+    let mut delta = vec![0isize; schedule.len() + 1];
+    for idx in (0..n).filter(|&i| root[i] == i) {
+        if let Some((def, last)) = chain[idx] {
+            delta[def] += size_of(idx) as isize;
+            delta[last + 1] -= size_of(idx) as isize;
+        }
+    }
+    let (mut live, mut peak, mut position) = (0isize, 0isize, 0usize);
+    for (pos, d) in delta.iter().enumerate() {
+        live += d;
+        if live > peak {
+            (peak, position) = (live, pos);
+        }
+    }
+    // The member holding each chain's range at the peak: the last defined.
+    let mut holder: Vec<Option<(usize, usize)>> = vec![None; n]; // (def, node) per root
+    for idx in 0..n {
+        if let Some((def, _)) = plan.lifetimes[idx] {
+            let h = &mut holder[root[idx]];
+            if def <= position && h.is_none_or(|(d, _)| def >= d) {
+                *h = Some((def, idx));
+            }
+        }
+    }
+
+    let mut attribution = PeakAttribution {
+        position,
+        saved_activation_bytes: 0,
+        backward_bytes: 0,
+        forward_temporary_bytes: 0,
+        largest: Vec::new(),
+    };
+    for r in (0..n).filter(|&i| root[i] == i) {
+        match chain[r] {
+            Some((def, last)) if def <= position && position <= last => {}
+            _ => continue,
+        }
+        let holder = holder[r].map_or(r, |(_, i)| i);
+        let bytes = size_of(r);
+        let class = if backward[holder] {
+            &mut attribution.backward_bytes
+        } else if read_by_backward[r] {
+            &mut attribution.saved_activation_bytes
+        } else {
+            &mut attribution.forward_temporary_bytes
+        };
+        *class += bytes;
+        attribution.largest.push((NodeId(holder), bytes));
+    }
+    attribution
+        .largest
+        .sort_by_key(|&(id, bytes)| (std::cmp::Reverse(bytes), id.index()));
+    attribution.largest.truncate(top);
+    attribution
 }
 
 fn is_persistent(graph: &Graph, id: NodeId) -> bool {
@@ -112,71 +241,110 @@ pub fn analyze_lifetimes(graph: &Graph, schedule: &Schedule) -> Vec<Option<Lifet
     lifetimes
 }
 
-/// Whether a node may execute in place on its first input's buffer: every
-/// output element depends only on the input element at the same index.
-fn is_inplace_safe(op: &OpKind) -> bool {
-    matches!(
-        op,
+/// How a node may share an operand's arena range.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Alias {
+    /// A reshape: it writes nothing, so it may view a range that later
+    /// nodes still read.
+    View,
+    /// An element-wise op that writes its output over the operand, which is
+    /// sound only when nothing reads the operand's range after this node.
+    Writer,
+}
+
+/// Whether and how a node may share an operand's range, and the operands it
+/// may share, in order of preference. Every writer's output element depends
+/// only on its operands' elements at the same index.
+fn alias_kind(op: &OpKind) -> Option<(Alias, &'static [usize])> {
+    match op {
+        OpKind::Reshape { .. } => Some((Alias::View, &[0])),
         OpKind::Relu
-            | OpKind::Relu6
-            | OpKind::Gelu
-            | OpKind::Silu
-            | OpKind::Sigmoid
-            | OpKind::Tanh
-            | OpKind::Scale { .. }
-            | OpKind::Reshape { .. }
-    )
+        | OpKind::Relu6
+        | OpKind::Gelu
+        | OpKind::Silu
+        | OpKind::Sigmoid
+        | OpKind::Tanh
+        | OpKind::Scale { .. } => Some((Alias::Writer, &[0])),
+        OpKind::ReluGrad
+        | OpKind::Relu6Grad
+        | OpKind::GeluGrad
+        | OpKind::SiluGrad
+        | OpKind::SigmoidGrad
+        | OpKind::TanhGrad => Some((Alias::Writer, &[0, 1])),
+        _ => None,
+    }
 }
 
 /// Every buffer offset is a multiple of this many bytes.
 const ALIGN_BYTES: usize = 64;
 
 /// Plans the arena the executor runs: 4-byte `f32` elements, offsets aligned
-/// to 64 bytes, and the output of a safe unary op (activation, scale,
-/// reshape) aliased onto its input when this node is the input's last use.
+/// to 64 bytes, every reshape of a transient buffer planned as a view of its
+/// input, and the output of an activation, scale or activation VJP written
+/// over an operand whose whole alias chain is last read at this node.
 ///
-/// Alias chains share one range; their roots are placed by greedy best fit
-/// in order of decreasing size, each taking the lowest aligned offset that
-/// does not overlap (in both address range and lifetime) any previously
-/// placed root.
+/// Alias chains share one range, live from their root's definition to their
+/// last member's last use; their roots are placed by greedy best fit in
+/// order of decreasing size, each taking the lowest aligned offset that does
+/// not overlap (in both address range and lifetime) any previously placed
+/// root.
 pub fn plan_memory(graph: &Graph, schedule: &Schedule) -> MemoryPlan {
     let lifetimes = analyze_lifetimes(graph, schedule);
     let n = graph.len();
     let positions = schedule.positions(n);
     let size_of = |idx: usize| graph.node(NodeId(idx)).size_bytes();
 
-    // In-place aliasing: a safe unary op whose first input dies at this very
-    // node may write straight into the input's range. Chains (e.g.
-    // relu -> reshape) collapse onto one root buffer whose lifetime is
-    // extended to the end of the chain.
+    // Aliasing, in schedule order. A view joins its input's chain whatever
+    // the input's lifetime. A writer joins an operand's chain only when the
+    // chain (every member so far, views included) is last read here, holds
+    // no graph output, and is not also the range of another operand. A
+    // member that joins later is this writer's output or a view of it, so
+    // the chain lifetime seen here is final for the bytes being overwritten.
     let mut aliases: Vec<Option<NodeId>> = vec![None; n];
     let mut alias_root: Vec<usize> = (0..n).collect();
     // Planning lifetime per chain root, extended as members join.
     let mut chain: Vec<Option<Lifetime>> = lifetimes.clone();
+    // Whether a chain holds a graph output, which must survive the step.
+    let mut holds_output = vec![false; n];
+    for &o in graph.outputs() {
+        holds_output[o.index()] = true;
+    }
     for &id in &schedule.order {
         let idx = id.index();
         let node = graph.node(id);
-        if !is_inplace_safe(&node.op) || lifetimes[idx].is_none() {
+        let (Some((kind, operands)), Some((_, last))) = (alias_kind(&node.op), lifetimes[idx])
+        else {
             continue;
-        }
-        let input = node.inputs[0];
-        let i = input.index();
-        let Some((_, input_last)) = lifetimes[i] else {
-            continue; // persistent or unscheduled input
         };
         let pos = positions[idx];
-        if input_last != pos || graph.outputs().contains(&input) {
+        let root_of = |input: NodeId| lifetimes[input.index()].map(|_| alias_root[input.index()]);
+        let shared = operands.iter().find_map(|&k| {
+            let input = *node.inputs.get(k)?;
+            let root = root_of(input)?; // persistent or unscheduled input
+            if size_of(input.index()) != size_of(idx) {
+                return None;
+            }
+            if kind == Alias::Writer {
+                let (_, chain_last) = chain[root]?;
+                let other_shares = node
+                    .inputs
+                    .iter()
+                    .enumerate()
+                    .any(|(j, &o)| j != k && root_of(o) == Some(root));
+                if chain_last != pos || holds_output[root] || other_shares {
+                    return None;
+                }
+            }
+            Some((input, root))
+        });
+        let Some((input, root)) = shared else {
             continue;
-        }
-        if size_of(idx) != size_of(i) {
-            continue;
-        }
-        let root = alias_root[i];
+        };
         aliases[idx] = Some(input);
         alias_root[idx] = root;
         let (rd, rl) = chain[root].expect("alias root must have a lifetime");
-        let (_, nl) = lifetimes[idx].expect("aliased node is scheduled");
-        chain[root] = Some((rd, rl.max(nl)));
+        chain[root] = Some((rd, rl.max(last)));
+        holds_output[root] |= holds_output[idx];
     }
 
     // Peak of simultaneously live bytes over chain roots.
@@ -258,14 +426,18 @@ pub fn plan_memory(graph: &Graph, schedule: &Schedule) -> MemoryPlan {
 ///
 /// The check is much cheaper than re-running best-fit placement, yet strong
 /// enough that a corrupted or mismatched plan cannot make the arena executor
-/// read or write out of bounds or share memory between concurrently-live
-/// buffers:
+/// read or write out of bounds, share memory between concurrently-live
+/// buffers, or overwrite a value that is still to be read:
 ///
 /// * every vector is node-indexed and full-length;
 /// * lifetimes equal a fresh [`analyze_lifetimes`] pass exactly;
 /// * every scheduled buffer has a 4-byte-aligned offset inside the arena;
-/// * aliases only chain safe in-place ops onto their first input with
+/// * an alias is a reshape viewing its input, or an element-wise writer
+///   (activation, scale, activation VJP) over one of its operands, with
 ///   matching sizes and offsets;
+/// * a writer's operand chain holds no graph output, no member defined
+///   before the writer is read after it, and no other operand of the
+///   writer lives in that chain;
 /// * no two alias-chain roots whose lifetimes overlap share an address
 ///   range.
 ///
@@ -309,20 +481,28 @@ pub fn validate_plan(graph: &Graph, schedule: &Schedule, plan: &MemoryPlan) -> R
             ));
         }
     }
+    // Which operand each alias shares, and how.
+    let mut writers: Vec<(usize, usize)> = Vec::new(); // (node, operand slot)
     for idx in 0..n {
         let Some(input) = plan.aliases[idx] else {
             continue;
         };
         let node = graph.node(NodeId(idx));
-        if !is_inplace_safe(&node.op) {
+        let Some((kind, operands)) = alias_kind(&node.op) else {
             return Err(format!(
-                "node {idx} ({}) aliased but not in-place safe",
+                "node {idx} ({}) aliased but shares no operand",
                 node.op.mnemonic()
             ));
-        }
-        if node.inputs.first() != Some(&input) {
-            return Err(format!("node {idx} aliases {input}, not its first input"));
-        }
+        };
+        let Some(k) = operands
+            .iter()
+            .copied()
+            .find(|&k| node.inputs.get(k) == Some(&input))
+        else {
+            return Err(format!(
+                "node {idx} aliases {input}, not an operand it may share"
+            ));
+        };
         if plan.lifetimes[idx].is_none() || plan.lifetimes[input.index()].is_none() {
             return Err(format!(
                 "alias {idx} -> {input} involves an unplanned buffer"
@@ -334,9 +514,14 @@ pub fn validate_plan(graph: &Graph, schedule: &Schedule, plan: &MemoryPlan) -> R
         if plan.offsets[idx] != plan.offsets[input.index()] {
             return Err(format!("alias {idx} -> {input} with different offsets"));
         }
+        if kind == Alias::Writer {
+            writers.push((idx, k));
+        }
     }
-    // Overlap safety over alias-chain roots.
-    let root_of = |mut i: usize| -> Result<usize, String> {
+    // Alias-chain root of every node.
+    let mut root = vec![0usize; n];
+    for (idx, r) in root.iter_mut().enumerate() {
+        let mut i = idx;
         let mut hops = 0;
         while let Some(p) = plan.aliases[i] {
             i = p.index();
@@ -345,25 +530,46 @@ pub fn validate_plan(graph: &Graph, schedule: &Schedule, plan: &MemoryPlan) -> R
                 return Err("alias cycle in plan".to_string());
             }
         }
-        Ok(i)
-    };
-    // Chain lifetime per root: union of the members' lifetimes.
+        *r = i;
+    }
+    // A writer overwrites bytes that nothing may read after it.
+    let is_output = |i: usize| graph.outputs().contains(&NodeId(i));
+    for &(idx, k) in &writers {
+        let node = graph.node(NodeId(idx));
+        let (pos, _) = plan.lifetimes[idx].expect("checked above");
+        let chain_root = root[node.inputs[k].index()];
+        for (j, other) in node.inputs.iter().enumerate() {
+            if j != k
+                && plan.lifetimes[other.index()].is_some()
+                && root[other.index()] == chain_root
+            {
+                return Err(format!(
+                    "node {idx} writes over operand {k}, whose range operand {j} also reads"
+                ));
+            }
+        }
+        for m in (0..n).filter(|&m| root[m] == chain_root) {
+            let Some((def, last)) = plan.lifetimes[m] else {
+                continue;
+            };
+            if def < pos && (last > pos || is_output(m)) {
+                return Err(format!(
+                    "node {idx} writes over the range of node {m}, which is read after it"
+                ));
+            }
+        }
+    }
+    // Overlap safety over alias-chain roots. Chain lifetime per root: union
+    // of the members' lifetimes.
     let mut chain: Vec<Option<Lifetime>> = plan.lifetimes.clone();
-    for (idx, alias) in plan.aliases.iter().enumerate() {
-        if alias.is_none() {
-            continue;
-        }
-        let root = root_of(idx)?;
-        if let (Some((rd, rl)), Some((_, nl))) = (chain[root], plan.lifetimes[idx]) {
-            chain[root] = Some((rd, rl.max(nl)));
+    for (&r, &lifetime) in root.iter().zip(&plan.lifetimes) {
+        if let (Some((rd, rl)), Some((_, nl))) = (chain[r], lifetime) {
+            chain[r] = Some((rd, rl.max(nl)));
         }
     }
-    let mut roots: Vec<usize> = Vec::new();
-    for idx in 0..n {
-        if plan.lifetimes[idx].is_some() && root_of(idx)? == idx && size_of(idx) > 0 {
-            roots.push(idx);
-        }
-    }
+    let roots: Vec<usize> = (0..n)
+        .filter(|&idx| plan.lifetimes[idx].is_some() && root[idx] == idx && size_of(idx) > 0)
+        .collect();
     for (i, &a) in roots.iter().enumerate() {
         for &b in &roots[i + 1..] {
             let (Some((da, la)), Some((db, lb))) = (chain[a], chain[b]) else {
@@ -459,6 +665,71 @@ mod tests {
         let loss = b.cross_entropy(logits, labels);
         let g = b.finish(vec![loss]);
         build_training_graph(g, loss, &spec)
+    }
+
+    /// The clobber case: `h` is viewed by a reshape that feeds a ReLU, and
+    /// `h` itself is read again after the ReLU by a residual add. The ReLU
+    /// may not write over the view, because that range is `h`'s. Also a
+    /// rank-3 linear (reshape views around a matmul) and a GELU, so that
+    /// every alias kind appears. Returns the graph with the view's and the
+    /// ReLU's ids.
+    fn clobber_mlp() -> (TrainingGraph, NodeId, NodeId) {
+        let mut rng = Rng::seed_from_u64(1);
+        let mut b = GraphBuilder::new();
+        let x = b.input("x", [4, 8, 16]);
+        let labels = b.input("labels", [32]);
+        let w0 = b.weight("fc0.weight", [16, 16], &mut rng);
+        let h = b.linear(x, w0, None);
+        let view = b.reshape(h, vec![32, 16]);
+        let relu = b.relu(view);
+        let back = b.reshape(relu, vec![4, 8, 16]);
+        let sum = b.add(back, h);
+        let w1 = b.weight("fc1.weight", [16, 16], &mut rng);
+        let g = b.linear(sum, w1, None);
+        let g = b.gelu(g);
+        let g = b.reshape(g, vec![32, 16]);
+        let head = b.weight("head.weight", [5, 16], &mut rng);
+        let logits = b.linear(g, head, None);
+        let loss = b.cross_entropy(logits, labels);
+        let graph = b.finish(vec![loss]);
+        let spec: TrainSpec = graph
+            .params()
+            .keys()
+            .map(|&id| (id, TrainKind::Full))
+            .collect();
+        (build_training_graph(graph, loss, &spec), view, relu)
+    }
+
+    #[test]
+    fn reshapes_are_views_and_writers_never_clobber_a_live_chain() {
+        let (tg, view, relu) = clobber_mlp();
+        let schedule = build_schedule(&tg.graph, ScheduleStrategy::Reordered);
+        let plan = plan_memory(&tg.graph, &schedule);
+        assert_eq!(validate_plan(&tg.graph, &schedule, &plan), Ok(()));
+        let h = tg.graph.node(view).inputs[0];
+        assert_eq!(
+            plan.aliases[view.index()],
+            Some(h),
+            "a reshape views its input"
+        );
+        let (_, h_last) = plan.lifetimes[h.index()].unwrap();
+        let relu_pos = schedule.positions(tg.graph.len())[relu.index()];
+        assert!(h_last > relu_pos, "the fixture reads h after the ReLU");
+        assert_eq!(plan.aliases[relu.index()], None, "the ReLU would clobber h");
+        let aliased_grads = (0..tg.graph.len())
+            .filter(|&i| plan.aliases[i].is_some())
+            .filter(|&i| {
+                matches!(
+                    tg.graph.node(NodeId(i)).op,
+                    OpKind::ReluGrad | OpKind::GeluGrad
+                )
+            })
+            .count();
+        assert!(
+            aliased_grads > 0,
+            "an activation VJP writes over a dying operand"
+        );
+        assert_concurrent_buffers_disjoint_outside_alias_chains(&tg, &plan);
     }
 
     #[test]
@@ -580,10 +851,13 @@ mod tests {
                     plan.offsets[input.index()],
                     "aliased node must share its input's offset"
                 );
-                // The input must die exactly at the aliasing node.
-                let (_, input_last) = plan.lifetimes[input.index()].unwrap();
-                let pos = schedule.positions(tg.graph.len())[idx];
-                assert_eq!(input_last, pos);
+                // A writer's operand must die exactly at the aliasing node;
+                // only a reshape may view a buffer that lives on.
+                if !matches!(tg.graph.node(NodeId(idx)).op, OpKind::Reshape { .. }) {
+                    let (_, input_last) = plan.lifetimes[input.index()].unwrap();
+                    let pos = schedule.positions(tg.graph.len())[idx];
+                    assert_eq!(input_last, pos);
+                }
             }
         }
         assert!(
@@ -711,6 +985,48 @@ mod tests {
             .unwrap();
         bad.lifetimes[victim] = None;
         assert!(validate_plan(&tg.graph, &schedule, &bad).is_err());
+
+        // The new alias kinds: a plan with views and aliased VJPs validates.
+        let (tg, view, relu) = clobber_mlp();
+        let schedule = build_schedule(&tg.graph, ScheduleStrategy::Reordered);
+        let plan = plan_memory(&tg.graph, &schedule);
+        assert_eq!(validate_plan(&tg.graph, &schedule, &plan), Ok(()));
+
+        // A view of the wrong size: the same plan over a graph whose view
+        // is smaller than the buffer it views.
+        let mut shrunk = tg.graph.clone();
+        shrunk.node_mut(view).shape = [16, 16].into();
+        let err = validate_plan(&shrunk, &schedule, &plan).unwrap_err();
+        assert!(err.contains("mismatched sizes"), "{err}");
+
+        // A writer aliased onto a chain that is read after it: the ReLU
+        // written over the view of `h`, which the residual add reads later.
+        // The ReLU's own views move with it.
+        let mut bad = plan.clone();
+        bad.aliases[relu.index()] = Some(view);
+        for i in 0..tg.graph.len() {
+            if plan.offsets[i].is_some() && plan.offsets[i] == plan.offsets[relu.index()] {
+                bad.offsets[i] = plan.offsets[view.index()];
+            }
+        }
+        let err = validate_plan(&tg.graph, &schedule, &bad).unwrap_err();
+        assert!(err.contains("read after it"), "{err}");
+    }
+
+    #[test]
+    fn peak_attribution_classes_sum_to_the_peak() {
+        let (clobber, _, _) = clobber_mlp();
+        for tg in [mlp(4, |_, _| TrainKind::Full), clobber] {
+            let schedule = build_schedule(&tg.graph, ScheduleStrategy::Reordered);
+            let plan = plan_memory(&tg.graph, &schedule);
+            let peak = attribute_peak(&tg.graph, &schedule, &plan, 3);
+            assert_eq!(peak.total_bytes(), plan.peak_transient_bytes);
+            assert!(peak.position < schedule.len());
+            assert!(peak.saved_activation_bytes > 0, "{peak:?}");
+            assert!(peak.backward_bytes > 0, "{peak:?}");
+            assert_eq!(peak.largest.len(), 3);
+            assert!(peak.largest.windows(2).all(|w| w[0].1 >= w[1].1));
+        }
     }
 
     #[test]

@@ -2,10 +2,12 @@
 //!
 //! At construction time the memory planner assigns every transient buffer an
 //! offset in one slab ([`pe_memplan::plan_memory`]: 4-byte `f32` elements,
-//! 64-byte alignment and in-place aliasing), the same plan the compiler's
-//! memory report describes. Execution then walks the schedule handing each
-//! node a [`TensorView`] at its precomputed offset and dispatching to the
-//! kernels' `_into` variants. Parameters, optimizer
+//! 64-byte alignment, reshape views and in-place writes), the same plan the
+//! compiler's memory report describes. Execution then walks the schedule
+//! handing each node a [`TensorView`] at its precomputed offset and
+//! dispatching to the kernels' `_into` variants; a step's op and its
+//! operands' dims are read from the one training graph the executor shares
+//! with its compiler, not copied. Parameters, optimizer
 //! state, constants and step-input staging buffers are materialised once and
 //! reused, so a steady-state training step performs **zero transient heap
 //! allocations** (asserted by the counting-allocator test in `tests/`).
@@ -23,11 +25,15 @@
 //! The arena is accessed through raw slices carved out of one `UnsafeCell`
 //! slab. The invariant making that sound is exactly the planner's: two
 //! buffers whose position-granular lifetimes intersect never overlap in
-//! `[offset, offset + size)` — except an in-place alias, which is executed
-//! with a single mutable slice. Since nodes run one at a time in schedule
-//! order, the operands and output of the running node are the only live
-//! views. The property-test suite pins the invariant down for randomized
-//! graphs and schedules.
+//! `[offset, offset + size)` — except members of one alias chain. A reshape
+//! view shares its input's range and writes nothing (it runs as a no-op),
+//! so any number of shared slices of a chain may be read together. A node
+//! writing in place over an operand is executed with a single mutable slice
+//! of that range, and the planner lets it do so only when nothing sharing
+//! the range is read after it and its other operand lives elsewhere. Since
+//! nodes run one at a time in schedule order, the operands and output of
+//! the running node are the only live views. The property-test suite pins
+//! the invariant down for randomized graphs and schedules.
 
 use std::cell::UnsafeCell;
 use std::collections::HashMap;
@@ -36,7 +42,7 @@ use std::sync::Arc;
 use pe_graph::{NodeId, OpKind, TrainingGraph};
 use pe_memplan::{plan_memory, validate_plan, MemoryPlan};
 use pe_passes::Schedule;
-use pe_tensor::kernels::elementwise::{UnaryGradOp, UnaryOp};
+use pe_tensor::kernels::elementwise::{GradOperand, UnaryGradOp, UnaryOp};
 use pe_tensor::kernels::{
     conv, elementwise as ew, embedding, gemm, layout, norm, pool as poolk, reduce,
 };
@@ -59,12 +65,11 @@ enum Loc {
     Input(usize),
 }
 
-/// A resolved operand: where it lives plus its static dims.
-#[derive(Debug, Clone)]
+/// A resolved operand: where it lives. Its dims are its graph node's.
+#[derive(Debug, Clone, Copy)]
 struct Arg {
     id: NodeId,
     loc: Loc,
-    dims: Vec<usize>,
 }
 
 #[derive(Debug, Clone)]
@@ -77,15 +82,17 @@ enum Task {
     Update { slot: usize, rows: Option<usize> },
 }
 
-/// One schedule position, fully resolved at construction.
+/// One schedule position, fully resolved at construction. Its op is its
+/// graph node's.
 #[derive(Debug, Clone)]
 struct StepNode {
-    op: OpKind,
+    id: NodeId,
     ins: Vec<Arg>,
     /// Arena placement of the output (`None` for leaves/updates).
     out: Option<(usize, usize)>,
-    /// Whether the output aliases `ins[0]`'s buffer (in-place execution).
-    inplace: bool,
+    /// The operand whose buffer the output shares (`ins[k]`): a reshape
+    /// viewing its input, or an element-wise op writing over its operand.
+    inplace: Option<usize>,
     task: Task,
 }
 
@@ -114,6 +121,9 @@ impl ArenaBuf {
 
 /// Everything a node dispatch reads or writes.
 struct Shared {
+    /// The graph being run, shared with whoever compiled it: the ops and
+    /// dims every step dispatches on.
+    tg: Arc<TrainingGraph>,
     steps: Vec<StepNode>,
     arena: ArenaBuf,
     /// The shared canonical parameters, reached only through the guard a
@@ -131,7 +141,6 @@ struct Shared {
 /// [`Executor::with_store`] attaches to an existing one so several
 /// batch-size specializations train one canonical set of weights.
 pub struct Executor {
-    tg: TrainingGraph,
     schedule: Schedule,
     /// The memory plan the arena and every step's offsets come from.
     plan: MemoryPlan,
@@ -159,18 +168,20 @@ impl Executor {
     /// [`Executor::with_store`] with an optional precomputed memory plan in
     /// place of [`plan_memory`]'s (`None` plans from scratch). A supplied
     /// plan is structurally validated against the graph and schedule before
-    /// the executor runs on it.
+    /// the executor runs on it. The graph may be passed owned or as an
+    /// `Arc` the caller keeps.
     ///
     /// # Panics
     ///
     /// Panics if a parameter of the graph is missing from the store or has a
     /// mismatched shape, or if a supplied plan fails [`validate_plan`].
     pub fn with_store_and_plan(
-        tg: TrainingGraph,
+        tg: impl Into<Arc<TrainingGraph>>,
         schedule: Schedule,
         store: Arc<ParamStore>,
         plan: Option<MemoryPlan>,
     ) -> Self {
+        let tg: Arc<TrainingGraph> = tg.into();
         let graph = &tg.graph;
 
         // Resolve every graph parameter to its slot in the shared store and
@@ -222,11 +233,7 @@ impl Executor {
                     .unwrap_or_else(|| panic!("transient node {id} has no arena offset"));
                 Loc::Arena(off / 4, node.shape.numel())
             };
-            Arg {
-                id,
-                loc,
-                dims: node.shape.dims().to_vec(),
-            }
+            Arg { id, loc }
         };
         let steps: Vec<StepNode> = schedule
             .order
@@ -250,10 +257,15 @@ impl Executor {
                     _ => None,
                 };
                 StepNode {
-                    op: node.op.clone(),
+                    id,
                     ins: node.inputs.iter().map(|&i| resolve(i)).collect(),
                     out,
-                    inplace: plan.aliases[id.index()].is_some(),
+                    inplace: plan.aliases[id.index()].map(|a| {
+                        node.inputs
+                            .iter()
+                            .position(|&i| i == a)
+                            .expect("alias is an operand")
+                    }),
                     task,
                 }
             })
@@ -280,6 +292,7 @@ impl Executor {
         let loss_arg = resolve(tg.loss);
 
         let shared = Shared {
+            tg,
             steps,
             arena,
             store,
@@ -288,7 +301,6 @@ impl Executor {
         };
 
         Executor {
-            tg,
             schedule,
             plan,
             shared,
@@ -302,7 +314,7 @@ impl Executor {
 
     /// The training graph being executed.
     pub fn training_graph(&self) -> &TrainingGraph {
-        &self.tg
+        &self.shared.tg
     }
 
     /// The execution schedule.
@@ -365,8 +377,9 @@ impl Executor {
     }
 
     fn bind_inputs(&mut self, inputs: &HashMap<String, Tensor>) -> Result<(), ExecError> {
-        for (i, &id) in self.tg.graph.inputs().iter().enumerate() {
-            let node = self.tg.graph.node(id);
+        let graph = &self.shared.tg.graph;
+        for (i, &id) in graph.inputs().iter().enumerate() {
+            let node = graph.node(id);
             let provided = check_input(node, inputs)?;
             self.shared.inputs[i]
                 .data_mut()
@@ -453,7 +466,7 @@ impl Executor {
         let mut loss = None;
         for (name, arg) in &self.outputs {
             let value = self.value_view(params, arg).to_tensor();
-            if arg.id == self.tg.loss {
+            if arg.id == self.shared.tg.loss {
                 loss = Some(value.data()[0]);
             }
             outputs.insert(name.clone(), value);
@@ -474,7 +487,10 @@ unsafe fn arg_view<'a>(
     arg: &'a Arg,
 ) -> TensorView<'a> {
     match arg.loc {
-        Loc::Arena(off, len) => TensorView::new(&arg.dims, shared.arena.slice(off, len)),
+        Loc::Arena(off, len) => {
+            let dims = shared.tg.graph.node(arg.id).shape.dims();
+            TensorView::new(dims, shared.arena.slice(off, len))
+        }
         Loc::Param(i) => params[i].value.view(),
         Loc::Const(i) => shared.consts[i].view(),
         Loc::Input(i) => shared.inputs[i].view(),
@@ -524,6 +540,19 @@ unsafe fn exec_train_position(shared: &Shared, params: &mut [ParamCell], pos: us
     }
 }
 
+/// Maps an activation VJP to its kernel.
+fn unary_grad_of(op: &OpKind) -> Option<UnaryGradOp> {
+    Some(match op {
+        OpKind::ReluGrad => UnaryGradOp::Relu,
+        OpKind::Relu6Grad => UnaryGradOp::Relu6,
+        OpKind::GeluGrad => UnaryGradOp::Gelu,
+        OpKind::SiluGrad => UnaryGradOp::Silu,
+        OpKind::SigmoidGrad => UnaryGradOp::Sigmoid,
+        OpKind::TanhGrad => UnaryGradOp::Tanh,
+        _ => return None,
+    })
+}
+
 /// Maps an activation-style op to its in-place-safe unary kernel.
 fn unary_of(op: &OpKind) -> Option<UnaryOp> {
     Some(match op {
@@ -540,17 +569,30 @@ fn unary_of(op: &OpKind) -> Option<UnaryOp> {
 
 unsafe fn dispatch(shared: &Shared, params: &[ParamCell], step: &StepNode) {
     let (off, len) = step.out.expect("compute node has an arena slot");
-    // In-place nodes: the output range *is* the first input's range, so only
-    // one (mutable) slice may exist.
-    if step.inplace {
+    let op = &shared.tg.graph.node(step.id).op;
+    // Aliased nodes: the output range *is* operand `k`'s range, so only one
+    // (mutable) slice of it may exist. A reshape view finds its data
+    // already there. Any other operand lives in another range (plan
+    // invariant), so its view does not overlap the mutable slice.
+    if let Some(k) = step.inplace {
+        if matches!(op, OpKind::Reshape { .. }) {
+            return;
+        }
         let buf = shared.arena.slice_mut(off, len);
-        match unary_of(&step.op) {
-            Some(op) => ew::unary_inplace(op, buf),
-            None => debug_assert!(
-                matches!(step.op, OpKind::Reshape { .. }),
-                "unexpected in-place op {:?}",
-                step.op
-            ), // Reshape in place: the data is already there.
+        if let Some(unary) = unary_of(op) {
+            ew::unary_inplace(unary, buf);
+        } else {
+            let grad = unary_grad_of(op).unwrap_or_else(|| panic!("unexpected in-place op {op:?}"));
+            let (aliased, other) = match k {
+                0 => (GradOperand::XOrY, 1),
+                _ => (GradOperand::Dy, 0),
+            };
+            ew::unary_grad_inplace(
+                grad,
+                aliased,
+                arg_view(shared, params, &step.ins[other]),
+                buf,
+            );
         }
         return;
     }
@@ -558,7 +600,7 @@ unsafe fn dispatch(shared: &Shared, params: &[ParamCell], step: &StepNode) {
     let v = |i: usize| arg_view(shared, params, &step.ins[i]);
     let out = shared.arena.slice_mut(off, len);
 
-    match &step.op {
+    match op {
         OpKind::MatMul { trans_a, trans_b } => {
             gemm::matmul_into(v(0), v(1), *trans_a, *trans_b, out)
         }
@@ -583,17 +625,20 @@ unsafe fn dispatch(shared: &Shared, params: &[ParamCell], step: &StepNode) {
         | OpKind::Silu
         | OpKind::Sigmoid
         | OpKind::Tanh => {
-            let op = unary_of(&step.op).expect("activation maps to a unary kernel");
-            ew::unary_into(op, v(0), out)
+            let unary = unary_of(op).expect("activation maps to a unary kernel");
+            ew::unary_into(unary, v(0), out)
         }
         OpKind::AddBias => ew::add_bias_into(v(0), v(1), out),
         OpKind::BiasGrad => ew::bias_grad_into(v(0), out),
-        OpKind::ReluGrad => ew::unary_grad_into(UnaryGradOp::Relu, v(0), v(1), out),
-        OpKind::Relu6Grad => ew::unary_grad_into(UnaryGradOp::Relu6, v(0), v(1), out),
-        OpKind::GeluGrad => ew::unary_grad_into(UnaryGradOp::Gelu, v(0), v(1), out),
-        OpKind::SiluGrad => ew::unary_grad_into(UnaryGradOp::Silu, v(0), v(1), out),
-        OpKind::SigmoidGrad => ew::unary_grad_into(UnaryGradOp::Sigmoid, v(0), v(1), out),
-        OpKind::TanhGrad => ew::unary_grad_into(UnaryGradOp::Tanh, v(0), v(1), out),
+        OpKind::ReluGrad
+        | OpKind::Relu6Grad
+        | OpKind::GeluGrad
+        | OpKind::SiluGrad
+        | OpKind::SigmoidGrad
+        | OpKind::TanhGrad => {
+            let grad = unary_grad_of(op).expect("activation VJP maps to a kernel");
+            ew::unary_grad_into(grad, v(0), v(1), out)
+        }
         OpKind::BroadcastGradTo { dims } => ew::reduce_to_shape_into(v(0), dims, out),
         // The reduction output layout with kept dims is byte-identical to
         // the squeezed one, so one `_into` kernel serves both modes.

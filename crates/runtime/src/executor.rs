@@ -132,14 +132,19 @@ const _: fn() = || {
 
 impl Executor {
     /// Builds an executor with a private parameter store.
-    pub fn new(tg: TrainingGraph, schedule: Schedule, optimizer: Optimizer) -> Self {
+    pub fn new(
+        tg: impl Into<Arc<TrainingGraph>>,
+        schedule: Schedule,
+        optimizer: Optimizer,
+    ) -> Self {
+        let tg = tg.into();
         let store = Arc::new(ParamStore::from_graph(&tg.graph, optimizer));
         Executor::with_store(tg, schedule, store)
     }
 
     /// [`Executor::new`]: the [`ExecutorConfig`] carries no setting.
     pub fn with_config(
-        tg: TrainingGraph,
+        tg: impl Into<Arc<TrainingGraph>>,
         schedule: Schedule,
         optimizer: Optimizer,
         _config: ExecutorConfig,
@@ -150,13 +155,18 @@ impl Executor {
     /// Builds an executor that borrows parameters and optimizer state from a
     /// shared [`ParamStore`] instead of materialising its own copies, so
     /// several batch-size specializations train one canonical set of
-    /// weights.
+    /// weights. The graph may be passed owned or as an `Arc` the caller
+    /// keeps.
     ///
     /// # Panics
     ///
     /// Panics if a parameter of the graph is missing from the store or has a
     /// mismatched shape.
-    pub fn with_store(tg: TrainingGraph, schedule: Schedule, store: Arc<ParamStore>) -> Self {
+    pub fn with_store(
+        tg: impl Into<Arc<TrainingGraph>>,
+        schedule: Schedule,
+        store: Arc<ParamStore>,
+    ) -> Self {
         Executor::with_store_and_plan(tg, schedule, store, None)
     }
 

@@ -419,6 +419,42 @@ pub fn unary_grad_into(op: UnaryGradOp, x_or_y: TensorView, dy: TensorView, out:
     });
 }
 
+/// Which operand of an activation VJP an in-place call overwrites.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum GradOperand {
+    /// The forward input or output (`x_or_y`).
+    XOrY,
+    /// The upstream gradient (`dy`).
+    Dy,
+}
+
+/// [`unary_grad_into`] with its output written over one of its operands:
+/// `buf` holds the operand named by `aliased` and receives the VJP, and
+/// `other` is the remaining operand (used when the memory planner aliases
+/// the gradient onto whichever operand dies at this node). Each element
+/// gets the bits [`unary_grad_into`] gives it.
+///
+/// # Panics
+///
+/// Panics if `buf` and `other` differ in length.
+pub fn unary_grad_inplace(
+    op: UnaryGradOp,
+    aliased: GradOperand,
+    other: TensorView,
+    buf: &mut [f32],
+) {
+    assert_eq!(buf.len(), other.numel(), "unary grad shape mismatch");
+    let other = other.data();
+    match aliased {
+        GradOperand::XOrY => with_unary_grad!(op, |op| for (v, &g) in buf.iter_mut().zip(other) {
+            *v = op.apply(*v, g);
+        }),
+        GradOperand::Dy => with_unary_grad!(op, |op| for (g, &v) in buf.iter_mut().zip(other) {
+            *g = op.apply(v, *g);
+        }),
+    }
+}
+
 /// Adds a per-channel bias to an activation, writing into a preallocated
 /// `out`.
 ///
@@ -823,6 +859,53 @@ mod tests {
                 unary_grad_into(op, v, g, &mut lone[k..k + 1]);
             }
             assert_same(&out, &lone, &format!("{op:?} VJP"));
+        }
+    }
+
+    /// The in-place VJP gives every element the bits of the out-of-place
+    /// one, NaN payloads included, whichever operand it overwrites.
+    #[test]
+    fn inplace_vjp_has_the_bits_of_unary_grad_into() {
+        const N: usize = 1003;
+        let mut rng = Rng::seed_from_u64(23);
+        let mut x = Tensor::randn([17, 59], 3.0, &mut rng);
+        let mut dy = Tensor::randn([17, 59], 1.0, &mut rng);
+        let specials = [
+            0.0,
+            -0.0,
+            1.0,
+            6.0,
+            -6.0,
+            90.0,
+            -90.0,
+            f32::INFINITY,
+            f32::NEG_INFINITY,
+            f32::NAN,
+            -f32::NAN,
+        ];
+        // Every special against every special, in both operands.
+        for (i, &a) in specials.iter().enumerate() {
+            for (j, &b) in specials.iter().enumerate() {
+                let k = 100 + i * specials.len() + j;
+                x.data_mut()[k] = a;
+                dy.data_mut()[k] = b;
+            }
+        }
+        let mut want = vec![0.0f32; N];
+        for op in UNARY_GRAD_OPS {
+            unary_grad_into(op, x.view(), dy.view(), &mut want);
+            for (aliased, held, other) in [(GradOperand::XOrY, &x, &dy), (GradOperand::Dy, &dy, &x)]
+            {
+                let mut buf = held.data().to_vec();
+                unary_grad_inplace(op, aliased, other.view(), &mut buf);
+                for (k, (g, w)) in buf.iter().zip(&want).enumerate() {
+                    assert_eq!(
+                        g.to_bits(),
+                        w.to_bits(),
+                        "{op:?} over {aliased:?}: element {k} is {g:e}, want {w:e}"
+                    );
+                }
+            }
         }
     }
 

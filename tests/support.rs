@@ -14,6 +14,7 @@
 //! nothing and aliases nothing.
 
 use std::alloc::{GlobalAlloc, Layout, System};
+use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
@@ -146,7 +147,12 @@ pub fn plan_disjoint(graph: &Graph, schedule: &Schedule) -> MemoryPlan {
 /// executor over the planner's own plan must match bit for bit. Asserts the
 /// disjoint plan is larger than the planned arena, so the comparison is not
 /// vacuous.
-pub fn disjoint_executor(tg: TrainingGraph, schedule: Schedule, optimizer: Optimizer) -> Executor {
+pub fn disjoint_executor(
+    tg: impl Into<Arc<TrainingGraph>>,
+    schedule: Schedule,
+    optimizer: Optimizer,
+) -> Executor {
+    let tg: Arc<TrainingGraph> = tg.into();
     let disjoint = plan_disjoint(&tg.graph, &schedule);
     let planned = plan_memory(&tg.graph, &schedule);
     assert!(
@@ -157,6 +163,39 @@ pub fn disjoint_executor(tg: TrainingGraph, schedule: Schedule, optimizer: Optim
     );
     let store = Arc::new(ParamStore::from_graph(&tg.graph, optimizer));
     Executor::with_store_and_plan(tg, schedule, store, Some(disjoint))
+}
+
+/// Trains an executor over the planner's plan and [`disjoint_executor`]
+/// side by side for `steps` steps on `batches` (cycled), asserting every
+/// loss and, at the end, every parameter bit-identical: reuse, views and
+/// in-place writes change where values live, never what they are.
+pub fn assert_planned_matches_disjoint(
+    tg: Arc<TrainingGraph>,
+    schedule: Schedule,
+    optimizer: Optimizer,
+    batches: &[HashMap<String, Tensor>],
+    steps: usize,
+) {
+    let mut planned = Executor::new(Arc::clone(&tg), schedule.clone(), optimizer);
+    let mut disjoint = disjoint_executor(Arc::clone(&tg), schedule, optimizer);
+    for step in 0..steps {
+        let batch = &batches[step % batches.len()];
+        let lp = planned.train_step(batch).unwrap().unwrap();
+        let ld = disjoint.train_step(batch).unwrap().unwrap();
+        assert_eq!(
+            lp.to_bits(),
+            ld.to_bits(),
+            "step {step}: planned loss {lp} != disjoint loss {ld}"
+        );
+    }
+    for id in tg.graph.param_ids() {
+        assert_eq!(
+            planned.param(id).unwrap().data(),
+            disjoint.param(id).unwrap().data(),
+            "parameter '{}' differs between the planned and disjoint plans",
+            tg.graph.node(id).name
+        );
+    }
 }
 
 /// Feature width of the shared MLP family.

@@ -12,12 +12,19 @@
 //! that moves one bit of a step also fails here and must restate the pin on
 //! purpose. Those pins hold only for this toolchain and its libm: weight
 //! initialisation and the data generators call `ln`, `sin` and `cos`.
+//!
+//! On both programs the executor over the planner's plan (reuse, reshape
+//! views, in-place activations and VJPs) also matches the disjoint-plan
+//! oracle bit for bit, and the planner's peak attribution accounts for
+//! every byte of the peak.
 
 use std::collections::HashMap;
 
+use pe_tests::support::assert_planned_matches_disjoint;
 use pockengine::pe_data::{
     generate_nlp_task, generate_vision_task, NlpTaskConfig, VisionTaskConfig,
 };
+use pockengine::pe_memplan::{attribute_peak, plan_memory};
 use pockengine::pe_models::{
     build_bert, build_mobilenet, BertConfig, BuiltModel, MobileNetV2Config,
 };
@@ -81,19 +88,77 @@ fn fnv1a(losses: &[f32]) -> u64 {
     hash
 }
 
-/// Compiles `model` under `rule` and trains it for [`PINNED_STEPS`] steps
-/// on `batches` (`(feature, labels)` pairs fed as `feature_name`), cycled.
-fn loss_hash(
-    model: &BuiltModel,
-    rule: UpdateRule,
-    feature_name: &str,
-    batches: Vec<(Tensor, Tensor)>,
-) -> u64 {
-    let mut executor = compile(model, &benchmark_options(rule)).executor;
-    let batches: Vec<HashMap<String, Tensor>> = batches
+/// `(feature, labels)` pairs as step inputs, the feature fed as
+/// `feature_name`.
+fn step_inputs(feature_name: &str, batches: Vec<(Tensor, Tensor)>) -> Vec<HashMap<String, Tensor>> {
+    batches
         .into_iter()
         .map(|(x, y)| HashMap::from([(feature_name.to_string(), x), ("labels".to_string(), y)]))
-        .collect();
+        .collect()
+}
+
+fn cnn_task() -> Vec<HashMap<String, Tensor>> {
+    let config = VisionTaskConfig {
+        num_classes: 4,
+        resolution: 16,
+        batch: 8,
+        train_batches: 4,
+        test_batches: 0,
+        noise: 0.5,
+        signal: 1.0,
+    };
+    let task = generate_vision_task("pin", config, &mut Rng::seed_from_u64(1));
+    step_inputs("x", task.train)
+}
+
+fn bert_task() -> Vec<HashMap<String, Tensor>> {
+    let cfg = bert_config();
+    let config = NlpTaskConfig {
+        num_classes: cfg.num_classes,
+        vocab: cfg.vocab,
+        seq_len: cfg.seq_len,
+        batch: cfg.batch,
+        train_batches: 4,
+        test_batches: 0,
+        marker_dropout: 0.1,
+    };
+    let task = generate_nlp_task("pin", config, &mut Rng::seed_from_u64(1));
+    step_inputs("ids", task.train)
+}
+
+/// The planned executor against the disjoint-plan oracle, and the peak
+/// attribution against the plan's peak, on one benchmark program.
+fn check_plan(model: &BuiltModel, rule: UpdateRule, batches: &[HashMap<String, Tensor>]) {
+    let analysis = analyze_benchmark_model(model, rule);
+    let (tg, schedule) = (analysis.training_graph, analysis.schedule);
+    let plan = plan_memory(&tg.graph, &schedule);
+    let peak = attribute_peak(&tg.graph, &schedule, &plan, 5);
+    assert_eq!(peak.total_bytes(), plan.peak_transient_bytes, "{peak:?}");
+    assert_eq!(
+        plan.peak_transient_bytes,
+        analysis.memory.transient_peak_bytes
+    );
+    assert!(peak.largest.iter().all(|&(_, bytes)| bytes > 0), "{peak:?}");
+    assert_planned_matches_disjoint(tg, schedule, Optimizer::sgd(0.05), batches, 3);
+}
+
+#[test]
+fn finetune_cnn_full_plan_matches_the_disjoint_oracle_and_attributes_its_peak() {
+    let model = cnn_model(&mut Rng::seed_from_u64(1));
+    check_plan(&model, UpdateRule::Full, &cnn_task());
+}
+
+#[test]
+fn finetune_bert_sparse_plan_matches_the_disjoint_oracle_and_attributes_its_peak() {
+    let model = build_bert(&bert_config(), &mut Rng::seed_from_u64(1));
+    let rule = UpdateRule::Sparse(paper_scheme_distilbert());
+    check_plan(&model, rule, &bert_task());
+}
+
+/// Compiles `model` under `rule` and trains it for [`PINNED_STEPS`] steps
+/// on `batches`, cycled.
+fn loss_hash(model: &BuiltModel, rule: UpdateRule, batches: Vec<HashMap<String, Tensor>>) -> u64 {
+    let mut executor = compile(model, &benchmark_options(rule)).executor;
     let losses: Vec<f32> = (0..PINNED_STEPS)
         .map(|step| {
             let batch = &batches[step % batches.len()];
@@ -108,30 +173,20 @@ fn loss_hash(
 fn finetune_cnn_full_program_counts_are_exact() {
     let model = cnn_model(&mut Rng::seed_from_u64(0));
     let analysis = analyze_benchmark_model(&model, UpdateRule::Full);
-    assert_eq!(counts(&analysis), (132, 852_676, 0));
+    assert_eq!(counts(&analysis), (132, 787_140, 0));
 }
 
 #[test]
 fn finetune_bert_sparse_program_counts_are_exact() {
     let model = build_bert(&bert_config(), &mut Rng::seed_from_u64(0));
     let analysis = analyze_benchmark_model(&model, UpdateRule::Sparse(paper_scheme_distilbert()));
-    assert_eq!(counts(&analysis), (432, 1_343_812, 0));
+    assert_eq!(counts(&analysis), (432, 1_147_268, 0));
 }
 
 #[test]
 fn finetune_cnn_full_loss_bits_are_pinned() {
-    let config = VisionTaskConfig {
-        num_classes: 4,
-        resolution: 16,
-        batch: 8,
-        train_batches: 4,
-        test_batches: 0,
-        noise: 0.5,
-        signal: 1.0,
-    };
-    let task = generate_vision_task("pin", config, &mut Rng::seed_from_u64(1));
     let model = cnn_model(&mut Rng::seed_from_u64(1));
-    let hash = loss_hash(&model, UpdateRule::Full, "x", task.train);
+    let hash = loss_hash(&model, UpdateRule::Full, cnn_task());
     assert_eq!(
         hash, 0xd183_6434_6a1a_3e1e,
         "restate the pin on purpose: {hash:#018x}"
@@ -140,20 +195,9 @@ fn finetune_cnn_full_loss_bits_are_pinned() {
 
 #[test]
 fn finetune_bert_sparse_loss_bits_are_pinned() {
-    let cfg = bert_config();
-    let config = NlpTaskConfig {
-        num_classes: cfg.num_classes,
-        vocab: cfg.vocab,
-        seq_len: cfg.seq_len,
-        batch: cfg.batch,
-        train_batches: 4,
-        test_batches: 0,
-        marker_dropout: 0.1,
-    };
-    let task = generate_nlp_task("pin", config, &mut Rng::seed_from_u64(1));
-    let model = build_bert(&cfg, &mut Rng::seed_from_u64(1));
+    let model = build_bert(&bert_config(), &mut Rng::seed_from_u64(1));
     let rule = UpdateRule::Sparse(paper_scheme_distilbert());
-    let hash = loss_hash(&model, rule, "ids", task.train);
+    let hash = loss_hash(&model, rule, bert_task());
     assert_eq!(
         hash, 0x5c1f_3195_7efe_bab3,
         "restate the pin on purpose: {hash:#018x}"

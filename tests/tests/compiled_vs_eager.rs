@@ -7,11 +7,11 @@
 use std::collections::HashMap;
 use std::sync::Arc;
 
-use pe_tests::support::disjoint_executor;
+use pe_tests::support::{assert_planned_matches_disjoint, disjoint_executor};
 use pockengine::pe_data::{
     generate_nlp_task, generate_vision_task, NlpTaskConfig, VisionTaskConfig,
 };
-use pockengine::pe_graph::{build_training_graph, TrainKind, TrainSpec};
+use pockengine::pe_graph::{build_training_graph, NodeId, OpKind, TrainKind, TrainSpec};
 use pockengine::pe_memplan::plan_memory;
 use pockengine::pe_passes::optimize;
 use pockengine::pe_runtime::EagerEngine;
@@ -261,6 +261,69 @@ fn random_program(
     }
     let inputs = HashMap::from([("x".to_string(), xs), ("labels".to_string(), ys)]);
     (tg, schedule, eager, inputs)
+}
+
+/// The clobber case: every layer's activation reads a reshape view of its
+/// pre-activation, and a residual add reads that pre-activation again after
+/// the activation, so the planner views the buffer but may not write over
+/// it. Layers cycle through all five activations with an in-place VJP. The
+/// planned executor matches the disjoint-plan oracle bit for bit.
+#[test]
+fn activation_over_a_view_of_a_live_buffer_matches_the_disjoint_oracle() {
+    let (batch, width) = (4, 12);
+    let mut rng = Rng::seed_from_u64(5);
+    let mut b = GraphBuilder::new();
+    let x = b.input("x", [batch, 2, width]);
+    let labels = b.input("labels", [batch * 2]);
+    let mut h = x;
+    for i in 0..5 {
+        let w = b.weight(&format!("fc{i}.weight"), [width, width], &mut rng);
+        let bias = b.bias(&format!("fc{i}.bias"), width);
+        let pre = b.linear(h, w, Some(bias));
+        let view = b.reshape(pre, vec![batch * 2, width]);
+        let act = match i {
+            0 => b.relu(view),
+            1 => b.gelu(view),
+            2 => b.silu(view),
+            3 => b.sigmoid(view),
+            _ => b.tanh(view),
+        };
+        let act = b.reshape(act, vec![batch, 2, width]);
+        h = b.add(act, pre);
+    }
+    let head = b.weight("head.weight", [3, width], &mut rng);
+    let flat = b.reshape(h, vec![batch * 2, width]);
+    let logits = b.linear(flat, head, None);
+    let loss = b.cross_entropy(logits, labels);
+    let g = b.finish(vec![loss, logits]);
+    let spec: TrainSpec = g.params().keys().map(|&id| (id, TrainKind::Full)).collect();
+    let (tg, schedule, _) = optimize(build_training_graph(g, loss, &spec), Default::default());
+
+    let plan = plan_memory(&tg.graph, &schedule);
+    let aliased = |pick: fn(&OpKind) -> bool| {
+        (0..tg.graph.len())
+            .filter(|&i| plan.aliases[i].is_some() && pick(&tg.graph.node(NodeId(i)).op))
+            .count()
+    };
+    assert!(
+        aliased(|op| matches!(op, OpKind::Reshape { .. })) > 0,
+        "no view"
+    );
+    assert!(
+        aliased(|op| op.is_backward() && !matches!(op, OpKind::ApplyUpdate { .. })) > 0,
+        "no activation VJP written in place"
+    );
+
+    let mut data_rng = Rng::seed_from_u64(6);
+    let xs = Tensor::randn([batch, 2, width], 1.0, &mut data_rng);
+    let ys = Tensor::from_vec(
+        (0..batch * 2)
+            .map(|_| data_rng.next_usize(3) as f32)
+            .collect(),
+        [batch * 2],
+    );
+    let inputs = HashMap::from([("x".to_string(), xs), ("labels".to_string(), ys)]);
+    assert_planned_matches_disjoint(Arc::new(tg), schedule, Optimizer::sgd(0.05), &[inputs], 3);
 }
 
 /// A supplied memory plan is validated, not trusted: a plan with one buffer

@@ -1,12 +1,14 @@
 //! Property-based tests over the core data structures and invariants:
 //! kernel equivalences (matmul transpose identities), schedule validity,
-//! memory-planner non-overlap outside in-place alias chains, and
-//! autodiff/DCE invariants over randomly shaped MLPs.
+//! memory-planner non-overlap outside in-place alias chains, no in-place
+//! writer over a buffer read after it (reshape views and activation-VJP
+//! aliases included), and autodiff/DCE invariants over randomly shaped
+//! MLPs.
 
 use proptest::prelude::*;
 
 use pockengine::pe_graph::{
-    build_training_graph, graph_cost, GraphBuilder, NodeId, TrainKind, TrainSpec,
+    build_training_graph, graph_cost, GraphBuilder, NodeId, OpKind, TrainKind, TrainSpec,
 };
 use pockengine::pe_memplan::{plan_memory, validate_plan, MemoryPlan};
 use pockengine::pe_passes::{
@@ -54,6 +56,55 @@ fn random_mlp(
     }
     let head = b.weight("head.weight", [3, *widths.last().unwrap()], &mut rng);
     let logits = b.linear(h, head, None);
+    let loss = b.cross_entropy(logits, labels);
+    let g = b.finish(vec![loss, logits]);
+    build_training_graph(g, loss, &spec)
+}
+
+/// Builds a random MLP whose layers exercise every alias kind: a rank-3
+/// linear (the builder reshapes around its matmul, and those reshapes are
+/// views), an activation drawn from all five that have an in-place VJP,
+/// applied to a reshape view of the pre-activation, and, when `residual`
+/// holds for a layer, a residual add that reads the pre-activation again
+/// after the activation: the clobber case, where the activation must not
+/// write over its view.
+fn random_viewed_mlp(
+    width: usize,
+    depth: usize,
+    batch: usize,
+    frozen_prefix: usize,
+    seed: u64,
+) -> pockengine::pe_graph::TrainingGraph {
+    let mut rng = Rng::seed_from_u64(seed);
+    let mut b = GraphBuilder::new();
+    let x = b.input("x", [batch, 2, width]);
+    let labels = b.input("labels", [batch * 2]);
+    let mut h = x;
+    let mut spec = TrainSpec::new();
+    for i in 0..depth {
+        let w = b.weight(&format!("fc{i}.weight"), [width, width], &mut rng);
+        let bias = b.bias(&format!("fc{i}.bias"), width);
+        if i < frozen_prefix {
+            spec.insert(w, TrainKind::Frozen);
+            spec.insert(bias, TrainKind::Frozen);
+        }
+        let pre = b.linear(h, w, Some(bias));
+        let view = b.reshape(pre, vec![batch * 2, width]);
+        let act = match rng.next_usize(5) {
+            0 => b.relu(view),
+            1 => b.gelu(view),
+            2 => b.silu(view),
+            3 => b.sigmoid(view),
+            _ => b.tanh(view),
+        };
+        h = b.reshape(act, vec![batch, 2, width]);
+        if rng.next_usize(2) == 0 {
+            h = b.add(h, pre);
+        }
+    }
+    let head = b.weight("head.weight", [3, width], &mut rng);
+    let flat = b.reshape(h, vec![batch * 2, width]);
+    let logits = b.linear(flat, head, None);
     let loss = b.cross_entropy(logits, labels);
     let g = b.finish(vec![loss, logits]);
     build_training_graph(g, loss, &spec)
@@ -153,6 +204,50 @@ fn check_no_overlap_outside_alias_chains(
                 oa + sa <= ob || ob + sb <= oa,
                 "live buffers {} and {} overlap outside an alias chain ({} schedule)",
                 a,
+                b,
+                order
+            );
+        }
+    }
+    Ok(())
+}
+
+/// Checks that no node writing its output (every planned node except a
+/// reshape view, which writes nothing) shares a byte with a buffer that is
+/// defined before it and read after it: whatever the alias chains, no
+/// in-place writer clobbers a value that is still to be read.
+fn check_writers_never_clobber_later_reads(
+    graph: &pockengine::pe_graph::Graph,
+    plan: &MemoryPlan,
+    order: &str,
+) -> Result<(), TestCaseError> {
+    let size = |i: usize| graph.node(NodeId(i)).size_bytes();
+    let range = |i: usize| {
+        let off = plan.offsets[i].unwrap();
+        (off, off + size(i))
+    };
+    for w in 0..graph.len() {
+        let Some((pos, _)) = plan.lifetimes[w] else {
+            continue;
+        };
+        let is_view =
+            matches!(graph.node(NodeId(w)).op, OpKind::Reshape { .. }) && plan.aliases[w].is_some();
+        if is_view || size(w) == 0 {
+            continue;
+        }
+        let (ws, we) = range(w);
+        for b in 0..graph.len() {
+            let Some((def, last)) = plan.lifetimes[b] else {
+                continue;
+            };
+            if b == w || size(b) == 0 || def >= pos || last <= pos {
+                continue;
+            }
+            let (bs, be) = range(b);
+            prop_assert!(
+                we <= bs || be <= ws,
+                "node {} writes over buffer {}, which is read after it ({} schedule)",
+                w,
                 b,
                 order
             );
@@ -273,6 +368,39 @@ proptest! {
         let plan = plan_memory(&tg.graph, &schedule);
         prop_assert_eq!(validate_plan(&tg.graph, &schedule, &plan), Ok(()));
         check_no_overlap_outside_alias_chains(&tg.graph, &plan, order)?;
+        check_writers_never_clobber_later_reads(&tg.graph, &plan, order)?;
+    }
+
+    /// On graphs with reshape views, every activation and its VJP, and
+    /// residuals that read a viewed buffer after the activation, the plan
+    /// validates, never overlaps live buffers outside an alias chain, and
+    /// no in-place writer shares a range with a buffer read after it —
+    /// under the reordered schedule and randomized topological ones.
+    #[test]
+    fn views_and_gradient_aliases_never_clobber_a_later_read(
+        depth in 1usize..5,
+        width in 2usize..12,
+        batch in 1usize..4,
+        frozen_prefix in 0usize..3,
+        seed in 0u64..10_000,
+        reorder in proptest::bool::ANY,
+    ) {
+        let tg = random_viewed_mlp(width, depth, batch, frozen_prefix.min(depth), seed);
+        let (order, schedule) = if reorder {
+            ("reordered", build_schedule(&tg.graph, ScheduleStrategy::Reordered))
+        } else {
+            ("random", random_topo_schedule(&tg.graph, seed))
+        };
+        check_topological(&tg.graph, &schedule, order)?;
+        let plan = plan_memory(&tg.graph, &schedule);
+        prop_assert_eq!(validate_plan(&tg.graph, &schedule, &plan), Ok(()));
+        check_no_overlap_outside_alias_chains(&tg.graph, &plan, order)?;
+        check_writers_never_clobber_later_reads(&tg.graph, &plan, order)?;
+        let views = (0..tg.graph.len())
+            .filter(|&i| matches!(tg.graph.node(NodeId(i)).op, OpKind::Reshape { .. }))
+            .filter(|&i| plan.aliases[i].is_some())
+            .count();
+        prop_assert!(views > 0, "the linear's reshapes are views");
     }
 
     /// Broadcast-add then reduce-to-shape is the identity on the gradient
