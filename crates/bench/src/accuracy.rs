@@ -189,21 +189,6 @@ impl Default for TrainSettings {
     }
 }
 
-/// One accuracy measurement.
-#[derive(Debug, Clone, PartialEq)]
-pub struct AccuracyCell {
-    /// Model name.
-    pub model: String,
-    /// Fine-tuning method.
-    pub method: String,
-    /// Task (dataset) name.
-    pub task: String,
-    /// Mean accuracy over seeds.
-    pub mean: f32,
-    /// Standard deviation over seeds.
-    pub std: f32,
-}
-
 fn mean_std(xs: &[f32]) -> (f32, f32) {
     let mean = xs.iter().sum::<f32>() / xs.len().max(1) as f32;
     let var = xs.iter().map(|x| (x - mean) * (x - mean)).sum::<f32>() / xs.len().max(1) as f32;
@@ -264,7 +249,7 @@ fn pretrain(
 /// Fine-tunes one model with every method on one task (vision or NLP),
 /// sharing the same pretrained backbone across methods, and returns the mean
 /// and std of held-out accuracy per method.
-pub fn finetune_methods(
+pub(crate) fn finetune_methods(
     model_kind: TinyModel,
     task_name: &str,
     num_classes: usize,

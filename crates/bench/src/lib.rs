@@ -33,6 +33,6 @@ pub mod accuracy;
 pub mod memory;
 pub mod overhead;
 pub mod speed;
-pub mod table;
+pub(crate) mod table;
 
 pub use table::TextTable;

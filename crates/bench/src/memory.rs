@@ -21,7 +21,7 @@ pub struct MemoryRow {
     pub batch: usize,
     /// Total training memory in bytes, or `None` when it does not fit on the
     /// device (the "-" entries of the paper's table).
-    pub total_bytes: Option<usize>,
+    pub(crate) total_bytes: Option<usize>,
 }
 
 impl MemoryRow {
@@ -42,7 +42,7 @@ impl MemoryRow {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Platform {
     /// Name used in the table.
-    pub name: &'static str,
+    pub(crate) name: &'static str,
     /// Usable training memory in bytes; a configuration that needs more is
     /// reported as "-".
     pub capacity_bytes: usize,
@@ -55,19 +55,19 @@ pub const STM32F746: Platform = Platform {
 };
 
 /// NVIDIA Jetson Nano: 4 GiB.
-pub const JETSON_NANO: Platform = Platform {
+pub(crate) const JETSON_NANO: Platform = Platform {
     name: "Jetson Nano GPU",
     capacity_bytes: 4 << 30,
 };
 
 /// NVIDIA Jetson AGX Orin: 60 GiB usable for training.
-pub const JETSON_AGX_ORIN: Platform = Platform {
+pub(crate) const JETSON_AGX_ORIN: Platform = Platform {
     name: "Jetson AGX Orin GPU",
     capacity_bytes: 60 << 30,
 };
 
 /// The (platform, model, optimizer) combinations of Table 4.
-pub fn table4_workloads() -> Vec<(Platform, PaperModel, Optimizer)> {
+pub(crate) fn table4_workloads() -> Vec<(Platform, PaperModel, Optimizer)> {
     vec![
         (STM32F746, PaperModel::McuNet, Optimizer::sgd(0.01)),
         (JETSON_NANO, PaperModel::MobileNetV2, Optimizer::sgd(0.01)),

@@ -27,7 +27,7 @@ pub struct OverheadReport {
     /// the backward graph every step.
     pub eager_step_us: f64,
     /// Steps measured.
-    pub steps: usize,
+    pub(crate) steps: usize,
 }
 
 impl OverheadReport {

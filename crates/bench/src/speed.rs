@@ -144,7 +144,7 @@ pub struct StepTiming {
     /// Wall time to make the setup ready to step (µs): analysis and
     /// executor construction for a compiled setup, which is the whole
     /// compile-time autodiff cost; engine construction for an eager one.
-    pub setup_us: f64,
+    pub(crate) setup_us: f64,
     /// Median wall time of one training step (µs).
     pub step_us: f64,
     /// Samples (images or sequences) per second at the median step.

@@ -82,14 +82,6 @@ pub enum Outcome {
 }
 
 impl Outcome {
-    /// The response, if the request completed.
-    pub fn response(self) -> Option<Response> {
-        match self {
-            Outcome::Completed(r) => Some(r),
-            _ => None,
-        }
-    }
-
     /// The response by reference, if the request completed.
     pub fn as_response(&self) -> Option<&Response> {
         match self {

@@ -510,7 +510,7 @@ const _: fn() = || {
 /// any number of threads, via [`AsyncEngine::submitter`] clones) and redeem
 /// the returned [`Ticket`]s for [`Outcome`]s. The batching policy — target
 /// rung, deadline semantics, priority ordering, training barriers — is
-/// documented in [`crate::batcher`] and [`crate::queue`].
+/// documented in `crate::batcher` and [`crate::queue`].
 ///
 /// # Backpressure contract
 ///
@@ -557,11 +557,6 @@ impl AsyncEngine {
     /// [`SubmitError::Closed`] once the engine shuts down.
     pub fn submitter(&self) -> Submitter {
         self.submitter.clone()
-    }
-
-    /// Requests accepted but not yet dispatched.
-    pub fn queue_len(&self) -> usize {
-        self.submitter.len()
     }
 
     /// The engine's shared parameter store — the same store every

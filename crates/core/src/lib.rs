@@ -17,6 +17,10 @@
 //!   DistilBERT, Llama);
 //! * [`pe_data`] — synthetic workloads.
 //!
+//! In every workspace crate, `pub` marks what another crate (a test, an
+//! example, a binary or the benchmark included) names; everything else is
+//! crate-private, so rustc's `dead_code` lint reports what nothing uses.
+//!
 //! # Quickstart
 //!
 //! ```
@@ -35,12 +39,12 @@
 
 #![deny(missing_docs)]
 
-pub mod admission;
-pub mod batcher;
-pub mod engine;
-pub mod program;
+pub(crate) mod admission;
+pub(crate) mod batcher;
+pub(crate) mod engine;
+pub(crate) mod program;
 pub mod queue;
-pub mod submit;
+pub(crate) mod submit;
 
 pub use pe_data;
 pub use pe_graph;
@@ -54,7 +58,7 @@ pub use pe_tensor;
 use std::sync::Arc;
 
 use pe_graph::{build_training_graph, TrainingGraph};
-use pe_memplan::{memory_report, memory_report_for_plan, MemoryReport};
+use pe_memplan::{memory_report, MemoryReport};
 use pe_models::BuiltModel;
 use pe_passes::{optimize, OptimizeOptions, OptimizeStats, Schedule, ScheduleStrategy};
 use pe_runtime::{Executor, ExecutorConfig, Optimizer, ParamStore, Trainer};
@@ -185,7 +189,7 @@ pub struct ProgramAnalysis {
     /// Number of parameter elements that receive updates.
     pub trainable_elements: usize,
     /// Name of the logits output node.
-    pub logits_name: String,
+    pub(crate) logits_name: String,
 }
 
 /// A fully compiled training program, ready to execute.
@@ -196,9 +200,9 @@ pub struct CompiledProgram {
     /// The executor holding parameters and optimizer state.
     pub executor: Executor,
     /// Name of the model's feature input.
-    pub feature_input: String,
+    pub(crate) feature_input: String,
     /// Name of the model's label input.
-    pub label_input: String,
+    pub(crate) label_input: String,
 }
 
 impl CompiledProgram {
@@ -261,12 +265,7 @@ pub(crate) fn build_executor(
     let store =
         store.unwrap_or_else(|| Arc::new(ParamStore::from_graph(&tg.graph, options.optimizer)));
     let executor = Executor::with_store(Arc::clone(&tg), schedule.clone(), store);
-    let memory = memory_report_for_plan(
-        &tg.graph,
-        executor.memory_plan(),
-        trainable,
-        options.optimizer.state_slots(),
-    );
+    let memory = executor.memory_report(trainable, options.optimizer.state_slots());
     let analysis = ProgramAnalysis {
         training_graph: tg,
         schedule,

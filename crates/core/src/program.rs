@@ -29,7 +29,7 @@ use pe_models::BuiltModel;
 use pe_runtime::{ExecError, Executor, ParamStore};
 use pe_tensor::Tensor;
 
-use crate::{build_executor, CompileOptions, ProgramAnalysis};
+use crate::{build_executor, CompileOptions};
 
 /// Builds the forward graph of one model family at a requested batch size.
 ///
@@ -58,7 +58,7 @@ where
 /// serve many coalesced requests:
 ///
 /// * `hits` / `misses` are **per dispatch** — one count per
-///   [`Program::specialize_for_requests`] call (a training step, an eval
+///   `Program::specialize_for_requests` call (a training step, an eval
 ///   micro-batch, or a warmup compile);
 /// * `request_hits` / `request_misses` are **per request** — a coalesced
 ///   eval group of five requests served by a cached specialization adds 5
@@ -78,20 +78,16 @@ pub struct CacheStats {
     /// must not look like cache churn.
     pub request_misses: u64,
     /// Specializations evicted by the size-budgeted LRU policy (see
-    /// [`Program::set_max_specializations`]).
+    /// `Program::set_max_specializations`).
     pub evictions: u64,
 }
 
-/// One batch-size specialization: the compiled analysis plus the pooled
-/// executor borrowing the program's shared parameter store.
+/// One batch-size specialization: the pooled executor borrowing the
+/// program's shared parameter store.
 #[derive(Debug)]
 pub struct Specialization {
-    /// The batch size baked into this specialization's graph.
-    pub batch: usize,
-    /// Compile-time analysis (graph, schedule, memory breakdown).
-    pub analysis: ProgramAnalysis,
     /// The executor; borrows the program's [`ParamStore`].
-    pub executor: Executor,
+    pub(crate) executor: Executor,
 }
 
 /// The staged compiler: fixes the compilation options, then binds a model
@@ -239,29 +235,19 @@ impl Program {
         &self.store
     }
 
-    /// The compilation options the program was created with.
-    pub fn options(&self) -> &CompileOptions {
-        &self.options
-    }
-
     /// Name of the model family's feature input node.
-    pub fn feature_input(&self) -> &str {
+    pub(crate) fn feature_input(&self) -> &str {
         &self.features.name
     }
 
     /// Name of the model family's label input node.
-    pub fn label_input(&self) -> &str {
+    pub(crate) fn label_input(&self) -> &str {
         &self.labels.name
     }
 
     /// Name of the logits output node.
-    pub fn logits_name(&self) -> &str {
+    pub(crate) fn logits_name(&self) -> &str {
         &self.logits_name
-    }
-
-    /// Human-readable model family name.
-    pub fn model_name(&self) -> &str {
-        &self.model_name
     }
 
     /// Checks that a request fits this program before it joins a batch: its
@@ -274,7 +260,7 @@ impl Program {
     }
 
     /// Cache hit/miss counts so far.
-    pub fn cache_stats(&self) -> CacheStats {
+    pub(crate) fn cache_stats(&self) -> CacheStats {
         self.stats
     }
 
@@ -305,7 +291,11 @@ impl Program {
     /// `requests` serving requests in the per-request cache accounting (see
     /// [`CacheStats`]). The engine passes the coalesced group size here;
     /// warmup compiles pass 0.
-    pub fn specialize_for_requests(&mut self, batch: usize, requests: u64) -> &mut Specialization {
+    pub(crate) fn specialize_for_requests(
+        &mut self,
+        batch: usize,
+        requests: u64,
+    ) -> &mut Specialization {
         self.clock += 1;
         if self.cache.contains_key(&batch) {
             self.stats.hits += 1;
@@ -314,14 +304,9 @@ impl Program {
             self.stats.misses += 1;
             self.stats.request_misses += requests;
             let model = self.factory.build(batch);
-            let (analysis, executor) =
+            let (_, executor) =
                 build_executor(&model, &self.options, Some(Arc::clone(&self.store)));
-            let spec = Specialization {
-                batch,
-                analysis,
-                executor,
-            };
-            self.cache.insert(batch, spec);
+            self.cache.insert(batch, Specialization { executor });
             if let Err(at) = self.rungs.binary_search(&batch) {
                 self.rungs.insert(at, batch);
             }
@@ -341,7 +326,7 @@ impl Program {
     ///
     /// Shrinking the budget below the current cache size evicts immediately
     /// on the next specialization access, not eagerly.
-    pub fn set_max_specializations(&mut self, max: Option<usize>) {
+    pub(crate) fn set_max_specializations(&mut self, max: Option<usize>) {
         assert!(
             max.is_none_or(|m| m > 0),
             "the specialization budget must be positive (use None for unbounded)"
@@ -481,8 +466,7 @@ mod tests {
     fn specialized_graphs_bake_the_batch() {
         let mut p = program();
         let spec = p.specialize(4);
-        assert_eq!(spec.batch, 4);
-        let graph = &spec.analysis.training_graph.graph;
+        let graph = &spec.executor.training_graph().graph;
         let feature = graph
             .inputs()
             .iter()

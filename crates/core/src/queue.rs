@@ -35,7 +35,7 @@
 //! Each request's [`crate::RequestMeta::deadline`] budget (or the queue default)
 //! becomes an absolute **dispatch deadline**: the instant by which the
 //! submitter wants the request dispatched. The batcher treats it as the
-//! request's patience for companions — see [`crate::batcher`] for how
+//! request's patience for companions — see `crate::batcher` for how
 //! groups form under deadline budgets.
 
 use std::collections::VecDeque;
@@ -341,7 +341,7 @@ impl Envelope {
     }
 
     /// The instant by which the request wants to be dispatched.
-    pub fn deadline(&self) -> Instant {
+    pub(crate) fn deadline(&self) -> Instant {
         self.deadline
     }
 
@@ -350,7 +350,7 @@ impl Envelope {
     /// # Panics
     ///
     /// Panics if called after [`Envelope::take_request`].
-    pub fn request(&self) -> &Request {
+    pub(crate) fn request(&self) -> &Request {
         self.request.as_ref().expect("request already taken")
     }
 
@@ -364,17 +364,17 @@ impl Envelope {
     }
 
     /// Number of rows the queued request carries.
-    pub fn rows(&self) -> usize {
+    pub(crate) fn rows(&self) -> usize {
         self.request().rows()
     }
 
     /// Whether the queued request trains or evaluates.
-    pub fn kind(&self) -> ServingKind {
+    pub(crate) fn kind(&self) -> ServingKind {
         self.request().kind
     }
 
     /// The queued request's scheduling priority.
-    pub fn priority(&self) -> Priority {
+    pub(crate) fn priority(&self) -> Priority {
         self.request().meta.priority
     }
 
@@ -636,22 +636,6 @@ impl Receiver {
         }
         envelope
     }
-
-    /// Requests currently queued.
-    pub fn len(&self) -> usize {
-        self.shared.state.lock().unwrap().items.len()
-    }
-
-    /// Whether the queue holds no requests.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Closes the queue (producers see [`SubmitError::Closed`]); already
-    /// queued requests still drain.
-    pub fn close(&self) {
-        self.shared.close();
-    }
 }
 
 impl Drop for Receiver {
@@ -743,7 +727,8 @@ mod tests {
             tx
         });
         std::thread::sleep(Duration::from_millis(20));
-        assert_eq!(rx.len(), 1, "producer must still be blocked");
+        let queued = rx.shared.state.lock().unwrap().items.len();
+        assert_eq!(queued, 1, "producer must still be blocked");
         let first = rx.pop(None);
         assert!(matches!(first, Pop::Item(_)));
         let tx = producer.join().unwrap();

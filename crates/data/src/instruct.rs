@@ -12,28 +12,24 @@
 use pe_tensor::{Rng, Tensor};
 
 /// Special tokens of the synthetic instruction grammar.
-pub mod tokens {
+pub(crate) mod tokens {
     /// Padding / ignored.
-    pub const PAD: usize = 0;
+    pub(crate) const PAD: usize = 0;
     /// Separator between instruction and response.
-    pub const SEP: usize = 1;
+    pub(crate) const SEP: usize = 1;
     /// "Copy the arguments" task token.
-    pub const TASK_COPY: usize = 2;
+    pub(crate) const TASK_COPY: usize = 2;
     /// "Reverse the arguments" task token.
-    pub const TASK_REVERSE: usize = 3;
+    pub(crate) const TASK_REVERSE: usize = 3;
     /// "Shift every argument by +1" task token.
-    pub const TASK_SHIFT: usize = 4;
+    pub(crate) const TASK_SHIFT: usize = 4;
     /// First argument token id (arguments live in `ARG_BASE..vocab`).
-    pub const ARG_BASE: usize = 8;
+    pub(crate) const ARG_BASE: usize = 8;
 }
 
 /// A batch-ready instruction-tuning dataset.
 #[derive(Debug, Clone)]
 pub struct InstructDataset {
-    /// Vocabulary size.
-    pub vocab: usize,
-    /// Sequence length of every example.
-    pub seq_len: usize,
     /// Training batches of `(ids, next_token_labels)`.
     pub train: Vec<(Tensor, Tensor)>,
     /// Held-out prompts: `(ids, next_token_labels)`.
@@ -135,8 +131,6 @@ pub fn generate_instruct_dataset(cfg: InstructConfig, rng: &mut Rng) -> Instruct
     };
 
     InstructDataset {
-        vocab: cfg.vocab,
-        seq_len: cfg.seq_len,
         train: make(cfg.train_batches, rng),
         test: make(cfg.test_batches, rng),
     }

@@ -11,11 +11,11 @@
 
 #![deny(missing_docs)]
 
-pub mod instruct;
-pub mod json;
-pub mod nlp;
+pub(crate) mod instruct;
+pub(crate) mod json;
+pub(crate) mod nlp;
 pub mod serving;
-pub mod vision;
+pub(crate) mod vision;
 
 pub use instruct::{generate_instruct_dataset, response_accuracy, InstructConfig, InstructDataset};
 pub use json::Json;

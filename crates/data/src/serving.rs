@@ -49,20 +49,6 @@ pub enum Priority {
     High,
 }
 
-impl Priority {
-    /// Short lowercase name (`"low"` / `"normal"` / `"high"`).
-    pub fn name(self) -> &'static str {
-        match self {
-            Priority::Low => "low",
-            Priority::Normal => "normal",
-            Priority::High => "high",
-        }
-    }
-
-    /// All priorities, lowest first.
-    pub const ALL: [Priority; 3] = [Priority::Low, Priority::Normal, Priority::High];
-}
-
 /// Request metadata shared by both ingestion paths.
 ///
 /// Every field is optional or defaulted: `Request::eval(..)` with no
@@ -260,7 +246,6 @@ mod tests {
         assert!(Priority::Low < Priority::Normal);
         assert!(Priority::Normal < Priority::High);
         assert_eq!(Priority::default(), Priority::Normal);
-        assert_eq!(Priority::ALL.len(), 3);
     }
 
     #[test]

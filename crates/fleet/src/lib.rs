@@ -99,7 +99,7 @@ impl Default for BalancerConfig {
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct WorkerStats {
     /// The worker's address, as configured.
-    pub addr: String,
+    pub(crate) addr: String,
     /// Whether the worker is currently healthy (connected and answering
     /// probes).
     pub up: bool,
@@ -109,13 +109,13 @@ pub struct WorkerStats {
     /// *to* it).
     pub dispatched: u64,
     /// Requests this worker resolved (completed or rejected).
-    pub completed: u64,
+    pub(crate) completed: u64,
     /// In-flight evals lost by this worker and re-homed to a peer.
-    pub redispatched: u64,
+    pub(crate) redispatched: u64,
     /// Times the worker was marked down.
-    pub mark_downs: u64,
+    pub(crate) mark_downs: u64,
     /// Times the worker came back up after a mark-down.
-    pub reconnects: u64,
+    pub(crate) reconnects: u64,
 }
 
 /// A point-in-time snapshot of the fleet's routing counters.
@@ -398,11 +398,6 @@ impl Balancer {
     /// The front door's bound address (resolves an ephemeral-port bind).
     pub fn local_addr(&self) -> SocketAddr {
         self.core.local_addr()
-    }
-
-    /// Depth of the balancer's submission queue.
-    pub fn queue_len(&self) -> usize {
-        self.submitter.len()
     }
 
     /// A snapshot of the routing counters.

@@ -12,7 +12,6 @@
 
 use std::collections::HashMap;
 
-use pe_tensor::kernels::reduce::ReduceOp;
 use pe_tensor::{Shape, Tensor};
 
 use crate::graph::Graph;
@@ -38,11 +37,6 @@ pub struct TrainingGraph {
 }
 
 impl TrainingGraph {
-    /// Number of parameters that receive updates.
-    pub fn trainable_param_count(&self) -> usize {
-        self.param_grads.len()
-    }
-
     /// Total number of parameter *elements* that receive updates (counting
     /// only the updated rows for channel-sparse parameters).
     pub fn trainable_element_count(&self) -> usize {
@@ -453,22 +447,6 @@ impl Autodiff {
                     }
                 }
             }
-            OpKind::Sub => {
-                if needs[0] {
-                    let g = self.reduce_to_operand(dy, inputs[0]);
-                    self.add_partial(inputs[0], g);
-                }
-                if needs[1] {
-                    let neg = self.emit(
-                        OpKind::Scale { factor: -1.0 },
-                        vec![dy],
-                        self.dims(dy),
-                        gname("neg"),
-                    );
-                    let g = self.reduce_to_operand(neg, inputs[1]);
-                    self.add_partial(inputs[1], g);
-                }
-            }
             OpKind::Mul => {
                 let (a, b) = (inputs[0], inputs[1]);
                 if needs[0] {
@@ -478,29 +456,6 @@ impl Autodiff {
                 }
                 if needs[1] {
                     let db = self.emit(OpKind::Mul, vec![dy, a], self.dims(dy), gname("rhs"));
-                    let g = self.reduce_to_operand(db, b);
-                    self.add_partial(b, g);
-                }
-            }
-            OpKind::Div => {
-                let (a, b) = (inputs[0], inputs[1]);
-                if needs[0] {
-                    let da = self.emit(OpKind::Div, vec![dy, b], self.dims(dy), gname("lhs"));
-                    let g = self.reduce_to_operand(da, a);
-                    self.add_partial(a, g);
-                }
-                if needs[1] {
-                    // db = -dy * a / b^2
-                    let b2 = self.emit(OpKind::Mul, vec![b, b], self.dims(b), gname("den"));
-                    let quotient =
-                        self.emit(OpKind::Div, vec![a, b2], self.dims(dy), gname("quot"));
-                    let scaled = self.emit(
-                        OpKind::Scale { factor: -1.0 },
-                        vec![quotient],
-                        self.dims(dy),
-                        gname("negquot"),
-                    );
-                    let db = self.emit(OpKind::Mul, vec![dy, scaled], self.dims(dy), gname("rhs"));
                     let g = self.reduce_to_operand(db, b);
                     self.add_partial(b, g);
                 }
@@ -580,17 +535,6 @@ impl Autodiff {
                     self.add_partial(inputs[0], g);
                 }
             }
-            OpKind::Transpose2d => {
-                if needs[0] {
-                    let g = self.emit(
-                        OpKind::Transpose2d,
-                        vec![dy],
-                        self.dims(inputs[0]),
-                        gname("x"),
-                    );
-                    self.add_partial(inputs[0], g);
-                }
-            }
             OpKind::Permute { perm } => {
                 if needs[0] {
                     let inv = pe_tensor::kernels::layout::inverse_perm(&perm);
@@ -614,41 +558,6 @@ impl Autodiff {
                         },
                         vec![dy],
                         full,
-                        gname("x"),
-                    );
-                    self.add_partial(inputs[0], g);
-                }
-            }
-            OpKind::Concat { axis } => {
-                let mut offset = 0usize;
-                for (slot, &input) in inputs.iter().enumerate() {
-                    let len = self.dims(input)[axis];
-                    if needs[slot] {
-                        let g = self.emit(
-                            OpKind::Slice {
-                                axis,
-                                start: offset,
-                                len,
-                            },
-                            vec![dy],
-                            self.dims(input),
-                            gname("part"),
-                        );
-                        self.add_partial(input, g);
-                    }
-                    offset += len;
-                }
-            }
-            OpKind::AvgPool2d(params) => {
-                if needs[0] {
-                    let x_dims = self.dims(inputs[0]);
-                    let g = self.emit(
-                        OpKind::AvgPool2dGrad {
-                            params,
-                            x_dims: x_dims.clone(),
-                        },
-                        vec![dy],
-                        x_dims,
                         gname("x"),
                     );
                     self.add_partial(inputs[0], g);
@@ -753,26 +662,6 @@ impl Autodiff {
                     self.add_partial(logits, g);
                 }
             }
-            OpKind::Reduce { op, axes, .. } => {
-                assert!(
-                    op != ReduceOp::Max,
-                    "max-reduce differentiation is not supported"
-                );
-                if needs[0] {
-                    let input_dims = self.dims(inputs[0]);
-                    let g = self.emit(
-                        OpKind::ReduceGrad {
-                            op,
-                            axes,
-                            input_dims: input_dims.clone(),
-                        },
-                        vec![dy],
-                        input_dims,
-                        gname("x"),
-                    );
-                    self.add_partial(inputs[0], g);
-                }
-            }
             OpKind::Input | OpKind::Parameter | OpKind::Constant => {}
             other => panic!("no VJP rule registered for {:?}", other.mnemonic()),
         }
@@ -817,7 +706,7 @@ mod tests {
     #[test]
     fn full_bp_updates_every_parameter() {
         let (tg, params) = mlp(|_| TrainKind::Full);
-        assert_eq!(tg.trainable_param_count(), params.len());
+        assert_eq!(tg.param_grads.len(), params.len());
         assert_eq!(tg.updates.len(), params.len());
         assert!(tg.graph.validate().is_empty());
         // Every update node consumes the gradient of its parameter.
@@ -837,7 +726,7 @@ mod tests {
                 TrainKind::Frozen
             }
         });
-        assert_eq!(tg.trainable_param_count(), 3);
+        assert_eq!(tg.param_grads.len(), 3);
         // No Conv2dGradWeight / weight-producing matmul gradients: every grad
         // feeding an update must be a BiasGrad.
         for &u in &tg.updates {

@@ -7,7 +7,6 @@
 
 use pe_tensor::kernels::conv::{conv2d_out_dims, Conv2dParams};
 use pe_tensor::kernels::pool::Pool2dParams;
-use pe_tensor::kernels::reduce::ReduceOp;
 use pe_tensor::{Rng, Shape, Tensor};
 
 use crate::graph::Graph;
@@ -66,7 +65,7 @@ impl GraphBuilder {
     }
 
     /// Shape of an already-added node.
-    pub fn shape_of(&self, id: NodeId) -> &Shape {
+    pub(crate) fn shape_of(&self, id: NodeId) -> &Shape {
         &self.graph.node(id).shape
     }
 
@@ -106,7 +105,7 @@ impl GraphBuilder {
     }
 
     /// Adds a parameter with explicit role and initial value.
-    pub fn parameter(&mut self, name: &str, role: ParamRole, init: Tensor) -> NodeId {
+    pub(crate) fn parameter(&mut self, name: &str, role: ParamRole, init: Tensor) -> NodeId {
         let id = self.push(
             OpKind::Parameter,
             vec![],
@@ -118,7 +117,7 @@ impl GraphBuilder {
     }
 
     /// Adds a parameter whose initial value is deferred (never allocated).
-    pub fn parameter_deferred(
+    pub(crate) fn parameter_deferred(
         &mut self,
         name: &str,
         role: ParamRole,
@@ -198,7 +197,7 @@ impl GraphBuilder {
     // ------------------------------------------------------------------
 
     /// 2-D matrix multiply.
-    pub fn matmul(&mut self, a: NodeId, b: NodeId, trans_a: bool, trans_b: bool) -> NodeId {
+    pub(crate) fn matmul(&mut self, a: NodeId, b: NodeId, trans_a: bool, trans_b: bool) -> NodeId {
         let ad = self.dims_of(a);
         let bd = self.dims_of(b);
         assert_eq!(ad.len(), 2, "matmul lhs must be rank 2");
@@ -351,19 +350,9 @@ impl GraphBuilder {
         self.binary_broadcast(OpKind::Add, a, b)
     }
 
-    /// Element-wise subtraction with broadcasting.
-    pub fn sub(&mut self, a: NodeId, b: NodeId) -> NodeId {
-        self.binary_broadcast(OpKind::Sub, a, b)
-    }
-
     /// Element-wise multiplication with broadcasting.
     pub fn mul(&mut self, a: NodeId, b: NodeId) -> NodeId {
         self.binary_broadcast(OpKind::Mul, a, b)
-    }
-
-    /// Element-wise division with broadcasting.
-    pub fn div(&mut self, a: NodeId, b: NodeId) -> NodeId {
-        self.binary_broadcast(OpKind::Div, a, b)
     }
 
     /// Multiplication by a static scalar.
@@ -385,14 +374,6 @@ impl GraphBuilder {
         self.push(OpKind::Reshape { dims: dims.clone() }, vec![x], dims, name)
     }
 
-    /// Rank-2 transpose.
-    pub fn transpose2d(&mut self, x: NodeId) -> NodeId {
-        let d = self.dims_of(x);
-        assert_eq!(d.len(), 2, "transpose2d requires rank 2");
-        let name = self.auto_name("transpose");
-        self.push(OpKind::Transpose2d, vec![x], vec![d[1], d[0]], name)
-    }
-
     /// Dimension permutation.
     pub fn permute(&mut self, x: NodeId, perm: Vec<usize>) -> NodeId {
         let d = self.dims_of(x);
@@ -411,26 +392,9 @@ impl GraphBuilder {
         self.push(OpKind::Slice { axis, start, len }, vec![x], d, name)
     }
 
-    /// Concatenation along `axis`.
-    pub fn concat(&mut self, inputs: &[NodeId], axis: usize) -> NodeId {
-        assert!(!inputs.is_empty(), "concat needs at least one input");
-        let mut d = self.dims_of(inputs[0]);
-        d[axis] = inputs.iter().map(|&i| self.dims_of(i)[axis]).sum();
-        let name = self.auto_name("concat");
-        self.push(OpKind::Concat { axis }, inputs.to_vec(), d, name)
-    }
-
     // ------------------------------------------------------------------
     // Spatial ops
     // ------------------------------------------------------------------
-
-    /// Average pooling.
-    pub fn avg_pool2d(&mut self, x: NodeId, params: Pool2dParams) -> NodeId {
-        let d = self.dims_of(x);
-        let out = vec![d[0], d[1], params.out_size(d[2]), params.out_size(d[3])];
-        let name = self.auto_name("avg_pool");
-        self.push(OpKind::AvgPool2d(params), vec![x], out, name)
-    }
 
     /// Max pooling.
     pub fn max_pool2d(&mut self, x: NodeId, params: Pool2dParams) -> NodeId {
@@ -490,34 +454,6 @@ impl GraphBuilder {
             name,
         )
     }
-
-    /// Reduction over axes.
-    pub fn reduce(&mut self, x: NodeId, op: ReduceOp, axes: Vec<usize>, keep_dims: bool) -> NodeId {
-        let d = self.dims_of(x);
-        let out: Vec<usize> = if keep_dims {
-            d.iter()
-                .enumerate()
-                .map(|(i, &s)| if axes.contains(&i) { 1 } else { s })
-                .collect()
-        } else {
-            d.iter()
-                .enumerate()
-                .filter(|(i, _)| !axes.contains(i))
-                .map(|(_, &s)| s)
-                .collect()
-        };
-        let name = self.auto_name("reduce");
-        self.push(
-            OpKind::Reduce {
-                op,
-                axes,
-                keep_dims,
-            },
-            vec![x],
-            out,
-            name,
-        )
-    }
 }
 
 #[cfg(test)]
@@ -547,7 +483,7 @@ mod tests {
         let w = b.weight("conv.weight", [8, 3, 3, 3], &mut rng);
         let y = b.conv2d(x, w, Conv2dParams::new(2, 1));
         assert_eq!(b.dims_of(y), vec![2, 8, 16, 16]);
-        let p = b.avg_pool2d(y, Pool2dParams::new(2, 2, 0));
+        let p = b.max_pool2d(y, Pool2dParams::new(2, 2, 0));
         assert_eq!(b.dims_of(p), vec![2, 8, 8, 8]);
         let g = b.global_avg_pool(p);
         assert_eq!(b.dims_of(g), vec![2, 8]);
@@ -570,14 +506,10 @@ mod tests {
         let x = b.input("x", [2, 3, 4]);
         let r = b.reshape(x, vec![6, 4]);
         assert_eq!(b.dims_of(r), vec![6, 4]);
-        let t = b.transpose2d(r);
-        assert_eq!(b.dims_of(t), vec![4, 6]);
         let p = b.permute(x, vec![2, 0, 1]);
         assert_eq!(b.dims_of(p), vec![4, 2, 3]);
         let s = b.slice(x, 1, 0, 2);
         assert_eq!(b.dims_of(s), vec![2, 2, 4]);
-        let c = b.concat(&[s, s], 1);
-        assert_eq!(b.dims_of(c), vec![2, 4, 4]);
     }
 
     #[test]

@@ -13,12 +13,12 @@ pub struct NodeCost {
     /// Floating-point operations (multiply-add counted as 2).
     pub flops: u64,
     /// Bytes read from inputs plus bytes written to the output.
-    pub bytes: u64,
+    pub(crate) bytes: u64,
 }
 
 impl NodeCost {
     /// Sums two costs.
-    pub fn combine(self, other: NodeCost) -> NodeCost {
+    pub(crate) fn combine(self, other: NodeCost) -> NodeCost {
         NodeCost {
             flops: self.flops + other.flops,
             bytes: self.bytes + other.bytes,
@@ -27,7 +27,7 @@ impl NodeCost {
 }
 
 /// Computes the cost of a single node in `graph`.
-pub fn node_cost(graph: &Graph, id: NodeId) -> NodeCost {
+pub(crate) fn node_cost(graph: &Graph, id: NodeId) -> NodeCost {
     let node = graph.node(id);
     let out_elems = node.shape.numel() as u64;
     let in_bytes: u64 = node
@@ -74,9 +74,7 @@ pub fn node_cost(graph: &Graph, id: NodeId) -> NodeCost {
         }
         // Element-wise and shape ops: roughly one (or a few) ops per output element.
         OpKind::Add
-        | OpKind::Sub
         | OpKind::Mul
-        | OpKind::Div
         | OpKind::Scale { .. }
         | OpKind::AddBias
         | OpKind::Relu
@@ -86,11 +84,9 @@ pub fn node_cost(graph: &Graph, id: NodeId) -> NodeCost {
         | OpKind::BiasGrad
         | OpKind::BroadcastGradTo { .. }
         | OpKind::Reshape { .. }
-        | OpKind::Transpose2d
         | OpKind::Permute { .. }
         | OpKind::Slice { .. }
         | OpKind::Unslice { .. }
-        | OpKind::Concat { .. }
         | OpKind::ApplyUpdate { .. } => out_elems,
         OpKind::Gelu
         | OpKind::Silu
@@ -102,16 +98,8 @@ pub fn node_cost(graph: &Graph, id: NodeId) -> NodeCost {
         | OpKind::TanhGrad
         | OpKind::Softmax
         | OpKind::SoftmaxGrad => 8 * out_elems,
-        OpKind::Reduce { .. } | OpKind::ReduceGrad { .. } => {
-            let in_elems: u64 = node
-                .inputs
-                .iter()
-                .map(|&i| graph.node(i).shape.numel() as u64)
-                .sum();
-            in_elems.max(out_elems)
-        }
-        OpKind::AvgPool2d(p) | OpKind::MaxPool2d(p) => out_elems * (p.kernel * p.kernel) as u64,
-        OpKind::AvgPool2dGrad { params, .. } | OpKind::MaxPool2dGrad { params } => {
+        OpKind::MaxPool2d(p) => out_elems * (p.kernel * p.kernel) as u64,
+        OpKind::MaxPool2dGrad { params } => {
             out_elems.max(1) * (params.kernel * params.kernel) as u64
         }
         OpKind::GlobalAvgPool => graph.node(node.inputs[0]).shape.numel() as u64,
@@ -133,7 +121,7 @@ pub fn node_cost(graph: &Graph, id: NodeId) -> NodeCost {
 }
 
 /// Total cost of a set of nodes (e.g. a schedule).
-pub fn total_cost(graph: &Graph, ids: &[NodeId]) -> NodeCost {
+pub(crate) fn total_cost(graph: &Graph, ids: &[NodeId]) -> NodeCost {
     ids.iter().fold(NodeCost::default(), |acc, &id| {
         acc.combine(node_cost(graph, id))
     })

@@ -105,7 +105,7 @@ impl From<&str> for ParamKey {
 #[derive(Debug, Clone, PartialEq)]
 pub struct ParamInfo {
     /// The parameter's node id.
-    pub node: NodeId,
+    pub(crate) node: NodeId,
     /// Role (weight / bias / norm scale / ...).
     pub role: ParamRole,
     /// Initial value used when the runtime materialises the parameter store.
@@ -187,7 +187,7 @@ impl Graph {
     }
 
     /// Adds an output.
-    pub fn push_output(&mut self, id: NodeId) {
+    pub(crate) fn push_output(&mut self, id: NodeId) {
         self.outputs.push(id);
     }
 
@@ -387,25 +387,6 @@ impl Graph {
     pub fn backward_node_count(&self) -> usize {
         self.nodes.iter().filter(|n| n.op.is_backward()).count()
     }
-
-    /// A readable multi-line dump of the graph, for debugging and docs.
-    pub fn dump(&self) -> String {
-        use std::fmt::Write as _;
-        let mut s = String::new();
-        for node in &self.nodes {
-            let ins: Vec<String> = node.inputs.iter().map(|i| i.to_string()).collect();
-            let _ = writeln!(
-                s,
-                "{:>5} = {:<18} [{}] {:<28} <- {}",
-                node.id.to_string(),
-                node.op.mnemonic(),
-                node.shape,
-                node.name,
-                ins.join(", ")
-            );
-        }
-        s
-    }
 }
 
 #[cfg(test)]
@@ -478,14 +459,6 @@ mod tests {
             g.mark_param(w, ParamRole::Weight, Tensor::zeros([3, 3]));
         }));
         assert!(result.is_err());
-    }
-
-    #[test]
-    fn dump_contains_names_and_ops() {
-        let g = tiny_graph();
-        let d = g.dump();
-        assert!(d.contains("matmul"));
-        assert!(d.contains("w"));
     }
 
     #[test]

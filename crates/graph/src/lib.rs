@@ -10,6 +10,10 @@
 //! parameter-update nodes at compile time, honouring a sparse
 //! backpropagation [`TrainSpec`].
 //!
+//! The vocabulary holds only what a frontend builds and what autodiff
+//! derives from it: there is no subtraction, division, concatenation,
+//! rank-2 transpose, average pooling or reduction node.
+//!
 //! # Example: compile a training step for a tiny classifier
 //!
 //! ```
@@ -35,15 +39,15 @@
 
 #![deny(missing_docs)]
 
-pub mod autodiff;
-pub mod builder;
-pub mod cost;
-pub mod graph;
-pub mod op;
+pub(crate) mod autodiff;
+pub(crate) mod builder;
+pub(crate) mod cost;
+pub(crate) mod graph;
+pub(crate) mod op;
 
 pub use autodiff::{build_training_graph, TrainSpec, TrainingGraph};
 pub use builder::GraphBuilder;
-pub use cost::{graph_cost, node_cost, total_cost, NodeCost};
+pub use cost::{graph_cost, NodeCost};
 pub use graph::{Graph, Node, ParamInfo, ParamInit, ParamKey};
 pub use op::{NodeId, OpKind, ParamRole, TrainKind};
 

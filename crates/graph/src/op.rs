@@ -7,7 +7,6 @@
 
 use pe_tensor::kernels::conv::Conv2dParams;
 use pe_tensor::kernels::pool::Pool2dParams;
-use pe_tensor::kernels::reduce::ReduceOp;
 
 /// Identifier of a node within a [`crate::Graph`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -57,7 +56,7 @@ pub enum TrainKind {
 
 impl TrainKind {
     /// Whether any gradient is computed for this parameter.
-    pub fn is_trainable(self) -> bool {
+    pub(crate) fn is_trainable(self) -> bool {
         !matches!(self, TrainKind::Frozen)
     }
 }
@@ -113,12 +112,8 @@ pub enum OpKind {
     // ----- element-wise -----
     /// Element-wise addition with broadcasting.
     Add,
-    /// Element-wise subtraction with broadcasting.
-    Sub,
     /// Element-wise multiplication with broadcasting.
     Mul,
-    /// Element-wise division with broadcasting.
-    Div,
     /// Multiplication by a static scalar.
     Scale {
         /// The constant factor.
@@ -158,32 +153,12 @@ pub enum OpKind {
         dims: Vec<usize>,
     },
 
-    // ----- reductions and shape ops -----
-    /// Reduction over axes.
-    Reduce {
-        /// Sum, mean or max.
-        op: ReduceOp,
-        /// Axes to reduce.
-        axes: Vec<usize>,
-        /// Keep reduced axes as size-1 dims.
-        keep_dims: bool,
-    },
-    /// Gradient of a sum/mean reduction.
-    ReduceGrad {
-        /// Sum or mean.
-        op: ReduceOp,
-        /// Reduced axes.
-        axes: Vec<usize>,
-        /// Shape of the forward input.
-        input_dims: Vec<usize>,
-    },
+    // ----- shape ops -----
     /// Reshape to static dimensions.
     Reshape {
         /// New dimensions.
         dims: Vec<usize>,
     },
-    /// Rank-2 transpose.
-    Transpose2d,
     /// Dimension permutation.
     Permute {
         /// The permutation.
@@ -207,22 +182,7 @@ pub enum OpKind {
         /// Full (pre-slice) dimensions.
         full_dims: Vec<usize>,
     },
-    /// Concatenation along an axis.
-    Concat {
-        /// Concatenation axis.
-        axis: usize,
-    },
-
     // ----- CNN spatial ops -----
-    /// Average pooling.
-    AvgPool2d(Pool2dParams),
-    /// Average pooling gradient.
-    AvgPool2dGrad {
-        /// Pooling geometry.
-        params: Pool2dParams,
-        /// Forward input shape.
-        x_dims: Vec<usize>,
-    },
     /// Max pooling.
     MaxPool2d(Pool2dParams),
     /// Max pooling gradient, inputs `[x, dy]`.
@@ -304,7 +264,7 @@ pub enum OpKind {
 }
 
 impl OpKind {
-    /// Short mnemonic used in graph dumps and cost-model tables.
+    /// Short mnemonic used in generated node names and diagnostics.
     pub fn mnemonic(&self) -> &'static str {
         match self {
             OpKind::Input => "input",
@@ -316,9 +276,7 @@ impl OpKind {
             OpKind::Conv2dGradInput { .. } => "conv2d_dx",
             OpKind::Conv2dGradWeight { .. } => "conv2d_dw",
             OpKind::Add => "add",
-            OpKind::Sub => "sub",
             OpKind::Mul => "mul",
-            OpKind::Div => "div",
             OpKind::Scale { .. } => "scale",
             OpKind::AddBias => "add_bias",
             OpKind::BiasGrad => "bias_grad",
@@ -335,16 +293,10 @@ impl OpKind {
             OpKind::SigmoidGrad => "sigmoid_grad",
             OpKind::TanhGrad => "tanh_grad",
             OpKind::BroadcastGradTo { .. } => "broadcast_grad",
-            OpKind::Reduce { .. } => "reduce",
-            OpKind::ReduceGrad { .. } => "reduce_grad",
             OpKind::Reshape { .. } => "reshape",
-            OpKind::Transpose2d => "transpose",
             OpKind::Permute { .. } => "permute",
             OpKind::Slice { .. } => "slice",
             OpKind::Unslice { .. } => "unslice",
-            OpKind::Concat { .. } => "concat",
-            OpKind::AvgPool2d(_) => "avg_pool",
-            OpKind::AvgPool2dGrad { .. } => "avg_pool_grad",
             OpKind::MaxPool2d(_) => "max_pool",
             OpKind::MaxPool2dGrad { .. } => "max_pool_grad",
             OpKind::GlobalAvgPool => "gap",
@@ -384,8 +336,6 @@ impl OpKind {
                 | OpKind::SigmoidGrad
                 | OpKind::TanhGrad
                 | OpKind::BroadcastGradTo { .. }
-                | OpKind::ReduceGrad { .. }
-                | OpKind::AvgPool2dGrad { .. }
                 | OpKind::MaxPool2dGrad { .. }
                 | OpKind::GlobalAvgPoolGrad { .. }
                 | OpKind::SoftmaxGrad
@@ -397,19 +347,6 @@ impl OpKind {
                 | OpKind::CrossEntropyGrad
                 | OpKind::Unslice { .. }
                 | OpKind::ApplyUpdate { .. }
-        )
-    }
-
-    /// Whether the op is compute-intensive (GEMM/conv class) for the
-    /// purposes of cost modelling.
-    pub fn is_compute_intensive(&self) -> bool {
-        matches!(
-            self,
-            OpKind::MatMul { .. }
-                | OpKind::BatchMatMul { .. }
-                | OpKind::Conv2d(_)
-                | OpKind::Conv2dGradInput { .. }
-                | OpKind::Conv2dGradWeight { .. }
         )
     }
 
@@ -447,12 +384,6 @@ mod tests {
         }
         .is_backward());
         assert!(!OpKind::Conv2d(Conv2dParams::default()).is_backward());
-        assert!(OpKind::MatMul {
-            trans_a: false,
-            trans_b: false
-        }
-        .is_compute_intensive());
-        assert!(!OpKind::Relu.is_compute_intensive());
         assert!(OpKind::ApplyUpdate {
             param: NodeId(0),
             rows: None

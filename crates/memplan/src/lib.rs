@@ -24,7 +24,7 @@ use pe_graph::{Graph, NodeId, OpKind};
 use pe_passes::Schedule;
 
 /// Lifetime of a transient buffer in schedule positions: `[def, last_use]`.
-pub type Lifetime = (usize, usize);
+pub(crate) type Lifetime = (usize, usize);
 
 /// Per-node buffer placement produced by [`plan_memory`].
 #[derive(Debug, Clone)]
@@ -69,11 +69,6 @@ impl MemoryReport {
     /// Total training memory: parameters + optimizer state + inputs + arena.
     pub fn total_bytes(&self) -> usize {
         self.params_bytes + self.optimizer_bytes + self.input_bytes + self.arena_bytes
-    }
-
-    /// Total in mebibytes.
-    pub fn total_mib(&self) -> f64 {
-        self.total_bytes() as f64 / (1024.0 * 1024.0)
     }
 }
 
@@ -807,7 +802,6 @@ mod tests {
             report.params_bytes + report.optimizer_bytes + report.input_bytes + report.arena_bytes
         );
         assert!(report.optimizer_bytes > 0);
-        assert!(report.total_mib() > 0.0);
     }
 
     #[test]

@@ -16,18 +16,18 @@ use crate::common::{scale_channels, BuiltModel};
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MbBlockSpec {
     /// Expansion ratio of the first point-wise convolution.
-    pub expansion: usize,
+    pub(crate) expansion: usize,
     /// Output channels.
-    pub out_channels: usize,
+    pub(crate) out_channels: usize,
     /// Stride of the depthwise convolution.
-    pub stride: usize,
+    pub(crate) stride: usize,
     /// Depthwise kernel size (3, 5 or 7 in MCUNet).
-    pub kernel: usize,
+    pub(crate) kernel: usize,
 }
 
 impl MbBlockSpec {
     /// Convenience constructor.
-    pub fn new(expansion: usize, out_channels: usize, stride: usize, kernel: usize) -> Self {
+    pub(crate) fn new(expansion: usize, out_channels: usize, stride: usize, kernel: usize) -> Self {
         MbBlockSpec {
             expansion,
             out_channels,
@@ -112,11 +112,6 @@ impl MobileNetV2Config {
             head_channels: 32,
             deferred: false,
         }
-    }
-
-    /// Number of blocks.
-    pub fn num_blocks(&self) -> usize {
-        self.blocks.len()
     }
 }
 
@@ -269,19 +264,19 @@ pub fn build_mobilenet(config: &MobileNetV2Config, rng: &mut Rng) -> BuiltModel 
 #[derive(Debug, Clone, PartialEq)]
 pub struct ResNetConfig {
     /// Model name used in reports.
-    pub name: String,
+    pub(crate) name: String,
     /// Bottleneck blocks per stage.
-    pub stage_blocks: Vec<usize>,
+    pub(crate) stage_blocks: Vec<usize>,
     /// Base width of the first stage (64 for ResNet-50).
-    pub base_width: usize,
+    pub(crate) base_width: usize,
     /// Input resolution.
-    pub resolution: usize,
+    pub(crate) resolution: usize,
     /// Mini-batch size.
-    pub batch: usize,
+    pub(crate) batch: usize,
     /// Number of classes.
-    pub num_classes: usize,
+    pub(crate) num_classes: usize,
     /// Build with deferred parameter initialisation.
-    pub deferred: bool,
+    pub(crate) deferred: bool,
 }
 
 impl ResNetConfig {
@@ -312,7 +307,7 @@ impl ResNetConfig {
     }
 
     /// Total number of bottleneck blocks.
-    pub fn num_blocks(&self) -> usize {
+    pub(crate) fn num_blocks(&self) -> usize {
         self.stage_blocks.iter().sum()
     }
 }
@@ -428,7 +423,7 @@ mod tests {
     fn paper_mobilenet_has_19_blocks_and_plausible_params() {
         let mut rng = Rng::seed_from_u64(0);
         let cfg = MobileNetV2Config::paper(1.0, 8);
-        assert_eq!(cfg.num_blocks(), 17);
+        assert_eq!(cfg.blocks.len(), 17);
         let m = build_mobilenet(&cfg, &mut rng);
         // MobileNetV2-1.0 has ~3.4M parameters; our BN-fused variant with
         // biases should land in the same ballpark.
@@ -450,7 +445,7 @@ mod tests {
     #[test]
     fn mcunet_config_has_heterogeneous_kernels() {
         let cfg = mcunet_5fps_config(1);
-        assert_eq!(cfg.num_blocks(), 17);
+        assert_eq!(cfg.blocks.len(), 17);
         assert!(cfg.blocks.iter().any(|b| b.kernel == 7));
         assert!(cfg.blocks.iter().any(|b| b.kernel == 5));
         let mut rng = Rng::seed_from_u64(0);

@@ -46,7 +46,7 @@ impl BuiltModel {
 
 /// Rounds a channel count scaled by a width multiplier to a hardware-friendly
 /// multiple of 8 (minimum 8), as MobileNet-family models do.
-pub fn scale_channels(base: usize, width_mult: f64) -> usize {
+pub(crate) fn scale_channels(base: usize, width_mult: f64) -> usize {
     // The MobileNet `make_divisible` rule: round to the nearest multiple of
     // 8, never dropping more than 10% below the scaled value.
     let scaled = base as f64 * width_mult;

@@ -30,13 +30,14 @@
 
 #![deny(missing_docs)]
 
-pub mod cnn;
-pub mod common;
-pub mod transformer;
+pub(crate) mod cnn;
+pub(crate) mod common;
+pub(crate) mod transformer;
 
 pub use cnn::{
     build_mobilenet, build_resnet, mcunet_5fps_config, mcunet_tiny_config, MbBlockSpec,
     MobileNetV2Config, ResNetConfig,
 };
-pub use common::{scale_channels, BuiltModel};
+
+pub use common::BuiltModel;
 pub use transformer::{build_bert, build_llama, BertConfig, LlamaConfig};

@@ -63,19 +63,6 @@ impl BertConfig {
         }
     }
 
-    /// An ALBERT-like configuration (12 blocks, hidden 768, small FFN).
-    ///
-    /// ALBERT shares parameters across layers; this builder keeps per-layer
-    /// parameters (the IR has no aliasing), so only the *compute* graph
-    /// matches — which is what the latency experiments use it for.
-    pub fn albert(batch: usize, num_classes: usize) -> Self {
-        BertConfig {
-            name: "albert".to_string(),
-            ffn: 3072,
-            ..Self::bert_base(batch, num_classes)
-        }
-    }
-
     /// A tiny encoder that trains in milliseconds, for tests and examples.
     pub fn tiny(batch: usize, num_classes: usize) -> Self {
         BertConfig {

@@ -37,7 +37,7 @@ use crate::proto::{
 };
 
 /// Reads `PE_NET_MAX_FRAME` (bytes), falling back to
-/// [`DEFAULT_MAX_FRAME_BYTES`] when unset.
+/// `DEFAULT_MAX_FRAME_BYTES` when unset.
 ///
 /// # Errors
 ///
@@ -91,7 +91,6 @@ struct ClientShared {
     next_corr: AtomicU64,
     /// Set under the `waiters` lock, so nothing registers after teardown.
     closed: AtomicBool,
-    last_error: Mutex<Option<String>>,
     max_frame: usize,
     /// User-facing `Client` clones (the reader thread holds its own `Arc`
     /// but is not a user): when the count hits zero the connection closes,
@@ -103,10 +102,7 @@ impl ClientShared {
     /// Marks the connection dead and drops every waiter: pending tickets
     /// resolve `Cancelled`, pending verdicts and control replies see their
     /// sender gone. Safe to call more than once.
-    fn tear_down(&self, reason: Option<String>) {
-        if let Some(reason) = reason {
-            self.last_error.lock().unwrap().get_or_insert(reason);
-        }
+    fn tear_down(&self) {
         let waiters = {
             let mut waiters = self.waiters.lock().unwrap();
             self.closed.store(true, Ordering::SeqCst);
@@ -132,7 +128,7 @@ impl ClientShared {
     fn write(&self, kind: FrameKind, payload: &[u8]) -> bool {
         let wrote = proto::write_frame(&mut *self.writer.lock().unwrap(), kind, payload);
         if wrote.is_err() {
-            self.tear_down(Some("write failed: connection lost".into()));
+            self.tear_down();
         }
         wrote.is_ok()
     }
@@ -169,7 +165,7 @@ impl Clone for Client {
 impl Drop for Client {
     fn drop(&mut self) {
         if self.shared.users.fetch_sub(1, Ordering::SeqCst) == 1 {
-            self.shared.tear_down(None);
+            self.shared.tear_down();
         }
     }
 }
@@ -299,7 +295,6 @@ impl Client {
             waiters: Mutex::new(Waiters::default()),
             next_corr: AtomicU64::new(1),
             closed: AtomicBool::new(false),
-            last_error: Mutex::new(None),
             max_frame,
             users: AtomicUsize::new(1),
         });
@@ -315,19 +310,6 @@ impl Client {
     /// with [`SubmitError::Closed`]).
     pub fn is_closed(&self) -> bool {
         self.shared.closed.load(Ordering::SeqCst)
-    }
-
-    /// The connection-fatal error message, when the connection died on a
-    /// protocol violation or a server-sent `Error` frame (`None` for a
-    /// plain EOF and while healthy).
-    pub fn last_error(&self) -> Option<String> {
-        self.shared.last_error.lock().unwrap().clone()
-    }
-
-    /// Closes the connection now: outstanding tickets resolve as
-    /// cancelled.
-    pub fn close(&self) {
-        self.shared.tear_down(None);
     }
 
     /// The submission path shared by both modes: register the ticket's
@@ -474,12 +456,7 @@ impl Submit for Client {
 /// protocol violation or a server `Error` frame — tears the connection down
 /// so nothing hangs.
 fn reader_loop(shared: Arc<ClientShared>, mut stream: TcpStream) {
-    let reason = loop {
-        let frame = match proto::read_frame(&mut stream, shared.max_frame) {
-            Ok(frame) => frame,
-            Err(e) if e.kind() == io::ErrorKind::UnexpectedEof => break None,
-            Err(e) => break Some(format!("read failed: {e}")),
-        };
+    while let Ok(frame) = proto::read_frame(&mut stream, shared.max_frame) {
         let payload = &frame.payload;
         let handled = match FrameKind::from_u8(frame.kind) {
             Some(FrameKind::Outcome) => proto::decode_outcome(payload).map(|(corr, result)| {
@@ -514,16 +491,13 @@ fn reader_loop(shared: Arc<ClientShared>, mut stream: TcpStream) {
                 .map(|(corr, depth)| shared.reply(corr, ControlReply::Pong(depth))),
             Some(FrameKind::Checkpoint) => proto::decode_checkpoint(payload)
                 .map(|(corr, bytes)| shared.reply(corr, ControlReply::Snapshot(bytes))),
-            Some(FrameKind::Error) => {
-                let message = proto::decode_error(payload)
-                    .unwrap_or_else(|_| "unreadable server error".into());
-                break Some(format!("server error: {message}"));
-            }
-            _ => break Some(format!("unexpected frame kind {}", frame.kind)),
+            // A server `Error` frame, like any other frame kind, ends the
+            // connection.
+            _ => break,
         };
-        if let Err(e) = handled {
-            break Some(e.to_string());
+        if handled.is_err() {
+            break;
         }
-    };
-    shared.tear_down(reason);
+    }
+    shared.tear_down();
 }

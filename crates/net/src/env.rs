@@ -16,7 +16,7 @@ pub struct EnvError {
     /// The value it was set to.
     pub value: String,
     /// What the reader accepts.
-    pub expected: String,
+    pub(crate) expected: String,
 }
 
 impl EnvError {

@@ -26,16 +26,10 @@
 
 #![deny(missing_docs)]
 
-pub mod client;
+pub(crate) mod client;
 pub mod env;
 pub mod proto;
-pub mod server;
+pub(crate) mod server;
 
 pub use client::{max_frame_from_env, Client};
-pub use env::EnvError;
-pub use proto::{FrameKind, NackReason, ProtoError, SubmitMode, PROTOCOL_VERSION};
 pub use server::{Server, ServerConfig, ServerCore};
-
-// Re-export the traits a client binary needs, so depending on pe_net
-// alone is enough to drive a remote engine.
-pub use pockengine::{Outcome, Submit, SubmitError, Ticket};

@@ -36,8 +36,8 @@
 //!
 //! # Version rules
 //!
-//! The client leads with `Hello` carrying [`PROTOCOL_MAGIC`] and
-//! [`PROTOCOL_VERSION`]; the server answers `HelloAck` with its own version
+//! The client leads with `Hello` carrying `PROTOCOL_MAGIC` and
+//! `PROTOCOL_VERSION`; the server answers `HelloAck` with its own version
 //! only when magic and version match *exactly* (version 2 retired version
 //! 1's executor-backend hint; version 3 retired the arrival stamp and added
 //! exec-error tag 3, an out-of-range index; version 4 retired exec-error
@@ -53,13 +53,13 @@ use pe_data::serving::{Priority, Request, RequestMeta, ServingKind};
 use pe_runtime::ExecError;
 
 /// Four magic bytes leading every `Hello`: "PockEngine Network Wire".
-pub const PROTOCOL_MAGIC: [u8; 4] = *b"PENW";
+pub(crate) const PROTOCOL_MAGIC: [u8; 4] = *b"PENW";
 
 /// The protocol version spoken by this build.
-pub const PROTOCOL_VERSION: u16 = 4;
+pub(crate) const PROTOCOL_VERSION: u16 = 4;
 
 /// Default cap on one frame's length (kind byte + payload), 8 MiB.
-pub const DEFAULT_MAX_FRAME_BYTES: usize = 8 * 1024 * 1024;
+pub(crate) const DEFAULT_MAX_FRAME_BYTES: usize = 8 * 1024 * 1024;
 
 /// Frame kinds (the `kind` byte after the length prefix).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -373,7 +373,7 @@ pub fn encode_hello_ack() -> Vec<u8> {
 /// # Errors
 ///
 /// Truncated or oversized payloads are a [`ProtoError`].
-pub fn decode_hello_ack(payload: &[u8]) -> Result<u16, ProtoError> {
+pub(crate) fn decode_hello_ack(payload: &[u8]) -> Result<u16, ProtoError> {
     let mut b = Bytes::new(payload);
     let version = b.u16()?;
     b.finish()?;
@@ -676,7 +676,7 @@ pub fn encode_ack(corr: u64) -> Vec<u8> {
 /// # Errors
 ///
 /// Truncated or oversized payloads are a [`ProtoError`].
-pub fn decode_ack(payload: &[u8]) -> Result<u64, ProtoError> {
+pub(crate) fn decode_ack(payload: &[u8]) -> Result<u64, ProtoError> {
     let mut b = Bytes::new(payload);
     let corr = b.u64()?;
     b.finish()?;
@@ -698,7 +698,7 @@ pub fn encode_nack(corr: u64, reason: NackReason) -> Vec<u8> {
 /// # Errors
 ///
 /// Truncation and unknown reason tags are a [`ProtoError`].
-pub fn decode_nack(payload: &[u8]) -> Result<(u64, NackReason), ProtoError> {
+pub(crate) fn decode_nack(payload: &[u8]) -> Result<(u64, NackReason), ProtoError> {
     let mut b = Bytes::new(payload);
     let corr = b.u64()?;
     let reason = match b.u8()? {
@@ -711,7 +711,7 @@ pub fn decode_nack(payload: &[u8]) -> Result<(u64, NackReason), ProtoError> {
 }
 
 /// Encodes an `Error` payload (a message string).
-pub fn encode_error(message: &str) -> Vec<u8> {
+pub(crate) fn encode_error(message: &str) -> Vec<u8> {
     let mut buf = Vec::with_capacity(4 + message.len());
     put_string(&mut buf, message);
     buf
@@ -734,7 +734,7 @@ pub fn decode_error(payload: &[u8]) -> Result<String, ProtoError> {
 // ---------------------------------------------------------------------------
 
 /// Encodes a `Ping` payload (a health probe's correlation id).
-pub fn encode_ping(corr: u64) -> Vec<u8> {
+pub(crate) fn encode_ping(corr: u64) -> Vec<u8> {
     corr.to_le_bytes().to_vec()
 }
 
@@ -743,7 +743,7 @@ pub fn encode_ping(corr: u64) -> Vec<u8> {
 /// # Errors
 ///
 /// Truncated or oversized payloads are a [`ProtoError`].
-pub fn decode_ping(payload: &[u8]) -> Result<u64, ProtoError> {
+pub(crate) fn decode_ping(payload: &[u8]) -> Result<u64, ProtoError> {
     let mut b = Bytes::new(payload);
     let corr = b.u64()?;
     b.finish()?;
@@ -752,7 +752,7 @@ pub fn decode_ping(payload: &[u8]) -> Result<u64, ProtoError> {
 
 /// Encodes a `Pong` payload: the probe's correlation id plus the server's
 /// current submission-queue depth.
-pub fn encode_pong(corr: u64, queue_depth: u32) -> Vec<u8> {
+pub(crate) fn encode_pong(corr: u64, queue_depth: u32) -> Vec<u8> {
     let mut buf = corr.to_le_bytes().to_vec();
     buf.extend_from_slice(&queue_depth.to_le_bytes());
     buf
@@ -763,7 +763,7 @@ pub fn encode_pong(corr: u64, queue_depth: u32) -> Vec<u8> {
 /// # Errors
 ///
 /// Truncated or oversized payloads are a [`ProtoError`].
-pub fn decode_pong(payload: &[u8]) -> Result<(u64, u32), ProtoError> {
+pub(crate) fn decode_pong(payload: &[u8]) -> Result<(u64, u32), ProtoError> {
     let mut b = Bytes::new(payload);
     let corr = b.u64()?;
     let depth = b.u32()?;
@@ -774,7 +774,7 @@ pub fn decode_pong(payload: &[u8]) -> Result<(u64, u32), ProtoError> {
 /// Encodes a `Checkpoint` payload: correlation id + opaque snapshot bytes
 /// (the `pe_runtime::ParamStore` binary format; this layer does not parse
 /// it, the receiving store validates on restore).
-pub fn encode_checkpoint(corr: u64, snapshot: &[u8]) -> Vec<u8> {
+pub(crate) fn encode_checkpoint(corr: u64, snapshot: &[u8]) -> Vec<u8> {
     let mut buf = Vec::with_capacity(8 + snapshot.len());
     buf.extend_from_slice(&corr.to_le_bytes());
     buf.extend_from_slice(snapshot);
@@ -786,7 +786,7 @@ pub fn encode_checkpoint(corr: u64, snapshot: &[u8]) -> Vec<u8> {
 /// # Errors
 ///
 /// A payload too short to carry the correlation id is a [`ProtoError`].
-pub fn decode_checkpoint(payload: &[u8]) -> Result<(u64, Vec<u8>), ProtoError> {
+pub(crate) fn decode_checkpoint(payload: &[u8]) -> Result<(u64, Vec<u8>), ProtoError> {
     let mut b = Bytes::new(payload);
     let corr = b.u64()?;
     let rest = b.data.len() - b.at;
@@ -796,7 +796,7 @@ pub fn decode_checkpoint(payload: &[u8]) -> Result<(u64, Vec<u8>), ProtoError> {
 }
 
 /// Encodes a `SnapshotReq` payload (a correlation id).
-pub fn encode_snapshot_req(corr: u64) -> Vec<u8> {
+pub(crate) fn encode_snapshot_req(corr: u64) -> Vec<u8> {
     corr.to_le_bytes().to_vec()
 }
 
@@ -805,7 +805,7 @@ pub fn encode_snapshot_req(corr: u64) -> Vec<u8> {
 /// # Errors
 ///
 /// Truncated or oversized payloads are a [`ProtoError`].
-pub fn decode_snapshot_req(payload: &[u8]) -> Result<u64, ProtoError> {
+pub(crate) fn decode_snapshot_req(payload: &[u8]) -> Result<u64, ProtoError> {
     let mut b = Bytes::new(payload);
     let corr = b.u64()?;
     b.finish()?;

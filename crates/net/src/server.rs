@@ -82,7 +82,9 @@ impl ServerConfig {
     /// # Errors
     ///
     /// As [`ServerConfig::from_env`].
-    pub fn from_vars(lookup: impl Fn(&str) -> Option<String>) -> Result<ServerConfig, EnvError> {
+    pub(crate) fn from_vars(
+        lookup: impl Fn(&str) -> Option<String>,
+    ) -> Result<ServerConfig, EnvError> {
         let default = ServerConfig::default();
         let write_timeout_ms = parse_var(
             "PE_NET_WRITE_TIMEOUT_MS",
@@ -252,11 +254,6 @@ impl ServerCore {
         self.local_addr
     }
 
-    /// Depth of the submission queue behind this listener.
-    pub fn queue_len(&self) -> usize {
-        self.state.submitter.len()
-    }
-
     /// Stops accepting, severs every connection and joins all connection
     /// threads. Idempotent; also runs on drop.
     pub fn stop(&mut self) {
@@ -312,11 +309,6 @@ impl Server {
     /// `127.0.0.1:0` bind).
     pub fn local_addr(&self) -> SocketAddr {
         self.core.local_addr()
-    }
-
-    /// Queue depth of the underlying engine (test/ops visibility).
-    pub fn queue_len(&self) -> usize {
-        self.core.queue_len()
     }
 
     /// Stops accepting, severs every connection, joins all threads and

@@ -11,28 +11,11 @@ use std::collections::HashMap;
 
 use pe_graph::{Graph, NodeId, TrainingGraph};
 
-/// Outcome of a dead-code elimination run.
-#[derive(Debug, Clone)]
-pub struct DceStats {
-    /// Nodes in the graph before the pass.
-    pub nodes_before: usize,
-    /// Nodes in the graph after the pass.
-    pub nodes_after: usize,
-}
-
-impl DceStats {
-    /// Number of nodes removed.
-    pub fn removed(&self) -> usize {
-        self.nodes_before - self.nodes_after
-    }
-}
-
 /// Removes every node that is not an ancestor of a graph output, remapping
 /// node ids. Graph inputs are kept even when unused so the step-input
 /// signature stays stable.
-pub fn eliminate_dead_code(tg: &TrainingGraph) -> (TrainingGraph, DceStats) {
+pub(crate) fn eliminate_dead_code(tg: &TrainingGraph) -> TrainingGraph {
     let graph = &tg.graph;
-    let nodes_before = graph.len();
 
     // Roots: declared outputs (loss, logits, updates) plus step inputs.
     let mut roots: Vec<NodeId> = graph.outputs().to_vec();
@@ -104,19 +87,12 @@ pub fn eliminate_dead_code(tg: &TrainingGraph) -> (TrainingGraph, DceStats) {
     let updates: Vec<NodeId> = tg.updates.iter().filter_map(|u| remap[u.index()]).collect();
     let loss = remap[tg.loss.index()].expect("loss must stay live");
 
-    let nodes_after = new_graph.len();
-    (
-        TrainingGraph {
-            graph: new_graph,
-            loss,
-            param_grads,
-            updates,
-        },
-        DceStats {
-            nodes_before,
-            nodes_after,
-        },
-    )
+    TrainingGraph {
+        graph: new_graph,
+        loss,
+        param_grads,
+        updates,
+    }
 }
 
 #[cfg(test)]
@@ -144,9 +120,9 @@ mod tests {
     #[test]
     fn removes_unreachable_nodes() {
         let tg = fixture();
-        let (pruned, stats) = eliminate_dead_code(&tg);
+        let pruned = eliminate_dead_code(&tg);
         assert!(
-            stats.removed() >= 2,
+            tg.graph.len() - pruned.graph.len() >= 2,
             "the dangling relu/scale chain must be removed"
         );
         assert!(pruned.graph.validate().is_empty());
@@ -161,7 +137,7 @@ mod tests {
     fn preserves_updates_and_loss() {
         let tg = fixture();
         let n_updates = tg.updates.len();
-        let (pruned, _) = eliminate_dead_code(&tg);
+        let pruned = eliminate_dead_code(&tg);
         assert_eq!(pruned.updates.len(), n_updates);
         assert_eq!(pruned.param_grads.len(), tg.param_grads.len());
         // Loss node still scalar and referenced as an output.
@@ -172,16 +148,15 @@ mod tests {
     #[test]
     fn keeps_graph_inputs_alive() {
         let tg = fixture();
-        let (pruned, _) = eliminate_dead_code(&tg);
+        let pruned = eliminate_dead_code(&tg);
         assert_eq!(pruned.graph.inputs().len(), tg.graph.inputs().len());
     }
 
     #[test]
     fn idempotent() {
         let tg = fixture();
-        let (once, _) = eliminate_dead_code(&tg);
-        let (twice, stats) = eliminate_dead_code(&once);
-        assert_eq!(stats.removed(), 0);
+        let once = eliminate_dead_code(&tg);
+        let twice = eliminate_dead_code(&once);
         assert_eq!(once.graph.len(), twice.graph.len());
     }
 }

@@ -2,10 +2,10 @@
 //!
 //! Training-graph optimisation passes for PockEngine-RS (paper §3.2):
 //!
-//! * [`dce`] — dead-code elimination after sparse-backpropagation pruning;
-//! * [`schedule`] — execution scheduling, including operator reordering that
+//! * `dce` — dead-code elimination after sparse-backpropagation pruning;
+//! * `schedule` — execution scheduling, including operator reordering that
 //!   applies parameter updates as soon as their gradients are available;
-//! * [`manager`] — the fixed pipeline combining all of the above.
+//! * `manager` — the fixed pipeline combining all of the above.
 //!
 //! # Example
 //!
@@ -31,10 +31,9 @@
 
 #![deny(missing_docs)]
 
-pub mod dce;
-pub mod manager;
-pub mod schedule;
+pub(crate) mod dce;
+pub(crate) mod manager;
+pub(crate) mod schedule;
 
-pub use dce::{eliminate_dead_code, DceStats};
-pub use manager::{launch_count, optimize, FusionStats, OptimizeOptions, OptimizeStats};
-pub use schedule::{build_schedule, update_latencies, Schedule, ScheduleStrategy};
+pub use manager::{optimize, FusionStats, OptimizeOptions, OptimizeStats};
+pub use schedule::{build_schedule, Schedule, ScheduleStrategy};

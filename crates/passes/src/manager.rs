@@ -2,7 +2,7 @@
 
 use pe_graph::{Graph, TrainingGraph};
 
-use crate::dce::{eliminate_dead_code, DceStats};
+use crate::dce::eliminate_dead_code;
 use crate::schedule::{build_schedule, Schedule, ScheduleStrategy};
 
 /// Which optimisations to run. The default enables everything, matching the
@@ -49,27 +49,14 @@ pub struct FusionStats {
 pub struct OptimizeStats {
     /// Always-zero fused-region counts (see [`FusionStats`]).
     pub fusion: FusionStats,
-    /// Dead-code elimination statistics (if the pass ran).
-    pub dce: Option<DceStats>,
     /// Kernel launches before optimisation.
     pub launches_before: usize,
     /// Kernel launches after optimisation.
     pub launches_after: usize,
 }
 
-impl OptimizeStats {
-    /// Relative reduction in kernel launches, in `[0, 1)`.
-    pub fn launch_reduction(&self) -> f64 {
-        if self.launches_before == 0 {
-            0.0
-        } else {
-            1.0 - self.launches_after as f64 / self.launches_before as f64
-        }
-    }
-}
-
 /// Counts kernel launches (non-leaf nodes) in a graph.
-pub fn launch_count(graph: &Graph) -> usize {
+pub(crate) fn launch_count(graph: &Graph) -> usize {
     graph.nodes().iter().filter(|n| !n.op.is_leaf()).count()
 }
 
@@ -85,9 +72,7 @@ pub fn optimize(
     };
 
     if opts.dce {
-        let (pruned, dce_stats) = eliminate_dead_code(&tg);
-        tg = pruned;
-        stats.dce = Some(dce_stats);
+        tg = eliminate_dead_code(&tg);
     }
     stats.launches_after = launch_count(&tg.graph);
 
@@ -147,7 +132,7 @@ mod tests {
         assert!(opt.graph.validate().is_empty());
         assert_eq!(schedule.len(), opt.graph.len());
         assert_eq!(stats.fusion, FusionStats::default());
-        assert!(stats.launch_reduction() > 0.0);
+        assert!(stats.launches_after < stats.launches_before);
     }
 
     #[test]
@@ -157,7 +142,7 @@ mod tests {
         let before = tg.graph.len();
         let (opt, schedule, stats) = optimize(tg, OptimizeOptions::none());
         assert_eq!(opt.graph.len(), before);
-        assert!(stats.dce.is_none());
+        assert_eq!(stats.launches_after, stats.launches_before);
         assert_eq!(schedule.strategy, ScheduleStrategy::Conventional);
     }
 

@@ -134,20 +134,6 @@ fn reordered(graph: &Graph) -> Schedule {
     }
 }
 
-/// For every `ApplyUpdate` node, the number of schedule slots between the
-/// gradient being produced and the update consuming it. Smaller is better;
-/// the conventional schedule makes this large because updates all run at the
-/// end of the step.
-pub fn update_latencies(graph: &Graph, schedule: &Schedule) -> Vec<usize> {
-    let pos = schedule.positions(graph.len());
-    graph
-        .nodes()
-        .iter()
-        .filter(|n| matches!(n.op, OpKind::ApplyUpdate { .. }))
-        .map(|n| pos[n.id.index()].saturating_sub(pos[n.inputs[0].index()]))
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -172,6 +158,20 @@ mod tests {
         let loss = b.cross_entropy(logits, labels);
         let g = b.finish(vec![loss]);
         build_training_graph(g, loss, &TrainSpec::new())
+    }
+
+    /// For every `ApplyUpdate` node, the number of schedule slots between the
+    /// gradient being produced and the update consuming it. Smaller is better;
+    /// the conventional schedule makes this large because updates all run at the
+    /// end of the step.
+    fn update_latencies(graph: &Graph, schedule: &Schedule) -> Vec<usize> {
+        let pos = schedule.positions(graph.len());
+        graph
+            .nodes()
+            .iter()
+            .filter(|n| matches!(n.op, OpKind::ApplyUpdate { .. }))
+            .map(|n| pos[n.id.index()].saturating_sub(pos[n.inputs[0].index()]))
+            .collect()
     }
 
     fn is_topological(graph: &pe_graph::Graph, schedule: &Schedule) -> bool {

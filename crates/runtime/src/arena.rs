@@ -40,16 +40,13 @@ use std::collections::HashMap;
 use std::sync::Arc;
 
 use pe_graph::{NodeId, OpKind, TrainingGraph};
-use pe_memplan::{plan_memory, validate_plan, MemoryPlan};
+use pe_memplan::{memory_report_for_plan, plan_memory, validate_plan, MemoryPlan, MemoryReport};
 use pe_passes::Schedule;
 use pe_tensor::kernels::elementwise::{GradOperand, UnaryGradOp, UnaryOp};
-use pe_tensor::kernels::{
-    conv, elementwise as ew, embedding, gemm, layout, norm, pool as poolk, reduce,
-};
+use pe_tensor::kernels::{conv, elementwise as ew, embedding, gemm, layout, norm, pool as poolk};
 use pe_tensor::{Tensor, TensorView};
 
 use crate::executor::{check_input, ExecError, StepResult};
-use crate::optimizer::Optimizer;
 use crate::store::{resolve_param_slots, ParamCell, ParamStore};
 
 /// Where a node's value lives at runtime.
@@ -141,12 +138,10 @@ struct Shared {
 /// [`Executor::with_store`] attaches to an existing one so several
 /// batch-size specializations train one canonical set of weights.
 pub struct Executor {
-    schedule: Schedule,
-    /// The memory plan the arena and every step's offsets come from.
-    plan: MemoryPlan,
     shared: Shared,
-    /// Steps completed by this executor (the store counts globally).
-    step: usize,
+    /// The memory breakdown of the plan the arena and every step's offsets
+    /// came from, with no optimizer state counted.
+    memory: MemoryReport,
     /// Store slot of each parameter node in this graph.
     param_slots: HashMap<NodeId, usize>,
     /// Non-update graph outputs: `(name, value location)`.
@@ -158,8 +153,8 @@ pub struct Executor {
 impl std::fmt::Debug for Executor {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Executor")
-            .field("nodes", &self.schedule.len())
-            .field("steps_completed", &self.step)
+            .field("nodes", &self.shared.steps.len())
+            .field("steps_completed", &self.shared.store.steps_completed())
             .finish()
     }
 }
@@ -290,6 +285,7 @@ impl Executor {
             .map(|&o| (graph.node(o).name.clone(), resolve(o)))
             .collect();
         let loss_arg = resolve(tg.loss);
+        let memory = memory_report_for_plan(graph, &plan, 0, 0);
 
         let shared = Shared {
             tg,
@@ -301,10 +297,8 @@ impl Executor {
         };
 
         Executor {
-            schedule,
-            plan,
             shared,
-            step: 0,
+            memory,
             param_slots,
             outputs,
             loss_arg,
@@ -317,32 +311,20 @@ impl Executor {
         &self.shared.tg
     }
 
-    /// The execution schedule.
-    pub fn schedule(&self) -> &Schedule {
-        &self.schedule
-    }
-
-    /// The memory plan this executor runs: its arena is
-    /// `plan.arena_bytes` long and every transient buffer sits at the
-    /// plan's offset, so a report derived from it
-    /// ([`pe_memplan::memory_report_for_plan`]) describes the executed slab.
-    pub fn memory_plan(&self) -> &MemoryPlan {
-        &self.plan
-    }
-
-    /// The optimizer configuration.
-    pub fn optimizer(&self) -> Optimizer {
-        self.shared.store.optimizer()
+    /// The training-memory breakdown of the plan this executor runs, as
+    /// [`pe_memplan::memory_report_for_plan`] gives it: its arena is
+    /// `arena_bytes` long and every transient buffer sits at the plan's
+    /// offset, so the report describes the executed slab.
+    pub fn memory_report(&self, trainable_elements: usize, optimizer_slots: usize) -> MemoryReport {
+        MemoryReport {
+            optimizer_bytes: trainable_elements * 4 * optimizer_slots,
+            ..self.memory
+        }
     }
 
     /// The shared parameter store backing this executor.
     pub fn param_store(&self) -> &Arc<ParamStore> {
         &self.shared.store
-    }
-
-    /// Number of completed optimisation steps.
-    pub fn steps_completed(&self) -> usize {
-        self.step
     }
 
     /// Number of kernel dispatches that fell back to an allocating kernel:
@@ -405,9 +387,8 @@ impl Executor {
 
     /// Runs the forward subset over the cells of the store's shared guard.
     fn execute_eval(&mut self, params: &[ParamCell]) {
-        for (pos, &id) in self.schedule.order.iter().enumerate() {
-            let step = &self.shared.steps[pos];
-            if !self.eval_live[id.index()] || !matches!(step.task, Task::Compute) {
+        for step in &self.shared.steps {
+            if !self.eval_live[step.id.index()] || !matches!(step.task, Task::Compute) {
                 continue;
             }
             // SAFETY: sequential walk; eval runs a subset of the schedule in
@@ -429,7 +410,6 @@ impl Executor {
         self.bind_inputs(inputs)?;
         let store = Arc::clone(&self.shared.store);
         let mut params = store.lock_exclusive();
-        self.step += 1;
         self.execute_train(&mut params);
         Ok(Some(self.value_view(&params, &self.loss_arg).data()[0]))
     }
@@ -443,7 +423,6 @@ impl Executor {
         self.bind_inputs(inputs)?;
         let store = Arc::clone(&self.shared.store);
         let mut params = store.lock_exclusive();
-        self.step += 1;
         self.execute_train(&mut params);
         Ok(self.collect(&params))
     }
@@ -615,9 +594,7 @@ unsafe fn dispatch(shared: &Shared, params: &[ParamCell], step: &StepNode) {
             conv::conv2d_grad_weight_into(v(0), v(1), w_dims, *params, out)
         }
         OpKind::Add => ew::binary_into(ew::BinaryOp::Add, v(0), v(1), out),
-        OpKind::Sub => ew::binary_into(ew::BinaryOp::Sub, v(0), v(1), out),
         OpKind::Mul => ew::binary_into(ew::BinaryOp::Mul, v(0), v(1), out),
-        OpKind::Div => ew::binary_into(ew::BinaryOp::Div, v(0), v(1), out),
         OpKind::Scale { .. }
         | OpKind::Relu
         | OpKind::Relu6
@@ -640,16 +617,7 @@ unsafe fn dispatch(shared: &Shared, params: &[ParamCell], step: &StepNode) {
             ew::unary_grad_into(grad, v(0), v(1), out)
         }
         OpKind::BroadcastGradTo { dims } => ew::reduce_to_shape_into(v(0), dims, out),
-        // The reduction output layout with kept dims is byte-identical to
-        // the squeezed one, so one `_into` kernel serves both modes.
-        OpKind::Reduce { op, axes, .. } => reduce::reduce_into(v(0), *op, axes, out),
-        OpKind::ReduceGrad {
-            op,
-            axes,
-            input_dims,
-        } => reduce::reduce_grad_into(v(0), *op, input_dims, axes, out),
         OpKind::Reshape { .. } => out.copy_from_slice(v(0).data()),
-        OpKind::Transpose2d => layout::transpose2d_into(v(0), out),
         OpKind::Permute { perm } => layout::permute_into(v(0), perm, out),
         OpKind::Slice { axis, start, len } => {
             layout::slice_axis_into(v(0), *axis, *start, *len, out)
@@ -659,24 +627,6 @@ unsafe fn dispatch(shared: &Shared, params: &[ParamCell], step: &StepNode) {
             start,
             full_dims,
         } => layout::unslice_axis_into(v(0), *axis, *start, full_dims, out),
-        OpKind::Concat { axis } => {
-            // Views collected on the stack (TensorView is Copy) so the
-            // shared concat kernel runs without a heap allocation.
-            const MAX_CONCAT: usize = 16;
-            assert!(
-                step.ins.len() <= MAX_CONCAT,
-                "concat fan-in exceeds MAX_CONCAT"
-            );
-            let mut views = [v(0); MAX_CONCAT];
-            for (i, slot) in views.iter_mut().enumerate().take(step.ins.len()).skip(1) {
-                *slot = v(i);
-            }
-            layout::concat_into(&views[..step.ins.len()], *axis, out)
-        }
-        OpKind::AvgPool2d(p) => poolk::avg_pool2d_into(v(0), *p, out),
-        OpKind::AvgPool2dGrad { params, x_dims } => {
-            poolk::avg_pool2d_grad_into(v(0), x_dims, *params, out)
-        }
         OpKind::MaxPool2d(p) => poolk::max_pool2d_into(v(0), *p, out),
         OpKind::MaxPool2dGrad { params } => {
             poolk::max_pool2d_grad_from_input_into(v(0), v(1), *params, out)

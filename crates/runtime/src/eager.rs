@@ -33,7 +33,6 @@ pub struct EagerEngine {
     loss: NodeId,
     spec: TrainSpec,
     store: Arc<ParamStore>,
-    steps: usize,
 }
 
 impl EagerEngine {
@@ -45,7 +44,6 @@ impl EagerEngine {
             loss,
             spec,
             store,
-            steps: 0,
         }
     }
 
@@ -58,16 +56,6 @@ impl EagerEngine {
         _config: ExecutorConfig,
     ) -> Self {
         EagerEngine::new(forward, loss, spec, optimizer)
-    }
-
-    /// Number of completed steps.
-    pub fn steps_completed(&self) -> usize {
-        self.steps
-    }
-
-    /// The shared parameter store backing this engine.
-    pub fn param_store(&self) -> &Arc<ParamStore> {
-        &self.store
     }
 
     /// Current value of a parameter looked up by name.
@@ -88,9 +76,7 @@ impl EagerEngine {
         let tg = build_training_graph(self.forward.clone(), self.loss, &self.spec);
         let schedule = build_schedule(&tg.graph, ScheduleStrategy::Conventional);
         let mut exec = Executor::with_store(tg, schedule, Arc::clone(&self.store));
-        let result = exec.run_step(inputs)?;
-        self.steps += 1;
-        Ok(result)
+        exec.run_step(inputs)
     }
 }
 
@@ -136,7 +122,7 @@ mod tests {
             last = engine.run_step(&batch(&mut rng)).unwrap().loss.unwrap();
         }
         assert!(last < first);
-        assert_eq!(engine.steps_completed(), 21);
+        assert_eq!(engine.store.steps_completed(), 21);
     }
 
     #[test]

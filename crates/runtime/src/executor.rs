@@ -111,13 +111,6 @@ pub struct StepResult {
     pub outputs: HashMap<String, Tensor>,
 }
 
-impl StepResult {
-    /// Fetches an output tensor by node name.
-    pub fn output(&self, name: &str) -> Option<&Tensor> {
-        self.outputs.get(name)
-    }
-}
-
 // Executors are moved into the engine's drainer thread, and a served store
 // is read by network threads answering snapshot requests. Assert both at
 // compile time so a future non-`Send` field (e.g. an `Rc` cache) cannot
@@ -236,7 +229,7 @@ mod tests {
             last < first * 0.7,
             "loss should drop: first {first}, last {last}"
         );
-        assert_eq!(exec.steps_completed(), 31);
+        assert_eq!(exec.param_store().steps_completed(), 31);
     }
 
     #[test]
@@ -275,7 +268,7 @@ mod tests {
         assert!(result.loss.is_some());
         let after = exec.param_by_name("fc1.weight").unwrap();
         assert!(before.allclose(&after, 0.0));
-        assert_eq!(exec.steps_completed(), 0);
+        assert_eq!(exec.param_store().steps_completed(), 0);
     }
 
     #[test]

@@ -51,14 +51,14 @@
 #![deny(missing_docs)]
 
 mod arena;
-pub mod eager;
-pub mod executor;
-pub mod optimizer;
-pub mod store;
-pub mod trainer;
+pub(crate) mod eager;
+pub(crate) mod executor;
+pub(crate) mod optimizer;
+pub(crate) mod store;
+pub(crate) mod trainer;
 
 pub use eager::EagerEngine;
 pub use executor::{ExecError, Executor, ExecutorConfig, StepResult};
 pub use optimizer::Optimizer;
-pub use store::{ParamStore, SnapshotError, SNAPSHOT_MAGIC, SNAPSHOT_VERSION};
+pub use store::{ParamStore, SnapshotError};
 pub use trainer::{Batch, Trainer, TrainingHistory};

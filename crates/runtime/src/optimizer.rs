@@ -89,7 +89,13 @@ impl Optimizer {
     /// `param` and `grad` must have the same length; `state` must contain
     /// [`Optimizer::state_slots`] vectors of the same length; `step` is the
     /// 1-based global step count (used for Adam bias correction).
-    pub fn apply(&self, param: &mut [f32], grad: &[f32], state: &mut [Vec<f32>], step: usize) {
+    pub(crate) fn apply(
+        &self,
+        param: &mut [f32],
+        grad: &[f32],
+        state: &mut [Vec<f32>],
+        step: usize,
+    ) {
         assert_eq!(param.len(), grad.len(), "param/grad length mismatch");
         match *self {
             Optimizer::Sgd { lr } => {

@@ -88,16 +88,16 @@ pub(crate) struct ParamCell {
     /// The parameter tensor: shared with the graph's initial value until
     /// [`ParamStore::ensure_state`] unshares it, then owned and updated in
     /// place by `ApplyUpdate` nodes (module docs).
-    pub value: Arc<Tensor>,
+    pub(crate) value: Arc<Tensor>,
     /// Optimizer state rows ([`Optimizer::state_slots`] vectors), allocated
     /// lazily the first time an executor registers the parameter as
     /// trainable.
-    pub state: Vec<Vec<f32>>,
+    pub(crate) state: Vec<Vec<f32>>,
     /// Optimizer updates applied to *this* parameter (drives Adam bias
     /// correction). Tracked per cell rather than globally so a reset
     /// parameter restarts its correction schedule like a freshly
     /// initialized one.
-    pub steps: usize,
+    pub(crate) steps: usize,
 }
 
 /// Shared, canonical storage for the parameters of one model family.
@@ -135,7 +135,7 @@ impl ParamStore {
     /// Slots are assigned in sorted node-id order, which is deterministic
     /// for a given builder run. Optimizer state is *not* allocated here —
     /// executors register their trainable parameters via
-    /// [`ParamStore::ensure_state`], so frozen parameters never pay for
+    /// `ParamStore::ensure_state`, so frozen parameters never pay for
     /// momentum/Adam rows.
     pub fn from_graph(graph: &Graph, optimizer: Optimizer) -> Self {
         let mut cells = Vec::new();
@@ -164,7 +164,7 @@ impl ParamStore {
     }
 
     /// The optimizer whose state this store holds.
-    pub fn optimizer(&self) -> Optimizer {
+    pub(crate) fn optimizer(&self) -> Optimizer {
         self.optimizer
     }
 
@@ -184,7 +184,7 @@ impl ParamStore {
     }
 
     /// Slot index of a parameter key, if present.
-    pub fn slot(&self, key: &ParamKey) -> Option<usize> {
+    pub(crate) fn slot(&self, key: &ParamKey) -> Option<usize> {
         self.slots.get(key).copied()
     }
 
@@ -199,7 +199,7 @@ impl ParamStore {
         Some(Tensor::clone(&self.lock_shared()[slot].value))
     }
 
-    /// Overwrites a parameter value (e.g. loading a checkpoint) and
+    /// Overwrites the value in `slot` (e.g. loading a checkpoint) and
     /// **resets its optimizer state**: momentum/Adam moments accumulated for
     /// the old trajectory are meaningless for the new value, so they are
     /// zeroed — and the parameter's update count restarts, so Adam's bias
@@ -209,18 +209,8 @@ impl ParamStore {
     ///
     /// # Panics
     ///
-    /// Panics if the key is unknown or the shapes do not match.
-    pub fn set(&self, key: &ParamKey, value: Tensor) {
-        let slot = self.slot(key).expect("unknown parameter");
-        self.set_slot(slot, value);
-    }
-
-    /// [`ParamStore::set`] addressed by slot index.
-    ///
-    /// # Panics
-    ///
     /// Panics if the slot is out of range or the shapes do not match.
-    pub fn set_slot(&self, slot: usize, value: Tensor) {
+    pub(crate) fn set_slot(&self, slot: usize, value: Tensor) {
         let mut cells = self.lock_exclusive();
         let cell = &mut cells[slot];
         assert_eq!(
@@ -243,7 +233,7 @@ impl ParamStore {
     /// updates, so the updated value and its state exist exactly once per
     /// trainable parameter no matter how many specializations share the
     /// store, and a training step never allocates to unshare.
-    pub fn ensure_state(&self, slot: usize) {
+    pub(crate) fn ensure_state(&self, slot: usize) {
         let slots_needed = self.optimizer.state_slots();
         let mut cells = self.lock_exclusive();
         let cell = &mut cells[slot];
@@ -342,7 +332,7 @@ impl ParamStore {
     /// global step counter with the snapshot's exact bits. Performed under
     /// the exclusive step guard.
     ///
-    /// Unlike [`ParamStore::set`] — which deliberately *zeroes* optimizer
+    /// Unlike [`crate::Executor::set_param`] — which deliberately *zeroes* optimizer
     /// state because an externally loaded value invalidates the old
     /// trajectory — a restore resumes the snapshot's own trajectory, so the
     /// state rows and step counts come along bit-exactly.
@@ -467,10 +457,10 @@ fn resident_bytes(cells: &[ParamCell]) -> usize {
 }
 
 /// Four magic bytes leading every snapshot: "PockEngine SNapshot".
-pub const SNAPSHOT_MAGIC: [u8; 4] = *b"PESN";
+pub(crate) const SNAPSHOT_MAGIC: [u8; 4] = *b"PESN";
 
 /// Layout version of the snapshot byte format written by this build.
-pub const SNAPSHOT_VERSION: u32 = 1;
+pub(crate) const SNAPSHOT_VERSION: u32 = 1;
 
 /// A malformed or incompatible snapshot handed to [`ParamStore::restore`].
 /// The store is left untouched.
@@ -600,7 +590,7 @@ mod tests {
             cell.state[0].fill(7.0);
             cell.steps = 4;
         }
-        s.set(&ParamKey::new("fc.weight"), Tensor::ones([3, 4]));
+        s.set_slot(0, Tensor::ones([3, 4]));
         let cell = &s.lock_shared()[0];
         assert!(cell.state[0].iter().all(|&v| v == 0.0), "state must reset");
         assert_eq!(cell.steps, 0, "update count must restart");
@@ -611,7 +601,7 @@ mod tests {
     #[should_panic(expected = "shape mismatch")]
     fn set_checks_shapes() {
         let s = store();
-        s.set(&ParamKey::new("fc.weight"), Tensor::ones([2, 2]));
+        s.set_slot(0, Tensor::ones([2, 2]));
     }
 
     #[test]
@@ -789,7 +779,7 @@ mod tests {
         store.restore(&same).unwrap();
         assert!(Arc::ptr_eq(&store.lock_shared()[slot].value, &init));
 
-        store.set(&weight, Tensor::ones([3, 4]));
+        store.set_slot(slot, Tensor::ones([3, 4]));
         assert!(!Arc::ptr_eq(&store.lock_shared()[slot].value, &init));
         assert_eq!(bits(&init), before, "set must not write the graph's value");
         let ones = store.snapshot();

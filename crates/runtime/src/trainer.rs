@@ -11,25 +11,15 @@ use crate::executor::{ExecError, Executor};
 #[derive(Debug, Clone)]
 pub struct Batch {
     /// Feature tensor (its name must match the graph input).
-    pub features: Tensor,
+    pub(crate) features: Tensor,
     /// Integer class labels stored as floats.
-    pub labels: Tensor,
+    pub(crate) labels: Tensor,
 }
 
 impl Batch {
     /// Creates a batch.
     pub fn new(features: Tensor, labels: Tensor) -> Self {
         Batch { features, labels }
-    }
-
-    /// Number of examples in the batch.
-    pub fn len(&self) -> usize {
-        self.labels.numel()
-    }
-
-    /// Whether the batch is empty.
-    pub fn is_empty(&self) -> bool {
-        self.labels.numel() == 0
     }
 }
 
@@ -38,22 +28,6 @@ impl Batch {
 pub struct TrainingHistory {
     /// Loss after each step, in order.
     pub losses: Vec<f32>,
-}
-
-impl TrainingHistory {
-    /// Final (most recent) loss.
-    pub fn final_loss(&self) -> Option<f32> {
-        self.losses.last().copied()
-    }
-
-    /// Mean loss over the last `n` steps.
-    pub fn tail_mean(&self, n: usize) -> Option<f32> {
-        if self.losses.is_empty() {
-            return None;
-        }
-        let tail = &self.losses[self.losses.len().saturating_sub(n)..];
-        Some(tail.iter().sum::<f32>() / tail.len() as f32)
-    }
 }
 
 /// Drives an [`Executor`] over batches and tracks metrics.
@@ -97,13 +71,6 @@ impl Trainer {
         &self.executor
     }
 
-    /// The shared parameter store behind the wrapped executor (useful for
-    /// snapshotting weights or attaching further executors to the same
-    /// store).
-    pub fn param_store(&self) -> &std::sync::Arc<crate::store::ParamStore> {
-        self.executor.param_store()
-    }
-
     fn bind(&self, batch: &Batch) -> HashMap<String, Tensor> {
         HashMap::from([
             (self.feature_input.clone(), batch.features.clone()),
@@ -116,7 +83,7 @@ impl Trainer {
     /// # Errors
     ///
     /// Propagates executor input errors.
-    pub fn train_step(&mut self, batch: &Batch) -> Result<f32, ExecError> {
+    pub(crate) fn train_step(&mut self, batch: &Batch) -> Result<f32, ExecError> {
         let result = self.executor.run_step(&self.bind(batch))?;
         let loss = result.loss.unwrap_or(f32::NAN);
         self.history.losses.push(loss);
@@ -229,7 +196,8 @@ mod tests {
             after > 0.9,
             "this separable task should be learned, got {after}"
         );
-        assert!(trainer.history().final_loss().unwrap() < trainer.history().losses[0]);
+        let losses = &trainer.history().losses;
+        assert!(losses[losses.len() - 1] < losses[0]);
     }
 
     #[test]
@@ -238,13 +206,14 @@ mod tests {
         let batches = toy_batches(7, 3);
         trainer.train_epoch(&batches).unwrap();
         assert_eq!(trainer.history().losses.len(), 7);
-        assert!(trainer.history().tail_mean(3).unwrap() > 0.0);
+        let tail = &trainer.history().losses[4..];
+        assert!(tail.iter().sum::<f32>() / 3.0 > 0.0);
     }
 
     #[test]
     fn batch_accessors() {
         let b = Batch::new(Tensor::zeros([4, 2]), Tensor::zeros([4]));
-        assert_eq!(b.len(), 4);
-        assert!(!b.is_empty());
+        assert_eq!(b.features.dims(), &[4, 2]);
+        assert_eq!(b.labels.numel(), 4);
     }
 }

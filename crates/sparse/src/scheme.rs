@@ -24,7 +24,7 @@ pub enum BlockSelector {
 impl BlockSelector {
     /// Whether the selector matches block `idx` in a model with
     /// `num_blocks` blocks.
-    pub fn matches(&self, idx: usize, num_blocks: usize) -> bool {
+    pub(crate) fn matches(&self, idx: usize, num_blocks: usize) -> bool {
         match self {
             BlockSelector::All => true,
             BlockSelector::LastK(k) => idx + k >= num_blocks,
@@ -38,11 +38,11 @@ impl BlockSelector {
 pub struct WeightRule {
     /// Substring of the parameter name inside the block, e.g. `"conv1"`,
     /// `"attn."`, or `"ffn.fc1"`.
-    pub pattern: String,
+    pub(crate) pattern: String,
     /// Which blocks the rule covers.
-    pub blocks: BlockSelector,
+    pub(crate) blocks: BlockSelector,
     /// Fraction of output channels updated (1.0 = the full tensor).
-    pub channel_ratio: f32,
+    pub(crate) channel_ratio: f32,
 }
 
 impl WeightRule {
@@ -94,21 +94,9 @@ pub enum UpdateRule {
     Sparse(SparseScheme),
 }
 
-impl UpdateRule {
-    /// Short name for reports.
-    pub fn label(&self) -> String {
-        match self {
-            UpdateRule::Full => "full-bp".to_string(),
-            UpdateRule::BiasOnly => "bias-only".to_string(),
-            UpdateRule::LastLayerOnly => "last-layer".to_string(),
-            UpdateRule::Sparse(s) => format!("sparse-bp ({})", s.name),
-        }
-    }
-}
-
 /// Extracts the block index from a parameter name of the form
 /// `blocks.{i}.rest`.
-pub fn block_index(name: &str) -> Option<usize> {
+pub(crate) fn block_index(name: &str) -> Option<usize> {
     let rest = name.strip_prefix("blocks.")?;
     let (idx, _) = rest.split_once('.')?;
     idx.parse().ok()
@@ -437,14 +425,5 @@ mod tests {
             .weight_rules
             .iter()
             .any(|r| (r.channel_ratio - 0.5).abs() < 1e-6));
-    }
-
-    #[test]
-    fn rule_labels_are_informative() {
-        assert_eq!(UpdateRule::Full.label(), "full-bp");
-        assert_eq!(UpdateRule::BiasOnly.label(), "bias-only");
-        assert!(UpdateRule::Sparse(paper_scheme_bert())
-            .label()
-            .contains("bert"));
     }
 }

@@ -20,24 +20,24 @@ use pe_tensor::Rng;
 #[derive(Debug, Clone, PartialEq)]
 pub struct Candidate {
     /// The parameter node.
-    pub param: NodeId,
+    pub(crate) param: NodeId,
     /// Parameter name (for reporting).
-    pub name: String,
+    pub(crate) name: String,
     /// Measured accuracy improvement over the frozen baseline when only this
     /// tensor is fine-tuned (`Δacc`), in absolute accuracy points.
-    pub contribution: f32,
+    pub(crate) contribution: f32,
     /// Extra training memory (bytes) incurred by updating the full tensor
     /// (saved activation + gradient + optimizer state).
     pub memory_cost: usize,
     /// Channel ratios the search may choose from (always includes 1.0; a
     /// ratio r scales both contribution and memory cost linearly, following
     /// the paper's additive-contribution assumption).
-    pub ratio_options: Vec<f32>,
+    pub(crate) ratio_options: Vec<f32>,
 }
 
 impl Candidate {
     /// Creates a full-tensor-only candidate.
-    pub fn new(
+    pub(crate) fn new(
         param: NodeId,
         name: impl Into<String>,
         contribution: f32,
@@ -50,12 +50,6 @@ impl Candidate {
             memory_cost,
             ratio_options: vec![1.0],
         }
-    }
-
-    /// Adds channel-ratio options (e.g. `[0.25, 0.5, 1.0]`).
-    pub fn with_ratios(mut self, ratios: Vec<f32>) -> Self {
-        self.ratio_options = ratios;
-        self
     }
 }
 
@@ -86,9 +80,9 @@ pub struct Selection {
     /// The chosen parameter.
     pub param: NodeId,
     /// Parameter name.
-    pub name: String,
+    pub(crate) name: String,
     /// Chosen channel ratio (1.0 = full tensor).
-    pub ratio: f32,
+    pub(crate) ratio: f32,
 }
 
 /// Result of the evolutionary search.
@@ -97,7 +91,7 @@ pub struct SearchResult {
     /// Selected tensors and ratios.
     pub selections: Vec<Selection>,
     /// Total (assumed-additive) accuracy contribution.
-    pub total_contribution: f32,
+    pub(crate) total_contribution: f32,
     /// Total memory cost in bytes.
     pub total_memory: usize,
 }
@@ -260,7 +254,10 @@ mod tests {
     fn ratio_options_allow_cheaper_partial_updates() {
         let mut rng = Rng::seed_from_u64(3);
         let cands = vec![
-            Candidate::new(NodeId(1), "big", 4.0, 200).with_ratios(vec![0.5, 1.0]),
+            Candidate {
+                ratio_options: vec![0.5, 1.0],
+                ..Candidate::new(NodeId(1), "big", 4.0, 200)
+            },
             Candidate::new(NodeId(2), "small", 1.0, 50),
         ];
         // Budget only fits the half-ratio big tensor (100) plus the small one.

@@ -69,7 +69,7 @@ impl Conv2dParams {
     ///
     /// Panics on a zero stride or kernel, and on a kernel larger than the
     /// padded input (which has no output position at all).
-    pub fn out_size(&self, in_size: usize, kernel: usize) -> usize {
+    pub(crate) fn out_size(&self, in_size: usize, kernel: usize) -> usize {
         assert!(self.stride > 0, "conv2d stride must be positive");
         let padded = in_size + 2 * self.padding;
         assert!(
@@ -1035,7 +1035,7 @@ mod oracle {
 
     /// Depthwise forward as one clipped row `axpy` per kernel tap, taps in
     /// `(ky, kx)` order, into a zeroed output.
-    pub fn depthwise_tap_blocks(x: &Tensor, weight: &Tensor, p: Conv2dParams) -> Vec<f32> {
+    pub(crate) fn depthwise_tap_blocks(x: &Tensor, weight: &Tensor, p: Conv2dParams) -> Vec<f32> {
         let g = Geometry::new(x.dims(), weight.dims(), p);
         let (hw, ohow, k) = (g.h * g.w, g.oh * g.ow, g.patch());
         let mut out = vec![0.0; g.n * g.cout * ohow];
@@ -1058,7 +1058,7 @@ mod oracle {
 
     /// Depthwise input gradient as one clipped row `axpy` per kernel tap,
     /// taps in `(ky, kx)` order, into a zeroed `dx`.
-    pub fn depthwise_grad_input_tap_blocks(
+    pub(crate) fn depthwise_grad_input_tap_blocks(
         dy: &Tensor,
         weight: &Tensor,
         x_dims: &[usize],
@@ -1149,7 +1149,7 @@ mod oracle {
     /// Depthwise weight gradient one plane at a time: per kernel tap, a
     /// lane-accumulated dot over the tap's clipped block, added to the
     /// zeroed gradient in plane order.
-    pub fn depthwise_grad_weight_tap_blocks(
+    pub(crate) fn depthwise_grad_weight_tap_blocks(
         x: &Tensor,
         dy: &Tensor,
         w_dims: &[usize],
@@ -1173,7 +1173,7 @@ mod oracle {
         out
     }
 
-    pub fn conv2d(x: &Tensor, weight: &Tensor, p: Conv2dParams) -> Vec<f32> {
+    pub(crate) fn conv2d(x: &Tensor, weight: &Tensor, p: Conv2dParams) -> Vec<f32> {
         let od = conv2d_out_dims(x.dims(), weight.dims(), p);
         let mut out = vec![0.0; od.iter().product()];
         for_each_mac(x.dims(), weight.dims(), od[1], p, |xi, wi, oi| {
@@ -1182,7 +1182,7 @@ mod oracle {
         out
     }
 
-    pub fn conv2d_grad_input(
+    pub(crate) fn conv2d_grad_input(
         dy: &Tensor,
         weight: &Tensor,
         x_dims: &[usize],
@@ -1195,7 +1195,7 @@ mod oracle {
         dx
     }
 
-    pub fn conv2d_grad_weight(
+    pub(crate) fn conv2d_grad_weight(
         x: &Tensor,
         dy: &Tensor,
         w_dims: &[usize],

@@ -11,33 +11,24 @@
 use crate::TensorView;
 
 /// Maximum tensor rank supported by the allocation-free broadcast helpers.
-pub const MAX_RANK: usize = 8;
+pub(crate) const MAX_RANK: usize = 8;
 
 /// A binary element-wise arithmetic operation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum BinaryOp {
     /// Element-wise addition.
     Add,
-    /// Element-wise subtraction.
-    Sub,
     /// Element-wise multiplication.
     Mul,
-    /// Element-wise division.
-    Div,
-    /// Element-wise maximum.
-    Max,
 }
 
 impl BinaryOp {
     /// Applies the op to one element pair.
     #[inline]
-    pub fn apply(self, a: f32, b: f32) -> f32 {
+    pub(crate) fn apply(self, a: f32, b: f32) -> f32 {
         match self {
             BinaryOp::Add => a + b,
-            BinaryOp::Sub => a - b,
             BinaryOp::Mul => a * b,
-            BinaryOp::Div => a / b,
-            BinaryOp::Max => a.max(b),
         }
     }
 }
@@ -57,10 +48,7 @@ macro_rules! with_binary {
     ($op:expr, |$o:ident| $body:expr) => {
         match $op {
             BinaryOp::Add => bind_op!($o = BinaryOp::Add, $body),
-            BinaryOp::Sub => bind_op!($o = BinaryOp::Sub, $body),
             BinaryOp::Mul => bind_op!($o = BinaryOp::Mul, $body),
-            BinaryOp::Div => bind_op!($o = BinaryOp::Div, $body),
-            BinaryOp::Max => bind_op!($o = BinaryOp::Max, $body),
         }
     };
 }
@@ -81,12 +69,12 @@ fn rows_into(big: &[f32], small: &[f32], out: &mut [f32], f: impl Fn(f32, f32) -
 /// preallocated `out`.
 ///
 /// `out` must have the length of the broadcast result shape; it is fully
-/// overwritten. Supports ranks up to [`MAX_RANK`].
+/// overwritten. Supports ranks up to `MAX_RANK`.
 ///
 /// # Panics
 ///
 /// Panics if the shapes are not broadcast-compatible, the rank exceeds
-/// [`MAX_RANK`], or `out` has the wrong length.
+/// `MAX_RANK`, or `out` has the wrong length.
 pub fn binary_into(op: BinaryOp, a: TensorView, b: TensorView, out: &mut [f32]) {
     // Fast paths: one operand's shape is a trailing suffix of the other's
     // (equal shapes included), so it repeats under whole rows.
@@ -246,7 +234,7 @@ pub enum UnaryOp {
 impl UnaryOp {
     /// Applies the op to one element: the one definition of each formula.
     #[inline(always)]
-    pub fn apply(self, v: f32) -> f32 {
+    pub(crate) fn apply(self, v: f32) -> f32 {
         match self {
             UnaryOp::Relu => v.max(0.0),
             UnaryOp::Relu6 => v.clamp(0.0, 6.0),
@@ -358,7 +346,7 @@ impl UnaryGradOp {
     /// Applies the VJP to one `(x_or_y, dy)` pair: the one definition of
     /// each formula.
     #[inline(always)]
-    pub fn apply(self, v: f32, g: f32) -> f32 {
+    pub(crate) fn apply(self, v: f32, g: f32) -> f32 {
         match self {
             UnaryGradOp::Relu => {
                 if v > 0.0 {
@@ -535,14 +523,14 @@ mod oracle {
         }
     }
 
-    pub fn add_bias_into(x: TensorView, bias: &[f32], out: &mut [f32]) {
+    pub(crate) fn add_bias_into(x: TensorView, bias: &[f32], out: &mut [f32]) {
         let (hw, c) = addressing(x.dims());
         for (i, (o, &v)) in out.iter_mut().zip(x.data()).enumerate() {
             *o = v + bias[(i / hw) % c];
         }
     }
 
-    pub fn bias_grad_into(dy: TensorView, out: &mut [f32]) {
+    pub(crate) fn bias_grad_into(dy: TensorView, out: &mut [f32]) {
         let (hw, c) = addressing(dy.dims());
         out.fill(0.0);
         for (i, &g) in dy.data().iter().enumerate() {
@@ -577,9 +565,7 @@ mod tests {
         let a = Tensor::from_vec(vec![1.0, 2.0], [2]);
         let b = Tensor::from_vec(vec![10.0, 20.0], [2]);
         assert_eq!(binary(BinaryOp::Add, &a, &b).data(), &[11.0, 22.0]);
-        assert_eq!(binary(BinaryOp::Sub, &a, &b).data(), &[-9.0, -18.0]);
         assert_eq!(binary(BinaryOp::Mul, &a, &b).data(), &[10.0, 40.0]);
-        assert_eq!(binary(BinaryOp::Div, &b, &a).data(), &[10.0, 10.0]);
     }
 
     #[test]
@@ -948,13 +934,7 @@ mod tests {
     #[test]
     fn suffix_broadcast_matches_the_general_loop() {
         let mut rng = Rng::seed_from_u64(22);
-        let ops = [
-            BinaryOp::Add,
-            BinaryOp::Sub,
-            BinaryOp::Mul,
-            BinaryOp::Div,
-            BinaryOp::Max,
-        ];
+        let ops = [BinaryOp::Add, BinaryOp::Mul];
         for f in [1, 3, 64, 130] {
             for rows in [1, 7, 128] {
                 let big = Tensor::randn([2, rows, f], 1.0, &mut rng);
@@ -962,7 +942,7 @@ mod tests {
                     let small = Tensor::rand_uniform(small_dims, 0.5, 1.5, &mut rng);
                     let (mut got, mut want) = (vec![0.0; big.numel()], vec![0.0; big.numel()]);
                     for op in ops {
-                        // Both operand orders: Sub and Div tell them apart.
+                        // Both operand orders: the broadcast side differs.
                         for (a, b) in [(&big, &small), (&small, &big)] {
                             binary_into(op, a.view(), b.view(), &mut got);
                             broadcast_into(op, a.view(), b.view(), &mut want);

@@ -536,29 +536,8 @@ fn batched_matmul_split<'a>(
     (batch_dims, m, k, n)
 }
 
-/// Output dimensions of a (batched) matmul for the given operand dims.
-///
-/// # Panics
-///
-/// Panics on rank < 2 or mismatched batch/contraction dimensions.
-pub fn batched_matmul_out_dims(
-    a_dims: &[usize],
-    b_dims: &[usize],
-    trans_a: bool,
-    trans_b: bool,
-) -> Vec<usize> {
-    if a_dims.len() == 2 && b_dims.len() == 2 {
-        return matmul_out_dims(a_dims, b_dims, trans_a, trans_b).to_vec();
-    }
-    let (batch_dims, m, _, n) = batched_matmul_split(a_dims, b_dims, trans_a, trans_b);
-    let mut out_dims = batch_dims.to_vec();
-    out_dims.push(m);
-    out_dims.push(n);
-    out_dims
-}
-
 /// Batched matrix multiplication writing into a preallocated `out` of
-/// [`batched_matmul_out_dims`].
+/// dims `[..., m, n]`.
 ///
 /// `a` is `[..., m, k]` and `b` is `[..., k, n]` (transposes apply to the two
 /// trailing dimensions); the leading batch dimensions must match exactly.
@@ -650,9 +629,10 @@ mod tests {
         let mut rng = Rng::seed_from_u64(4);
         let a = Tensor::randn([2, 3, 4, 5], 1.0, &mut rng);
         let b = Tensor::randn([2, 3, 5, 6], 1.0, &mut rng);
-        let dims = batched_matmul_out_dims(a.dims(), b.dims(), false, false);
         let (av, bv) = (a.view(), b.view());
-        let c = run_into(dims, |o| batched_matmul_into(av, bv, false, false, o));
+        let c = run_into([2, 3, 4, 6], |o| {
+            batched_matmul_into(av, bv, false, false, o)
+        });
         assert_eq!(c.dims(), &[2, 3, 4, 6]);
         // Check one arbitrary batch element against a 2-D matmul.
         let a_sub = Tensor::from_vec(a.data()[5 * 20..6 * 20].to_vec(), [4, 5]);

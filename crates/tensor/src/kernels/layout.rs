@@ -201,7 +201,7 @@ pub fn unslice_axis_into(
 mod oracle {
     use super::*;
 
-    pub fn permute_into(x: TensorView, perm: &[usize], out: &mut [f32]) {
+    pub(crate) fn permute_into(x: TensorView, perm: &[usize], out: &mut [f32]) {
         let r = x.rank();
         let mut in_strides = [1usize; MAX_RANK];
         for i in (0..r.saturating_sub(1)).rev() {

@@ -15,7 +15,6 @@ pub mod gemm;
 pub mod layout;
 pub mod norm;
 pub mod pool;
-pub mod reduce;
 
 /// Allocates a zeroed tensor of `dims`, lets `kernel` write it, and returns
 /// it: one line for a test to run an `_into` kernel.

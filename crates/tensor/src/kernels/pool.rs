@@ -1,4 +1,4 @@
-//! Pooling kernels (average, max, global average) and their gradients.
+//! Pooling kernels (max, global average) and their gradients.
 
 use crate::TensorView;
 
@@ -8,9 +8,9 @@ pub struct Pool2dParams {
     /// Square window size.
     pub kernel: usize,
     /// Stride.
-    pub stride: usize,
+    pub(crate) stride: usize,
     /// Zero padding.
-    pub padding: usize,
+    pub(crate) padding: usize,
 }
 
 impl Pool2dParams {
@@ -26,82 +26,6 @@ impl Pool2dParams {
     /// Output spatial size for the given input size.
     pub fn out_size(&self, in_size: usize) -> usize {
         (in_size + 2 * self.padding - self.kernel) / self.stride + 1
-    }
-}
-
-/// Average pooling over an `[N, C, H, W]` input, writing into a
-/// preallocated `out`.
-///
-/// # Panics
-///
-/// Panics if `out` has the wrong length.
-pub fn avg_pool2d_into(x: TensorView, p: Pool2dParams, out: &mut [f32]) {
-    let [n, c, h, w] = [x.dims()[0], x.dims()[1], x.dims()[2], x.dims()[3]];
-    let (oh, ow) = (p.out_size(h), p.out_size(w));
-    assert_eq!(
-        out.len(),
-        n * c * oh * ow,
-        "avg_pool output length mismatch"
-    );
-    let norm = 1.0 / (p.kernel * p.kernel) as f32;
-    for ni in 0..n {
-        for ci in 0..c {
-            for ohi in 0..oh {
-                for owi in 0..ow {
-                    let mut acc = 0.0;
-                    for kh in 0..p.kernel {
-                        let ih = (ohi * p.stride + kh) as isize - p.padding as isize;
-                        if ih < 0 || ih >= h as isize {
-                            continue;
-                        }
-                        for kw in 0..p.kernel {
-                            let iw = (owi * p.stride + kw) as isize - p.padding as isize;
-                            if iw < 0 || iw >= w as isize {
-                                continue;
-                            }
-                            acc += x.data()[((ni * c + ci) * h + ih as usize) * w + iw as usize];
-                        }
-                    }
-                    out[((ni * c + ci) * oh + ohi) * ow + owi] = acc * norm;
-                }
-            }
-        }
-    }
-}
-
-/// Gradient of average pooling, written into a preallocated `out` of
-/// `x_dims` (zero-filled first, then accumulated).
-///
-/// # Panics
-///
-/// Panics if `out` does not match `x_dims`.
-pub fn avg_pool2d_grad_into(dy: TensorView, x_dims: &[usize], p: Pool2dParams, out: &mut [f32]) {
-    let [n, c, h, w] = [x_dims[0], x_dims[1], x_dims[2], x_dims[3]];
-    let (oh, ow) = (dy.dims()[2], dy.dims()[3]);
-    assert_eq!(out.len(), n * c * h * w, "avg_pool_grad output mismatch");
-    out.fill(0.0);
-    let norm = 1.0 / (p.kernel * p.kernel) as f32;
-    for ni in 0..n {
-        for ci in 0..c {
-            for ohi in 0..oh {
-                for owi in 0..ow {
-                    let g = dy.data()[((ni * c + ci) * oh + ohi) * ow + owi] * norm;
-                    for kh in 0..p.kernel {
-                        let ih = (ohi * p.stride + kh) as isize - p.padding as isize;
-                        if ih < 0 || ih >= h as isize {
-                            continue;
-                        }
-                        for kw in 0..p.kernel {
-                            let iw = (owi * p.stride + kw) as isize - p.padding as isize;
-                            if iw < 0 || iw >= w as isize {
-                                continue;
-                            }
-                            out[((ni * c + ci) * h + ih as usize) * w + iw as usize] += g;
-                        }
-                    }
-                }
-            }
-        }
     }
 }
 
@@ -227,24 +151,6 @@ mod tests {
     use crate::{Rng, Tensor};
 
     #[test]
-    fn avg_pool_known_values() {
-        let x = Tensor::from_vec((1..=16).map(|v| v as f32).collect(), [1, 1, 4, 4]);
-        let p = Pool2dParams::new(2, 2, 0);
-        let y = run_into([1, 1, 2, 2], |o| avg_pool2d_into(x.view(), p, o));
-        assert_eq!(y.dims(), &[1, 1, 2, 2]);
-        assert_eq!(y.data(), &[3.5, 5.5, 11.5, 13.5]);
-    }
-
-    #[test]
-    fn avg_pool_grad_distributes_evenly() {
-        let dy = Tensor::ones([1, 1, 2, 2]);
-        let p = Pool2dParams::new(2, 2, 0);
-        let x_dims = [1, 1, 4, 4];
-        let dx = run_into(x_dims, |o| avg_pool2d_grad_into(dy.view(), &x_dims, p, o));
-        assert!(dx.data().iter().all(|&v| (v - 0.25).abs() < 1e-6));
-    }
-
-    #[test]
     fn max_pool_picks_max_and_routes_gradient() {
         let x = Tensor::from_vec((1..=16).map(|v| v as f32).collect(), [1, 1, 4, 4]);
         let p = Pool2dParams::new(2, 2, 0);
@@ -278,7 +184,7 @@ mod tests {
         let p = Pool2dParams::new(3, 2, 1);
         assert_eq!(p.out_size(8), 4);
         let x = Tensor::ones([1, 1, 8, 8]);
-        let y = run_into([1, 1, 4, 4], |o| avg_pool2d_into(x.view(), p, o));
+        let y = run_into([1, 1, 4, 4], |o| max_pool2d_into(x.view(), p, o));
         assert_eq!(y.dims(), &[1, 1, 4, 4]);
     }
 }

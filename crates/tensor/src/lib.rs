@@ -9,7 +9,7 @@
 //! The crate deliberately mirrors the primitive operator set that the paper's
 //! compiler shares between inference and training (§2.5): GEMM, convolution
 //! (lowered onto the GEMM core), depthwise convolution, pooling,
-//! element-wise math, reductions, normalisation, softmax and embedding
+//! element-wise math, normalisation, softmax and embedding
 //! lookups, together with the vector-Jacobian products needed to express
 //! backpropagation with the same primitives.
 //!
@@ -29,10 +29,10 @@
 #![deny(clippy::undocumented_unsafe_blocks)]
 
 pub mod kernels;
-pub mod rng;
-pub mod shape;
-pub mod tensor;
-pub mod view;
+pub(crate) mod rng;
+pub(crate) mod shape;
+pub(crate) mod tensor;
+pub(crate) mod view;
 
 pub use rng::Rng;
 pub use shape::Shape;
@@ -46,20 +46,13 @@ pub use view::TensorView;
 /// conditions that a caller may reasonably want to handle, such as
 /// constructing a tensor from mismatched data.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub enum TensorError {
+pub(crate) enum TensorError {
     /// The provided data length does not match the product of the shape dims.
     DataLengthMismatch {
         /// Number of elements implied by the shape.
         expected: usize,
         /// Number of elements actually provided.
         actual: usize,
-    },
-    /// A requested axis is out of range for the tensor rank.
-    AxisOutOfRange {
-        /// The offending axis.
-        axis: usize,
-        /// The tensor rank.
-        rank: usize,
     },
 }
 
@@ -71,9 +64,6 @@ impl std::fmt::Display for TensorError {
                     f,
                     "data length {actual} does not match shape volume {expected}"
                 )
-            }
-            TensorError::AxisOutOfRange { axis, rank } => {
-                write!(f, "axis {axis} out of range for tensor of rank {rank}")
             }
         }
     }
@@ -92,8 +82,6 @@ mod tests {
             actual: 3,
         };
         assert!(!e.to_string().is_empty());
-        let e = TensorError::AxisOutOfRange { axis: 5, rank: 2 };
-        assert!(e.to_string().contains("axis 5"));
     }
 
     #[test]

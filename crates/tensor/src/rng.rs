@@ -41,7 +41,7 @@ impl Rng {
     }
 
     /// Next raw 64-bit output.
-    pub fn next_u64(&mut self) -> u64 {
+    pub(crate) fn next_u64(&mut self) -> u64 {
         let result = self.state[0]
             .wrapping_add(self.state[3])
             .rotate_left(23)
@@ -60,11 +60,6 @@ impl Rng {
     pub fn next_f32(&mut self) -> f32 {
         // Use the upper 24 bits for a uniformly distributed mantissa.
         ((self.next_u64() >> 40) as f32) * (1.0 / (1u64 << 24) as f32)
-    }
-
-    /// Uniform float in `[lo, hi)`.
-    pub fn uniform(&mut self, lo: f32, hi: f32) -> f32 {
-        lo + (hi - lo) * self.next_f32()
     }
 
     /// Uniform integer in `[0, n)`.
@@ -92,16 +87,8 @@ impl Rng {
     }
 
     /// Normal sample with the given mean and standard deviation.
-    pub fn normal_with(&mut self, mean: f32, std: f32) -> f32 {
+    pub(crate) fn normal_with(&mut self, mean: f32, std: f32) -> f32 {
         mean + std * self.normal()
-    }
-
-    /// Fisher–Yates shuffle of a slice.
-    pub fn shuffle<T>(&mut self, xs: &mut [T]) {
-        for i in (1..xs.len()).rev() {
-            let j = self.next_usize(i + 1);
-            xs.swap(i, j);
-        }
     }
 
     /// Samples `true` with probability `p`.
@@ -113,6 +100,21 @@ impl Rng {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl Rng {
+        /// Uniform float in `[lo, hi)`.
+        pub(crate) fn uniform(&mut self, lo: f32, hi: f32) -> f32 {
+            lo + (hi - lo) * self.next_f32()
+        }
+
+        /// Fisher–Yates shuffle of a slice.
+        pub(crate) fn shuffle<T>(&mut self, xs: &mut [T]) {
+            for i in (1..xs.len()).rev() {
+                let j = self.next_usize(i + 1);
+                xs.swap(i, j);
+            }
+        }
+    }
 
     #[test]
     fn deterministic_for_same_seed() {

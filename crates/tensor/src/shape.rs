@@ -44,29 +44,13 @@ impl Shape {
         self.dims.iter().product()
     }
 
-    /// Size of dimension `axis`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `axis >= rank()`.
-    pub fn dim(&self, axis: usize) -> usize {
-        self.dims[axis]
-    }
-
     /// Row-major strides (in elements) for this shape.
-    pub fn strides(&self) -> Vec<usize> {
+    pub(crate) fn strides(&self) -> Vec<usize> {
         let mut strides = vec![1usize; self.dims.len()];
         for i in (0..self.dims.len().saturating_sub(1)).rev() {
             strides[i] = strides[i + 1] * self.dims[i + 1];
         }
         strides
-    }
-
-    /// Returns `true` if the two shapes are broadcast-compatible following
-    /// NumPy semantics (aligning trailing dimensions; a dimension of 1
-    /// broadcasts against any size).
-    pub fn broadcast_compatible(&self, other: &Shape) -> bool {
-        self.broadcast_with(other).is_some()
     }
 
     /// Computes the broadcast result shape of `self` and `other`, if any.
@@ -94,22 +78,12 @@ impl Shape {
         Some(Shape::new(out))
     }
 
-    /// Converts a flat row-major index into a multi-dimensional index.
-    pub fn unravel(&self, mut flat: usize) -> Vec<usize> {
-        let mut idx = vec![0usize; self.rank()];
-        for (i, s) in self.strides().iter().enumerate() {
-            idx[i] = flat / s;
-            flat %= s;
-        }
-        idx
-    }
-
     /// Converts a multi-dimensional index into a flat row-major offset.
     ///
     /// # Panics
     ///
     /// Panics if `idx.len() != rank()`.
-    pub fn ravel(&self, idx: &[usize]) -> usize {
+    pub(crate) fn ravel(&self, idx: &[usize]) -> usize {
         assert_eq!(idx.len(), self.rank(), "index rank mismatch");
         idx.iter().zip(self.strides()).map(|(i, s)| i * s).sum()
     }
@@ -167,7 +141,7 @@ mod tests {
         let s = Shape::new(vec![2, 3, 4]);
         assert_eq!(s.numel(), 24);
         assert_eq!(s.rank(), 3);
-        assert_eq!(s.dim(1), 3);
+        assert_eq!(s.dims()[1], 3);
         assert_eq!(Shape::scalar().numel(), 1);
         assert_eq!(Shape::scalar().rank(), 0);
     }
@@ -187,18 +161,27 @@ mod tests {
         let b = Shape::new(vec![3, 1]);
         let c = a.broadcast_with(&b).unwrap();
         assert_eq!(c.dims(), &[2, 3, 4]);
-        assert!(a.broadcast_compatible(&b));
 
         let a = Shape::new(vec![2, 3]);
         let b = Shape::new(vec![4, 3]);
         assert!(a.broadcast_with(&b).is_none());
     }
 
+    /// Converts a flat row-major index into a multi-dimensional index.
+    fn unravel(s: &Shape, mut flat: usize) -> Vec<usize> {
+        let mut idx = vec![0usize; s.rank()];
+        for (i, st) in s.strides().iter().enumerate() {
+            idx[i] = flat / st;
+            flat %= st;
+        }
+        idx
+    }
+
     #[test]
     fn ravel_unravel_roundtrip() {
         let s = Shape::new(vec![2, 3, 4]);
         for flat in 0..s.numel() {
-            let idx = s.unravel(flat);
+            let idx = unravel(&s, flat);
             assert_eq!(s.ravel(&idx), flat);
         }
     }

@@ -42,7 +42,7 @@ impl Tensor {
     }
 
     /// Creates a tensor filled with `value`.
-    pub fn full(shape: impl Into<Shape>, value: f32) -> Self {
+    pub(crate) fn full(shape: impl Into<Shape>, value: f32) -> Self {
         let shape = shape.into();
         let n = shape.numel();
         Tensor {
@@ -73,7 +73,7 @@ impl Tensor {
     /// # Panics
     ///
     /// Panics if `data.len()` does not match the shape volume. Use
-    /// [`Tensor::try_from_vec`] for a fallible variant.
+    /// `Tensor::try_from_vec` for a fallible variant.
     pub fn from_vec(data: Vec<f32>, shape: impl Into<Shape>) -> Self {
         Tensor::try_from_vec(data, shape).expect("data length must match shape volume")
     }
@@ -84,7 +84,10 @@ impl Tensor {
     ///
     /// Returns [`TensorError::DataLengthMismatch`] if the data length does not
     /// match the shape volume.
-    pub fn try_from_vec(data: Vec<f32>, shape: impl Into<Shape>) -> Result<Self, TensorError> {
+    pub(crate) fn try_from_vec(
+        data: Vec<f32>,
+        shape: impl Into<Shape>,
+    ) -> Result<Self, TensorError> {
         let shape = shape.into();
         if data.len() != shape.numel() {
             return Err(TensorError::DataLengthMismatch {
@@ -101,13 +104,6 @@ impl Tensor {
         let data = (0..shape.numel())
             .map(|_| rng.normal_with(0.0, std))
             .collect();
-        Tensor { shape, data }
-    }
-
-    /// Creates a tensor with values drawn uniformly from `[lo, hi)`.
-    pub fn rand_uniform(shape: impl Into<Shape>, lo: f32, hi: f32, rng: &mut Rng) -> Self {
-        let shape = shape.into();
-        let data = (0..shape.numel()).map(|_| rng.uniform(lo, hi)).collect();
         Tensor { shape, data }
     }
 
@@ -162,52 +158,6 @@ impl Tensor {
         self.data[off] = value;
     }
 
-    /// Returns a copy reshaped to `shape` (the volume must match).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the new shape volume differs from the current one.
-    pub fn reshape(&self, shape: impl Into<Shape>) -> Tensor {
-        let shape = shape.into();
-        assert_eq!(shape.numel(), self.numel(), "reshape volume mismatch");
-        Tensor {
-            shape,
-            data: self.data.clone(),
-        }
-    }
-
-    /// Applies `f` elementwise, returning a new tensor.
-    pub fn map(&self, f: impl Fn(f32) -> f32) -> Tensor {
-        Tensor {
-            shape: self.shape.clone(),
-            data: self.data.iter().map(|&x| f(x)).collect(),
-        }
-    }
-
-    /// Sum of all elements.
-    pub fn sum(&self) -> f32 {
-        self.data.iter().sum()
-    }
-
-    /// Mean of all elements (0 for an empty tensor).
-    pub fn mean(&self) -> f32 {
-        if self.data.is_empty() {
-            0.0
-        } else {
-            self.sum() / self.data.len() as f32
-        }
-    }
-
-    /// Maximum absolute element (0 for an empty tensor).
-    pub fn max_abs(&self) -> f32 {
-        self.data.iter().fold(0.0f32, |m, &x| m.max(x.abs()))
-    }
-
-    /// Squared L2 norm of all elements.
-    pub fn sq_norm(&self) -> f32 {
-        self.data.iter().map(|&x| x * x).sum()
-    }
-
     /// Returns `true` when the two tensors have equal shape and all elements
     /// are within `tol` of each other.
     pub fn allclose(&self, other: &Tensor, tol: f32) -> bool {
@@ -249,6 +199,66 @@ impl Tensor {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl Tensor {
+        /// Creates a tensor with values drawn uniformly from `[lo, hi)`.
+        pub(crate) fn rand_uniform(
+            shape: impl Into<Shape>,
+            lo: f32,
+            hi: f32,
+            rng: &mut Rng,
+        ) -> Self {
+            let shape = shape.into();
+            let data = (0..shape.numel()).map(|_| rng.uniform(lo, hi)).collect();
+            Tensor { shape, data }
+        }
+
+        /// Returns a copy reshaped to `shape` (the volume must match).
+        ///
+        /// # Panics
+        ///
+        /// Panics if the new shape volume differs from the current one.
+        pub(crate) fn reshape(&self, shape: impl Into<Shape>) -> Tensor {
+            let shape = shape.into();
+            assert_eq!(shape.numel(), self.numel(), "reshape volume mismatch");
+            Tensor {
+                shape,
+                data: self.data.clone(),
+            }
+        }
+
+        /// Applies `f` elementwise, returning a new tensor.
+        pub(crate) fn map(&self, f: impl Fn(f32) -> f32) -> Tensor {
+            Tensor {
+                shape: self.shape.clone(),
+                data: self.data.iter().map(|&x| f(x)).collect(),
+            }
+        }
+
+        /// Sum of all elements.
+        pub(crate) fn sum(&self) -> f32 {
+            self.data.iter().sum()
+        }
+
+        /// Mean of all elements (0 for an empty tensor).
+        pub(crate) fn mean(&self) -> f32 {
+            if self.data.is_empty() {
+                0.0
+            } else {
+                self.sum() / self.data.len() as f32
+            }
+        }
+
+        /// Maximum absolute element (0 for an empty tensor).
+        pub(crate) fn max_abs(&self) -> f32 {
+            self.data.iter().fold(0.0f32, |m, &x| m.max(x.abs()))
+        }
+
+        /// Squared L2 norm of all elements.
+        pub(crate) fn sq_norm(&self) -> f32 {
+            self.data.iter().map(|&x| x * x).sum()
+        }
+    }
 
     #[test]
     fn construction_and_accessors() {

@@ -56,7 +56,7 @@ impl<'a> TensorView<'a> {
     }
 
     /// Number of dimensions.
-    pub fn rank(&self) -> usize {
+    pub(crate) fn rank(&self) -> usize {
         self.dims.len()
     }
 

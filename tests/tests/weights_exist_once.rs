@@ -55,6 +55,7 @@ fn compiling_and_training_the_encoder_holds_each_frozen_weight_once() {
         exec.train_step(&inputs).unwrap().unwrap();
     }
     let peak = ALLOC.peak_bytes() - base;
+    let live = ALLOC.live_bytes() - base;
 
     let weight_bytes: usize = model
         .graph
@@ -82,5 +83,19 @@ fn compiling_and_training_the_encoder_holds_each_frozen_weight_once() {
         "compiling and training the encoder peaked at {peak} B of live heap, over \
          {bound} B: one copy of the {weight_bytes} B of weights, the {arena_bytes} B \
          arena and {OTHER_BYTES} B for the rest; a weight or a graph is being copied"
+    );
+    // What stays live after the ten steps, with the model, the analysis and
+    // the executor all held: one copy of the weights, the arena, and 577,256
+    // B for the rest on x86-64 Linux. The executor keeps only what it runs:
+    // not the node-indexed memory plan (30,240 B on this 540-node graph) nor
+    // a second schedule (4,320 B), which used to stay live for its whole life
+    // (2,716,276 B in all). The bound leaves less headroom than the plan.
+    const LIVE_OTHER_BYTES: usize = 592_000;
+    let live_bound = (weight_bytes + arena_bytes + LIVE_OTHER_BYTES) as u64;
+    assert!(
+        live <= live_bound,
+        "after ten training steps the encoder held {live} B of live heap, over \
+         {live_bound} B: one copy of the weights, the arena and {LIVE_OTHER_BYTES} B \
+         for the rest; the executor is keeping something it does not run"
     );
 }
