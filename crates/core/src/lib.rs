@@ -242,39 +242,36 @@ pub fn analyze(model: &BuiltModel, options: &CompileOptions) -> ProgramAnalysis 
 /// graph derivation, graph optimisation, scheduling and memory planning. The
 /// returned program's executor performs no graph work at runtime.
 pub fn compile(model: &BuiltModel, options: &CompileOptions) -> CompiledProgram {
-    let (analysis, executor) = build_executor(model, options, None);
+    let (tg, schedule, stats, trainable) = lower(model, options);
+    let tg = Arc::new(tg);
+    let store = Arc::new(ParamStore::from_graph(&tg.graph, options.optimizer));
+    let executor = Executor::with_store(Arc::clone(&tg), schedule.clone(), store);
+    // The memory planner runs once: the report is the executor's own plan.
+    let memory = executor.memory_report(trainable, options.optimizer.state_slots());
     CompiledProgram {
-        analysis,
+        analysis: ProgramAnalysis {
+            training_graph: tg,
+            schedule,
+            stats,
+            memory,
+            trainable_elements: trainable,
+            logits_name: model.logits_name(),
+        },
         executor,
         feature_input: model.feature_input.clone(),
         label_input: model.label_input.clone(),
     }
 }
 
-/// Lowers `model` to its executor over `store` (a private store when
-/// `None`) and the analysis of that program. The memory planner runs once:
-/// the report is derived from the plan the executor was built on. The
-/// analysis and the executor share one training graph.
+/// Lowers `model` to an executor over `store`, with no analysis: a
+/// program's batch-size specializations keep only what they run.
 pub(crate) fn build_executor(
     model: &BuiltModel,
     options: &CompileOptions,
-    store: Option<Arc<ParamStore>>,
-) -> (ProgramAnalysis, Executor) {
-    let (tg, schedule, stats, trainable) = lower(model, options);
-    let tg = Arc::new(tg);
-    let store =
-        store.unwrap_or_else(|| Arc::new(ParamStore::from_graph(&tg.graph, options.optimizer)));
-    let executor = Executor::with_store(Arc::clone(&tg), schedule.clone(), store);
-    let memory = executor.memory_report(trainable, options.optimizer.state_slots());
-    let analysis = ProgramAnalysis {
-        training_graph: tg,
-        schedule,
-        stats,
-        memory,
-        trainable_elements: trainable,
-        logits_name: model.logits_name(),
-    };
-    (analysis, executor)
+    store: Arc<ParamStore>,
+) -> Executor {
+    let (tg, schedule, _, _) = lower(model, options);
+    Executor::with_store(tg, schedule, store)
 }
 
 /// The compile pipeline before memory planning: scheme application,

@@ -304,8 +304,7 @@ impl Program {
             self.stats.misses += 1;
             self.stats.request_misses += requests;
             let model = self.factory.build(batch);
-            let (_, executor) =
-                build_executor(&model, &self.options, Some(Arc::clone(&self.store)));
+            let executor = build_executor(&model, &self.options, Arc::clone(&self.store));
             self.cache.insert(batch, Specialization { executor });
             if let Err(at) = self.rungs.binary_search(&batch) {
                 self.rungs.insert(at, batch);

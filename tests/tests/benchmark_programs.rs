@@ -13,23 +13,32 @@
 //! purpose. Those pins hold only for this toolchain and its libm: weight
 //! initialisation and the data generators call `ln`, `sin` and `cos`.
 //!
+//! Derivation leaves nothing dead: on the benchmark's programs and every
+//! other model family the repository builds, DCE has no launch to remove.
+//!
 //! On both programs the executor over the planner's plan (reuse, reshape
 //! views, in-place activations and VJPs) also matches the disjoint-plan
-//! oracle bit for bit, and the planner's peak attribution accounts for
-//! every byte of the peak.
+//! oracle bit for bit and eager mode to tolerance (`support::assert_chain`),
+//! and the planner's peak attribution accounts for every byte of the peak.
 
 use std::collections::HashMap;
 
-use pe_tests::support::assert_planned_matches_disjoint;
+use pe_tests::support::{assert_chain, mlp, step_inputs};
 use pockengine::pe_data::{
     generate_nlp_task, generate_vision_task, NlpTaskConfig, VisionTaskConfig,
 };
+use pockengine::pe_graph::{build_training_graph, TrainingGraph};
 use pockengine::pe_memplan::{attribute_peak, plan_memory};
 use pockengine::pe_models::{
-    build_bert, build_mobilenet, BertConfig, BuiltModel, MobileNetV2Config,
+    build_bert, build_mobilenet, mcunet_5fps_config, mcunet_tiny_config, BertConfig, BuiltModel,
+    MobileNetV2Config,
 };
+use pockengine::pe_passes::{optimize, OptimizeOptions};
 use pockengine::pe_runtime::Optimizer;
-use pockengine::pe_sparse::{paper_scheme_distilbert, UpdateRule};
+use pockengine::pe_sparse::{
+    apply_rule, paper_scheme_bert, paper_scheme_distilbert, paper_scheme_mcunet,
+    paper_scheme_mobilenetv2, SparseScheme, UpdateRule,
+};
 use pockengine::pe_tensor::{Rng, Tensor};
 use pockengine::{analyze, compile, CompileOptions, ProgramAnalysis};
 
@@ -88,15 +97,6 @@ fn fnv1a(losses: &[f32]) -> u64 {
     hash
 }
 
-/// `(feature, labels)` pairs as step inputs, the feature fed as
-/// `feature_name`.
-fn step_inputs(feature_name: &str, batches: Vec<(Tensor, Tensor)>) -> Vec<HashMap<String, Tensor>> {
-    batches
-        .into_iter()
-        .map(|(x, y)| HashMap::from([(feature_name.to_string(), x), ("labels".to_string(), y)]))
-        .collect()
-}
-
 fn cnn_task() -> Vec<HashMap<String, Tensor>> {
     let config = VisionTaskConfig {
         num_classes: 4,
@@ -126,9 +126,10 @@ fn bert_task() -> Vec<HashMap<String, Tensor>> {
     step_inputs("ids", task.train)
 }
 
-/// The planned executor against the disjoint-plan oracle, and the peak
-/// attribution against the plan's peak, on one benchmark program.
+/// The training chain, and the peak attribution against the plan's peak,
+/// on one benchmark program.
 fn check_plan(model: &BuiltModel, rule: UpdateRule, batches: &[HashMap<String, Tensor>]) {
+    let spec = apply_rule(model, &rule);
     let analysis = analyze_benchmark_model(model, rule);
     let (tg, schedule) = (analysis.training_graph, analysis.schedule);
     let plan = plan_memory(&tg.graph, &schedule);
@@ -139,7 +140,14 @@ fn check_plan(model: &BuiltModel, rule: UpdateRule, batches: &[HashMap<String, T
         analysis.memory.transient_peak_bytes
     );
     assert!(peak.largest.iter().all(|&(_, bytes)| bytes > 0), "{peak:?}");
-    assert_planned_matches_disjoint(tg, schedule, Optimizer::sgd(0.05), batches, 3);
+    assert_chain(
+        &model.graph,
+        model.loss,
+        &spec,
+        batches,
+        3,
+        Optimizer::sgd(0.05),
+    );
 }
 
 #[test]
@@ -202,4 +210,63 @@ fn finetune_bert_sparse_loss_bits_are_pinned() {
         hash, 0x5c1f_3195_7efe_bab3,
         "restate the pin on purpose: {hash:#018x}"
     );
+}
+
+/// Names of the nodes a backward walk from `tg`'s outputs and updates
+/// never reaches: the nodes DCE would delete.
+fn dead_nodes(tg: &TrainingGraph) -> Vec<&str> {
+    let graph = &tg.graph;
+    let mut seen = vec![false; graph.len()];
+    let mut stack: Vec<_> = graph.outputs().iter().chain(&tg.updates).copied().collect();
+    while let Some(id) = stack.pop() {
+        if !std::mem::replace(&mut seen[id.index()], true) {
+            stack.extend(&graph.node(id).inputs);
+        }
+    }
+    let nodes = graph.nodes().iter().filter(|n| !seen[n.id.index()]);
+    nodes.map(|n| n.name.as_str()).collect()
+}
+
+/// Asserts derivation left `model` nothing dead under full
+/// backpropagation, bias-only and `scheme`: a backward walk reaches every
+/// node, and DCE removes no launch.
+fn assert_nothing_dead(model: &BuiltModel, scheme: Option<SparseScheme>) {
+    let rules = [UpdateRule::Full, UpdateRule::BiasOnly];
+    for rule in rules.into_iter().chain(scheme.map(UpdateRule::Sparse)) {
+        let spec = apply_rule(model, &rule);
+        let tg = build_training_graph(model.graph.clone(), model.loss, &spec);
+        let dead = dead_nodes(&tg);
+        assert!(dead.is_empty(), "{} {rule:?}: dead {dead:?}", model.name);
+        let (_, _, stats) = optimize(tg, OptimizeOptions::default());
+        let launches = (stats.launches_before, stats.launches_after);
+        assert_eq!(launches.0, launches.1, "{} {rule:?}", model.name);
+    }
+}
+
+/// Derivation emits only live nodes, in every model family the repository
+/// builds: tiny, the serve family, benchmark-shaped and paper-scale (with
+/// deferred weights), each under its paper sparse scheme too.
+#[test]
+fn derivation_leaves_nothing_for_dce_to_remove() {
+    let rng = &mut Rng::seed_from_u64(0);
+    for config in [mcunet_tiny_config(2, 3), mcunet_5fps_config(1)] {
+        let model = build_mobilenet(&config, rng);
+        assert_nothing_dead(&model, Some(paper_scheme_mcunet(model.num_blocks)));
+    }
+    for config in [
+        MobileNetV2Config::tiny(4, 3),
+        MobileNetV2Config::tiny(8, 4),
+        MobileNetV2Config::paper(1.0, 1),
+    ] {
+        let model = build_mobilenet(&config, rng);
+        assert_nothing_dead(&model, Some(paper_scheme_mobilenetv2()));
+    }
+    for (config, scheme) in [
+        (BertConfig::tiny(4, 2), paper_scheme_bert()),
+        (bert_config(), paper_scheme_distilbert()),
+        (BertConfig::bert_base(1, 2), paper_scheme_bert()),
+    ] {
+        assert_nothing_dead(&build_bert(&config, rng), Some(scheme));
+    }
+    assert_nothing_dead(&mlp(4), None);
 }

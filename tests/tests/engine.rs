@@ -8,40 +8,33 @@
 //!   specializations with bit-identical training results versus the old
 //!   per-executor world where every executor owned private parameter
 //!   copies.
-//! * **Admission parity** — the same deadline-carrying stream produces the
-//!   same `Rejected` set whether replayed through `Engine::serve` or the
-//!   async queue (admission is assessed against the request's full budget
-//!   on both paths).
 //! * **Rejections are not cache churn** — a rejected request never
 //!   increments the per-request cache accounting.
+//!
+//! Admission parity between `Engine::serve`, the queue, TCP and the fleet
+//! is `fleet_serving.rs`'s every-path test.
 
 use std::collections::HashMap;
 use std::sync::Arc;
 use std::time::Duration;
 
 use pe_tests::support::{
-    self, deadline_stream, engine, mlp, program, rejected_set, request, seeded_engine, CLASSES,
+    deadline_stream, engine, mlp, program, queue_config, request, run_everywhere, seeded_engine,
+    Path, Snapshot, CLASSES, FLUSH,
 };
-use pockengine::pe_graph::{build_training_graph, ParamKey, TrainSpec};
+use pockengine::pe_graph::{build_training_graph, TrainSpec};
 use pockengine::pe_passes::{optimize, OptimizeOptions};
 use pockengine::pe_runtime::{Executor, Optimizer, ParamStore};
 use pockengine::pe_tensor::{Rng, Tensor};
 use pockengine::{
-    compile, AdmissionPolicy, CompileOptions, Engine, EngineConfig, Outcome, Priority, QueueConfig,
-    Request, Response, ServingKind, Submit,
+    compile, AdmissionPolicy, CompileOptions, Engine, EngineConfig, Priority, QueueConfig, Request,
+    ServingKind, Submit,
 };
-
-/// Unwraps a slice-serve outcome vector into completed responses.
-fn completed(outcomes: Vec<Outcome>) -> Vec<Response> {
-    outcomes
-        .into_iter()
-        .map(|o| o.expect_completed("request should complete"))
-        .collect()
-}
 
 /// Trains at batch 4 and evals at batches {2, 8} interleaved: the engine
 /// must be bit-identical to a dedicated single executor (private parameter
-/// copy, the pre-`ParamStore` world) fed the same training batches.
+/// copy, the pre-`ParamStore` world) fed the same training batches, down
+/// to the store's snapshot bytes.
 #[test]
 fn engine_matches_single_executor_baseline_bit_for_bit() {
     let mut rng = Rng::seed_from_u64(7);
@@ -51,9 +44,7 @@ fn engine_matches_single_executor_baseline_bit_for_bit() {
         let eval_rows = if i % 2 == 0 { 2 } else { 8 };
         stream.push(request(ServingKind::Eval, eval_rows, &mut rng));
     }
-
-    let mut engine = engine(vec![4, 8]);
-    let responses = completed(engine.serve(&stream).unwrap());
+    let [sync] = run_everywhere(&stream, &[Path::Sync]).try_into().unwrap();
 
     // Baseline: the old world — compile() at batch 4, private parameters.
     let options = CompileOptions {
@@ -61,56 +52,22 @@ fn engine_matches_single_executor_baseline_bit_for_bit() {
         ..CompileOptions::default()
     };
     let mut baseline = compile(&mlp(4), &options).executor;
-
-    let train_losses: Vec<f32> = responses
-        .iter()
-        .filter(|r| r.kind == ServingKind::Train)
-        .map(|r| r.loss.unwrap())
-        .collect();
-    assert_eq!(train_losses.len(), 12);
-    for (req, &engine_loss) in stream
-        .iter()
-        .filter(|r| r.kind == ServingKind::Train)
-        .zip(&train_losses)
-    {
-        let inputs = HashMap::from([
-            ("x".to_string(), req.features.clone()),
-            ("labels".to_string(), req.labels.clone()),
-        ]);
-        let baseline_loss = baseline.run_step(&inputs).unwrap().loss.unwrap();
-        assert_eq!(
-            baseline_loss.to_bits(),
-            engine_loss.to_bits(),
-            "train losses must be bit-identical to the baseline"
-        );
+    for (i, req) in stream.iter().enumerate() {
+        if req.kind == ServingKind::Train {
+            let inputs = HashMap::from([
+                ("x".to_string(), req.features.clone()),
+                ("labels".to_string(), req.labels.clone()),
+            ]);
+            let loss = baseline.run_step(&inputs).unwrap().loss.unwrap();
+            assert_eq!(sync.losses[i], Some(loss.to_bits()), "request {i}");
+        }
     }
+    assert_eq!(sync.store, Snapshot(baseline.param_store().snapshot()));
 
-    // Final parameters agree bit for bit.
-    for name in ["fc1.weight", "fc1.bias", "fc2.weight", "fc2.bias"] {
-        let engine_param = engine
-            .program()
-            .store()
-            .get(&ParamKey::new(name))
-            .expect("param in store");
-        let baseline_param = baseline.param_by_name(name).unwrap();
-        assert_eq!(
-            engine_param.data(),
-            baseline_param.data(),
-            "parameter '{name}' diverged from the baseline"
-        );
-    }
-
-    // One store, >= 2 batch specializations actually used.
-    let batches = engine.program().cached_batches();
-    assert!(
-        batches.len() >= 2,
-        "expected >=2 specializations, got {batches:?}"
-    );
     // Training improves later evals (one param copy serves them instantly).
-    let eval_losses: Vec<f32> = responses
-        .iter()
-        .filter(|r| r.kind == ServingKind::Eval)
-        .map(|r| r.loss.unwrap())
+    let eval_losses: Vec<f32> = (1..stream.len())
+        .step_by(2)
+        .map(|i| f32::from_bits(sync.losses[i].unwrap()))
         .collect();
     assert!(
         eval_losses.last().unwrap() < eval_losses.first().unwrap(),
@@ -168,7 +125,8 @@ fn specialization_cache_and_coalescing_accounting() {
     let stream: Vec<Request> = (0..3)
         .map(|_| request(ServingKind::Eval, 2, &mut rng))
         .collect();
-    let responses = completed(engine.serve(&stream).unwrap());
+    let outcomes = engine.serve(&stream).unwrap().into_iter();
+    let responses: Vec<_> = outcomes.map(|o| o.expect_completed("completes")).collect();
     assert_eq!(responses.len(), 3);
     assert!(responses.iter().all(|r| r.batch == 8 && r.rows == 2));
     let m = engine.metrics();
@@ -360,77 +318,6 @@ fn store_bytes_do_not_grow_with_specializations() {
     assert_eq!(p.cached_batches(), vec![2, 4, 8]);
 }
 
-/// The admission acceptance: a mixed train/eval stream with deadlines and
-/// priorities produces bit-identical params, losses and `Rejected` sets
-/// whether driven through `Engine::serve` or the async queue.
-#[test]
-fn admission_parity_between_sync_and_queue_paths() {
-    let stream = deadline_stream(42, 11);
-
-    // Sync slice path.
-    let mut sync_engine = seeded_engine(AdmissionPolicy::DeadlineFeasible);
-    let sync_outcomes = sync_engine.serve(&stream).unwrap();
-    assert_eq!(sync_outcomes.len(), stream.len());
-
-    // Queue path: identically constructed and seeded engine. Submit
-    // everything, then shut down (draining in flight) before redeeming —
-    // generous deadlines would otherwise keep the last group waiting.
-    let async_engine = seeded_engine(AdmissionPolicy::DeadlineFeasible).into_async(QueueConfig {
-        capacity: stream.len(),
-        default_deadline: Duration::from_millis(1),
-    });
-    let tickets: Vec<_> = stream
-        .iter()
-        .map(|r| async_engine.submit(r.clone()).expect("queue open"))
-        .collect();
-    let (drained, batcher_stats) = async_engine.shutdown_with_stats();
-    let mut queued_outcomes: Vec<Option<Outcome>> = stream.iter().map(|_| None).collect();
-    for ticket in tickets {
-        let seq = ticket.seq();
-        queued_outcomes[seq] = Some(ticket.wait().expect("well-formed stream"));
-    }
-    let queued_outcomes: Vec<Outcome> = queued_outcomes
-        .into_iter()
-        .map(|o| o.expect("every ticket resolves"))
-        .collect();
-
-    // Rejected sets are identical.
-    let sync_rejected = rejected_set(&sync_outcomes);
-    let queued_rejected = rejected_set(&queued_outcomes);
-    assert!(
-        !sync_rejected.is_empty(),
-        "the stream must actually exercise admission control"
-    );
-    assert_eq!(
-        sync_rejected, queued_rejected,
-        "both paths must reject exactly the same requests"
-    );
-
-    // Per-request losses of completed requests are bit-identical.
-    for (i, (s, q)) in sync_outcomes.iter().zip(&queued_outcomes).enumerate() {
-        match (s.as_response(), q.as_response()) {
-            (Some(sr), Some(qr)) => {
-                assert_eq!(sr.rows, stream[i].rows());
-                assert_eq!(
-                    sr.loss.expect("classification loss").to_bits(),
-                    qr.loss.expect("classification loss").to_bits(),
-                    "request {i}: losses diverged between paths"
-                );
-            }
-            (None, None) => {}
-            other => panic!("request {i}: outcome kinds diverged: {other:?}"),
-        }
-    }
-
-    support::assert_params_identical(&drained, &sync_engine);
-    assert_eq!(sync_engine.metrics().rejected as usize, sync_rejected.len());
-    assert_eq!(drained.metrics().rejected as usize, queued_rejected.len());
-    assert_eq!(
-        batcher_stats.admission_rejections as usize,
-        queued_rejected.len()
-    );
-}
-
 /// Rejections must not look like cache churn: the per-request cache
 /// accounting covers exactly the admitted requests, and a stream of
 /// rejections leaves the cache stats untouched.
@@ -512,10 +399,7 @@ fn sync_rejection_does_not_break_coalescing() {
 /// a raw queue (no drainer) so fullness is deterministic.
 #[test]
 fn priority_orders_dispatch_under_a_full_queue() {
-    let (tx, rx) = pockengine::queue::channel(QueueConfig {
-        capacity: 6,
-        default_deadline: Duration::from_millis(1),
-    });
+    let (tx, rx) = pockengine::queue::channel(queue_config(6, FLUSH));
     let mut rng = Rng::seed_from_u64(3);
     // Fill the queue completely: [lo, hi, norm, TRAIN, lo, hi].
     let kinds_and_priorities = [

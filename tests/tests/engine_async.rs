@@ -2,14 +2,12 @@
 //! submission queue, the deadline-aware batcher, and the `AsyncEngine`
 //! facade.
 //!
-//! The load-bearing claim: **queued mixed train/eval streams produce
-//! bit-identical parameters and per-request losses to the synchronous
-//! slice-based `Engine::serve` baseline** — the batcher may group
-//! evaluations differently than slice coalescing (it batches across *time*,
-//! not slice adjacency), but training order is FIFO on both paths and
-//! padding/packing never leaks into per-request results. That holds with
-//! deadlines, priorities and admission control in the stream, and under
-//! random interleavings of producer and drainer.
+//! The load-bearing claim — queued streams are bit-identical to
+//! `Engine::serve`, with deadlines, priorities and admission control in
+//! the stream — is `fleet_serving.rs`'s every-path test; here a property
+//! repeats it for random mixed streams, because the batcher groups
+//! evaluations across *time*, not slice adjacency, and how producer and
+//! drainer interleave must never leak into results.
 //!
 //! The suite also pins teardown (shutdown and drop resolve every accepted
 //! ticket), race-free batcher stats, and the store's step guard: a snapshot
@@ -23,42 +21,13 @@ use std::time::{Duration, Instant};
 use proptest::prelude::*;
 
 use pe_tests::support::{
-    deadline_stream, engine, mixed_stream, rejected_set, request, seeded_engine, CLASSES, DIM,
+    assert_runs_agree, deadline_stream, engine, mixed_stream, queue_config, request,
+    run_everywhere, submit_all, Path, CLASSES, DIM, FLUSH,
 };
 use pockengine::pe_runtime::ExecError;
 use pockengine::pe_tensor::{Rng, Tensor};
 use pockengine::queue;
-use pockengine::{
-    AdmissionPolicy, BatcherStats, Engine, Outcome, QueueConfig, Request, ServingKind, Submit,
-    SubmitError,
-};
-
-/// Submits the whole stream, shuts down (draining everything queued), and
-/// redeems every ticket back into submission order.
-fn replay_through_queue(
-    engine: Engine,
-    stream: &[Request],
-) -> (Engine, BatcherStats, Vec<Outcome>) {
-    let async_engine = engine.into_async(QueueConfig {
-        capacity: stream.len().max(1),
-        default_deadline: Duration::from_millis(1),
-    });
-    let tickets: Vec<_> = stream
-        .iter()
-        .map(|r| async_engine.submit(r.clone()).expect("queue open"))
-        .collect();
-    let (drained, stats) = async_engine.shutdown_with_stats();
-    let mut outcomes: Vec<Option<Outcome>> = stream.iter().map(|_| None).collect();
-    for ticket in tickets {
-        let seq = ticket.seq();
-        outcomes[seq] = Some(ticket.wait().expect("well-formed stream"));
-    }
-    let outcomes = outcomes
-        .into_iter()
-        .map(|o| o.expect("every ticket resolves"))
-        .collect();
-    (drained, stats, outcomes)
-}
+use pockengine::{BatcherStats, QueueConfig, Request, ServingKind, Submit, SubmitError};
 
 /// Every batcher snapshot accounts each eval group to exactly one flush
 /// cause.
@@ -70,65 +39,22 @@ fn assert_flush_causes_add_up(stats: &BatcherStats) {
     );
 }
 
-/// The acceptance-criterion test: a queued mixed stream is bit-identical —
-/// per-request losses and final parameters — to `Engine::serve` over the
-/// same slice.
-///
-/// The queued half is driven **through the generic `Submit` driver** in
-/// `pe_tests::support` — the exact driver the network suite runs against a
-/// TCP `pe_net::Client` — so this test doubles as the in-process baseline
-/// of the transport-independence claim.
+/// A mixed train/eval stream through the queue is bit-identical to
+/// `Engine::serve` over the same slice.
 #[test]
 fn queued_stream_matches_sync_slice_baseline_bit_for_bit() {
-    let stream = mixed_stream(36, 7);
+    let paths = [Path::Sync, Path::Queue];
+    assert_runs_agree(&paths, &run_everywhere(&mixed_stream(36, 7), &paths));
+}
 
-    // Synchronous slice baseline.
-    let mut sync_engine = engine(vec![4, 8]);
-    let sync_losses: Vec<u32> = sync_engine
-        .serve(&stream)
-        .unwrap()
-        .into_iter()
-        .map(|o| {
-            o.expect_completed("sync request must complete")
-                .loss
-                .expect("classification loss")
-                .to_bits()
-        })
-        .collect();
-
-    // Queued path: identical engine, single producer submitting in order
-    // through the transport-generic driver.
-    let async_engine = engine(vec![4, 8]).into_async(QueueConfig {
-        capacity: 8,
-        default_deadline: Duration::from_millis(1),
-    });
-    let queued_losses = pe_tests::support::served_loss_bits(&async_engine, &stream);
-    let drained = async_engine.shutdown();
-
-    assert_eq!(
-        queued_losses, sync_losses,
-        "per-request losses must be bit-identical to the sync slice path"
-    );
-    for key in drained.program().store().keys().to_vec() {
-        let queued = drained.program().store().get(&key).unwrap();
-        let synced = sync_engine.program().store().get(&key).unwrap();
-        assert_eq!(
-            queued.data(),
-            synced.data(),
-            "parameter '{key}' diverged between ingestion paths"
-        );
-    }
-    assert_eq!(
-        drained.metrics().requests,
-        sync_engine.metrics().requests,
-        "both paths served the full stream"
-    );
-    let stats = drained.cache_stats();
-    assert_eq!(
-        stats.request_hits + stats.request_misses,
-        stream.len() as u64,
-        "every request is attributed in the per-request cache accounting"
-    );
+/// A deadline- and priority-carrying stream under `DeadlineFeasible`
+/// admission is bit-identical through the queue, rejected set included.
+#[test]
+fn queued_deadline_stream_is_bit_identical_to_sync() {
+    let paths = [Path::Sync, Path::Queue];
+    let runs = run_everywhere(&deadline_stream(42, 11), &paths);
+    assert!(!runs[0].rejected.is_empty(), "admission must reject some");
+    assert_runs_agree(&paths, &runs);
 }
 
 /// Full-queue backpressure: `try_submit` rejects with the request handed
@@ -136,10 +62,7 @@ fn queued_stream_matches_sync_slice_baseline_bit_for_bit() {
 /// queue (no drainer) so fullness is deterministic.
 #[test]
 fn try_submit_rejects_on_a_full_queue() {
-    let (tx, rx) = queue::channel(QueueConfig {
-        capacity: 2,
-        default_deadline: Duration::from_millis(1),
-    });
+    let (tx, rx) = queue::channel(queue_config(2, FLUSH));
     let mut rng = Rng::seed_from_u64(1);
     tx.try_submit(request(ServingKind::Eval, 2, &mut rng))
         .unwrap();
@@ -163,10 +86,7 @@ fn try_submit_rejects_on_a_full_queue() {
 /// budget for companions that may never come.
 #[test]
 fn expired_deadline_dispatches_solo() {
-    let async_engine = engine(vec![8]).into_async(QueueConfig {
-        capacity: 8,
-        default_deadline: Duration::from_secs(30),
-    });
+    let async_engine = engine(vec![8]).into_async(queue_config(8, Duration::from_secs(30)));
     let mut rng = Rng::seed_from_u64(2);
     let start = Instant::now();
     let ticket = async_engine
@@ -192,10 +112,7 @@ fn expired_deadline_dispatches_solo() {
 /// companions arrive) and is then flushed by the deadline, not a barrier.
 #[test]
 fn lone_request_is_flushed_when_its_deadline_arrives() {
-    let async_engine = engine(vec![8]).into_async(QueueConfig {
-        capacity: 8,
-        default_deadline: Duration::from_millis(40),
-    });
+    let async_engine = engine(vec![8]).into_async(queue_config(8, Duration::from_millis(40)));
     let mut rng = Rng::seed_from_u64(3);
     let start = Instant::now();
     let ticket = async_engine
@@ -216,10 +133,7 @@ fn lone_request_is_flushed_when_its_deadline_arrives() {
 /// (generous) deadlines.
 #[test]
 fn compatible_evals_fill_the_target_rung() {
-    let async_engine = engine(vec![8]).into_async(QueueConfig {
-        capacity: 8,
-        default_deadline: Duration::from_secs(30),
-    });
+    let async_engine = engine(vec![8]).into_async(queue_config(8, Duration::from_secs(30)));
     let mut rng = Rng::seed_from_u64(4);
     let start = Instant::now();
     let t1 = async_engine
@@ -254,10 +168,7 @@ fn compatible_evals_fill_the_target_rung() {
 /// served, and the sync paths return the same errors instead of panicking.
 #[test]
 fn malformed_requests_resolve_alone_and_never_break_their_group() {
-    let async_engine = engine(vec![4]).into_async(QueueConfig {
-        capacity: 16,
-        default_deadline: Duration::from_secs(30),
-    });
+    let async_engine = engine(vec![4]).into_async(queue_config(16, Duration::from_secs(30)));
     let submit = |r: Request| async_engine.submit(r).unwrap();
     let mut rng = Rng::seed_from_u64(12);
     let train = request(ServingKind::Train, 3, &mut rng);
@@ -314,16 +225,10 @@ fn malformed_requests_resolve_alone_and_never_break_their_group() {
 /// a served response even when deadlines lie far in the future.
 #[test]
 fn shutdown_drains_in_flight_requests() {
-    let async_engine = engine(vec![4, 8]).into_async(QueueConfig {
-        capacity: 64,
-        default_deadline: Duration::from_secs(30),
-    });
+    let async_engine = engine(vec![4, 8]).into_async(queue_config(64, Duration::from_secs(30)));
     let stream = mixed_stream(20, 9);
     let start = Instant::now();
-    let tickets: Vec<_> = stream
-        .iter()
-        .map(|r| async_engine.submit(r.clone()).unwrap())
-        .collect();
+    let tickets = submit_all(&async_engine, &stream);
     let drained = async_engine.shutdown();
     assert!(
         start.elapsed() < Duration::from_secs(10),
@@ -360,10 +265,7 @@ fn submissions_after_shutdown_are_rejected_as_closed() {
 fn concurrent_producers_all_resolve_under_backpressure() {
     const PRODUCERS: usize = 4;
     const PER_PRODUCER: usize = 25;
-    let async_engine = engine(vec![4, 8]).into_async(QueueConfig {
-        capacity: 4,
-        default_deadline: Duration::from_micros(200),
-    });
+    let async_engine = engine(vec![4, 8]).into_async(queue_config(4, Duration::from_micros(200)));
     let results = std::thread::scope(|s| {
         let handles: Vec<_> = (0..PRODUCERS)
             .map(|p| {
@@ -415,66 +317,14 @@ fn concurrent_producers_all_resolve_under_backpressure() {
     );
 }
 
-/// A deadline- and priority-carrying stream under `DeadlineFeasible`
-/// admission is bit-identical through the queue — per-request losses, final
-/// parameters and `Rejected` sets — to the synchronous slice baseline.
-#[test]
-fn queued_deadline_stream_is_bit_identical_to_sync() {
-    let stream = deadline_stream(42, 11);
-
-    let mut sync_engine = seeded_engine(AdmissionPolicy::DeadlineFeasible);
-    let sync_outcomes = sync_engine.serve(&stream).unwrap();
-    let sync_rejected = rejected_set(&sync_outcomes);
-    assert!(
-        !sync_rejected.is_empty(),
-        "the stream must actually exercise admission control"
-    );
-    let sync_trains = sync_outcomes
-        .iter()
-        .filter(|o| {
-            o.as_response()
-                .is_some_and(|r| r.kind == ServingKind::Train)
-        })
-        .count() as u64;
-
-    let (drained, stats, outcomes) =
-        replay_through_queue(seeded_engine(AdmissionPolicy::DeadlineFeasible), &stream);
-
-    assert_eq!(rejected_set(&outcomes), sync_rejected);
-    for (i, (s, q)) in sync_outcomes.iter().zip(&outcomes).enumerate() {
-        match (s.as_response(), q.as_response()) {
-            (Some(sr), Some(qr)) => {
-                assert_eq!(qr.rows, stream[i].rows());
-                assert_eq!(
-                    sr.loss.expect("classification loss").to_bits(),
-                    qr.loss.expect("classification loss").to_bits(),
-                    "request {i} loss diverged from sync"
-                );
-            }
-            (None, None) => {}
-            other => panic!("request {i} outcome kinds diverged: {other:?}"),
-        }
-    }
-    pe_tests::support::assert_params_identical(&drained, &sync_engine);
-    assert_flush_causes_add_up(&stats);
-    assert_eq!(stats.train_dispatches, sync_trains);
-    assert_eq!(stats.admission_rejections as usize, sync_rejected.len());
-}
-
 /// Shutdown while most of a burst is still queued cancels nothing: every
 /// accepted request resolves with a `Response`, and the drained engine
 /// accounts the full stream.
 #[test]
 fn shutdown_with_a_queued_burst_cancels_nothing() {
     let stream = mixed_stream(30, 17);
-    let async_engine = engine(vec![4, 8]).into_async(QueueConfig {
-        capacity: stream.len(),
-        default_deadline: Duration::from_millis(1),
-    });
-    let tickets: Vec<_> = stream
-        .iter()
-        .map(|r| async_engine.submit(r.clone()).expect("queue open"))
-        .collect();
+    let async_engine = engine(vec![4, 8]).into_async(queue_config(stream.len(), FLUSH));
+    let tickets = submit_all(&async_engine, &stream);
     let (drained, stats) = async_engine.shutdown_with_stats();
     for (i, ticket) in tickets.into_iter().enumerate() {
         let outcome = ticket.wait().expect("well-formed stream");
@@ -494,14 +344,8 @@ fn shutdown_with_a_queued_burst_cancels_nothing() {
 #[test]
 fn dropping_the_engine_mid_burst_resolves_every_ticket() {
     let stream = mixed_stream(30, 19);
-    let async_engine = engine(vec![4, 8]).into_async(QueueConfig {
-        capacity: stream.len(),
-        default_deadline: Duration::from_millis(1),
-    });
-    let tickets: Vec<_> = stream
-        .iter()
-        .map(|r| async_engine.submit(r.clone()).expect("queue open"))
-        .collect();
+    let async_engine = engine(vec![4, 8]).into_async(queue_config(stream.len(), FLUSH));
+    let tickets = submit_all(&async_engine, &stream);
     drop(async_engine);
     for (i, ticket) in tickets.into_iter().enumerate() {
         let response = ticket
@@ -520,10 +364,7 @@ fn dropping_the_engine_mid_burst_resolves_every_ticket() {
 #[test]
 fn batcher_stats_snapshots_are_internally_consistent_under_load() {
     let stream = mixed_stream(48, 23);
-    let async_engine = engine(vec![4, 8]).into_async(QueueConfig {
-        capacity: stream.len(),
-        default_deadline: Duration::from_millis(1),
-    });
+    let async_engine = engine(vec![4, 8]).into_async(queue_config(stream.len(), FLUSH));
     let stop = AtomicBool::new(false);
     std::thread::scope(|s| {
         s.spawn(|| {
@@ -532,10 +373,7 @@ fn batcher_stats_snapshots_are_internally_consistent_under_load() {
                 std::hint::spin_loop();
             }
         });
-        let tickets: Vec<_> = stream
-            .iter()
-            .map(|r| async_engine.submit(r.clone()).expect("queue open"))
-            .collect();
+        let tickets = submit_all(&async_engine, &stream);
         for ticket in tickets {
             ticket.wait().unwrap().expect_completed("request serves");
         }
@@ -584,10 +422,8 @@ fn snapshots_taken_while_training_match_a_whole_step() {
         "every train step is a distinct state"
     );
 
-    let async_engine = engine(vec![4, 8]).into_async(QueueConfig {
-        capacity: stream.len(),
-        default_deadline: Duration::from_micros(200),
-    });
+    let async_engine =
+        engine(vec![4, 8]).into_async(queue_config(stream.len(), Duration::from_micros(200)));
     let store = async_engine.param_store();
     let started = Barrier::new(2);
     let stop = AtomicBool::new(false);
@@ -614,10 +450,7 @@ fn snapshots_taken_while_training_match_a_whole_step() {
         });
         // The stream starts only once the sampler is looping.
         started.wait();
-        let tickets: Vec<_> = stream
-            .iter()
-            .map(|r| async_engine.submit(r.clone()).expect("queue open"))
-            .collect();
+        let tickets = submit_all(&async_engine, &stream);
         for ticket in tickets {
             ticket.wait().unwrap().expect_completed("request serves");
         }
@@ -636,53 +469,14 @@ fn snapshots_taken_while_training_match_a_whole_step() {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
-    /// Interleaving stress: random mixed streams replayed through the queue
-    /// stay bit-identical to the synchronous slice baseline — how the
-    /// producer and the drainer interleave never leaks into results.
+    /// Interleaving stress: random mixed streams through the queue stay
+    /// bit-identical to the synchronous slice baseline.
     #[test]
     fn queued_stream_matches_sync_under_interleaving_stress(
         seed in 0u64..1000,
         n in 6usize..24,
     ) {
-        let stream = mixed_stream(n, seed);
-
-        let mut sync_engine = engine(vec![4, 8]);
-        let sync_losses: Vec<u32> = sync_engine
-            .serve(&stream)
-            .unwrap()
-            .into_iter()
-            .map(|o| {
-                o.expect_completed("sync request must complete")
-                    .loss
-                    .expect("classification loss")
-                    .to_bits()
-            })
-            .collect();
-
-        let (drained, stats, outcomes) = replay_through_queue(engine(vec![4, 8]), &stream);
-        let queued_losses: Vec<u32> = outcomes
-            .into_iter()
-            .map(|o| {
-                o.expect_completed("queued request must complete")
-                    .loss
-                    .expect("classification loss")
-                    .to_bits()
-            })
-            .collect();
-
-        prop_assert_eq!(queued_losses, sync_losses);
-        for key in drained.program().store().keys().to_vec() {
-            let queued = drained.program().store().get(&key).unwrap();
-            let synced = sync_engine.program().store().get(&key).unwrap();
-            prop_assert_eq!(
-                queued.data(),
-                synced.data(),
-                "parameter '{}' diverged between ingestion paths", key
-            );
-        }
-        prop_assert_eq!(
-            stats.eval_groups,
-            stats.target_flushes + stats.deadline_flushes + stats.barrier_flushes
-        );
+        let paths = [Path::Sync, Path::Queue];
+        assert_runs_agree(&paths, &run_everywhere(&mixed_stream(n, seed), &paths));
     }
 }

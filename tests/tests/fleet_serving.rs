@@ -1,15 +1,14 @@
-//! Integration suite for the serving fleet (`pe_fleet`): a balancer over
-//! multiple `pe-server` worker processes must be indistinguishable from a
-//! single in-process engine.
+//! Integration suite for the serving fleet (`pe_fleet`) and the serving
+//! half of the bit-identity chain.
 //!
 //! The load-bearing claims:
 //!
-//! * **Fleet transparency** — a mixed train/eval stream with deadlines
-//!   and priorities through the balancer and two workers
-//!   yields bit-identical losses, rejected sets and final parameters to
-//!   the identical stream through the in-process `AsyncEngine`; the
-//!   follower converges purely through checkpoint broadcast. A pool of one
-//!   worker matches too.
+//! * **One stream, every path** — a mixed train/eval stream with deadlines
+//!   and priorities yields the same rejected set, the same loss bits and
+//!   the same final store snapshot through `Engine::serve`, the queue, a
+//!   TCP server, a fleet of one worker and a fleet of two, whose follower
+//!   converges purely through checkpoint broadcast
+//!   (`support::run_everywhere`).
 //! * **Worker-loss containment** — killing a worker mid-burst loses no
 //!   eval: its in-flight requests re-dispatch to the surviving peer, every
 //!   ticket resolves `Completed`, never `Cancelled`, never hangs, and the
@@ -20,167 +19,36 @@
 
 use std::time::{Duration, Instant};
 
-use pe_fleet::{Balancer, BalancerConfig};
-use pe_net::{Client, Server, ServerConfig};
-use pe_tests::support::{self, engine, program, rejected_set, request, seeded_engine};
+use pe_net::Client;
+use pe_tests::support::{
+    assert_runs_agree, balancer, deadline_stream, engine, program, queue_config, request,
+    run_everywhere, serve, Path, FLUSH,
+};
 use pockengine::pe_runtime::Optimizer;
 use pockengine::pe_tensor::Rng;
-use pockengine::{
-    AdmissionPolicy, Engine, EngineConfig, Outcome, Priority, QueueConfig, Request, ServingKind,
-    Submit,
-};
+use pockengine::{Engine, EngineConfig, Outcome, Request, ServingKind, Submit};
 
-/// A queue sized for the suite's bursts, with a short default deadline so
-/// groups flush promptly.
-fn queue_config(capacity: usize) -> QueueConfig {
-    QueueConfig {
-        capacity,
-        default_deadline: Duration::from_millis(1),
-    }
-}
-
-/// Boots one in-process worker over the given engine.
-fn worker(engine: Engine, capacity: usize) -> Server {
-    Server::spawn(
-        engine.into_async(queue_config(capacity)),
-        ServerConfig::default(),
-    )
-    .expect("bind loopback worker")
-}
-
-/// Fleet config tuned for test snappiness: fast probes so mark-downs and
-/// reconnect attempts land within a test's patience.
-fn fleet_config(capacity: usize) -> BalancerConfig {
-    BalancerConfig {
-        queue: queue_config(capacity),
-        health_interval: Duration::from_millis(50),
-        probe_timeout: Duration::from_secs(2),
-        connect_timeout: Duration::from_secs(2),
-        initial_backoff: Duration::from_millis(50),
-        ..BalancerConfig::default()
-    }
-}
-
-/// Spawns a balancer over the given workers' addresses.
-fn balancer(workers: &[&Server], capacity: usize) -> Balancer {
-    let addrs: Vec<String> = workers.iter().map(|w| w.local_addr().to_string()).collect();
-    Balancer::spawn(&addrs, fleet_config(capacity)).expect("spawn balancer")
-}
-
-/// `support::deadline_stream` with the fleet-safe budget: same kinds, rows,
-/// priorities and zero-deadline slots, but the "trivially feasible"
-/// case is 500 ms instead of 3600 s. Through the fleet, a train holds its
-/// fence until every in-flight eval resolves, and a parked eval only
-/// flushes at its own group deadline — a 3600 s budget would stall the
-/// fence (the in-process queue is immune: its train reaches the same
-/// batcher and flushes the group). 500 ms is still 5000× the seeded
-/// estimate, so admission decisions stay timing-independent.
-fn fleet_stream(n: usize, seed: u64) -> Vec<Request> {
-    let mut rng = Rng::seed_from_u64(seed);
-    (0..n)
-        .map(|i| {
-            let kind = if i % 3 == 0 {
-                ServingKind::Train
-            } else {
-                ServingKind::Eval
-            };
-            let rows = [2, 4, 8, 3][i % 4];
-            let r = request(kind, rows, &mut rng)
-                .priority([Priority::Low, Priority::Normal, Priority::High][i % 3]);
-            match i % 7 {
-                // Provably infeasible: estimates are seeded > 0.
-                2 | 5 => r.deadline(Duration::ZERO),
-                // Decisively feasible, bounded (see above).
-                3 => r.deadline(Duration::from_millis(500)),
-                // No deadline: always admitted.
-                _ => r,
-            }
-        })
-        .collect()
-}
-
-/// Stream fingerprint: the rejected set (index + budget) and the loss bits
-/// of the completed requests, in submission order.
-fn fingerprint<S: Submit>(transport: &S, stream: &[Request]) -> (Vec<(usize, Duration)>, Vec<u32>) {
-    let outcomes = support::serve_outcomes(transport, stream);
-    let rejected = rejected_set(&outcomes);
-    let losses = outcomes
-        .iter()
-        .filter_map(|o| o.as_response())
-        .map(|r| r.loss.expect("classification loss").to_bits())
-        .collect();
-    (rejected, losses)
-}
-
-/// The tentpole acceptance: a mixed train/eval stream with deadlines,
-/// priorities through the balancer and two workers is
-/// bit-identical to the in-process engine — same losses, same rejected
-/// set, and *both* workers finish with the baseline's exact parameters
-/// (the follower converged purely via checkpoint broadcast; it never ran
-/// a training step itself).
+/// The chain's serving acceptance: one deadline- and priority-carrying
+/// stream through every path, each compared with `Engine::serve`. The
+/// harness also checks each path's accounting (a fleet routes every train
+/// through its primary and broadcasts one checkpoint per completed train).
 #[test]
-fn fleet_stream_matches_the_in_process_engine_bit_for_bit() {
-    let stream = fleet_stream(28, 9);
-    let trains = stream
-        .iter()
-        .filter(|r| r.kind == ServingKind::Train)
-        .count() as u64;
-
-    // ---- In-process baseline. ----
-    let in_process = seeded_engine(AdmissionPolicy::DeadlineFeasible).into_async(queue_config(64));
-    let base_print = fingerprint(&in_process, &stream);
-    let baseline = in_process.shutdown();
+fn one_stream_is_bit_identical_on_every_path() {
+    let stream = deadline_stream(28, 9);
+    let paths = [
+        Path::Sync,
+        Path::Queue,
+        Path::Tcp,
+        Path::Fleet(1),
+        Path::Fleet(2),
+    ];
+    let runs = run_everywhere(&stream, &paths);
     assert!(
-        !base_print.0.is_empty(),
+        !runs[0].rejected.is_empty(),
         "the stream must actually exercise admission control"
     );
-
-    // ---- The same stream through balancer + 2 workers. ----
-    let worker_a = worker(seeded_engine(AdmissionPolicy::DeadlineFeasible), 64);
-    let worker_b = worker(seeded_engine(AdmissionPolicy::DeadlineFeasible), 64);
-    let fleet = balancer(&[&worker_a, &worker_b], 64);
-    let client = Client::connect(fleet.local_addr()).expect("connect to balancer");
-    let fleet_print = fingerprint(&client, &stream);
-    drop(client);
-    let stats = fleet.shutdown();
-    let drained_a = worker_a.shutdown();
-    let drained_b = worker_b.shutdown();
-
-    assert_eq!(fleet_print.0, base_print.0, "rejected sets diverged");
-    assert_eq!(fleet_print.1, base_print.1, "per-request losses diverged");
-    support::assert_params_identical(&drained_a, &baseline);
-    support::assert_params_identical(&drained_b, &baseline);
-
-    // Routing accounting: every train fenced through the primary, every
-    // *completed* train broadcast a checkpoint, and nothing was lost.
-    let rejected_trains = base_print
-        .0
-        .iter()
-        .filter(|(i, _)| stream[*i].kind == ServingKind::Train)
-        .count() as u64;
-    assert_eq!(stats.trains_routed, trains, "trains routed");
-    assert_eq!(
-        stats.checkpoints_broadcast,
-        trains - rejected_trains,
-        "one broadcast per completed train: {stats:?}"
-    );
-    assert_eq!(stats.evals_routed, stream.len() as u64 - trains);
-    assert_eq!(stats.redispatches, 0, "no worker died: {stats:?}");
-    assert_eq!(stats.cancelled, 0, "nothing may be lost: {stats:?}");
-    assert_eq!(stats.workers_up(), 2);
-
-    // ---- A pool of one: the lone worker is the primary. ----
-    let solo = worker(seeded_engine(AdmissionPolicy::DeadlineFeasible), 64);
-    let fleet = balancer(&[&solo], 64);
-    let client = Client::connect(fleet.local_addr()).expect("connect to balancer");
-    let solo_print = fingerprint(&client, &stream);
-    drop(client);
-    let stats = fleet.shutdown();
-    assert_eq!(solo_print, base_print, "the one-worker fleet diverged");
-    support::assert_params_identical(&solo.shutdown(), &baseline);
-    assert_eq!(stats.evals_routed, stream.len() as u64 - trains);
-    assert_eq!(stats.cancelled, 0, "nothing may be lost: {stats:?}");
-    assert_eq!(stats.workers_up(), 1);
+    assert!(runs[0].losses.iter().any(Option::is_some));
+    assert_runs_agree(&paths, &runs);
 }
 
 /// The worker-loss acceptance: kill one worker while it holds parked
@@ -191,14 +59,9 @@ fn fleet_stream_matches_the_in_process_engine_bit_for_bit() {
 fn killing_a_worker_mid_burst_loses_no_eval() {
     // Workers park 2-row evals behind a 64-row rung and a generous default
     // deadline, guaranteeing genuinely in-flight requests at the kill.
-    let park = QueueConfig {
-        capacity: 64,
-        default_deadline: Duration::from_secs(2),
-    };
-    let worker_a = Server::spawn(engine(vec![64]).into_async(park), ServerConfig::default())
-        .expect("bind worker a");
-    let worker_b = Server::spawn(engine(vec![64]).into_async(park), ServerConfig::default())
-        .expect("bind worker b");
+    let park = queue_config(64, Duration::from_secs(2));
+    let worker_a = serve(engine(vec![64]), park);
+    let worker_b = serve(engine(vec![64]), park);
     let fleet = balancer(&[&worker_a, &worker_b], 64);
     let client = Client::connect(fleet.local_addr()).expect("connect to balancer");
     let mut rng = Rng::seed_from_u64(13);
@@ -268,8 +131,8 @@ fn killing_a_worker_mid_burst_loses_no_eval() {
 /// the balancer's front door.
 #[test]
 fn checkpoint_broadcast_converges_followers_after_every_train() {
-    let worker_a = worker(engine(vec![8]), 64);
-    let worker_b = worker(engine(vec![8]), 64);
+    let worker_a = serve(engine(vec![8]), queue_config(64, FLUSH));
+    let worker_b = serve(engine(vec![8]), queue_config(64, FLUSH));
     let fleet = balancer(&[&worker_a, &worker_b], 64);
     let client = Client::connect(fleet.local_addr()).expect("connect to balancer");
     let inspect_a = Client::connect(worker_a.local_addr()).expect("inspect worker a");
@@ -392,7 +255,7 @@ fn connect_timeout_and_backoff_against_a_dead_port() {
     );
 
     // And against a live worker the same helper connects on attempt one.
-    let server = worker(engine(vec![4]), 16);
+    let server = serve(engine(vec![4]), queue_config(16, FLUSH));
     let client = Client::connect_with_backoff(
         server.local_addr(),
         3,

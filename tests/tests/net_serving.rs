@@ -3,186 +3,71 @@
 //!
 //! The load-bearing claims:
 //!
-//! * **Transport independence** — the generic `Submit` driver in
-//!   `pe_tests::support` produces bit-identical losses, parameters and
-//!   rejected sets whether it runs against the in-process `AsyncEngine` or
-//!   a TCP `pe_net::Client`, including four concurrent clients with mixed
-//!   priorities and deadlines.
+//! * **Transport independence** — one client's stream, and four
+//!   concurrent clients with mixed priorities and deadlines, produce the
+//!   same losses, rejected sets and final store over TCP as on the
+//!   in-process queue (`support::run_everywhere`, `support::run_phases`).
 //! * **Fault containment** — malformed frames, oversized frames, version
 //!   mismatches and abrupt disconnects kill only the offending connection;
 //!   the server keeps serving and every outstanding ticket resolves
 //!   (`Cancelled`), never hangs.
 
 use std::io::{self, Write};
-use std::net::{TcpListener, TcpStream};
+use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::time::Duration;
 
 use pe_net::proto::{self, FrameKind, NackReason, SubmitMode};
 use pe_net::{Client, Server, ServerConfig};
 use pe_tests::support::{
-    self, engine, mixed_stream, program, rejected_set, request, seeded_engine, served_loss_bits,
-    CLASSES,
+    assert_runs_agree, deadline_stream, engine, mixed_stream, program, queue_config, request,
+    run_everywhere, run_phases, serve, Path, CLASSES, FLUSH,
 };
 use pockengine::pe_runtime::{ExecError, Optimizer};
 use pockengine::pe_tensor::{Rng, Tensor};
 use pockengine::{
-    AdmissionPolicy, Engine, EngineConfig, Outcome, Priority, QueueConfig, Request, ServingKind,
-    Submit, SubmitError,
+    Engine, EngineConfig, Outcome, QueueConfig, Request, ServingKind, Submit, SubmitError,
 };
 
-/// A queue sized for the suite's bursts, with a short default deadline so
-/// groups flush promptly.
-fn queue_config(capacity: usize) -> QueueConfig {
-    QueueConfig {
-        capacity,
-        default_deadline: Duration::from_millis(1),
-    }
-}
-
-fn serve(engine: pockengine::Engine, capacity: usize) -> Server {
-    Server::spawn(
-        engine.into_async(queue_config(capacity)),
-        ServerConfig::default(),
-    )
-    .expect("bind loopback server")
-}
-
-/// The tentpole acceptance: a single client's mixed train/eval stream over
-/// TCP yields bit-identical losses and final parameters to the same stream
-/// through the in-process queue — same engine construction, same generic
-/// driver, only the transport differs.
+/// A single client's mixed train/eval stream over TCP is bit-identical to
+/// the same stream through the in-process queue.
 #[test]
 fn networked_stream_matches_the_in_process_engine_bit_for_bit() {
-    let stream = mixed_stream(24, 7);
-
-    let in_process = engine(vec![4, 8]).into_async(queue_config(32));
-    let baseline_losses = served_loss_bits(&in_process, &stream);
-    let baseline = in_process.shutdown();
-
-    let server = serve(engine(vec![4, 8]), 32);
-    let client = Client::connect(server.local_addr()).expect("connect");
-    let net_losses = served_loss_bits(&client, &stream);
-    drop(client);
-    let drained = server.shutdown();
-
-    assert_eq!(
-        net_losses, baseline_losses,
-        "per-request losses must survive the wire bit-for-bit"
-    );
-    support::assert_params_identical(&drained, &baseline);
-    assert_eq!(drained.metrics().requests, stream.len() as u64);
+    let paths = [Path::Queue, Path::Tcp];
+    assert_runs_agree(&paths, &run_everywhere(&mixed_stream(24, 7), &paths));
 }
 
-/// One client's eval-only stream with mixed priorities and deadlines;
-/// `salt` decorrelates the per-client contents.
-fn eval_stream(n: usize, salt: u64) -> Vec<Request> {
-    let mut rng = Rng::seed_from_u64(500 + salt);
-    (0..n)
-        .map(|i| {
-            let rows = [2, 4, 8, 3][i % 4];
-            let r = request(ServingKind::Eval, rows, &mut rng)
-                .priority([Priority::Low, Priority::Normal, Priority::High][i % 3])
-                .id(salt * 1000 + i as u64);
-            match i % 4 {
-                // Provably infeasible: estimates are seeded > 0.
-                1 => r.deadline(Duration::ZERO),
-                // Decisively feasible (~20000× the seeded estimate) but
-                // bounded: the redeemer waits these groups out live, so a
-                // 3600 s budget would park the last partial group — and
-                // the test — until shutdown.
-                3 => r.deadline(Duration::from_secs(2)),
-                _ => r,
-            }
-        })
-        .collect()
-}
-
-/// Per-client fingerprint: the rejected set (index + budget) and the loss
-/// bits of the completed requests, in submission order.
-fn fingerprint<S: Submit>(transport: &S, stream: &[Request]) -> (Vec<(usize, Duration)>, Vec<u32>) {
-    let outcomes = support::serve_outcomes(transport, stream);
-    let rejected = rejected_set(&outcomes);
-    let losses = outcomes
-        .iter()
-        .filter_map(|o| o.as_response())
-        .map(|r| r.loss.expect("classification loss").to_bits())
-        .collect();
-    (rejected, losses)
-}
-
-/// The multi-client acceptance (issue criterion): four concurrent TCP
-/// clients with mixed priorities and deadlines produce the
-/// same losses, the same rejected sets and the same final parameters as
-/// the identical four-producer run against the in-process engine.
+/// The multi-client acceptance: four concurrent clients with mixed
+/// priorities and deadlines produce the same losses, rejected sets and
+/// final store over TCP as on the in-process queue and through
+/// `Engine::serve`.
 ///
 /// Phased for determinism: training happens in a solo phase (concurrent
-/// trains interleave nondeterministically — true on the in-process queue
-/// too), then four concurrent eval-only clients hammer the frozen
-/// parameters. Evaluations are row-independent and read-only, so their
-/// losses depend only on each request's bytes, never on batching order;
-/// rejections are deterministic because estimates are seeded and budgets
-/// are zero-or-huge.
+/// trains interleave nondeterministically on every path), then four
+/// concurrent eval-only clients hammer the frozen parameters. Evaluations
+/// are row-independent and read-only, so their losses depend only on each
+/// request's bytes, never on batching order.
 #[test]
 fn four_concurrent_tcp_clients_match_the_in_process_run() {
-    const CLIENTS: usize = 4;
-    const PER_CLIENT: usize = 16;
-    let train_phase: Vec<Request> = mixed_stream(12, 11);
-    let eval_phases: Vec<Vec<Request>> = (0..CLIENTS)
-        .map(|c| eval_stream(PER_CLIENT, c as u64))
-        .collect();
-
-    // ---- In-process baseline: same phases, Submitter transports. ----
-    let in_process = seeded_engine(AdmissionPolicy::DeadlineFeasible).into_async(queue_config(128));
-    let base_train_losses = served_loss_bits(&in_process, &train_phase);
-    let base_prints: Vec<_> = std::thread::scope(|s| {
-        let handles: Vec<_> = eval_phases
-            .iter()
-            .map(|stream| {
-                let submitter = in_process.submitter();
-                s.spawn(move || fingerprint(&submitter, stream))
-            })
-            .collect();
-        handles.into_iter().map(|h| h.join().unwrap()).collect()
-    });
-    let baseline = in_process.shutdown();
-
-    // ---- Networked run: identical engine behind the TCP front door. ----
-    let server = serve(seeded_engine(AdmissionPolicy::DeadlineFeasible), 128);
-    let addr = server.local_addr();
-    let first = Client::connect(addr).expect("connect");
-    let net_train_losses = served_loss_bits(&first, &train_phase);
-    drop(first);
-    let net_prints: Vec<_> = std::thread::scope(|s| {
-        let handles: Vec<_> = eval_phases
-            .iter()
-            .map(|stream| {
-                s.spawn(move || {
-                    let client = Client::connect(addr).expect("connect");
-                    fingerprint(&client, stream)
-                })
-            })
-            .collect();
-        handles.into_iter().map(|h| h.join().unwrap()).collect()
-    });
-    let drained = server.shutdown();
-
-    assert_eq!(net_train_losses, base_train_losses, "train-phase losses");
-    for (c, (net, base)) in net_prints.iter().zip(&base_prints).enumerate() {
-        assert!(
-            !net.0.is_empty(),
-            "client {c} must actually exercise admission control"
-        );
-        assert_eq!(net.0, base.0, "client {c}: rejected sets diverged");
-        assert_eq!(net.1, base.1, "client {c}: eval losses diverged");
-    }
-    support::assert_params_identical(&drained, &baseline);
+    let evals = |seed| -> Vec<Request> {
+        let stream = deadline_stream(24, seed).into_iter();
+        stream.filter(|r| r.kind == ServingKind::Eval).collect()
+    };
+    let phases = [
+        vec![mixed_stream(12, 11)],
+        (0..4).map(|c| evals(500 + c)).collect(),
+    ];
+    let paths = [Path::Sync, Path::Queue, Path::Tcp];
+    let runs = run_phases(&phases, &paths);
+    // Only the eval phase carries deadlines.
+    assert!(!runs[0].rejected.is_empty(), "no admission control");
+    assert_runs_agree(&paths, &runs);
 }
 
 /// `try_submit` round-trips over TCP: an accepted submission is explicitly
 /// acknowledged and then resolves with the served response.
 #[test]
 fn try_submit_over_tcp_serves_like_submit() {
-    let server = serve(engine(vec![4]), 64);
+    let server = serve(engine(vec![4]), queue_config(64, FLUSH));
     let client = Client::connect(server.local_addr()).expect("connect");
     let mut rng = Rng::seed_from_u64(3);
     let handle = client
@@ -205,14 +90,7 @@ fn try_submit_over_tcp_serves_like_submit() {
 fn disconnect_mid_burst_cancels_outstanding_tickets_and_server_keeps_serving() {
     // Generous default deadline: the second half of the burst sits in the
     // batcher, guaranteeing genuinely outstanding tickets at disconnect.
-    let server = Server::spawn(
-        engine(vec![8]).into_async(QueueConfig {
-            capacity: 64,
-            default_deadline: Duration::from_secs(30),
-        }),
-        ServerConfig::default(),
-    )
-    .expect("bind loopback server");
+    let server = serve(engine(vec![8]), queue_config(64, Duration::from_secs(30)));
     let client = Client::connect(server.local_addr()).expect("connect");
     let mut rng = Rng::seed_from_u64(4);
 
@@ -244,15 +122,7 @@ fn disconnect_mid_burst_cancels_outstanding_tickets_and_server_keeps_serving() {
         }
     }
 
-    // The server is still fully serving: a fresh connection completes.
-    let next = Client::connect(server.local_addr()).expect("reconnect");
-    let outcome = next
-        .submit_with_deadline(request(ServingKind::Eval, 2, &mut rng), Duration::ZERO)
-        .expect("queue open")
-        .wait()
-        .expect("well-formed");
-    assert!(outcome.is_completed(), "{outcome:?}");
-    drop(next);
+    assert_still_serving(server.local_addr(), 4);
     server.shutdown();
 }
 
@@ -260,14 +130,7 @@ fn disconnect_mid_burst_cancels_outstanding_tickets_and_server_keeps_serving() {
 /// tickets cancel, and later submissions report `Closed`.
 #[test]
 fn server_shutdown_cancels_client_tickets_and_closes_the_transport() {
-    let server = Server::spawn(
-        engine(vec![8]).into_async(QueueConfig {
-            capacity: 64,
-            default_deadline: Duration::from_secs(30),
-        }),
-        ServerConfig::default(),
-    )
-    .expect("bind loopback server");
+    let server = serve(engine(vec![8]), queue_config(64, Duration::from_secs(30)));
     let client = Client::connect(server.local_addr()).expect("connect");
     let mut rng = Rng::seed_from_u64(5);
     // 3 × 2 rows stays below the 8-row rung, so the batcher holds them.
@@ -293,7 +156,7 @@ fn server_shutdown_cancels_client_tickets_and_closes_the_transport() {
 
 /// Performs the raw handshake on a bare socket (for protocol-violation
 /// tests that a well-behaved `Client` cannot produce).
-fn raw_handshake(addr: std::net::SocketAddr) -> TcpStream {
+fn raw_handshake(addr: SocketAddr) -> TcpStream {
     let mut stream = TcpStream::connect(addr).expect("connect");
     stream
         .set_read_timeout(Some(Duration::from_secs(10)))
@@ -317,7 +180,7 @@ fn drain_to_error(stream: &mut TcpStream) -> Option<String> {
 }
 
 /// Asserts the server still serves a full round trip.
-fn assert_still_serving(addr: std::net::SocketAddr, seed: u64) {
+fn assert_still_serving(addr: SocketAddr, seed: u64) {
     let client = Client::connect(addr).expect("server must still accept");
     let mut rng = Rng::seed_from_u64(seed);
     let outcome = client
@@ -332,7 +195,7 @@ fn assert_still_serving(addr: std::net::SocketAddr, seed: u64) {
 /// close for that connection only; the server keeps serving.
 #[test]
 fn malformed_frames_kill_only_the_offending_connection() {
-    let server = serve(engine(vec![8]), 64);
+    let server = serve(engine(vec![8]), queue_config(64, FLUSH));
     let addr = server.local_addr();
 
     // Garbage Submit payload.
@@ -356,7 +219,7 @@ fn malformed_frames_kill_only_the_offending_connection() {
 /// request's typed error; it does not take the server's engine down.
 #[test]
 fn an_out_of_range_label_draws_its_error_and_the_server_keeps_serving() {
-    let server = serve(engine(vec![4]), 64);
+    let server = serve(engine(vec![4]), queue_config(64, FLUSH));
     let addr = server.local_addr();
     let client = Client::connect(addr).expect("connect");
     let mut rng = Rng::seed_from_u64(23);
@@ -378,7 +241,7 @@ fn an_out_of_range_label_draws_its_error_and_the_server_keeps_serving() {
 #[test]
 fn oversized_frames_are_refused_without_wedging_the_server() {
     let server = Server::spawn(
-        engine(vec![8]).into_async(queue_config(64)),
+        engine(vec![8]).into_async(queue_config(64, FLUSH)),
         ServerConfig {
             max_frame: 4096,
             ..ServerConfig::default()
@@ -419,7 +282,7 @@ fn oversized_frames_are_refused_without_wedging_the_server() {
 /// handshake with a descriptive `Error` frame.
 #[test]
 fn handshake_rejects_version_and_magic_mismatches() {
-    let server = serve(engine(vec![8]), 64);
+    let server = serve(engine(vec![8]), queue_config(64, FLUSH));
     let addr = server.local_addr();
 
     // Wrong version.
@@ -453,7 +316,7 @@ fn handshake_rejects_version_and_magic_mismatches() {
 #[test]
 fn connection_limit_refuses_and_recovers() {
     let server = Server::spawn(
-        engine(vec![8]).into_async(queue_config(64)),
+        engine(vec![8]).into_async(queue_config(64, FLUSH)),
         ServerConfig {
             max_connections: 1,
             ..ServerConfig::default()
@@ -490,20 +353,31 @@ fn connection_limit_refuses_and_recovers() {
     server.shutdown();
 }
 
+/// A spoofed one-connection server: it accepts, completes the handshake and
+/// runs `script` on the socket, then hangs up.
+fn spoof<T: Send + 'static>(
+    script: impl FnOnce(TcpStream) -> T + Send + 'static,
+) -> (SocketAddr, std::thread::JoinHandle<T>) {
+    let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+    let addr = listener.local_addr().unwrap();
+    let handle = std::thread::spawn(move || {
+        let (mut stream, _) = listener.accept().unwrap();
+        let hello = proto::read_frame(&mut stream, 1 << 20).unwrap();
+        assert_eq!(FrameKind::from_u8(hello.kind), Some(FrameKind::Hello));
+        proto::decode_hello(&hello.payload).unwrap();
+        proto::write_frame(&mut stream, FrameKind::HelloAck, &proto::encode_hello_ack()).unwrap();
+        script(stream)
+    });
+    (addr, handle)
+}
+
 /// Client-side `try_submit` semantics against a spoofed raw-protocol
 /// server (the only way to force a deterministic `Nack`): `Full` hands the
 /// request back, an `Ack` yields a live handle, and a connection that dies
 /// afterwards cancels that handle.
 #[test]
 fn try_submit_full_hands_the_request_back_over_tcp() {
-    let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-    let addr = listener.local_addr().unwrap();
-    let spoof = std::thread::spawn(move || {
-        let (mut stream, _) = listener.accept().unwrap();
-        let hello = proto::read_frame(&mut stream, 1 << 20).unwrap();
-        assert_eq!(FrameKind::from_u8(hello.kind), Some(FrameKind::Hello));
-        proto::decode_hello(&hello.payload).unwrap();
-        proto::write_frame(&mut stream, FrameKind::HelloAck, &proto::encode_hello_ack()).unwrap();
+    let (addr, spoof) = spoof(|mut stream| {
         // First submission: refuse as Full.
         let frame = proto::read_frame(&mut stream, 1 << 20).unwrap();
         let (corr, mode, refused) = proto::decode_submit(&frame.payload).unwrap();
@@ -557,14 +431,7 @@ fn try_submit_full_hands_the_request_back_over_tcp() {
 /// distinguishable from a torn-down in-flight one.
 #[test]
 fn blocking_submit_nacked_closed_hands_the_request_back_over_tcp() {
-    let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-    let addr = listener.local_addr().unwrap();
-    let spoof = std::thread::spawn(move || {
-        let (mut stream, _) = listener.accept().unwrap();
-        let hello = proto::read_frame(&mut stream, 1 << 20).unwrap();
-        assert_eq!(FrameKind::from_u8(hello.kind), Some(FrameKind::Hello));
-        proto::decode_hello(&hello.payload).unwrap();
-        proto::write_frame(&mut stream, FrameKind::HelloAck, &proto::encode_hello_ack()).unwrap();
+    let (addr, spoof) = spoof(|mut stream| {
         let frame = proto::read_frame(&mut stream, 1 << 20).unwrap();
         let (corr, mode, _) = proto::decode_submit(&frame.payload).unwrap();
         assert_eq!(mode, SubmitMode::Block);
@@ -697,13 +564,7 @@ fn a_stalled_blocking_submit_stops_reading_once_its_deferral_holds_a_frame() {
 /// intact, and the ping fails `NotConnected` long before its timeout.
 #[test]
 fn a_server_hanging_up_on_a_submit_and_a_ping_releases_both() {
-    let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-    let addr = listener.local_addr().unwrap();
-    let spoof = std::thread::spawn(move || {
-        let (mut stream, _) = listener.accept().unwrap();
-        let hello = proto::read_frame(&mut stream, 1 << 20).unwrap();
-        assert_eq!(FrameKind::from_u8(hello.kind), Some(FrameKind::Hello));
-        proto::write_frame(&mut stream, FrameKind::HelloAck, &proto::encode_hello_ack()).unwrap();
+    let (addr, spoof) = spoof(|mut stream| {
         // The two frames race from two client threads: take either order.
         let mut kinds: Vec<_> = (0..2)
             .map(|_| {
@@ -783,7 +644,7 @@ fn a_checkpoint_the_store_cannot_train_is_refused() {
             ..EngineConfig::default()
         },
     );
-    let server = serve(adam, 16);
+    let server = serve(adam, queue_config(16, FLUSH));
     let addr = server.local_addr();
     let before = Client::connect(addr)
         .and_then(|c| c.fetch_snapshot(Duration::from_secs(10)))
