@@ -28,7 +28,7 @@ use std::time::Duration;
 use pe_fleet::{Balancer, BalancerConfig};
 use pe_net::{Client, Server, ServerConfig};
 use pockengine::pe_graph::{
-    build_training_graph, Graph, GraphBuilder, NodeId, TrainKind, TrainSpec,
+    build_training_graph, Graph, GraphBuilder, NodeId, OpKind, TrainKind, TrainSpec,
 };
 use pockengine::pe_memplan::{analyze_lifetimes, MemoryPlan};
 use pockengine::pe_models::BuiltModel;
@@ -164,6 +164,31 @@ pub fn assert_steady_state_is_clean(
     );
     let last = exec.train_step(inputs).unwrap().unwrap();
     assert!(last < first, "{what}: loss must fall: {first} -> {last}");
+}
+
+/// Compiles `graph` for the executor through the default pipeline.
+pub fn executor(graph: Graph, loss: NodeId, spec: &TrainSpec, optimizer: Optimizer) -> Executor {
+    let tg = build_training_graph(graph, loss, spec);
+    let (tg, schedule, _) = optimize(tg, OptimizeOptions::default());
+    Executor::new(tg, schedule, optimizer)
+}
+
+/// Nodes of `exec`'s compiled program whose op satisfies `wanted`.
+pub fn count_ops(exec: &Executor, wanted: fn(&OpKind) -> bool) -> usize {
+    let nodes = exec.training_graph().graph.nodes();
+    nodes.iter().filter(|n| wanted(&n.op)).count()
+}
+
+/// One seeded batch: `x_dims` normal features as `x`, labelled with
+/// `classes` classes.
+pub fn labelled_batch(x_dims: &[usize], classes: usize) -> HashMap<String, Tensor> {
+    let mut data_rng = Rng::seed_from_u64(1);
+    let xs = Tensor::randn(x_dims.to_vec(), 1.0, &mut data_rng);
+    let mut ys = Tensor::zeros([x_dims[0]]);
+    for y in ys.data_mut() {
+        *y = data_rng.next_usize(classes) as f32;
+    }
+    HashMap::from([("x".to_string(), xs), ("labels".to_string(), ys)])
 }
 
 /// Alignment of every buffer in [`plan_disjoint`]: the executor's own.

@@ -10,17 +10,17 @@
 //!   copies.
 //! * **Rejections are not cache churn** — a rejected request never
 //!   increments the per-request cache accounting.
-//!
-//! Admission parity between `Engine::serve`, the queue, TCP and the fleet
-//! is `fleet_serving.rs`'s every-path test.
+//! * **Admission decides alike on every path** — the sync and queue paths
+//!   reject exactly the infeasible requests; parity with TCP and the fleet
+//!   is `fleet_serving.rs`'s every-path test.
 
 use std::collections::HashMap;
 use std::sync::Arc;
 use std::time::Duration;
 
 use pe_tests::support::{
-    deadline_stream, engine, mlp, program, queue_config, request, run_everywhere, seeded_engine,
-    Path, Snapshot, CLASSES, FLUSH,
+    assert_runs_agree, deadline_stream, engine, mlp, program, queue_config, request,
+    run_everywhere, seeded_engine, Path, Snapshot, CLASSES, FLUSH,
 };
 use pockengine::pe_graph::{build_training_graph, TrainSpec};
 use pockengine::pe_passes::{optimize, OptimizeOptions};
@@ -368,6 +368,22 @@ fn rejected_requests_never_count_as_cache_traffic() {
         admitted,
         "per-request accounting must cover exactly the admitted requests"
     );
+}
+
+/// Admission under `DeadlineFeasible` decides the same way on the sync
+/// and queue paths: both reject exactly the provably infeasible
+/// (zero-budget) requests of a deadline- and priority-carrying stream,
+/// admit the ones with a generous budget, and serve the rest bit-identically.
+#[test]
+fn admission_parity_between_sync_and_queue_paths() {
+    let paths = [Path::Sync, Path::Queue];
+    let runs = run_everywhere(&deadline_stream(30, 7), &paths);
+    let zero_budget: Vec<_> = (0..30usize)
+        .filter(|i| matches!(i % 7, 2 | 5))
+        .map(|i| (i, Duration::ZERO))
+        .collect();
+    assert_eq!(runs[0].rejected, zero_budget, "only the zero budgets fail");
+    assert_runs_agree(&paths, &runs);
 }
 
 /// A rejected request embedded in an eval run must not split the

@@ -241,59 +241,102 @@ proptest! {
     }
 }
 
-proptest! {
-    // As many cases as the four properties this one replaced ran together.
-    #![proptest_config(ProptestConfig::with_cases(64))]
+/// Every check on every cell of `models` x `sources` for one random MLP
+/// (depth, width, batch, frozen prefix, schedule seed): the schedule
+/// respects every dependency, the plan passes `validate_plan`, every alias
+/// sits at its input's offset, live buffers never share bytes outside an
+/// in-place alias chain, no in-place writer overlaps a buffer read after
+/// it, and a viewed MLP's reshapes are views. The oracles are independent
+/// of `validate_plan`.
+fn check_cells(
+    (depth, width, batch, frozen_prefix, seed): (usize, usize, usize, usize, u64),
+    models: &[&str],
+    sources: &[&str],
+) -> Result<(), TestCaseError> {
+    let frozen_prefix = frozen_prefix.min(depth);
+    for &model in models {
+        let viewed = model == "viewed";
+        let tg = random_tg(random_mlp(depth, width, batch, frozen_prefix, seed, viewed));
+        let graph = &tg.graph;
+        for &source in sources {
+            let schedule = match source {
+                "conventional" => build_schedule(graph, ScheduleStrategy::Conventional),
+                "reordered" => build_schedule(graph, ScheduleStrategy::Reordered),
+                _ => random_topo_schedule(graph, seed),
+            };
+            let cell = format!("{source} schedule, {model} MLP");
+            check_topological(graph, &schedule, &cell)?;
+            let plan = plan_memory(graph, &schedule);
+            prop_assert_eq!(validate_plan(graph, &schedule, &plan), Ok(()), "{}", cell);
+            for (idx, alias) in plan.aliases.iter().enumerate() {
+                if let Some(input) = alias {
+                    prop_assert_eq!(
+                        plan.offsets[idx],
+                        plan.offsets[input.index()],
+                        "alias {} moved off its input ({})",
+                        idx,
+                        cell
+                    );
+                }
+            }
+            check_no_overlap_outside_alias_chains(graph, &plan, &cell)?;
+            check_writers_never_clobber_later_reads(graph, &plan, &cell)?;
+            let views = (0..graph.len())
+                .filter(|&i| matches!(graph.node(NodeId(i)).op, OpKind::Reshape { .. }))
+                .filter(|&i| plan.aliases[i].is_some())
+                .count();
+            prop_assert!(!viewed || views > 0, "no view ({})", cell);
+        }
+    }
+    Ok(())
+}
 
-    /// Every schedule source — the conventional and reordered strategies
-    /// and a randomized topological order — on a plain and a viewed MLP:
-    /// the schedule respects every dependency, the plan passes
-    /// `validate_plan`, every alias sits at its input's offset, live
-    /// buffers never share bytes outside an in-place alias chain, no
-    /// in-place writer overlaps a buffer read after it, and the viewed
-    /// MLP's reshapes are views. The oracles are independent of
-    /// `validate_plan`.
+const ALL_SOURCES: [&str; 3] = ["conventional", "reordered", "random"];
+
+proptest! {
+    // Every check runs in every cell of {conventional, reordered, random}
+    // schedule x {plain, viewed} MLP; each property covers one row or
+    // column of that table, 16 cases each.
+    #![proptest_config(ProptestConfig::with_cases(16))]
+
+    /// The built-in strategies on both models.
     #[test]
     fn schedules_and_memory_plans_are_valid(
-        depth in 1usize..5,
-        width in 2usize..20,
-        batch in 1usize..5,
-        frozen_prefix in 0usize..3,
-        seed in 0u64..10_000,
+        depth in 1usize..5, width in 2usize..20, batch in 1usize..5,
+        frozen_prefix in 0usize..3, seed in 0u64..10_000,
     ) {
-        let frozen_prefix = frozen_prefix.min(depth);
-        let models = [
-            ("plain", random_tg(random_mlp(depth, width, batch, frozen_prefix, seed, false))),
-            ("viewed", random_tg(random_mlp(depth, width, batch, frozen_prefix, seed, true))),
-        ];
-        for (model, tg) in &models {
-            let graph = &tg.graph;
-            for source in ["conventional", "reordered", "random"] {
-                let schedule = match source {
-                    "conventional" => build_schedule(graph, ScheduleStrategy::Conventional),
-                    "reordered" => build_schedule(graph, ScheduleStrategy::Reordered),
-                    _ => random_topo_schedule(graph, seed),
-                };
-                let cell = format!("{source} schedule, {model} MLP");
-                check_topological(graph, &schedule, &cell)?;
-                let plan = plan_memory(graph, &schedule);
-                prop_assert_eq!(validate_plan(graph, &schedule, &plan), Ok(()), "{}", cell);
-                for (idx, alias) in plan.aliases.iter().enumerate() {
-                    if let Some(input) = alias {
-                        prop_assert_eq!(
-                            plan.offsets[idx], plan.offsets[input.index()],
-                            "alias {} moved off its input ({})", idx, cell
-                        );
-                    }
-                }
-                check_no_overlap_outside_alias_chains(graph, &plan, &cell)?;
-                check_writers_never_clobber_later_reads(graph, &plan, &cell)?;
-                let views = (0..graph.len())
-                    .filter(|&i| matches!(graph.node(NodeId(i)).op, OpKind::Reshape { .. }))
-                    .filter(|&i| plan.aliases[i].is_some())
-                    .count();
-                prop_assert!(*model == "plain" || views > 0, "no view ({})", cell);
-            }
-        }
+        let shape = (depth, width, batch, frozen_prefix, seed);
+        check_cells(shape, &["plain", "viewed"], &["conventional", "reordered"])?;
+    }
+
+    /// Randomized topological orders on both models.
+    #[test]
+    fn planner_never_overlaps_across_random_schedules(
+        depth in 1usize..5, width in 2usize..20, batch in 1usize..5,
+        frozen_prefix in 0usize..3, seed in 0u64..10_000,
+    ) {
+        let shape = (depth, width, batch, frozen_prefix, seed);
+        check_cells(shape, &["plain", "viewed"], &["random"])?;
+    }
+
+    /// Every schedule source on the plain MLP.
+    #[test]
+    fn execution_plans_validate_and_never_overlap_outside_alias_chains(
+        depth in 1usize..5, width in 2usize..20, batch in 1usize..5,
+        frozen_prefix in 0usize..3, seed in 0u64..10_000,
+    ) {
+        let shape = (depth, width, batch, frozen_prefix, seed);
+        check_cells(shape, &["plain"], &ALL_SOURCES)?;
+    }
+
+    /// Every schedule source on the viewed MLP, whose reshape views and
+    /// in-place activation VJPs are the clobber cases.
+    #[test]
+    fn views_and_gradient_aliases_never_clobber_a_later_read(
+        depth in 1usize..5, width in 2usize..20, batch in 1usize..5,
+        frozen_prefix in 0usize..3, seed in 0u64..10_000,
+    ) {
+        let shape = (depth, width, batch, frozen_prefix, seed);
+        check_cells(shape, &["viewed"], &ALL_SOURCES)?;
     }
 }

@@ -3,64 +3,23 @@
 //! the heap exactly zero times and dispatches no allocating fallback kernel
 //! — every transient lives at a planner-assigned offset of the
 //! preallocated slab, parameters and optimizer state persist, and step
-//! inputs are staged into preallocated buffers. The cases make the
-//! guarantee per op kind rather than per model:
+//! inputs are staged into preallocated buffers. This file covers an MLP
+//! (bias adds, ReLU/GELU, cross-entropy) under Momentum, so optimizer state
+//! is preallocated too; with `zero_alloc_cnn.rs` and
+//! `zero_alloc_encoder.rs` the guarantee holds per op kind rather than per
+//! model. All three share `support::assert_steady_state_is_clean`.
 //!
-//! * an MLP (bias adds, ReLU/GELU, cross-entropy) under Momentum, so
-//!   optimizer state is preallocated too;
-//! * a frozen 3x3 conv stack (lowered forward convs with their weight
-//!   gradients pruned, rank-4 bias adds and bias-gradient reductions);
-//! * a trainable stack of dense, depthwise and pointwise convs (forward,
-//!   grad-input and grad-weight kernels and their stack panels);
-//! * the tiny MobileNetV2 under full backpropagation and bias-only updates;
-//! * a 6-block encoder (head split/merge permutes, batched matmuls,
-//!   softmax, layer norm, embeddings, GELU) under the paper's DistilBERT
-//!   sparse scheme and under full backpropagation.
-//!
-//! This file holds a single `#[test]`: the global allocator counts every
-//! thread in the process, so concurrent tests in the same binary would
-//! pollute the measurement.
+//! Each of the three binaries holds a single `#[test]`: the global
+//! allocator counts every thread in the process, so concurrent tests in the
+//! same binary would pollute the measurement.
 
-use std::collections::HashMap;
-
-use pe_tests::support::{assert_steady_state_is_clean, CountingAlloc};
-use pockengine::pe_graph::{build_training_graph, Graph, GraphBuilder, NodeId, OpKind};
-use pockengine::pe_graph::{TrainKind, TrainSpec};
-use pockengine::pe_models::{build_bert, build_mobilenet, BertConfig, MobileNetV2Config};
-use pockengine::pe_passes::{optimize, OptimizeOptions};
-use pockengine::pe_runtime::{Executor, Optimizer};
-use pockengine::pe_sparse::{paper_scheme_distilbert, UpdateRule};
-use pockengine::pe_tensor::kernels::conv::Conv2dParams;
-use pockengine::pe_tensor::{Rng, Tensor};
-use pockengine::{compile, CompileOptions};
+use pe_tests::support::{assert_steady_state_is_clean, executor, labelled_batch, CountingAlloc};
+use pockengine::pe_graph::{GraphBuilder, TrainSpec};
+use pockengine::pe_runtime::Optimizer;
+use pockengine::pe_tensor::Rng;
 
 #[global_allocator]
 static ALLOC: CountingAlloc = CountingAlloc::new();
-
-/// Compiles `graph` for the executor through the default pipeline.
-fn executor(graph: Graph, loss: NodeId, spec: &TrainSpec, optimizer: Optimizer) -> Executor {
-    let tg = build_training_graph(graph, loss, spec);
-    let (tg, schedule, _) = optimize(tg, OptimizeOptions::default());
-    Executor::new(tg, schedule, optimizer)
-}
-
-/// Nodes of `exec`'s compiled program whose op satisfies `wanted`.
-fn count_ops(exec: &Executor, wanted: fn(&OpKind) -> bool) -> usize {
-    let nodes = exec.training_graph().graph.nodes();
-    nodes.iter().filter(|n| wanted(&n.op)).count()
-}
-
-/// One seeded batch: `x_dims` normal features labelled with `classes`
-/// classes.
-fn inputs(x_dims: &[usize], classes: usize) -> HashMap<String, Tensor> {
-    let mut data_rng = Rng::seed_from_u64(1);
-    let xs = Tensor::randn(x_dims.to_vec(), 1.0, &mut data_rng);
-    let mut ys = Tensor::zeros([x_dims[0]]);
-    for y in ys.data_mut() {
-        *y = data_rng.next_usize(classes) as f32;
-    }
-    HashMap::from([("x".to_string(), xs), ("labels".to_string(), ys)])
-}
 
 #[test]
 fn steady_state_training_step_performs_zero_heap_allocations() {
@@ -85,139 +44,5 @@ fn steady_state_training_step_performs_zero_heap_allocations() {
         momentum: 0.9,
     };
     let exec = executor(graph, loss, &TrainSpec::new(), momentum);
-    assert_steady_state_is_clean(&ALLOC, exec, &inputs(&[8, 16], 4), 10, "MLP");
-
-    // A small CNN in the sparse-backprop regime the paper targets: frozen
-    // 3x3 stride-1 convolutions with trainable per-channel biases and a
-    // trainable linear head.
-    let mut rng = Rng::seed_from_u64(0);
-    let images = inputs(&[2, 3, 12, 12], 4);
-    let mut b = GraphBuilder::new();
-    let x = b.input("x", [2, 3, 12, 12]);
-    let labels = b.input("labels", [2]);
-    let mut h = x;
-    let mut spec = TrainSpec::new();
-    for i in 0..2 {
-        let cin = b.dims_of(h)[1];
-        let w = b.weight(&format!("conv{i}.weight"), [8, cin, 3, 3], &mut rng);
-        spec.insert(w, TrainKind::Frozen);
-        let bias = b.bias(&format!("conv{i}.bias"), 8);
-        h = b.conv2d(h, w, Conv2dParams::new(1, 1));
-        h = b.add_bias(h, bias);
-        h = b.relu(h);
-    }
-    let p = b.global_avg_pool(h);
-    let head = b.weight("head.weight", [4, 8], &mut rng);
-    let logits = b.linear(p, head, None);
-    let loss = b.cross_entropy(logits, labels);
-    let graph = b.finish(vec![loss, logits]);
-    let exec = executor(graph, loss, &spec, Optimizer::sgd(0.05));
-    // Both frozen convolutions compile to forward-only lowered convs (no
-    // weight gradient), each followed by its rank-4 bias add.
-    let graph = &exec.training_graph().graph;
-    let conv_weights: Vec<&str> = graph
-        .nodes()
-        .iter()
-        .filter(|n| matches!(n.op, OpKind::Conv2d(_)))
-        .map(|n| graph.node(n.inputs[1]).name.as_str())
-        .collect();
-    assert_eq!(conv_weights, ["conv0.weight", "conv1.weight"]);
-    assert_eq!(
-        count_ops(&exec, |op| matches!(op, OpKind::Conv2dGradWeight { .. })),
-        0,
-        "frozen conv weights must get no weight gradient"
-    );
-    assert_eq!(count_ops(&exec, |op| matches!(op, OpKind::AddBias)), 2);
-    assert_steady_state_is_clean(&ALLOC, exec, &images, 10, "frozen backbone");
-
-    // Nothing frozen: behind a first layer (whose input is data and has no
-    // gradient) a dense 3x3 stride-2 conv, a depthwise 3x3 and a 1x1 — the
-    // three branches of the lowered convolution, each run forward, for its
-    // input gradient and for its weight gradient.
-    let mut b = GraphBuilder::new();
-    let x = b.input("x", [2, 3, 12, 12]);
-    let labels = b.input("labels", [2]);
-    let first = b.weight("first.weight", [4, 3, 1, 1], &mut rng);
-    let dense = b.weight("dense.weight", [8, 4, 3, 3], &mut rng);
-    let depthwise = b.weight("depthwise.weight", [8, 1, 3, 3], &mut rng);
-    let pointwise = b.weight("pointwise.weight", [16, 8, 1, 1], &mut rng);
-    let h = b.conv2d(x, first, Conv2dParams::default());
-    let h = b.conv2d(h, dense, Conv2dParams::new(2, 1));
-    let h = b.relu(h);
-    let h = b.conv2d(h, depthwise, Conv2dParams::new(1, 1).with_groups(8));
-    let h = b.relu(h);
-    let h = b.conv2d(h, pointwise, Conv2dParams::default());
-    let h = b.relu(h);
-    let p = b.global_avg_pool(h);
-    let head = b.weight("head.weight", [4, 16], &mut rng);
-    let logits = b.linear(p, head, None);
-    let loss = b.cross_entropy(logits, labels);
-    let graph = b.finish(vec![loss, logits]);
-    let exec = executor(graph, loss, &TrainSpec::new(), Optimizer::sgd(0.05));
-    let count = |wanted| count_ops(&exec, wanted);
-    assert_eq!(count(|op| matches!(op, OpKind::Conv2d(_))), 4);
-    assert_eq!(count(|op| matches!(op, OpKind::Conv2dGradInput { .. })), 3);
-    assert_eq!(count(|op| matches!(op, OpKind::Conv2dGradWeight { .. })), 4);
-    let what = "trainable lowered convs";
-    assert_steady_state_is_clean(&ALLOC, exec, &images, 10, what);
-
-    // The tiny MobileNetV2 (batch 4, 16x16 images, 3 classes).
-    let model = build_mobilenet(&MobileNetV2Config::tiny(4, 3), &mut rng);
-    let images = inputs(&[4, 3, 16, 16], 3);
-    for (rule, what) in [
-        (UpdateRule::Full, "MobileNetV2, full backprop"),
-        (UpdateRule::BiasOnly, "MobileNetV2, bias only"),
-    ] {
-        let options = CompileOptions {
-            update_rule: rule,
-            optimizer: Optimizer::sgd(0.01),
-            ..CompileOptions::default()
-        };
-        let exec = compile(&model, &options).executor;
-        assert_steady_state_is_clean(&ALLOC, exec, &images, 10, what);
-    }
-
-    // `BertConfig::tiny` has two blocks, on which the paper's schemes prune
-    // nothing; six leave the DistilBERT scheme frozen blocks to cut the
-    // backward graph at (the shape of the benchmark's `finetune_bert_sparse`).
-    let config = BertConfig {
-        num_blocks: 6,
-        ..BertConfig::tiny(2, 2)
-    };
-    let mut data_rng = Rng::seed_from_u64(1);
-    let mut ids = Tensor::zeros([config.batch, config.seq_len]);
-    for id in ids.data_mut() {
-        *id = data_rng.next_usize(config.vocab) as f32;
-    }
-    let labels = Tensor::from_vec(vec![0.0, 1.0], [config.batch]);
-    let tokens = HashMap::from([("ids".to_string(), ids), ("labels".to_string(), labels)]);
-    let mut graph_sizes = Vec::new();
-    for (what, rule) in [
-        (
-            "encoder, DistilBERT sparse scheme",
-            UpdateRule::Sparse(paper_scheme_distilbert()),
-        ),
-        ("encoder, full backpropagation", UpdateRule::Full),
-    ] {
-        let model = build_bert(&config, &mut Rng::seed_from_u64(0));
-        let options = CompileOptions {
-            update_rule: rule,
-            optimizer: Optimizer::sgd(0.05),
-            ..CompileOptions::default()
-        };
-        let exec = compile(&model, &options).executor;
-        let count = |wanted| count_ops(&exec, wanted);
-        let blocks = config.num_blocks;
-        assert!(count(|op| matches!(op, OpKind::Permute { .. })) >= 4 * blocks);
-        assert!(count(|op| matches!(op, OpKind::BatchMatMul { .. })) >= 2 * blocks);
-        assert!(count(|op| matches!(op, OpKind::Softmax)) >= blocks);
-        assert!(count(|op| matches!(op, OpKind::LayerNorm { .. })) > 2 * blocks);
-        assert_eq!(count(|op| matches!(op, OpKind::Embedding)), 2);
-        graph_sizes.push(exec.training_graph().graph.len());
-        assert_steady_state_is_clean(&ALLOC, exec, &tokens, 5, what);
-    }
-    assert!(
-        graph_sizes[0] < graph_sizes[1],
-        "the sparse scheme must prune the backward graph: {graph_sizes:?}"
-    );
+    assert_steady_state_is_clean(&ALLOC, exec, &labelled_batch(&[8, 16], 4), 10, "MLP");
 }

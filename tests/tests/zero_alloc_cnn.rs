@@ -1,112 +1,37 @@
-//! Counting-allocator proof that the arena executor runs a *convolutional*
-//! training step — the GEMM-lowered forward kernels of a frozen backbone
-//! with its weight gradients pruned, the forward, grad-input and grad-weight
-//! kernels (and their stack panels) of a trainable one, rank-4 bias adds
-//! and in-place activations, rank-4 bias-gradient reductions — without ever
-//! dispatching an allocating fallback kernel and without touching the heap
-//! in steady state. The hand-built stacks isolate each kernel family; the
-//! tiny MobileNetV2 (stem, inverted residual blocks, depthwise convs,
-//! classifier) is the real model, trained under full backpropagation and
-//! bias-only updates. Companion to `zero_alloc.rs`
-//! (the MLP variant); this file also holds a single `#[test]` because the
-//! global allocator counts every thread in the process.
+//! Counting-allocator proof that the arena executor runs a convolutional
+//! training step without an allocating fallback kernel and without touching
+//! the heap in steady state (see `zero_alloc.rs`):
+//!
+//! * a frozen 3x3 conv stack (lowered forward convs with their weight
+//!   gradients pruned, rank-4 bias adds and bias-gradient reductions);
+//! * a trainable stack of dense, depthwise and pointwise convs (forward,
+//!   grad-input and grad-weight kernels and their stack panels);
+//! * the tiny MobileNetV2 under full backpropagation and bias-only updates.
+//!
+//! A single `#[test]`, because the global allocator counts every thread in
+//! the process.
 
-use std::collections::HashMap;
-
-use pe_tests::support::CountingAlloc;
-use pockengine::pe_graph::{build_training_graph, Graph, NodeId, TrainKind, TrainSpec};
-use pockengine::pe_graph::{GraphBuilder, OpKind};
+use pe_tests::support::{
+    assert_steady_state_is_clean, count_ops, executor, labelled_batch, CountingAlloc,
+};
+use pockengine::pe_graph::{GraphBuilder, OpKind, TrainKind, TrainSpec};
 use pockengine::pe_models::{build_mobilenet, MobileNetV2Config};
-use pockengine::pe_passes::{optimize, OptimizeOptions};
-use pockengine::pe_runtime::{Executor, Optimizer};
+use pockengine::pe_runtime::Optimizer;
 use pockengine::pe_sparse::UpdateRule;
 use pockengine::pe_tensor::kernels::conv::Conv2dParams;
-use pockengine::pe_tensor::{Rng, Tensor};
-use pockengine::CompileOptions;
+use pockengine::pe_tensor::Rng;
+use pockengine::{compile, CompileOptions};
 
 #[global_allocator]
 static ALLOC: CountingAlloc = CountingAlloc::new();
-
-/// Compiles `graph` for the executor through the default pipeline.
-fn compile(graph: Graph, loss: NodeId, spec: &TrainSpec) -> Executor {
-    let tg = build_training_graph(graph, loss, spec);
-    let (tg, schedule, _) = optimize(tg, OptimizeOptions::default());
-    Executor::new(tg, schedule, Optimizer::sgd(0.05))
-}
-
-/// Nodes of `exec`'s compiled program whose op satisfies `wanted`.
-fn count_ops(exec: &Executor, wanted: fn(&OpKind) -> bool) -> usize {
-    let nodes = exec.training_graph().graph.nodes();
-    nodes.iter().filter(|n| wanted(&n.op)).count()
-}
-
-/// Steps `exec` on one seeded batch of `x_dims` images labelled with
-/// `classes` classes: after a warm-up the steady state must not allocate or
-/// fall back, and the loss must fall.
-fn assert_steady_state_is_clean(
-    mut exec: Executor,
-    x_dims: [usize; 4],
-    classes: usize,
-    what: &str,
-) {
-    let mut data_rng = Rng::seed_from_u64(1);
-    let xs = Tensor::randn(x_dims, 1.0, &mut data_rng);
-    let mut ys = Tensor::zeros([x_dims[0]]);
-    for y in ys.data_mut() {
-        *y = data_rng.next_usize(classes) as f32;
-    }
-    let inputs = HashMap::from([("x".to_string(), xs), ("labels".to_string(), ys)]);
-
-    // Warm up before counting.
-    let mut losses = Vec::with_capacity(4);
-    for _ in 0..3 {
-        losses.push(exec.train_step(&inputs).unwrap().unwrap());
-    }
-
-    // As in `zero_alloc.rs`: the counter is process-global, so require one
-    // clean window out of several rather than an unconditionally clean run.
-    let steps = 10;
-    let windows = 3;
-    let mut sink = 0.0f32;
-    let mut counts = Vec::with_capacity(windows);
-    for _ in 0..windows {
-        let before = ALLOC.count();
-        for _ in 0..steps {
-            sink += exec.train_step(&inputs).unwrap().unwrap();
-        }
-        counts.push(ALLOC.count() - before);
-    }
-
-    assert!(sink.is_finite(), "{what}: loss must stay finite");
-    assert!(
-        counts.contains(&0),
-        "{what}: steady-state training steps must perform zero heap allocations \
-         (allocations per {steps}-step window: {counts:?})"
-    );
-    assert_eq!(
-        exec.fallback_dispatches(),
-        0,
-        "{what}: the program must not dispatch any allocating fallback kernel"
-    );
-
-    // The steps above actually trained the parameters.
-    let final_loss = exec.train_step(&inputs).unwrap().unwrap();
-    assert!(
-        final_loss < losses[0],
-        "{what}: loss should decrease: {} -> {final_loss}",
-        losses[0]
-    );
-}
 
 #[test]
 fn cnn_training_step_has_zero_fallbacks_and_zero_allocations() {
     // A small CNN in the sparse-backprop regime the paper targets: frozen
     // 3x3 stride-1 convolutions with trainable per-channel biases and a
-    // trainable linear head. The backward pass therefore exercises the
-    // rank-4 bias reduction and activation gradients but computes no conv
-    // weight gradient, while the forward pass runs the lowered convs, their
-    // rank-4 bias adds and ReLUs.
+    // trainable linear head.
     let mut rng = Rng::seed_from_u64(0);
+    let images = labelled_batch(&[2, 3, 12, 12], 4);
     let mut b = GraphBuilder::new();
     let x = b.input("x", [2, 3, 12, 12]);
     let labels = b.input("labels", [2]);
@@ -126,11 +51,9 @@ fn cnn_training_step_has_zero_fallbacks_and_zero_allocations() {
     let logits = b.linear(p, head, None);
     let loss = b.cross_entropy(logits, labels);
     let graph = b.finish(vec![loss, logits]);
-    let exec = compile(graph, loss, &spec);
-
-    // The program must actually contain the interesting kernels: both frozen
-    // convolutions as forward-only lowered convs (sparse backprop prunes
-    // their weight gradients) and a rank-4 bias add behind each of them.
+    let exec = executor(graph, loss, &spec, Optimizer::sgd(0.05));
+    // Both frozen convolutions compile to forward-only lowered convs (no
+    // weight gradient), each followed by its rank-4 bias add.
     let graph = &exec.training_graph().graph;
     let conv_weights: Vec<&str> = graph
         .nodes()
@@ -138,29 +61,19 @@ fn cnn_training_step_has_zero_fallbacks_and_zero_allocations() {
         .filter(|n| matches!(n.op, OpKind::Conv2d(_)))
         .map(|n| graph.node(n.inputs[1]).name.as_str())
         .collect();
-    assert_eq!(
-        conv_weights,
-        ["conv0.weight", "conv1.weight"],
-        "both frozen convs must compile to Conv2d"
-    );
+    assert_eq!(conv_weights, ["conv0.weight", "conv1.weight"]);
     assert_eq!(
         count_ops(&exec, |op| matches!(op, OpKind::Conv2dGradWeight { .. })),
         0,
         "frozen conv weights must get no weight gradient"
     );
-    assert_eq!(
-        count_ops(&exec, |op| matches!(op, OpKind::AddBias)),
-        2,
-        "each conv must be followed by its bias add"
-    );
+    assert_eq!(count_ops(&exec, |op| matches!(op, OpKind::AddBias)), 2);
+    assert_steady_state_is_clean(&ALLOC, exec, &images, 10, "frozen backbone");
 
-    assert_steady_state_is_clean(exec, [2, 3, 12, 12], 4, "frozen backbone");
-
-    // The same shape of program with nothing frozen: behind a first layer
-    // (whose input is data and has no gradient) a dense 3x3 stride-2 conv, a
-    // depthwise 3x3 and a 1x1 — the three branches of the lowered
-    // convolution, each run forward, for its input gradient and for its
-    // weight gradient.
+    // Nothing frozen: behind a first layer (whose input is data and has no
+    // gradient) a dense 3x3 stride-2 conv, a depthwise 3x3 and a 1x1 — the
+    // three branches of the lowered convolution, each run forward, for its
+    // input gradient and for its weight gradient.
     let mut b = GraphBuilder::new();
     let x = b.input("x", [2, 3, 12, 12]);
     let labels = b.input("labels", [2]);
@@ -180,16 +93,17 @@ fn cnn_training_step_has_zero_fallbacks_and_zero_allocations() {
     let logits = b.linear(p, head, None);
     let loss = b.cross_entropy(logits, labels);
     let graph = b.finish(vec![loss, logits]);
-    let exec = compile(graph, loss, &TrainSpec::new());
+    let exec = executor(graph, loss, &TrainSpec::new(), Optimizer::sgd(0.05));
     let count = |wanted| count_ops(&exec, wanted);
     assert_eq!(count(|op| matches!(op, OpKind::Conv2d(_))), 4);
     assert_eq!(count(|op| matches!(op, OpKind::Conv2dGradInput { .. })), 3);
     assert_eq!(count(|op| matches!(op, OpKind::Conv2dGradWeight { .. })), 4);
-    assert_steady_state_is_clean(exec, [2, 3, 12, 12], 4, "trainable lowered convs");
+    let what = "trainable lowered convs";
+    assert_steady_state_is_clean(&ALLOC, exec, &images, 10, what);
 
-    // The tiny MobileNetV2 (batch 4, 16x16 images, 3 classes) under full
-    // backpropagation and under bias-only updates.
+    // The tiny MobileNetV2 (batch 4, 16x16 images, 3 classes).
     let model = build_mobilenet(&MobileNetV2Config::tiny(4, 3), &mut rng);
+    let images = labelled_batch(&[4, 3, 16, 16], 3);
     for (rule, what) in [
         (UpdateRule::Full, "MobileNetV2, full backprop"),
         (UpdateRule::BiasOnly, "MobileNetV2, bias only"),
@@ -199,7 +113,7 @@ fn cnn_training_step_has_zero_fallbacks_and_zero_allocations() {
             optimizer: Optimizer::sgd(0.01),
             ..CompileOptions::default()
         };
-        let exec = pockengine::compile(&model, &options).executor;
-        assert_steady_state_is_clean(exec, [4, 3, 16, 16], 3, what);
+        let exec = compile(&model, &options).executor;
+        assert_steady_state_is_clean(&ALLOC, exec, &images, 10, what);
     }
 }
