@@ -1,12 +1,13 @@
 //! Reproduces the §3.2 graph-optimisation ablation: training-step time,
-//! measured on this host, and planned transient peak with the optimisations
-//! disabled in turn, on paper-scale MobileNetV2 (batch 1) under the paper's
-//! sparse scheme.
+//! measured on this host, and planned transient peak with and without
+//! operator reordering, on paper-scale MobileNetV2 (batch 1) under the
+//! paper's sparse scheme. Dead-code elimination has no row: autodiff prunes
+//! the backward graph as it derives it, so there is nothing left to remove.
 
 use pe_bench::speed::{measure_steps, timing, PaperModel, Setup};
 use pe_bench::TextTable;
 use pockengine::pe_models::{build_mobilenet, MobileNetV2Config};
-use pockengine::pe_passes::{OptimizeOptions, ScheduleStrategy};
+use pockengine::pe_passes::ScheduleStrategy;
 use pockengine::pe_runtime::Optimizer;
 use pockengine::pe_sparse::UpdateRule;
 use pockengine::pe_tensor::Rng;
@@ -24,24 +25,13 @@ fn main() {
         &mut Rng::seed_from_u64(0),
     );
     let rule = UpdateRule::Sparse(PaperModel::MobileNetV2.paper_scheme());
-    let setup = |optimize, schedule| Setup::Compiled {
+    let setup = |schedule| Setup::Compiled {
         rule: rule.clone(),
-        optimize,
         schedule,
     };
     let setups = [
-        (
-            "all optimizations",
-            setup(OptimizeOptions::default(), ScheduleStrategy::Reordered),
-        ),
-        (
-            "no reordering",
-            setup(OptimizeOptions::default(), ScheduleStrategy::Conventional),
-        ),
-        (
-            "none",
-            setup(OptimizeOptions::none(), ScheduleStrategy::Conventional),
-        ),
+        ("all optimizations", setup(ScheduleStrategy::Reordered)),
+        ("no reordering", setup(ScheduleStrategy::Conventional)),
     ];
     let timings = measure_steps(&model, &setups, Optimizer::sgd(0.01), rounds);
     let baseline = timing(&timings, "all optimizations").step_us;

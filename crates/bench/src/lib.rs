@@ -13,7 +13,7 @@
 //! | Table 5 (Llama fine-tuning)         | [`speed::measure_steps`] + [`accuracy::llama_quality`], `repro_table5` |
 //! | Figure 7 (autodiff overhead)        | [`overhead::measure_autodiff_overhead`], `repro_fig7_overhead` |
 //! | Figure 8 (loss curves)              | [`accuracy::loss_curves`], `repro_fig8_loss_curves` |
-//! | §3.2 graph-opt ablation (DCE, reordering) | [`speed::measure_steps`], `repro_ablation_graphopt` |
+//! | §3.2 graph-opt ablation (reordering) | [`speed::measure_steps`], `repro_ablation_graphopt` |
 //!
 //! Every speed number is a median of wall-clock steps on the host that ran
 //! the binary, timed by the one loop in [`speed::measure_steps`]; every

@@ -162,7 +162,7 @@ pub fn mcu_peak_attribution(top: usize) -> Vec<PeakRow> {
 /// cuts MCU training memory versus the conventional schedule. Returns
 /// (conventional_bytes, reordered_bytes).
 pub fn mcu_reordering_saving() -> (usize, usize) {
-    use pockengine::pe_passes::{OptimizeOptions, ScheduleStrategy};
+    use pockengine::pe_passes::ScheduleStrategy;
     let mut rng = Rng::seed_from_u64(7);
     let model = PaperModel::McuNet.build(1, &mut rng);
     let rule = UpdateRule::Sparse(PaperModel::McuNet.paper_scheme());
@@ -171,7 +171,6 @@ pub fn mcu_reordering_saving() -> (usize, usize) {
         &CompileOptions {
             update_rule: rule.clone(),
             optimizer: Optimizer::sgd(0.01),
-            optimize: OptimizeOptions::default(),
             schedule: ScheduleStrategy::Reordered,
             ..CompileOptions::default()
         },
@@ -181,10 +180,6 @@ pub fn mcu_reordering_saving() -> (usize, usize) {
         &CompileOptions {
             update_rule: rule,
             optimizer: Optimizer::sgd(0.01),
-            optimize: OptimizeOptions {
-                reorder_updates: false,
-                ..OptimizeOptions::default()
-            },
             schedule: ScheduleStrategy::Conventional,
             ..CompileOptions::default()
         },

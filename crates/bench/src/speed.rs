@@ -3,9 +3,9 @@
 //! graph-optimisation ablation all time their setups with [`measure_steps`].
 //!
 //! Every baseline the paper compares against exists in-tree as real code:
-//! runtime autodiff is [`EagerEngine`], "no graph optimisation" is
-//! [`OptimizeOptions::none`] with [`ScheduleStrategy::Conventional`], and
-//! the schemes are [`UpdateRule`]'s `Full`, `BiasOnly` and `Sparse`.
+//! runtime autodiff is [`EagerEngine`], the conventional update placement is
+//! [`ScheduleStrategy::Conventional`], and the schemes are [`UpdateRule`]'s
+//! `Full`, `BiasOnly` and `Sparse`.
 
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -16,7 +16,7 @@ use pockengine::pe_models::{
     build_bert, build_llama, build_mobilenet, build_resnet, mcunet_5fps_config, BertConfig,
     BuiltModel, LlamaConfig, MobileNetV2Config, ResNetConfig,
 };
-use pockengine::pe_passes::{OptimizeOptions, ScheduleStrategy};
+use pockengine::pe_passes::ScheduleStrategy;
 use pockengine::pe_runtime::{EagerEngine, Executor, Optimizer, ParamStore};
 use pockengine::pe_sparse::{
     apply_rule, paper_scheme_bert, paper_scheme_distilbert, paper_scheme_llama,
@@ -80,7 +80,7 @@ impl PaperModel {
     }
 }
 
-/// Analyses one model under a rule, with all graph optimisations enabled.
+/// Analyses one model under a rule, with reordered updates.
 pub fn analyze_model(
     model: &BuiltModel,
     rule: UpdateRule,
@@ -107,19 +107,16 @@ pub enum Setup {
     Compiled {
         /// Which parameters are updated.
         rule: UpdateRule,
-        /// Graph optimisations.
-        optimize: OptimizeOptions,
         /// Update placement.
         schedule: ScheduleStrategy,
     },
 }
 
 impl Setup {
-    /// The compiled program under `rule` with every graph optimisation on.
+    /// The compiled program under `rule` with reordered updates.
     pub fn compiled(rule: UpdateRule) -> Setup {
         Setup::Compiled {
             rule,
-            optimize: OptimizeOptions::default(),
             schedule: ScheduleStrategy::Reordered,
         }
     }
@@ -209,17 +206,12 @@ pub fn measure_steps(
                 });
                 (step, None)
             }
-            Setup::Compiled {
-                rule,
-                optimize,
-                schedule,
-            } => {
+            Setup::Compiled { rule, schedule } => {
                 let analysis = analyze(
                     model,
                     &CompileOptions {
                         update_rule: rule.clone(),
                         optimizer,
-                        optimize: *optimize,
                         schedule: *schedule,
                         ..CompileOptions::default()
                     },

@@ -165,37 +165,17 @@ pub(crate) fn drain(engine: &mut Engine, rx: &Receiver, counters: &BatcherCounte
         match head.request().kind {
             ServingKind::Train => dispatch_train(engine, head, counters),
             ServingKind::Eval => {
-                let mut delta = BatcherStats::default();
+                // An expired head has no budget for companions:
+                // `accumulate` then takes only what is already queued and
+                // compatible, without waiting.
+                let expired = head.deadline() <= Instant::now();
+                let mut delta = BatcherStats {
+                    expired_dispatches: u64::from(expired),
+                    ..BatcherStats::default()
+                };
                 let target = engine.eval_target_rows();
+                let mut rows = head.rows();
                 let mut group = vec![head];
-                let mut rows = group[0].rows();
-                if group[0].deadline() <= Instant::now() {
-                    delta.expired_dispatches = 1;
-                    // No budget for companions: take only what is already
-                    // queued and compatible, without waiting.
-                    while rows < target {
-                        match rx.try_pop() {
-                            Some(e) => match engine.classify_for_group(e.request(), rows, target) {
-                                GroupVerdict::Join => {
-                                    rows += e.rows();
-                                    group.push(e);
-                                }
-                                GroupVerdict::Invalid(error) => e.fulfill(Err(error)),
-                                GroupVerdict::Reject(reason) => {
-                                    reject(engine, e, reason, counters);
-                                }
-                                GroupVerdict::Barrier => {
-                                    carried = Some(e);
-                                    break;
-                                }
-                            },
-                            None => break,
-                        }
-                    }
-                    delta.deadline_flushes = 1;
-                    dispatch_eval(engine, group, rows, counters, delta);
-                    continue;
-                }
                 let flush = accumulate(engine, rx, &mut group, &mut rows, target, counters);
                 match flush {
                     Flush::Target => {
@@ -221,9 +201,11 @@ pub(crate) fn drain(engine: &mut Engine, rx: &Receiver, counters: &BatcherCounte
 }
 
 /// Grows `group` until it fills `target` rows, the earliest member deadline
-/// arrives, or an incompatible request shows up. Popped requests that are
-/// malformed or fail admission resolve in place and never join (nor flush)
-/// the group.
+/// arrives, or an incompatible request shows up. Once that deadline has
+/// passed, each pop returns a queued request or times out at once, so a
+/// group with an expired member takes only what is already queued. Popped
+/// requests that are malformed or fail admission resolve in place and
+/// never join (nor flush) the group.
 fn accumulate(
     engine: &mut Engine,
     rx: &Receiver,

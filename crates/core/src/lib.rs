@@ -8,8 +8,8 @@
 //!
 //! * [`pe_tensor`] — tensors and the shared forward/backward kernel library;
 //! * [`pe_graph`] — the unified IR, graph builder and compile-time autodiff;
-//! * [`pe_passes`] — training-graph optimisations (pruning/DCE, operator
-//!   reordering) and scheduling;
+//! * [`pe_passes`] — scheduling, with operator reordering (the backward
+//!   graph is pruned as autodiff derives it);
 //! * [`pe_memplan`] — tensor lifetime analysis and memory planning;
 //! * [`pe_runtime`] — the slim executor, optimizers and the eager baseline;
 //! * [`pe_sparse`] — update schemes and the scheme search;
@@ -60,7 +60,7 @@ use std::sync::Arc;
 use pe_graph::{build_training_graph, TrainingGraph};
 use pe_memplan::{memory_report, MemoryReport};
 use pe_models::BuiltModel;
-use pe_passes::{optimize, OptimizeOptions, OptimizeStats, Schedule, ScheduleStrategy};
+use pe_passes::{build_schedule, Schedule, ScheduleStrategy};
 use pe_runtime::{Executor, ExecutorConfig, Optimizer, ParamStore, Trainer};
 use pe_sparse::{apply_rule, trainable_elements, UpdateRule};
 
@@ -98,7 +98,7 @@ pub use submit::{Submit, SubmitHandle};
 ///     &mut data_rng,
 /// );
 ///
-/// // Compile: full backpropagation with every graph optimisation enabled.
+/// // Compile: full backpropagation with reordered updates.
 /// let program = compile(
 ///     &model,
 ///     &CompileOptions {
@@ -135,7 +135,7 @@ pub mod prelude {
         build_bert, build_llama, build_mobilenet, build_resnet, mcunet_5fps_config,
         mcunet_tiny_config, BertConfig, BuiltModel, LlamaConfig, MobileNetV2Config, ResNetConfig,
     };
-    pub use pe_passes::{OptimizeOptions, ScheduleStrategy};
+    pub use pe_passes::ScheduleStrategy;
     pub use pe_runtime::{Batch, Executor, Optimizer, ParamStore, Trainer};
     pub use pe_sparse::{
         apply_rule, paper_scheme_bert, paper_scheme_distilbert, paper_scheme_llama,
@@ -152,8 +152,10 @@ pub struct CompileOptions {
     pub update_rule: UpdateRule,
     /// Optimizer applied by the `ApplyUpdate` nodes.
     pub optimizer: Optimizer,
-    /// Graph optimisation pipeline configuration.
-    pub optimize: OptimizeOptions,
+    /// Ignored: [`CompileOptions::schedule`] decides update placement.
+    /// Kept only because the benchmark harness names it; ROADMAP item 11
+    /// deletes it.
+    pub optimize: pe_passes::OptimizeOptions,
     /// Execution order policy (reordered updates vs conventional).
     pub schedule: ScheduleStrategy,
     /// Carries no setting (see [`ExecutorConfig`]); kept only because the
@@ -166,7 +168,7 @@ impl Default for CompileOptions {
         CompileOptions {
             update_rule: UpdateRule::Full,
             optimizer: Optimizer::sgd(0.01),
-            optimize: OptimizeOptions::default(),
+            optimize: pe_passes::OptimizeOptions::default(),
             schedule: ScheduleStrategy::Reordered,
             executor: ExecutorConfig,
         }
@@ -177,13 +179,13 @@ impl Default for CompileOptions {
 /// materialisation) — everything the memory planner and the reports need.
 #[derive(Debug, Clone)]
 pub struct ProgramAnalysis {
-    /// The optimized training graph; a compiled program's executor runs
+    /// The derived training graph; a compiled program's executor runs
     /// this same graph, not a copy.
     pub training_graph: Arc<TrainingGraph>,
     /// The execution schedule.
     pub schedule: Schedule,
-    /// Optimisation statistics (DCE, launch counts).
-    pub stats: OptimizeStats,
+    /// Kernel launches per step: the training graph's non-leaf nodes.
+    pub launches: usize,
     /// Training-memory breakdown.
     pub memory: MemoryReport,
     /// Number of parameter elements that receive updates.
@@ -219,7 +221,7 @@ impl CompiledProgram {
 /// Use this for paper-scale configurations (ResNet-50 at 224x224, BERT-base,
 /// Llama-7B) whose graphs are only consumed by the memory planner.
 pub fn analyze(model: &BuiltModel, options: &CompileOptions) -> ProgramAnalysis {
-    let (tg, schedule, stats, trainable) = lower(model, options);
+    let (tg, schedule, trainable) = lower(model, options);
     let memory = memory_report(
         &tg.graph,
         &schedule,
@@ -227,9 +229,9 @@ pub fn analyze(model: &BuiltModel, options: &CompileOptions) -> ProgramAnalysis 
         options.optimizer.state_slots(),
     );
     ProgramAnalysis {
+        launches: launch_count(&tg),
         training_graph: Arc::new(tg),
         schedule,
-        stats,
         memory,
         trainable_elements: trainable,
         logits_name: model.logits_name(),
@@ -239,10 +241,10 @@ pub fn analyze(model: &BuiltModel, options: &CompileOptions) -> ProgramAnalysis 
 /// Compiles a model into an executable training program.
 ///
 /// The entire pipeline runs at compile time: scheme application, backward
-/// graph derivation, graph optimisation, scheduling and memory planning. The
-/// returned program's executor performs no graph work at runtime.
+/// graph derivation, scheduling and memory planning. The returned
+/// program's executor performs no graph work at runtime.
 pub fn compile(model: &BuiltModel, options: &CompileOptions) -> CompiledProgram {
-    let (tg, schedule, stats, trainable) = lower(model, options);
+    let (tg, schedule, trainable) = lower(model, options);
     let tg = Arc::new(tg);
     let store = Arc::new(ParamStore::from_graph(&tg.graph, options.optimizer));
     let executor = Executor::with_store(Arc::clone(&tg), schedule.clone(), store);
@@ -250,9 +252,9 @@ pub fn compile(model: &BuiltModel, options: &CompileOptions) -> CompiledProgram 
     let memory = executor.memory_report(trainable, options.optimizer.state_slots());
     CompiledProgram {
         analysis: ProgramAnalysis {
+            launches: launch_count(&tg),
             training_graph: tg,
             schedule,
-            stats,
             memory,
             trainable_elements: trainable,
             logits_name: model.logits_name(),
@@ -270,24 +272,25 @@ pub(crate) fn build_executor(
     options: &CompileOptions,
     store: Arc<ParamStore>,
 ) -> Executor {
-    let (tg, schedule, _, _) = lower(model, options);
+    let (tg, schedule, _) = lower(model, options);
     Executor::with_store(tg, schedule, store)
 }
 
 /// The compile pipeline before memory planning: scheme application,
-/// autodiff, graph optimisation and scheduling. Also returns the number of
-/// parameter elements that receive updates.
-fn lower(
-    model: &BuiltModel,
-    options: &CompileOptions,
-) -> (TrainingGraph, Schedule, OptimizeStats, usize) {
+/// autodiff (which prunes the backward graph as it derives it) and
+/// scheduling. Also returns the number of parameter elements that receive
+/// updates.
+fn lower(model: &BuiltModel, options: &CompileOptions) -> (TrainingGraph, Schedule, usize) {
     let spec = apply_rule(model, &options.update_rule);
     let trainable = trainable_elements(model, &spec);
     let tg = build_training_graph(model.graph.clone(), model.loss, &spec);
-    let mut opts = options.optimize;
-    opts.reorder_updates = options.schedule == ScheduleStrategy::Reordered;
-    let (tg, schedule, stats) = optimize(tg, opts);
-    (tg, schedule, stats, trainable)
+    let schedule = build_schedule(&tg.graph, options.schedule);
+    (tg, schedule, trainable)
+}
+
+/// Kernel launches per step: every node that is not a leaf.
+fn launch_count(tg: &TrainingGraph) -> usize {
+    tg.graph.nodes().iter().filter(|n| !n.op.is_leaf()).count()
 }
 
 #[cfg(test)]
@@ -371,6 +374,5 @@ mod tests {
         let o = CompileOptions::default();
         assert_eq!(o.update_rule, UpdateRule::Full);
         assert_eq!(o.schedule, ScheduleStrategy::Reordered);
-        assert!(o.optimize.dce);
     }
 }

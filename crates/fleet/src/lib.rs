@@ -63,20 +63,21 @@ pub struct BalancerConfig {
     /// TCP connect + handshake bound for worker (re)connects.
     pub connect_timeout: Duration,
     /// First reconnect delay after a failed reconnect attempt; doubles per
-    /// failure up to [`BalancerConfig::max_backoff`].
+    /// failure up to a 5 s ceiling.
     pub initial_backoff: Duration,
-    /// Reconnect backoff ceiling.
-    pub max_backoff: Duration,
-    /// Bound on one checkpoint fetch or push round trip.
-    pub checkpoint_timeout: Duration,
-    /// How long a dispatch waits for *any* worker to come up before
-    /// resolving the request `Cancelled`. This is the fleet's no-hang
-    /// guarantee when every worker is down.
-    pub no_worker_grace: Duration,
-    /// Re-dispatch attempts per eval before giving up (each attempt goes
-    /// to a different healthy worker when one exists).
-    pub max_redispatch: usize,
 }
+
+/// Reconnect backoff ceiling.
+const MAX_BACKOFF: Duration = Duration::from_secs(5);
+/// Bound on one checkpoint fetch or push round trip.
+const CHECKPOINT_TIMEOUT: Duration = Duration::from_secs(10);
+/// How long a dispatch waits for *any* worker to come up before resolving
+/// the request `Cancelled`. This is the fleet's no-hang guarantee when
+/// every worker is down.
+const NO_WORKER_GRACE: Duration = Duration::from_secs(5);
+/// Re-dispatch attempts per eval before giving up (each attempt goes to a
+/// different healthy worker when one exists).
+const MAX_REDISPATCH: usize = 8;
 
 impl Default for BalancerConfig {
     fn default() -> Self {
@@ -87,10 +88,6 @@ impl Default for BalancerConfig {
             probe_timeout: Duration::from_secs(1),
             connect_timeout: Duration::from_secs(1),
             initial_backoff: Duration::from_millis(100),
-            max_backoff: Duration::from_secs(5),
-            checkpoint_timeout: Duration::from_secs(10),
-            no_worker_grace: Duration::from_secs(5),
-            max_redispatch: 8,
         }
     }
 }
@@ -547,7 +544,7 @@ fn try_dispatch_eval(
 /// up to the configured grace before giving up. (The reaper never calls
 /// this — it must not block, so it parks unroutable evals instead.)
 fn dispatch_eval(shared: &Arc<FleetShared>, envelope: Envelope, request: Request) {
-    let give_up = Instant::now() + shared.config.no_worker_grace;
+    let give_up = Instant::now() + NO_WORKER_GRACE;
     let (mut envelope, mut request) = (envelope, request);
     loop {
         match try_dispatch_eval(shared, envelope, request, 0, None) {
@@ -586,7 +583,7 @@ fn route_train(shared: &Arc<FleetShared>, envelope: Envelope, request: Request) 
             window = next;
         }
     }
-    let give_up = Instant::now() + shared.config.no_worker_grace;
+    let give_up = Instant::now() + NO_WORKER_GRACE;
     loop {
         let Some(idx) = shared.primary() else {
             let shutting_down = shared.shutting_down.load(Ordering::SeqCst);
@@ -645,7 +642,7 @@ fn route_train(shared: &Arc<FleetShared>, envelope: Envelope, request: Request) 
 /// reconnects right after the lock drops must see the post-train bits.
 fn broadcast_checkpoint(shared: &Arc<FleetShared>, primary: usize, client: &Client) {
     let mut cached = shared.checkpoint.lock().unwrap();
-    match client.fetch_snapshot(shared.config.checkpoint_timeout) {
+    match client.fetch_snapshot(CHECKPOINT_TIMEOUT) {
         Ok(bytes) => *cached = Some(bytes),
         Err(_) => {
             // The primary vanished between the outcome and the fetch.
@@ -667,7 +664,7 @@ fn broadcast_checkpoint(shared: &Arc<FleetShared>, primary: usize, client: &Clie
             continue;
         };
         if follower
-            .push_checkpoint(snapshot, shared.config.checkpoint_timeout)
+            .push_checkpoint(snapshot, CHECKPOINT_TIMEOUT)
             .is_err()
         {
             // The follower lost the push; it re-converges on reconnect via
@@ -719,7 +716,7 @@ fn reaper_loop(shared: &Arc<FleetShared>) {
             // graceful shutdown severs connections first, which lands
             // here too).
             let worker_lost = matches!(result, Ok(Outcome::Cancelled));
-            if worker_lost && entry.attempts < shared.config.max_redispatch {
+            if worker_lost && entry.attempts < MAX_REDISPATCH {
                 // The worker (or its connection) died with the eval in
                 // flight. Evals are stateless reads: re-home, don't fail.
                 // Only sever if the worker's current client is the dead
@@ -737,7 +734,7 @@ fn reaper_loop(shared: &Arc<FleetShared>) {
                         request: entry.request,
                         from: entry.worker,
                         attempts: entry.attempts + 1,
-                        give_up: Instant::now() + shared.config.no_worker_grace,
+                        give_up: Instant::now() + NO_WORKER_GRACE,
                     },
                 );
             } else {
@@ -846,7 +843,7 @@ fn reconnect(shared: &Arc<FleetShared>, idx: usize) {
         .and_then(|client| {
             let cached = shared.checkpoint.lock().unwrap();
             if let Some(bytes) = cached.as_deref() {
-                client.push_checkpoint(bytes, shared.config.checkpoint_timeout)?;
+                client.push_checkpoint(bytes, CHECKPOINT_TIMEOUT)?;
             }
             *worker.client.lock().unwrap() = Some(client);
             worker.up.store(true, Ordering::SeqCst);
@@ -860,7 +857,7 @@ fn reconnect(shared: &Arc<FleetShared>, idx: usize) {
         Err(_) => {
             let mut backoff = worker.backoff.lock().unwrap();
             *worker.next_reconnect.lock().unwrap() = Instant::now() + *backoff;
-            *backoff = (*backoff * 2).min(shared.config.max_backoff);
+            *backoff = (*backoff * 2).min(MAX_BACKOFF);
         }
     }
 }

@@ -7,8 +7,8 @@
 //! parameters simply never request a gradient, so the corresponding weight-
 //! gradient nodes, the activations they would have needed, and any
 //! backpropagation below the earliest trainable layer are never emitted —
-//! there is nothing to mask out at runtime and dead-code elimination has very
-//! little left to remove.
+//! there is nothing to mask out at runtime and no dead node for a later pass
+//! to remove.
 
 use std::collections::HashMap;
 
@@ -222,8 +222,8 @@ impl Autodiff {
             updates.push(u);
         }
 
-        // Updates (and the loss) are the roots that keep the training graph
-        // alive through dead-code elimination.
+        // Updates join the loss as the graph's outputs: the roots that every
+        // live node feeds.
         for &u in &updates {
             self.graph.push_output(u);
         }

@@ -32,9 +32,9 @@ impl Node {
 /// Initial value of a parameter.
 ///
 /// A concrete value is reference-counted: cloning a graph, deriving its
-/// backward graph, rebuilding it after DCE and materialising a parameter
-/// store all share the one buffer the model builder allocated, so a weight
-/// exists once however many graphs name it. Nothing writes through the
+/// backward graph and materialising a parameter store all share the one
+/// buffer the model builder allocated, so a weight exists once however
+/// many graphs name it. Nothing writes through the
 /// shared handle; a store cell that is updated unshares its value first.
 ///
 /// Paper-scale model configurations (e.g. a 7B-parameter Llama used only for
@@ -69,11 +69,11 @@ impl From<Tensor> for ParamInit {
 /// Stable identity of a parameter across graph rebuilds.
 ///
 /// Node ids are positional and change whenever a model is rebuilt (for
-/// example at a different batch size) or re-optimized, but the canonical
-/// parameter *name* does not: the model builders derive it from the layer
-/// structure, which is batch-independent. A `ParamKey` wraps that name so a
-/// shared parameter store can resolve the same logical parameter from every
-/// specialization of a model family.
+/// example at a different batch size), but the canonical parameter *name*
+/// does not: the model builders derive it from the layer structure, which
+/// is batch-independent. A `ParamKey` wraps that name so a shared parameter
+/// store can resolve the same logical parameter from every specialization
+/// of a model family.
 #[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct ParamKey(String);
 
@@ -138,7 +138,7 @@ pub struct Graph {
 
 impl Graph {
     /// Creates an empty graph.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Graph::default()
     }
 
@@ -182,7 +182,7 @@ impl Graph {
     }
 
     /// Replaces the output list.
-    pub fn set_outputs(&mut self, outputs: Vec<NodeId>) {
+    pub(crate) fn set_outputs(&mut self, outputs: Vec<NodeId>) {
         self.outputs = outputs;
     }
 
@@ -237,7 +237,7 @@ impl Graph {
     }
 
     /// Appends a node, assigning the next id.
-    pub fn push_node(
+    pub(crate) fn push_node(
         &mut self,
         op: OpKind,
         inputs: Vec<NodeId>,
@@ -259,7 +259,7 @@ impl Graph {
     }
 
     /// Registers a node as a step input.
-    pub fn mark_input(&mut self, id: NodeId) {
+    pub(crate) fn mark_input(&mut self, id: NodeId) {
         self.inputs.push(id);
     }
 
@@ -268,7 +268,7 @@ impl Graph {
     /// # Panics
     ///
     /// Panics if the node is not a constant or the value shape mismatches.
-    pub fn mark_constant(&mut self, id: NodeId, value: Tensor) {
+    pub(crate) fn mark_constant(&mut self, id: NodeId, value: Tensor) {
         assert!(
             matches!(self.node(id).op, OpKind::Constant),
             "not a constant node"
@@ -292,7 +292,7 @@ impl Graph {
     ///
     /// Panics if a concrete initial value is provided whose shape differs
     /// from the node shape.
-    pub fn mark_param(&mut self, id: NodeId, role: ParamRole, init: impl Into<ParamInit>) {
+    pub(crate) fn mark_param(&mut self, id: NodeId, role: ParamRole, init: impl Into<ParamInit>) {
         let init = init.into();
         if let ParamInit::Value(t) = &init {
             assert_eq!(

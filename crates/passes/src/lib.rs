@@ -1,17 +1,15 @@
 //! # pe-passes
 //!
-//! Training-graph optimisation passes for PockEngine-RS (paper §3.2):
-//!
-//! * `dce` — dead-code elimination after sparse-backpropagation pruning;
-//! * `schedule` — execution scheduling, including operator reordering that
-//!   applies parameter updates as soon as their gradients are available;
-//! * `manager` — the fixed pipeline combining all of the above.
+//! Execution scheduling for PockEngine-RS (paper §3.2), including operator
+//! reordering that applies parameter updates as soon as their gradients are
+//! available. Dead code needs no pass: autodiff prunes the backward graph
+//! as it derives it, so every node of a training graph is live.
 //!
 //! # Example
 //!
 //! ```
 //! use pe_graph::{build_training_graph, GraphBuilder, TrainSpec};
-//! use pe_passes::{optimize, OptimizeOptions};
+//! use pe_passes::{build_schedule, ScheduleStrategy};
 //! use pe_tensor::Rng;
 //!
 //! let mut rng = Rng::seed_from_u64(0);
@@ -24,14 +22,12 @@
 //! let loss = b.cross_entropy(logits, labels);
 //! let graph = b.finish(vec![loss]);
 //! let tg = build_training_graph(graph, loss, &TrainSpec::new());
-//! let (optimized, schedule, stats) = optimize(tg, OptimizeOptions::default());
-//! assert_eq!(schedule.len(), optimized.graph.len());
-//! assert!(stats.launches_after <= stats.launches_before);
+//! let schedule = build_schedule(&tg.graph, ScheduleStrategy::Reordered);
+//! assert_eq!(schedule.len(), tg.graph.len());
 //! ```
 
 #![deny(missing_docs)]
 
-pub(crate) mod dce;
 pub(crate) mod manager;
 pub(crate) mod schedule;
 

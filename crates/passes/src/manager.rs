@@ -1,16 +1,17 @@
-//! The pass manager: a fixed pipeline of training-graph optimisations.
+//! The pass manager's old entry point, kept only because the benchmark
+//! harness names it: the compiler itself calls [`build_schedule`] on the
+//! derived training graph, and ROADMAP item 11 (the harness naming only
+//! `pockengine`'s API) deletes this module.
 
 use pe_graph::{Graph, TrainingGraph};
 
-use crate::dce::eliminate_dead_code;
 use crate::schedule::{build_schedule, Schedule, ScheduleStrategy};
 
-/// Which optimisations to run. The default enables everything, matching the
-/// full PockEngine pipeline; individual flags exist for the ablation study.
+/// Which update placement [`optimize`] schedules. Kept only because the
+/// benchmark harness names it; ROADMAP item 11 deletes it. The compiler
+/// takes the same choice from `ScheduleStrategy`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct OptimizeOptions {
-    /// Remove dead nodes after pruning.
-    pub dce: bool,
     /// Reorder parameter updates to directly follow their gradients.
     pub reorder_updates: bool,
 }
@@ -18,18 +19,7 @@ pub struct OptimizeOptions {
 impl Default for OptimizeOptions {
     fn default() -> Self {
         OptimizeOptions {
-            dce: true,
             reorder_updates: true,
-        }
-    }
-}
-
-impl OptimizeOptions {
-    /// Disables every optimisation (the "conventional framework" baseline).
-    pub fn none() -> Self {
-        OptimizeOptions {
-            dce: false,
-            reorder_updates: false,
         }
     }
 }
@@ -44,44 +34,38 @@ pub struct FusionStats {
     pub regions: usize,
 }
 
-/// Statistics collected while optimising a training graph.
+/// What [`optimize`] reports. Kept only because the benchmark harness
+/// names it; ROADMAP item 11 deletes it.
 #[derive(Debug, Clone, Default)]
 pub struct OptimizeStats {
     /// Always-zero fused-region counts (see [`FusionStats`]).
     pub fusion: FusionStats,
-    /// Kernel launches before optimisation.
-    pub launches_before: usize,
-    /// Kernel launches after optimisation.
+    /// Kernel launches per step: the graph's non-leaf nodes.
     pub launches_after: usize,
 }
 
 /// Counts kernel launches (non-leaf nodes) in a graph.
-pub(crate) fn launch_count(graph: &Graph) -> usize {
+fn launch_count(graph: &Graph) -> usize {
     graph.nodes().iter().filter(|n| !n.op.is_leaf()).count()
 }
 
-/// Runs the optimisation pipeline over a training graph and produces the
-/// execution schedule.
+/// Schedules a derived training graph, returning it unchanged. Kept only
+/// because the benchmark harness names it; ROADMAP item 11 deletes it.
+/// Autodiff emits only live nodes, so there is nothing to remove first.
 pub fn optimize(
-    mut tg: TrainingGraph,
+    tg: TrainingGraph,
     opts: OptimizeOptions,
 ) -> (TrainingGraph, Schedule, OptimizeStats) {
-    let mut stats = OptimizeStats {
-        launches_before: launch_count(&tg.graph),
-        ..Default::default()
-    };
-
-    if opts.dce {
-        tg = eliminate_dead_code(&tg);
-    }
-    stats.launches_after = launch_count(&tg.graph);
-
     let strategy = if opts.reorder_updates {
         ScheduleStrategy::Reordered
     } else {
         ScheduleStrategy::Conventional
     };
     let schedule = build_schedule(&tg.graph, strategy);
+    let stats = OptimizeStats {
+        fusion: FusionStats::default(),
+        launches_after: launch_count(&tg.graph),
+    };
     (tg, schedule, stats)
 }
 
@@ -92,6 +76,8 @@ mod tests {
     use pe_tensor::kernels::conv::Conv2dParams;
     use pe_tensor::Rng;
 
+    /// A conv classifier with a branch that feeds no output: the builder
+    /// leaves `relu_20` and `scale_21` dangling.
     fn conv_classifier() -> (pe_graph::Graph, pe_graph::NodeId, Vec<pe_graph::NodeId>) {
         let mut rng = Rng::seed_from_u64(0);
         let mut b = GraphBuilder::new();
@@ -111,8 +97,6 @@ mod tests {
         let p = b.global_avg_pool(h);
         let wfc = b.weight("fc.weight", [4, 8], &mut rng);
         let logits = b.linear(p, wfc, None);
-        // A branch that feeds no output, so DCE (the one pass that removes
-        // launches) has work to do.
         let dead = b.relu(logits);
         b.scale(dead, 2.0);
         let loss = b.cross_entropy(logits, labels);
@@ -132,7 +116,14 @@ mod tests {
         assert!(opt.graph.validate().is_empty());
         assert_eq!(schedule.len(), opt.graph.len());
         assert_eq!(stats.fusion, FusionStats::default());
-        assert!(stats.launches_after < stats.launches_before);
+        assert_eq!(stats.launches_after, launch_count(&opt.graph));
+        // Nothing removes the dangling branch: the schedule runs it.
+        let scheduled: Vec<&str> = schedule
+            .order
+            .iter()
+            .map(|&id| opt.graph.node(id).name.as_str())
+            .collect();
+        assert!(scheduled.contains(&"relu_20") && scheduled.contains(&"scale_21"));
     }
 
     #[test]
@@ -140,20 +131,12 @@ mod tests {
         let (g, loss, _) = conv_classifier();
         let tg = build_training_graph(g, loss, &TrainSpec::new());
         let before = tg.graph.len();
-        let (opt, schedule, stats) = optimize(tg, OptimizeOptions::none());
+        let opts = OptimizeOptions {
+            reorder_updates: false,
+        };
+        let (opt, schedule, stats) = optimize(tg, opts);
         assert_eq!(opt.graph.len(), before);
-        assert_eq!(stats.launches_after, stats.launches_before);
+        assert_eq!(stats.launches_after, launch_count(&opt.graph));
         assert_eq!(schedule.strategy, ScheduleStrategy::Conventional);
-    }
-
-    #[test]
-    fn optimized_graph_has_fewer_launches_than_unoptimized() {
-        let (g, loss, weights) = conv_classifier();
-        let mut spec = TrainSpec::new();
-        spec.insert(weights[0], TrainKind::Frozen);
-        let tg = build_training_graph(g, loss, &spec);
-        let launches_raw = launch_count(&tg.graph);
-        let (_, _, stats) = optimize(tg, OptimizeOptions::default());
-        assert!(stats.launches_after < launches_raw);
     }
 }

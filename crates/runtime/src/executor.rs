@@ -174,7 +174,7 @@ impl Executor {
 mod tests {
     use super::*;
     use pe_graph::{build_training_graph, GraphBuilder, TrainKind, TrainSpec};
-    use pe_passes::{optimize, OptimizeOptions};
+    use pe_passes::{build_schedule, ScheduleStrategy};
     use pe_tensor::Rng;
 
     /// Builds a small linear-regression-style training program.
@@ -197,7 +197,7 @@ mod tests {
             spec.insert(*id, spec_for(&g.node(*id).name));
         }
         let tg = build_training_graph(g, loss, &spec);
-        let (tg, schedule, _) = optimize(tg, OptimizeOptions::default());
+        let schedule = build_schedule(&tg.graph, ScheduleStrategy::Reordered);
         Executor::new(tg, schedule, Optimizer::sgd(0.1))
     }
 

@@ -24,7 +24,7 @@
 //! ```
 //! use std::collections::HashMap;
 //! use pe_graph::{build_training_graph, GraphBuilder, TrainSpec};
-//! use pe_passes::{optimize, OptimizeOptions};
+//! use pe_passes::{build_schedule, ScheduleStrategy};
 //! use pe_runtime::{Executor, Optimizer};
 //! use pe_tensor::{Rng, Tensor};
 //!
@@ -37,7 +37,7 @@
 //! let loss = b.cross_entropy(logits, labels);
 //! let graph = b.finish(vec![loss]);
 //! let tg = build_training_graph(graph, loss, &TrainSpec::new());
-//! let (tg, schedule, _) = optimize(tg, OptimizeOptions::default());
+//! let schedule = build_schedule(&tg.graph, ScheduleStrategy::Reordered);
 //! let mut exec = Executor::new(tg, schedule, Optimizer::sgd(0.1));
 //! let inputs = HashMap::from([
 //!     ("x".to_string(), Tensor::ones(&[2, 4])),

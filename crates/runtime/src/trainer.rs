@@ -135,7 +135,7 @@ mod tests {
     use super::*;
     use crate::optimizer::Optimizer;
     use pe_graph::{build_training_graph, GraphBuilder, TrainSpec};
-    use pe_passes::{optimize, OptimizeOptions};
+    use pe_passes::{build_schedule, ScheduleStrategy};
     use pe_tensor::Rng;
 
     fn make_trainer(lr: f32) -> Trainer {
@@ -150,7 +150,7 @@ mod tests {
         let logits_name = b.graph().node(logits).name.clone();
         let g = b.finish(vec![loss, logits]);
         let tg = build_training_graph(g, loss, &TrainSpec::new());
-        let (tg, schedule, _) = optimize(tg, OptimizeOptions::default());
+        let schedule = build_schedule(&tg.graph, ScheduleStrategy::Reordered);
         Trainer::new(
             Executor::new(tg, schedule, Optimizer::sgd(lr)),
             "x",

@@ -61,9 +61,9 @@ fn main() {
         full.memory.transient_peak_bytes as f64 / 1024.0
     );
     println!(
-        "graph: {} nodes ({} launches removed by DCE)\n",
+        "graph: {} nodes, {} launches per step\n",
         program.analysis.training_graph.graph.len(),
-        program.analysis.stats.launches_before - program.analysis.stats.launches_after
+        program.analysis.launches
     );
 
     // 4. Train and evaluate.

@@ -32,7 +32,7 @@ use pockengine::pe_graph::{
 };
 use pockengine::pe_memplan::{analyze_lifetimes, MemoryPlan};
 use pockengine::pe_models::BuiltModel;
-use pockengine::pe_passes::{optimize, OptimizeOptions, Schedule};
+use pockengine::pe_passes::{build_schedule, Schedule, ScheduleStrategy};
 use pockengine::pe_runtime::{EagerEngine, Executor, Optimizer, ParamStore};
 use pockengine::pe_tensor::{Rng, Tensor};
 use pockengine::{
@@ -166,10 +166,11 @@ pub fn assert_steady_state_is_clean(
     assert!(last < first, "{what}: loss must fall: {first} -> {last}");
 }
 
-/// Compiles `graph` for the executor through the default pipeline.
+/// Compiles `graph` for the executor with reordered updates, as `compile`
+/// does by default.
 pub fn executor(graph: Graph, loss: NodeId, spec: &TrainSpec, optimizer: Optimizer) -> Executor {
     let tg = build_training_graph(graph, loss, spec);
-    let (tg, schedule, _) = optimize(tg, OptimizeOptions::default());
+    let schedule = build_schedule(&tg.graph, ScheduleStrategy::Reordered);
     Executor::new(tg, schedule, optimizer)
 }
 
@@ -237,7 +238,7 @@ pub fn assert_chain(
     optimizer: Optimizer,
 ) {
     let tg = build_training_graph(graph.clone(), loss, spec);
-    let (tg, schedule, _) = optimize(tg, OptimizeOptions::default());
+    let schedule = build_schedule(&tg.graph, ScheduleStrategy::Reordered);
     let tg = Arc::new(tg);
     let mut planned = Executor::new(Arc::clone(&tg), schedule.clone(), optimizer);
     // The oracle: a private store and a plan that reuses nothing, larger
@@ -591,7 +592,8 @@ pub fn run_everywhere(stream: &[Request], paths: &[Path]) -> Vec<Run> {
 /// counts exactly the admitted requests as served and as cache traffic and
 /// the rejected ones as rejections; the queue's batcher accounts every
 /// eval group to one flush cause; a fleet routes every train through its
-/// primary, broadcasts one checkpoint per completed train, and re-homes or
+/// primary, broadcasts one checkpoint per completed train, leaves every
+/// worker's store equal to the primary's after each train, and re-homes or
 /// cancels nothing.
 pub fn run_phases(phases: &[Vec<Vec<Request>>], paths: &[Path]) -> Vec<Run> {
     paths.iter().map(|&path| run_path(phases, path)).collect()
@@ -635,7 +637,20 @@ fn run_path(phases: &[Vec<Vec<Request>>], path: Path) -> Run {
                 .map(|_| serve(engine(), queue_config(capacity, FLUSH)))
                 .collect();
             let fleet = balancer(&workers.iter().collect::<Vec<_>>(), capacity);
-            let outcomes = drive(phases, || Client::connect(fleet.local_addr()).unwrap());
+            let connect = || Client::connect(fleet.local_addr()).unwrap();
+            let inspect: Vec<Client> = workers
+                .iter()
+                .map(|w| Client::connect(w.local_addr()).expect("inspect a worker"))
+                .collect();
+            let mut outcomes = Vec::new();
+            for phase in split_after_trains(phases) {
+                outcomes.extend(drive(std::slice::from_ref(&phase), connect));
+                if phase.iter().flatten().any(|r| r.kind == ServingKind::Train) {
+                    // Nothing is in flight, and a train's broadcast lands
+                    // before its ticket resolves.
+                    assert_followers_converged(path, &inspect, outcomes.len());
+                }
+            }
             let s = fleet.shutdown();
             assert_eq!(
                 (
@@ -701,6 +716,40 @@ fn run_path(phases: &[Vec<Vec<Request>>], path: Path) -> Run {
         rejected,
         losses,
         store: Snapshot(store),
+    }
+}
+
+/// Splits each one-client phase after every train, so a fleet can be
+/// inspected between trains with nothing in flight. Evals still queue up
+/// ahead of each train, so the train fence waits them out.
+fn split_after_trains(phases: &[Vec<Vec<Request>>]) -> Vec<Vec<Vec<Request>>> {
+    let split = |phase: &Vec<Vec<Request>>| match phase.as_slice() {
+        [stream] => stream
+            .split_inclusive(|r| r.kind == ServingKind::Train)
+            .map(|segment| vec![segment.to_vec()])
+            .collect(),
+        _ => vec![phase.clone()],
+    };
+    phases.iter().flat_map(split).collect()
+}
+
+/// Asserts every worker's store snapshot equals the primary's (worker 0)
+/// once the first `served` requests have resolved.
+fn assert_followers_converged(path: Path, workers: &[Client], served: usize) {
+    let fetch = |c: &Client| {
+        c.fetch_snapshot(Duration::from_secs(5))
+            .expect("fetch snapshot")
+    };
+    let primary = Snapshot(fetch(&workers[0]));
+    for (worker, client) in workers.iter().enumerate().skip(1) {
+        let follower = Snapshot(fetch(client));
+        assert_eq!(
+            follower,
+            primary,
+            "{path:?}: worker {worker}'s store diverged from the primary's \
+             after request {}",
+            served - 1
+        );
     }
 }
 

@@ -16,7 +16,7 @@ use pockengine::pe_data::{
 };
 use pockengine::pe_graph::{build_training_graph, NodeId, OpKind};
 use pockengine::pe_memplan::plan_memory;
-use pockengine::pe_passes::optimize;
+use pockengine::pe_passes::build_schedule;
 use pockengine::prelude::*;
 use proptest::prelude::*;
 
@@ -176,7 +176,7 @@ fn activation_over_a_view_of_a_live_buffer_matches_the_disjoint_oracle() {
     let residuals = g.nodes().iter().filter(|n| matches!(n.op, OpKind::Add));
     assert!(residuals.count() > 0, "no residual reads a viewed buffer");
     let tg = build_training_graph(g.clone(), loss, &spec);
-    let (tg, schedule, _) = optimize(tg, Default::default());
+    let schedule = build_schedule(&tg.graph, ScheduleStrategy::Reordered);
     let plan = plan_memory(&tg.graph, &schedule);
     let aliased = |pick: fn(&OpKind) -> bool| {
         (0..tg.graph.len())
@@ -201,7 +201,8 @@ fn activation_over_a_view_of_a_live_buffer_matches_the_disjoint_oracle() {
 #[should_panic(expected = "exceeds arena")]
 fn supplied_plan_with_a_buffer_outside_the_arena_panics() {
     let (g, loss, spec) = random_mlp(2, 8, 2, 0, 1, false);
-    let (tg, schedule, _) = optimize(build_training_graph(g, loss, &spec), Default::default());
+    let tg = build_training_graph(g, loss, &spec);
+    let schedule = build_schedule(&tg.graph, ScheduleStrategy::Reordered);
     let mut plan = plan_memory(&tg.graph, &schedule);
     let moved = plan
         .offsets

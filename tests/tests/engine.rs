@@ -19,11 +19,11 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use pe_tests::support::{
-    assert_runs_agree, deadline_stream, engine, mlp, program, queue_config, request,
+    assert_runs_agree, deadline_stream, engine, executor, mlp, program, queue_config, request,
     run_everywhere, seeded_engine, Path, Snapshot, CLASSES, FLUSH,
 };
 use pockengine::pe_graph::{build_training_graph, TrainSpec};
-use pockengine::pe_passes::{optimize, OptimizeOptions};
+use pockengine::pe_passes::{build_schedule, ScheduleStrategy};
 use pockengine::pe_runtime::{Executor, Optimizer, ParamStore};
 use pockengine::pe_tensor::{Rng, Tensor};
 use pockengine::{
@@ -166,7 +166,7 @@ fn concurrent_train_and_eval_are_deterministic() {
         let make = |batch: usize| {
             let model = mlp(batch);
             let tg = build_training_graph(model.graph.clone(), model.loss, &TrainSpec::new());
-            let (tg, schedule, _) = optimize(tg, OptimizeOptions::default());
+            let schedule = build_schedule(&tg.graph, ScheduleStrategy::Reordered);
             Executor::with_store(tg, schedule, Arc::clone(store))
         };
         (make(4), make(8))
@@ -250,9 +250,7 @@ fn set_param_resets_optimizer_state() {
     for optimizer in optimizers {
         let make = || {
             let model = mlp(4);
-            let tg = build_training_graph(model.graph.clone(), model.loss, &TrainSpec::new());
-            let (tg, schedule, _) = optimize(tg, OptimizeOptions::default());
-            Executor::new(tg, schedule, optimizer)
+            executor(model.graph, model.loss, &TrainSpec::new(), optimizer)
         };
         let mut rng = Rng::seed_from_u64(17);
         let batches: Vec<HashMap<String, Tensor>> = (0..6)

@@ -14,7 +14,7 @@
 
 use std::io::{self, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use pe_net::proto::{self, FrameKind, NackReason, SubmitMode};
 use pe_net::{Client, Server, ServerConfig};
@@ -337,14 +337,14 @@ fn connection_limit_refuses_and_recovers() {
 
     drop(holder);
     // The slot frees asynchronously (the server must notice the EOF).
-    let deadline = std::time::Instant::now() + Duration::from_secs(10);
+    let deadline = Instant::now() + Duration::from_secs(10);
     loop {
         match Client::connect(addr) {
             Ok(client) => {
                 drop(client);
                 break;
             }
-            Err(_) if std::time::Instant::now() < deadline => {
+            Err(_) if Instant::now() < deadline => {
                 std::thread::sleep(Duration::from_millis(20));
             }
             Err(e) => panic!("slot never freed after disconnect: {e}"),
@@ -499,7 +499,7 @@ fn ping_is_answered_while_a_blocking_submit_waits_on_a_full_queue() {
     // Opening one slot lets the deferred submit through; its Ack releases
     // the client-side blocking call.
     assert!(matches!(
-        receiver.pop(Some(std::time::Instant::now() + Duration::from_secs(2))),
+        receiver.pop(Some(Instant::now() + Duration::from_secs(2))),
         pockengine::queue::Pop::Item(_)
     ));
     stalled
@@ -511,7 +511,9 @@ fn ping_is_answered_while_a_blocking_submit_waits_on_a_full_queue() {
 /// A stalled blocking submit defers the frames that arrive behind it, and a
 /// hostile peer must not turn that into unbounded buffering: once the
 /// deferred frames hold `max_frame` bytes the reader stops reading the
-/// socket, so TCP flow control stalls the sender's writes.
+/// socket, so TCP flow control stalls the sender's writes. The peer fills
+/// the socket with non-blocking writes, then no further byte may be
+/// accepted for a whole quiet window.
 #[test]
 fn a_stalled_blocking_submit_stops_reading_once_its_deferral_holds_a_frame() {
     let (submitter, _undrained) = pockengine::queue::channel(QueueConfig {
@@ -524,9 +526,6 @@ fn a_stalled_blocking_submit_stops_reading_once_its_deferral_holds_a_frame() {
     };
     let core = pe_net::ServerCore::spawn(submitter, None, config).expect("bind core");
     let mut stream = raw_handshake(core.local_addr());
-    stream
-        .set_write_timeout(Some(Duration::from_secs(2)))
-        .unwrap();
     let mut rng = Rng::seed_from_u64(78);
     // The first submit fills the queue; the second stalls the reader.
     for corr in [1, 2] {
@@ -534,26 +533,33 @@ fn a_stalled_blocking_submit_stops_reading_once_its_deferral_holds_a_frame() {
         let payload = proto::encode_submit(corr, SubmitMode::Block, &request);
         proto::write_frame(&mut stream, FrameKind::Submit, &payload).unwrap();
     }
+    // Filler frames, back to back: a write may end mid-frame, and the next
+    // one resumes at the same byte of the repeating chunk.
+    let mut chunk = Vec::new();
+    for _ in 0..16 {
+        proto::write_frame(&mut chunk, FrameKind::Submit, &[0u8; 4095]).unwrap();
+    }
     const LIMIT: usize = 64 << 20;
-    let filler = vec![0u8; 4095];
+    const QUIET: Duration = Duration::from_millis(300);
+    stream.set_nonblocking(true).unwrap();
     let mut sent = 0;
-    let stalled = loop {
-        if sent >= LIMIT {
-            break false;
-        }
-        match proto::write_frame(&mut stream, FrameKind::Submit, &filler) {
-            Ok(()) => sent += 4 + 1 + filler.len(),
-            Err(e) => {
-                let kind = e.kind();
-                assert!(
-                    matches!(kind, io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut),
-                    "{e}"
-                );
-                break true;
+    let mut last_accepted = Instant::now();
+    while last_accepted.elapsed() < QUIET {
+        assert!(
+            sent < LIMIT,
+            "the server read all {sent} bytes the peer sent"
+        );
+        match stream.write(&chunk[sent % chunk.len()..]) {
+            Ok(n) => {
+                sent += n;
+                last_accepted = Instant::now();
             }
+            Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
+                std::thread::sleep(Duration::from_millis(2));
+            }
+            Err(e) => panic!("{e}"),
         }
-    };
-    assert!(stalled, "the server read all {sent} bytes the peer sent");
+    }
     drop(stream);
     drop(core);
 }
@@ -590,7 +596,7 @@ fn a_server_hanging_up_on_a_submit_and_a_ping_releases_both() {
     let submitting = client.clone();
     let sent = original.clone();
     let submit = std::thread::spawn(move || submitting.submit(sent));
-    let started = std::time::Instant::now();
+    let started = Instant::now();
     let ping = client.ping(Duration::from_secs(30));
     assert_eq!(ping.map_err(|e| e.kind()), Err(io::ErrorKind::NotConnected));
     assert!(

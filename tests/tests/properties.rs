@@ -2,7 +2,7 @@
 //! kernel equivalences (matmul transpose identities), schedule validity,
 //! memory-planner non-overlap outside in-place alias chains, no in-place
 //! writer over a buffer read after it (reshape views and activation-VJP
-//! aliases included), and autodiff/DCE invariants over randomly shaped
+//! aliases included), and autodiff invariants over randomly shaped
 //! MLPs.
 
 use pe_tests::support::random_mlp;
@@ -12,9 +12,7 @@ use pockengine::pe_graph::{
     build_training_graph, graph_cost, Graph, NodeId, OpKind, TrainSpec, TrainingGraph,
 };
 use pockengine::pe_memplan::{plan_memory, validate_plan, MemoryPlan};
-use pockengine::pe_passes::{
-    build_schedule, optimize, OptimizeOptions, Schedule, ScheduleStrategy,
-};
+use pockengine::pe_passes::{build_schedule, Schedule, ScheduleStrategy};
 use pockengine::pe_tensor::kernels::elementwise::{binary_into, reduce_to_shape_into, BinaryOp};
 use pockengine::pe_tensor::kernels::gemm::{matmul_into, matmul_out_dims};
 use pockengine::pe_tensor::kernels::layout::transpose2d_into;
@@ -200,7 +198,7 @@ proptest! {
     }
 
     /// Freezing a prefix of the network can only shrink the training graph
-    /// and its FLOP count, and the optimisation pipeline preserves validity.
+    /// and its FLOP count, and leaves a valid graph that schedules whole.
     #[test]
     fn freezing_monotonically_shrinks_the_graph(
         depth in 2usize..5,
@@ -213,9 +211,9 @@ proptest! {
         prop_assert!(graph_cost(&frozen.graph).flops <= graph_cost(&full.graph).flops);
         prop_assert!(frozen.updates.len() <= full.updates.len());
 
-        let (opt, schedule, _) = optimize(frozen, OptimizeOptions::default());
-        prop_assert!(opt.graph.validate().is_empty());
-        prop_assert_eq!(schedule.len(), opt.graph.len());
+        let schedule = build_schedule(&frozen.graph, ScheduleStrategy::Reordered);
+        prop_assert!(frozen.graph.validate().is_empty());
+        prop_assert_eq!(schedule.len(), frozen.graph.len());
     }
 
     /// Broadcast-add then reduce-to-shape is the identity on the gradient

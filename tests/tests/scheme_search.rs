@@ -43,20 +43,10 @@ fn accuracy_with_spec(
     train: &[Batch],
     test: &[Batch],
 ) -> f32 {
-    let program = compile(
-        model,
-        &CompileOptions {
-            update_rule: UpdateRule::Full, // overridden below via explicit spec
-            optimizer: Optimizer::sgd(0.1),
-            ..CompileOptions::default()
-        },
-    );
-    // `compile` applies rules; for arbitrary specs go through the lower-level
-    // pipeline directly.
-    drop(program);
+    // `compile` takes an `UpdateRule`; an arbitrary spec goes through the
+    // lower-level pipeline directly.
     let tg = pockengine::pe_graph::build_training_graph(model.graph.clone(), model.loss, spec);
-    let (tg, schedule, _) =
-        pockengine::pe_passes::optimize(tg, pockengine::pe_passes::OptimizeOptions::default());
+    let schedule = pockengine::pe_passes::build_schedule(&tg.graph, ScheduleStrategy::Reordered);
     let exec = Executor::new(tg, schedule, Optimizer::sgd(0.1));
     let mut trainer = Trainer::new(exec, "x", "labels", model.logits_name());
     for _ in 0..2 {
