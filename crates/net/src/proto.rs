@@ -1023,6 +1023,99 @@ mod tests {
         assert!(decode_submit(&payload).unwrap_err().0.contains("trailing"));
     }
 
+    /// FNV-1a 64 of a payload.
+    fn fnv1a(bytes: &[u8]) -> u64 {
+        bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+            (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+        })
+    }
+
+    /// Every payload's exact bytes, pinned by length and hash: a codec
+    /// change that moves one byte of protocol version 4 fails here.
+    #[test]
+    fn payload_bytes_are_pinned() {
+        let logits = Tensor::from_vec(vec![1.5, -0.25, 3.0, f32::from_bits(0x7fc0_0001)], [2, 2]);
+        let outcomes = [
+            Ok(Outcome::Completed(Response {
+                id: 7,
+                client_id: Some(99),
+                kind: ServingKind::Eval,
+                rows: 2,
+                batch: 4,
+                loss: Some(f32::from_bits(0x3f8f_5c29)),
+                logits: Some(logits),
+            })),
+            Ok(Outcome::Rejected(RejectReason::DeadlineInfeasible {
+                estimated: Duration::from_nanos(123_456_789),
+                budget: Duration::from_nanos(100),
+            })),
+            Ok(Outcome::Cancelled),
+            Err(ExecError::MissingInput("x".into())),
+            Err(ExecError::InputShapeMismatch {
+                name: "labels".into(),
+                expected: vec![4],
+                actual: vec![2, 2],
+            }),
+            Err(ExecError::InputIndexOutOfRange {
+                name: "labels".into(),
+                position: 3,
+                bound: 4,
+            }),
+        ];
+        let mut payloads = vec![
+            ("hello", encode_hello()),
+            ("hello_ack", encode_hello_ack()),
+            (
+                "submit",
+                encode_submit(42, SubmitMode::Try, &full_request()),
+            ),
+            ("ack", encode_ack(5)),
+            ("nack_full", encode_nack(6, NackReason::Full)),
+            ("nack_closed", encode_nack(7, NackReason::Closed)),
+            ("error", encode_error("boom")),
+            ("pong", encode_pong(7, 12)),
+            (
+                "checkpoint",
+                encode_checkpoint(3, &[0xDE, 0xAD, 0xBE, 0xEF]),
+            ),
+        ];
+        for (name, result) in [
+            "completed",
+            "rejected",
+            "cancelled",
+            "missing",
+            "shape",
+            "index",
+        ]
+        .into_iter()
+        .zip(&outcomes)
+        {
+            payloads.push((name, encode_outcome(11, result)));
+        }
+        let pinned: [(&str, usize, u64); 15] = [
+            ("hello", 6, 0x79bc7ce788306c49),
+            ("hello_ack", 2, 0x0824f007b4dfe349),
+            ("submit", 66, 0xcf6a652074ae00e1),
+            ("ack", 8, 0x0de21504f16dc720),
+            ("nack_full", 9, 0xbf2fd77efb5a3d99),
+            ("nack_closed", 9, 0x2bc5832166bf4939),
+            ("error", 8, 0x9172292b378b39be),
+            ("pong", 12, 0xf45d365d172a914e),
+            ("checkpoint", 12, 0xb0566ad1a57ba414),
+            ("completed", 64, 0x2821d31d57a63ad4),
+            ("rejected", 25, 0x1ed7308ec56df6f5),
+            ("cancelled", 9, 0x14c180845e02cd04),
+            ("missing", 15, 0x8dbe61c6a2794f24),
+            ("shape", 34, 0xe42bcc91f4d18fc0),
+            ("index", 36, 0xa423fe1949e448ee),
+        ];
+        let actual: Vec<(&str, usize, u64)> = payloads
+            .iter()
+            .map(|(name, bytes)| (*name, bytes.len(), fnv1a(bytes)))
+            .collect();
+        assert_eq!(actual, pinned);
+    }
+
     #[test]
     fn fleet_frames_round_trip() {
         assert_eq!(decode_ping(&encode_ping(u64::MAX)).unwrap(), u64::MAX);

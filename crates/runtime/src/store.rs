@@ -795,6 +795,30 @@ mod tests {
         );
     }
 
+    /// The snapshot's exact bytes after two Adam steps of a linear
+    /// classifier with a frozen weight (no state rows) and a trained bias
+    /// (two rows), pinned by length and FNV-1a 64: a codec change that
+    /// moves one byte of layout v1 fails here.
+    #[test]
+    fn snapshot_bytes_are_pinned() {
+        let (tg, _) = frozen_weight_program();
+        let store = Arc::new(ParamStore::from_graph(&tg.graph, Optimizer::adam(0.01)));
+        let schedule = build_schedule(&tg.graph, ScheduleStrategy::Reordered);
+        let mut exec = Executor::with_store(tg, schedule, Arc::clone(&store));
+        let inputs = HashMap::from([
+            ("x".to_string(), Tensor::ones([2, 4])),
+            ("labels".to_string(), Tensor::from_vec(vec![0.0, 2.0], [2])),
+        ]);
+        for _ in 0..2 {
+            exec.train_step(&inputs).unwrap();
+        }
+        let bytes = store.snapshot();
+        let hash = bytes.iter().fold(0xcbf2_9ce4_8422_2325u64, |h, &b| {
+            (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+        });
+        assert_eq!((bytes.len(), hash), (161, 0x8a8c_fd47_6fef_7016));
+    }
+
     #[test]
     fn resident_bytes_counts_state_once() {
         let s = store();
