@@ -66,8 +66,8 @@ impl std::fmt::Display for RejectReason {
     }
 }
 
-/// The uniform result of serving one request, returned by `Engine::serve`,
-/// `Engine::serve_one` and redeemed from the queue's `Ticket`.
+/// The uniform result of serving one request, returned by `Engine::serve`
+/// (one per request of the slice) and redeemed from the queue's `Ticket`.
 #[derive(Debug, Clone)]
 pub enum Outcome {
     /// The request was served.

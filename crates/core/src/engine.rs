@@ -268,34 +268,6 @@ impl Engine {
             .collect())
     }
 
-    /// Serves a single request synchronously (no coalescing across calls),
-    /// returning its [`Outcome`].
-    ///
-    /// For queued ingestion with batching across producers, move the engine
-    /// behind a submission queue with [`Engine::into_async`].
-    ///
-    /// # Errors
-    ///
-    /// Returns input errors (malformed features/labels, out-of-range label
-    /// or token ids).
-    pub fn serve_one(&mut self, request: &Request) -> Result<Outcome, ExecError> {
-        self.program.check_request(request)?;
-        if let Err(reason) = self.admit(request) {
-            self.metrics.rejected += 1;
-            return Ok(Outcome::Rejected(reason));
-        }
-        let id = self.metrics.requests as usize;
-        match request.kind {
-            ServingKind::Train => Ok(Outcome::Completed(self.train_one(id, request)?)),
-            ServingKind::Eval => {
-                let mut responses = self.eval_group(&[(id, request)], request.rows())?;
-                Ok(Outcome::Completed(
-                    responses.pop().expect("one response per request"),
-                ))
-            }
-        }
-    }
-
     /// Moves the engine behind a bounded submission queue drained by a
     /// dedicated batcher thread, returning the asynchronous facade.
     ///

@@ -69,8 +69,9 @@ pub struct RequestMeta {
 /// One serving request: the tensor payload plus [`RequestMeta`].
 ///
 /// This is the canonical request type of the serving API — the same value
-/// flows through `Engine::serve` (synchronous slices), `Engine::serve_one`
-/// and the bounded submission queue. Build one with the fluent builder:
+/// flows through `Engine::serve` (synchronous slices, one request being a
+/// slice of one) and the bounded submission queue. Build one with the fluent
+/// builder:
 ///
 /// ```
 /// use std::time::Duration;

@@ -389,7 +389,7 @@ impl Client {
     /// [`io::ErrorKind::TimedOut`] when no reply lands within `timeout`;
     /// [`io::ErrorKind::NotConnected`] on a dead connection.
     pub fn ping(&self, timeout: Duration) -> io::Result<u32> {
-        match self.control(FrameKind::Ping, proto::encode_ping, timeout)? {
+        match self.control(FrameKind::Ping, proto::encode_ack, timeout)? {
             ControlReply::Pong(depth) => Ok(depth),
             _ => Err(io::Error::new(
                 io::ErrorKind::InvalidData,
@@ -431,7 +431,7 @@ impl Client {
     /// [`io::ErrorKind::TimedOut`] when no reply lands within `timeout`;
     /// [`io::ErrorKind::NotConnected`] on a dead connection.
     pub fn fetch_snapshot(&self, timeout: Duration) -> io::Result<Vec<u8>> {
-        match self.control(FrameKind::SnapshotReq, proto::encode_snapshot_req, timeout)? {
+        match self.control(FrameKind::SnapshotReq, proto::encode_ack, timeout)? {
             ControlReply::Snapshot(bytes) => Ok(bytes),
             _ => Err(io::Error::new(
                 io::ErrorKind::InvalidData,
@@ -490,7 +490,7 @@ fn reader_loop(shared: Arc<ClientShared>, mut stream: TcpStream) {
             Some(FrameKind::Pong) => proto::decode_pong(payload)
                 .map(|(corr, depth)| shared.reply(corr, ControlReply::Pong(depth))),
             Some(FrameKind::Checkpoint) => proto::decode_checkpoint(payload)
-                .map(|(corr, bytes)| shared.reply(corr, ControlReply::Snapshot(bytes))),
+                .map(|(corr, bytes)| shared.reply(corr, ControlReply::Snapshot(bytes.to_vec()))),
             // A server `Error` frame, like any other frame kind, ends the
             // connection.
             _ => break,

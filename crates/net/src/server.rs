@@ -142,7 +142,7 @@ impl Conn {
 
     /// Answers a `Ping` with the queue depth sampled now.
     fn pong(&self, state: &ServerState, payload: &[u8]) -> Result<(), proto::ProtoError> {
-        let corr = proto::decode_ping(payload)?;
+        let corr = proto::decode_ack(payload)?;
         let depth = state.submitter.len().min(u32::MAX as usize) as u32;
         self.reply(FrameKind::Pong, proto::encode_pong(corr, depth));
         Ok(())
@@ -511,7 +511,7 @@ fn read_loop(stream: &mut TcpStream, state: &ServerState, conn: &Conn) {
                 // quiesced its submissions (a checkpoint between a train
                 // fence and the next eval), and the store's exclusive guard
                 // orders the restore against any stragglers anyway.
-                match store.restore(&bytes) {
+                match store.restore(bytes) {
                     Ok(()) => conn.reply(FrameKind::Ack, proto::encode_ack(corr)),
                     Err(e) => {
                         conn.push(Cmd::Fatal(e.to_string()));
@@ -521,7 +521,7 @@ fn read_loop(stream: &mut TcpStream, state: &ServerState, conn: &Conn) {
                 continue;
             }
             Some(FrameKind::SnapshotReq) => {
-                let corr = match proto::decode_snapshot_req(&frame.payload) {
+                let corr = match proto::decode_ack(&frame.payload) {
                     Ok(corr) => corr,
                     Err(e) => {
                         conn.push(Cmd::Fatal(e.to_string()));

@@ -54,6 +54,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard};
 
 use pe_graph::{Graph, NodeId, ParamInit, ParamKey, TrainingGraph};
+use pe_tensor::codec::{fit, CodecError, Reader, Writer};
 use pe_tensor::Tensor;
 
 use crate::optimizer::Optimizer;
@@ -267,64 +268,36 @@ impl ParamStore {
     }
 
     /// Serialises the complete training state into the versioned binary
-    /// checkpoint format (see the constants below): every parameter's value
-    /// as exact f32 bit patterns, its optimizer state rows, its per-cell
-    /// update count, plus the global step counter. Taken under the shared
-    /// step guard, so a snapshot never observes a half-applied training
-    /// step.
+    /// checkpoint format, written with the wire protocol's codec
+    /// (`pe_tensor::codec`): magic, layout version `u32`, optimizer tag
+    /// `u8`, the global step counter `u64` and the parameter count `u32`,
+    /// then per parameter its name, its value as a codec tensor (exact f32
+    /// bit patterns), its optimizer state rows (a `u8` count, then the
+    /// rows) and its update count `u64`. Taken under the shared step guard,
+    /// so a snapshot never observes a half-applied training step.
     ///
     /// A [`ParamStore::restore`] of these bytes into a store built from the
     /// same model family resumes training **bit-identically** to the
     /// uninterrupted run — which is what lets fleet followers converge to a
     /// primary's exact parameters.
     pub fn snapshot(&self) -> Vec<u8> {
-        // Encoding a value wider than its wire field would truncate
-        // silently and produce a snapshot that restore() may accept with
-        // wrong shapes — assert instead. All of these sit orders of
-        // magnitude beyond any real store (u8 rank / state rows, u32
-        // dims / name length / parameter count).
-        let fits_u8 = |v: usize, what: &str| {
-            assert!(
-                v <= u8::MAX as usize,
-                "{what} {v} overflows the u8 snapshot field"
-            );
-            v as u8
-        };
-        let fits_u32 = |v: usize, what: &str| {
-            assert!(
-                v <= u32::MAX as usize,
-                "{what} {v} overflows the u32 snapshot field"
-            );
-            v as u32
-        };
         let cells = self.lock_shared();
-        let mut buf = Vec::with_capacity(64 + resident_bytes(&cells));
-        buf.extend_from_slice(&SNAPSHOT_MAGIC);
-        buf.extend_from_slice(&SNAPSHOT_VERSION.to_le_bytes());
-        buf.push(optimizer_tag(self.optimizer));
-        buf.extend_from_slice(&(self.steps.load(Ordering::Relaxed) as u64).to_le_bytes());
-        buf.extend_from_slice(&fits_u32(cells.len(), "parameter count").to_le_bytes());
-        for (cell, key) in cells.iter().zip(&self.keys) {
-            let name = key.as_str().as_bytes();
-            buf.extend_from_slice(&fits_u32(name.len(), "parameter name length").to_le_bytes());
-            buf.extend_from_slice(name);
-            let dims = cell.value.dims();
-            buf.push(fits_u8(dims.len(), "tensor rank"));
-            for &d in dims {
-                buf.extend_from_slice(&fits_u32(d, "tensor dimension").to_le_bytes());
-            }
-            for &v in cell.value.data() {
-                buf.extend_from_slice(&v.to_bits().to_le_bytes());
-            }
-            buf.push(fits_u8(cell.state.len(), "optimizer state rows"));
-            for row in &cell.state {
-                for &v in row {
-                    buf.extend_from_slice(&v.to_bits().to_le_bytes());
+        Writer::encode(64 + resident_bytes(&cells), |w| {
+            w.bytes(&SNAPSHOT_MAGIC);
+            w.u32(SNAPSHOT_VERSION);
+            w.u8(optimizer_tag(self.optimizer));
+            w.u64(self.steps.load(Ordering::Relaxed) as u64);
+            w.u32(fit(cells.len()));
+            for (cell, key) in cells.iter().zip(&self.keys) {
+                w.str(key.as_str());
+                w.tensor(&cell.value);
+                w.u8(fit(cell.state.len()));
+                for row in &cell.state {
+                    w.f32s(row);
                 }
+                w.u64(cell.steps as u64);
             }
-            buf.extend_from_slice(&(cell.steps as u64).to_le_bytes());
-        }
-        buf
+        })
     }
 
     /// Restores a [`ParamStore::snapshot`] into this store, overwriting
@@ -347,79 +320,70 @@ impl ParamStore {
     /// incompatible layout version or optimizer family, or do not cover
     /// exactly this store's parameters (names and shapes must match).
     pub fn restore(&self, bytes: &[u8]) -> Result<(), SnapshotError> {
-        let mut r = SnapReader { bytes, at: 0 };
-        if r.take(4)? != SNAPSHOT_MAGIC {
-            return Err(SnapshotError("bad magic: not a ParamStore snapshot".into()));
-        }
-        let version = r.u32()?;
-        if version != SNAPSHOT_VERSION {
-            return Err(SnapshotError(format!(
-                "snapshot layout v{version}, this build reads v{SNAPSHOT_VERSION}"
-            )));
-        }
-        let tag = r.u8()?;
-        if tag != optimizer_tag(self.optimizer) {
-            return Err(SnapshotError(format!(
-                "snapshot optimizer family (tag {tag}) differs from the store's {:?}",
-                self.optimizer
-            )));
-        }
-        let global_steps = r.u64()? as usize;
-        let count = r.u32()? as usize;
-        if count != self.keys.len() {
-            return Err(SnapshotError(format!(
-                "snapshot holds {count} parameters, the store holds {}",
-                self.keys.len()
-            )));
-        }
-        let state_slots = self.optimizer.state_slots();
         let mut cells = self.lock_exclusive();
         // Decode fully before touching any cell, so a truncated or
         // mismatched snapshot can never leave the store half-restored. Each
         // parameter's dims are checked against its slot before they size
         // anything, so hostile dims never reach a product.
-        let mut decoded = Vec::with_capacity(count);
-        for (cell, key) in cells.iter().zip(&self.keys) {
-            let name = r.string()?;
-            if name != key.as_str() {
+        let (global_steps, decoded) = Reader::read_all(bytes, |r| {
+            if r.take(4)? != SNAPSHOT_MAGIC {
+                return Err(SnapshotError("bad magic: not a ParamStore snapshot".into()));
+            }
+            let version = r.u32()?;
+            if version != SNAPSHOT_VERSION {
                 return Err(SnapshotError(format!(
-                    "snapshot parameter '{name}' does not match store slot '{key}' \
-                     (snapshots are slot-ordered and must come from the same family)"
+                    "snapshot layout v{version}, this build reads v{SNAPSHOT_VERSION}"
                 )));
             }
-            let ndims = r.u8()? as usize;
-            let mut dims = Vec::with_capacity(ndims);
-            for _ in 0..ndims {
-                dims.push(r.u32()? as usize);
-            }
-            if cell.value.dims() != dims.as_slice() {
+            let tag = r.u8()?;
+            if tag != optimizer_tag(self.optimizer) {
                 return Err(SnapshotError(format!(
-                    "parameter '{key}' shape {:?} differs from the snapshot's {dims:?}",
-                    cell.value.dims()
-                )));
-            }
-            let numel = cell.value.numel();
-            let values = r.f32_row(numel)?;
-            let rows = r.u8()? as usize;
-            if rows != 0 && rows != state_slots {
-                return Err(SnapshotError(format!(
-                    "parameter '{key}' carries {rows} optimizer state rows, \
-                     {:?} keeps {state_slots}",
+                    "snapshot optimizer family (tag {tag}) differs from the store's {:?}",
                     self.optimizer
                 )));
             }
-            let state: Vec<Vec<f32>> = (0..rows)
-                .map(|_| r.f32_row(numel))
-                .collect::<Result<_, _>>()?;
-            let steps = r.u64()? as usize;
-            decoded.push((values, state, steps));
-        }
-        if r.at != r.bytes.len() {
-            return Err(SnapshotError(format!(
-                "{} trailing bytes after the snapshot",
-                r.bytes.len() - r.at
-            )));
-        }
+            let global_steps = r.u64()? as usize;
+            let count = r.u32()? as usize;
+            if count != self.keys.len() {
+                return Err(SnapshotError(format!(
+                    "snapshot holds {count} parameters, the store holds {}",
+                    self.keys.len()
+                )));
+            }
+            let state_slots = self.optimizer.state_slots();
+            let mut decoded = Vec::with_capacity(count);
+            for (cell, key) in cells.iter().zip(&self.keys) {
+                let name = r.str()?;
+                if name != key.as_str() {
+                    return Err(SnapshotError(format!(
+                        "snapshot parameter '{name}' does not match store slot '{key}' \
+                         (snapshots are slot-ordered and must come from the same family)"
+                    )));
+                }
+                let dims = r.dims()?;
+                if cell.value.dims() != dims.as_slice() {
+                    return Err(SnapshotError(format!(
+                        "parameter '{key}' shape {:?} differs from the snapshot's {dims:?}",
+                        cell.value.dims()
+                    )));
+                }
+                let numel = cell.value.numel();
+                let values = r.f32s(numel)?;
+                let rows = r.u8()? as usize;
+                if rows != 0 && rows != state_slots {
+                    return Err(SnapshotError(format!(
+                        "parameter '{key}' carries {rows} optimizer state rows, \
+                         {:?} keeps {state_slots}",
+                        self.optimizer
+                    )));
+                }
+                let state: Vec<Vec<f32>> =
+                    (0..rows).map(|_| r.f32s(numel)).collect::<Result<_, _>>()?;
+                let steps = r.u64()? as usize;
+                decoded.push((values, state, steps));
+            }
+            Ok((global_steps, decoded))
+        })?;
         for (cell, (values, state, steps)) in cells.iter_mut().zip(decoded) {
             let same_bits = cell
                 .value
@@ -475,6 +439,12 @@ impl std::fmt::Display for SnapshotError {
 
 impl std::error::Error for SnapshotError {}
 
+impl From<CodecError> for SnapshotError {
+    fn from(e: CodecError) -> Self {
+        SnapshotError(e.0)
+    }
+}
+
 /// Optimizer *family* byte written into snapshots: state-row layouts are
 /// only compatible within a family, so restore validates the tag.
 fn optimizer_tag(optimizer: Optimizer) -> u8 {
@@ -483,57 +453,6 @@ fn optimizer_tag(optimizer: Optimizer) -> u8 {
         Optimizer::Momentum { .. } => 1,
         Optimizer::Adam { .. } => 2,
         Optimizer::Lion { .. } => 3,
-    }
-}
-
-/// Minimal truncation-checked reader over snapshot bytes.
-struct SnapReader<'a> {
-    bytes: &'a [u8],
-    at: usize,
-}
-
-impl<'a> SnapReader<'a> {
-    fn take(&mut self, n: usize) -> Result<&'a [u8], SnapshotError> {
-        if self.bytes.len() - self.at < n {
-            return Err(SnapshotError(format!(
-                "truncated snapshot: wanted {n} bytes at offset {}, have {}",
-                self.at,
-                self.bytes.len() - self.at
-            )));
-        }
-        let slice = &self.bytes[self.at..self.at + n];
-        self.at += n;
-        Ok(slice)
-    }
-
-    fn u8(&mut self) -> Result<u8, SnapshotError> {
-        Ok(self.take(1)?[0])
-    }
-
-    fn u32(&mut self) -> Result<u32, SnapshotError> {
-        Ok(u32::from_le_bytes(self.take(4)?.try_into().unwrap()))
-    }
-
-    fn u64(&mut self) -> Result<u64, SnapshotError> {
-        Ok(u64::from_le_bytes(self.take(8)?.try_into().unwrap()))
-    }
-
-    fn string(&mut self) -> Result<String, SnapshotError> {
-        let len = self.u32()? as usize;
-        let bytes = self.take(len)?;
-        String::from_utf8(bytes.to_vec())
-            .map_err(|_| SnapshotError("parameter name is not UTF-8".into()))
-    }
-
-    fn f32_row(&mut self, n: usize) -> Result<Vec<f32>, SnapshotError> {
-        let bytes = n
-            .checked_mul(4)
-            .ok_or_else(|| SnapshotError("row volume overflows".into()))?;
-        let raw = self.take(bytes)?;
-        Ok(raw
-            .chunks_exact(4)
-            .map(|c| f32::from_bits(u32::from_le_bytes(c.try_into().unwrap())))
-            .collect())
     }
 }
 
@@ -676,7 +595,7 @@ mod tests {
         let mut hostile = good[..RANK_AT].to_vec();
         hostile.push(4);
         for _ in 0..4 {
-            hostile.extend_from_slice(&65536u32.to_le_bytes());
+            hostile.extend_from_slice(&[0, 0, 1, 0]); // 65536
         }
         let err = s.restore(&hostile).unwrap_err();
         assert!(err.0.contains("shape"), "{err}");

@@ -28,6 +28,7 @@
 #![deny(missing_docs)]
 #![deny(clippy::undocumented_unsafe_blocks)]
 
+pub mod codec;
 pub mod kernels;
 pub(crate) mod rng;
 pub(crate) mod shape;

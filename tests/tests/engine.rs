@@ -85,8 +85,9 @@ fn eval_padding_does_not_change_real_rows() {
 
     let mut padded = engine(vec![8]);
     let r_padded = padded
-        .serve_one(&req)
+        .serve(std::slice::from_ref(&req))
         .unwrap()
+        .remove(0)
         .expect_completed("eval should complete");
     assert_eq!(r_padded.rows, 3);
     assert_eq!(r_padded.batch, 8, "must pad to the nearest cached size");
@@ -94,8 +95,9 @@ fn eval_padding_does_not_change_real_rows() {
 
     let mut exact = engine(vec![3]);
     let r_exact = exact
-        .serve_one(&req)
+        .serve(std::slice::from_ref(&req))
         .unwrap()
+        .remove(0)
         .expect_completed("eval should complete");
     assert_eq!(r_exact.batch, 3);
 
@@ -143,8 +145,9 @@ fn specialization_cache_and_coalescing_accounting() {
     // A train request at an uncached size is an exact-size miss.
     let train = request(ServingKind::Train, 5, &mut rng);
     let r = engine
-        .serve_one(&train)
+        .serve(std::slice::from_ref(&train))
         .unwrap()
+        .remove(0)
         .expect_completed("train should complete");
     assert_eq!(r.batch, 5, "training always runs exact");
     let stats = engine.cache_stats();
@@ -454,8 +457,9 @@ fn engine_cache_budget_evicts_lru_specializations() {
     // Trains at distinct exact sizes force distinct specializations.
     for rows in [2, 3, 5, 6, 7] {
         let outcome = engine
-            .serve_one(&request(ServingKind::Train, rows, &mut rng))
-            .unwrap();
+            .serve(&[request(ServingKind::Train, rows, &mut rng)])
+            .unwrap()
+            .remove(0);
         assert!(outcome.is_completed());
         assert!(
             engine.program().cached_batches().len() <= 3,
@@ -475,8 +479,9 @@ fn client_ids_echo_back_on_responses() {
     let mut rng = Rng::seed_from_u64(21);
     let req = request(ServingKind::Eval, 2, &mut rng).id(777);
     let response = engine
-        .serve_one(&req)
+        .serve(std::slice::from_ref(&req))
         .unwrap()
+        .remove(0)
         .expect_completed("eval completes");
     assert_eq!(response.client_id, Some(777));
 

@@ -193,6 +193,11 @@ fn malformed_requests_resolve_alone_and_never_break_their_group() {
         (labelled([f32::NAN, 0.0]), out_of_range(0)),
         (features([2, DIM + 1]), misshapen(vec![2, DIM + 1])),
         (features([3, DIM]), misshapen(vec![3, DIM])),
+        // The wire carries rank-0 tensors too.
+        (
+            Request::eval(Tensor::scalar(0.0), Tensor::zeros([2])),
+            misshapen(vec![]),
+        ),
     ];
 
     let deadline = Instant::now() + Duration::from_secs(10);
@@ -216,7 +221,7 @@ fn malformed_requests_resolve_alone_and_never_break_their_group() {
     train.wait().unwrap().expect_completed("a later train runs");
     later.wait().unwrap().expect_completed("a later eval runs");
     for (r, want) in &bad {
-        assert_eq!(&engine.serve_one(r).unwrap_err(), want);
+        assert_eq!(&engine.serve(std::slice::from_ref(r)).unwrap_err(), want);
         assert_eq!(&engine.serve(&[eval(), r.clone()]).unwrap_err(), want);
     }
 }
@@ -411,7 +416,7 @@ fn snapshots_taken_while_training_match_a_whole_step() {
     let mut twin = engine(vec![4, 8]);
     let mut whole_steps = HashSet::from([twin.program().store().snapshot()]);
     for r in &stream {
-        twin.serve_one(r).unwrap();
+        twin.serve(std::slice::from_ref(r)).unwrap();
         if r.kind == ServingKind::Train {
             whole_steps.insert(twin.program().store().snapshot());
         }
